@@ -48,7 +48,7 @@ from .io import (
 from .kernel import kernel_eval, psd_check, self_adjoint_check
 from .matrices import ArrowheadMatrix
 from .rkhs import analytic_symbol, membership_test
-from .series import evaluate, merge_log_exponents, multiply_merged
+from .series import COLLISION_RTOL, evaluate, merge_log_exponents, multiply_merged
 from .structured import certify_psd, example_arrowhead, growth_check, psd_margin
 from .symmetry import (
     linear_invariance_test,
@@ -345,7 +345,7 @@ def _cmd_merge(args) -> dict:
         "count": len(merged),
         "min_gap": min(gaps) if gaps else None,
         "entries": [{"nu": nu, "m": m, "n": n} for nu, m, n in merged[:limit]],
-        "collision_tolerance_relative": 1e-12,
+        "collision_tolerance_relative": COLLISION_RTOL,
     }
     if args.check_multiply:
         f = load_series(args.check_multiply[0])
@@ -455,7 +455,7 @@ def main(argv=None) -> int:
     if args.tol is None:
         args.tol = args.default_tol
     try:
-        report = args.fn(args)
+        _emit(args.fn(args), args)
     except (SpecError, CollisionError, ConvergenceRegionError, OutsideDomainError,
             HermitianError, RecoveryError, CertificationError, FileNotFoundError) as exc:
         return _fail(type(exc).__name__, str(exc), 2)
@@ -463,7 +463,6 @@ def main(argv=None) -> int:
         return _fail("InternalCheckError", str(exc), 3)
     except DskernelError as exc:
         return _fail(type(exc).__name__, str(exc), 3)
-    _emit(report, args)
     return 0
 
 

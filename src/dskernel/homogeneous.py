@@ -239,7 +239,8 @@ def translate_gram(span: TranslateSpan, tol: float = 0.0) -> TranslateGram:
 
     The reproducing identity turns inner products of translates into kernel
     values, which for a diagonal kernel is the single sum above, truncated
-    at the span order with an envelope tail radius.  Independence of the
+    at the span order with an envelope tail radius plus a bound on the
+    rounding of the truncated sum.  Independence of the
     family at this truncation is certified when the eigenvalue lower bound
     (min eig minus accumulated entry radii) stays positive.
     """
@@ -265,6 +266,13 @@ def translate_gram(span: TranslateSpan, tol: float = 0.0) -> TranslateGram:
     else:
         C, p = pb
         radius = C * power_tail_bound(span.order, 2.0 * span.a - p)
+        # rounding: summing the terms costs gamma_{order-1} times their
+        # absolute sum (Higham's gamma_k = k u / (1 - k u), u = 2**-53), and
+        # forming each term a few more u plus the phase error of the rounded
+        # exponent, u |b_j - b_k| log n per unit of weight
+        k_u = (span.order + 8) * 2.0**-53
+        spread = max(offs) - min(offs)
+        radius += k_u / (1.0 - k_u) * float(np.sum(weights * (1.0 + spread * logs)))
     w = np.linalg.eigvalsh(0.5 * (G + G.conj().T))
     min_eig = float(w[0])
     lower = min_eig - (radius * N if math.isfinite(radius) else math.inf)
@@ -273,13 +281,19 @@ def translate_gram(span: TranslateSpan, tol: float = 0.0) -> TranslateGram:
 
 def apply_generator(span: TranslateSpan, v: SpanVector) -> SpanVector:
     """T v: multiply the coefficient at offset b by the eigenvalue i*b, exactly."""
-    out: SpanVector = {}
-    for b, coef in v.items():
-        b = span.require_offset(b)
-        c = coef.times_imag(b)
-        if not c.is_zero:
-            out[b] = c
-    return out
+    for b in v:
+        span.require_offset(b)
+    return _times_label(v)
+
+
+def _times_label(v: SpanVector) -> SpanVector:
+    """Multiply each coefficient by i times its own offset label."""
+    return span_vector({b: coef.times_imag(Fraction(b)) for b, coef in v.items()})
+
+
+def _difference(x: SpanVector, y: SpanVector) -> SpanVector:
+    zero = ExactComplex()
+    return span_vector({off: x.get(off, zero) - y.get(off, zero) for off in set(x) | set(y)})
 
 
 def apply_shift(c, v: SpanVector) -> SpanVector:
@@ -298,29 +312,10 @@ def homogeneity_residual(c, b) -> SpanVector:
     c = c if isinstance(c, Fraction) else Fraction(c)
     b = b if isinstance(b, Fraction) else Fraction(b)
     v = delta(b)
-    span = TranslateSpan(
-        a=1.0,
-        offsets=(b, b + c) if b != b + c else (b,),
-        diagonal=SequenceRule("constant", scale=1.0),
-        support=AdmissibleSupport("all"),
-        order=4,
-        rho=0.0,
-    )
-    lhs = apply_shift(c, apply_generator(span, v))
     shifted = apply_shift(c, v)
-    t_shifted = apply_generator(span, shifted)
-    ic_shifted = {off: coef.times_imag(c) for off, coef in shifted.items()}
-    rhs = {}
-    for off in set(t_shifted) | set(ic_shifted):
-        val = t_shifted.get(off, ExactComplex()) - ic_shifted.get(off, ExactComplex())
-        if not val.is_zero:
-            rhs[off] = val
-    residual = {}
-    for off in set(lhs) | set(rhs):
-        val = lhs.get(off, ExactComplex()) - rhs.get(off, ExactComplex())
-        if not val.is_zero:
-            residual[off] = val
-    return residual
+    lhs = apply_shift(c, _times_label(v))
+    rhs = _difference(_times_label(shifted), {off: coef.times_imag(c) for off, coef in shifted.items()})
+    return _difference(lhs, rhs)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,9 @@
 """JSON ingestion and report serialisation.
 
+Reports are strict JSON (RFC 8259): an infinite value, such as the error
+radius of a kernel without an envelope, is written as the string "inf" or
+"-inf", and a NaN is never written (it is an internal error, exit code 3).
+
 Schemas (all numbers; complex values may be written as a number, a
 [re, im] pair, or a Python-style string "1+2j"):
 
@@ -36,13 +40,14 @@ membership query  {"matrix": matrix, "fhat": [...], "order": N,
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import InternalCheckError, SpecError
 from .homogeneous import AdmissibleSupport, TranslateSpan
 from .kernel import DirichletKernel
 from .matrices import (
@@ -153,6 +158,16 @@ def _support(spec: Optional[dict]) -> Optional[AdmissibleSupport]:
     raise SpecError(f"unknown support kind {kind!r}")
 
 
+def _block(rows) -> np.ndarray:
+    """A 2-D complex array from a list of rows, which must all have one length."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise SpecError("matrix entries must be a list of rows")
+    parsed = [[parse_complex(x) for x in row] for row in rows]
+    if len({len(row) for row in parsed}) > 1:
+        raise SpecError("matrix rows must all have the same length")
+    return np.array(parsed, dtype=complex)
+
+
 def load_matrix(obj_or_path) -> tuple[CoefficientMatrix, float]:
     """Build a coefficient matrix plus its declared half-plane edge rho."""
     spec = _load(obj_or_path)
@@ -160,15 +175,9 @@ def load_matrix(obj_or_path) -> tuple[CoefficientMatrix, float]:
     rho = float(spec.get("rho", 0.0))
     env = _envelope(spec.get("envelope"))
     if variant == "dense":
-        entries = np.array(
-            [[parse_complex(x) for x in row] for row in spec["entries"]], dtype=complex
-        )
-        return DenseMatrix(entries, envelope=env), rho
+        return DenseMatrix(_block(spec["entries"]), envelope=env), rho
     if variant == "banded":
-        entries = np.array(
-            [[parse_complex(x) for x in row] for row in spec["entries"]], dtype=complex
-        )
-        return BandedMatrix(int(spec["k"]), entries, envelope=env), rho
+        return BandedMatrix(int(spec["k"]), _block(spec["entries"]), envelope=env), rho
     if variant == "diagonal":
         if "rule" in spec:
             rule = rule_from_spec(spec["rule"])
@@ -181,12 +190,9 @@ def load_matrix(obj_or_path) -> tuple[CoefficientMatrix, float]:
         fhat = np.array([parse_complex(x) for x in spec["fhat"]], dtype=complex)
         return RankOneMatrix(fhat, envelope=env), rho
     if variant == "arrowhead":
-        head = np.array(
-            [[parse_complex(x) for x in row] for row in spec["head"]], dtype=complex
-        )
         return (
             ArrowheadMatrix(
-                int(spec["k"]), head,
+                int(spec["k"]), _block(spec["head"]),
                 rule_from_spec(spec["c_rule"]), rule_from_spec(spec["d_rule"]),
                 envelope=env,
             ),
@@ -228,17 +234,30 @@ def load_membership_query(obj_or_path) -> dict:
 
 
 def dump_report(report: dict) -> str:
-    """Deterministic JSON encoding: sorted keys, stable float repr."""
-    return json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
+    """Deterministic strict JSON: sorted keys, stable float repr, "inf"/"-inf" strings.
+
+    A NaN anywhere in the report is an internal error (InternalCheckError).
+    """
+    return json.dumps(_strict(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _json_default(obj):
-    if isinstance(obj, complex):
-        return encode_complex(obj)
+def _strict(obj):
+    """The report as plain JSON types, with infinities spelled as strings."""
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(x) for x in obj]
     if isinstance(obj, np.ndarray):
-        return obj.tolist()  # nested complex values re-enter this hook
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return _strict(obj.tolist())
+    if isinstance(obj, np.generic):
+        return _strict(obj.item())
+    if isinstance(obj, complex):
+        return _strict(encode_complex(obj))
     if isinstance(obj, Fraction):
         return str(obj)
-    raise TypeError(f"cannot serialise {type(obj)}")
+    if isinstance(obj, float):
+        if math.isnan(obj):
+            raise InternalCheckError("internal: a NaN reached the report")
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
+    return obj

@@ -23,13 +23,7 @@ from .errors import (
     RecoveryError,
     SpecError,
 )
-from .matrices import (
-    ArrowheadMatrix,
-    CoefficientMatrix,
-    DeflatedMatrix,
-    DiagonalMatrix,
-    RankOneMatrix,
-)
+from .matrices import CoefficientMatrix
 from .series import HalfPlane, ValueWithBound
 
 
@@ -57,123 +51,12 @@ class DirichletKernel:
         return self.domain.rho
 
     def certified_sigma(self) -> float:
-        """Evaluation is certified for Re(s), Re(u) strictly above this.
-
-        Diagonal kernels are a single series in s + conj(u), so they only
-        need the joint condition Re(s) + Re(u) > p + 1 on top of the
-        half-plane itself; kernel_eval enforces that jointly.
-        """
-        env = self.matrix.envelope
-        if env is None:
-            return self.rho
-        if self.matrix.order is not None:
-            return self.rho  # finite support: tails are exact anyway
-        if isinstance(self.matrix, DiagonalMatrix):
-            return self.rho
-        return max(self.rho, env.alpha + 1.0)
+        """Evaluation is certified for Re(s), Re(u) strictly above this."""
+        return max(self.rho, self.matrix.sigma_floors()[0])
 
     def joint_sigma_floor(self) -> float:
-        """Lower bound that Re(s) + Re(u) must strictly exceed (diagonal only)."""
-        if isinstance(self.matrix, DiagonalMatrix) and self.matrix.order is None:
-            pb = self.matrix.rule.poly_bound()
-            if pb is not None:
-                return pb[1] + 1.0
-        return -math.inf
-
-
-def _partial_value(matrix: CoefficientMatrix, s: complex, u: complex, N: int) -> tuple[complex, float, int]:
-    """Truncated double sum over m, n <= N, its absolute mass, and term count.
-
-    The absolute sum sum |a_{m,n}| m**(-Re s) n**(-Re u) prices the
-    floating-point rounding of the evaluation; the count of nonzero terms
-    decides whether any summation rounding happened at all.  Per-variant
-    fast paths keep everything linear in N except for dense blocks.
-    """
-    ub = np.conj(u)
-    sig_s, sig_u = s.real, u.real
-    if isinstance(matrix, DiagonalMatrix):
-        d = matrix.diagonal_prefix(N)
-        n = np.arange(1, N + 1, dtype=float)
-        mags = np.abs(d) * n ** (-(sig_s + sig_u))
-        return complex(np.sum(d * n ** (-(s + ub)))), float(np.sum(mags)), int(np.count_nonzero(d))
-    if isinstance(matrix, RankOneMatrix):
-        f = matrix.factor_prefix(N)
-        n = np.arange(1, N + 1, dtype=float)
-        left = np.sum(f * n ** (-s))
-        right = np.sum(f * n ** (-u))
-        mass = float(np.sum(np.abs(f) * n ** (-sig_s)) * np.sum(np.abs(f) * n ** (-sig_u)))
-        return complex(left * np.conj(right)), mass, int(np.count_nonzero(f)) ** 2
-    if isinstance(matrix, ArrowheadMatrix):
-        k = matrix.k
-        kk = min(k, N)
-        idx = np.arange(1, kk + 1, dtype=float)
-        ms = idx ** (-s)
-        nu = idx ** (-ub)
-        total = complex(ms @ matrix.head[:kk, :kk] @ nu)
-        mass = float(idx ** (-sig_s) @ np.abs(matrix.head[:kk, :kk]) @ idx ** (-sig_u))
-        nnz = int(np.count_nonzero(matrix.head[:kk, :kk]))
-        if N > k:
-            t = np.arange(k + 1, N + 1, dtype=float)
-            c = np.array([matrix.coupling_value(int(n)) for n in range(k + 1, N + 1)])
-            d = np.array([matrix.tail_value(int(m)) for m in range(k + 1, N + 1)])
-            total += complex(np.sum(ms) * np.sum(c * t ** (-ub)))
-            total += complex(np.sum(np.conj(c) * t ** (-s)) * np.sum(nu))
-            total += complex(np.sum(d * t ** (-(s + ub))))
-            mass += float(np.sum(idx ** (-sig_s)) * np.sum(np.abs(c) * t ** (-sig_u)))
-            mass += float(np.sum(np.abs(c) * t ** (-sig_s)) * np.sum(idx ** (-sig_u)))
-            mass += float(np.sum(np.abs(d) * t ** (-(sig_s + sig_u))))
-            nnz += 2 * kk * int(np.count_nonzero(c)) + int(np.count_nonzero(d))
-        return total, mass, nnz
-    if isinstance(matrix, DeflatedMatrix):
-        parent = matrix.parent
-        n = np.arange(1, N + 1, dtype=float)
-        col = np.sum(parent.column_prefix(1, N) * n ** (-s))
-        row = np.sum(parent.row_prefix(1, N) * n ** (-ub))
-        base, base_mass, base_nnz = _partial_value(parent, s, u, N)
-        col_mass = float(np.sum(np.abs(parent.column_prefix(1, N)) * n ** (-sig_s)))
-        row_mass = float(np.sum(np.abs(parent.row_prefix(1, N)) * n ** (-sig_u)))
-        a11 = abs(parent.entry(1, 1))
-        value = complex(base - col * row / parent.entry(1, 1))
-        return value, base_mass + col_mass * row_mass / a11, max(base_nnz, 2)
-    T = matrix.truncation(N)
-    n = np.arange(1, N + 1, dtype=float)
-    value = complex(n ** (-s) @ T @ n ** (-ub))
-    mass = float(n ** (-sig_s) @ np.abs(T) @ n ** (-sig_u))
-    return value, mass, int(np.count_nonzero(T))
-
-
-def _tail_radius(matrix: CoefficientMatrix, sigma_s: float, sigma_u: float, N: int) -> float:
-    """Certified bound for |full kernel - N-truncation| at real parts (sigma_s, sigma_u).
-
-    Splits the tail into row (m > N, n <= N), column (m <= N, n > N) and
-    corner (both beyond N) pieces, each bounded through the envelope.
-    Diagonal matrices have empty row/column pieces and get the sharper
-    single-series bound.
-    """
-    if matrix.order is not None and N >= matrix.order:
-        return 0.0
-    if isinstance(matrix, DiagonalMatrix):
-        pb = matrix.rule.poly_bound()
-        if pb is None:
-            return math.inf
-        C, p = pb
-        return C * _power_tail(N, sigma_s + sigma_u - p)
-    env = matrix.envelope
-    if env is None:
-        return math.inf
-    ns = np.arange(1, N + 1, dtype=float)
-    fin_s = float(np.sum(ns ** (env.alpha - sigma_s)))
-    fin_u = float(np.sum(ns ** (env.alpha - sigma_u)))
-    inf_s = _power_tail(N, sigma_s - env.alpha)
-    inf_u = _power_tail(N, sigma_u - env.alpha)
-    return env.C * (inf_s * fin_u + fin_s * inf_u + inf_s * inf_u)
-
-
-def _power_tail(start: float, beta: float) -> float:
-    # midpoint integral test: sum_{n>start} n**-beta <= int_{start+1/2} x**-beta
-    if beta <= 1.0:
-        return math.inf
-    return (start + 0.5) ** (1.0 - beta) / (beta - 1.0)
+        """Lower bound that Re(s) + Re(u) must strictly exceed (-inf if none)."""
+        return self.matrix.sigma_floors()[1]
 
 
 def kernel_eval(kernel: DirichletKernel, s: complex, u: complex, order: int) -> ValueWithBound:
@@ -195,8 +78,8 @@ def kernel_eval(kernel: DirichletKernel, s: complex, u: complex, order: int) -> 
     if order < 1:
         raise SpecError("order must be >= 1")
     N = order if kernel.matrix.order is None else min(order, kernel.matrix.order)
-    value, mass, nnz = _partial_value(kernel.matrix, s, u, N)
-    radius = _tail_radius(kernel.matrix, s.real, u.real, order)
+    value, mass, nnz = kernel.matrix.partial_sum(s, u, N)
+    radius = kernel.matrix.tail_radius(s.real, u.real, order)
     # price the floating-point rounding of the partial sum itself; a single
     # term incurs none
     if math.isfinite(radius) and nnz > 1:

@@ -6,6 +6,26 @@ banded, rank-one, arrowhead) keep the entry accessor cheap and make the
 envelope |a_{m,n}| <= C m**alpha n**alpha derivable from their rules, which
 is what certifies kernel tails.  Matrices with ``order`` set are finitely
 supported and their tails are computed exactly instead.
+
+Every variant answers one vectorised protocol, so no caller branches on the
+variant to sum a section of the matrix:
+
+- ``entry(m, n)``: one entry (the deflation pivot a_{1,1}; test references).
+- ``truncation(N)``: the N x N section (eigenvalue ladders, Gram models,
+  membership, the classifiers in ``symmetry``, exact corner tails).
+- ``column_prefix(n, N)`` / ``row_prefix(m, N)``: a_{1..N,n} and a_{m,1..N}
+  (analytic symbols, exact row/column tails, deflation).
+- ``partial_sum(s, u, N)``, ``tail_radius(sigma_s, sigma_u, N)`` and
+  ``sigma_floors()``: the section paired with m**(-s) and n**(-conj(u)),
+  the certified bound beyond it and where that bound holds
+  (``kernel.kernel_eval`` and ``DirichletKernel``).
+- ``abs_row_tail`` / ``abs_col_tail`` / ``abs_corner_tail``: absolute tail
+  sums (``kernel.tail_bound``).
+
+The base class sums a dense section and bounds tails by the envelope; each
+structured variant overrides what its structure makes cheaper or sharper.
+Variant-only prefixes (``diagonal_prefix``, ``factor_prefix``,
+``coupling_prefix``, ``tail_prefix``) feed those overrides and ``structured``.
 """
 
 from __future__ import annotations
@@ -24,10 +44,10 @@ from .series import Envelope
 class CoefficientMatrix:
     """Abstract coefficient matrix; indices are 1-based as in the math.
 
-    Subclasses provide entry/truncation plus prefix accessors used by the
-    kernel evaluator's per-variant fast paths.  ``order`` is the support
-    bound for finitely supported variants, None when the matrix extends
-    forever.
+    Subclasses provide entry, truncation and the prefix accessors; the
+    defaults of the summation protocol below work from those and the
+    envelope.  ``order`` is the support bound for finitely supported
+    variants, None when the matrix extends forever.
     """
 
     envelope: Optional[Envelope]
@@ -38,19 +58,49 @@ class CoefficientMatrix:
 
     def truncation(self, N: int) -> np.ndarray:
         """Leading principal N x N section as a dense complex array."""
-        out = np.zeros((N, N), dtype=complex)
-        for m in range(1, N + 1):
-            for n in range(1, N + 1):
-                out[m - 1, n - 1] = self.entry(m, n)
-        return out
+        raise NotImplementedError
 
     def column_prefix(self, n: int, N: int) -> np.ndarray:
         """Entries a_{1..N, n}."""
-        return np.array([self.entry(m, n) for m in range(1, N + 1)], dtype=complex)
+        raise NotImplementedError
 
     def row_prefix(self, m: int, N: int) -> np.ndarray:
         """Entries a_{m, 1..N}."""
-        return np.array([self.entry(m, n) for n in range(1, N + 1)], dtype=complex)
+        raise NotImplementedError
+
+    # -- kernel summation protocol ------------------------------------------
+
+    def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float, int]:
+        """Section sum over m, n <= N, its absolute mass (which prices the
+        rounding) and its count of nonzero terms (one term rounds nothing)."""
+        T = self.truncation(N)
+        n = np.arange(1, N + 1, dtype=float)
+        value = complex(n ** (-s) @ T @ n ** (-np.conj(u)))
+        mass = float(n ** (-s.real) @ np.abs(T) @ n ** (-u.real))
+        return value, mass, int(np.count_nonzero(T))
+
+    def tail_radius(self, sigma_s: float, sigma_u: float, N: int) -> float:
+        """Bound on |kernel - N-section| at real parts (sigma_s, sigma_u): the
+        envelope bounds the row, column and corner pieces beyond N."""
+        if self.order is not None and N >= self.order:
+            return 0.0
+        env = self.envelope
+        if env is None:
+            return math.inf
+        ns = np.arange(1, N + 1, dtype=float)
+        fin_s = float(np.sum(ns ** (env.alpha - sigma_s)))
+        fin_u = float(np.sum(ns ** (env.alpha - sigma_u)))
+        inf_s = power_tail_bound(N, sigma_s - env.alpha)
+        inf_u = power_tail_bound(N, sigma_u - env.alpha)
+        return env.C * (inf_s * fin_u + fin_s * inf_u + inf_s * inf_u)
+
+    def sigma_floors(self) -> tuple[float, float]:
+        """(edge, joint_edge): tail_radius needs Re s, Re u > edge and
+        Re s + Re u > joint_edge; the envelope needs each above alpha + 1."""
+        env = self.envelope
+        if env is None or self.order is not None:
+            return -math.inf, -math.inf
+        return env.alpha + 1.0, -math.inf
 
     # -- absolute tail sums (exact for finite support, envelope otherwise) --
 
@@ -95,58 +145,63 @@ class CoefficientMatrix:
         return env.C * power_tail_bound(k, r - env.alpha) * power_tail_bound(l, r - env.alpha)
 
 
-def _auto_envelope(entries: np.ndarray) -> Envelope:
-    return Envelope(float(np.max(np.abs(entries))) if entries.size else 0.0, 0.0)
-
-
-@dataclass(frozen=True, eq=False)
-class DenseMatrix(CoefficientMatrix):
-    """Finitely supported matrix stored as a dense block."""
+class StoredMatrix(CoefficientMatrix):
+    """Finitely supported matrix held as a square complex block ``entries``."""
 
     entries: np.ndarray
-    envelope: Optional[Envelope] = None
 
-    def __post_init__(self):
+    def _store(self, variant: str) -> np.ndarray:
+        """Validate and store ``entries``; derive the envelope if none was given."""
         e = np.asarray(self.entries, dtype=complex)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise SpecError("dense matrix entries must be square")
+            raise SpecError(f"{variant} matrix entries must be square")
         object.__setattr__(self, "entries", e)
         if self.envelope is None:
-            object.__setattr__(self, "envelope", _auto_envelope(e))
+            object.__setattr__(
+                self, "envelope", Envelope(float(np.max(np.abs(e))) if e.size else 0.0, 0.0)
+            )
+        return e
 
     @property
     def order(self) -> int:
         return self.entries.shape[0]
 
     def entry(self, m: int, n: int) -> complex:
-        N = self.order
-        if m <= N and n <= N:
+        if m <= self.order and n <= self.order:
             return complex(self.entries[m - 1, n - 1])
         return 0.0 + 0.0j
 
     def truncation(self, N: int) -> np.ndarray:
         out = np.zeros((N, N), dtype=complex)
-        k = min(N, self.order)
-        out[:k, :k] = self.entries[:k, :k]
+        out[: self.order, : self.order] = self.entries[:N, :N]
         return out
 
     def column_prefix(self, n: int, N: int) -> np.ndarray:
         out = np.zeros(N, dtype=complex)
         if n <= self.order:
-            k = min(N, self.order)
-            out[:k] = self.entries[:k, n - 1]
+            out[: self.order] = self.entries[:N, n - 1]
         return out
 
     def row_prefix(self, m: int, N: int) -> np.ndarray:
         out = np.zeros(N, dtype=complex)
         if m <= self.order:
-            k = min(N, self.order)
-            out[:k] = self.entries[m - 1, :k]
+            out[: self.order] = self.entries[m - 1, :N]
         return out
 
 
 @dataclass(frozen=True, eq=False)
-class BandedMatrix(CoefficientMatrix):
+class DenseMatrix(StoredMatrix):
+    """Finitely supported matrix stored as a dense block."""
+
+    entries: np.ndarray
+    envelope: Optional[Envelope] = None
+
+    def __post_init__(self):
+        self._store("dense")
+
+
+@dataclass(frozen=True, eq=False)
+class BandedMatrix(StoredMatrix):
     """Dense storage with a validated bandwidth: a_{m,n} = 0 for |m-n| > k."""
 
     bandwidth: int
@@ -154,35 +209,12 @@ class BandedMatrix(CoefficientMatrix):
     envelope: Optional[Envelope] = None
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=complex)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise SpecError("banded matrix entries must be square")
+        e = self._store("banded")
         if self.bandwidth < 0:
             raise SpecError("bandwidth must be >= 0")
         m, n = np.indices(e.shape)
         if np.any(e[np.abs(m - n) > self.bandwidth] != 0):
             raise SpecError("entries outside the declared band are nonzero")
-        object.__setattr__(self, "entries", e)
-        if self.envelope is None:
-            object.__setattr__(self, "envelope", _auto_envelope(e))
-
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0]
-
-    def entry(self, m: int, n: int) -> complex:
-        if abs(m - n) > self.bandwidth:
-            return 0.0 + 0.0j
-        N = self.order
-        if m <= N and n <= N:
-            return complex(self.entries[m - 1, n - 1])
-        return 0.0 + 0.0j
-
-    def truncation(self, N: int) -> np.ndarray:
-        out = np.zeros((N, N), dtype=complex)
-        k = min(N, self.order)
-        out[:k, :k] = self.entries[:k, :k]
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,6 +264,28 @@ class DiagonalMatrix(CoefficientMatrix):
     def row_prefix(self, m: int, N: int) -> np.ndarray:
         return self.column_prefix(m, N)
 
+    def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float, int]:
+        """One series in s + conj(u): a single complex power per term."""
+        d = self.diagonal_prefix(N)
+        n = np.arange(1, N + 1, dtype=float)
+        mags = np.abs(d) * n ** (-(s.real + u.real))
+        return complex(np.sum(d * n ** (-(s + np.conj(u))))), float(np.sum(mags)), int(np.count_nonzero(d))
+
+    def tail_radius(self, sigma_s: float, sigma_u: float, N: int) -> float:
+        """Row and column pieces are empty: the sharper single-series bound."""
+        if self.order is not None and N >= self.order:
+            return 0.0
+        pb = self.rule.poly_bound()
+        if pb is None:
+            return math.inf
+        C, p = pb
+        return C * power_tail_bound(N, sigma_s + sigma_u - p)
+
+    def sigma_floors(self) -> tuple[float, float]:
+        """Only the joint condition Re s + Re u > p + 1 from |a_{n,n}| <= C n**p."""
+        pb = self.rule.poly_bound()
+        return -math.inf, pb[1] + 1.0 if pb is not None and self.order is None else -math.inf
+
 
 @dataclass(frozen=True, eq=False)
 class RankOneMatrix(CoefficientMatrix):
@@ -252,11 +306,11 @@ class RankOneMatrix(CoefficientMatrix):
     def order(self) -> int:
         return self.fhat.size
 
+    def _factor(self, n: int) -> complex:
+        return self.fhat[n - 1] if n <= self.fhat.size else 0.0
+
     def entry(self, m: int, n: int) -> complex:
-        f = self.fhat
-        fm = f[m - 1] if m <= f.size else 0.0
-        fn = f[n - 1] if n <= f.size else 0.0
-        return complex(fm * np.conj(fn))
+        return complex(self._factor(m) * np.conj(self._factor(n)))
 
     def factor_prefix(self, N: int) -> np.ndarray:
         out = np.zeros(N, dtype=complex)
@@ -266,6 +320,21 @@ class RankOneMatrix(CoefficientMatrix):
     def truncation(self, N: int) -> np.ndarray:
         f = self.factor_prefix(N)
         return np.outer(f, np.conj(f))
+
+    def column_prefix(self, n: int, N: int) -> np.ndarray:
+        return self.factor_prefix(N) * np.conj(self._factor(n))
+
+    def row_prefix(self, m: int, N: int) -> np.ndarray:
+        return self._factor(m) * np.conj(self.factor_prefix(N))
+
+    def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float, int]:
+        """The double sum factors into two single sums."""
+        f = self.factor_prefix(N)
+        n = np.arange(1, N + 1, dtype=float)
+        left = np.sum(f * n ** (-s))
+        right = np.sum(f * n ** (-u))
+        mass = float(np.sum(np.abs(f) * n ** (-s.real)) * np.sum(np.abs(f) * n ** (-u.real)))
+        return complex(left * np.conj(right)), mass, int(np.count_nonzero(f)) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,6 +394,18 @@ class ArrowheadMatrix(CoefficientMatrix):
         """Coupling entry c_n at matrix index n > k."""
         return self.coupling.value(n - self.k)
 
+    def tail_prefix(self, N: int) -> np.ndarray:
+        """Tail diagonal d_{k+1..N} as a real array, override-aware."""
+        d = self.tail.prefix(max(0, N - self.k)).real
+        for idx, val in reversed(self.tail_overrides):  # the first override of an index wins
+            if self.k < idx <= N:
+                d[idx - self.k - 1] = val
+        return d
+
+    def coupling_prefix(self, N: int) -> np.ndarray:
+        """Coupling entries c_{k+1..N}."""
+        return self.coupling.prefix(max(0, N - self.k))
+
     def entry(self, m: int, n: int) -> complex:
         k = self.k
         if m <= k and n <= k:
@@ -358,12 +439,51 @@ class ArrowheadMatrix(CoefficientMatrix):
         kk = min(k, N)
         out[:kk, :kk] = self.head[:kk, :kk]
         if N > k:
-            c = np.array([self.coupling_value(n) for n in range(k + 1, N + 1)], dtype=complex)
-            d = np.array([self.tail_value(m) for m in range(k + 1, N + 1)], dtype=float)
-            out[:k, k:] = np.tile(c, (k, 1))
+            out[:k, k:] = self.coupling_prefix(N)
             out[k:, :k] = np.conj(out[:k, k:]).T
-            out[k:, k:] = np.diag(d)
+            t = np.arange(k, N)
+            out[t, t] = self.tail_prefix(N)
         return out
+
+    def column_prefix(self, n: int, N: int) -> np.ndarray:
+        out = np.zeros(N, dtype=complex)
+        if n <= self.k:
+            out[: self.k] = self.head[:N, n - 1]
+            out[self.k :] = np.conj(self.coupling_prefix(N))
+        else:
+            out[: self.k] = self.coupling_value(n)
+            if n <= N:
+                out[n - 1] = self.tail_value(n)
+        return out
+
+    def row_prefix(self, m: int, N: int) -> np.ndarray:
+        out = np.conj(self.column_prefix(m, N))  # the tail is real
+        if m <= self.k:
+            out[: self.k] = self.head[m - 1, :N]
+        return out
+
+    def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float, int]:
+        """Head block plus the two rank-one coupling strips and the tail diagonal."""
+        ub, sig_s, sig_u = np.conj(u), s.real, u.real
+        k, kk = self.k, min(self.k, N)
+        idx = np.arange(1, kk + 1, dtype=float)
+        ms = idx ** (-s)
+        nu = idx ** (-ub)
+        total = complex(ms @ self.head[:kk, :kk] @ nu)
+        mass = float(idx ** (-sig_s) @ np.abs(self.head[:kk, :kk]) @ idx ** (-sig_u))
+        nnz = int(np.count_nonzero(self.head[:kk, :kk]))
+        if N > k:
+            t = np.arange(k + 1, N + 1, dtype=float)
+            c = self.coupling_prefix(N)
+            d = self.tail_prefix(N)
+            total += complex(np.sum(ms) * np.sum(c * t ** (-ub)))
+            total += complex(np.sum(np.conj(c) * t ** (-s)) * np.sum(nu))
+            total += complex(np.sum(d * t ** (-(s + ub))))
+            mass += float(np.sum(idx ** (-sig_s)) * np.sum(np.abs(c) * t ** (-sig_u)))
+            mass += float(np.sum(np.abs(c) * t ** (-sig_s)) * np.sum(idx ** (-sig_u)))
+            mass += float(np.sum(np.abs(d) * t ** (-(sig_s + sig_u))))
+            nnz += 2 * kk * int(np.count_nonzero(c)) + int(np.count_nonzero(d))
+        return total, mass, nnz
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,3 +530,14 @@ class DeflatedMatrix(CoefficientMatrix):
     def row_prefix(self, m: int, N: int) -> np.ndarray:
         p = self.parent
         return p.row_prefix(m, N) - p.row_prefix(1, N) * (p.entry(m, 1) / self._a11)
+
+    def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float, int]:
+        """The parent's sum minus the product of its first column and row sums."""
+        p = self.parent
+        n = np.arange(1, N + 1, dtype=float)
+        col, row = p.column_prefix(1, N), p.row_prefix(1, N)
+        base, base_mass, base_nnz = p.partial_sum(s, u, N)
+        col_mass = float(np.sum(np.abs(col) * n ** (-s.real)))
+        row_mass = float(np.sum(np.abs(row) * n ** (-u.real)))
+        value = complex(base - np.sum(col * n ** (-s)) * np.sum(row * n ** (-np.conj(u))) / self._a11)
+        return value, base_mass + col_mass * row_mass / abs(self._a11), max(base_nnz, 2)

@@ -10,6 +10,7 @@ weighted ratio sums below have closed forms or certified remainders.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -50,8 +51,18 @@ class SequenceRule:
     # -- evaluation ---------------------------------------------------------
 
     def value(self, l: int) -> complex:
+        """Value at l; SpecError if it is not a finite double."""
         if l < 1:
             raise SpecError("rules are one-indexed")
+        try:
+            v = self._value(l)
+        except OverflowError:
+            v = math.inf
+        if not cmath.isfinite(v):
+            raise SpecError(_not_finite(l))
+        return v
+
+    def _value(self, l: int) -> complex:
         if self.kind == "constant":
             return self.scale
         if self.kind == "geometric":
@@ -61,7 +72,15 @@ class SequenceRule:
         return self.values[l - 1] if l <= len(self.values) else 0.0
 
     def prefix(self, n: int) -> np.ndarray:
-        """Values at l = 1..n as a complex array."""
+        """Values at l = 1..n as a complex array; SpecError if one is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._prefix(n)
+        finite = np.isfinite(out)
+        if not finite.all():
+            raise SpecError(_not_finite(int(np.argmin(finite)) + 1))
+        return out
+
+    def _prefix(self, n: int) -> np.ndarray:
         ls = np.arange(1, n + 1, dtype=float)
         if self.kind == "constant":
             return np.full(n, complex(self.scale))
@@ -96,6 +115,10 @@ class SequenceRule:
                 return abs(self.scale) * self.ratio, 0.0
             return None
         return (max(abs(complex(v)) for v in self.values), 0.0)
+
+
+def _not_finite(l: int) -> str:
+    return f"rule value at index {l} is not a finite double (overflow or NaN)"
 
 
 def rule_from_spec(spec: dict) -> SequenceRule:

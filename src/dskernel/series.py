@@ -402,8 +402,3 @@ def series_equal(
     b[: len(g)] = np.asarray(g.coefficients, dtype=complex)
     return bool(np.all(np.abs(a - b) <= tol))
 
-
-def evaluate_ordinary_partial(coefficients: np.ndarray, s: complex) -> complex:
-    """Plain partial sum sum_n c_n n**(-s) for a stored coefficient vector."""
-    n = np.arange(1, len(coefficients) + 1, dtype=float)
-    return complex(np.sum(np.asarray(coefficients, dtype=complex) * n ** (-s)))

@@ -90,19 +90,12 @@ def psd_margin(m: ArrowheadMatrix, tol: float = 1e-12) -> MarginCertificate:
 def _schur_min_eigs(m: ArrowheadMatrix, orders: list[int]) -> list[float]:
     """Min eigenvalue of b - (partial coupling sum)*ones(k) per ladder order."""
     h = _check_head(m)
+    d = m.tail_prefix(max(orders))
+    if np.any(d <= 0):
+        raise CertificationError("tail entry not positive in truncation")
+    partial = np.cumsum(np.concatenate(([0.0], np.abs(m.coupling_prefix(max(orders))) ** 2 / d)))
     ones = np.ones((m.k, m.k))
-    out = []
-    for N in orders:
-        j = max(0, N - m.k)
-        partial = 0.0
-        for l in range(1, j + 1):
-            d = m.tail_value(m.k + l)
-            if d <= 0:
-                raise CertificationError("tail entry not positive in truncation")
-            partial += abs(m.coupling_value(m.k + l)) ** 2 / d
-        sec = h - partial * ones
-        out.append(float(np.linalg.eigvalsh(sec)[0]))
-    return out
+    return [float(np.linalg.eigvalsh(h - partial[max(0, N - m.k)] * ones)[0]) for N in orders]
 
 
 def certify_psd(
@@ -228,11 +221,8 @@ def growth_check(
         raise SpecError("growth exponent needs rho > 1")
     if l_max < 1:
         raise SpecError("l_max must be >= 1")
-    ratios = []
-    for l in range(m.k + 1, m.k + l_max + 1):
-        d = m.tail_value(l)
-        ratios.append(d / float(l) ** (rho - 1.0))
-    fitted_C = max(ratios)
+    ls = np.arange(m.k + 1, m.k + l_max + 1, dtype=float)
+    fitted_C = np.max(m.tail_prefix(m.k + l_max) / ls ** (rho - 1.0))
     rule = m.tail
     if rule.kind == "geometric":
         ok = rule.ratio <= 1.0

@@ -245,3 +245,68 @@ class TestOutputModes:
         assert code == 0
         rep = json.loads(target.read_text())
         assert rep["command"] == "sk"
+
+
+def _strict_loads(text: str):
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestNonFiniteInputs:
+    """Values that overflow a double, and ragged rows, are bad input (exit 2)."""
+
+    GEOMETRIC_2 = {"variant": "diagonal", "rho": 0.0, "rule": {"kind": "geometric", "ratio": 2}}
+
+    def run_strict(self, capsys, *argv) -> tuple[int, dict]:
+        code, out = run(capsys, *argv)
+        return code, _strict_loads(out)
+
+    def write(self, tmp_path, spec) -> str:
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(spec))
+        return str(f)
+
+    def test_arrowhead_tail_overflow_psd(self, capsys):
+        code, rep = self.run_strict(
+            capsys, "psd", "--matrix", str(SAMPLES / "example_arrowhead.json"), "--max-order", "600"
+        )
+        assert code == 2
+        assert rep["error"]["kind"] == "SpecError"
+
+    def test_geometric_diagonal_overflow_psd(self, capsys, tmp_path):
+        f = self.write(tmp_path, self.GEOMETRIC_2)
+        code, rep = self.run_strict(capsys, "psd", "--matrix", f, "--max-order", "1100")
+        assert code == 2
+        assert "1024" in rep["error"]["message"]
+
+    def test_geometric_diagonal_overflow_eval(self, capsys, tmp_path):
+        f = self.write(tmp_path, self.GEOMETRIC_2)
+        code, rep = self.run_strict(capsys, "eval", "--matrix", f, "--s", "2", "--order", "2000")
+        assert code == 2
+        assert rep["error"]["kind"] == "SpecError"
+
+    @pytest.mark.parametrize("entries", [[[1, 0], [0]], [1, 0]])
+    def test_ragged_or_flat_dense_rows(self, capsys, tmp_path, entries):
+        f = self.write(tmp_path, {"variant": "dense", "entries": entries})
+        code, rep = self.run_strict(capsys, "psd", "--matrix", f, "--max-order", "2")
+        assert code == 2
+        assert rep["error"]["kind"] == "SpecError"
+
+    def test_infinite_radius_is_strict_json(self, capsys, tmp_path):
+        # ratio 1.5 has no polynomial envelope, so the certified radius is infinite
+        spec = {"variant": "diagonal", "rho": 0.0, "rule": {"kind": "geometric", "ratio": 1.5}}
+        f = self.write(tmp_path, spec)
+        code, rep = self.run_strict(capsys, "eval", "--matrix", f, "--s", "2", "--order", "100")
+        assert code == 0
+        assert rep["results"]["error_radius"] == "inf"
+        assert math.isfinite(rep["results"]["value"])
+
+    def test_nan_in_report_is_internal_error(self, capsys, monkeypatch):
+        import dskernel.cli as cli
+
+        # build_parser looks the handler up when main runs
+        monkeypatch.setattr(cli, "_cmd_merge", lambda args: {"results": {"x": math.nan}})
+        code, rep = self.run_strict(capsys, "merge", "--omega", "2", "--m-max", "1", "--n-max", "1")
+        assert code == 3
+        assert rep["error"]["kind"] == "InternalCheckError"

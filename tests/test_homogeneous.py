@@ -89,6 +89,21 @@ class TestTranslateGram:
             eigs.append(translate_gram(span).min_eigenvalue)
         assert eigs[0] > eigs[1] > eigs[2] > 0
 
+    def test_entry_discs_contain_zeta_with_rounding_priced(self):
+        # at these parameters the tail bound alone leaves the diagonal entry
+        # about 4e-17 outside its disc; the summation rounding closes the gap
+        mpmath = pytest.importorskip("mpmath")
+        a, scale = 1.195217806810569, 0.8041855120340046
+        offsets = (Fraction(0), Fraction(1))
+        span = TranslateSpan(a=a, offsets=offsets, diagonal=SequenceRule("constant", scale=scale),
+                             support=AdmissibleSupport("all"), order=20000, rho=0.5)
+        gram = translate_gram(span)
+        with mpmath.workdps(30):
+            for j, bj in enumerate(offsets):
+                for k, bk in enumerate(offsets):
+                    truth = scale * mpmath.zeta(mpmath.mpc(2 * a, float(bj - bk)))
+                    assert abs(mpmath.mpc(gram.matrix[j, k]) - truth) <= gram.entry_radius
+
 
 class TestSpanOperators:
     def test_generator_eigenvalue(self):

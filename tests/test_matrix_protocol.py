@@ -1,0 +1,136 @@
+"""Every matrix variant's vectorised protocol against entry()-loop references."""
+
+import numpy as np
+import pytest
+
+from dskernel import (
+    AdmissibleSupport,
+    ArrowheadMatrix,
+    BandedMatrix,
+    CertificationError,
+    DeflatedMatrix,
+    DenseMatrix,
+    DiagonalMatrix,
+    RankOneMatrix,
+    SequenceRule,
+    SpecError,
+)
+from dskernel.structured import _schur_min_eigs
+from conftest import random_psd_dense
+
+EPS = np.finfo(float).eps
+S, U = 1.7 + 3.0j, 2.2 - 1.5j
+
+
+def _complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _arrowhead(rng) -> ArrowheadMatrix:
+    # rules whose scalar and vectorised values agree bit for bit
+    m = ArrowheadMatrix(3, random_psd_dense(rng, 3) + 5.0 * np.eye(3),
+                        SequenceRule("geometric", scale=0.5 + 0.25j, ratio=0.5),
+                        SequenceRule("constant", scale=2.0))
+    return m.with_tail_override(7, 3.5)
+
+
+def _banded(rng) -> BandedMatrix:
+    A = _complex(rng, 30, 30)
+    m, n = np.indices(A.shape)
+    A[np.abs(m - n) > 2] = 0.0
+    return BandedMatrix(2, A)
+
+
+VARIANTS = {
+    "dense": lambda rng: DenseMatrix(_complex(rng, 10, 10)),
+    "banded": _banded,
+    "diagonal_powers": lambda rng: DiagonalMatrix(SequenceRule("geometric", scale=1.5 - 0.5j, ratio=0.5),
+                                                  support=AdmissibleSupport("powers", base=2)),
+    "rank_one": lambda rng: RankOneMatrix(_complex(rng, 15)),
+    "arrowhead_override": _arrowhead,
+    "deflated_dense": lambda rng: DeflatedMatrix(DenseMatrix(random_psd_dense(rng, 12) + np.eye(12))),
+    "deflated_arrowhead": lambda rng: DeflatedMatrix(_arrowhead(rng)),
+}
+
+
+def entry_section(matrix, N: int) -> np.ndarray:
+    return np.array([[matrix.entry(m, n) for n in range(1, N + 1)] for m in range(1, N + 1)],
+                    dtype=complex)
+
+
+def section_tolerance(matrix, N: int) -> float:
+    """0 where the vectorised code copies entries; a few ulps where it forms
+    products (rank-one, deflation), which it may round differently from the
+    scalar path (fused multiply-add, a reciprocal in place of a division)."""
+    if isinstance(matrix, RankOneMatrix):
+        return 4 * EPS * float(np.max(np.abs(matrix.fhat))) ** 2
+    if isinstance(matrix, DeflatedMatrix):
+        P = np.abs(entry_section(matrix.parent, N))
+        return 4 * EPS * float(np.max(P + np.outer(P[:, 0], P[0, :]) / P[0, 0]))
+    return 0.0
+
+
+@pytest.mark.parametrize("N", [2, 24])
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_sections_and_prefixes_match_entry_loop(name, N):
+    matrix = VARIANTS[name](np.random.default_rng(11))
+    ref = entry_section(matrix, N)
+    tol = section_tolerance(matrix, N)
+    np.testing.assert_allclose(matrix.truncation(N), ref, rtol=0, atol=tol)
+    for i in range(1, N + 1):
+        np.testing.assert_allclose(matrix.column_prefix(i, N), ref[:, i - 1], rtol=0, atol=tol)
+        np.testing.assert_allclose(matrix.row_prefix(i, N), ref[i - 1, :], rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("N", [2, 24])
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_partial_sum_matches_entry_double_sum(name, N):
+    matrix = VARIANTS[name](np.random.default_rng(12))
+    value, mass, nnz = matrix.partial_sum(S, U, N)
+    ref_value, ref_mass, ref_nnz = 0j, 0.0, 0
+    for m in range(1, N + 1):
+        for n in range(1, N + 1):
+            a = matrix.entry(m, n)
+            ref_value += a * float(m) ** (-S) * float(n) ** (-U.conjugate())
+            ref_mass += abs(a) * float(m) ** (-S.real) * float(n) ** (-U.real)
+            ref_nnz += a != 0
+    assert abs(value - ref_value) <= 4 * N * EPS * mass
+    assert mass >= ref_mass * (1 - 4 * N * EPS)
+    assert min(nnz, 2) >= min(ref_nnz, 2)  # rounding is priced whenever two terms are summed
+
+
+def _schur_reference(m: ArrowheadMatrix, orders: list) -> list:
+    """The per-rung loop the cumulative sum replaced."""
+    h = 0.5 * (m.head + m.head.conj().T)
+    out = []
+    for N in orders:
+        partial = 0.0
+        for l in range(1, max(0, N - m.k) + 1):
+            d = m.tail_value(m.k + l)
+            if d <= 0:
+                raise CertificationError("tail entry not positive in truncation")
+            partial += abs(m.coupling_value(m.k + l)) ** 2 / d
+        out.append(float(np.linalg.eigvalsh(h - partial * np.ones((m.k, m.k)))[0]))
+    return out
+
+
+def test_schur_min_eigs_match_per_rung_loop():
+    m = _arrowhead(np.random.default_rng(13))
+    orders = [2, 3, 4, 8, 16, 64, 100]
+    assert _schur_min_eigs(m, orders) == _schur_reference(m, orders)
+    bad = m.with_tail_override(6, -1.0)
+    for fn in (_schur_min_eigs, _schur_reference):
+        with pytest.raises(CertificationError):
+            fn(bad, orders)
+
+
+class TestRuleFiniteness:
+    def test_scalar_overflow_names_index(self):
+        with pytest.raises(SpecError, match="index 1100"):
+            SequenceRule("geometric", ratio=2.0).value(1100)
+
+    def test_prefix_names_first_non_finite_index(self):
+        with pytest.raises(SpecError, match="index 1024"):
+            SequenceRule("geometric", ratio=2.0).prefix(1100)
+        with pytest.raises(SpecError, match="index 2"):
+            SequenceRule("explicit", values=(1.0, float("nan"))).prefix(3)
