@@ -118,6 +118,8 @@ class AdmissibleSupport:
             raise SpecError("powers support needs base >= 2")
         if self.kind == "generated" and not self.generators:
             raise SpecError("generated support needs generators")
+        if self.kind == "generated" and min(self.generators) < 2:
+            raise SpecError("generated support needs generators >= 2")
         if self.kind == "explicit" and not self.elements:
             raise SpecError("explicit support needs elements")
 
@@ -131,17 +133,35 @@ class AdmissibleSupport:
                 n //= self.base
             return n == 1
         if self.kind == "generated":
-            for g in sorted(set(self.generators), reverse=True):
-                while n % g == 0:
-                    n //= g
-            return n == 1
+            # search every chain of divisions: dividing greedily by the
+            # largest generator misses products such as 900 = 6 * 10 * 15
+            stack, seen = [n], set()
+            while stack:
+                x = stack.pop()
+                if x == 1:
+                    return True
+                if x not in seen:
+                    seen.add(x)
+                    stack.extend(x // g for g in self.generators if x % g == 0)
+            return False
         return n in self.elements
 
     def indices_up_to(self, M: int) -> np.ndarray:
         """1-based support members <= M, ascending."""
         if self.kind == "all":
             return np.arange(1, M + 1)
-        return np.array([n for n in range(1, M + 1) if self.contains(n)], dtype=int)
+        if self.kind == "explicit":
+            return np.array(sorted({e for e in self.elements if 1 <= e <= M}), dtype=int)
+        # multiply out the generators: every member is a product of powers
+        members = [1] if M >= 1 else []
+        for g in {self.base} if self.kind == "powers" else set(self.generators):
+            grown = []
+            for x in members:
+                while x <= M:
+                    grown.append(x)
+                    x *= g
+            members = grown
+        return np.unique(np.array(members, dtype=int))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@
 Reports are strict JSON (RFC 8259): an infinite value, such as the error
 radius of a kernel without an envelope, is written as the string "inf" or
 "-inf", and a NaN is never written (it is an internal error, exit code 3).
+A missing required key, or a value of the wrong kind, is a SpecError that
+names the key (exit code 2).
 
 Schemas (all numbers; complex values may be written as a number, a
 [re, im] pair, or a Python-style string "1+2j"):
@@ -58,23 +60,8 @@ from .matrices import (
     DiagonalMatrix,
     RankOneMatrix,
 )
-from .rules import SequenceRule, rule_from_spec
+from .rules import SequenceRule, parse_complex, rule_from_spec, spec_value
 from .series import Envelope, ExponentRule, GeneralDirichletSeries, HalfPlane
-
-
-def parse_complex(x) -> complex:
-    if isinstance(x, (int, float)):
-        return complex(x)
-    if isinstance(x, complex):
-        return x
-    if isinstance(x, str):
-        try:
-            return complex(x.replace(" ", ""))
-        except ValueError as exc:
-            raise SpecError(f"cannot parse complex number from {x!r}") from exc
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        return complex(float(x[0]), float(x[1]))
-    raise SpecError(f"cannot parse complex number from {x!r}")
 
 
 def encode_complex(z: complex) -> Union[float, list]:
@@ -100,28 +87,27 @@ def _load(obj_or_path) -> dict:
 def _envelope(spec: Optional[dict]) -> Optional[Envelope]:
     if spec is None:
         return None
-    return Envelope(float(spec["C"]), float(spec["alpha"]))
+    return Envelope(spec_value(spec, "C", float), spec_value(spec, "alpha", float))
 
 
 def _exponent_rule(spec: Optional[dict]) -> Optional[ExponentRule]:
     if spec is None:
         return None
-    kind = spec.get("kind")
+    kind = spec_value(spec, "kind", default=None)
     if kind == "log":
-        return ExponentRule("log", omega=float(spec.get("omega", 1.0)))
+        return ExponentRule("log", omega=spec_value(spec, "omega", float, 1.0))
     if kind == "linear":
-        return ExponentRule("linear", slope=float(spec.get("slope", 1.0)))
+        return ExponentRule("linear", slope=spec_value(spec, "slope", float, 1.0))
     raise SpecError(f"unknown exponent rule kind {kind!r}")
 
 
 def load_series(obj_or_path) -> GeneralDirichletSeries:
     spec = _load(obj_or_path)
     kind = spec.get("kind", "ordinary")
-    coeffs = tuple(parse_complex(c) for c in spec.get("coefficients", ()))
+    coeffs = tuple(spec_value(spec, "coefficients", _complexes, []))
     envelope = _envelope(spec.get("envelope"))
     finite = bool(spec.get("finite", False))
-    sigma_abs = spec.get("sigma_abs")
-    sigma_abs = float(sigma_abs) if sigma_abs is not None else None
+    sigma_abs = spec_value(spec, "sigma_abs", float) if spec.get("sigma_abs") is not None else None
     gen = spec.get("generator", {}) or {}
     coef_rule = rule_from_spec(gen["coefficients"]) if "coefficients" in gen else None
     if kind == "ordinary":
@@ -132,13 +118,14 @@ def load_series(obj_or_path) -> GeneralDirichletSeries:
     if kind != "general":
         raise SpecError(f"unknown series kind {kind!r}")
     exp_rule = _exponent_rule(gen.get("exponents"))
-    exponents = spec.get("exponents")
-    if exponents is None:
-        if exp_rule is None:
-            raise SpecError("general series needs exponents or an exponent rule")
-        exponents = tuple(exp_rule.prefix(len(coeffs)))
+    if spec.get("exponents") is not None:
+        exponents = spec_value(spec, "exponents", _floats)
+    elif exp_rule is None:
+        raise SpecError("general series needs exponents or an exponent rule")
+    else:
+        exponents = _floats(exp_rule.prefix(len(coeffs)))
     return GeneralDirichletSeries(
-        tuple(float(x) for x in exponents), coeffs, exp_rule, coef_rule,
+        exponents, coeffs, exp_rule, coef_rule,
         envelope, finite, sigma_abs,
     )
 
@@ -146,16 +133,30 @@ def load_series(obj_or_path) -> GeneralDirichletSeries:
 def _support(spec: Optional[dict]) -> Optional[AdmissibleSupport]:
     if spec is None:
         return None
-    kind = spec.get("kind")
+    kind = spec_value(spec, "kind", default=None)
     if kind == "all":
         return AdmissibleSupport("all")
     if kind == "powers":
-        return AdmissibleSupport("powers", base=int(spec["base"]))
+        return AdmissibleSupport("powers", base=spec_value(spec, "base", int))
     if kind == "generated":
-        return AdmissibleSupport("generated", generators=tuple(int(g) for g in spec["generators"]))
+        return AdmissibleSupport("generated", generators=spec_value(spec, "generators", _ints))
     if kind == "explicit":
-        return AdmissibleSupport("explicit", elements=tuple(int(e) for e in spec["elements"]))
+        return AdmissibleSupport("explicit", elements=spec_value(spec, "elements", _ints))
     raise SpecError(f"unknown support kind {kind!r}")
+
+
+def _ints(values) -> tuple:
+    return tuple(int(v) for v in values)
+
+
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
+def _complexes(values) -> list:
+    if not isinstance(values, (list, tuple)):
+        raise SpecError(f"expected a list of complex numbers, got {values!r}")
+    return [parse_complex(x) for x in values]
 
 
 def _block(rows) -> np.ndarray:
@@ -172,28 +173,29 @@ def load_matrix(obj_or_path) -> tuple[CoefficientMatrix, float]:
     """Build a coefficient matrix plus its declared half-plane edge rho."""
     spec = _load(obj_or_path)
     variant = spec.get("variant")
-    rho = float(spec.get("rho", 0.0))
+    rho = spec_value(spec, "rho", float, 0.0)
     env = _envelope(spec.get("envelope"))
     if variant == "dense":
-        return DenseMatrix(_block(spec["entries"]), envelope=env), rho
+        return DenseMatrix(spec_value(spec, "entries", _block), envelope=env), rho
     if variant == "banded":
-        return BandedMatrix(int(spec["k"]), _block(spec["entries"]), envelope=env), rho
+        k = spec_value(spec, "k", int)
+        return BandedMatrix(k, spec_value(spec, "entries", _block), envelope=env), rho
     if variant == "diagonal":
         if "rule" in spec:
-            rule = rule_from_spec(spec["rule"])
+            rule = spec_value(spec, "rule", rule_from_spec)
         elif "values" in spec:
-            rule = SequenceRule("explicit", values=tuple(parse_complex(v) for v in spec["values"]))
+            rule = SequenceRule("explicit", values=tuple(spec_value(spec, "values", _complexes)))
         else:
             raise SpecError("diagonal matrix needs a rule or values")
         return DiagonalMatrix(rule, support=_support(spec.get("support")), envelope=env), rho
     if variant == "rank_one":
-        fhat = np.array([parse_complex(x) for x in spec["fhat"]], dtype=complex)
+        fhat = np.array(spec_value(spec, "fhat", _complexes), dtype=complex)
         return RankOneMatrix(fhat, envelope=env), rho
     if variant == "arrowhead":
         return (
             ArrowheadMatrix(
-                int(spec["k"]), _block(spec["head"]),
-                rule_from_spec(spec["c_rule"]), rule_from_spec(spec["d_rule"]),
+                spec_value(spec, "k", int), spec_value(spec, "head", _block),
+                spec_value(spec, "c_rule", rule_from_spec), spec_value(spec, "d_rule", rule_from_spec),
                 envelope=env,
             ),
             rho,
@@ -208,28 +210,28 @@ def load_kernel(obj_or_path) -> DirichletKernel:
 
 def load_span(obj_or_path) -> TranslateSpan:
     spec = _load(obj_or_path)
-    offsets = tuple(Fraction(str(o)) for o in spec["offsets"])
+    offsets = spec_value(spec, "offsets", lambda v: tuple(Fraction(str(o)) for o in v))
     support = _support(spec.get("support")) or AdmissibleSupport("all")
     return TranslateSpan(
-        a=float(spec["a"]),
+        a=spec_value(spec, "a", float),
         offsets=offsets,
-        diagonal=rule_from_spec(spec["diagonal"]),
+        diagonal=spec_value(spec, "diagonal", rule_from_spec),
         support=support,
-        order=int(spec["order"]),
-        rho=float(spec.get("rho", 0.0)),
+        order=spec_value(spec, "order", int),
+        rho=spec_value(spec, "rho", float, 0.0),
     )
 
 
 def load_membership_query(obj_or_path) -> dict:
     spec = _load(obj_or_path)
-    matrix, rho = load_matrix(spec["matrix"])
+    matrix, rho = load_matrix(spec_value(spec, "matrix"))
     return {
         "matrix": matrix,
         "rho": rho,
-        "fhat": [parse_complex(x) for x in spec["fhat"]],
-        "order": int(spec["order"]),
-        "c_max": float(spec.get("c_max", 1e6)),
-        "resolution": float(spec.get("resolution", 1e-6)),
+        "fhat": spec_value(spec, "fhat", _complexes),
+        "order": spec_value(spec, "order", int),
+        "c_max": spec_value(spec, "c_max", float, 1e6),
+        "resolution": spec_value(spec, "resolution", float, 1e-6),
     }
 
 

@@ -7,6 +7,11 @@ values carry certified radii built from the envelope (or exact finite
 tails), positivity is certified by an eigenvalue ladder over leading
 principal sections, and black-box coefficient recovery inverts the kernel
 on a real evaluation grid.
+
+Certificates build their self-adjoint section once (``hermitian_section``).
+The ladder computes eigenvalues only; the witness of the first failing
+section comes from shifted inverse iteration and is verified, with a full
+``eigh`` of that section as the fallback.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import numpy as np
 from .errors import (
     ConvergenceRegionError,
     HermitianError,
+    InternalCheckError,
     RecoveryError,
     SpecError,
 )
@@ -116,10 +122,24 @@ def tail_bound(
     return C_r * (t_row + t_col + t_corner)
 
 
+def hermitian_section(
+    matrix: CoefficientMatrix, order: int, tol: float = 1e-12
+) -> Optional[np.ndarray]:
+    """The symmetrised order x order section (T + T*)/2, or None if T is not Hermitian.
+
+    T is built once; it counts as Hermitian when max |T - T*| <= tol.  The
+    result is a new array, never a view of the matrix's stored entries.
+    """
+    T = matrix.truncation(order)
+    H = T.conj().T
+    if T.size and np.max(np.abs(T - H)) > tol:
+        return None
+    return 0.5 * (T + H)
+
+
 def self_adjoint_check(matrix: CoefficientMatrix, order: int, tol: float = 1e-12) -> bool:
     """max |a_{m,n} - conj(a_{n,m})| <= tol over the leading order x order section."""
-    T = matrix.truncation(order)
-    return bool(np.max(np.abs(T - T.conj().T)) <= tol) if T.size else True
+    return hermitian_section(matrix, order, tol) is not None
 
 
 @dataclass(frozen=True)
@@ -129,7 +149,9 @@ class PsdCertificate:
     min_eigenvalues[i] is the smallest eigenvalue of the leading
     orders[i] x orders[i] section.  The verdict is "psd" when every section
     clears the scale-aware cutoff -tol*(1 + ||section||); otherwise the
-    first failing order and its eigenvector witness are recorded.
+    first failing order and a witness vector are recorded.  The witness is
+    a verified inverse-iteration vector: unit norm, largest component real
+    and positive, and a Rayleigh quotient below that order's cutoff.
     """
 
     orders: tuple
@@ -161,6 +183,40 @@ def psd_ladder_orders(max_order: int) -> list[int]:
     return sorted(set(orders))
 
 
+#: inverse iteration shifts this far below lambda_min, relative to
+#: 1 + ||section||: clear of exact singularity, yet close enough that two
+#: solves damp every other eigenvector by (shift / gap)**2
+WITNESS_SHIFT = 1e-10
+
+
+def _witness(S: np.ndarray, lam_min: float, scale: float, cutoff: float) -> np.ndarray:
+    """Unit vector v with Re(v* S v) < cutoff, for the Hermitian S with smallest eigenvalue lam_min.
+
+    Two solves (S - mu I) x_{k+1} = x_k from a fixed start vector, mu just
+    below lam_min (inverse iteration; Ipsen, SIAM Review 39, 1997).  The
+    result is normalised with its largest component rotated to the positive
+    real axis and kept only when its Rayleigh quotient verifies; when a
+    solve fails or the check does not hold, the eigenvector of a full
+    ``eigh`` is returned instead.
+    """
+    n = S.shape[0]
+    shifted = S.copy()
+    shifted.flat[:: n + 1] -= lam_min - WITNESS_SHIFT * (1.0 + scale)
+    x = np.random.default_rng(0).standard_normal(n)
+    try:
+        for _ in range(2):
+            x = np.linalg.solve(shifted, x)
+            x /= np.linalg.norm(x)
+    except np.linalg.LinAlgError:
+        x = None
+    if x is not None and np.all(np.isfinite(x)):
+        j = int(np.argmax(np.abs(x)))
+        x *= abs(x[j]) / x[j]
+        if np.vdot(x, S @ x).real < cutoff:
+            return x
+    return np.linalg.eigh(S)[1][:, 0]
+
+
 def psd_check(matrix: CoefficientMatrix, max_order: int, tol: float = 1e-9) -> PsdCertificate:
     """Certify formal positive semi-definiteness up to max_order.
 
@@ -168,24 +224,34 @@ def psd_check(matrix: CoefficientMatrix, max_order: int, tol: float = 1e-9) -> P
     equivalent to the kernel being a positive semi-definite function; the
     ladder documents how far that was actually checked.  Requires a
     self-adjoint matrix.
+
+    Each rung computes eigenvalues only.  By Cauchy interlacing lambda_min
+    cannot rise from one rung to the next; a rise beyond the rung's cutoff
+    plus the eigen-solver's rounding is an InternalCheckError.
     """
     if max_order < 1:
         raise SpecError("max_order must be >= 1")
-    if not self_adjoint_check(matrix, max_order, tol=1e-10):
+    S = hermitian_section(matrix, max_order, tol=1e-10)
+    if S is None:
         raise HermitianError("matrix is not self-adjoint at this order")
-    T_full = matrix.truncation(max_order)
-    T_full = 0.5 * (T_full + T_full.conj().T)
     orders, mins = [], []
     witness_order, witness_vector = None, None
     for N in psd_ladder_orders(max_order):
-        sec = T_full[:N, :N]
-        w, v = np.linalg.eigh(sec)
-        scale = float(np.max(np.abs(w))) if w.size else 0.0
+        sec = S[:N, :N]
+        w = np.linalg.eigvalsh(sec)
+        scale = float(np.max(np.abs(w)))
+        lam = float(w[0])
+        slack = tol * (1.0 + scale)
+        if mins and lam > mins[-1] + slack + 8 * N * np.finfo(float).eps * scale:
+            raise InternalCheckError(
+                f"internal: lambda_min rose from {mins[-1]} at order {orders[-1]} to "
+                f"{lam} at order {N}, against Cauchy interlacing"
+            )
         orders.append(N)
-        mins.append(float(w[0]))
-        if w[0] < -tol * (1.0 + scale) and witness_order is None:
+        mins.append(lam)
+        if lam < -slack and witness_order is None:
             witness_order = N
-            witness_vector = v[:, 0]
+            witness_vector = _witness(sec, lam, scale, -slack)
     verdict = "psd" if witness_order is None else "not_psd"
     return PsdCertificate(
         tuple(orders), tuple(mins), tol, verdict, witness_order, witness_vector

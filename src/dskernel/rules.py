@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -121,17 +122,67 @@ def _not_finite(l: int) -> str:
     return f"rule value at index {l} is not a finite double (overflow or NaN)"
 
 
+def parse_complex(x) -> complex:
+    """A complex number written as a number, an [re, im] pair or a string such as "1+2j"."""
+    if isinstance(x, (int, float)):
+        return complex(x)
+    if isinstance(x, complex):
+        return x
+    if isinstance(x, str):
+        try:
+            return complex(x.replace(" ", ""))
+        except ValueError as exc:
+            raise SpecError(f"cannot parse complex number from {x!r}") from exc
+    if isinstance(x, (list, tuple)) and len(x) == 2:
+        return complex(float(x[0]), float(x[1]))
+    raise SpecError(f"cannot parse complex number from {x!r}")
+
+
+_REQUIRED = object()
+
+
+def spec_value(spec, key: str, cast=None, default=_REQUIRED):
+    """spec[key], converted by cast; SpecError naming the key when it is missing or invalid."""
+    if not isinstance(spec, dict):
+        raise SpecError(f"expected a JSON object holding {key!r}, got {reprlib.repr(spec)}")
+    if key not in spec:
+        if default is _REQUIRED:
+            raise SpecError(f"missing required key {key!r}")
+        return default
+    value = spec[key]
+    if cast is None:
+        return value
+    try:
+        return cast(value)
+    except SpecError as exc:
+        raise SpecError(f"key {key!r}: {exc}") from exc
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise SpecError(f"invalid value for key {key!r}: {reprlib.repr(value)}") from exc
+
+
+def _scalar(x):
+    """A rule scale or value: a JSON number as is, else any form parse_complex reads."""
+    return x if isinstance(x, (int, float)) else parse_complex(x)
+
+
+def _scalars(values) -> tuple:
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"{values!r} is not a list")
+    return tuple(_scalar(x) for x in values)
+
+
 def rule_from_spec(spec: dict) -> SequenceRule:
     """Build a rule from its JSON form, e.g. {"kind": "geometric", "ratio": 4}."""
-    kind = spec.get("kind")
-    if kind == "constant":
-        return SequenceRule("constant", scale=spec.get("value", spec.get("scale", 1.0)))
-    if kind == "geometric":
-        return SequenceRule("geometric", scale=spec.get("scale", 1.0), ratio=float(spec["ratio"]))
-    if kind == "power":
-        return SequenceRule("power", scale=spec.get("scale", 1.0), exponent=float(spec["exponent"]))
+    kind = spec_value(spec, "kind", default=None)
     if kind == "explicit":
-        return SequenceRule("explicit", values=tuple(spec["values"]))
+        return SequenceRule("explicit", values=spec_value(spec, "values", _scalars))
+    scale = spec_value(spec, "scale", _scalar, 1.0)
+    if kind == "constant":
+        return SequenceRule("constant", scale=spec_value(spec, "value", _scalar, scale))
+    if kind == "geometric":
+        return SequenceRule("geometric", scale=scale, ratio=spec_value(spec, "ratio", float))
+    if kind == "power":
+        return SequenceRule("power", scale=scale, exponent=spec_value(spec, "exponent", float))
     raise SpecError(f"unknown rule kind {kind!r}")
 
 

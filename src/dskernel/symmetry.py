@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CertificationError, OutsideDomainError, SpecError
-from .kernel import DirichletKernel, bandwidth_detect, kernel_eval, self_adjoint_check
+from .kernel import DirichletKernel, bandwidth_detect, hermitian_section, kernel_eval
 from .series import GeneralDirichletSeries, evaluate
 
 SL2_DET_TOL = 1e-12
@@ -94,24 +94,44 @@ def rank_one_factor(
     """Factor a_{m,n} = fhat(m) conj(fhat(n)) from the truncation, if it exists.
 
     Numerical rank one means the second singular value is at most tol times
-    the first; the factor is the scaled principal singular vector with its
+    the first; the factor is the scaled principal eigenvector with its
     largest component rotated to the positive real axis (the factor is only
     determined up to a unimodular scalar).  Returns the zero vector for the
     zero matrix and None when the rank exceeds one.
     """
-    if not self_adjoint_check(matrix, order, tol=1e-10):
+    S = _self_adjoint_section(matrix, order)
+    return _rank_one_factor(S, _singular_values(S), tol)
+
+
+def _self_adjoint_section(matrix, order: int) -> np.ndarray:
+    S = hermitian_section(matrix, order, tol=1e-10)
+    if S is None:
         raise CertificationError("rank-one factorisation expects a self-adjoint matrix")
-    T = matrix.truncation(order)
-    U, sv, _ = np.linalg.svd(0.5 * (T + T.conj().T))
+    return S
+
+
+def _singular_values(S: np.ndarray) -> np.ndarray:
+    """Singular values of the Hermitian S, descending: its |eigenvalues|, from eigvalsh."""
+    return np.sort(np.abs(np.linalg.eigvalsh(S)))[::-1]
+
+
+def _rank_one_factor(S: np.ndarray, sv: np.ndarray, tol: float) -> Optional[np.ndarray]:
+    """rank_one_factor on the Hermitian section S with singular values sv.
+
+    The rank test needs the singular values only; the eigenvectors are
+    computed only once the test has passed.
+    """
     if sv[0] <= tol:
-        return np.zeros(order, dtype=complex)
-    if order > 1 and sv[1] > tol * sv[0]:
+        return np.zeros(S.shape[0], dtype=complex)
+    if sv.size > 1 and sv[1] > tol * sv[0]:
         return None
-    f = U[:, 0] * math.sqrt(sv[0])
+    lam, V = np.linalg.eigh(S)
+    top = int(np.argmax(np.abs(lam)))
+    f = V[:, top] * math.sqrt(abs(lam[top]))
     j = int(np.argmax(np.abs(f)))
     phase = f[j] / abs(f[j])
     f = f / phase
-    if np.max(np.abs(T - np.outer(f, np.conj(f)))) > tol * (1.0 + sv[0]):
+    if np.max(np.abs(S - np.outer(f, np.conj(f)))) > tol * (1.0 + sv[0]):
         return None
     return f
 
@@ -240,22 +260,16 @@ def quasi_invariance_classify(
     computable content is the rank-one test plus a nonvanishing check for
     the factor on the supplied grid and asymptotically for large Re.
     """
-    T = kernel.matrix.truncation(order)
-    sv = np.linalg.svd(0.5 * (T + T.conj().T), compute_uv=False)
-    f = rank_one_factor(kernel.matrix, order, tol)
+    S = _self_adjoint_section(kernel.matrix, order)
+    sv = _singular_values(S)
+    f = _rank_one_factor(S, sv, tol)
+    leading = tuple(float(x) for x in sv[:4])
     if f is None:
         return ClassificationReport(
-            "not_quasi_invariant",
-            f"rank >= 2 at order {order}",
-            None,
-            tuple(float(x) for x in sv[:4]),
-            (),
-            None,
+            "not_quasi_invariant", f"rank >= 2 at order {order}", None, leading, (), None
         )
     if not np.any(np.abs(f) > 0):
-        return ClassificationReport(
-            "quasi_invariant", "zero kernel", f, tuple(float(x) for x in sv[:4]), (), None
-        )
+        return ClassificationReport("quasi_invariant", "zero kernel", f, leading, (), None)
     series = GeneralDirichletSeries.ordinary(f, finite=True)
     grid_vals = []
     for z in grid:
@@ -269,7 +283,7 @@ def quasi_invariance_classify(
                 "not_quasi_invariant",
                 f"factor vanishes at grid point {z} (partial check)",
                 f,
-                tuple(float(x) for x in sv[:4]),
+                leading,
                 tuple(grid_vals),
                 None,
             )
@@ -277,7 +291,7 @@ def quasi_invariance_classify(
         "quasi_invariant",
         "rank-one with grid-nonvanishing factor (partial certificate)",
         f,
-        tuple(float(x) for x in sv[:4]),
+        leading,
         tuple(grid_vals),
         _dominance_sigma(f),
     )

@@ -310,3 +310,80 @@ class TestNonFiniteInputs:
         code, rep = self.run_strict(capsys, "merge", "--omega", "2", "--m-max", "1", "--n-max", "1")
         assert code == 3
         assert rep["error"]["kind"] == "InternalCheckError"
+
+
+class TestMissingOrInvalidKeys:
+    """A spec that lacks a required key, or holds a non-number where one is needed, exits 2."""
+
+    ARROW = {"variant": "arrowhead", "k": 1, "head": [[1]],
+             "c_rule": {"kind": "constant", "value": 0.5},
+             "d_rule": {"kind": "power", "scale": 1, "exponent": 1}}
+    SPAN = {"a": 1.0, "offsets": ["0", "1/2"], "diagonal": {"kind": "constant", "value": 1},
+            "order": 100, "rho": 0.5}
+    QUERY = {"matrix": {"variant": "dense", "entries": [[1, 0], [0, 1]]}, "fhat": [1, 0], "order": 2}
+
+    @staticmethod
+    def without(spec: dict, key: str) -> dict:
+        return {k: v for k, v in spec.items() if k != key}
+
+    def run_spec(self, capsys, tmp_path, command, flag, spec, *extra) -> dict:
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps(spec))
+        code, out = run(capsys, command, flag, str(f), *extra)
+        rep = _strict_loads(out)
+        assert code == 2
+        assert rep["error"]["kind"] == "SpecError"
+        return rep
+
+    @pytest.mark.parametrize("spec, key", [
+        ({"variant": "arrowhead", "head": [[1]]}, "k"),
+        ({k: v for k, v in ARROW.items() if k != "c_rule"}, "c_rule"),
+        ({"variant": "dense"}, "entries"),
+        ({"variant": "rank_one"}, "fhat"),
+        (dict(ARROW, d_rule={"kind": "power", "scale": 1}), "exponent"),
+        (dict(ARROW, c_rule={"kind": "geometric"}), "ratio"),
+        ({"variant": "diagonal", "rule": {"kind": "constant"}, "envelope": {"C": 1}}, "alpha"),
+        ({"variant": "diagonal", "rule": {"kind": "constant"}, "support": {"kind": "powers"}}, "base"),
+    ])
+    def test_matrix_key_missing(self, capsys, tmp_path, spec, key):
+        rep = self.run_spec(capsys, tmp_path, "psd", "--matrix", spec, "--max-order", "2")
+        assert repr(key) in rep["error"]["message"]
+
+    @pytest.mark.parametrize("key", ["offsets", "a", "diagonal", "order"])
+    def test_span_key_missing(self, capsys, tmp_path, key):
+        rep = self.run_spec(capsys, tmp_path, "homog", "--span", self.without(self.SPAN, key))
+        assert repr(key) in rep["error"]["message"]
+
+    @pytest.mark.parametrize("key", ["matrix", "fhat", "order"])
+    def test_membership_key_missing(self, capsys, tmp_path, key):
+        rep = self.run_spec(capsys, tmp_path, "membership", "--query", self.without(self.QUERY, key))
+        assert repr(key) in rep["error"]["message"]
+
+    @pytest.mark.parametrize("spec, key", [
+        ({"variant": "banded", "k": "x", "entries": [[1]]}, "k"),
+        (dict(ARROW, k=None), "k"),
+        (dict(ARROW, d_rule={"kind": "power", "scale": "one", "exponent": 1}), "scale"),
+        (dict(ARROW, c_rule={"kind": "geometric", "ratio": [2]}), "ratio"),
+        ({"variant": "dense", "entries": [[1]], "rho": "x"}, "rho"),
+        (dict(ARROW, c_rule={"kind": "explicit", "values": [0.5, "x"]}), "values"),
+    ])
+    def test_non_numeric_scalar(self, capsys, tmp_path, spec, key):
+        rep = self.run_spec(capsys, tmp_path, "psd", "--matrix", spec, "--max-order", "2")
+        assert repr(key) in rep["error"]["message"]
+
+    def test_non_numeric_span_order(self, capsys, tmp_path):
+        rep = self.run_spec(capsys, tmp_path, "homog", "--span", dict(self.SPAN, order="many"))
+        assert "'order'" in rep["error"]["message"]
+
+
+class TestInterlacingCheck:
+    def test_rising_ladder_exits_3(self, capsys, monkeypatch):
+        import numpy as np
+
+        # lambda_min = N on the rung of order N: against Cauchy interlacing
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.arange(a.shape[0], 2.0 * a.shape[0]))
+        code, out = run(capsys, "psd", "--matrix", str(SAMPLES / "diag_ones.json"), "--max-order", "16")
+        rep = _strict_loads(out)
+        assert code == 3
+        assert rep["error"]["kind"] == "InternalCheckError"
+        assert "interlacing" in rep["error"]["message"]

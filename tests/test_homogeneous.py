@@ -57,6 +57,45 @@ class TestAdmissibility:
         assert not rep.multiplicatively_closed  # 2*3 = 6 missing
 
 
+class TestSupportMembers:
+    """indices_up_to builds the members directly; contains() stays the loop reference."""
+
+    SUPPORTS = [
+        AdmissibleSupport("all"),
+        AdmissibleSupport("powers", base=2),
+        AdmissibleSupport("powers", base=7),
+        AdmissibleSupport("generated", generators=(2, 3)),
+        AdmissibleSupport("generated", generators=(3, 5, 7)),
+        AdmissibleSupport("generated", generators=(6, 10, 15)),
+        AdmissibleSupport("generated", generators=(4, 2)),
+        AdmissibleSupport("explicit", elements=(5, 3, 3, 4999, 5000, 5001, 0, -2)),
+        AdmissibleSupport("explicit", elements=(17, 40, 2 ** 40)),
+    ]
+
+    @pytest.mark.parametrize("support", SUPPORTS, ids=lambda sup: f"{sup.kind}")
+    @pytest.mark.parametrize("M", [0, 1, 2, 3, 16, 899, 900, 5000])
+    def test_matches_contains_loop(self, support, M):
+        ref = np.array([n for n in range(1, M + 1) if support.contains(n)], dtype=int)
+        got = support.indices_up_to(M)
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+
+    def test_below_first_member_is_empty(self):
+        assert AdmissibleSupport("explicit", elements=(17, 40)).indices_up_to(16).size == 0
+
+    def test_generated_products_sharing_factors(self):
+        # 900 = 6 * 10 * 15; dividing by the largest generator first strands 4
+        sup = AdmissibleSupport("generated", generators=(6, 10, 15))
+        assert sup.contains(900)
+        assert 900 in sup.indices_up_to(900)
+        assert not sup.contains(4)
+
+    @pytest.mark.parametrize("generators", [(1,), (2, 0), (3, -2)])
+    def test_generators_below_two_refused(self, generators):
+        with pytest.raises(SpecError):
+            AdmissibleSupport("generated", generators=generators)
+
+
 class TestTranslateGram:
     def test_single_offset_matches_zeta2(self):
         span = ones_span(["0"], order=2_000_000)

@@ -262,3 +262,135 @@ class TestEnvelopeGate:
         m = DiagonalMatrix(SequenceRule("power", scale=1.0, exponent=4.0))
         with pytest.raises(Exception):
             DirichletKernel(m, HalfPlane(0.5))
+
+
+def planted_not_psd(rng, n: int, j: int, delta: float = 0.1, neg: float = -0.3) -> np.ndarray:
+    """C C* + delta*I with row and column j zeroed and a_{jj} = neg < 0.
+
+    e_j is then an eigenvector for neg, and every other eigenvalue is at
+    least delta, so the first failing ladder order is the first rung >= j+1.
+    """
+    C = rng.standard_normal((n, 16)) + 1j * rng.standard_normal((n, 16))
+    A = C @ C.conj().T + delta * np.eye(n)
+    A[j, :] = 0.0
+    A[:, j] = 0.0
+    A[j, j] = neg
+    return A
+
+
+def symmetrised(A: np.ndarray) -> np.ndarray:
+    return 0.5 * (A + A.conj().T)
+
+
+class TestPsdLadder:
+    """Values-only ladder, verified inverse-iteration witness, eigen-solver budget."""
+
+    @pytest.mark.parametrize("case", ["example_arrowhead_16", "hermitian_24"])
+    def test_rung_minima_against_mpmath(self, case):
+        mpmath = pytest.importorskip("mpmath")
+        if case == "example_arrowhead_16":
+            matrix, _ = example_arrowhead()
+            order = 16
+        else:
+            rng = np.random.default_rng(24)
+            matrix = DenseMatrix(symmetrised(
+                rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
+            ))
+            order = 24
+        cert = psd_check(matrix, order)
+        S = symmetrised(matrix.truncation(order))
+        with mpmath.workdps(40):
+            for N, lam in zip(cert.orders, cert.min_eigenvalues):
+                sec = S[:N, :N]
+                if np.all(sec.imag == 0):
+                    eigs = mpmath.eigsy(mpmath.matrix(sec.real.tolist()), eigvals_only=True)
+                else:
+                    eigs = mpmath.eighe(mpmath.matrix(sec.tolist()), eigvals_only=True)
+                eigs = [float(e) for e in eigs]
+                norm2 = max(abs(e) for e in eigs)
+                assert abs(lam - min(eigs)) <= 4 * N * np.finfo(float).eps * norm2
+
+    @pytest.mark.parametrize("n, j", [(64, 40), (200, 70), (200, 150)])
+    def test_planted_witness_is_verified_eigenvector(self, n, j):
+        A = planted_not_psd(np.random.default_rng(n + j), n, j)
+        matrix = DenseMatrix(A)
+        stored = matrix.entries.copy()
+        cert = psd_check(matrix, n)
+        assert np.array_equal(matrix.entries, stored)  # the witness never writes to the matrix
+        assert cert.verdict == "not_psd"
+        assert cert.witness_order == next(N for N in cert.orders if N >= j + 1)
+        N = cert.witness_order
+        S = symmetrised(A)[:N, :N]
+        lam = cert.min_eigenvalues[cert.orders.index(N)]
+        norm2 = np.linalg.norm(S, 2)
+        v = cert.witness_vector
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+        assert np.vdot(v, S @ v).real < -cert.tolerance * (1.0 + norm2)
+        assert np.linalg.norm(S @ v - lam * v) <= 1e-8 * norm2
+        ref = np.linalg.eigh(S)[1][:, 0]
+        phase = np.vdot(ref, v)
+        assert np.linalg.norm(v - phase / abs(phase) * ref) <= 1e-8
+
+    def test_failed_solve_falls_back_to_eigh(self, monkeypatch):
+        A = planted_not_psd(np.random.default_rng(5), 64, 20)
+        ref = np.linalg.eigh(symmetrised(A)[:32, :32])[1][:, 0]
+
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        cert = psd_check(DenseMatrix(A), 64)
+        assert cert.witness_order == 32
+        assert np.allclose(cert.witness_vector, ref, rtol=0, atol=1e-14)
+
+    def test_unverified_vector_falls_back_to_eigh(self, monkeypatch):
+        # the identity "solve" hands back the start vector, whose Rayleigh
+        # quotient is positive, so the check must reject it
+        A = planted_not_psd(np.random.default_rng(6), 64, 20)
+        ref = np.linalg.eigh(symmetrised(A)[:32, :32])[1][:, 0]
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: b)
+        cert = psd_check(DenseMatrix(A), 64)
+        assert np.allclose(cert.witness_vector, ref, rtol=0, atol=1e-14)
+
+    def test_rising_minimum_is_internal_error(self, monkeypatch):
+        from dskernel import InternalCheckError
+
+        # lambda_min = N on the rung of order N: against Cauchy interlacing
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.arange(a.shape[0], 2.0 * a.shape[0]))
+        with pytest.raises(InternalCheckError):
+            psd_check(DiagonalMatrix(SequenceRule("constant", scale=1.0)), 16)
+
+    @staticmethod
+    def count_calls(monkeypatch, *names) -> dict:
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    def test_psd_input_runs_no_eigh(self, monkeypatch):
+        A = random_psd_dense(np.random.default_rng(8), 40)
+        calls = self.count_calls(monkeypatch, "eigh", "eigvalsh")
+        cert = psd_check(DenseMatrix(A), 40)
+        assert cert.is_psd
+        assert calls == {"eigh": 0, "eigvalsh": len(cert.orders)}
+
+    def test_classify_uses_one_eigvalsh(self, monkeypatch):
+        from dskernel import quasi_invariance_classify
+
+        rng = np.random.default_rng(9)
+        x, y = (rng.standard_normal(32) + 1j * rng.standard_normal(32) for _ in range(2))
+        rank_two = dense_kernel(np.outer(x, x.conj()) + np.outer(y, y.conj()))
+        calls = self.count_calls(monkeypatch, "eigh", "eigvalsh", "svd")
+        rep = quasi_invariance_classify(rank_two, 32, grid=[2.0])
+        assert rep.verdict == "not_quasi_invariant"
+        assert calls == {"eigh": 0, "eigvalsh": 1, "svd": 0}
+        # a factor is needed only once the rank test has passed: one eigh
+        rep = quasi_invariance_classify(DirichletKernel(RankOneMatrix(x), HalfPlane(0.0)), 32, grid=[2.0])
+        assert rep.verdict == "quasi_invariant"
+        assert calls == {"eigh": 1, "eigvalsh": 2, "svd": 0}
