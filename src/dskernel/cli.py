@@ -45,7 +45,7 @@ from .io import (
     load_span,
     parse_complex,
 )
-from .kernel import kernel_eval, psd_check, self_adjoint_check
+from .kernel import HERMITIAN_TOL, kernel_eval, psd_check
 from .matrices import ArrowheadMatrix
 from .rkhs import analytic_symbol, membership_test
 from .series import COLLISION_RTOL, evaluate, merge_log_exponents, multiply_merged
@@ -128,18 +128,19 @@ def _cmd_eval(args) -> dict:
 def _cmd_psd(args) -> dict:
     kern = load_kernel(args.matrix)
     rep = _base_report("psd", args, matrix=args.matrix, max_order=args.max_order, tol=args.tol)
-    sa = self_adjoint_check(kern.matrix, args.max_order)
-    if not sa:
+    try:
+        cert = (
+            certify_psd(kern.matrix, args.max_order, args.tol)
+            if isinstance(kern.matrix, ArrowheadMatrix)
+            else psd_check(kern.matrix, args.max_order, args.tol)
+        )
+    except HermitianError:
+        # the certificate's own check decides, at the tolerance it applied
         rep["results"] = {"self_adjoint": False, "verdict": "not_self_adjoint",
-                          "tolerance": args.tol}
+                          "tolerance": HERMITIAN_TOL}
         return rep
-    cert = (
-        certify_psd(kern.matrix, args.max_order, args.tol)
-        if isinstance(kern.matrix, ArrowheadMatrix)
-        else psd_check(kern.matrix, args.max_order, args.tol)
-    )
     results = {
-        "self_adjoint": sa,
+        "self_adjoint": True,
         "verdict": cert.verdict,
         "orders": list(cert.orders),
         "min_eigenvalues": list(cert.min_eigenvalues),

@@ -24,7 +24,11 @@ from .errors import SpecError
 from .kernel import DirichletKernel, kernel_eval
 from .matrices import DiagonalMatrix
 from .rules import SequenceRule, power_tail_bound
-from .series import HalfPlane
+from .series import HalfPlane, log_table, powers, rounding_radius
+
+#: columns of the phase matrix formed at once by ``translate_gram``: 4 MB of
+#: complex phases for 64 offsets, however long the truncation
+GRAM_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -263,39 +267,40 @@ def translate_gram(span: TranslateSpan, tol: float = 0.0) -> TranslateGram:
     rounding of the truncated sum.  Independence of the
     family at this truncation is certified when the eigenvalue lower bound
     (min eig minus accumulated entry radii) stays positive.
+
+    G = E diag(w) E* with E[j, n] = exp(-i c_j log n), built GRAM_BLOCK
+    columns at a time.  The c_j are the offsets centred on their midrange:
+    the differences b_j - b_k, and with them G, are unchanged, and the
+    phases stay within half the spread, which is what their rounding costs.
     """
-    ns = span.support.indices_up_to(span.order).astype(float)
-    if ns.size == 0:
+    idx = span.support.indices_up_to(span.order) - 1
+    if idx.size == 0:
         raise SpecError("support is empty below the truncation order")
-    diag = np.real(span.diagonal.prefix(span.order))[ns.astype(int) - 1]
+    diag = np.real(span.diagonal.prefix(span.order))[idx]
     if np.any(diag < 0):
         raise SpecError("diagonal sequence must be non-negative")
-    weights = diag * ns ** (-2.0 * span.a)
-    logs = np.log(ns)
-    N = len(span.offsets)
-    G = np.empty((N, N), dtype=complex)
-    offs = [float(b) for b in span.offsets]
-    for j in range(N):
-        for k in range(j, N):
-            phase = np.exp(-1j * (offs[j] - offs[k]) * logs)
-            G[j, k] = np.sum(weights * phase)
-            G[k, j] = np.conj(G[j, k])
+    weights = diag * powers(2.0 * span.a, span.order)[idx]
+    logs = log_table(span.order)[idx]
+    hi, lo = max(span.offsets), min(span.offsets)
+    c = np.array([float(b - (hi + lo) / 2) for b in span.offsets])
+    G = np.zeros((c.size, c.size), dtype=complex)
+    for start in range(0, logs.size, GRAM_BLOCK):
+        E = np.exp(np.outer(-1j * c, logs[start : start + GRAM_BLOCK]))
+        G += (E * weights[start : start + GRAM_BLOCK]) @ E.conj().T
+    G = 0.5 * (G + G.conj().T)  # exactly Hermitian, with a real diagonal
     pb = span.diagonal.poly_bound()
     if pb is None:
         radius = math.inf
     else:
         C, p = pb
         radius = C * power_tail_bound(span.order, 2.0 * span.a - p)
-        # rounding: summing the terms costs gamma_{order-1} times their
-        # absolute sum (Higham's gamma_k = k u / (1 - k u), u = 2**-53), and
-        # forming each term a few more u plus the phase error of the rounded
-        # exponent, u |b_j - b_k| log n per unit of weight
-        k_u = (span.order + 8) * 2.0**-53
-        spread = max(offs) - min(offs)
-        radius += k_u / (1.0 - k_u) * float(np.sum(weights * (1.0 + spread * logs)))
-    w = np.linalg.eigvalsh(0.5 * (G + G.conj().T))
+        # each term carries the powers n**(-2a), n**(-i c_j) and n**(i c_k)
+        radius += rounding_radius(
+            float(np.sum(weights)), 2.0 * span.a + float(hi - lo), float(logs[-1]), 2 * logs.size + 8
+        )
+    w = np.linalg.eigvalsh(G)
     min_eig = float(w[0])
-    lower = min_eig - (radius * N if math.isfinite(radius) else math.inf)
+    lower = min_eig - (radius * c.size if math.isfinite(radius) else math.inf)
     return TranslateGram(G, radius, min_eig, lower, bool(lower > tol))
 
 
@@ -376,18 +381,18 @@ def adjoint_condition_check(
     """
     if delta <= 0:
         raise SpecError("delta must be positive")
-    ns = support.indices_up_to(M).astype(float)
-    diag = np.real(diagonal.prefix(M))[ns.astype(int) - 1]
+    idx = support.indices_up_to(M) - 1
+    diag = np.real(diagonal.prefix(M))[idx]
     if np.any(diag == 0):
         raise SpecError("malformed diagonal: zero value on a support index")
     if np.any(diag < 0):
         raise SpecError("diagonal must be positive on its support")
     canonical = weights is None
     if canonical:
-        w = diag * ns ** (-a)
+        w = diag * powers(a, M)[idx]
     else:
-        w = np.real(weights.prefix(M))[ns.astype(int) - 1]
-    terms = ns ** (2.0 * delta) * w**2 / diag
+        w = np.real(weights.prefix(M))[idx]
+    terms = powers(-2.0 * delta, M)[idx] * w**2 / diag
     partial = float(np.sum(terms))
 
     pb = diagonal.poly_bound()
@@ -454,11 +459,10 @@ def adjoint_domain_probe(
     bs = np.asarray(sorted(float(b) for b in b_grid), dtype=float)
     if bs.size < 2 * fit_order:
         raise SpecError("b grid too small for the requested fit order")
-    n = np.arange(1, h.size + 1, dtype=float)
-    hvals = np.array([np.sum(h * n ** (-(a + 1j * b))) for b in bs])
+    # h(a + ib) = sum_n (h_n n**(-a)) n**(-ib): one matrix-vector product
+    hvals = np.exp(np.outer(-1j * bs, log_table(h.size))) @ (h * powers(a, h.size))
     lam = -1j * bs * hvals
-    basis = np.arange(1, fit_order + 1, dtype=float)
-    E = basis[None, :] ** (-1j * bs[:, None])
+    E = np.exp(np.outer(-1j * bs, log_table(fit_order)))
     coef, *_ = np.linalg.lstsq(E, lam, rcond=None)
     resid = lam - E @ coef
     fit_residual = float(np.linalg.norm(resid))

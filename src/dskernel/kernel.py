@@ -30,7 +30,7 @@ from .errors import (
     SpecError,
 )
 from .matrices import CoefficientMatrix
-from .series import HalfPlane, ValueWithBound
+from .series import HalfPlane, ValueWithBound, log_table, rounding_radius
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,10 +86,12 @@ def kernel_eval(kernel: DirichletKernel, s: complex, u: complex, order: int) -> 
     N = order if kernel.matrix.order is None else min(order, kernel.matrix.order)
     value, mass, nnz = kernel.matrix.partial_sum(s, u, N)
     radius = kernel.matrix.tail_radius(s.real, u.real, order)
-    # price the floating-point rounding of the partial sum itself; a single
-    # term incurs none
-    if math.isfinite(radius) and nnz > 1:
-        radius += 1e-14 * mass
+    # price the floating-point rounding of the partial sum itself: every
+    # variant sums along chains of at most 2N + 8 roundings, the two products
+    # of a dense section being the longest.  A lone term at real points is
+    # taken as exact (a few ulps); at complex points its phase error counts.
+    if math.isfinite(radius) and (nnz > 1 or (nnz and (s.imag or u.imag))):
+        radius += rounding_radius(mass, abs(s) + abs(u), math.log(N), 2 * N + 8)
     return ValueWithBound(value, radius)
 
 
@@ -120,6 +122,11 @@ def tail_bound(
     t_col = k**s.real / (k + 1) ** (s.real - r)
     t_corner = (k**s.real * l**u.real) / ((k + 1) ** (s.real - r) * (l + 1) ** (u.real - r))
     return C_r * (t_row + t_col + t_corner)
+
+
+#: largest |a_{m,n} - conj(a_{n,m})| with which a section still counts as
+#: self-adjoint for a PSD certificate (``psd_check``, ``dskernel psd``)
+HERMITIAN_TOL = 1e-10
 
 
 def hermitian_section(
@@ -231,9 +238,9 @@ def psd_check(matrix: CoefficientMatrix, max_order: int, tol: float = 1e-9) -> P
     """
     if max_order < 1:
         raise SpecError("max_order must be >= 1")
-    S = hermitian_section(matrix, max_order, tol=1e-10)
+    S = hermitian_section(matrix, max_order, tol=HERMITIAN_TOL)
     if S is None:
-        raise HermitianError("matrix is not self-adjoint at this order")
+        raise HermitianError(f"matrix is not self-adjoint at this order (tolerance {HERMITIAN_TOL})")
     orders, mins = [], []
     witness_order, witness_vector = None, None
     for N in psd_ladder_orders(max_order):
@@ -320,10 +327,10 @@ def recover_block(
     for i, p in enumerate(ps):
         for j, q in enumerate(ps):
             K[i, j] = eval_fn(complex(p), complex(q))
-    idx = np.arange(1, order + 1, dtype=float)
+    logs = log_table(order)
 
     def solve(R: int) -> np.ndarray:
-        V = idx[None, :] ** (-ps[:R, None])
+        V = np.exp(np.outer(-ps[:R], logs))  # V[r, i] = i**(-p_r)
         scale = np.linalg.norm(V, axis=0)
         Vs = V / scale
         X, *_ = np.linalg.lstsq(Vs, K[:R, :R], rcond=None)

@@ -26,6 +26,15 @@ The base class sums a dense section and bounds tails by the envelope; each
 structured variant overrides what its structure makes cheaper or sharper.
 Variant-only prefixes (``diagonal_prefix``, ``factor_prefix``,
 ``coupling_prefix``, ``tail_prefix``) feed those overrides and ``structured``.
+
+Every power m**(-s) here is ``series.powers``: one exponential of the cached
+read-only log table (2**16 entries; longer tables are computed per call), a
+real ``exp`` when the exponent is real, so a real point pays no complex
+power and the diagonal reuses one table for its value and its mass.  Rule
+prefixes are read-only views of a memo (``SequenceRule.prefix``); a variant
+that edits one (tail overrides) copies it first.  ``partial_sum`` reports
+the absolute mass that ``series.rounding_radius`` turns into the rounding
+part of the kernel radius.
 """
 
 from __future__ import annotations
@@ -37,8 +46,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import SpecError
-from .rules import SequenceRule, power_tail_bound
-from .series import Envelope
+from .rules import CACHE_LIMIT, SequenceRule, power_tail_bound
+from .series import Envelope, power_sum, powers
 
 
 class CoefficientMatrix:
@@ -72,11 +81,14 @@ class CoefficientMatrix:
 
     def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float, int]:
         """Section sum over m, n <= N, its absolute mass (which prices the
-        rounding) and its count of nonzero terms (one term rounds nothing)."""
+        rounding) and its count of nonzero terms (a lone term at a real point
+        is taken as exact)."""
         T = self.truncation(N)
-        n = np.arange(1, N + 1, dtype=float)
-        value = complex(n ** (-s) @ T @ n ** (-np.conj(u)))
-        mass = float(n ** (-s.real) @ np.abs(T) @ n ** (-u.real))
+        ps, pu = powers(s, N), powers(np.conj(u), N)
+        # complex on both sides: a real vector would send the product down
+        # numpy's slow mixed-type path
+        value = complex(ps.astype(complex) @ T @ pu.astype(complex))
+        mass = float(np.abs(ps) @ np.abs(T) @ np.abs(pu))
         return value, mass, int(np.count_nonzero(T))
 
     def tail_radius(self, sigma_s: float, sigma_u: float, N: int) -> float:
@@ -87,9 +99,8 @@ class CoefficientMatrix:
         env = self.envelope
         if env is None:
             return math.inf
-        ns = np.arange(1, N + 1, dtype=float)
-        fin_s = float(np.sum(ns ** (env.alpha - sigma_s)))
-        fin_u = float(np.sum(ns ** (env.alpha - sigma_u)))
+        fin_s = float(np.sum(powers(sigma_s - env.alpha, N)))
+        fin_u = float(np.sum(powers(sigma_u - env.alpha, N)))
         inf_s = power_tail_bound(N, sigma_s - env.alpha)
         inf_u = power_tail_bound(N, sigma_u - env.alpha)
         return env.C * (inf_s * fin_u + fin_s * inf_u + inf_s * inf_u)
@@ -109,9 +120,8 @@ class CoefficientMatrix:
         if self.order is not None:
             if l >= self.order:
                 return 0.0
-            ns = np.arange(l + 1, self.order + 1, dtype=float)
             row = np.abs(self.row_prefix(k, self.order)[l:])
-            return float(np.sum(row * ns ** (-r)))
+            return float(np.sum(row * powers(r, self.order)[l:]))
         env = self.envelope
         if env is None:
             return math.inf
@@ -122,9 +132,8 @@ class CoefficientMatrix:
         if self.order is not None:
             if k >= self.order:
                 return 0.0
-            ms = np.arange(k + 1, self.order + 1, dtype=float)
             col = np.abs(self.column_prefix(l, self.order)[k:])
-            return float(np.sum(col * ms ** (-r)))
+            return float(np.sum(col * powers(r, self.order)[k:]))
         env = self.envelope
         if env is None:
             return math.inf
@@ -136,9 +145,8 @@ class CoefficientMatrix:
             if k >= self.order or l >= self.order:
                 return 0.0
             T = np.abs(self.truncation(self.order)[k:, l:])
-            ms = np.arange(k + 1, self.order + 1, dtype=float) ** (-r)
-            ns = np.arange(l + 1, self.order + 1, dtype=float) ** (-r)
-            return float(ms @ T @ ns)
+            p = powers(r, self.order)
+            return float(p[k:] @ T @ p[l:])
         env = self.envelope
         if env is None:
             return math.inf
@@ -252,6 +260,20 @@ class DiagonalMatrix(CoefficientMatrix):
             d = np.where(mask, d, 0.0)
         return d
 
+    def _weights(self, N: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """(d, |d|, nonzero count) for n <= N, read-only; the last triple of
+        at most CACHE_LIMIT terms is memoised, like the rule's prefix."""
+        memo = self.__dict__.get("_memo")
+        if memo is not None and memo[0].size == N:
+            return memo
+        d = self.diagonal_prefix(N)
+        ad = np.abs(d)
+        d.flags.writeable = ad.flags.writeable = False
+        out = (d, ad, int(np.count_nonzero(ad)))
+        if N <= CACHE_LIMIT:
+            object.__setattr__(self, "_memo", out)
+        return out
+
     def truncation(self, N: int) -> np.ndarray:
         return np.diag(self.diagonal_prefix(N))
 
@@ -265,11 +287,13 @@ class DiagonalMatrix(CoefficientMatrix):
         return self.column_prefix(m, N)
 
     def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float, int]:
-        """One series in s + conj(u): a single complex power per term."""
-        d = self.diagonal_prefix(N)
-        n = np.arange(1, N + 1, dtype=float)
-        mags = np.abs(d) * n ** (-(s.real + u.real))
-        return complex(np.sum(d * n ** (-(s + np.conj(u))))), float(np.sum(mags)), int(np.count_nonzero(d))
+        """One series in z = s + conj(u): one power per term, which also
+        weighs the mass when z is real."""
+        d, ad, nnz = self._weights(N)
+        z = s + np.conj(u)
+        p = powers(z, N)
+        mass = float(ad @ (p if z.imag == 0.0 else powers(z.real, N)))
+        return power_sum(d, p), mass, nnz
 
     def tail_radius(self, sigma_s: float, sigma_u: float, N: int) -> float:
         """Row and column pieces are empty: the sharper single-series bound."""
@@ -330,10 +354,10 @@ class RankOneMatrix(CoefficientMatrix):
     def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float, int]:
         """The double sum factors into two single sums."""
         f = self.factor_prefix(N)
-        n = np.arange(1, N + 1, dtype=float)
-        left = np.sum(f * n ** (-s))
-        right = np.sum(f * n ** (-u))
-        mass = float(np.sum(np.abs(f) * n ** (-s.real)) * np.sum(np.abs(f) * n ** (-u.real)))
+        left = power_sum(f, powers(s, N))
+        right = power_sum(f, powers(u, N))
+        af = np.abs(f)
+        mass = float((af @ powers(s.real, N)) * (af @ powers(u.real, N)))
         return complex(left * np.conj(right)), mass, int(np.count_nonzero(f)) ** 2
 
 
@@ -395,8 +419,14 @@ class ArrowheadMatrix(CoefficientMatrix):
         return self.coupling.value(n - self.k)
 
     def tail_prefix(self, N: int) -> np.ndarray:
-        """Tail diagonal d_{k+1..N} as a real array, override-aware."""
+        """Tail diagonal d_{k+1..N} as a real array, override-aware.
+
+        Without overrides this is a read-only view of the rule's memo; with
+        them it is a copy, so an override never reaches the shared prefix.
+        """
         d = self.tail.prefix(max(0, N - self.k)).real
+        if self.tail_overrides:
+            d = d.copy()
         for idx, val in reversed(self.tail_overrides):  # the first override of an index wins
             if self.k < idx <= N:
                 d[idx - self.k - 1] = val
@@ -464,24 +494,22 @@ class ArrowheadMatrix(CoefficientMatrix):
 
     def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float, int]:
         """Head block plus the two rank-one coupling strips and the tail diagonal."""
-        ub, sig_s, sig_u = np.conj(u), s.real, u.real
         k, kk = self.k, min(self.k, N)
-        idx = np.arange(1, kk + 1, dtype=float)
-        ms = idx ** (-s)
-        nu = idx ** (-ub)
-        total = complex(ms @ self.head[:kk, :kk] @ nu)
-        mass = float(idx ** (-sig_s) @ np.abs(self.head[:kk, :kk]) @ idx ** (-sig_u))
-        nnz = int(np.count_nonzero(self.head[:kk, :kk]))
+        ps, pu = powers(s, N), powers(np.conj(u), N)
+        rs, ru = np.abs(ps), np.abs(pu)
+        head = self.head[:kk, :kk]
+        total = complex(ps[:kk] @ head @ pu[:kk])
+        mass = float(rs[:kk] @ np.abs(head) @ ru[:kk])
+        nnz = int(np.count_nonzero(head))
         if N > k:
-            t = np.arange(k + 1, N + 1, dtype=float)
             c = self.coupling_prefix(N)
             d = self.tail_prefix(N)
-            total += complex(np.sum(ms) * np.sum(c * t ** (-ub)))
-            total += complex(np.sum(np.conj(c) * t ** (-s)) * np.sum(nu))
-            total += complex(np.sum(d * t ** (-(s + ub))))
-            mass += float(np.sum(idx ** (-sig_s)) * np.sum(np.abs(c) * t ** (-sig_u)))
-            mass += float(np.sum(np.abs(c) * t ** (-sig_s)) * np.sum(idx ** (-sig_u)))
-            mass += float(np.sum(np.abs(d) * t ** (-(sig_s + sig_u))))
+            ac = np.abs(c)
+            total += complex(np.sum(ps[:kk]) * power_sum(c, pu[k:]))
+            total += complex(power_sum(np.conj(c), ps[k:]) * np.sum(pu[:kk]))
+            total += power_sum(d, ps[k:] * pu[k:])
+            mass += float(np.sum(rs[:kk]) * (ac @ ru[k:]) + (ac @ rs[k:]) * np.sum(ru[:kk]))
+            mass += float(np.abs(d) @ (rs[k:] * ru[k:]))
             nnz += 2 * kk * int(np.count_nonzero(c)) + int(np.count_nonzero(d))
         return total, mass, nnz
 
@@ -534,10 +562,9 @@ class DeflatedMatrix(CoefficientMatrix):
     def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float, int]:
         """The parent's sum minus the product of its first column and row sums."""
         p = self.parent
-        n = np.arange(1, N + 1, dtype=float)
         col, row = p.column_prefix(1, N), p.row_prefix(1, N)
         base, base_mass, base_nnz = p.partial_sum(s, u, N)
-        col_mass = float(np.sum(np.abs(col) * n ** (-s.real)))
-        row_mass = float(np.sum(np.abs(row) * n ** (-u.real)))
-        value = complex(base - np.sum(col * n ** (-s)) * np.sum(row * n ** (-np.conj(u))) / self._a11)
+        col_mass = float(np.abs(col) @ powers(s.real, N))
+        row_mass = float(np.abs(row) @ powers(u.real, N))
+        value = complex(base - power_sum(col, powers(s, N)) * power_sum(row, powers(np.conj(u), N)) / self._a11)
         return value, base_mass + col_mass * row_mass / abs(self._a11), max(base_nnz, 2)

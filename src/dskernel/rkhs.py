@@ -23,7 +23,7 @@ from .matrices import (
     DiagonalMatrix,
     RankOneMatrix,
 )
-from .series import Envelope, GeneralDirichletSeries, evaluate
+from .series import Envelope, GeneralDirichletSeries, power_sum, powers
 
 DEFAULT_SYMBOL_ORDER = 64
 
@@ -103,15 +103,13 @@ class GramModel:
 
     def section_value(self, t: complex) -> np.ndarray:
         """Symbol coordinates of the kernel section kappa_t = sum_n n**(-conj(t)) A_n."""
-        n = np.arange(1, self.order + 1, dtype=float)
-        return n ** (-np.conj(complex(t)))
+        return powers(np.conj(complex(t)), self.order).astype(complex)
 
     def value_at(self, c: Sequence[complex], p: complex) -> complex:
         """Pointwise value (sum_n c_n A_n)(p) through the truncated columns."""
         c = np.asarray(c, dtype=complex)
         weights = self.gram @ c  # row m: sum_n a_{m,n} c_n
-        m = np.arange(1, self.order + 1, dtype=float)
-        return complex(np.sum(weights * m ** (-complex(p))))
+        return power_sum(weights, powers(p, self.order))
 
 
 def expansion_check(kernel: DirichletKernel, s: complex, u: complex, order: int) -> float:
@@ -119,16 +117,13 @@ def expansion_check(kernel: DirichletKernel, s: complex, u: complex, order: int)
 
     Both sides are the same truncated double sum regrouped, so the residual
     is pure floating-point noise; a large value signals an implementation
-    inconsistency, not a mathematical one.
+    inconsistency, not a mathematical one.  The symbol values A_n(s) are
+    the columns a_{1..order,n} against one power vector.
     """
     lhs = kernel_eval(kernel, s, u, order).value
-    ub = np.conj(complex(u))
-    total = 0.0 + 0.0j
-    for n in range(1, order + 1):
-        sym = analytic_symbol(kernel.matrix, n, order=order)
-        val = evaluate(sym.series, s, order).value
-        total += val * float(n) ** (-ub)
-    return abs(lhs - total)
+    ps = powers(s, order)
+    symbols = np.array([power_sum(kernel.matrix.column_prefix(n, order), ps) for n in range(1, order + 1)])
+    return abs(lhs - power_sum(symbols, powers(np.conj(complex(u)), order)))
 
 
 def reproducing_check(

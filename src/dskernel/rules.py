@@ -23,6 +23,10 @@ from .errors import CertificationError, SpecError
 
 RULE_KINDS = ("constant", "geometric", "power", "explicit")
 
+#: longest table kept between calls: the log table of ``series.log_table``
+#: and the prefix a rule memoises (2**16 entries, 1 MB complex)
+CACHE_LIMIT = 2**16
+
 
 @dataclass(frozen=True)
 class SequenceRule:
@@ -73,12 +77,22 @@ class SequenceRule:
         return self.values[l - 1] if l <= len(self.values) else 0.0
 
     def prefix(self, n: int) -> np.ndarray:
-        """Values at l = 1..n as a complex array; SpecError if one is not finite."""
+        """Values at l = 1..n as a read-only complex array; SpecError if one is not finite.
+
+        The last prefix of at most CACHE_LIMIT values is memoised, and
+        shorter requests are views of it.
+        """
+        memo = self.__dict__.get("_memo")
+        if memo is not None and 0 <= n <= memo.size:
+            return memo[:n]
         with np.errstate(over="ignore", invalid="ignore"):
             out = self._prefix(n)
         finite = np.isfinite(out)
         if not finite.all():
             raise SpecError(_not_finite(int(np.argmin(finite)) + 1))
+        out.flags.writeable = False
+        if n <= CACHE_LIMIT:
+            object.__setattr__(self, "_memo", out)
         return out
 
     def _prefix(self, n: int) -> np.ndarray:

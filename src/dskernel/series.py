@@ -6,6 +6,22 @@ so longer prefixes can be generated on demand.  Certified evaluation needs a
 declared coefficient envelope |a_n| <= C n**alpha; without one the value is
 still computed but the error radius degrades to infinity and downstream
 certifications refuse to use it.
+
+Power table.  Every kernel sum in the package is built from the powers
+n**(-z) = exp(-z log n), and they all come from one place: ``log_table(N)``
+holds log 1, ..., log N, cached read-only up to ``CACHE_LIMIT`` = 2**16
+entries (a longer table is computed for its call and kept by nobody), and
+``powers(z, N)`` exponentiates it, with a real ``exp`` when Im z = 0.
+
+Rounding model.  ``numpy.log`` is faithful (within one ulp, a relative error
+2u with u = 2**-53), so the argument z log n of a power carries an absolute
+error of at most 3u |z| log n and the power a relative error of at most
+u (c + 3 |z| log n), where c covers ``exp``/``cos``/``sin`` and the complex
+products that form a term.  Summing k terms in any order adds at most
+gamma_k = k u / (1 - k u) times their absolute sum per real component
+(Higham, Accuracy and Stability of Numerical Algorithms, 2002, sections 3.1
+and 4.2).  ``rounding_radius`` is that bound; general exponents use their
+largest exponent lambda_N in place of log N and one more rounding.
 """
 
 from __future__ import annotations
@@ -18,10 +34,84 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import CollisionError, ConvergenceRegionError, SpecError
-from .rules import SequenceRule, power_tail_bound
+from .rules import CACHE_LIMIT, SequenceRule, power_tail_bound
 
 #: relative tolerance below which two merged exponents count as colliding
 COLLISION_RTOL = 1e-12
+
+#: unit roundoff of IEEE double precision
+UNIT_ROUNDOFF = 2.0**-53
+
+#: relative error, in units of u, of one power exp(-z log n) apart from the
+#: |z| log n part: exp, cos and sin within one ulp each, the complex products
+#: forming a term (coefficient times one or two powers) a few u each
+POWER_ROUNDING_UNITS = 16.0
+
+#: smallest positive subnormal double: the absolute error an underflowing
+#: operation may add on top of its relative one
+SUBNORMAL_MIN = 2.0**-1074
+
+_log_cache = np.empty(0)
+_log_cache.flags.writeable = False
+
+
+def log_table(N: int) -> np.ndarray:
+    """log n for n = 1..N, read-only: a view of the cached table when N <= CACHE_LIMIT."""
+    global _log_cache
+    if N > CACHE_LIMIT:
+        out = np.log(np.arange(1, N + 1, dtype=float))
+        out.flags.writeable = False
+        return out
+    if _log_cache.size < N:
+        _log_cache = np.log(np.arange(1, CACHE_LIMIT + 1, dtype=float))
+        _log_cache.flags.writeable = False
+    return _log_cache[:N]
+
+
+def powers(z: complex, N: int) -> np.ndarray:
+    """n**(-z) for n = 1..N as exp(-z log n); a real array when Im z = 0."""
+    z = complex(z)
+    out = log_table(N) * (-z.real if z.imag == 0.0 else -z)
+    return np.exp(out, out=out)
+
+
+def power_sum(c: np.ndarray, p: np.ndarray) -> complex:
+    """sum_n c_n p_n for two vectors, each real or complex.
+
+    When exactly one is complex, the real one is dotted with both parts of
+    the other: numpy's mixed-type product would convert it first and then
+    sum without BLAS, about 50 times slower.
+    """
+    if np.iscomplexobj(c) == np.iscomplexobj(p):
+        return complex(c @ p)
+    if np.iscomplexobj(p):
+        c, p = p, c
+    return complex(c.real @ p, c.imag @ p)
+
+
+def gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff."""
+    ku = k * UNIT_ROUNDOFF
+    return ku / (1.0 - ku)
+
+
+def rounding_radius(mass: float, size: float, log_max: float, chain: int) -> float:
+    """Bound on the rounding error of a sum of table powers.
+
+    ``mass`` is the absolute sum of the terms, ``size`` the total modulus
+    of the exponents that multiply log n in one term (|s| + |u| for a
+    kernel term m**(-s) n**(-conj(u))), ``log_max`` the largest log n and
+    ``chain`` the most additions one term goes through (at most the number
+    of terms, whatever the order).  Each term is off by u (c + 4 size
+    log_max) relative (one rounding more than the module docstring's 3
+    covers exponents lambda_n = omega log n), and the additions add
+    gamma_chain per real component, so 2 gamma_chain in modulus.  Underflow
+    adds at most one subnormal per operation; c chain**2 operations bound
+    even a dense section's.
+    """
+    per_term = UNIT_ROUNDOFF * (POWER_ROUNDING_UNITS + 4.0 * size * log_max)
+    underflow = POWER_ROUNDING_UNITS * float(chain) ** 2 * SUBNORMAL_MIN
+    return mass * (per_term + 2.0 * gamma(chain)) + underflow
 
 
 @dataclass(frozen=True)
@@ -92,10 +182,9 @@ class ExponentRule:
             raise SpecError("linear exponent rule needs slope > 0")
 
     def prefix(self, n: int) -> np.ndarray:
-        ns = np.arange(1, n + 1, dtype=float)
         if self.kind == "log":
-            return self.omega * np.log(ns)
-        return self.slope * ns
+            return self.omega * log_table(n)
+        return self.slope * np.arange(1, n + 1, dtype=float)
 
     def limsup_log_ratio(self) -> float:
         """limsup log(n)/lambda_n, exact for both closed forms."""
@@ -256,10 +345,13 @@ def evaluate(series: GeneralDirichletSeries, s: complex, order: int) -> ValueWit
         )
     lam, coef = series.terms(order)
     value = complex(np.sum(coef * np.exp(-lam * s))) if lam.size else 0.0 + 0.0j
-    # absolute mass prices the rounding of the partial sum itself; single
-    # terms incur none
+    # absolute mass prices the rounding of the partial sum itself; a lone
+    # term at a real point is taken as exact, as in kernel.kernel_eval
     mass = float(np.sum(np.abs(coef) * np.exp(-lam * sigma))) if lam.size else 0.0
-    rounding = 1e-14 * mass if np.count_nonzero(coef) > 1 else 0.0
+    rounding = 0.0
+    nnz = np.count_nonzero(coef)
+    if nnz > 1 or (nnz and s.imag):
+        rounding = rounding_radius(mass, abs(s), float(lam[-1]), lam.size)
 
     if series.finite:
         if order >= len(series):

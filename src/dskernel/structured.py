@@ -21,12 +21,10 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import CertificationError, InternalCheckError, SpecError
-from .kernel import PsdCertificate, psd_check, psd_ladder_orders
+from .errors import CertificationError, HermitianError, InternalCheckError, SpecError
+from .kernel import HERMITIAN_TOL, PsdCertificate, psd_check, psd_ladder_orders
 from .matrices import ArrowheadMatrix
 from .rules import RatioSum, SequenceRule, weighted_ratio_sum
-
-HEAD_HERMITIAN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -48,8 +46,8 @@ class MarginCertificate:
 
 def _check_head(m: ArrowheadMatrix) -> np.ndarray:
     h = m.head
-    if np.max(np.abs(h - h.conj().T)) > HEAD_HERMITIAN_TOL * (1.0 + np.max(np.abs(h))):
-        raise CertificationError("head block is not Hermitian")
+    if np.max(np.abs(h - h.conj().T)) > HERMITIAN_TOL:
+        raise HermitianError(f"head block is not Hermitian (tolerance {HERMITIAN_TOL})")
     return 0.5 * (h + h.conj().T)
 
 
@@ -109,8 +107,8 @@ def certify_psd(
     chain was implemented wrong).  With margin < 0 the margin route is
     inconclusive and the ladder verdict stands on its own.
     """
+    ladder = psd_check(m, max_order, tol)  # first, so self-adjointness is judged as psd_check judges it
     cert = psd_margin(m)
-    ladder = psd_check(m, max_order, tol)
     orders = psd_ladder_orders(max_order)
     if cert.margin >= 0.0:
         schur = _schur_min_eigs(m, orders)

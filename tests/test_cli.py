@@ -4,8 +4,10 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
+from dskernel import DenseMatrix, psd_check
 from dskernel.cli import main
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
@@ -75,6 +77,44 @@ class TestPsd:
         code, rep = run_json(capsys, "psd", "--matrix", str(f), "--max-order", "2")
         assert code == 0
         assert rep["results"]["verdict"] == "not_self_adjoint"
+
+
+class TestPsdSelfAdjointTolerance:
+    """`dskernel psd` judges self-adjointness once, as the certificate does."""
+
+    @staticmethod
+    def applied_tolerance():
+        from dskernel.kernel import HERMITIAN_TOL
+        return HERMITIAN_TOL
+
+    def psd(self, capsys, tmp_path, spec, order=2):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(spec))
+        code, rep = run_json(capsys, "psd", "--matrix", str(f), "--max-order", str(order))
+        assert code == 0
+        return rep["results"]
+
+    def test_asymmetry_within_the_certificate_tolerance_is_certified(self, capsys, tmp_path):
+        entries = [[1, 5e-11], [0, 1]]
+        res = self.psd(capsys, tmp_path, {"variant": "dense", "entries": entries, "rho": 0.0})
+        assert res["self_adjoint"] is True
+        assert res["verdict"] == psd_check(DenseMatrix(np.array(entries, dtype=complex)), 2).verdict == "psd"
+
+    def test_clear_asymmetry_reports_the_applied_tolerance(self, capsys, tmp_path):
+        res = self.psd(capsys, tmp_path, {"variant": "dense", "entries": [[1, 1], [0, 1]], "rho": 0.0})
+        assert res == {"self_adjoint": False, "verdict": "not_self_adjoint",
+                       "tolerance": self.applied_tolerance()}
+
+    @pytest.mark.parametrize("off, verdict", [(0.5, "not_self_adjoint"), (5e-11, "psd")])
+    def test_arrowhead_head_is_judged_at_the_same_tolerance(self, capsys, tmp_path, off, verdict):
+        spec = {"variant": "arrowhead", "k": 2, "head": [[1, off], [0, 1]],
+                "c_rule": {"kind": "constant", "value": 0.1},
+                "d_rule": {"kind": "geometric", "scale": 1, "ratio": 2}, "rho": 0.0}
+        res = self.psd(capsys, tmp_path, spec, order=8)
+        assert res["verdict"] == verdict
+        assert res["self_adjoint"] is (verdict == "psd")
+        if verdict == "not_self_adjoint":
+            assert res["tolerance"] == self.applied_tolerance()
 
 
 class TestSymbols:
