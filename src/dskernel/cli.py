@@ -171,17 +171,16 @@ def _cmd_symbols(args) -> dict:
 def _cmd_membership(args) -> dict:
     if args.query:
         q = load_membership_query(args.query)
-        matrix, fhat, order = q["matrix"], q["fhat"], q["order"]
-        c_max, resolution = q["c_max"], q["resolution"]
+        matrix, fhat, order, c_max = q["matrix"], q["fhat"], q["order"], q["c_max"]
     else:
         if not args.matrix or not args.fhat:
             raise SpecError("membership needs --query or --matrix plus --fhat")
         kern = load_kernel(args.matrix)
         matrix = kern.matrix
         fhat = [parse_complex(x) for x in args.fhat.split(",")]
-        order, c_max, resolution = args.order, args.c_max, 1e-6
-    res = membership_test(matrix, fhat, order, tol=args.tol, c_max=c_max, resolution=resolution)
-    rep = _base_report("membership", args, order=order, c_max=c_max, resolution=resolution,
+        order, c_max = args.order, args.c_max
+    res = membership_test(matrix, fhat, order, tol=args.tol, c_max=c_max)
+    rep = _base_report("membership", args, order=order, c_max=c_max,
                        fhat=[encode_complex(c) for c in np.asarray(fhat, dtype=complex)])
     rep["results"] = {
         "member": res.member,
@@ -403,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--order", type=int, default=None)
     sp.set_defaults(fn=_cmd_symbols, default_tol=None)
 
-    sp = sub.add_parser("membership", help="order-relative membership bisection")
+    sp = sub.add_parser("membership", help="order-relative membership: closed-form least c")
     common(sp, matrix=True)
     sp.add_argument("--query", default=None, help="full membership query JSON")
     sp.add_argument("--fhat", default=None, help="comma-separated coefficients")

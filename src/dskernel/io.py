@@ -36,7 +36,7 @@ span     {"a": ..., "offsets": ["p/q", ...], "diagonal": rule,
           "support": support?, "order": M, "rho": ...}
 
 membership query  {"matrix": matrix, "fhat": [...], "order": N,
-                   "c_max": ..., "resolution": ...}
+                   "c_max": ...}
 """
 
 from __future__ import annotations
@@ -231,7 +231,6 @@ def load_membership_query(obj_or_path) -> dict:
         "fhat": spec_value(spec, "fhat", _complexes),
         "order": spec_value(spec, "order", int),
         "c_max": spec_value(spec, "c_max", float, 1e6),
-        "resolution": spec_value(spec, "resolution", float, 1e-6),
     }
 
 

@@ -88,9 +88,9 @@ def kernel_eval(kernel: DirichletKernel, s: complex, u: complex, order: int) -> 
     radius = kernel.matrix.tail_radius(s.real, u.real, order)
     # price the floating-point rounding of the partial sum itself: every
     # variant sums along chains of at most 2N + 8 roundings, the two products
-    # of a dense section being the longest.  A lone term at real points is
-    # taken as exact (a few ulps); at complex points its phase error counts.
-    if math.isfinite(radius) and (nnz > 1 or (nnz and (s.imag or u.imag))):
+    # of a dense section being the longest.  Even a lone term is a table
+    # power, a few ulps off; only an all-zero sum is exact.
+    if math.isfinite(radius) and nnz:
         radius += rounding_radius(mass, abs(s) + abs(u), math.log(N), 2 * N + 8)
     return ValueWithBound(value, radius)
 
@@ -124,29 +124,40 @@ def tail_bound(
     return C_r * (t_row + t_col + t_corner)
 
 
-#: largest |a_{m,n} - conj(a_{n,m})| with which a section still counts as
-#: self-adjoint for a PSD certificate (``psd_check``, ``dskernel psd``)
+#: largest |a_{m,n} - conj(a_{n,m})|, relative to 1 + max |a_{m,n}|, with
+#: which a block still counts as self-adjoint for a PSD certificate
+#: (``psd_check``, ``dskernel psd``, the arrowhead head)
 HERMITIAN_TOL = 1e-10
 
 
-def hermitian_section(
-    matrix: CoefficientMatrix, order: int, tol: float = 1e-12
-) -> Optional[np.ndarray]:
-    """The symmetrised order x order section (T + T*)/2, or None if T is not Hermitian.
+def hermitian_part(T: np.ndarray, tol: float = HERMITIAN_TOL) -> Optional[np.ndarray]:
+    """(T + T*)/2, or None if T is not Hermitian.
 
-    T is built once; it counts as Hermitian when max |T - T*| <= tol.  The
-    result is a new array, never a view of the matrix's stored entries.
+    T counts as Hermitian when max |T - T*| <= tol (1 + max |T|): the
+    rounding of a product such as ``np.outer(f, conj(f))`` grows with the
+    entries, so an absolute cutoff would reject large Hermitian blocks.
+    The result is a new array, never a view of T.
     """
-    T = matrix.truncation(order)
     H = T.conj().T
-    if T.size and np.max(np.abs(T - H)) > tol:
+    if T.size and np.max(np.abs(T - H)) > tol * (1.0 + np.max(np.abs(T))):
         return None
     return 0.5 * (T + H)
 
 
+def hermitian_section(matrix: CoefficientMatrix, order: int, tol: float = 1e-12) -> Optional[np.ndarray]:
+    """The symmetrised order x order section, or None if it is not Hermitian (``hermitian_part``)."""
+    return hermitian_part(matrix.truncation(order), tol)
+
+
 def self_adjoint_check(matrix: CoefficientMatrix, order: int, tol: float = 1e-12) -> bool:
-    """max |a_{m,n} - conj(a_{n,m})| <= tol over the leading order x order section."""
+    """max |a_{m,n} - conj(a_{n,m})| <= tol (1 + max |a_{m,n}|) over the leading order x order section."""
     return hermitian_section(matrix, order, tol) is not None
+
+
+def support_pattern(matrix: CoefficientMatrix, order: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """1-based index arrays (m, n) of the entries with |a_{m,n}| > tol, from one truncation."""
+    m, n = np.nonzero(np.abs(matrix.truncation(order)) > tol)
+    return m + 1, n + 1
 
 
 @dataclass(frozen=True)
@@ -173,10 +184,6 @@ class PsdCertificate:
     @property
     def is_psd(self) -> bool:
         return self.verdict == "psd"
-
-    @property
-    def max_order(self) -> int:
-        return max(self.orders) if self.orders else 0
 
 
 def psd_ladder_orders(max_order: int) -> list[int]:
@@ -240,7 +247,7 @@ def psd_check(matrix: CoefficientMatrix, max_order: int, tol: float = 1e-9) -> P
         raise SpecError("max_order must be >= 1")
     S = hermitian_section(matrix, max_order, tol=HERMITIAN_TOL)
     if S is None:
-        raise HermitianError(f"matrix is not self-adjoint at this order (tolerance {HERMITIAN_TOL})")
+        raise HermitianError(f"matrix is not self-adjoint at this order (relative tolerance {HERMITIAN_TOL})")
     orders, mins = [], []
     witness_order, witness_vector = None, None
     for N in psd_ladder_orders(max_order):
@@ -273,12 +280,10 @@ def bandwidth_detect(
     Returns None when the only admissible k is the trivial order-1 (the
     truncation cannot distinguish that from unbounded bandwidth).
     """
-    T = np.abs(matrix.truncation(order))
-    m, n = np.indices(T.shape)
-    mask = T > tol
-    if not mask.any():
+    m, n = support_pattern(matrix, order, tol)
+    if not m.size:
         return 0
-    k = int(np.max(np.abs(m - n)[mask]))
+    k = int(np.max(np.abs(m - n)))
     if k == order - 1 and order > 1:
         return None
     return k

@@ -81,8 +81,8 @@ class CoefficientMatrix:
 
     def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float, int]:
         """Section sum over m, n <= N, its absolute mass (which prices the
-        rounding) and its count of nonzero terms (a lone term at a real point
-        is taken as exact)."""
+        rounding) and its count of nonzero terms (only an all-zero sum is
+        exact)."""
         T = self.truncation(N)
         ps, pu = powers(s, N), powers(np.conj(u), N)
         # complex on both sides: a real vector would send the product down

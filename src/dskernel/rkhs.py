@@ -9,13 +9,14 @@ space has.  Everything here works in symbol coordinates over that model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CertificationError, SpecError
-from .kernel import DirichletKernel, kernel_eval, psd_check
+from .errors import CertificationError, InternalCheckError, SpecError
+from .kernel import HERMITIAN_TOL, DirichletKernel, hermitian_section, kernel_eval, psd_check
 from .matrices import (
     CoefficientMatrix,
     DeflatedMatrix,
@@ -182,18 +183,18 @@ class MembershipResult:
     """Order-relative membership verdict for a Dirichlet series in the space.
 
     member=True certifies (c_star**2 * a - fhat fhat*) is PSD at the stated
-    truncation order; the verdict says nothing beyond that order, and
-    c_star is an upper estimate for the norm at this truncation only.
+    truncation order, up to the cutoff of ``psd_check``; the verdict says
+    nothing beyond that order, and c_star is the norm at this truncation only.
     """
 
     member: bool
     c_star: Optional[float]
     order: int
     c_max: float
-    resolution: float
     #: min eigenvalue of the c-normalised test matrix a - (fhat/c)(fhat/c)*
     min_eig_at_c_star: Optional[float] = None
-    #: bisection trace of (c, min eigenvalue) pairs, in evaluation order
+    #: the (c, min eigenvalue) probes that certify c_star: one for a member
+    #: with fhat != 0, none otherwise
     eig_trace: tuple = ()
 
 
@@ -203,54 +204,45 @@ def membership_test(
     order: int,
     tol: float = 1e-9,
     c_max: float = 1e6,
-    resolution: float = 1e-6,
 ) -> MembershipResult:
-    """Bisect for the smallest c with (c**2 a - fhat fhat*) PSD at the truncation.
+    """The least c with (c**2 a - fhat fhat*) PSD at the truncation, in closed form.
 
-    The matrix must itself be PSD-certified at the order.  If even c_max
-    fails, the series is reported non-member up to c_max at this order.
+    The matrix must itself be PSD-certified at the order.  With (lambda, V)
+    the eigenpairs of the Hermitian section S and eps = tol (1 + max |lambda|),
+    the cutoff ``psd_check`` applies, the least c with S + eps I - f f*/c**2
+    PSD is c_star**2 = sum_i |(V* f)_i|**2 / (lambda_i + eps): the squared norm
+    f* S^+ f of the space, regularised at that cutoff (Aronszajn, Trans. AMS
+    68, 1950; Paulsen-Raghupathi, An Introduction to the Theory of RKHS,
+    2016, Thm 3.11).  A weighted direction with lambda_i + eps <= 0, or
+    c_star > c_max, is a non-member.  A member's c_star is certified by one
+    eigenvalue probe of S - f f*/c_star**2, which must clear -eps less the
+    eigen-solver's rounding; a miss means the two certificates disagree and
+    is an InternalCheckError.
     """
     cert = psd_check(matrix, order, tol)
     if not cert.is_psd:
         raise CertificationError("matrix is not PSD at this order; membership undefined")
-    A = matrix.truncation(order)
-    A = 0.5 * (A + A.conj().T)
+    S = hermitian_section(matrix, order, tol=HERMITIAN_TOL)
     f = np.zeros(order, dtype=complex)
     fv = np.asarray(fhat, dtype=complex).ravel()
     f[: min(order, fv.size)] = fv[:order]
-    F = np.outer(f, np.conj(f))
-
-    def is_psd_at(c: float) -> tuple[bool, float]:
-        # test the c-normalised form a - (f/c)(f/c)* so the tolerance scale
-        # stays O(||a|| + ||F||) instead of growing like c**2
-        if c == 0.0:
-            M = -F
-        else:
-            M = A - F / (c * c)
-        w = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
-        scale = float(np.max(np.abs(w))) if w.size else 0.0
-        return bool(w[0] >= -tol * (1.0 + scale)), float(w[0])
-
-    trace = []
-
-    def probe(c: float) -> tuple[bool, float]:
-        ok, eig = is_psd_at(c)
-        trace.append((c, eig))
-        return ok, eig
-
-    ok0, eig0 = probe(0.0)
-    if ok0:
-        return MembershipResult(True, 0.0, order, c_max, resolution, eig0, tuple(trace))
-    ok_max, _ = probe(c_max)
-    if not ok_max:
-        return MembershipResult(False, None, order, c_max, resolution, None, tuple(trace))
-    lo, hi = 0.0, c_max
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        ok, _ = probe(mid)
-        if ok:
-            hi = mid
-        else:
-            lo = mid
-    _, eig = is_psd_at(hi)
-    return MembershipResult(True, hi, order, c_max, resolution, eig, tuple(trace))
+    if not np.any(f):
+        return MembershipResult(True, 0.0, order, c_max, 0.0)
+    lam, V = np.linalg.eigh(S)
+    scale = float(np.max(np.abs(lam)))
+    eps = tol * (1.0 + scale)
+    weights = np.abs(V.conj().T @ f) ** 2
+    pos = weights > 0
+    shifted = lam[pos] + eps
+    c_star = math.sqrt(float(np.sum(weights[pos] / shifted))) if np.all(shifted > 0) else math.inf
+    if c_star > c_max:
+        return MembershipResult(False, None, order, c_max)
+    F = np.outer(f, np.conj(f)) / (c_star * c_star)
+    eig = float(np.linalg.eigvalsh(S - F)[0])
+    rounding = 8 * order * np.finfo(float).eps * (scale + float(np.vdot(f, f).real) / c_star**2)
+    if eig < -eps - rounding:
+        raise InternalCheckError(
+            f"internal: S - f f*/c**2 has min eig {eig} at the closed-form c* = {c_star}, "
+            f"below the cutoff {-eps} less rounding {rounding}"
+        )
+    return MembershipResult(True, c_star, order, c_max, eig, ((c_star, eig),))

@@ -149,9 +149,6 @@ class ValueWithBound:
         )
         return ValueWithBound(self.value * other.value, r)
 
-    def scaled(self, c: complex) -> "ValueWithBound":
-        return ValueWithBound(c * self.value, abs(c) * self.error_radius)
-
 
 @dataclass(frozen=True)
 class Envelope:
@@ -283,12 +280,6 @@ class GeneralDirichletSeries:
         rule = self.exponent_rule
         return rule is not None and rule.kind == "log" and rule.omega == 1.0
 
-    def ordinary_coefficients(self, order: Optional[int] = None) -> np.ndarray:
-        if not self.is_ordinary:
-            raise SpecError("series is not an ordinary Dirichlet series")
-        lam, coef = self.terms(order if order is not None else len(self))
-        return coef
-
     def terms(self, order: int) -> tuple[np.ndarray, np.ndarray]:
         """Exponent/coefficient arrays for the first ``order`` terms.
 
@@ -345,13 +336,10 @@ def evaluate(series: GeneralDirichletSeries, s: complex, order: int) -> ValueWit
         )
     lam, coef = series.terms(order)
     value = complex(np.sum(coef * np.exp(-lam * s))) if lam.size else 0.0 + 0.0j
-    # absolute mass prices the rounding of the partial sum itself; a lone
-    # term at a real point is taken as exact, as in kernel.kernel_eval
+    # absolute mass prices the rounding of the partial sum itself; even a
+    # lone term is a computed exponential, so only an all-zero sum is exact
     mass = float(np.sum(np.abs(coef) * np.exp(-lam * sigma))) if lam.size else 0.0
-    rounding = 0.0
-    nnz = np.count_nonzero(coef)
-    if nnz > 1 or (nnz and s.imag):
-        rounding = rounding_radius(mass, abs(s), float(lam[-1]), lam.size)
+    rounding = rounding_radius(mass, abs(s), float(lam[-1]), lam.size) if np.any(coef) else 0.0
 
     if series.finite:
         if order >= len(series):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError, HermitianError, InternalCheckError, SpecError
-from .kernel import HERMITIAN_TOL, PsdCertificate, psd_check, psd_ladder_orders
+from .kernel import HERMITIAN_TOL, PsdCertificate, hermitian_part, psd_check, psd_ladder_orders
 from .matrices import ArrowheadMatrix
 from .rules import RatioSum, SequenceRule, weighted_ratio_sum
 
@@ -45,10 +45,10 @@ class MarginCertificate:
 
 
 def _check_head(m: ArrowheadMatrix) -> np.ndarray:
-    h = m.head
-    if np.max(np.abs(h - h.conj().T)) > HERMITIAN_TOL:
-        raise HermitianError(f"head block is not Hermitian (tolerance {HERMITIAN_TOL})")
-    return 0.5 * (h + h.conj().T)
+    h = hermitian_part(m.head)
+    if h is None:
+        raise HermitianError(f"head block is not Hermitian (relative tolerance {HERMITIAN_TOL})")
+    return h
 
 
 def coupling_sum(m: ArrowheadMatrix) -> RatioSum:

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CertificationError, OutsideDomainError, SpecError
-from .kernel import HERMITIAN_TOL, DirichletKernel, bandwidth_detect, hermitian_section, kernel_eval
+from .kernel import HERMITIAN_TOL, DirichletKernel, hermitian_section, kernel_eval, support_pattern
 from .series import GeneralDirichletSeries, evaluate
 
 SL2_DET_TOL = 1e-12
@@ -171,8 +171,8 @@ def translation_invariance_test(
     witness built from the leading off-diagonal entry, evaluated deep
     enough in the half-plane that the entry dominates the rest.
     """
-    k = bandwidth_detect(kernel.matrix, order, tol=tol)
-    diagonal = k == 0
+    m, n = support_pattern(kernel.matrix, order, tol)
+    diagonal = bool(np.all(m == n))
     edge = kernel.certified_sigma()
     rng = np.random.default_rng(seed)
     if diagonal:
@@ -191,28 +191,25 @@ def translation_invariance_test(
                 )
             worst = max(worst, dev)
         return TranslationReport(True, True, worst, None, samples)
-    witness = _translation_witness(kernel, order, tol)
+    offdiag = [(int(a), int(b)) for a, b in zip(m, n) if a != b]
+    witness = _translation_witness(kernel, offdiag, order, tol)
     return TranslationReport(
         False, False, witness.violation if witness else 0.0, witness, samples
     )
 
 
 def _translation_witness(
-    kernel: DirichletKernel, order: int, tol: float
+    kernel: DirichletKernel, offdiag: list, order: int, tol: float
 ) -> Optional[InvarianceWitness]:
     """Search for (b, s, u) violating translation invariance by more than tol.
 
-    For an off-diagonal entry (m0, n0), the translation b = pi/log(m0/n0)
+    ``offdiag`` lists the 1-based off-diagonal (m, n) with |a_{m,n}| > tol.
+    For such an entry (m0, n0), the translation b = pi/log(m0/n0)
     flips that term's phase; evaluating at real s = u = sigma with sigma
     growing makes the term dominate the remaining off-diagonal mass, so the
     difference stays provably above tol once sigma is large enough.
     """
-    T = kernel.matrix.truncation(order)
-    m_idx, n_idx = np.nonzero(np.abs(T) > tol)
-    offdiag = [(m + 1, n + 1) for m, n in zip(m_idx, n_idx) if m != n]
-    if not offdiag:
-        return None
-    offdiag.sort(key=lambda mn: (mn[0] * mn[1], mn))
+    offdiag = sorted(offdiag, key=lambda mn: (mn[0] * mn[1], mn))
     edge = kernel.certified_sigma()
     for m0, n0 in offdiag[:8]:
         b = math.pi / math.log(m0 / n0)
@@ -337,10 +334,8 @@ def linear_invariance_test(
     any other kernel is defeated by an explicit scaling or a
     translation-composed scaling, which the search below produces.
     """
-    T = kernel.matrix.truncation(order)
-    mask = np.abs(T) > tol
-    mask[0, 0] = False
-    if not mask.any():
+    m, n = support_pattern(kernel.matrix, order, tol)
+    if np.all((m == 1) & (n == 1)):
         return LinearInvarianceReport(True, True, None, None, None, 0.0)
     edge = kernel.certified_sigma()
     rho = kernel.rho

@@ -116,6 +116,19 @@ class TestPsdSelfAdjointTolerance:
         if verdict == "not_self_adjoint":
             assert res["tolerance"] == self.applied_tolerance()
 
+    def test_large_rank_one_is_self_adjoint(self, capsys, tmp_path):
+        # np.outer(f, conj(f)) leaves |T - T*| = 1.2e-10 on entries of 6e6
+        fhat = [[189.1, -2441.5], [-522.7, 1799.7], [-413.1, 1144.2]]
+        res = self.psd(capsys, tmp_path, {"variant": "rank_one", "fhat": fhat, "rho": 0.0}, order=3)
+        assert res["self_adjoint"] is True
+        assert res["verdict"] == "psd"
+
+    @pytest.mark.parametrize("off, verdict", [(5e-5, "psd"), (1e-3, "not_self_adjoint")])
+    def test_asymmetry_is_judged_relative_to_the_entries(self, capsys, tmp_path, off, verdict):
+        entries = [[1e6, off], [0, 1e6]]
+        res = self.psd(capsys, tmp_path, {"variant": "dense", "entries": entries, "rho": 0.0})
+        assert res["verdict"] == verdict
+
 
 class TestSymbols:
     def test_diagonal_column(self, capsys):
@@ -137,6 +150,34 @@ class TestMembership:
         assert code == 0
         assert rep["results"]["member"] is True
         assert abs(rep["results"]["c_star"] - 1.0) < 1e-5
+
+    def test_report_has_one_probe_and_no_resolution(self, capsys):
+        code, rep = run_json(
+            capsys, "membership", "--query", str(SAMPLES / "membership_query.json")
+        )
+        assert code == 0
+        assert "resolution" not in rep["inputs"]
+        assert rep["results"]["eig_trace"] == [[rep["results"]["c_star"],
+                                                rep["results"]["min_eig_at_c_star"]]]
+
+    def test_query_with_a_resolution_key_still_loads(self, capsys, tmp_path):
+        query = json.loads((SAMPLES / "membership_query.json").read_text())
+        query["resolution"] = 1e-6
+        f = tmp_path / "q.json"
+        f.write_text(json.dumps(query))
+        code, rep = run_json(capsys, "membership", "--query", str(f))
+        assert code == 0 and rep["results"]["member"] is True
+
+    def test_failing_certificate_exits_3(self, capsys, monkeypatch):
+        # an eigen-solve that overstates every eigenvalue makes c* too small;
+        # the certifying eigenvalue probe disagrees
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda S: (eigh(S)[0] + 1.0, eigh(S)[1]))
+        code, rep = run_json(
+            capsys, "membership", "--query", str(SAMPLES / "membership_query.json")
+        )
+        assert code == 3
+        assert rep["error"]["kind"] == "InternalCheckError"
 
     def test_inline_fhat(self, capsys):
         code, rep = run_json(

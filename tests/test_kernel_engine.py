@@ -46,7 +46,10 @@ class TestKernelEval:
         kern = DirichletKernel(RankOneMatrix(np.array([0.0, 1.0])), HalfPlane(0.0))
         v = kernel_eval(kern, 1.0, 1.0, 16)
         assert abs(v.value - 0.25) < 1e-15
-        assert v.error_radius == 0.0
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            assert abs(mpmath.mpc(v.value.real, v.value.imag) - mpmath.power(2, -2)) <= v.error_radius
+        assert v.error_radius <= 1e-14 * abs(v.value)
 
     def test_refuses_outside_region(self, diag_ones_kernel):
         with pytest.raises(ConvergenceRegionError):

@@ -10,6 +10,7 @@ from dskernel import (
     ArrowheadMatrix,
     CertificationError,
     DenseMatrix,
+    InternalCheckError,
     DiagonalMatrix,
     GramModel,
     RankOneMatrix,
@@ -188,6 +189,142 @@ class TestMembership:
     def test_refuses_non_psd_matrix(self):
         with pytest.raises(CertificationError):
             membership_test(DenseMatrix(np.array([[1.0, 2.0], [2.0, 1.0]])), [1.0], 2)
+
+
+def bisection_membership(matrix, fhat, order, tol=1e-9, c_max=1e6, resolution=1e-6):
+    """Reference: the bisection over c that membership_test replaced, as (member, c, probes).
+
+    It tests the c-normalised a - (f/c)(f/c)* at the cutoff -tol (1 + scale),
+    scale the largest |eigenvalue| of that test matrix, and returns the
+    first accepted end of an interval narrowed below ``resolution``.
+    """
+    A = matrix.truncation(order)
+    A = 0.5 * (A + A.conj().T)
+    f = np.zeros(order, dtype=complex)
+    fv = np.asarray(fhat, dtype=complex).ravel()
+    f[: min(order, fv.size)] = fv[:order]
+    F = np.outer(f, np.conj(f))
+    probes = 0
+
+    def is_psd_at(c):
+        nonlocal probes
+        probes += 1
+        M = -F if c == 0.0 else A - F / (c * c)
+        w = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
+        return bool(w[0] >= -tol * (1.0 + float(np.max(np.abs(w)))))
+
+    if is_psd_at(0.0):
+        return True, 0.0, probes
+    if not is_psd_at(c_max):
+        return False, None, probes
+    lo, hi = 0.0, c_max
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if is_psd_at(mid):
+            hi = mid
+        else:
+            lo = mid
+    return True, hi, probes
+
+
+def cplx(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def membership_case(kind, seed):
+    """(matrix, fhat, order, c_max, f in ran(a)) for one seeded input of the given kind."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 65))
+    c_max = float(rng.choice([1e3, 1e6]))
+    if kind == "well_conditioned":
+        A = random_psd_dense(rng, n) + 0.1 * np.eye(n)
+        return DenseMatrix(A), cplx(rng, n), n, c_max, True
+    if kind == "rank_one":
+        g = cplx(rng, n) * 10.0 ** rng.uniform(-2, 3)
+        return RankOneMatrix(g), complex(*rng.standard_normal(2)) * g, n, c_max, True
+    r = int(rng.integers(1, max(2, n // 2)))
+    B = cplx(rng, n, r)
+    f = B @ cplx(rng, r)
+    if kind == "rank_deficient":
+        return DenseMatrix(B @ B.conj().T), f, n, c_max, True
+    # outside the range: add a part orthogonal to ran(B) of size 1e-4 .. 1
+    Q, _ = np.linalg.qr(np.hstack([B, cplx(rng, n, 1)]))
+    out = Q[:, -1] * 10.0 ** rng.uniform(-4, 0)
+    return DenseMatrix(B @ B.conj().T), f + out, n, c_max, False
+
+
+def pinv_norm(A, f):
+    """sqrt(f* A^+ f), the pseudo-inverse cut at 1e-8 ||A||."""
+    lam, V = np.linalg.eigh(A)
+    keep = lam > 1e-8 * np.max(np.abs(lam))
+    return math.sqrt(float(np.sum(np.abs(V[:, keep].conj().T @ f) ** 2 / lam[keep])))
+
+
+MEMBERSHIP_CASES = [
+    (kind, seed)
+    for kind in ("well_conditioned", "rank_deficient", "outside_range", "rank_one")
+    for seed in range(30)
+]
+
+
+class TestMembershipOracle:
+    """The closed form against the bisection it replaced, on 120 seeded inputs."""
+
+    @pytest.mark.parametrize("kind, seed", MEMBERSHIP_CASES)
+    def test_agrees_with_bisection(self, kind, seed):
+        matrix, f, n, c_max, in_range = membership_case(kind, seed)
+        res = membership_test(matrix, f, n, c_max=c_max)
+        member, oracle, _ = bisection_membership(matrix, f, n, c_max=c_max)
+        assert res.member is member
+        if not member:
+            assert res.c_star is None and res.eig_trace == ()
+            return
+        assert len(res.eig_trace) == 1 and res.eig_trace[0] == (res.c_star, res.min_eig_at_c_star)
+        ref = pinv_norm(matrix.truncation(n), np.asarray(f))
+        if in_range:
+            assert oracle - 1e-6 <= res.c_star <= ref + 1e-6
+        else:
+            # the part outside ran(a) is weighted by 1/(lambda + eps) at the
+            # rounded zero eigenvalues lambda, which either eigen-solver
+            # places within 8 n u ||a|| of 0: c* is that ill-conditioned
+            rounding = 8 * n * np.finfo(float).eps / 1e-9
+            assert ref <= res.c_star <= oracle * (1.0 + rounding) + 1e-6
+
+    def test_every_kind_has_members_and_non_members(self):
+        verdicts = {}
+        for kind, seed in MEMBERSHIP_CASES:
+            matrix, f, n, c_max, _ = membership_case(kind, seed)
+            verdicts.setdefault(kind, set()).add(membership_test(matrix, f, n, c_max=c_max).member)
+        assert verdicts["outside_range"] == {True, False}
+        assert all(True in v for v in verdicts.values())
+
+    def test_rank_one_self_certifies(self):
+        # a = g g*, f = g: c*^2 = |g|^2 / (|g|^2 + eps), eps = tol (1 + |g|^2),
+        # and the certifying probe must never miss (the cutoff eps = tol
+        # alone missed on about half of such inputs)
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            n = int(rng.integers(2, 33))
+            g = cplx(rng, n) * 10.0 ** rng.uniform(-3, 3)
+            res = membership_test(RankOneMatrix(g), g, n)
+            g2 = float(np.vdot(g, g).real)
+            assert res.member
+            assert abs(res.c_star**2 - g2 / (g2 + 1e-9 * (1.0 + g2))) < 1e-12
+
+    def test_one_probe_where_the_bisection_took_about_forty(self):
+        rng = np.random.default_rng(5)
+        A = random_psd_dense(rng, 16) + 0.1 * np.eye(16)
+        f = cplx(rng, 16)
+        assert len(membership_test(DenseMatrix(A), f, 16).eig_trace) == 1
+        assert bisection_membership(DenseMatrix(A), f, 16)[2] > 40
+
+    def test_failing_certificate_is_internal_error(self, monkeypatch):
+        # an eigen-solve that overstates every eigenvalue makes c* too small,
+        # which the independent eigenvalue probe must catch
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda S: (eigh(S)[0] + 1.0, eigh(S)[1]))
+        with pytest.raises(InternalCheckError):
+            membership_test(diag_ones(), [0.0, 1.0], order=6)
 
 
 class TestTotalityProxy:

@@ -132,8 +132,6 @@ def test_explicit_ones_diagonal_at_order_5000(t):
         assert_in_disc(vb, truth)
 
 
-@pytest.mark.xfail(strict=True, reason="a lone term at a real point is reported with radius 0, "
-                   "which test_single_term_exact and test_rank_one_single_term pin")
 def test_lone_real_term_is_not_exact():
     f = [0j, 1.5126440232086376j]
     vb = kernel_eval(DirichletKernel(RankOneMatrix(np.array(f)), HalfPlane(0.0)), 2.0, 2.0, 2)
