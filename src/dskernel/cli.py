@@ -11,9 +11,9 @@ and internal cross-check failures (3) are errors, so pipelines can tell
 from __future__ import annotations
 
 import argparse
-import io as _io
 import math
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -37,8 +37,8 @@ from .homogeneous import (
     translate_gram,
 )
 from .io import (
+    dump_csv,
     dump_report,
-    encode_complex,
     load_kernel,
     load_membership_query,
     load_series,
@@ -59,42 +59,19 @@ from .symmetry import (
 SCHEMA = "dskernel-report/1"
 
 
-def _base_report(command: str, args: argparse.Namespace, **inputs) -> dict:
-    rep = {"schema": SCHEMA, "version": __version__, "command": command, "inputs": inputs}
-    if getattr(args, "seed", None) is not None:
-        rep["inputs"]["seed"] = args.seed
-    return rep
+def _report(args: argparse.Namespace, results, **inputs) -> dict:
+    """The report around a handler's results, which ``dump_report`` encodes as they come."""
+    return {"schema": SCHEMA, "version": __version__, "command": args.command,
+            "inputs": {**inputs, "seed": args.seed}, "results": results}
 
 
 def _emit(report: dict, args: argparse.Namespace) -> None:
-    if getattr(args, "format", "json") == "csv":
-        text = _to_csv(report)
-    else:
-        text = dump_report(report)
-    if getattr(args, "out", None):
+    text = dump_csv(report) if args.format == "csv" else dump_report(report)
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _to_csv(report: dict) -> str:
-    """Flatten numeric trace tables; scalar results become key,value rows."""
-    buf = _io.StringIO()
-    buf.write("key,value\n")
-
-    def walk(prefix: str, obj) -> None:
-        if isinstance(obj, dict):
-            for k in sorted(obj):
-                walk(f"{prefix}.{k}" if prefix else str(k), obj[k])
-        elif isinstance(obj, (list, tuple)):
-            for i, x in enumerate(obj):
-                walk(f"{prefix}[{i}]", x)
-        else:
-            buf.write(f"{prefix},{obj}\n")
-
-    walk("", report)
-    return buf.getvalue()
 
 
 def _fail(kind: str, message: str, code: int) -> int:
@@ -106,66 +83,35 @@ def _fail(kind: str, message: str, code: int) -> int:
 
 
 def _cmd_eval(args) -> dict:
-    if not args.matrix and not args.series:
-        raise SpecError("eval needs --series or --matrix")
     if args.matrix:
         kern = load_kernel(args.matrix)
         s = parse_complex(args.s)
         u = parse_complex(args.u if args.u is not None else args.s)
-        vb = kernel_eval(kern, s, u, args.order)
-        rep = _base_report("eval", args, matrix=args.matrix, s=encode_complex(s),
-                           u=encode_complex(u), order=args.order)
-        rep["results"] = {"value": vb.value, "error_radius": vb.error_radius}
-        return rep
+        return _report(args, kernel_eval(kern, s, u, args.order),
+                       matrix=args.matrix, s=s, u=u, order=args.order)
+    if not args.series:
+        raise SpecError("eval needs --series or --matrix")
     series = load_series(args.series)
     s = parse_complex(args.s)
-    vb = evaluate(series, s, args.order)
-    rep = _base_report("eval", args, series=args.series, s=encode_complex(s), order=args.order)
-    rep["results"] = {"value": vb.value, "error_radius": vb.error_radius}
-    return rep
+    return _report(args, evaluate(series, s, args.order), series=args.series, s=s, order=args.order)
 
 
 def _cmd_psd(args) -> dict:
     kern = load_kernel(args.matrix)
-    rep = _base_report("psd", args, matrix=args.matrix, max_order=args.max_order, tol=args.tol)
+    certify = certify_psd if isinstance(kern.matrix, ArrowheadMatrix) else psd_check
     try:
-        cert = (
-            certify_psd(kern.matrix, args.max_order, args.tol)
-            if isinstance(kern.matrix, ArrowheadMatrix)
-            else psd_check(kern.matrix, args.max_order, args.tol)
-        )
+        results = {"self_adjoint": True, **asdict(certify(kern.matrix, args.max_order, args.tol))}
     except HermitianError:
         # the certificate's own check decides, at the tolerance it applied
-        rep["results"] = {"self_adjoint": False, "verdict": "not_self_adjoint",
-                          "tolerance": HERMITIAN_TOL}
-        return rep
-    results = {
-        "self_adjoint": True,
-        "verdict": cert.verdict,
-        "orders": list(cert.orders),
-        "min_eigenvalues": list(cert.min_eigenvalues),
-        "tolerance": cert.tolerance,
-        "method": cert.method,
-    }
-    if cert.margin is not None:
-        results["margin"] = cert.margin
-    if cert.witness_order is not None:
-        results["witness_order"] = cert.witness_order
-        results["witness_vector"] = [encode_complex(z) for z in cert.witness_vector]
-    rep["results"] = results
-    return rep
+        results = {"self_adjoint": False, "verdict": "not_self_adjoint", "tolerance": HERMITIAN_TOL}
+    return _report(args, results, matrix=args.matrix, max_order=args.max_order, tol=args.tol)
 
 
 def _cmd_symbols(args) -> dict:
-    kern = load_kernel(args.matrix)
-    sym = analytic_symbol(kern.matrix, args.n, order=args.order)
-    rep = _base_report("symbols", args, matrix=args.matrix, n=args.n, order=args.order)
-    rep["results"] = {
-        "index": sym.index,
-        "coefficients": [encode_complex(c) for c in sym.series.coefficients],
-        "finite": sym.series.finite,
-    }
-    return rep
+    sym = analytic_symbol(load_kernel(args.matrix).matrix, args.n, order=args.order)
+    results = {"index": sym.index, "coefficients": sym.series.coefficients,
+               "finite": sym.series.finite}
+    return _report(args, results, matrix=args.matrix, n=args.n, order=args.order)
 
 
 def _cmd_membership(args) -> dict:
@@ -175,87 +121,38 @@ def _cmd_membership(args) -> dict:
     else:
         if not args.matrix or not args.fhat:
             raise SpecError("membership needs --query or --matrix plus --fhat")
-        kern = load_kernel(args.matrix)
-        matrix = kern.matrix
+        matrix = load_kernel(args.matrix).matrix
         fhat = [parse_complex(x) for x in args.fhat.split(",")]
         order, c_max = args.order, args.c_max
     res = membership_test(matrix, fhat, order, tol=args.tol, c_max=c_max)
-    rep = _base_report("membership", args, order=order, c_max=c_max,
-                       fhat=[encode_complex(c) for c in np.asarray(fhat, dtype=complex)])
-    rep["results"] = {
-        "member": res.member,
-        "c_star": res.c_star,
-        "order_relative": True,
-        "min_eig_at_c_star": res.min_eig_at_c_star,
-        "eig_trace": [[c, e] for c, e in res.eig_trace],
-    }
-    return rep
+    return _report(args, {**asdict(res), "order_relative": True},
+                   order=order, c_max=c_max, fhat=fhat)
 
 
 def _cmd_sk(args) -> dict:
-    if not args.example and not args.matrix:
-        raise SpecError("sk needs --matrix or --example")
     if args.example:
-        matrix, report = example_arrowhead()
-        rep = _base_report("sk", args, example=True, max_order=args.max_order)
-        rep["results"] = report
-        return rep
-    kern = load_kernel(args.matrix)
-    if not isinstance(kern.matrix, ArrowheadMatrix):
+        _, results = example_arrowhead(args.max_order)
+        return _report(args, results, example=True, max_order=args.max_order)
+    if not args.matrix:
+        raise SpecError("sk needs --matrix or --example")
+    m = load_kernel(args.matrix).matrix
+    if not isinstance(m, ArrowheadMatrix):
         raise SpecError("sk expects an arrowhead matrix")
-    m = kern.matrix
-    cert = psd_margin(m)
-    ladder = certify_psd(m, args.max_order, args.tol)
-    results = {
-        "k": m.k,
-        "lambda_min_head": cert.lambda_min_head,
-        "coupling_sum": cert.coupling_sum,
-        "coupling_sum_exact": cert.coupling_sum_exact,
-        "margin": cert.margin,
-        "verdict": ladder.verdict,
-        "method": ladder.method,
-        "orders": list(ladder.orders),
-        "min_eigenvalues": list(ladder.min_eigenvalues),
-        "tolerance": ladder.tolerance,
-    }
+    results = {**asdict(psd_margin(m)), **asdict(certify_psd(m, args.max_order, args.tol))}
     if args.growth_rho is not None:
         ok, fitted = growth_check(m, args.growth_rho, args.l_max)
         results["growth"] = {"rho": args.growth_rho, "l_max": args.l_max,
                              "bounded": ok, "fitted_C": fitted}
-    rep = _base_report("sk", args, matrix=args.matrix, max_order=args.max_order, tol=args.tol)
-    rep["results"] = results
-    return rep
+    return _report(args, results, matrix=args.matrix, max_order=args.max_order, tol=args.tol)
 
 
 def _cmd_invariance(args) -> dict:
     kern = load_kernel(args.matrix)
-    trans = translation_invariance_test(kern, args.order, tol=args.tol, seed=args.seed)
-    lin = linear_invariance_test(kern, args.order, tol=min(args.tol, 1e-8))
-    rep = _base_report("invariance", args, matrix=args.matrix, order=args.order, tol=args.tol)
-    witness = None
-    if trans.witness is not None:
-        witness = {
-            "b": trans.witness.b,
-            "s": encode_complex(trans.witness.s),
-            "u": encode_complex(trans.witness.u),
-            "violation": trans.witness.violation,
-        }
-    rep["results"] = {
-        "translation": {
-            "invariant": trans.invariant,
-            "structural_diagonal": trans.structural_diagonal,
-            "max_deviation": trans.max_deviation,
-            "witness": witness,
-        },
-        "linear_subgroup": {
-            "constant": lin.constant,
-            "invariant": lin.invariant,
-            "witness_kind": lin.witness_kind,
-            "witness_param": lin.witness_param,
-            "violation": lin.violation,
-        },
+    results = {
+        "translation": translation_invariance_test(kern, args.order, tol=args.tol, seed=args.seed),
+        "linear_subgroup": linear_invariance_test(kern, args.order, tol=min(args.tol, 1e-8)),
     }
-    return rep
+    return _report(args, results, matrix=args.matrix, order=args.order, tol=args.tol)
 
 
 def _cmd_classify(args) -> dict:
@@ -265,24 +162,12 @@ def _cmd_classify(args) -> dict:
     else:
         edge = kern.certified_sigma()
         grid = [complex(edge + off, im) for off in (0.5, 1.5, 3.0) for im in (0.0, 1.0, -2.0)]
-    rep_obj = quasi_invariance_classify(kern, args.order, tol=args.tol, grid=grid)
-    rep = _base_report("classify", args, matrix=args.matrix, order=args.order, tol=args.tol,
-                       grid=[encode_complex(z) for z in grid])
-    rep["results"] = {
-        "verdict": rep_obj.verdict,
-        "reason": rep_obj.reason,
-        "factor": None if rep_obj.factor is None
-        else [encode_complex(c) for c in rep_obj.factor],
-        "singular_values": list(rep_obj.singular_values),
-        "grid_values": [encode_complex(v) for v in rep_obj.grid_values],
-        "nonvanishing_sigma": rep_obj.nonvanishing_sigma,
-    }
-    return rep
+    return _report(args, quasi_invariance_classify(kern, args.order, tol=args.tol, grid=grid),
+                   matrix=args.matrix, order=args.order, tol=args.tol, grid=grid)
 
 
 def _cmd_homog(args) -> dict:
-    rep = _base_report("homog", args)
-    results: dict = {}
+    inputs, results = {}, {}
     if args.verify:
         rng = np.random.default_rng(args.seed)
         worst = 0
@@ -296,52 +181,27 @@ def _cmd_homog(args) -> dict:
             "nonzero_residuals": worst,
             "exact": worst == 0,
         }
-        rep["inputs"]["pairs"] = args.pairs
+        inputs["pairs"] = args.pairs
     if args.span:
         span = load_span(args.span)
-        rep["inputs"]["span"] = args.span
-        gram = translate_gram(span)
-        results["gram"] = {
-            "matrix": [[encode_complex(z) for z in row] for row in gram.matrix],
-            "entry_radius": gram.entry_radius,
-            "min_eigenvalue": gram.min_eigenvalue,
-            "eigenvalue_lower_bound": gram.eigenvalue_lower_bound,
-            "independent": gram.independent,
-        }
-        adm = admissibility_check(span.support, min(max(span.order, 4), 4096))
-        results["admissibility"] = {
-            "admissible_up_to": adm.admissible_up_to,
-            "multiplicatively_closed": adm.multiplicatively_closed,
-            "coprime_pair": list(adm.coprime_pair) if adm.coprime_pair else None,
-            "checked_up_to": adm.checked_up_to,
-        }
+        inputs["span"] = args.span
+        results["gram"] = translate_gram(span)
+        results["admissibility"] = admissibility_check(span.support, min(max(span.order, 4), 4096))
         if args.delta is not None:
-            cond = adjoint_condition_check(
+            results["adjoint_condition"] = adjoint_condition_check(
                 span.diagonal, span.support, span.a, args.delta, span.order, rho=span.rho
             )
-            results["adjoint_condition"] = {
-                "verdict": cond.verdict,
-                "exponent": cond.exponent,
-                "partial_sum": cond.partial_sum,
-                "remainder_bound": cond.remainder_bound,
-                "kernel_value": None if cond.kernel_value is None
-                else encode_complex(cond.kernel_value),
-                "kernel_radius": cond.kernel_radius,
-                "identity_residual": cond.identity_residual,
-            }
     if not results:
         raise SpecError("homog needs --verify and/or --span")
-    rep["results"] = results
-    return rep
+    return _report(args, results, **inputs)
 
 
 def _cmd_merge(args) -> dict:
     omega = math.sqrt(2.0) if args.omega == "sqrt2" else float(args.omega)
     merged = merge_log_exponents(omega, args.m_max, args.n_max)
     gaps = [b[0] - a[0] for a, b in zip(merged, merged[1:])]
-    rep = _base_report("merge", args, omega=omega, m_max=args.m_max, n_max=args.n_max)
     limit = args.limit if args.limit is not None else len(merged)
-    rep["results"] = {
+    results = {
         "count": len(merged),
         "min_gap": min(gaps) if gaps else None,
         "entries": [{"nu": nu, "m": m, "n": n} for nu, m, n in merged[:limit]],
@@ -364,8 +224,8 @@ def _cmd_merge(args) -> dict:
                 "difference": abs(lhs.value - vp.value),
                 "combined_radius": lhs.error_radius + vp.error_radius,
             })
-        rep["results"]["multiply_check"] = checks
-    return rep
+        results["multiply_check"] = checks
+    return _report(args, results, omega=omega, m_max=args.m_max, n_max=args.n_max)
 
 
 def build_parser() -> argparse.ArgumentParser:

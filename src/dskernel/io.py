@@ -37,15 +37,28 @@ span     {"a": ..., "offsets": ["p/q", ...], "diagonal": rule,
 
 membership query  {"matrix": matrix, "fhat": [...], "order": N,
                    "c_max": ...}
+
+Reports (``dump_report``, and ``dump_csv`` for ``--format csv``) are the
+library's answers encoded field by field; this module alone decides how:
+
+- a dataclass instance (``ValueWithBound``, ``PsdCertificate``,
+  ``MembershipResult``, ...) becomes an object of its fields, recursively;
+- a complex value becomes a number when its imaginary part is 0, else
+  [re, im];
+- an ndarray or a tuple becomes a list;
+- a Fraction becomes a string such as "3/2";
+- +inf and -inf become "inf" and "-inf";
+- a NaN is an InternalCheckError.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -62,13 +75,6 @@ from .matrices import (
 )
 from .rules import SequenceRule, parse_complex, rule_from_spec, spec_value
 from .series import Envelope, ExponentRule, GeneralDirichletSeries, HalfPlane
-
-
-def encode_complex(z: complex) -> Union[float, list]:
-    z = complex(z)
-    if z.imag == 0.0:
-        return z.real
-    return [z.real, z.imag]
 
 
 def _load(obj_or_path) -> dict:
@@ -242,8 +248,28 @@ def dump_report(report: dict) -> str:
     return json.dumps(_strict(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def dump_csv(report: dict) -> str:
+    """The strict encoding flattened to sorted key,value rows (a NaN raises as in JSON)."""
+    rows = ["key,value"]
+
+    def walk(prefix: str, obj) -> None:
+        if isinstance(obj, dict):
+            for k in sorted(obj):
+                walk(f"{prefix}.{k}" if prefix else str(k), obj[k])
+        elif isinstance(obj, list):
+            for i, x in enumerate(obj):
+                walk(f"{prefix}[{i}]", x)
+        else:
+            rows.append(f"{prefix},{obj}")
+
+    walk("", _strict(report))
+    return "\n".join(rows) + "\n"
+
+
 def _strict(obj):
-    """The report as plain JSON types, with infinities spelled as strings."""
+    """The report as plain JSON types, by the encoding rules of the module docstring."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _strict(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {k: _strict(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -253,7 +279,7 @@ def _strict(obj):
     if isinstance(obj, np.generic):
         return _strict(obj.item())
     if isinstance(obj, complex):
-        return _strict(encode_complex(obj))
+        return _strict(obj.real) if obj.imag == 0.0 else [_strict(obj.real), _strict(obj.imag)]
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, float):

@@ -129,29 +129,33 @@ def tail_bound(
 #: (``psd_check``, ``dskernel psd``, the arrowhead head)
 HERMITIAN_TOL = 1e-10
 
+NOT_SELF_ADJOINT = f"matrix is not self-adjoint at this order (relative tolerance {HERMITIAN_TOL})"
 
-def hermitian_part(T: np.ndarray, tol: float = HERMITIAN_TOL) -> Optional[np.ndarray]:
+
+def hermitian_part(T: np.ndarray) -> Optional[np.ndarray]:
     """(T + T*)/2, or None if T is not Hermitian.
 
-    T counts as Hermitian when max |T - T*| <= tol (1 + max |T|): the
-    rounding of a product such as ``np.outer(f, conj(f))`` grows with the
-    entries, so an absolute cutoff would reject large Hermitian blocks.
-    The result is a new array, never a view of T.
+    T counts as Hermitian when max |T - T*| <= HERMITIAN_TOL (1 + max |T|):
+    the rounding of a product such as ``np.outer(f, conj(f))`` grows with
+    the entries, so an absolute cutoff would reject large Hermitian blocks.
+    A 1-D T is read as the diagonal of a diagonal matrix, so the rule bounds
+    its imaginary parts and the result is its real part.  The result is a
+    new array, never a view of T.
     """
     H = T.conj().T
-    if T.size and np.max(np.abs(T - H)) > tol * (1.0 + np.max(np.abs(T))):
+    if T.size and np.max(np.abs(T - H)) > HERMITIAN_TOL * (1.0 + np.max(np.abs(T))):
         return None
     return 0.5 * (T + H)
 
 
-def hermitian_section(matrix: CoefficientMatrix, order: int, tol: float = 1e-12) -> Optional[np.ndarray]:
+def hermitian_section(matrix: CoefficientMatrix, order: int) -> Optional[np.ndarray]:
     """The symmetrised order x order section, or None if it is not Hermitian (``hermitian_part``)."""
-    return hermitian_part(matrix.truncation(order), tol)
+    return hermitian_part(matrix.truncation(order))
 
 
-def self_adjoint_check(matrix: CoefficientMatrix, order: int, tol: float = 1e-12) -> bool:
-    """max |a_{m,n} - conj(a_{n,m})| <= tol (1 + max |a_{m,n}|) over the leading order x order section."""
-    return hermitian_section(matrix, order, tol) is not None
+def self_adjoint_check(matrix: CoefficientMatrix, order: int) -> bool:
+    """Whether the leading order x order section is Hermitian by the rule of ``hermitian_part``."""
+    return hermitian_section(matrix, order) is not None
 
 
 def support_pattern(matrix: CoefficientMatrix, order: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -245,9 +249,9 @@ def psd_check(matrix: CoefficientMatrix, max_order: int, tol: float = 1e-9) -> P
     """
     if max_order < 1:
         raise SpecError("max_order must be >= 1")
-    S = hermitian_section(matrix, max_order, tol=HERMITIAN_TOL)
+    S = hermitian_section(matrix, max_order)
     if S is None:
-        raise HermitianError(f"matrix is not self-adjoint at this order (relative tolerance {HERMITIAN_TOL})")
+        raise HermitianError(NOT_SELF_ADJOINT)
     orders, mins = [], []
     witness_order, witness_vector = None, None
     for N in psd_ladder_orders(max_order):

@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CertificationError, InternalCheckError, SpecError
-from .kernel import HERMITIAN_TOL, DirichletKernel, hermitian_section, kernel_eval, psd_check
+from .errors import CertificationError, HermitianError, InternalCheckError, SpecError
+from .kernel import NOT_SELF_ADJOINT, DirichletKernel, hermitian_part, hermitian_section, kernel_eval
 from .matrices import (
     CoefficientMatrix,
     DeflatedMatrix,
@@ -67,7 +67,8 @@ class GramModel:
     """Truncated Gram matrix of the symbols: G[m-1, n-1] = a_{m,n} = <A_n, A_m>.
 
     Inner products of symbol-coordinate vectors f = sum c_n A_n,
-    g = sum d_m A_m are <f, g> = d* G c.  The section must be PSD within a
+    g = sum d_m A_m are <f, g> = d* G c.  The section must be self-adjoint
+    (``hermitian_section``; a HermitianError otherwise) and PSD within a
     scale-aware tolerance for the model to be a legitimate Hilbert space
     stand-in.
     """
@@ -77,14 +78,18 @@ class GramModel:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if isinstance(self.matrix, DiagonalMatrix):
-            # diagonal sections: eigenvalues are the diagonal itself
-            d = np.real(self.matrix.diagonal_prefix(self.order))
-            G = np.diag(d.astype(complex))
-            w = np.sort(d)
+        diagonal = isinstance(self.matrix, DiagonalMatrix)
+        if diagonal:
+            G = hermitian_part(self.matrix.diagonal_prefix(self.order))
         else:
-            G = self.matrix.truncation(self.order)
-            G = 0.5 * (G + G.conj().T)
+            G = hermitian_section(self.matrix, self.order)
+        if G is None:
+            raise HermitianError(NOT_SELF_ADJOINT)
+        if diagonal:
+            # diagonal sections: eigenvalues are the diagonal itself
+            w = np.sort(np.real(G))
+            G = np.diag(G.astype(complex))
+        else:
             w = np.linalg.eigvalsh(G)
         scale = float(np.max(np.abs(w))) if w.size else 0.0
         if w.size and w[0] < -self.tol * (1.0 + scale):
@@ -183,8 +188,9 @@ class MembershipResult:
     """Order-relative membership verdict for a Dirichlet series in the space.
 
     member=True certifies (c_star**2 * a - fhat fhat*) is PSD at the stated
-    truncation order, up to the cutoff of ``psd_check``; the verdict says
-    nothing beyond that order, and c_star is the norm at this truncation only.
+    truncation order, up to the cutoff of ``psd_check`` on the order x order
+    section; the verdict says nothing beyond that order, and c_star is the
+    norm at this truncation only.
     """
 
     member: bool
@@ -207,30 +213,38 @@ def membership_test(
 ) -> MembershipResult:
     """The least c with (c**2 a - fhat fhat*) PSD at the truncation, in closed form.
 
-    The matrix must itself be PSD-certified at the order.  With (lambda, V)
-    the eigenpairs of the Hermitian section S and eps = tol (1 + max |lambda|),
-    the cutoff ``psd_check`` applies, the least c with S + eps I - f f*/c**2
-    PSD is c_star**2 = sum_i |(V* f)_i|**2 / (lambda_i + eps): the squared norm
-    f* S^+ f of the space, regularised at that cutoff (Aronszajn, Trans. AMS
-    68, 1950; Paulsen-Raghupathi, An Introduction to the Theory of RKHS,
-    2016, Thm 3.11).  A weighted direction with lambda_i + eps <= 0, or
+    The matrix must be self-adjoint (a HermitianError otherwise) and PSD at
+    the order.  With (lambda, V) the eigenpairs of the Hermitian section S,
+    from one ``eigh``, and eps = tol (1 + max |lambda|), the cutoff
+    ``psd_check`` applies, the PSD precondition is lambda_min >= -eps (a
+    CertificationError otherwise).  Only the order x order section is
+    tested: it is the one membership uses, and by Cauchy interlacing the
+    smallest eigenvalue of every leading section lies at or above its own.
+    The least c with S + eps I - f f*/c**2 PSD is c_star**2 =
+    sum_i |(V* f)_i|**2 / (lambda_i + eps): the squared norm f* S^+ f of the
+    space, regularised at that cutoff (Aronszajn, Trans. AMS 68, 1950;
+    Paulsen-Raghupathi, An Introduction to the Theory of RKHS, 2016,
+    Thm 3.11).  A weighted direction with lambda_i + eps <= 0, or
     c_star > c_max, is a non-member.  A member's c_star is certified by one
     eigenvalue probe of S - f f*/c_star**2, which must clear -eps less the
     eigen-solver's rounding; a miss means the two certificates disagree and
     is an InternalCheckError.
     """
-    cert = psd_check(matrix, order, tol)
-    if not cert.is_psd:
+    if order < 1:
+        raise SpecError("order must be >= 1")
+    S = hermitian_section(matrix, order)
+    if S is None:
+        raise HermitianError(NOT_SELF_ADJOINT)
+    lam, V = np.linalg.eigh(S)
+    scale = float(np.max(np.abs(lam)))
+    eps = tol * (1.0 + scale)
+    if lam[0] < -eps:
         raise CertificationError("matrix is not PSD at this order; membership undefined")
-    S = hermitian_section(matrix, order, tol=HERMITIAN_TOL)
     f = np.zeros(order, dtype=complex)
     fv = np.asarray(fhat, dtype=complex).ravel()
     f[: min(order, fv.size)] = fv[:order]
     if not np.any(f):
         return MembershipResult(True, 0.0, order, c_max, 0.0)
-    lam, V = np.linalg.eigh(S)
-    scale = float(np.max(np.abs(lam)))
-    eps = tol * (1.0 + scale)
     weights = np.abs(V.conj().T @ f) ** 2
     pos = weights > 0
     shifted = lam[pos] + eps

@@ -231,7 +231,7 @@ def growth_check(
     return ok, float(fitted_C)
 
 
-def example_arrowhead() -> tuple[ArrowheadMatrix, dict]:
+def example_arrowhead(max_order: int = 16) -> tuple[ArrowheadMatrix, dict]:
     """A negative-margin arrowhead that is nonetheless formally PSD.
 
     Head [[1/2, 1/sqrt(6)], [1/sqrt(6), 2/3]] (eigenvalues 1/6 and 1),
@@ -240,7 +240,8 @@ def example_arrowhead() -> tuple[ArrowheadMatrix, dict]:
     certificate is unavailable; yet every finite section is PSD, as the
     explicit Schur complements b - S_j * ones(2) show: S_j = (1 - 4**-j)/3
     stays in [1/4, 1/3), keeping trace and determinant positive.  The
-    report carries all of those quantities plus the eigenvalue ladder.
+    report carries all of those quantities (S_j for j = 1..20, whatever
+    max_order is) plus the eigenvalue ladder up to max_order.
     """
     head = np.array([[0.5, 1.0 / math.sqrt(6.0)], [1.0 / math.sqrt(6.0), 2.0 / 3.0]])
     m = ArrowheadMatrix(
@@ -257,7 +258,7 @@ def example_arrowhead() -> tuple[ArrowheadMatrix, dict]:
     dets = [
         (0.5 - s) * (2.0 / 3.0 - s) - (1.0 / math.sqrt(6.0) - s) ** 2 for s in s_j
     ]
-    ladder = certify_psd(m, max_order=16, tol=1e-9)
+    ladder = certify_psd(m, max_order=max_order, tol=1e-9)
     report = {
         "head_eigenvalues": [float(e) for e in eigs],
         "coupling_sum": cert.coupling_sum,

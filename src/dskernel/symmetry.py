@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CertificationError, OutsideDomainError, SpecError
-from .kernel import HERMITIAN_TOL, DirichletKernel, hermitian_section, kernel_eval, support_pattern
+from .kernel import DirichletKernel, hermitian_section, kernel_eval, support_pattern
 from .series import GeneralDirichletSeries, evaluate
 
 SL2_DET_TOL = 1e-12
@@ -104,7 +104,7 @@ def rank_one_factor(
 
 
 def _self_adjoint_section(matrix, order: int) -> np.ndarray:
-    S = hermitian_section(matrix, order, tol=HERMITIAN_TOL)
+    S = hermitian_section(matrix, order)
     if S is None:
         raise CertificationError("rank-one factorisation expects a self-adjoint matrix")
     return S

@@ -131,7 +131,7 @@ class TestTranslateGram:
     def test_entry_discs_contain_zeta_with_rounding_priced(self):
         # at these parameters the tail bound alone leaves the diagonal entry
         # about 4e-17 outside its disc; the summation rounding closes the gap
-        mpmath = pytest.importorskip("mpmath")
+        import mpmath
         a, scale = 1.195217806810569, 0.8041855120340046
         offsets = (Fraction(0), Fraction(1))
         span = TranslateSpan(a=a, offsets=offsets, diagonal=SequenceRule("constant", scale=scale),

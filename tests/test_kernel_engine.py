@@ -46,7 +46,7 @@ class TestKernelEval:
         kern = DirichletKernel(RankOneMatrix(np.array([0.0, 1.0])), HalfPlane(0.0))
         v = kernel_eval(kern, 1.0, 1.0, 16)
         assert abs(v.value - 0.25) < 1e-15
-        mpmath = pytest.importorskip("mpmath")
+        import mpmath
         with mpmath.workdps(40):
             assert abs(mpmath.mpc(v.value.real, v.value.imag) - mpmath.power(2, -2)) <= v.error_radius
         assert v.error_radius <= 1e-14 * abs(v.value)
@@ -290,7 +290,7 @@ class TestPsdLadder:
 
     @pytest.mark.parametrize("case", ["example_arrowhead_16", "hermitian_24"])
     def test_rung_minima_against_mpmath(self, case):
-        mpmath = pytest.importorskip("mpmath")
+        import mpmath
         if case == "example_arrowhead_16":
             matrix, _ = example_arrowhead()
             order = 16

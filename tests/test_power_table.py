@@ -67,7 +67,7 @@ class TestPowers:
 
     @pytest.mark.parametrize("z", [2.5, -0.5, 1.1 + 3e3j, 0.7 - 1e9j])
     def test_within_the_rounding_model(self, z):
-        mpmath = pytest.importorskip("mpmath")
+        import mpmath
         N = 2000
         p = powers(z, N)
         with mpmath.workdps(40):
@@ -205,7 +205,7 @@ class TestBatchedTranslateGram:
         ((Fraction(10**9), Fraction(10**9 + 3), Fraction(7 * 10**9 + 1, 7)), 3.0),
     ])
     def test_entries_against_zeta_with_large_offsets(self, offsets, a):
-        mpmath = pytest.importorskip("mpmath")
+        import mpmath
         span = TranslateSpan(a=a, offsets=offsets, diagonal=SequenceRule("constant", scale=1.0),
                              support=AdmissibleSupport("all"), order=3000, rho=0.5)
         gram = translate_gram(span)

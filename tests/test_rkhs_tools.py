@@ -13,6 +13,7 @@ from dskernel import (
     InternalCheckError,
     DiagonalMatrix,
     GramModel,
+    HermitianError,
     RankOneMatrix,
     SequenceRule,
     analytic_symbol,
@@ -23,6 +24,7 @@ from dskernel import (
     membership_test,
     psd_check,
     reproducing_check,
+    self_adjoint_check,
 )
 from conftest import dense_kernel, random_psd_dense
 
@@ -335,3 +337,58 @@ class TestTotalityProxy:
         # the only coordinate vector orthogonal to every symbol is zero
         sol = np.linalg.solve(model.gram, np.zeros(6))
         assert np.all(sol == 0)
+
+
+class TestMembershipSolvesOnce:
+    """The PSD precondition and c* come from one eigh of one section; one eigvalsh certifies c*."""
+
+    def test_one_eigh_one_eigvalsh_and_no_ladder(self, monkeypatch):
+        import dskernel.kernel
+
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, name=name, solver=solver: calls.append(name) or solver(a))
+
+        def no_ladder(*args, **kwargs):
+            raise AssertionError("membership_test ran the psd_check ladder")
+
+        monkeypatch.setattr(dskernel.kernel, "psd_check", no_ladder)
+        rng = np.random.default_rng(3)
+        res = membership_test(DenseMatrix(random_psd_dense(rng, 12) + 0.1 * np.eye(12)), cplx(rng, 12), 12)
+        assert res.member
+        assert sorted(calls) == ["eigh", "eigvalsh"]
+
+    def test_non_self_adjoint_raises_as_psd_check_does(self):
+        m = DenseMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(HermitianError) as from_psd:
+            psd_check(m, 2)
+        with pytest.raises(HermitianError) as from_membership:
+            membership_test(m, [1.0, 0.0], 2)
+        assert str(from_membership.value) == str(from_psd.value)
+
+    def test_not_psd_at_the_order_is_refused(self):
+        with pytest.raises(CertificationError):
+            membership_test(DenseMatrix(np.array([[1.0, 2.0], [2.0, 1.0]])), [1.0, 0.0], 2)
+
+
+class TestGramModelSelfAdjoint:
+    """GramModel judges self-adjointness by the one relative rule of ``hermitian_part``."""
+
+    def test_non_hermitian_dense_is_refused(self):
+        with pytest.raises(HermitianError):
+            GramModel(DenseMatrix(np.array([[1.0, 1.0], [0.0, 1.0]])), 2)
+
+    def test_non_real_diagonal_is_refused(self):
+        with pytest.raises(HermitianError):
+            GramModel(DiagonalMatrix(SequenceRule("explicit", values=(1.0, 1j, 2.0))), 3)
+
+    def test_rounding_sized_asymmetry_is_accepted_relative_to_the_entries(self):
+        # 5e-5 on entries of 1e6 is within 1e-10 (1 + 1e6), as psd_check judges it
+        entries = np.array([[1e6, 5e-5], [0.0, 1e6]])
+        assert self_adjoint_check(DenseMatrix(entries), 2)
+        assert psd_check(DenseMatrix(entries), 2).is_psd
+        model = GramModel(DenseMatrix(entries), 2)
+        assert np.allclose(model.gram, model.gram.conj().T, rtol=0, atol=0)
+        diag = GramModel(DiagonalMatrix(SequenceRule("explicit", values=(1e6, 1e6 + 1e-5j))), 2)
+        assert np.all(np.imag(diag.gram) == 0)

@@ -24,7 +24,7 @@ from dskernel import (
     kernel_eval,
 )
 
-mpmath = pytest.importorskip("mpmath")
+import mpmath
 
 ORACLE_DPS = 40
 
