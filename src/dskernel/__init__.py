@@ -79,7 +79,6 @@ from .series import (
     abscissa_upper_bound,
     evaluate,
     merge_log_exponents,
-    merged_exponent_grid,
     multiply_merged,
     series_equal,
 )

@@ -25,7 +25,6 @@ from .errors import (
     ConvergenceRegionError,
     DskernelError,
     HermitianError,
-    InternalCheckError,
     OutsideDomainError,
     RecoveryError,
     SpecError,
@@ -74,8 +73,13 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
-def _fail(kind: str, message: str, code: int) -> int:
-    sys.stdout.write(dump_report({"schema": SCHEMA, "error": {"kind": kind, "message": message}}))
+def _fail(args: argparse.Namespace, kind: str, message: str, code: int) -> int:
+    """Emit an error report as ``--format``/``--out`` ask; as JSON on stdout if ``--out`` cannot be written."""
+    report = {"schema": SCHEMA, "error": {"kind": kind, "message": message}}
+    try:
+        _emit(report, args)
+    except OSError:
+        sys.stdout.write(dump_report(report))
     return code
 
 
@@ -131,14 +135,14 @@ def _cmd_membership(args) -> dict:
 
 def _cmd_sk(args) -> dict:
     if args.example:
-        _, results = example_arrowhead(args.max_order)
-        return _report(args, results, example=True, max_order=args.max_order)
+        _, results = example_arrowhead(args.max_order, args.tol)
+        return _report(args, results, example=True, max_order=args.max_order, tol=args.tol)
     if not args.matrix:
         raise SpecError("sk needs --matrix or --example")
     m = load_kernel(args.matrix).matrix
     if not isinstance(m, ArrowheadMatrix):
         raise SpecError("sk expects an arrowhead matrix")
-    results = {**asdict(psd_margin(m)), **asdict(certify_psd(m, args.max_order, args.tol))}
+    results = {**asdict(psd_margin(m, args.tol)), **asdict(certify_psd(m, args.max_order, args.tol))}
     if args.growth_rho is not None:
         ok, fitted = growth_check(m, args.growth_rho, args.l_max)
         results["growth"] = {"rho": args.growth_rho, "l_max": args.l_max,
@@ -232,11 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="dskernel", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, matrix=False, series=False, span=False):
+    def common(sp, matrix=False, series=False, span=False, tol=None):
         sp.add_argument("--out", default=None, help="write the report to a file")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=None)
+        if tol is not None:
+            sp.add_argument("--tol", type=float, default=tol)
         if matrix:
             sp.add_argument("--matrix", default=None, help="matrix spec JSON file")
         if series:
@@ -249,53 +254,53 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", required=True)
     sp.add_argument("--u", default=None)
     sp.add_argument("--order", type=int, default=1000)
-    sp.set_defaults(fn=_cmd_eval, default_tol=None)
+    sp.set_defaults(fn=_cmd_eval)
 
     sp = sub.add_parser("psd", help="eigenvalue-ladder PSD certificate")
-    common(sp, matrix=True)
+    common(sp, matrix=True, tol=1e-9)
     sp.add_argument("--max-order", type=int, default=16, dest="max_order")
-    sp.set_defaults(fn=_cmd_psd, default_tol=1e-9)
+    sp.set_defaults(fn=_cmd_psd)
 
     sp = sub.add_parser("symbols", help="column symbol of the coefficient matrix")
     common(sp, matrix=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--order", type=int, default=None)
-    sp.set_defaults(fn=_cmd_symbols, default_tol=None)
+    sp.set_defaults(fn=_cmd_symbols)
 
     sp = sub.add_parser("membership", help="order-relative membership: closed-form least c")
-    common(sp, matrix=True)
+    common(sp, matrix=True, tol=1e-9)
     sp.add_argument("--query", default=None, help="full membership query JSON")
     sp.add_argument("--fhat", default=None, help="comma-separated coefficients")
     sp.add_argument("--order", type=int, default=8)
     sp.add_argument("--c-max", type=float, default=1e6, dest="c_max")
-    sp.set_defaults(fn=_cmd_membership, default_tol=1e-9)
+    sp.set_defaults(fn=_cmd_membership)
 
     sp = sub.add_parser("sk", help="arrowhead margin and PSD certification")
-    common(sp, matrix=True)
+    common(sp, matrix=True, tol=1e-9)
     sp.add_argument("--max-order", type=int, default=16, dest="max_order")
     sp.add_argument("--example", action="store_true",
                     help="run the bundled negative-margin example")
     sp.add_argument("--growth-rho", type=float, default=None, dest="growth_rho")
     sp.add_argument("--l-max", type=int, default=32, dest="l_max")
-    sp.set_defaults(fn=_cmd_sk, default_tol=1e-9)
+    sp.set_defaults(fn=_cmd_sk)
 
     sp = sub.add_parser("invariance", help="translation / linear-subgroup invariance")
-    common(sp, matrix=True)
+    common(sp, matrix=True, tol=1e-6)
     sp.add_argument("--order", type=int, default=16)
-    sp.set_defaults(fn=_cmd_invariance, default_tol=1e-6)
+    sp.set_defaults(fn=_cmd_invariance)
 
     sp = sub.add_parser("classify", help="quasi-invariance classification")
-    common(sp, matrix=True)
+    common(sp, matrix=True, tol=1e-8)
     sp.add_argument("--order", type=int, default=16)
     sp.add_argument("--grid", default=None, help="comma-separated grid points")
-    sp.set_defaults(fn=_cmd_classify, default_tol=1e-8)
+    sp.set_defaults(fn=_cmd_classify)
 
     sp = sub.add_parser("homog", help="homogeneity sweep / translate Gram analysis")
     common(sp, span=True)
     sp.add_argument("--verify", action="store_true")
     sp.add_argument("--pairs", type=int, default=1000)
     sp.add_argument("--delta", type=float, default=None)
-    sp.set_defaults(fn=_cmd_homog, default_tol=None)
+    sp.set_defaults(fn=_cmd_homog)
 
     sp = sub.add_parser("merge", help="merged exponent enumeration")
     common(sp)
@@ -305,24 +310,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--limit", type=int, default=None, help="cap printed entries")
     sp.add_argument("--check-multiply", nargs=2, default=None, dest="check_multiply",
                     metavar=("F", "G"))
-    sp.set_defaults(fn=_cmd_merge, default_tol=None)
+    sp.set_defaults(fn=_cmd_merge)
     return p
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tol is None:
-        args.tol = args.default_tol
     try:
         _emit(args.fn(args), args)
     except (SpecError, CollisionError, ConvergenceRegionError, OutsideDomainError,
-            HermitianError, RecoveryError, CertificationError, FileNotFoundError) as exc:
-        return _fail(type(exc).__name__, str(exc), 2)
-    except InternalCheckError as exc:
-        return _fail("InternalCheckError", str(exc), 3)
+            HermitianError, RecoveryError, CertificationError, OSError) as exc:
+        return _fail(args, type(exc).__name__, str(exc), 2)
     except DskernelError as exc:
-        return _fail(type(exc).__name__, str(exc), 3)
+        return _fail(args, type(exc).__name__, str(exc), 3)
     return 0
 
 

@@ -49,14 +49,21 @@ library's answers encoded field by field; this module alone decides how:
 - a Fraction becomes a string such as "3/2";
 - +inf and -inf become "inf" and "-inf";
 - a NaN is an InternalCheckError.
+
+``dump_csv`` writes one key,value row per leaf, quoted as RFC 4180 asks, so
+a message with a comma still reads back as one field.  Error reports follow
+``--format`` and ``--out`` as answers do; only when ``--out`` itself cannot
+be written does the error go to stdout, as JSON.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from io import StringIO
 from pathlib import Path
 from typing import Optional
 
@@ -250,7 +257,9 @@ def dump_report(report: dict) -> str:
 
 def dump_csv(report: dict) -> str:
     """The strict encoding flattened to sorted key,value rows (a NaN raises as in JSON)."""
-    rows = ["key,value"]
+    out = StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("key", "value"))
 
     def walk(prefix: str, obj) -> None:
         if isinstance(obj, dict):
@@ -260,10 +269,10 @@ def dump_csv(report: dict) -> str:
             for i, x in enumerate(obj):
                 walk(f"{prefix}[{i}]", x)
         else:
-            rows.append(f"{prefix},{obj}")
+            writer.writerow((prefix, str(obj)))
 
     walk("", _strict(report))
-    return "\n".join(rows) + "\n"
+    return out.getvalue()
 
 
 def _strict(obj):

@@ -8,7 +8,8 @@ tails), positivity is certified by an eigenvalue ladder over leading
 principal sections, and black-box coefficient recovery inverts the kernel
 on a real evaluation grid.
 
-Certificates build their self-adjoint section once (``hermitian_section``).
+Every certificate builds its self-adjoint section once (``hermitian_section``,
+a HermitianError otherwise) and judges it by one cutoff (``psd_cutoff``).
 The ladder computes eigenvalues only; the witness of the first failing
 section comes from shifted inverse iteration and is verified, with a full
 ``eigh`` of that section as the fallback.
@@ -132,8 +133,8 @@ HERMITIAN_TOL = 1e-10
 NOT_SELF_ADJOINT = f"matrix is not self-adjoint at this order (relative tolerance {HERMITIAN_TOL})"
 
 
-def hermitian_part(T: np.ndarray) -> Optional[np.ndarray]:
-    """(T + T*)/2, or None if T is not Hermitian.
+def hermitian_part(T: np.ndarray, message: str = NOT_SELF_ADJOINT) -> np.ndarray:
+    """(T + T*)/2; a HermitianError(message) if T is not Hermitian.
 
     T counts as Hermitian when max |T - T*| <= HERMITIAN_TOL (1 + max |T|):
     the rounding of a product such as ``np.outer(f, conj(f))`` grows with
@@ -144,18 +145,27 @@ def hermitian_part(T: np.ndarray) -> Optional[np.ndarray]:
     """
     H = T.conj().T
     if T.size and np.max(np.abs(T - H)) > HERMITIAN_TOL * (1.0 + np.max(np.abs(T))):
-        return None
+        raise HermitianError(message)
     return 0.5 * (T + H)
 
 
-def hermitian_section(matrix: CoefficientMatrix, order: int) -> Optional[np.ndarray]:
-    """The symmetrised order x order section, or None if it is not Hermitian (``hermitian_part``)."""
+def hermitian_section(matrix: CoefficientMatrix, order: int) -> np.ndarray:
+    """The symmetrised order x order section (``hermitian_part``, which raises if it is not Hermitian)."""
     return hermitian_part(matrix.truncation(order))
 
 
 def self_adjoint_check(matrix: CoefficientMatrix, order: int) -> bool:
     """Whether the leading order x order section is Hermitian by the rule of ``hermitian_part``."""
-    return hermitian_section(matrix, order) is not None
+    try:
+        hermitian_section(matrix, order)
+    except HermitianError:
+        return False
+    return True
+
+
+def psd_cutoff(eigenvalues: np.ndarray, tol: float) -> float:
+    """The one PSD cutoff: eigenvalues may sit down to -tol (1 + max |lambda|), or -tol if there are none."""
+    return tol * (1.0 + float(np.max(np.abs(eigenvalues)))) if eigenvalues.size else tol
 
 
 def support_pattern(matrix: CoefficientMatrix, order: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -250,8 +260,6 @@ def psd_check(matrix: CoefficientMatrix, max_order: int, tol: float = 1e-9) -> P
     if max_order < 1:
         raise SpecError("max_order must be >= 1")
     S = hermitian_section(matrix, max_order)
-    if S is None:
-        raise HermitianError(NOT_SELF_ADJOINT)
     orders, mins = [], []
     witness_order, witness_vector = None, None
     for N in psd_ladder_orders(max_order):
@@ -259,7 +267,7 @@ def psd_check(matrix: CoefficientMatrix, max_order: int, tol: float = 1e-9) -> P
         w = np.linalg.eigvalsh(sec)
         scale = float(np.max(np.abs(w)))
         lam = float(w[0])
-        slack = tol * (1.0 + scale)
+        slack = psd_cutoff(w, tol)
         if mins and lam > mins[-1] + slack + 8 * N * np.finfo(float).eps * scale:
             raise InternalCheckError(
                 f"internal: lambda_min rose from {mins[-1]} at order {orders[-1]} to "

@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CertificationError, HermitianError, InternalCheckError, SpecError
-from .kernel import NOT_SELF_ADJOINT, DirichletKernel, hermitian_part, hermitian_section, kernel_eval
+from .errors import CertificationError, InternalCheckError, SpecError
+from .kernel import DirichletKernel, hermitian_part, hermitian_section, kernel_eval, psd_cutoff
 from .matrices import (
     CoefficientMatrix,
     DeflatedMatrix,
@@ -78,21 +78,15 @@ class GramModel:
     tol: float = 1e-9
 
     def __post_init__(self):
-        diagonal = isinstance(self.matrix, DiagonalMatrix)
-        if diagonal:
-            G = hermitian_part(self.matrix.diagonal_prefix(self.order))
+        if isinstance(self.matrix, DiagonalMatrix):
+            d = hermitian_part(self.matrix.diagonal_prefix(self.order))
+            # diagonal sections: eigenvalues are the diagonal itself
+            w = np.sort(np.real(d))
+            G = np.diag(d.astype(complex))
         else:
             G = hermitian_section(self.matrix, self.order)
-        if G is None:
-            raise HermitianError(NOT_SELF_ADJOINT)
-        if diagonal:
-            # diagonal sections: eigenvalues are the diagonal itself
-            w = np.sort(np.real(G))
-            G = np.diag(G.astype(complex))
-        else:
             w = np.linalg.eigvalsh(G)
-        scale = float(np.max(np.abs(w))) if w.size else 0.0
-        if w.size and w[0] < -self.tol * (1.0 + scale):
+        if w.size and w[0] < -psd_cutoff(w, self.tol):
             raise CertificationError(
                 f"Gram section is not PSD at order {self.order}: min eig {w[0]}"
             )
@@ -215,7 +209,7 @@ def membership_test(
 
     The matrix must be self-adjoint (a HermitianError otherwise) and PSD at
     the order.  With (lambda, V) the eigenpairs of the Hermitian section S,
-    from one ``eigh``, and eps = tol (1 + max |lambda|), the cutoff
+    from one ``eigh``, and eps = ``psd_cutoff(lambda, tol)``, the cutoff
     ``psd_check`` applies, the PSD precondition is lambda_min >= -eps (a
     CertificationError otherwise).  Only the order x order section is
     tested: it is the one membership uses, and by Cauchy interlacing the
@@ -233,11 +227,9 @@ def membership_test(
     if order < 1:
         raise SpecError("order must be >= 1")
     S = hermitian_section(matrix, order)
-    if S is None:
-        raise HermitianError(NOT_SELF_ADJOINT)
     lam, V = np.linalg.eigh(S)
     scale = float(np.max(np.abs(lam)))
-    eps = tol * (1.0 + scale)
+    eps = psd_cutoff(lam, tol)
     if lam[0] < -eps:
         raise CertificationError("matrix is not PSD at this order; membership undefined")
     f = np.zeros(order, dtype=complex)

@@ -26,10 +26,9 @@ largest exponent lambda_N in place of log N and one more rounding.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -392,40 +391,40 @@ def abscissa_upper_bound(series: GeneralDirichletSeries, rho_conv: float) -> flo
     return rho_conv + float(np.max(np.log(ns) / lam[start:]))
 
 
-def merged_exponent_grid(omega: float, m_max: int, n_max: int) -> Iterator[tuple[float, int, int]]:
-    """Lazily enumerate nu = log(m) + omega*log(n) over the index grid, ascending.
+def _merged(lam: np.ndarray, mu: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sums lam_i + mu_j in ascending order, with their 0-based (i, j).
 
-    Row n -> nu(m, n) is increasing in m, so a k-way heap merge over rows
-    yields the globally sorted stream without materialising the grid.
+    Ties keep (i, j) order.  Two neighbouring sums within COLLISION_RTOL of
+    each other, relative to the larger, are a CollisionError naming both
+    pairs; label is a format string taking the 1-based (i, j).
     """
-    if omega <= 0:
-        raise SpecError("omega must be positive")
-    if m_max < 1 or n_max < 1:
-        raise SpecError("grid bounds must be positive")
-    heap = [(omega * math.log(n), 1, n) for n in range(1, n_max + 1)]
-    heapq.heapify(heap)
-    while heap:
-        nu, m, n = heapq.heappop(heap)
-        yield nu, m, n
-        if m < m_max:
-            heapq.heappush(heap, (math.log(m + 1) + omega * math.log(n), m + 1, n))
+    nu = np.add.outer(lam, mu).ravel()
+    order = np.argsort(nu, kind="stable")
+    nu = nu[order]
+    i, j = np.divmod(order, mu.size)
+    bad = np.nonzero(np.diff(nu) <= COLLISION_RTOL * np.maximum(1.0, np.abs(nu[1:])))[0]
+    if bad.size:
+        a, b = (label.format(i[q] + 1, j[q] + 1) for q in (bad[0], bad[0] + 1))
+        raise CollisionError(
+            f"collision - injectivity hypothesis violated numerically: {a} ~ {b} = {nu[bad[0] + 1]}"
+        )
+    return nu, i, j
 
 
 def merge_log_exponents(omega: float, m_max: int, n_max: int) -> list[tuple[float, int, int]]:
     """Sorted merged exponents (nu_q, m_q, n_q) with a numeric injectivity check.
 
+    nu = log(m) + omega*log(n) over 1 <= m <= m_max, 1 <= n <= n_max.
     For irrational algebraic omega the map (m, n) -> log(m) + omega*log(n)
     is injective (Gelfond-Schneider), so a closer-than-tolerance pair means
     the caller's hypothesis is violated, e.g. rational omega.
     """
-    out = list(merged_exponent_grid(omega, m_max, n_max))
-    for (nu0, m0, n0), (nu1, m1, n1) in zip(out, out[1:]):
-        if abs(nu1 - nu0) <= COLLISION_RTOL * max(1.0, abs(nu1)):
-            raise CollisionError(
-                "collision - injectivity hypothesis violated numerically: "
-                f"nu({m0},{n0}) ~ nu({m1},{n1}) = {nu1!r}"
-            )
-    return out
+    if omega <= 0:
+        raise SpecError("omega must be positive")
+    if m_max < 1 or n_max < 1:
+        raise SpecError("grid bounds must be positive")
+    nu, i, j = _merged(log_table(m_max), omega * log_table(n_max), "nu({},{})")
+    return list(zip(nu.tolist(), (i + 1).tolist(), (j + 1).tolist()))
 
 
 def multiply_merged(
@@ -441,23 +440,8 @@ def multiply_merged(
     lam_g = np.asarray(g.exponents, dtype=float)
     if lam_f.size == 0 or lam_g.size == 0:
         return GeneralDirichletSeries.zero()
-    coef_f = np.asarray(f.coefficients, dtype=complex)
-    coef_g = np.asarray(g.coefficients, dtype=complex)
-    nu = (lam_f[:, None] + lam_g[None, :]).ravel()
-    ab = (coef_f[:, None] * coef_g[None, :]).ravel()
-    mi, ni = np.meshgrid(np.arange(lam_f.size), np.arange(lam_g.size), indexing="ij")
-    order = np.argsort(nu, kind="stable")
-    nu, ab = nu[order], ab[order]
-    mi, ni = mi.ravel()[order], ni.ravel()[order]
-    gaps = np.diff(nu)
-    tol = COLLISION_RTOL * np.maximum(1.0, np.abs(nu[1:]))
-    bad = np.nonzero(gaps <= tol)[0]
-    if bad.size:
-        j = int(bad[0])
-        raise CollisionError(
-            "collision - injectivity hypothesis violated numerically: "
-            f"lambda_{mi[j]+1}+mu_{ni[j]+1} ~ lambda_{mi[j+1]+1}+mu_{ni[j+1]+1}"
-        )
+    nu, i, j = _merged(lam_f, lam_g, "lambda_{}+mu_{}")
+    ab = np.asarray(f.coefficients, dtype=complex)[i] * np.asarray(g.coefficients, dtype=complex)[j]
     keep = ab != 0
     return GeneralDirichletSeries(
         tuple(nu[keep]), tuple(ab[keep]), finite=f.finite and g.finite

@@ -18,11 +18,11 @@ against the ladder; disagreement is a hard internal error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import numpy as np
 
-from .errors import CertificationError, HermitianError, InternalCheckError, SpecError
-from .kernel import HERMITIAN_TOL, PsdCertificate, hermitian_part, psd_check, psd_ladder_orders
+from .errors import CertificationError, InternalCheckError, SpecError
+from .kernel import HERMITIAN_TOL, PsdCertificate, hermitian_part, psd_check, psd_cutoff, psd_ladder_orders
 from .matrices import ArrowheadMatrix
 from .rules import RatioSum, SequenceRule, weighted_ratio_sum
 
@@ -44,11 +44,7 @@ class MarginCertificate:
     k: int
 
 
-def _check_head(m: ArrowheadMatrix) -> np.ndarray:
-    h = hermitian_part(m.head)
-    if h is None:
-        raise HermitianError(f"head block is not Hermitian (relative tolerance {HERMITIAN_TOL})")
-    return h
+HEAD_NOT_HERMITIAN = f"head block is not Hermitian (relative tolerance {HERMITIAN_TOL})"
 
 
 def coupling_sum(m: ArrowheadMatrix) -> RatioSum:
@@ -67,17 +63,15 @@ def coupling_sum(m: ArrowheadMatrix) -> RatioSum:
     return RatioSum(total, base.exact, base.partial_terms, base.remainder_bound)
 
 
-def psd_margin(m: ArrowheadMatrix, tol: float = 1e-12) -> MarginCertificate:
+def psd_margin(m: ArrowheadMatrix, tol: float = 1e-9) -> MarginCertificate:
     """Exact head eigen-solve plus the certified coupling sum.
 
     Refuses when the coupling sum cannot be certified finite (the class
-    hypothesis) or the head fails PSD beyond tolerance.
+    hypothesis) or the head fails PSD beyond ``psd_cutoff`` at tol.
     """
-    h = _check_head(m)
-    w = np.linalg.eigvalsh(h)
+    w = np.linalg.eigvalsh(hermitian_part(m.head, HEAD_NOT_HERMITIAN))
     lam_min = float(w[0])
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if lam_min < -tol * (1.0 + scale):
+    if lam_min < -psd_cutoff(w, tol):
         raise CertificationError(f"head block is not PSD: min eigenvalue {lam_min}")
     s = coupling_sum(m)
     # conservative margin: subtract the largest the sum could be
@@ -87,7 +81,7 @@ def psd_margin(m: ArrowheadMatrix, tol: float = 1e-12) -> MarginCertificate:
 
 def _schur_min_eigs(m: ArrowheadMatrix, orders: list[int]) -> list[float]:
     """Min eigenvalue of b - (partial coupling sum)*ones(k) per ladder order."""
-    h = _check_head(m)
+    h = hermitian_part(m.head, HEAD_NOT_HERMITIAN)
     d = m.tail_prefix(max(orders))
     if np.any(d <= 0):
         raise CertificationError("tail entry not positive in truncation")
@@ -105,10 +99,17 @@ def certify_psd(
     section outright; the direct eigenvalue ladder must then agree, and a
     discrepancy raises CertificationError (it would mean the inequality
     chain was implemented wrong).  With margin < 0 the margin route is
-    inconclusive and the ladder verdict stands on its own.
+    inconclusive and the ladder verdict stands on its own.  A refused
+    margin certificate leaves a witnessed "not_psd" standing, with no
+    margin; under a "psd" ladder the refusal is raised.
     """
     ladder = psd_check(m, max_order, tol)  # first, so self-adjointness is judged as psd_check judges it
-    cert = psd_margin(m)
+    try:
+        cert = psd_margin(m, tol)
+    except CertificationError:
+        if ladder.is_psd:
+            raise
+        return replace(ladder, method="eigenvalue-ladder (margin certificate unavailable)")
     orders = psd_ladder_orders(max_order)
     if cert.margin >= 0.0:
         schur = _schur_min_eigs(m, orders)
@@ -127,16 +128,7 @@ def certify_psd(
         method = "schur-margin + eigenvalue-ladder"
     else:
         method = "eigenvalue-ladder (margin certificate inconclusive)"
-    return PsdCertificate(
-        ladder.orders,
-        ladder.min_eigenvalues,
-        ladder.tolerance,
-        ladder.verdict,
-        ladder.witness_order,
-        ladder.witness_vector,
-        method=method,
-        margin=cert.margin,
-    )
+    return replace(ladder, method=method, margin=cert.margin)
 
 
 def perturbation_psd(
@@ -149,7 +141,7 @@ def perturbation_psd(
     Tail positions are only admitted with eps = 0.  Cross-checked against
     the direct ladder on the perturbed matrix.
     """
-    cert = psd_margin(m)
+    cert = psd_margin(m, tol)
     if cert.margin < 0:
         raise CertificationError("margin is negative; the perturbation certificate does not apply")
     if eps < 0 or eps > cert.margin + 1e-15:
@@ -231,7 +223,7 @@ def growth_check(
     return ok, float(fitted_C)
 
 
-def example_arrowhead(max_order: int = 16) -> tuple[ArrowheadMatrix, dict]:
+def example_arrowhead(max_order: int = 16, tol: float = 1e-9) -> tuple[ArrowheadMatrix, dict]:
     """A negative-margin arrowhead that is nonetheless formally PSD.
 
     Head [[1/2, 1/sqrt(6)], [1/sqrt(6), 2/3]] (eigenvalues 1/6 and 1),
@@ -241,7 +233,7 @@ def example_arrowhead(max_order: int = 16) -> tuple[ArrowheadMatrix, dict]:
     explicit Schur complements b - S_j * ones(2) show: S_j = (1 - 4**-j)/3
     stays in [1/4, 1/3), keeping trace and determinant positive.  The
     report carries all of those quantities (S_j for j = 1..20, whatever
-    max_order is) plus the eigenvalue ladder up to max_order.
+    max_order is) plus the eigenvalue ladder up to max_order at tol.
     """
     head = np.array([[0.5, 1.0 / math.sqrt(6.0)], [1.0 / math.sqrt(6.0), 2.0 / 3.0]])
     m = ArrowheadMatrix(
@@ -250,7 +242,7 @@ def example_arrowhead(max_order: int = 16) -> tuple[ArrowheadMatrix, dict]:
         coupling=SequenceRule("constant", scale=1.0),
         tail=SequenceRule("geometric", scale=1.0, ratio=4.0),
     )
-    cert = psd_margin(m)
+    cert = psd_margin(m, tol)
     eigs = sorted(np.linalg.eigvalsh(0.5 * (head + head.T)))
     js = list(range(1, 21))
     s_j = [(1.0 - 4.0**-j) / 3.0 for j in js]
@@ -258,7 +250,7 @@ def example_arrowhead(max_order: int = 16) -> tuple[ArrowheadMatrix, dict]:
     dets = [
         (0.5 - s) * (2.0 / 3.0 - s) - (1.0 / math.sqrt(6.0) - s) ** 2 for s in s_j
     ]
-    ladder = certify_psd(m, max_order=max_order, tol=1e-9)
+    ladder = certify_psd(m, max_order=max_order, tol=tol)
     report = {
         "head_eigenvalues": [float(e) for e in eigs],
         "coupling_sum": cert.coupling_sum,

@@ -97,17 +97,11 @@ def rank_one_factor(
     the first; the factor is the scaled principal eigenvector with its
     largest component rotated to the positive real axis (the factor is only
     determined up to a unimodular scalar).  Returns the zero vector for the
-    zero matrix and None when the rank exceeds one.
+    zero matrix and None when the rank exceeds one; a section that is not
+    self-adjoint is a HermitianError (``hermitian_section``).
     """
-    S = _self_adjoint_section(matrix, order)
-    return _rank_one_factor(S, _singular_values(S), tol)
-
-
-def _self_adjoint_section(matrix, order: int) -> np.ndarray:
     S = hermitian_section(matrix, order)
-    if S is None:
-        raise CertificationError("rank-one factorisation expects a self-adjoint matrix")
-    return S
+    return _rank_one_factor(S, _singular_values(S), tol)
 
 
 def _singular_values(S: np.ndarray) -> np.ndarray:
@@ -257,7 +251,7 @@ def quasi_invariance_classify(
     computable content is the rank-one test plus a nonvanishing check for
     the factor on the supplied grid and asymptotically for large Re.
     """
-    S = _self_adjoint_section(kernel.matrix, order)
+    S = hermitian_section(kernel.matrix, order)
     sv = _singular_values(S)
     f = _rank_one_factor(S, sv, tol)
     leading = tuple(float(x) for x in sv[:4])

@@ -1,5 +1,6 @@
 """CLI dispatch, report schema, exit-code policy, determinism."""
 
+import csv
 import json
 import math
 import pathlib
@@ -77,6 +78,19 @@ class TestPsd:
         code, rep = run_json(capsys, "psd", "--matrix", str(f), "--max-order", "2")
         assert code == 0
         assert rep["results"]["verdict"] == "not_self_adjoint"
+
+    def test_witnessed_not_psd_arrowhead_is_exit_zero(self, capsys, tmp_path):
+        # the head [-1] refuses the margin certificate; the ladder's witness still stands
+        spec = {"variant": "arrowhead", "k": 1, "head": [[-1]], "rho": 0.0,
+                "c_rule": {"kind": "constant", "value": 0.1},
+                "d_rule": {"kind": "geometric", "scale": 1, "ratio": 2}}
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(spec))
+        code, rep = run_json(capsys, "psd", "--matrix", str(f), "--max-order", "8")
+        assert code == 0
+        res = rep["results"]
+        assert res["verdict"] == "not_psd" and res["witness_order"] == 2
+        assert res["margin"] is None and res["method"] == "eigenvalue-ladder (margin certificate unavailable)"
 
 
 class TestPsdSelfAdjointTolerance:
@@ -248,6 +262,15 @@ class TestClassify:
         assert code == 0
         assert rep["results"]["verdict"] == "quasi_invariant"
 
+    def test_non_self_adjoint_is_a_hermitian_error(self, capsys, tmp_path):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({"variant": "dense", "entries": [[1, 1], [0, 1]], "rho": 0.0}))
+        code, rep = run_json(capsys, "classify", "--matrix", str(f), "--order", "2")
+        code_m, rep_m = run_json(capsys, "membership", "--matrix", str(f), "--fhat", "1", "--order", "2")
+        assert code == code_m == 2
+        assert rep["error"] == rep_m["error"]
+        assert rep["error"]["kind"] == "HermitianError"
+
     def test_deterministic_reports(self, capsys):
         args = ("classify", "--matrix", str(SAMPLES / "diag_ones.json"), "--order", "8")
         _, out1 = run(capsys, *args)
@@ -308,6 +331,20 @@ class TestErrorPolicy:
         code, rep = run_json(capsys, "psd", "--matrix", "/nonexistent.json")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--series", str(SAMPLES / "zeta_series.json"), "--s", "2"],
+        ["symbols", "--matrix", str(SAMPLES / "example_arrowhead.json"), "--n", "1"],
+        ["homog", "--verify", "--pairs", "1"],
+        ["merge", "--omega", "sqrt2", "--m-max", "2", "--n-max", "2"],
+    ])
+    def test_tol_is_refused_where_it_is_not_read(self, capsys, argv):
+        assert main(argv) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--tol", "123"])
+        capsys.readouterr()
+        assert exc.value.code == 2
+
 
 class TestOutputModes:
     def test_csv_format(self, capsys):
@@ -326,6 +363,27 @@ class TestOutputModes:
         assert code == 0
         rep = json.loads(target.read_text())
         assert rep["command"] == "sk"
+
+    def test_error_report_follows_format_and_out(self, tmp_path, capsys):
+        target = tmp_path / "report.csv"
+        code, out = run(capsys, "psd", "--matrix", "/nonexistent.json", "--format", "csv", "--out", str(target))
+        assert code == 2 and out == ""
+        rows = dict(csv.reader(target.read_text().splitlines()))
+        assert rows["error.kind"] == "FileNotFoundError"
+
+    def test_error_goes_to_stdout_when_out_cannot_be_written(self, tmp_path, capsys):
+        code, rep = run_json(capsys, "psd", "--matrix", "/nonexistent.json", "--format", "csv",
+                             "--out", str(tmp_path / "missing_dir" / "report.csv"))
+        assert code == 2
+        assert rep["error"]["kind"] == "FileNotFoundError"
+
+    def test_comma_in_a_csv_message_stays_one_field(self, capsys):
+        code, out = run(capsys, "merge", "--omega", "1", "--m-max", "2", "--n-max", "2", "--format", "csv")
+        assert code == 2
+        rows = list(csv.reader(out.splitlines()))
+        assert all(len(row) == 2 for row in rows)
+        message = dict(rows)["error.message"]
+        assert message.startswith("collision") and "nu(1,2) ~ nu(2,1)" in message
 
 
 def _strict_loads(text: str):

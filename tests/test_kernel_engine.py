@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
+import dskernel.kernel
+import dskernel.rkhs
+import dskernel.structured
 from dskernel import (
     ArrowheadMatrix,
     ConvergenceRegionError,
@@ -13,6 +16,7 @@ from dskernel import (
     DiagonalMatrix,
     DirichletKernel,
     Envelope,
+    GramModel,
     HalfPlane,
     HermitianError,
     RankOneMatrix,
@@ -22,11 +26,14 @@ from dskernel import (
     coefficient_recover,
     example_arrowhead,
     kernel_eval,
+    membership_test,
     psd_check,
+    psd_margin,
     recover_block,
     self_adjoint_check,
     tail_bound,
 )
+from dskernel.kernel import psd_cutoff
 from conftest import dense_kernel, random_hermitian_with_negative, random_psd_dense
 
 
@@ -179,6 +186,35 @@ class TestPsdCheck:
             )
             sampled = float(np.linalg.eigvalsh(0.5 * (G + G.conj().T))[0]) >= -1e-8
             assert structural == sampled
+
+
+class TestOneCutoff:
+    """psd_check, GramModel, membership_test and psd_margin judge PSD by ``kernel.psd_cutoff`` alone."""
+
+    def test_cutoff_is_relative_to_the_spectrum(self):
+        assert psd_cutoff(np.array([-3.0, 1.0]), 1e-9) == 1e-9 * 4.0
+        assert psd_cutoff(np.empty(0), 1e-9) == 1e-9
+
+    def test_every_certificate_calls_it(self, monkeypatch):
+        sizes = []
+
+        def counted(eigenvalues, tol):
+            sizes.append(eigenvalues.size)
+            return psd_cutoff(eigenvalues, tol)
+
+        for module in (dskernel.kernel, dskernel.rkhs, dskernel.structured):
+            monkeypatch.setattr(module, "psd_cutoff", counted)
+        m, _ = example_arrowhead()
+        certificates = [
+            (lambda: psd_check(m, 8), [2, 4, 8]),  # once per rung
+            (lambda: GramModel(m, 4), [4]),
+            (lambda: membership_test(m, [1.0], 4), [4]),
+            (lambda: psd_margin(m), [2]),  # the 2 x 2 head
+        ]
+        for certify, expected in certificates:
+            sizes.clear()
+            certify()
+            assert sizes == expected
 
 
 class TestBandwidth:

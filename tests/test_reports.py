@@ -7,6 +7,7 @@ report, regenerate them from the repository root with
     PYTHONPATH=src python tests/test_reports.py
 """
 
+import csv
 import json
 import math
 import os
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 import dskernel.cli as cli
+import dskernel.structured as structured
 from dskernel import InternalCheckError, ValueWithBound
 from dskernel.io import dump_csv, dump_report
 
@@ -133,7 +135,7 @@ class TestCsvOutput:
         code, out = run_from_root(capsys, monkeypatch, ["merge", "--omega", "2", "--m-max", "1",
                                                         "--n-max", "1", "--format", "csv"])
         assert code == 3
-        assert json.loads(out)["error"]["kind"] == "InternalCheckError"
+        assert dict(csv.reader(out.splitlines()))["error.kind"] == "InternalCheckError"
 
     def test_dataclass_results_reach_csv(self, capsys, monkeypatch):
         code, out = run_from_root(capsys, monkeypatch, ["classify", "--matrix", "sample_inputs/rank_one_2.json",
@@ -158,6 +160,14 @@ class TestSkExampleOrder:
         assert code == code_psd == 2
         assert json.loads(out)["error"]["kind"] == "SpecError"
         assert out == out_psd
+
+    def test_tol_reaches_the_certificate_and_the_inputs(self, capsys, monkeypatch):
+        seen, certify = [], structured.certify_psd
+        monkeypatch.setattr(structured, "certify_psd",
+                            lambda m, max_order, tol: seen.append(tol) or certify(m, max_order, tol))
+        code, out = run_from_root(capsys, monkeypatch, ["sk", "--example", "--tol", "1e-6"])
+        assert code == 0 and seen == [1e-6]
+        assert json.loads(out)["inputs"]["tol"] == 1e-6
 
     def test_default_report_is_unchanged(self, capsys, monkeypatch):
         code, out = run_from_root(capsys, monkeypatch, ["sk", "--example"])

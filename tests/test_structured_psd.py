@@ -78,7 +78,50 @@ class TestMargin:
             psd_margin(m)
 
 
+    def test_head_is_judged_at_the_callers_tol(self):
+        m = ArrowheadMatrix(
+            1,
+            np.array([[-1e-6]]),
+            SequenceRule("constant", scale=0.0),
+            SequenceRule("geometric", scale=1.0, ratio=2.0),
+        )
+        with pytest.raises(CertificationError):
+            psd_margin(m)
+        assert psd_margin(m, tol=1e-5).lambda_min_head == -1e-6
+
+
+def negative_head() -> ArrowheadMatrix:
+    """Head [-1], coupling 0.1, tail 2**l: not PSD at order 2, and the margin certificate is refused."""
+    return ArrowheadMatrix(
+        1,
+        np.array([[-1.0]]),
+        SequenceRule("constant", scale=0.1),
+        SequenceRule("geometric", scale=1.0, ratio=2.0),
+    )
+
+
 class TestCertify:
+    def test_witnessed_not_psd_stands_without_a_margin(self):
+        ladder = psd_check(negative_head(), 8)
+        cert = certify_psd(negative_head(), 8)
+        assert cert.verdict == "not_psd" and cert.witness_order == 2
+        assert cert.margin is None
+        assert cert.method == "eigenvalue-ladder (margin certificate unavailable)"
+        assert cert.min_eigenvalues == ladder.min_eigenvalues
+        assert np.array_equal(cert.witness_vector, ladder.witness_vector)
+
+    def test_refused_margin_with_a_psd_ladder_still_raises(self):
+        # coupling sum 0.01 per term diverges, yet the order-8 sections are PSD
+        m = ArrowheadMatrix(
+            1,
+            np.array([[1.0]]),
+            SequenceRule("geometric", scale=0.1, ratio=2.0),
+            SequenceRule("geometric", scale=1.0, ratio=4.0),
+        )
+        assert psd_check(m, 8).is_psd
+        with pytest.raises(CertificationError):
+            certify_psd(m, 8)
+
     def test_positive_margin_certifies_both_ways(self):
         cert = certify_psd(k1_example(), 16)
         assert cert.is_psd

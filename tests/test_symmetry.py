@@ -11,12 +11,14 @@ from dskernel import (
     DiagonalMatrix,
     DirichletKernel,
     HalfPlane,
+    HermitianError,
     OutsideDomainError,
     RankOneMatrix,
     SequenceRule,
     SpecError,
     cocycle_unitarity_check,
     linear_invariance_test,
+    psd_check,
     quasi_invariance_classify,
     rank_one_factor,
     translation_invariance_test,
@@ -95,6 +97,16 @@ class TestRankOneFactor:
     def test_zero_matrix(self):
         got = rank_one_factor(DenseMatrix(np.zeros((3, 3))), 3)
         assert np.all(got == 0)
+
+    def test_non_self_adjoint_raises_as_psd_check_does(self):
+        m = DenseMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(HermitianError) as from_psd:
+            psd_check(m, 2)
+        with pytest.raises(HermitianError) as from_factor:
+            rank_one_factor(m, 2)
+        with pytest.raises(HermitianError) as from_classify:
+            quasi_invariance_classify(DirichletKernel(m, HalfPlane(0.0)), 2)
+        assert str(from_factor.value) == str(from_classify.value) == str(from_psd.value)
 
 
 class TestTranslationInvariance:
