@@ -69,7 +69,7 @@ from .rkhs import (
     membership_test,
     reproducing_check,
 )
-from .rules import SequenceRule, rule_from_spec, weighted_ratio_sum
+from .rules import SequenceRule, rule_from_spec, weighted_ratio_sum, zeta_enclosure
 from .series import (
     Envelope,
     ExponentRule,
@@ -84,6 +84,7 @@ from .series import (
 )
 from .structured import (
     MarginCertificate,
+    certify_arrowhead,
     certify_psd,
     coupling_sum,
     example_arrowhead,

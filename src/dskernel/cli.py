@@ -48,7 +48,7 @@ from .kernel import HERMITIAN_TOL, kernel_eval, psd_check
 from .matrices import ArrowheadMatrix
 from .rkhs import analytic_symbol, membership_test
 from .series import COLLISION_RTOL, evaluate, merge_log_exponents, multiply_merged
-from .structured import certify_psd, example_arrowhead, growth_check, psd_margin
+from .structured import certify_arrowhead, certify_psd, example_arrowhead, growth_check
 from .symmetry import (
     linear_invariance_test,
     quasi_invariance_classify,
@@ -142,7 +142,9 @@ def _cmd_sk(args) -> dict:
     m = load_kernel(args.matrix).matrix
     if not isinstance(m, ArrowheadMatrix):
         raise SpecError("sk expects an arrowhead matrix")
-    results = {**asdict(psd_margin(m, args.tol)), **asdict(certify_psd(m, args.max_order, args.tol))}
+    ladder, margin = certify_arrowhead(m, args.max_order, args.tol)
+    # a witnessed not_psd whose margin certificate was refused reports the ladder alone, as psd does
+    results = {**(asdict(margin) if margin is not None else {}), **asdict(ladder)}
     if args.growth_rho is not None:
         ok, fitted = growth_check(m, args.growth_rho, args.l_max)
         results["growth"] = {"rho": args.growth_rho, "l_max": args.l_max,

@@ -164,8 +164,18 @@ def self_adjoint_check(matrix: CoefficientMatrix, order: int) -> bool:
 
 
 def psd_cutoff(eigenvalues: np.ndarray, tol: float) -> float:
-    """The one PSD cutoff: eigenvalues may sit down to -tol (1 + max |lambda|), or -tol if there are none."""
+    """The one PSD cutoff: eigenvalues may sit down to -tol (1 + max |lambda|), or -tol if there are none.
+
+    A SpecError for a tol that is negative or NaN, which would turn the rule around.
+    """
+    if not tol >= 0.0:
+        raise SpecError(f"tol must be a non-negative number, got {tol}")
     return tol * (1.0 + float(np.max(np.abs(eigenvalues)))) if eigenvalues.size else tol
+
+
+def eigensolve_rounding(order: int, scale: float) -> float:
+    """How far a computed eigenvalue of an order x order Hermitian section of norm scale may sit from the true one."""
+    return 8 * order * np.finfo(float).eps * scale
 
 
 def support_pattern(matrix: CoefficientMatrix, order: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -268,7 +278,7 @@ def psd_check(matrix: CoefficientMatrix, max_order: int, tol: float = 1e-9) -> P
         scale = float(np.max(np.abs(w)))
         lam = float(w[0])
         slack = psd_cutoff(w, tol)
-        if mins and lam > mins[-1] + slack + 8 * N * np.finfo(float).eps * scale:
+        if mins and lam > mins[-1] + slack + eigensolve_rounding(N, scale):
             raise InternalCheckError(
                 f"internal: lambda_min rose from {mins[-1]} at order {orders[-1]} to "
                 f"{lam} at order {N}, against Cauchy interlacing"

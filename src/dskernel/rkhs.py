@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CertificationError, InternalCheckError, SpecError
-from .kernel import DirichletKernel, hermitian_part, hermitian_section, kernel_eval, psd_cutoff
+from .kernel import DirichletKernel, eigensolve_rounding, hermitian_part, hermitian_section, kernel_eval, psd_cutoff
 from .matrices import (
     CoefficientMatrix,
     DeflatedMatrix,
@@ -245,7 +245,7 @@ def membership_test(
         return MembershipResult(False, None, order, c_max)
     F = np.outer(f, np.conj(f)) / (c_star * c_star)
     eig = float(np.linalg.eigvalsh(S - F)[0])
-    rounding = 8 * order * np.finfo(float).eps * (scale + float(np.vdot(f, f).real) / c_star**2)
+    rounding = eigensolve_rounding(order, scale + float(np.vdot(f, f).real) / c_star**2)
     if eig < -eps - rounding:
         raise InternalCheckError(
             f"internal: S - f f*/c**2 has min eig {eig} at the closed-form c* = {c_star}, "

@@ -6,6 +6,11 @@ coefficients, diagonal kernel entries, and the coupling/tail sequences of
 arrowhead matrices.  Restricting to these shapes is what makes summability
 conditions certifiable: each rule admits a polynomial envelope and the
 weighted ratio sums below have closed forms or certified remainders.
+
+A sum of two power rules is a Riemann zeta value zeta(beta), beta > 1.
+``zeta_enclosure`` encloses it by Euler-Maclaurin summation with a fixed
+number of terms and a remainder bound for real arguments, so every closed
+form here carries a radius for its truncation and rounding.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import zeta as _zeta
 
 from .errors import CertificationError, SpecError
 
@@ -200,11 +204,63 @@ def rule_from_spec(spec: dict) -> SequenceRule:
     raise SpecError(f"unknown rule kind {kind!r}")
 
 
+#: unit roundoff of IEEE double precision
+UNIT_ROUNDOFF = 2.0**-53
+
+#: Euler-Maclaurin for ``zeta_enclosure``: head terms n < ZETA_N, ZETA_M corrections
+ZETA_N, ZETA_M = 10, 8
+
+#: B_{2k} / (2k)! for k = 1 .. ZETA_M + 1, each a correctly rounded quotient
+_EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000,
+              1 / 74724249600, -3617 / 10670622842880000, 43867 / 5109094217170944000)
+
+
+def zeta_enclosure(beta: float) -> tuple[float, float]:
+    """(value, radius) with |zeta(beta) - value| <= radius, for real beta > 1.
+
+    Euler-Maclaurin summation with N = ZETA_N and M = ZETA_M (Edwards,
+    Riemann's Zeta Function, 1974, sec. 6.4; Johansson, Numer. Algorithms
+    69, 2015):
+
+        zeta(s) = sum_{n<N} n**-s + N**(1-s)/(s-1) + N**-s/2
+                  + sum_{k=1..M} B_{2k}/(2k)! s(s+1)...(s+2k-2) N**(-s-2k+1) + R,
+
+    where, for real s, |R| is below the first omitted term (k = M + 1).
+    That term is under 5e-18 zeta(s) for every s > 1, so the radius is
+    mostly the rounding allowance, with u = UNIT_ROUNDOFF: each term is a
+    ``pow`` (2u), at most 2M - 1 factors (s + j)/N (3u each) and a rounded
+    coefficient (2u), so (6M + 1)u of its size covers it; ``math.fsum``
+    adds one rounding of the value, so (6M + 2)u of the sum of |terms|
+    covers all of it (the head terms, which dominate that sum, carry 2u
+    only).  Terms that underflow, from beta near 300 on, err by less than
+    1e-290, far inside that allowance, which is at least 50u since the
+    first term is 1.  The term count does not depend on beta.
+    """
+    s = float(beta)
+    if not s > 1.0:
+        raise SpecError(f"zeta_enclosure needs real beta > 1, got {beta!r}")
+    if math.isinf(s):
+        return 1.0, 0.0
+    t = ZETA_N**-s
+    terms = [n**-s for n in range(1, ZETA_N)] + [ZETA_N * t / (s - 1.0), t / 2.0]
+    fac = t / ZETA_N * s  # s(s+1)...(s+2k) N**(-s-2k-1) at k = 0
+    for k, coeff in enumerate(_EM_COEFFS[:-1]):
+        terms.append(coeff * fac)
+        # left to right, so a zero fac never meets an overflowed product
+        fac = fac * ((s + 2 * k + 1) / ZETA_N) * ((s + 2 * k + 2) / ZETA_N)
+    value = math.fsum(terms)
+    truncation = 2.0 * abs(_EM_COEFFS[-1]) * fac  # twice the first omitted term, for its own rounding
+    return value, truncation + (6 * ZETA_M + 2) * UNIT_ROUNDOFF * math.fsum(map(abs, terms))
+
+
 @dataclass(frozen=True)
 class RatioSum:
     """Result of summing t(l) = |num(l)|^2 * l**extra / den(l) over l >= 1.
 
-    The true sum lies within remainder_bound of total (zero when exact).
+    The true sum lies within remainder_bound of total.  The bound covers
+    truncation and rounding for the zeta and geometric closed forms, and
+    truncation alone for the finite and mixed sums.  exact records a closed
+    form or a finite sum, not a zero radius.
     """
 
     total: float
@@ -217,9 +273,15 @@ class RatioSum:
         return self.total + self.remainder_bound
 
 
-def _normal_form(num: SequenceRule, den: SequenceRule, extra: float) -> tuple[float, float, float]:
-    """Write t(l) = A * q**l * l**gamma for non-explicit rule pairs."""
-    A, q, gamma = 1.0, 1.0, extra
+#: relative rounding, in units of UNIT_ROUNDOFF, of the scale A of
+#: ``_normal_form`` (|scale|**2 and a quotient: 7u) and of the products and
+#: quotients that carry it into a total
+_SCALE_ROUNDING = 12
+
+
+def _normal_form(num: SequenceRule, den: SequenceRule, extra: float) -> tuple[float, float, float, float]:
+    """Write t(l) = A * q**l * l**gamma for non-explicit rule pairs; the last entry bounds |gamma's rounding|."""
+    A, q, parts = 1.0, 1.0, [extra]
     if num.kind == "constant":
         A *= abs(num.scale) ** 2
     elif num.kind == "geometric":
@@ -227,7 +289,7 @@ def _normal_form(num: SequenceRule, den: SequenceRule, extra: float) -> tuple[fl
         q *= num.ratio**2
     elif num.kind == "power":
         A *= abs(num.scale) ** 2
-        gamma += 2 * num.exponent
+        parts.append(2 * num.exponent)
     if den.kind == "constant":
         A /= abs(den.scale)
     elif den.kind == "geometric":
@@ -235,15 +297,19 @@ def _normal_form(num: SequenceRule, den: SequenceRule, extra: float) -> tuple[fl
         q /= den.ratio
     elif den.kind == "power":
         A /= abs(den.scale)
-        gamma -= den.exponent
-    return A, q, gamma
+        parts.append(-den.exponent)
+    gamma = math.fsum(parts)
+    # fsum rounds the exact sum once, so the residual is the rounding, itself correctly rounded
+    residual = abs(math.fsum([*parts, -gamma])) if math.isfinite(gamma) else 0.0
+    return A, q, gamma, math.nextafter(residual, math.inf) if residual else 0.0
 
 
 def weighted_ratio_sum(num: SequenceRule, den: SequenceRule, extra: float = 0.0) -> RatioSum:
     """Certified value of sum_{l>=1} |num(l)|^2 * l**extra / den(l).
 
     Closed forms: pure geometric (q < 1, gamma = 0) and pure power
-    (q = 1, gamma < -1, via the Hurwitz-free zeta).  Mixed shapes fall back
+    (q = 1, gamma < -1: zeta(-gamma) by Euler-Maclaurin, ``zeta_enclosure``),
+    each with its rounding in the remainder bound.  Mixed shapes fall back
     to a partial sum plus a certified geometric-ratio remainder.  Raises
     CertificationError when the sum provably diverges or cannot be
     certified finite.
@@ -264,17 +330,32 @@ def weighted_ratio_sum(num: SequenceRule, den: SequenceRule, extra: float = 0.0)
             total += abs(num.value(l)) ** 2 * float(l) ** extra / d
         return RatioSum(total=total, exact=True, partial_terms=L, remainder_bound=0.0)
 
-    A, q, gamma = _normal_form(num, den, extra)
+    A, q, gamma, dgamma = _normal_form(num, den, extra)
     if A == 0.0:
         return RatioSum(0.0, True, 0, 0.0)
     if q > 1.0 or (q == 1.0 and gamma >= -1.0):
         raise CertificationError("ratio sum diverges: hypothesis (finite coupling sum) fails")
     if q == 1.0:
         # sum l**gamma = zeta(-gamma), gamma < -1
-        return RatioSum(A * float(_zeta(-gamma, 1)), True, 0, 0.0)
+        value, radius = zeta_enclosure(-gamma)
+        if dgamma:
+            # zeta decreases, so a rounded gamma is priced by the enclosures
+            # at the floats just outside -gamma -+ dgamma
+            below = math.nextafter(-gamma - dgamma, -math.inf)
+            if not below > 1.0:
+                raise CertificationError("ratio sum exponent within rounding of -1: the sum cannot be certified finite")
+            hi, r_hi = zeta_enclosure(below)
+            lo, r_lo = zeta_enclosure(math.nextafter(-gamma + dgamma, math.inf))
+            radius = max(hi + r_hi - value, value - lo + r_lo)
+        total = A * value
+        return RatioSum(total, False, ZETA_N - 1, A * radius + _SCALE_ROUNDING * UNIT_ROUNDOFF * total)
     if gamma == 0.0:
-        # geometric: sum q**l = q/(1-q)
-        return RatioSum(A * q / (1.0 - q), True, 0, 0.0)
+        # geometric: sum q**l = q/(1-q).  q is rounded by at most 4u, which
+        # moves q/(1-q) by at most 8u/(1-q) of itself while 4uq <= (1-q)/2
+        if 8.0 * UNIT_ROUNDOFF * q > 1.0 - q:
+            raise CertificationError("geometric ratio within rounding of 1: the sum cannot be certified finite")
+        total = A * q / (1.0 - q)
+        return RatioSum(total, True, 0, (_SCALE_ROUNDING + 8.0 / (1.0 - q)) * UNIT_ROUNDOFF * total)
     # mixed geometric * power with q < 1: partial sum + ratio-test remainder
     L = 64
     ls = np.arange(1, L + 1, dtype=float)

@@ -33,13 +33,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import CollisionError, ConvergenceRegionError, SpecError
-from .rules import CACHE_LIMIT, SequenceRule, power_tail_bound
+from .rules import CACHE_LIMIT, UNIT_ROUNDOFF, SequenceRule, power_tail_bound
 
 #: relative tolerance below which two merged exponents count as colliding
 COLLISION_RTOL = 1e-12
-
-#: unit roundoff of IEEE double precision
-UNIT_ROUNDOFF = 2.0**-53
 
 #: relative error, in units of u, of one power exp(-z log n) apart from the
 #: |z| log n part: exp, cos and sin within one ulp each, the complex products

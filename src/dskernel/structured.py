@@ -19,10 +19,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Optional
+
 import numpy as np
 
 from .errors import CertificationError, InternalCheckError, SpecError
-from .kernel import HERMITIAN_TOL, PsdCertificate, hermitian_part, psd_check, psd_cutoff, psd_ladder_orders
+from .kernel import (
+    HERMITIAN_TOL,
+    PsdCertificate,
+    eigensolve_rounding,
+    hermitian_part,
+    psd_check,
+    psd_cutoff,
+    psd_ladder_orders,
+)
 from .matrices import ArrowheadMatrix
 from .rules import RatioSum, SequenceRule, weighted_ratio_sum
 
@@ -31,9 +41,12 @@ from .rules import RatioSum, SequenceRule, weighted_ratio_sum
 class MarginCertificate:
     """Margin data for an arrowhead matrix.
 
-    margin = lambda_min_head - k * coupling_sum, with coupling_sum the
-    certified value of sum |c_{k+l}|**2 / d_{k+l} (coupling_sum_exact
-    records whether it came from a closed form or a bounded partial sum).
+    margin = lambda_min_head - (eigen-solve rounding) - k * (coupling_sum
+    + coupling_sum_radius): the smallest the head's least eigenvalue could
+    be, less the largest k times the coupling sum could be.  coupling_sum
+    is the certified value of sum |c_{k+l}|**2 / d_{k+l}
+    (coupling_sum_exact records whether it came from a closed form or a
+    bounded partial sum).
     """
 
     lambda_min_head: float
@@ -74,8 +87,8 @@ def psd_margin(m: ArrowheadMatrix, tol: float = 1e-9) -> MarginCertificate:
     if lam_min < -psd_cutoff(w, tol):
         raise CertificationError(f"head block is not PSD: min eigenvalue {lam_min}")
     s = coupling_sum(m)
-    # conservative margin: subtract the largest the sum could be
-    margin = lam_min - m.k * s.upper
+    # conservative margin: the least lambda_min could be, less the largest the sum could be
+    margin = lam_min - eigensolve_rounding(m.k, float(np.max(np.abs(w)))) - m.k * s.upper
     return MarginCertificate(lam_min, s.total, s.exact, s.remainder_bound, margin, m.k)
 
 
@@ -90,26 +103,17 @@ def _schur_min_eigs(m: ArrowheadMatrix, orders: list[int]) -> list[float]:
     return [float(np.linalg.eigvalsh(h - partial[max(0, N - m.k)] * ones)[0]) for N in orders]
 
 
-def certify_psd(
+def certify_arrowhead(
     m: ArrowheadMatrix, max_order: int, tol: float = 1e-9
-) -> PsdCertificate:
-    """Certify the arrowhead PSD two ways and cross-check.
-
-    With margin >= 0 the Schur-complement argument certifies every finite
-    section outright; the direct eigenvalue ladder must then agree, and a
-    discrepancy raises CertificationError (it would mean the inequality
-    chain was implemented wrong).  With margin < 0 the margin route is
-    inconclusive and the ladder verdict stands on its own.  A refused
-    margin certificate leaves a witnessed "not_psd" standing, with no
-    margin; under a "psd" ladder the refusal is raised.
-    """
+) -> tuple[PsdCertificate, Optional[MarginCertificate]]:
+    """``certify_psd``'s certificate and the margin certificate it rests on (None when refused)."""
     ladder = psd_check(m, max_order, tol)  # first, so self-adjointness is judged as psd_check judges it
     try:
         cert = psd_margin(m, tol)
     except CertificationError:
         if ladder.is_psd:
             raise
-        return replace(ladder, method="eigenvalue-ladder (margin certificate unavailable)")
+        return replace(ladder, method="eigenvalue-ladder (margin certificate unavailable)"), None
     orders = psd_ladder_orders(max_order)
     if cert.margin >= 0.0:
         schur = _schur_min_eigs(m, orders)
@@ -128,7 +132,23 @@ def certify_psd(
         method = "schur-margin + eigenvalue-ladder"
     else:
         method = "eigenvalue-ladder (margin certificate inconclusive)"
-    return replace(ladder, method=method, margin=cert.margin)
+    return replace(ladder, method=method, margin=cert.margin), cert
+
+
+def certify_psd(
+    m: ArrowheadMatrix, max_order: int, tol: float = 1e-9
+) -> PsdCertificate:
+    """Certify the arrowhead PSD two ways and cross-check.
+
+    With margin >= 0 the Schur-complement argument certifies every finite
+    section outright; the direct eigenvalue ladder must then agree, and a
+    discrepancy raises CertificationError (it would mean the inequality
+    chain was implemented wrong).  With margin < 0 the margin route is
+    inconclusive and the ladder verdict stands on its own.  A refused
+    margin certificate leaves a witnessed "not_psd" standing, with no
+    margin; under a "psd" ladder the refusal is raised.
+    """
+    return certify_arrowhead(m, max_order, tol)[0]
 
 
 def perturbation_psd(

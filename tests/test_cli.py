@@ -3,13 +3,17 @@
 import csv
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from dskernel import DenseMatrix, psd_check
+from dskernel import DenseMatrix, psd_check, structured
 from dskernel.cli import main
+from dskernel.kernel import eigensolve_rounding
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
 
@@ -219,6 +223,30 @@ class TestSk:
         assert code == 0
         assert rep["results"]["growth"]["bounded"] is False
 
+    def test_witnessed_not_psd_is_reported_as_psd_reports_it(self, capsys, tmp_path):
+        # the head [-1] refuses the margin certificate; sk reports the ladder's witness like psd
+        spec = {"variant": "arrowhead", "k": 1, "head": [[-1]], "rho": 0.0,
+                "c_rule": {"kind": "constant", "value": 0.1},
+                "d_rule": {"kind": "geometric", "scale": 1, "ratio": 2}}
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(spec))
+        code, rep = run_json(capsys, "sk", "--matrix", str(f), "--max-order", "8")
+        assert code == 0
+        res = rep["results"]
+        assert res["verdict"] == "not_psd" and res["witness_order"] == 2 and res["margin"] is None
+        assert "lambda_min_head" not in res and "coupling_sum" not in res
+        _, psd = run_json(capsys, "psd", "--matrix", str(f), "--max-order", "8")
+        assert {**res, "self_adjoint": True} == psd["results"]
+
+    def test_one_margin_certificate_per_report(self, capsys, monkeypatch):
+        calls, margin = [], structured.psd_margin
+        monkeypatch.setattr(structured, "psd_margin", lambda m, tol: calls.append(tol) or margin(m, tol))
+        code, rep = run_json(capsys, "sk", "--matrix", str(SAMPLES / "example_arrowhead.json"))
+        assert code == 0 and calls == [1e-9]
+        res = rep["results"]
+        priced = res["lambda_min_head"] - eigensolve_rounding(2, 1.0) - 2 * (res["coupling_sum"] + res["coupling_sum_radius"])
+        assert abs(res["margin"] - priced) <= 1e-15 and res["margin"] < -0.5
+
 
 class TestInvariance:
     def test_diagonal_invariant(self, capsys):
@@ -330,6 +358,17 @@ class TestErrorPolicy:
     def test_missing_file_exit_2(self, capsys):
         code, rep = run_json(capsys, "psd", "--matrix", "/nonexistent.json")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["psd", "--matrix", str(SAMPLES / "diag_ones.json"), "--max-order", "4"],
+        ["membership", "--query", str(SAMPLES / "membership_query.json")],
+        ["sk", "--matrix", str(SAMPLES / "example_arrowhead.json")],
+        ["sk", "--example"],
+    ])
+    def test_negative_tol_is_a_usage_error(self, capsys, argv):
+        code, rep = run_json(capsys, *argv, "--tol", "-1")
+        assert code == 2
+        assert rep["error"]["kind"] == "SpecError" and "non-negative" in rep["error"]["message"]
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--series", str(SAMPLES / "zeta_series.json"), "--s", "2"],
@@ -526,3 +565,12 @@ class TestInterlacingCheck:
         assert code == 3
         assert rep["error"]["kind"] == "InternalCheckError"
         assert "interlacing" in rep["error"]["message"]
+
+
+class TestColdImport:
+    def test_cli_imports_no_scipy(self):
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, dskernel.cli; print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

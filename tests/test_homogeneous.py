@@ -207,7 +207,7 @@ class TestAdjointCondition:
         )
         assert rep.verdict == "finite"
         # oracle: sum n**-1.5 ~ zeta(3/2) = 2.612...
-        from scipy.special import zeta
+        from mpmath import zeta
 
         assert abs(rep.partial_sum + rep.remainder_bound / 1 - float(zeta(1.5, 1))) < rep.remainder_bound
         assert rep.identity_residual is not None and rep.identity_residual < 1e-10

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import zeta
+from mpmath import zeta
 
 import dskernel.kernel
 import dskernel.rkhs
@@ -22,6 +22,7 @@ from dskernel import (
     RankOneMatrix,
     RecoveryError,
     SequenceRule,
+    SpecError,
     bandwidth_detect,
     coefficient_recover,
     example_arrowhead,
@@ -194,6 +195,17 @@ class TestOneCutoff:
     def test_cutoff_is_relative_to_the_spectrum(self):
         assert psd_cutoff(np.array([-3.0, 1.0]), 1e-9) == 1e-9 * 4.0
         assert psd_cutoff(np.empty(0), 1e-9) == 1e-9
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
+    def test_negative_or_nan_tol_is_a_spec_error(self, tol):
+        with pytest.raises(SpecError, match="non-negative"):
+            psd_cutoff(np.array([1.0]), tol)
+        m, _ = example_arrowhead()
+        for certify in (lambda: psd_check(DenseMatrix(np.eye(4)), 4, tol),
+                        lambda: membership_test(DenseMatrix(np.eye(4)), [1.0], 4, tol=tol),
+                        lambda: psd_margin(m, tol)):
+            with pytest.raises(SpecError, match="non-negative"):
+                certify()
 
     def test_every_certificate_calls_it(self, monkeypatch):
         sizes = []

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import zeta
+from mpmath import zeta
 
 from dskernel import (
     ArrowheadMatrix,
