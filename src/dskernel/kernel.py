@@ -4,15 +4,17 @@ The kernel attached to a coefficient matrix a is the double series
 kappa(s, u) = sum a_{m,n} m**(-s) n**(-conj(u)), regularly convergent on a
 declared half-plane product.  Everything here works at finite truncation:
 values carry certified radii built from the envelope (or exact finite
-tails), positivity is certified by an eigenvalue ladder over leading
-principal sections, and black-box coefficient recovery inverts the kernel
-on a real evaluation grid.
+tails), positivity is certified by a ladder over leading principal
+sections, and black-box coefficient recovery inverts the kernel on a real
+evaluation grid.
 
 Every certificate builds its self-adjoint section once (``hermitian_section``,
 a HermitianError otherwise) and judges it by one cutoff (``psd_cutoff``).
-The ladder computes eigenvalues only; the witness of the first failing
-section comes from shifted inverse iteration and is verified, with a full
-``eigh`` of that section as the fallback.
+Ladder rungs up to order 256 compute eigenvalues only; the witness of the
+first failing section comes from shifted inverse iteration and is verified,
+with a full ``eigh`` of that section as the fallback.  The rungs above 256
+are certified together by one Cholesky factorisation of the shifted top
+section, verified by Rump's rounding bound.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .errors import (
     SpecError,
 )
 from .matrices import CoefficientMatrix
+from .rules import UNIT_ROUNDOFF
 from .series import HalfPlane, ValueWithBound, log_table, rounding_radius
 
 
@@ -141,12 +144,20 @@ def hermitian_part(T: np.ndarray, message: str = NOT_SELF_ADJOINT) -> np.ndarray
     the entries, so an absolute cutoff would reject large Hermitian blocks.
     A 1-D T is read as the diagonal of a diagonal matrix, so the rule bounds
     its imaginary parts and the result is its real part.  The result is a
-    new array, never a view of T.
+    new array, never a view of T: D = T - T* is formed once, tested, and
+    turned into T - D/2 in place.
     """
-    H = T.conj().T
-    if T.size and np.max(np.abs(T - H)) > HERMITIAN_TOL * (1.0 + np.max(np.abs(T))):
+    D = np.conjugate(T.T, order="C")  # the ufunc, since ndarray.conj() of a real T is T itself
+    np.subtract(T, D, out=D)
+    deviation = np.max(np.abs(D)) if T.size else 0.0
+    if deviation > HERMITIAN_TOL * (1.0 + np.max(np.abs(T))):
         raise HermitianError(message)
-    return 0.5 * (T + H)
+    if deviation == 0.0:  # exactly Hermitian, so T - D/2 is T: one pass instead of two
+        np.copyto(D, T)
+        return D
+    D *= -0.5
+    D += T
+    return D
 
 
 def hermitian_section(matrix: CoefficientMatrix, order: int) -> np.ndarray:
@@ -163,13 +174,18 @@ def self_adjoint_check(matrix: CoefficientMatrix, order: int) -> bool:
     return True
 
 
+def check_tol(tol: float) -> None:
+    """A SpecError for a tol that is negative or NaN, which would turn a tolerance rule around."""
+    if not tol >= 0.0:
+        raise SpecError(f"tol must be a non-negative number, got {tol}")
+
+
 def psd_cutoff(eigenvalues: np.ndarray, tol: float) -> float:
     """The one PSD cutoff: eigenvalues may sit down to -tol (1 + max |lambda|), or -tol if there are none.
 
-    A SpecError for a tol that is negative or NaN, which would turn the rule around.
+    A SpecError for a negative or NaN tol (``check_tol``).
     """
-    if not tol >= 0.0:
-        raise SpecError(f"tol must be a non-negative number, got {tol}")
+    check_tol(tol)
     return tol * (1.0 + float(np.max(np.abs(eigenvalues)))) if eigenvalues.size else tol
 
 
@@ -179,21 +195,30 @@ def eigensolve_rounding(order: int, scale: float) -> float:
 
 
 def support_pattern(matrix: CoefficientMatrix, order: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """1-based index arrays (m, n) of the entries with |a_{m,n}| > tol, from one truncation."""
+    """1-based index arrays (m, n) of the entries with |a_{m,n}| > tol, from one truncation (``check_tol`` first)."""
+    check_tol(tol)
     m, n = np.nonzero(np.abs(matrix.truncation(order)) > tol)
     return m + 1, n + 1
 
 
 @dataclass(frozen=True)
 class PsdCertificate:
-    """Eigenvalue-ladder positivity certificate.
+    """Positivity certificate over a ladder of leading sections.
 
-    min_eigenvalues[i] is the smallest eigenvalue of the leading
-    orders[i] x orders[i] section.  The verdict is "psd" when every section
-    clears the scale-aware cutoff -tol*(1 + ||section||); otherwise the
-    first failing order and a witness vector are recorded.  The witness is
-    a verified inverse-iteration vector: unit norm, largest component real
-    and positive, and a Rayleigh quotient below that order's cutoff.
+    The ladder has two regimes.  Up to order ``EIGEN_LADDER_MAX`` (256) each
+    rung is an eigen-solve: min_eigenvalues[i] is the smallest eigenvalue of
+    the leading orders[i] x orders[i] section, and the rung passes when it
+    clears the cutoff -tol (1 + max |lambda|).  Above it one verified
+    Cholesky factorisation certifies the rungs: min_eigenvalues[i] is
+    -eps_N for a certified rung, eps_N = tol (1 + U_N) with U_N the largest
+    absolute row sum of the section (a bound on its norm), so the rung's
+    true lambda_min is at least that value.  For the first failing rung and
+    every later one it is the witness's Rayleigh quotient, by interlacing
+    an upper bound on lambda_min.  The verdict is "psd" when every rung
+    passes; otherwise the first failing order and a witness vector are
+    recorded: unit norm, largest component real and positive, and a
+    Rayleigh quotient below that order's cutoff.  ``method`` names
+    ``verified-cholesky`` when the ladder reached above 256.
     """
 
     orders: tuple
@@ -221,10 +246,24 @@ def psd_ladder_orders(max_order: int) -> list[int]:
     return sorted(set(orders))
 
 
+#: ladder rungs up to this order are eigen-solves, which give the reported
+#: minima, the interlacing check and the inverse-iteration witness; the
+#: rungs above it are certified by one verified Cholesky factorisation
+EIGEN_LADDER_MAX = 256
+
 #: inverse iteration shifts this far below lambda_min, relative to
 #: 1 + ||section||: clear of exact singularity, yet close enough that two
 #: solves damp every other eigenvector by (shift / gap)**2
 WITNESS_SHIFT = 1e-10
+
+
+def _verified(x: np.ndarray, S: np.ndarray, cutoff: float) -> Optional[np.ndarray]:
+    """The unit vector x, its largest component rotated to the positive real axis, if Re(x* S x) < cutoff; else None."""
+    if not np.all(np.isfinite(x)):
+        return None
+    j = int(np.argmax(np.abs(x)))
+    x *= abs(x[j]) / x[j]
+    return x if np.vdot(x, S @ x).real < cutoff else None
 
 
 def _witness(S: np.ndarray, lam_min: float, scale: float, cutoff: float) -> np.ndarray:
@@ -247,12 +286,153 @@ def _witness(S: np.ndarray, lam_min: float, scale: float, cutoff: float) -> np.n
             x /= np.linalg.norm(x)
     except np.linalg.LinAlgError:
         x = None
-    if x is not None and np.all(np.isfinite(x)):
-        j = int(np.argmax(np.abs(x)))
-        x *= abs(x[j]) / x[j]
-        if np.vdot(x, S @ x).real < cutoff:
-            return x
-    return np.linalg.eigh(S)[1][:, 0]
+    x = None if x is None else _verified(x, S, cutoff)
+    return np.linalg.eigh(S)[1][:, 0] if x is None else x
+
+
+def _eigen_rungs(S: np.ndarray, orders: list[int], tol: float) -> tuple[list, Optional[int], Optional[np.ndarray]]:
+    """Rung minima, first failing order and its witness, from one ``eigvalsh`` per rung.
+
+    By Cauchy interlacing lambda_min cannot rise from one rung to the next;
+    a rise beyond the rung's cutoff plus the eigen-solver's rounding is an
+    InternalCheckError.
+    """
+    mins, witness_order, witness_vector = [], None, None
+    for i, N in enumerate(orders):
+        sec = S[:N, :N]
+        w = np.linalg.eigvalsh(sec)
+        scale = float(np.max(np.abs(w)))
+        lam = float(w[0])
+        slack = psd_cutoff(w, tol)
+        if mins and lam > mins[-1] + slack + eigensolve_rounding(N, scale):
+            raise InternalCheckError(
+                f"internal: lambda_min rose from {mins[-1]} at order {orders[i - 1]} to "
+                f"{lam} at order {N}, against Cauchy interlacing"
+            )
+        mins.append(lam)
+        if lam < -slack and witness_order is None:
+            witness_order = N
+            witness_vector = _witness(sec, lam, scale, -slack)
+    return mins, witness_order, witness_vector
+
+
+def cholesky_rounding(orders: list[int], diag: np.ndarray, cutoffs: np.ndarray, is_complex: bool) -> np.ndarray:
+    """Rump's constant c_N for each order N, for factors of the section shifted by at most its cutoff.
+
+    If the floating-point Cholesky factorisation of fl(S_N + t I), t <= the
+    cutoff eps_N, runs to completion, then lambda_min(S_N) >= -t - c_N
+    (Rump, "Verification of positive definiteness", BIT 46, 2006; Demmel's
+    bound, Higham, ASNA, ch. 10): c_N = g/(1 - g) tr(fl(S_N + t I)) plus an
+    underflow term, with g = gamma_{N+2} in real arithmetic (Rump's
+    gamma_{N+1} and one rounding more for a pivot applied as a reciprocal)
+    and gamma_{N+4} in complex arithmetic, where a product rounds like two
+    more operations (Higham, ch. 3.6).  The trace is bounded by the sum of
+    the positive diagonal entries of S_N plus N eps_N, and the first term is
+    doubled to cover the rounding of the shift and of this formula.  diag
+    holds the real diagonal of the section of the largest order.
+    """
+    u = UNIT_ROUNDOFF
+    n = np.asarray(orders, dtype=float)
+    k = n + (4.0 if is_complex else 2.0)
+    g = k * u / (1.0 - k * u)
+    trace = np.cumsum(np.maximum(diag, 0.0))[np.asarray(orders) - 1] + n * cutoffs
+    largest = np.maximum.accumulate(np.abs(diag))[np.asarray(orders) - 1] + cutoffs
+    eta = np.finfo(float).smallest_subnormal
+    return 2.0 * g / (1.0 - g) * trace + 4.0 * (n + 1.0) * (2.0 * (n + 2.0) + largest) * eta
+
+
+def _shifted_cholesky(S: np.ndarray, N: int, shift: float) -> Optional[np.ndarray]:
+    """Lower Cholesky factor of fl(S_N + shift I), or None when the factorisation breaks down.
+
+    The shift goes onto S's diagonal in place, which is restored afterwards.
+    A factor with a non-finite pivot counts as a breakdown.
+    """
+    i = np.arange(N)
+    saved = S[i, i]
+    S[i, i] += shift
+    try:
+        L = np.linalg.cholesky(S[:N, :N])
+    except np.linalg.LinAlgError:
+        return None
+    finally:
+        S[i, i] = saved
+    return L if np.all(np.isfinite(L.diagonal())) else None
+
+
+def _lower_solve(L: np.ndarray, B: np.ndarray, block: int = 256) -> np.ndarray:
+    """L^{-1} B for a lower-triangular L: a solve per diagonal block, matrix products for the rest."""
+    X = np.array(B, dtype=np.result_type(L, B))
+    for i in range(0, L.shape[0], block):
+        X[i:i + block] = np.linalg.solve(L[i:i + block, i:i + block], X[i:i + block] - L[i:i + block, :i] @ X[:i])
+    return X
+
+
+def _schur_witness(S: np.ndarray, N: int, P: int, L: np.ndarray, t: float, cutoff: float) -> Optional[np.ndarray]:
+    """Verified unit witness for the order-N section from the factor L L* = fl(S_P + t I), P < N, or None.
+
+    With B = S[:P, P:N] and the Schur complement C = S[P:N, P:N] + t I -
+    B* (S_P + t I)^{-1} B, a negative direction y of C gives x = [-(S_P +
+    t I)^{-1} B y; y] with x* (S_N + t I) x = y* C y.  x is kept only when
+    its Rayleigh quotient against the unshifted section is below cutoff.
+    """
+    W = _lower_solve(L, S[:P, P:N])
+    C = S[P:N, P:N] - W.conj().T @ W
+    C[np.diag_indices(N - P)] += t
+    y = np.linalg.eigh(C)[1][:, 0]
+    z = _lower_solve(L.conj().T[::-1, ::-1], (W @ y)[::-1])[::-1]  # L^{-*} W y, as a lower solve on the reversed L*
+    x = np.concatenate([-z, y])
+    return _verified(x / np.linalg.norm(x), S[:N, :N], cutoff)
+
+
+def _cholesky_rungs(S: np.ndarray, orders: list[int], tol: float) -> tuple[list, Optional[int], Optional[np.ndarray]]:
+    """Rung values, first failing order and its witness for the rungs above ``EIGEN_LADDER_MAX``.
+
+    One factor of the top section shifted by s = min_N (eps_N - c_N)
+    certifies every rung: the leading blocks of the factor are the factors
+    of the leading sections, so its success proves lambda_min(S_N) >= -eps_N
+    at all of them at once (``cholesky_rounding``).  Only when it fails are
+    the rungs below the top factored in increasing order, each at its own
+    shift; the first that fails (else the top) is the witness order, and its
+    witness comes from the Schur complement over the last factor that
+    passed (``_schur_witness``), with an ``eigvalsh`` and ``_witness`` of
+    that section as the fallback.  A section with non-finite entries or
+    cutoffs goes to the eigenvalue ladder.
+    """
+    A = np.abs(S)
+    cutoffs = np.array([psd_cutoff(A[:N, :N].sum(axis=1), tol) for N in orders])
+    del A
+    rounding = cholesky_rounding(orders, S.diagonal().real, cutoffs, np.iscomplexobj(S))
+    shifts = cutoffs - rounding
+    shifts -= 2.0 * UNIT_ROUNDOFF * np.abs(shifts)  # rounded down, so t + c_N <= eps_N holds exactly
+    s = float(np.min(shifts))
+    if not math.isfinite(s):
+        return _eigen_rungs(S, orders, tol)
+    if _shifted_cholesky(S, orders[-1], s) is not None:
+        return [-float(e) for e in cutoffs], None, None
+    mins, base = [], (EIGEN_LADDER_MAX, None, None)  # the last eigen rung's factor is formed on demand
+    for i, N in enumerate(orders):
+        eps = float(cutoffs[i])
+        if N < orders[-1]:  # the top rung has just failed at a shift no larger than its own
+            L = _shifted_cholesky(S, N, float(shifts[i]))
+            if L is not None:
+                base = (N, L, float(shifts[i]))
+                mins.append(-eps)
+                continue
+        P, L, t = base
+        if L is None:
+            t = float(shifts[i])
+            L = _shifted_cholesky(S, P, t)
+        x = None if L is None else _schur_witness(S, N, P, L, t, -eps)
+        if x is None:
+            sec = S[:N, :N]
+            w = np.linalg.eigvalsh(sec)
+            if w[0] >= -eps:
+                mins.append(-eps)
+                continue
+            x = _witness(sec, float(w[0]), float(np.max(np.abs(w))), -eps)
+        q = float(np.vdot(x, S[:N, :N] @ x).real)
+        return mins + [q] * (len(orders) - i), N, x
+    return mins, None, None
 
 
 def psd_check(matrix: CoefficientMatrix, max_order: int, tol: float = 1e-9) -> PsdCertificate:
@@ -263,34 +443,39 @@ def psd_check(matrix: CoefficientMatrix, max_order: int, tol: float = 1e-9) -> P
     ladder documents how far that was actually checked.  Requires a
     self-adjoint matrix.
 
-    Each rung computes eigenvalues only.  By Cauchy interlacing lambda_min
-    cannot rise from one rung to the next; a rise beyond the rung's cutoff
-    plus the eigen-solver's rounding is an InternalCheckError.
+    Rungs of order <= ``EIGEN_LADDER_MAX`` compute eigenvalues only, with
+    the Cauchy-interlacing check of ``_eigen_rungs``.  The rungs above it
+    are certified together by one verified Cholesky factorisation of the
+    top section (``_cholesky_rungs``), in real arithmetic when the section
+    is real; the method then reads "eigenvalue-ladder + verified-cholesky".
+    Once a rung has failed, every later rung above 256 reports its
+    witness's Rayleigh quotient, which bounds that rung's lambda_min from
+    above.
     """
     if max_order < 1:
         raise SpecError("max_order must be >= 1")
     S = hermitian_section(matrix, max_order)
-    orders, mins = [], []
-    witness_order, witness_vector = None, None
-    for N in psd_ladder_orders(max_order):
-        sec = S[:N, :N]
-        w = np.linalg.eigvalsh(sec)
-        scale = float(np.max(np.abs(w)))
-        lam = float(w[0])
-        slack = psd_cutoff(w, tol)
-        if mins and lam > mins[-1] + slack + eigensolve_rounding(N, scale):
-            raise InternalCheckError(
-                f"internal: lambda_min rose from {mins[-1]} at order {orders[-1]} to "
-                f"{lam} at order {N}, against Cauchy interlacing"
-            )
-        orders.append(N)
-        mins.append(lam)
-        if lam < -slack and witness_order is None:
-            witness_order = N
-            witness_vector = _witness(sec, lam, scale, -slack)
+    orders = psd_ladder_orders(max_order)
+    low = [N for N in orders if N <= EIGEN_LADDER_MAX]
+    mins, witness_order, witness_vector = _eigen_rungs(S, low, tol)
+    high = orders[len(low):]
+    method = "eigenvalue-ladder"
+    if high:
+        method += " + verified-cholesky"
+        if witness_vector is None:
+            dtype = S.dtype
+            if not (np.any(S[-1].imag) or np.any(S.imag)):  # the last row settles most complex sections
+                S = np.ascontiguousarray(S.real)
+            high_mins, witness_order, witness_vector = _cholesky_rungs(S, high, tol)
+            if witness_vector is not None:
+                witness_vector = witness_vector.astype(dtype)
+        else:
+            N = witness_order
+            high_mins = [float(np.vdot(witness_vector, S[:N, :N] @ witness_vector).real)] * len(high)
+        mins += high_mins
     verdict = "psd" if witness_order is None else "not_psd"
     return PsdCertificate(
-        tuple(orders), tuple(mins), tol, verdict, witness_order, witness_vector
+        tuple(orders), tuple(mins), tol, verdict, witness_order, witness_vector, method
     )
 
 

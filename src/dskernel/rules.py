@@ -258,9 +258,10 @@ class RatioSum:
     """Result of summing t(l) = |num(l)|^2 * l**extra / den(l) over l >= 1.
 
     The true sum lies within remainder_bound of total.  The bound covers
-    truncation and rounding for the zeta and geometric closed forms, and
-    truncation alone for the finite and mixed sums.  exact records a closed
-    form or a finite sum, not a zero radius.
+    truncation and rounding for the zeta and geometric closed forms and the
+    rounding of the finite sums, but truncation alone for the mixed
+    geometric x power sums.  exact records a closed form or a finite sum,
+    not a zero radius.
     """
 
     total: float
@@ -275,8 +276,21 @@ class RatioSum:
 
 #: relative rounding, in units of UNIT_ROUNDOFF, of the scale A of
 #: ``_normal_form`` (|scale|**2 and a quotient: 7u) and of the products and
-#: quotients that carry it into a total
+#: quotients that carry it into a total; it also covers one term
+#: |num(l)|**2 l**extra / den(l) of a finite sum (|.|**2: 3u, the power and
+#: its product: 2u, a rule's den(l): 4u, the quotient: 1u)
 _SCALE_ROUNDING = 12
+
+
+def rounded_sum(terms: list, dens: list) -> tuple[float, float]:
+    """``math.fsum`` of terms x/d, d in dens, and a bound on the total's error.
+
+    Each term carries up to _SCALE_ROUNDING units of relative rounding, and
+    underflow in x and in the quotient up to 2**-1072 (1 + 1/d) absolute.
+    """
+    total = math.fsum(terms)
+    underflow = 2.0**-1072 * math.fsum(1.0 + 1.0 / d for d in dens)
+    return total, UNIT_ROUNDOFF * (_SCALE_ROUNDING * math.fsum(map(abs, terms)) + abs(total)) + underflow
 
 
 def _normal_form(num: SequenceRule, den: SequenceRule, extra: float) -> tuple[float, float, float, float]:
@@ -320,15 +334,17 @@ def weighted_ratio_sum(num: SequenceRule, den: SequenceRule, extra: float = 0.0)
         if num.kind != "explicit" and den.kind == "explicit":
             # numerator extends beyond the stored denominators: undefined tail
             raise CertificationError("explicit denominator shorter than numerator support")
-        # numerator has finite support: exact finite sum
+        # numerator has finite support: the finite sum, its rounding priced
         L = len(num.values)
-        total = 0.0
+        terms, dens = [], []
         for l in range(1, L + 1):
             d = complex(den.value(l)).real
             if d <= 0:
                 raise CertificationError(f"denominator value at l={l} is not positive")
-            total += abs(num.value(l)) ** 2 * float(l) ** extra / d
-        return RatioSum(total=total, exact=True, partial_terms=L, remainder_bound=0.0)
+            terms.append(abs(num.value(l)) ** 2 * float(l) ** extra / d)
+            dens.append(d)
+        total, radius = rounded_sum(terms, dens)
+        return RatioSum(total=total, exact=True, partial_terms=L, remainder_bound=radius)
 
     A, q, gamma, dgamma = _normal_form(num, den, extra)
     if A == 0.0:

@@ -34,7 +34,7 @@ from .kernel import (
     psd_ladder_orders,
 )
 from .matrices import ArrowheadMatrix
-from .rules import RatioSum, SequenceRule, weighted_ratio_sum
+from .rules import UNIT_ROUNDOFF, RatioSum, SequenceRule, rounded_sum, weighted_ratio_sum
 
 
 @dataclass(frozen=True)
@@ -61,19 +61,23 @@ HEAD_NOT_HERMITIAN = f"head block is not Hermitian (relative tolerance {HERMITIA
 
 
 def coupling_sum(m: ArrowheadMatrix) -> RatioSum:
-    """Certified sum |c_{k+l}|**2 / d_{k+l}, override-aware."""
+    """Certified sum |c_{k+l}|**2 / d_{k+l}, override-aware: each override's correction is priced like a term."""
     base = weighted_ratio_sum(m.coupling, m.tail)
     if not m.tail_overrides:
         return base
-    total = base.total
+    corrections, dens = [], []
     for idx, new_d in m.tail_overrides:
         if new_d <= 0:
             raise CertificationError("tail override destroys positivity")
         l = idx - m.k
         old_d = complex(m.tail.value(l)).real
         c2 = abs(m.coupling.value(l)) ** 2
-        total += c2 / new_d - c2 / old_d
-    return RatioSum(total, base.exact, base.partial_terms, base.remainder_bound)
+        corrections += [c2 / new_d, -c2 / old_d]
+        dens += [new_d, old_d]
+    change, radius = rounded_sum(corrections, dens)
+    total = base.total + change
+    return RatioSum(total, base.exact, base.partial_terms,
+                    base.remainder_bound + radius + UNIT_ROUNDOFF * abs(total))
 
 
 def psd_margin(m: ArrowheadMatrix, tol: float = 1e-9) -> MarginCertificate:
@@ -113,7 +117,7 @@ def certify_arrowhead(
     except CertificationError:
         if ladder.is_psd:
             raise
-        return replace(ladder, method="eigenvalue-ladder (margin certificate unavailable)"), None
+        return replace(ladder, method=f"{ladder.method} (margin certificate unavailable)"), None
     orders = psd_ladder_orders(max_order)
     if cert.margin >= 0.0:
         schur = _schur_min_eigs(m, orders)
@@ -129,9 +133,9 @@ def certify_arrowhead(
                 "internal: margin certificate says PSD but the eigenvalue "
                 f"ladder found a violation at order {ladder.witness_order}"
             )
-        method = "schur-margin + eigenvalue-ladder"
+        method = f"schur-margin + {ladder.method}"
     else:
-        method = "eigenvalue-ladder (margin certificate inconclusive)"
+        method = f"{ladder.method} (margin certificate inconclusive)"
     return replace(ladder, method=method, margin=cert.margin), cert
 
 
@@ -262,7 +266,7 @@ def example_arrowhead(max_order: int = 16, tol: float = 1e-9) -> tuple[Arrowhead
         coupling=SequenceRule("constant", scale=1.0),
         tail=SequenceRule("geometric", scale=1.0, ratio=4.0),
     )
-    cert = psd_margin(m, tol)
+    ladder, cert = certify_arrowhead(m, max_order, tol)
     eigs = sorted(np.linalg.eigvalsh(0.5 * (head + head.T)))
     js = list(range(1, 21))
     s_j = [(1.0 - 4.0**-j) / 3.0 for j in js]
@@ -270,7 +274,6 @@ def example_arrowhead(max_order: int = 16, tol: float = 1e-9) -> tuple[Arrowhead
     dets = [
         (0.5 - s) * (2.0 / 3.0 - s) - (1.0 / math.sqrt(6.0) - s) ** 2 for s in s_j
     ]
-    ladder = certify_psd(m, max_order=max_order, tol=tol)
     report = {
         "head_eigenvalues": [float(e) for e in eigs],
         "coupling_sum": cert.coupling_sum,

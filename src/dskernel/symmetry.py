@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CertificationError, OutsideDomainError, SpecError
-from .kernel import DirichletKernel, hermitian_section, kernel_eval, support_pattern
+from .kernel import DirichletKernel, check_tol, hermitian_section, kernel_eval, support_pattern
 from .series import GeneralDirichletSeries, evaluate
 
 SL2_DET_TOL = 1e-12
@@ -98,8 +98,10 @@ def rank_one_factor(
     largest component rotated to the positive real axis (the factor is only
     determined up to a unimodular scalar).  Returns the zero vector for the
     zero matrix and None when the rank exceeds one; a section that is not
-    self-adjoint is a HermitianError (``hermitian_section``).
+    self-adjoint is a HermitianError (``hermitian_section``), a negative or
+    NaN tol a SpecError (``check_tol``).
     """
+    check_tol(tol)
     S = hermitian_section(matrix, order)
     return _rank_one_factor(S, _singular_values(S), tol)
 
@@ -163,7 +165,8 @@ def translation_invariance_test(
     structural verdict is cross-checked numerically: invariant kernels are
     sampled at random translations, and non-diagonal ones get an explicit
     witness built from the leading off-diagonal entry, evaluated deep
-    enough in the half-plane that the entry dominates the rest.
+    enough in the half-plane that the entry dominates the rest.  A
+    negative or NaN tol is a SpecError (``support_pattern``).
     """
     m, n = support_pattern(kernel.matrix, order, tol)
     diagonal = bool(np.all(m == n))
@@ -249,8 +252,10 @@ def quasi_invariance_classify(
     f(s) conj(f(u)) with f identically zero or nowhere vanishing; any
     kernel whose space has dimension > 1 cannot be quasi-invariant.  The
     computable content is the rank-one test plus a nonvanishing check for
-    the factor on the supplied grid and asymptotically for large Re.
+    the factor on the supplied grid and asymptotically for large Re.  A
+    negative or NaN tol is a SpecError (``check_tol``).
     """
+    check_tol(tol)
     S = hermitian_section(kernel.matrix, order)
     sv = _singular_values(S)
     f = _rank_one_factor(S, sv, tol)
@@ -326,7 +331,8 @@ def linear_invariance_test(
 
     Only constant kernels (coefficient mass at the (1,1) entry alone) pass;
     any other kernel is defeated by an explicit scaling or a
-    translation-composed scaling, which the search below produces.
+    translation-composed scaling, which the search below produces.  A
+    negative or NaN tol is a SpecError (``support_pattern``).
     """
     m, n = support_pattern(kernel.matrix, order, tol)
     if np.all((m == 1) & (n == 1)):

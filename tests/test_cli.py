@@ -247,6 +247,12 @@ class TestSk:
         priced = res["lambda_min_head"] - eigensolve_rounding(2, 1.0) - 2 * (res["coupling_sum"] + res["coupling_sum_radius"])
         assert abs(res["margin"] - priced) <= 1e-15 and res["margin"] < -0.5
 
+    def test_example_takes_one_margin_certificate(self, capsys, monkeypatch):
+        calls, margin = [], structured.psd_margin
+        monkeypatch.setattr(structured, "psd_margin", lambda m, tol: calls.append(tol) or margin(m, tol))
+        code, rep = run_json(capsys, "sk", "--example")
+        assert code == 0 and calls == [1e-9]
+
 
 class TestInvariance:
     def test_diagonal_invariant(self, capsys):
@@ -367,6 +373,16 @@ class TestErrorPolicy:
     ])
     def test_negative_tol_is_a_usage_error(self, capsys, argv):
         code, rep = run_json(capsys, *argv, "--tol", "-1")
+        assert code == 2
+        assert rep["error"]["kind"] == "SpecError" and "non-negative" in rep["error"]["message"]
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    @pytest.mark.parametrize("argv", [
+        ["invariance", "--matrix", str(SAMPLES / "diag_ones.json"), "--order", "8"],
+        ["classify", "--matrix", str(SAMPLES / "rank_one_2.json"), "--order", "2"],
+    ])
+    def test_negative_or_nan_tol_is_a_usage_error_for_the_invariance_tests(self, capsys, argv, tol):
+        code, rep = run_json(capsys, *argv, "--tol", tol)
         assert code == 2
         assert rep["error"]["kind"] == "SpecError" and "non-negative" in rep["error"]["message"]
 

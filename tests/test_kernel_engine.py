@@ -34,7 +34,7 @@ from dskernel import (
     self_adjoint_check,
     tail_bound,
 )
-from dskernel.kernel import psd_cutoff
+from dskernel.kernel import hermitian_part, psd_cutoff
 from conftest import dense_kernel, random_hermitian_with_negative, random_psd_dense
 
 
@@ -445,3 +445,29 @@ class TestPsdLadder:
         rep = quasi_invariance_classify(DirichletKernel(RankOneMatrix(x), HalfPlane(0.0)), 32, grid=[2.0])
         assert rep.verdict == "quasi_invariant"
         assert calls == {"eigh": 1, "eigvalsh": 2, "svd": 0}
+
+
+class TestHermitianPart:
+    """T - (T - T*)/2, formed in place on one new array: the rule and the values of (T + T*)/2."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_input_is_never_written(self, dtype):
+        rng = np.random.default_rng(4)
+        T = rng.standard_normal((6, 6)).astype(dtype)
+        T = T + T.T  # symmetric; for the real dtype ndarray.conj() would be T itself
+        T[0, 1] += 1e-13
+        stored = T.copy()
+        H = hermitian_part(T)
+        assert np.array_equal(T, stored) and not np.shares_memory(H, T)
+        assert np.allclose(H, 0.5 * (T + T.conj().T), rtol=0, atol=1e-16)
+
+    def test_exactly_hermitian_input_is_returned_unchanged(self):
+        A = random_psd_dense(np.random.default_rng(5), 20)
+        A = 0.5 * (A + A.conj().T)
+        assert np.array_equal(hermitian_part(A), A)
+
+    def test_diagonal_is_its_real_part(self):
+        d = np.array([1.0 + 1e-12j, -2.0, 3.0 - 1e-12j])
+        assert np.array_equal(hermitian_part(d), np.array([1.0, -2.0, 3.0], dtype=complex))
+        with pytest.raises(HermitianError):
+            hermitian_part(np.array([1.0 + 1e-3j]))

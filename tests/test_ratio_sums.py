@@ -20,6 +20,7 @@ from dskernel import (
 )
 from dskernel.kernel import eigensolve_rounding
 from dskernel.rules import ZETA_N
+from dskernel.structured import coupling_sum
 
 
 def assert_encloses(value: float, radius: float, truth) -> None:
@@ -143,3 +144,60 @@ class TestPricedMargin:
         m = ArrowheadMatrix(1, np.array([[1.0]]), SequenceRule("constant", scale=0.0), geometric(1.0, 2.0))
         cert = psd_margin(m)
         assert cert.margin == 1.0 - eigensolve_rounding(1, 1.0) < 1.0
+
+
+def exact_rule_value(rule: SequenceRule, l: int):
+    """The rule's value at l in 40-digit arithmetic, from its float parameters."""
+    if rule.kind == "explicit":
+        return mpmath.mpc(complex(rule.values[l - 1])) if l <= len(rule.values) else mpmath.mpf(0)
+    scale = mpmath.mpc(complex(rule.scale))
+    if rule.kind == "constant":
+        return scale
+    if rule.kind == "geometric":
+        return scale * mpmath.mpf(rule.ratio) ** l
+    return scale * mpmath.mpf(l) ** mpmath.mpf(rule.exponent)
+
+
+def exact_finite_sum(num: SequenceRule, den: SequenceRule, extra: float = 0.0):
+    with mpmath.workdps(40):
+        return mpmath.fsum(
+            abs(exact_rule_value(num, l)) ** 2 * mpmath.mpf(l) ** mpmath.mpf(extra) / mpmath.re(exact_rule_value(den, l))
+            for l in range(1, len(num.values) + 1)
+        )
+
+
+class TestFiniteSums:
+    """The explicit branch and the tail-override corrections price their rounding."""
+
+    def test_thousand_tenths_over_three(self):
+        num, den = SequenceRule("explicit", values=(0.1,) * 1000), SequenceRule("constant", scale=3.0)
+        s = weighted_ratio_sum(num, den)
+        assert s.exact and 0.0 < s.remainder_bound <= 1e-14
+        assert_encloses(s.total, s.remainder_bound, exact_finite_sum(num, den))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+                        min_size=1, max_size=200),
+        den=st.one_of(
+            st.builds(lambda c: SequenceRule("constant", scale=c), st.floats(1e-3, 1e3)),
+            st.builds(lambda c, r: SequenceRule("geometric", scale=c, ratio=r), st.floats(1e-3, 1e3), st.floats(0.5, 1.5)),
+            st.builds(lambda c, p: SequenceRule("power", scale=c, exponent=p), st.floats(1e-3, 1e3), st.floats(-3.0, 3.0)),
+            st.builds(lambda v: SequenceRule("explicit", values=tuple(v)), st.lists(st.floats(1e-3, 1e3), min_size=200, max_size=200)),
+        ),
+        extra=st.sampled_from([0.0, 1.0, -0.5, 0.3]),
+    )
+    def test_explicit_disc_contains_the_sum(self, values, den, extra):
+        num = SequenceRule("explicit", values=tuple(values))
+        s = weighted_ratio_sum(num, den, extra)
+        assert_encloses(s.total, s.remainder_bound, exact_finite_sum(num, den, extra))
+
+    def test_tail_override_corrections_are_priced(self):
+        m = ArrowheadMatrix(1, np.array([[5.0]]), SequenceRule("explicit", values=(0.1,) * 50),
+                            SequenceRule("constant", scale=3.0))
+        for idx in (2, 7, 30):
+            m = m.with_tail_override(idx, 0.7)
+        s = coupling_sum(m)
+        tail = SequenceRule("explicit", values=tuple(0.7 if l + 1 in (2, 7, 30) else 3.0 for l in range(1, 51)))
+        assert s.remainder_bound > 0.0
+        assert_encloses(s.total, s.remainder_bound, exact_finite_sum(m.coupling, tail))

@@ -162,8 +162,8 @@ class TestSkExampleOrder:
         assert out == out_psd
 
     def test_tol_reaches_the_certificate_and_the_inputs(self, capsys, monkeypatch):
-        seen, certify = [], structured.certify_psd
-        monkeypatch.setattr(structured, "certify_psd",
+        seen, certify = [], structured.certify_arrowhead
+        monkeypatch.setattr(structured, "certify_arrowhead",
                             lambda m, max_order, tol: seen.append(tol) or certify(m, max_order, tol))
         code, out = run_from_root(capsys, monkeypatch, ["sk", "--example", "--tol", "1e-6"])
         assert code == 0 and seen == [1e-6]
