@@ -14,7 +14,8 @@ Ladder rungs up to order 256 compute eigenvalues only; the witness of the
 first failing section comes from shifted inverse iteration and is verified,
 with a full ``eigh`` of that section as the fallback.  The rungs above 256
 are certified together by one Cholesky factorisation of the shifted top
-section, verified by Rump's rounding bound.
+section, verified by Rump's rounding bound at a cutoff no larger than the
+eigen ladder's, which judges every rung the factor does not certify.
 """
 
 from __future__ import annotations
@@ -152,9 +153,6 @@ def hermitian_part(T: np.ndarray, message: str = NOT_SELF_ADJOINT) -> np.ndarray
     deviation = np.max(np.abs(D)) if T.size else 0.0
     if deviation > HERMITIAN_TOL * (1.0 + np.max(np.abs(T))):
         raise HermitianError(message)
-    if deviation == 0.0:  # exactly Hermitian, so T - D/2 is T: one pass instead of two
-        np.copyto(D, T)
-        return D
     D *= -0.5
     D += T
     return D
@@ -210,15 +208,18 @@ class PsdCertificate:
     the leading orders[i] x orders[i] section, and the rung passes when it
     clears the cutoff -tol (1 + max |lambda|).  Above it one verified
     Cholesky factorisation certifies the rungs: min_eigenvalues[i] is
-    -eps_N for a certified rung, eps_N = tol (1 + U_N) with U_N the largest
-    absolute row sum of the section (a bound on its norm), so the rung's
-    true lambda_min is at least that value.  For the first failing rung and
-    every later one it is the witness's Rayleigh quotient, by interlacing
-    an upper bound on lambda_min.  The verdict is "psd" when every rung
-    passes; otherwise the first failing order and a witness vector are
-    recorded: unit norm, largest component real and positive, and a
-    Rayleigh quotient below that order's cutoff.  ``method`` names
-    ``verified-cholesky`` when the ladder reached above 256.
+    -eps_N for a certified rung, eps_N = tol (1 + l_N) with l_N a verified
+    lower bound on the section's norm, so the rung's true lambda_min is at
+    least that value, which is no lower than the eigen-ladder cutoff.  A
+    rung whose factor fails is judged by the eigen ladder's cutoff, so the
+    verdicts are the eigen ladder's: when it passes, min_eigenvalues[i] is
+    its smallest eigenvalue; for the first failing rung and every later one
+    it is the witness's Rayleigh quotient, by interlacing an upper bound on
+    lambda_min.  The verdict is "psd" when every rung passes; otherwise the
+    first failing order and a witness vector are recorded: unit norm,
+    largest component real and positive, and a Rayleigh quotient below that
+    order's cutoff.  ``method`` names ``verified-cholesky`` when a factor
+    judged the rungs above 256.
     """
 
     orders: tuple
@@ -341,6 +342,45 @@ def cholesky_rounding(orders: list[int], diag: np.ndarray, cutoffs: np.ndarray, 
     return 2.0 * g / (1.0 - g) * trace + 4.0 * (n + 1.0) * (2.0 * (n + 2.0) + largest) * eta
 
 
+def norm_lower_bound(S: np.ndarray, N: int) -> float:
+    """A number no larger than ||S_N||_2, from four power-iteration steps on the leading order-N section.
+
+    Each step's ||fl(S_N x)|| / ||x|| is shrunk by the rounding of the
+    product and of the norms (|fl(S x) - S x| <= gamma_{N+4} |S| |x| and
+    || |S_N| ||_2 <= sqrt(N) ||S_N||_2), so it stays below ||S_N||_2, as does
+    the largest |S_ii|.  NaN when the section is not finite.
+    """
+    sec = S[:N, :N]
+    best = float(np.max(np.abs(sec.diagonal())))
+    shrink = 1.0 - 4.0 * (N + 4) * (1.0 + math.sqrt(N)) * UNIT_ROUNDOFF
+    x = np.random.default_rng(0).standard_normal(N)
+    x /= np.linalg.norm(x)
+    for _ in range(4):
+        y = sec @ x
+        size = float(np.linalg.norm(y))
+        if not math.isfinite(size):
+            return math.nan
+        if size == 0.0:
+            break
+        best = max(best, shrink * size / float(np.linalg.norm(x)))
+        x = y / size
+    return best
+
+
+def norm_upper_bound(S: np.ndarray, N: int) -> float:
+    """A number no smaller than ||S_N||_2: the lesser of the largest absolute row sum and the Frobenius norm.
+
+    Read 256 rows at a time, so no full-size copy of S is made; the result
+    is raised by the rounding of the sums.
+    """
+    rows, square = 0.0, 0.0
+    for i in range(0, N, 256):
+        a = np.abs(S[i:i + 256, :N])
+        rows = max(rows, float(np.max(a.sum(axis=1))))
+        square += float(np.vdot(a, a))
+    return min(rows, math.sqrt(square)) * (1.0 + 4.0 * (N * N + N) * UNIT_ROUNDOFF)
+
+
 def _shifted_cholesky(S: np.ndarray, N: int, shift: float) -> Optional[np.ndarray]:
     """Lower Cholesky factor of fl(S_N + shift I), or None when the factorisation breaks down.
 
@@ -384,29 +424,32 @@ def _schur_witness(S: np.ndarray, N: int, P: int, L: np.ndarray, t: float, cutof
     return _verified(x / np.linalg.norm(x), S[:N, :N], cutoff)
 
 
-def _cholesky_rungs(S: np.ndarray, orders: list[int], tol: float) -> tuple[list, Optional[int], Optional[np.ndarray]]:
+def _cholesky_rungs(S: np.ndarray, orders: list[int], tol: float) -> Optional[tuple[list, Optional[int], Optional[np.ndarray]]]:
     """Rung values, first failing order and its witness for the rungs above ``EIGEN_LADDER_MAX``.
 
-    One factor of the top section shifted by s = min_N (eps_N - c_N)
-    certifies every rung: the leading blocks of the factor are the factors
-    of the leading sections, so its success proves lambda_min(S_N) >= -eps_N
-    at all of them at once (``cholesky_rounding``).  Only when it fails are
-    the rungs below the top factored in increasing order, each at its own
-    shift; the first that fails (else the top) is the witness order, and its
-    witness comes from the Schur complement over the last factor that
-    passed (``_schur_witness``), with an ``eigvalsh`` and ``_witness`` of
-    that section as the fallback.  A section with non-finite entries or
-    cutoffs goes to the eigenvalue ladder.
+    eps_N = ``psd_cutoff`` at l_N = ``norm_lower_bound`` <= ||S_N||_2, so it
+    is never above the eigen-ladder cutoff tol (1 + max |lambda|).  One
+    factor of the top section shifted by s = min_N (eps_N - c_N) certifies
+    every rung: the leading blocks of the factor are the factors of the
+    leading sections, so its success proves lambda_min(S_N) >= -eps_N at all
+    of them at once (``cholesky_rounding``).  Only when it fails are the
+    rungs below the top factored in increasing order, each at its own shift.
+    A rung whose factor fails gets a witness from the Schur complement over
+    the last factor that passed (``_schur_witness``), kept only when its
+    Rayleigh quotient is below -tol (1 + ``norm_upper_bound``), hence below
+    the eigen-ladder cutoff; otherwise an ``eigvalsh`` of that section judges
+    it by that cutoff, and ``_witness`` gives its witness.  So every verdict
+    is the eigen ladder's.  None when s is not positive (or not finite): a
+    factor shifted down cannot certify a singular PSD section, and the
+    eigen ladder is then the cheaper route.
     """
-    A = np.abs(S)
-    cutoffs = np.array([psd_cutoff(A[:N, :N].sum(axis=1), tol) for N in orders])
-    del A
+    cutoffs = np.array([psd_cutoff(np.array([norm_lower_bound(S, N)]), tol) for N in orders])
     rounding = cholesky_rounding(orders, S.diagonal().real, cutoffs, np.iscomplexobj(S))
     shifts = cutoffs - rounding
     shifts -= 2.0 * UNIT_ROUNDOFF * np.abs(shifts)  # rounded down, so t + c_N <= eps_N holds exactly
     s = float(np.min(shifts))
-    if not math.isfinite(s):
-        return _eigen_rungs(S, orders, tol)
+    if not s > 0.0:
+        return None
     if _shifted_cholesky(S, orders[-1], s) is not None:
         return [-float(e) for e in cutoffs], None, None
     mins, base = [], (EIGEN_LADDER_MAX, None, None)  # the last eigen rung's factor is formed on demand
@@ -419,17 +462,19 @@ def _cholesky_rungs(S: np.ndarray, orders: list[int], tol: float) -> tuple[list,
                 mins.append(-eps)
                 continue
         P, L, t = base
-        if L is None:
+        if t is None:
             t = float(shifts[i])
             L = _shifted_cholesky(S, P, t)
-        x = None if L is None else _schur_witness(S, N, P, L, t, -eps)
+            base = (P, L, t)
+        x = None if L is None else _schur_witness(S, N, P, L, t, -tol * (1.0 + norm_upper_bound(S, N)))
         if x is None:
             sec = S[:N, :N]
             w = np.linalg.eigvalsh(sec)
-            if w[0] >= -eps:
-                mins.append(-eps)
+            slack = psd_cutoff(w, tol)
+            if w[0] >= -slack:
+                mins.append(float(w[0]))
                 continue
-            x = _witness(sec, float(w[0]), float(np.max(np.abs(w))), -eps)
+            x = _witness(sec, float(w[0]), float(np.max(np.abs(w))), -slack)
         q = float(np.vdot(x, S[:N, :N] @ x).real)
         return mins + [q] * (len(orders) - i), N, x
     return mins, None, None
@@ -448,9 +493,10 @@ def psd_check(matrix: CoefficientMatrix, max_order: int, tol: float = 1e-9) -> P
     are certified together by one verified Cholesky factorisation of the
     top section (``_cholesky_rungs``), in real arithmetic when the section
     is real; the method then reads "eigenvalue-ladder + verified-cholesky".
-    Once a rung has failed, every later rung above 256 reports its
-    witness's Rayleigh quotient, which bounds that rung's lambda_min from
-    above.
+    When Rump's rounding constant leaves no positive shift (a small tol on
+    a large trace), those rungs are eigen-solves too.  Once a rung has
+    failed, every later rung above 256 reports its witness's Rayleigh
+    quotient, which bounds that rung's lambda_min from above.
     """
     if max_order < 1:
         raise SpecError("max_order must be >= 1")
@@ -460,19 +506,22 @@ def psd_check(matrix: CoefficientMatrix, max_order: int, tol: float = 1e-9) -> P
     mins, witness_order, witness_vector = _eigen_rungs(S, low, tol)
     high = orders[len(low):]
     method = "eigenvalue-ladder"
-    if high:
-        method += " + verified-cholesky"
-        if witness_vector is None:
-            dtype = S.dtype
-            if not (np.any(S[-1].imag) or np.any(S.imag)):  # the last row settles most complex sections
-                S = np.ascontiguousarray(S.real)
-            high_mins, witness_order, witness_vector = _cholesky_rungs(S, high, tol)
-            if witness_vector is not None:
-                witness_vector = witness_vector.astype(dtype)
+    if high and witness_vector is None:
+        dtype = S.dtype
+        if not (np.any(S[-1].imag) or np.any(S.imag)):  # the last row settles most complex sections
+            S = np.ascontiguousarray(S.real)
+        rungs = _cholesky_rungs(S, high, tol)
+        if rungs is None:
+            rungs = _eigen_rungs(S, high, tol)
         else:
-            N = witness_order
-            high_mins = [float(np.vdot(witness_vector, S[:N, :N] @ witness_vector).real)] * len(high)
+            method += " + verified-cholesky"
+        high_mins, witness_order, witness_vector = rungs
+        if witness_vector is not None:
+            witness_vector = witness_vector.astype(dtype)
         mins += high_mins
+    elif high:
+        N = witness_order
+        mins += [float(np.vdot(witness_vector, S[:N, :N] @ witness_vector).real)] * len(high)
     verdict = "psd" if witness_order is None else "not_psd"
     return PsdCertificate(
         tuple(orders), tuple(mins), tol, verdict, witness_order, witness_vector, method

@@ -210,7 +210,7 @@ def membership_test(
     The matrix must be self-adjoint (a HermitianError otherwise) and PSD at
     the order.  With (lambda, V) the eigenpairs of the Hermitian section S,
     from one ``eigh``, and eps = ``psd_cutoff(lambda, tol)``, the cutoff
-    ``psd_check`` applies, the PSD precondition is lambda_min >= -eps (a
+    by which ``psd_check`` judges every rung, the PSD precondition is lambda_min >= -eps (a
     CertificationError otherwise).  Only the order x order section is
     tested: it is the one membership uses, and by Cauchy interlacing the
     smallest eigenvalue of every leading section lies at or above its own.
