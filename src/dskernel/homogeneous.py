@@ -30,6 +30,9 @@ from .series import HalfPlane, log_table, powers, rounding_radius
 #: complex phases for 64 offsets, however long the truncation
 GRAM_BLOCK = 4096
 
+#: Dirichlet terms n**(-ib), n <= PROBE_FIT_ORDER, of the fit in ``adjoint_domain_probe``
+PROBE_FIT_ORDER = 8
+
 
 @dataclass(frozen=True)
 class ExactComplex:
@@ -42,30 +45,14 @@ class ExactComplex:
     def of(cls, x) -> "ExactComplex":
         if isinstance(x, ExactComplex):
             return x
-        if isinstance(x, Fraction):
-            return cls(x, Fraction(0))
-        if isinstance(x, int):
+        if isinstance(x, (Fraction, int, float)):
             return cls(Fraction(x), Fraction(0))
         if isinstance(x, complex):
             return cls(Fraction(x.real), Fraction(x.imag))
-        if isinstance(x, float):
-            return cls(Fraction(x), Fraction(0))
         raise SpecError(f"cannot coerce {x!r} to an exact complex number")
-
-    def __add__(self, other: "ExactComplex") -> "ExactComplex":
-        return ExactComplex(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "ExactComplex") -> "ExactComplex":
         return ExactComplex(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "ExactComplex") -> "ExactComplex":
-        return ExactComplex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __neg__(self) -> "ExactComplex":
-        return ExactComplex(-self.re, -self.im)
 
     def times_imag(self, b: Fraction) -> "ExactComplex":
         """Multiply by i*b exactly."""
@@ -74,9 +61,6 @@ class ExactComplex:
     @property
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
 
 
 #: span vectors map exact rational offsets to exact Gaussian-rational coefficients
@@ -87,8 +71,7 @@ def span_vector(entries: dict) -> SpanVector:
     """Normalise a mapping offset -> coefficient into exact form, dropping zeros."""
     out: SpanVector = {}
     for off, coef in entries.items():
-        off = off if isinstance(off, Fraction) else Fraction(off)
-        c = ExactComplex.of(coef)
+        off, c = Fraction(off), ExactComplex.of(coef)
         if not c.is_zero:
             out[off] = c
     return out
@@ -231,7 +214,7 @@ class TranslateSpan:
     rho: float = 0.0
 
     def __post_init__(self):
-        offs = tuple(o if isinstance(o, Fraction) else Fraction(o) for o in self.offsets)
+        offs = tuple(Fraction(o) for o in self.offsets)
         if len(set(offs)) != len(offs):
             raise SpecError("offsets must be pairwise distinct")
         if self.a <= self.rho:
@@ -241,7 +224,7 @@ class TranslateSpan:
         object.__setattr__(self, "offsets", offs)
 
     def require_offset(self, b) -> Fraction:
-        b = b if isinstance(b, Fraction) else Fraction(b)
+        b = Fraction(b)
         if b not in self.offsets:
             raise SpecError(f"unknown offset label {b}")
         return b
@@ -258,15 +241,15 @@ class TranslateGram:
     independent: bool
 
 
-def translate_gram(span: TranslateSpan, tol: float = 0.0) -> TranslateGram:
+def translate_gram(span: TranslateSpan) -> TranslateGram:
     """G[j, k] = <kappa_{a+ib_j}, kappa_{a+ib_k}> = sum a_n n**(-2a) n**(-i(b_j-b_k)).
 
     The reproducing identity turns inner products of translates into kernel
     values, which for a diagonal kernel is the single sum above, truncated
     at the span order with an envelope tail radius plus a bound on the
-    rounding of the truncated sum.  Independence of the
-    family at this truncation is certified when the eigenvalue lower bound
-    (min eig minus accumulated entry radii) stays positive.
+    rounding of the truncated sum.  The family is independent at this
+    truncation (``independent``) iff the eigenvalue lower bound, the least
+    eigenvalue less the order times the entry radius, is positive.
 
     G = E diag(w) E* with E[j, n] = exp(-i c_j log n), built GRAM_BLOCK
     columns at a time.  The c_j are the offsets centred on their midrange:
@@ -301,7 +284,7 @@ def translate_gram(span: TranslateSpan, tol: float = 0.0) -> TranslateGram:
     w = np.linalg.eigvalsh(G)
     min_eig = float(w[0])
     lower = min_eig - (radius * c.size if math.isfinite(radius) else math.inf)
-    return TranslateGram(G, radius, min_eig, lower, bool(lower > tol))
+    return TranslateGram(G, radius, min_eig, lower, bool(lower > 0))
 
 
 def apply_generator(span: TranslateSpan, v: SpanVector) -> SpanVector:
@@ -323,7 +306,7 @@ def _difference(x: SpanVector, y: SpanVector) -> SpanVector:
 
 def apply_shift(c, v: SpanVector) -> SpanVector:
     """U_c v: relabel every translate offset b to b + c; coefficients unchanged."""
-    c = c if isinstance(c, Fraction) else Fraction(c)
+    c = Fraction(c)
     return {b + c: coef for b, coef in v.items()}
 
 
@@ -334,8 +317,7 @@ def homogeneity_residual(c, b) -> SpanVector:
     both sides send delta_b to ib * delta_{b+c}.  The residual is therefore
     the empty vector, at zero tolerance, whenever the arithmetic is exact.
     """
-    c = c if isinstance(c, Fraction) else Fraction(c)
-    b = b if isinstance(b, Fraction) else Fraction(b)
+    c = Fraction(c)
     v = delta(b)
     shifted = apply_shift(c, v)
     lhs = apply_shift(c, _times_label(v))
@@ -369,15 +351,13 @@ def adjoint_condition_check(
     a: float,
     delta: float,
     M: int,
-    weights: Optional[SequenceRule] = None,
     rho: float = 0.0,
 ) -> AdjointConditionReport:
     """Check the weighted summability hypothesis behind adjoint triviality.
 
-    With the canonical choice weights = diagonal * n**(-a) (the default),
-    the sum collapses to the diagonal kernel at (a - delta, a - delta), and
-    both sides are computed and compared.  Custom weights get the same
-    partial sum and envelope verdict without the kernel identity.
+    The weights are the canonical b_n = a_n n**(-a); no others are taken.
+    The sum then collapses to the diagonal kernel at (a - delta, a -
+    delta), and both sides are computed and compared.
     """
     if delta <= 0:
         raise SpecError("delta must be positive")
@@ -387,11 +367,7 @@ def adjoint_condition_check(
         raise SpecError("malformed diagonal: zero value on a support index")
     if np.any(diag < 0):
         raise SpecError("diagonal must be positive on its support")
-    canonical = weights is None
-    if canonical:
-        w = diag * powers(a, M)[idx]
-    else:
-        w = np.real(weights.prefix(M))[idx]
+    w = diag * powers(a, M)[idx]
     terms = powers(-2.0 * delta, M)[idx] * w**2 / diag
     partial = float(np.sum(terms))
 
@@ -399,7 +375,7 @@ def adjoint_condition_check(
     exponent = None
     verdict = "unknown"
     remainder = math.inf
-    if canonical and pb is not None:
+    if pb is not None:
         C, p = pb
         # terms are a_n n**(2 delta - 2a) <= C n**(p + 2 delta - 2a)
         exponent = p + 2.0 * delta - 2.0 * a
@@ -411,14 +387,12 @@ def adjoint_condition_check(
             verdict = "divergent"
             remainder = math.inf
     kernel_value = kernel_radius = residual = None
-    if canonical:
-        matrix = DiagonalMatrix(diagonal, support=support)
-        kern = DirichletKernel(matrix, HalfPlane(rho))
-        point = a - delta
-        if point > kern.certified_sigma():
-            vb = kernel_eval(kern, point, point, M)
-            kernel_value, kernel_radius = vb.value, vb.error_radius
-            residual = abs(partial - vb.value.real)
+    kern = DirichletKernel(DiagonalMatrix(diagonal, support=support), HalfPlane(rho))
+    point = a - delta
+    if point > kern.certified_sigma():
+        vb = kernel_eval(kern, point, point, M)
+        kernel_value, kernel_radius = vb.value, vb.error_radius
+        residual = abs(partial - vb.value.real)
     return AdjointConditionReport(
         verdict, exponent, partial, remainder, kernel_value, kernel_radius, residual
     )
@@ -446,9 +420,8 @@ def adjoint_domain_probe(
     h_hat: Sequence[complex],
     a: float,
     b_grid: Sequence[float],
-    fit_order: int = 8,
 ) -> AdjointProbeReport:
-    """Fit b -> -ib*h(a+ib) by a truncated Dirichlet series in ib, report misfit.
+    """Fit b -> -ib*h(a+ib) by a Dirichlet series in ib of PROBE_FIT_ORDER terms, report misfit.
 
     h is given by its coefficients; h(a+ib) = sum h_n n**(-a) n**(-ib) is
     evaluated directly.  The functional grows linearly in b while Dirichlet
@@ -457,12 +430,12 @@ def adjoint_domain_probe(
     """
     h = np.asarray(h_hat, dtype=complex)
     bs = np.asarray(sorted(float(b) for b in b_grid), dtype=float)
-    if bs.size < 2 * fit_order:
+    if bs.size < 2 * PROBE_FIT_ORDER:
         raise SpecError("b grid too small for the requested fit order")
     # h(a + ib) = sum_n (h_n n**(-a)) n**(-ib): one matrix-vector product
     hvals = np.exp(np.outer(-1j * bs, log_table(h.size))) @ (h * powers(a, h.size))
     lam = -1j * bs * hvals
-    E = np.exp(np.outer(-1j * bs, log_table(fit_order)))
+    E = np.exp(np.outer(-1j * bs, log_table(PROBE_FIT_ORDER)))
     coef, *_ = np.linalg.lstsq(E, lam, rcond=None)
     resid = lam - E @ coef
     fit_residual = float(np.linalg.norm(resid))
@@ -475,5 +448,5 @@ def adjoint_domain_probe(
     outer = float(np.mean(np.abs(lam[by_mag[-third:]])))
     growth = outer / inner if inner > 0 else math.inf if outer > 0 else 1.0
     return AdjointProbeReport(
-        tuple(lam.tolist()), fit_residual, rel, growth, fit_order
+        tuple(lam.tolist()), fit_residual, rel, growth, PROBE_FIT_ORDER
     )

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .matrices import CoefficientMatrix
 from .rules import UNIT_ROUNDOFF
-from .series import HalfPlane, ValueWithBound, log_table, rounding_radius
+from .series import HalfPlane, ValueWithBound, gamma, log_table, rounding_radius
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,13 +258,23 @@ EIGEN_LADDER_MAX = 256
 WITNESS_SHIFT = 1e-10
 
 
+def unit_phase(x: np.ndarray) -> np.ndarray:
+    """x divided by the phase of its largest component, which is then real and positive."""
+    j = int(np.argmax(np.abs(x)))
+    return x / (x[j] / abs(x[j]))
+
+
+def _rayleigh(x: np.ndarray, S: np.ndarray) -> float:
+    """Re(x* S x)."""
+    return float(np.vdot(x, S @ x).real)
+
+
 def _verified(x: np.ndarray, S: np.ndarray, cutoff: float) -> Optional[np.ndarray]:
     """The unit vector x, its largest component rotated to the positive real axis, if Re(x* S x) < cutoff; else None."""
     if not np.all(np.isfinite(x)):
         return None
-    j = int(np.argmax(np.abs(x)))
-    x *= abs(x[j]) / x[j]
-    return x if np.vdot(x, S @ x).real < cutoff else None
+    x = unit_phase(x)
+    return x if _rayleigh(x, S) < cutoff else None
 
 
 def _witness(S: np.ndarray, lam_min: float, scale: float, cutoff: float) -> np.ndarray:
@@ -332,10 +342,8 @@ def cholesky_rounding(orders: list[int], diag: np.ndarray, cutoffs: np.ndarray, 
     doubled to cover the rounding of the shift and of this formula.  diag
     holds the real diagonal of the section of the largest order.
     """
-    u = UNIT_ROUNDOFF
     n = np.asarray(orders, dtype=float)
-    k = n + (4.0 if is_complex else 2.0)
-    g = k * u / (1.0 - k * u)
+    g = gamma(n + (4.0 if is_complex else 2.0))
     trace = np.cumsum(np.maximum(diag, 0.0))[np.asarray(orders) - 1] + n * cutoffs
     largest = np.maximum.accumulate(np.abs(diag))[np.asarray(orders) - 1] + cutoffs
     eta = np.finfo(float).smallest_subnormal
@@ -399,9 +407,9 @@ def _shifted_cholesky(S: np.ndarray, N: int, shift: float) -> Optional[np.ndarra
     return L if np.all(np.isfinite(L.diagonal())) else None
 
 
-def _lower_solve(L: np.ndarray, B: np.ndarray, block: int = 256) -> np.ndarray:
-    """L^{-1} B for a lower-triangular L: a solve per diagonal block, matrix products for the rest."""
-    X = np.array(B, dtype=np.result_type(L, B))
+def _lower_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """L^{-1} B for a lower-triangular L: a solve per diagonal block of 256, matrix products for the rest."""
+    X, block = np.array(B, dtype=np.result_type(L, B)), 256
     for i in range(0, L.shape[0], block):
         X[i:i + block] = np.linalg.solve(L[i:i + block, i:i + block], X[i:i + block] - L[i:i + block, :i] @ X[:i])
     return X
@@ -437,8 +445,8 @@ def _cholesky_rungs(S: np.ndarray, orders: list[int], tol: float) -> Optional[tu
     A rung whose factor fails gets a witness from the Schur complement over
     the last factor that passed (``_schur_witness``), kept only when its
     Rayleigh quotient is below -tol (1 + ``norm_upper_bound``), hence below
-    the eigen-ladder cutoff; otherwise an ``eigvalsh`` of that section judges
-    it by that cutoff, and ``_witness`` gives its witness.  So every verdict
+    the eigen-ladder cutoff; otherwise that section is an eigen rung
+    (``_eigen_rungs``), judged by that cutoff.  So every verdict
     is the eigen ladder's.  None when s is not positive (or not finite): a
     factor shifted down cannot certify a singular PSD section, and the
     eigen ladder is then the cheaper route.
@@ -468,15 +476,11 @@ def _cholesky_rungs(S: np.ndarray, orders: list[int], tol: float) -> Optional[tu
             base = (P, L, t)
         x = None if L is None else _schur_witness(S, N, P, L, t, -tol * (1.0 + norm_upper_bound(S, N)))
         if x is None:
-            sec = S[:N, :N]
-            w = np.linalg.eigvalsh(sec)
-            slack = psd_cutoff(w, tol)
-            if w[0] >= -slack:
-                mins.append(float(w[0]))
+            rung, witness_order, x = _eigen_rungs(S, [N], tol)
+            if witness_order is None:
+                mins += rung
                 continue
-            x = _witness(sec, float(w[0]), float(np.max(np.abs(w))), -slack)
-        q = float(np.vdot(x, S[:N, :N] @ x).real)
-        return mins + [q] * (len(orders) - i), N, x
+        return mins + [_rayleigh(x, S[:N, :N])] * (len(orders) - i), N, x
     return mins, None, None
 
 
@@ -521,7 +525,7 @@ def psd_check(matrix: CoefficientMatrix, max_order: int, tol: float = 1e-9) -> P
         mins += high_mins
     elif high:
         N = witness_order
-        mins += [float(np.vdot(witness_vector, S[:N, :N] @ witness_vector).real)] * len(high)
+        mins += [_rayleigh(witness_vector, S[:N, :N])] * len(high)
     verdict = "psd" if witness_order is None else "not_psd"
     return PsdCertificate(
         tuple(orders), tuple(mins), tol, verdict, witness_order, witness_vector, method
@@ -562,16 +566,15 @@ def recover_block(
     order: int,
     *,
     sigma_min: float,
-    grid_step: float = 0.25,
     grid_count: int = 50,
-    grid_margin: float = 0.1,
 ) -> RecoveredBlock:
     """Recover the leading order x order coefficient block of a black-box kernel.
 
-    The kernel is sampled on a real grid p_r = sigma_min + margin + step*r.
-    Since kappa(p, q) = sum a_{m,n} m**(-p) n**(-q), the samples satisfy
-    K = V A V^T with the known design matrix V[r, i] = i**(-p_r); the
-    coefficient block is the induced least-squares solution.  Joint
+    The kernel is sampled on the fixed real grid p_r = sigma_min + 0.1 +
+    0.25 r, r < grid_count.  Since kappa(p, q) = sum a_{m,n} m**(-p)
+    n**(-q), the samples satisfy K = V A V^T with the known design matrix
+    V[r, i] = i**(-p_r); the coefficient block is the induced least-squares
+    solution.  Joint
     elimination is the numerically stable form of the peeling recursion
     a_{1,1} = lim kappa(p, p), then successively subtracting recovered
     rows/columns and rescaling by m**p n**q: both solve the same triangular
@@ -583,7 +586,7 @@ def recover_block(
         raise SpecError("order must be >= 1")
     if grid_count < order + 12:
         raise SpecError("grid_count must be at least order + 12 for stable prefixes")
-    ps = sigma_min + grid_margin + grid_step * np.arange(grid_count)
+    ps = sigma_min + 0.1 + 0.25 * np.arange(grid_count)
     K = np.empty((grid_count, grid_count), dtype=complex)
     for i, p in enumerate(ps):
         for j, q in enumerate(ps):
@@ -610,17 +613,15 @@ def coefficient_recover(
     order: int,
     *,
     sigma_min: float,
-    stability_rtol: float = 2e-6,
-    grid_step: float = 0.25,
-    grid_count: int = 50,
 ) -> complex:
     """Recover a_{m,n} from a black-box kernel evaluator.
 
     The estimate must stabilise along an increasing sequence of real grid
-    arguments: the three successive estimates (two grid prefixes plus the
-    full grid) have to agree within a scale-aware tolerance, otherwise the
-    evaluator is not behaving like a regularly convergent kernel and
-    RecoveryError is raised.
+    arguments: the three successive estimates of ``recover_block`` on its
+    50-point grid p_r = sigma_min + 0.1 + 0.25 r (two grid prefixes plus
+    the full grid) have to agree within max(1e-8, 2e-6 max(1, kernel
+    scale)), otherwise the evaluator is not behaving like a regularly
+    convergent kernel and RecoveryError is raised.
 
     sigma_min should be the evaluator's certified edge for finitely
     supported kernels; for kernels with mass beyond the modeled order, move
@@ -631,13 +632,11 @@ def coefficient_recover(
         raise SpecError("indices are 1-based")
     if max(m, n) > order:
         raise SpecError("requested entry lies outside the recovered block")
-    rec = recover_block(
-        eval_fn, order, sigma_min=sigma_min, grid_step=grid_step, grid_count=grid_count
-    )
+    rec = recover_block(eval_fn, order, sigma_min=sigma_min)
     e1 = complex(rec.prefix_blocks[0][m - 1, n - 1])
     e2 = complex(rec.prefix_blocks[1][m - 1, n - 1])
     e3 = complex(rec.block[m - 1, n - 1])
-    tol = max(1e-8, stability_rtol * max(1.0, rec.kernel_scale))
+    tol = max(1e-8, 2e-6 * max(1.0, rec.kernel_scale))
     if abs(e3 - e2) > tol or abs(e2 - e1) > tol:
         raise RecoveryError(
             f"recovery diverged at entry ({m},{n}): successive estimates "

@@ -295,22 +295,14 @@ def rounded_sum(terms: list, dens: list) -> tuple[float, float]:
 
 def _normal_form(num: SequenceRule, den: SequenceRule, extra: float) -> tuple[float, float, float, float]:
     """Write t(l) = A * q**l * l**gamma for non-explicit rule pairs; the last entry bounds |gamma's rounding|."""
-    A, q, parts = 1.0, 1.0, [extra]
-    if num.kind == "constant":
-        A *= abs(num.scale) ** 2
-    elif num.kind == "geometric":
-        A *= abs(num.scale) ** 2
+    A, q, parts = abs(num.scale) ** 2 / abs(den.scale), 1.0, [extra]
+    if num.kind == "geometric":
         q *= num.ratio**2
     elif num.kind == "power":
-        A *= abs(num.scale) ** 2
         parts.append(2 * num.exponent)
-    if den.kind == "constant":
-        A /= abs(den.scale)
-    elif den.kind == "geometric":
-        A /= abs(den.scale)
+    if den.kind == "geometric":
         q /= den.ratio
     elif den.kind == "power":
-        A /= abs(den.scale)
         parts.append(-den.exponent)
     gamma = math.fsum(parts)
     # fsum rounds the exact sum once, so the residual is the rounding, itself correctly rounded

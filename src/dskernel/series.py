@@ -116,9 +116,6 @@ class HalfPlane:
 
     rho: float
 
-    def contains(self, s: complex) -> bool:
-        return s.real > self.rho
-
 
 @dataclass(frozen=True)
 class ValueWithBound:

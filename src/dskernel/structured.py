@@ -31,7 +31,6 @@ from .kernel import (
     hermitian_part,
     psd_check,
     psd_cutoff,
-    psd_ladder_orders,
 )
 from .matrices import ArrowheadMatrix
 from .rules import UNIT_ROUNDOFF, RatioSum, SequenceRule, rounded_sum, weighted_ratio_sum
@@ -118,11 +117,10 @@ def certify_arrowhead(
         if ladder.is_psd:
             raise
         return replace(ladder, method=f"{ladder.method} (margin certificate unavailable)"), None
-    orders = psd_ladder_orders(max_order)
     if cert.margin >= 0.0:
-        schur = _schur_min_eigs(m, orders)
+        schur = _schur_min_eigs(m, ladder.orders)
         slack = 1e-9 * (1.0 + abs(cert.lambda_min_head))
-        for N, lam in zip(orders, schur):
+        for N, lam in zip(ladder.orders, schur):
             if lam < cert.margin - slack:
                 raise InternalCheckError(
                     f"internal: Schur complement at order {N} has min eig {lam} "

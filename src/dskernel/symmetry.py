@@ -20,11 +20,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CertificationError, OutsideDomainError, SpecError
-from .kernel import DirichletKernel, check_tol, hermitian_section, kernel_eval, support_pattern
+from .kernel import DirichletKernel, check_tol, hermitian_section, kernel_eval, support_pattern, unit_phase
 from .series import GeneralDirichletSeries, evaluate
 
 SL2_DET_TOL = 1e-12
 LINEAR_C_TOL = 1e-14
+#: random translations at which ``translation_invariance_test`` samples a diagonal kernel
+TRANSLATION_SAMPLES = 20
 
 
 @dataclass(frozen=True)
@@ -123,10 +125,7 @@ def _rank_one_factor(S: np.ndarray, sv: np.ndarray, tol: float) -> Optional[np.n
         return None
     lam, V = np.linalg.eigh(S)
     top = int(np.argmax(np.abs(lam)))
-    f = V[:, top] * math.sqrt(abs(lam[top]))
-    j = int(np.argmax(np.abs(f)))
-    phase = f[j] / abs(f[j])
-    f = f / phase
+    f = unit_phase(V[:, top] * math.sqrt(abs(lam[top])))
     if np.max(np.abs(S - np.outer(f, np.conj(f)))) > tol * (1.0 + sv[0]):
         return None
     return f
@@ -155,7 +154,6 @@ def translation_invariance_test(
     kernel: DirichletKernel,
     order: int,
     tol: float = 1e-6,
-    samples: int = 20,
     seed: int = 0,
 ) -> TranslationReport:
     """Decide invariance under all vertical translations s -> s - ib.
@@ -163,9 +161,10 @@ def translation_invariance_test(
     Structurally this happens exactly when the coefficient matrix is
     diagonal (off-diagonal terms pick up the factor (m/n)**(ib)).  The
     structural verdict is cross-checked numerically: invariant kernels are
-    sampled at random translations, and non-diagonal ones get an explicit
-    witness built from the leading off-diagonal entry, evaluated deep
-    enough in the half-plane that the entry dominates the rest.  A
+    sampled at TRANSLATION_SAMPLES random translations, and non-diagonal
+    ones get an explicit witness built from the leading off-diagonal entry,
+    evaluated deep enough in the half-plane that the entry dominates the
+    rest.  A
     negative or NaN tol is a SpecError (``support_pattern``).
     """
     m, n = support_pattern(kernel.matrix, order, tol)
@@ -174,7 +173,7 @@ def translation_invariance_test(
     rng = np.random.default_rng(seed)
     if diagonal:
         worst = 0.0
-        for _ in range(samples):
+        for _ in range(TRANSLATION_SAMPLES):
             b = float(rng.uniform(-10, 10))
             s = edge + 0.5 + rng.uniform(0, 2) + 1j * rng.uniform(-3, 3)
             u = edge + 0.5 + rng.uniform(0, 2) + 1j * rng.uniform(-3, 3)
@@ -184,14 +183,14 @@ def translation_invariance_test(
             slack = lhs.error_radius + rhs.error_radius + tol * (1 + abs(rhs.value))
             if dev > slack:
                 return TranslationReport(
-                    False, True, dev, InvarianceWitness(b, s, u, dev), samples
+                    False, True, dev, InvarianceWitness(b, s, u, dev), TRANSLATION_SAMPLES
                 )
             worst = max(worst, dev)
-        return TranslationReport(True, True, worst, None, samples)
+        return TranslationReport(True, True, worst, None, TRANSLATION_SAMPLES)
     offdiag = [(int(a), int(b)) for a, b in zip(m, n) if a != b]
     witness = _translation_witness(kernel, offdiag, order, tol)
     return TranslationReport(
-        False, False, witness.violation if witness else 0.0, witness, samples
+        False, False, witness.violation if witness else 0.0, witness, TRANSLATION_SAMPLES
     )
 
 
@@ -375,7 +374,6 @@ def cocycle_unitarity_check(
     phi: Automorphism,
     sample_points: Sequence[complex],
     order: int,
-    zero_tol: float = 1e-12,
 ) -> float:
     """Gram preservation of the weighted substitution operator on a rank-one kernel.
 
@@ -384,8 +382,8 @@ def cocycle_unitarity_check(
     sections to elements with unchanged pairwise inner products (computed
     by reproducing: <kappa_u, kappa_v> = kappa(v, u)).  Returns the largest
     deviation found, combining Gram mismatch and the defect of U-images
-    staying proportional to f.  Refuses if f vanishes at any point it is
-    needed.
+    staying proportional to f.  Refuses if f vanishes, to within 1e-12 of
+    sum |fhat|, at any point it is needed.
     """
     f = np.asarray(fhat, dtype=complex)
     series = GeneralDirichletSeries.ordinary(f, finite=True)
@@ -397,7 +395,7 @@ def cocycle_unitarity_check(
 
     def fval(z: complex) -> complex:
         v = evaluate(series, z, len(f)).value
-        if abs(v) <= zero_tol * scale:
+        if abs(v) <= 1e-12 * scale:
             raise CertificationError(f"factor vanishes at needed point {z}")
         return v
 
