@@ -213,13 +213,14 @@ class PsdCertificate:
     least that value, which is no lower than the eigen-ladder cutoff.  A
     rung whose factor fails is judged by the eigen ladder's cutoff, so the
     verdicts are the eigen ladder's: when it passes, min_eigenvalues[i] is
-    its smallest eigenvalue; for the first failing rung and every later one
-    it is the witness's Rayleigh quotient, by interlacing an upper bound on
-    lambda_min.  The verdict is "psd" when every rung passes; otherwise the
-    first failing order and a witness vector are recorded: unit norm,
-    largest component real and positive, and a Rayleigh quotient below that
-    order's cutoff.  ``method`` names ``verified-cholesky`` when a factor
-    judged the rungs above 256.
+    its smallest eigenvalue.  Above 256, whichever path judged the rungs,
+    the first failing rung and every later one report the witness's
+    Rayleigh quotient, by interlacing an upper bound on lambda_min, and no
+    later rung is solved.  The verdict is "psd" when every rung passes;
+    otherwise the first failing order and a witness vector are recorded:
+    unit norm, largest component real and positive, and a Rayleigh quotient
+    below that order's cutoff, on every path.  ``method`` names
+    ``verified-cholesky`` when a factor judged the rungs above 256.
     """
 
     orders: tuple
@@ -285,7 +286,8 @@ def _witness(S: np.ndarray, lam_min: float, scale: float, cutoff: float) -> np.n
     result is normalised with its largest component rotated to the positive
     real axis and kept only when its Rayleigh quotient verifies; when a
     solve fails or the check does not hold, the eigenvector of a full
-    ``eigh`` is returned instead.
+    ``eigh`` takes its place under the same rotation and check; an
+    InternalCheckError if that does not verify either.
     """
     n = S.shape[0]
     shifted = S.copy()
@@ -298,7 +300,11 @@ def _witness(S: np.ndarray, lam_min: float, scale: float, cutoff: float) -> np.n
     except np.linalg.LinAlgError:
         x = None
     x = None if x is None else _verified(x, S, cutoff)
-    return np.linalg.eigh(S)[1][:, 0] if x is None else x
+    if x is None:
+        x = _verified(np.linalg.eigh(S)[1][:, 0], S, cutoff)
+    if x is None:
+        raise InternalCheckError(f"internal: no eigenvector of the order-{n} section verifies below {cutoff}")
+    return x
 
 
 def _eigen_rungs(S: np.ndarray, orders: list[int], tol: float) -> tuple[list, Optional[int], Optional[np.ndarray]]:
@@ -306,7 +312,9 @@ def _eigen_rungs(S: np.ndarray, orders: list[int], tol: float) -> tuple[list, Op
 
     By Cauchy interlacing lambda_min cannot rise from one rung to the next;
     a rise beyond the rung's cutoff plus the eigen-solver's rounding is an
-    InternalCheckError.
+    InternalCheckError.  Every rung up to ``EIGEN_LADDER_MAX`` is solved;
+    above it the solves stop at the first failing rung, whose value is left
+    to ``psd_check``.
     """
     mins, witness_order, witness_vector = [], None, None
     for i, N in enumerate(orders):
@@ -320,10 +328,12 @@ def _eigen_rungs(S: np.ndarray, orders: list[int], tol: float) -> tuple[list, Op
                 f"internal: lambda_min rose from {mins[-1]} at order {orders[i - 1]} to "
                 f"{lam} at order {N}, against Cauchy interlacing"
             )
-        mins.append(lam)
         if lam < -slack and witness_order is None:
             witness_order = N
             witness_vector = _witness(sec, lam, scale, -slack)
+        if witness_order is not None and N > EIGEN_LADDER_MAX:
+            break
+        mins.append(lam)
     return mins, witness_order, witness_vector
 
 
@@ -433,7 +443,7 @@ def _schur_witness(S: np.ndarray, N: int, P: int, L: np.ndarray, t: float, cutof
 
 
 def _cholesky_rungs(S: np.ndarray, orders: list[int], tol: float) -> Optional[tuple[list, Optional[int], Optional[np.ndarray]]]:
-    """Rung values, first failing order and its witness for the rungs above ``EIGEN_LADDER_MAX``.
+    """Values of the rungs above ``EIGEN_LADDER_MAX`` that pass, the first failing order and its witness.
 
     eps_N = ``psd_cutoff`` at l_N = ``norm_lower_bound`` <= ||S_N||_2, so it
     is never above the eigen-ladder cutoff tol (1 + max |lambda|).  One
@@ -476,11 +486,10 @@ def _cholesky_rungs(S: np.ndarray, orders: list[int], tol: float) -> Optional[tu
             base = (P, L, t)
         x = None if L is None else _schur_witness(S, N, P, L, t, -tol * (1.0 + norm_upper_bound(S, N)))
         if x is None:
-            rung, witness_order, x = _eigen_rungs(S, [N], tol)
-            if witness_order is None:
-                mins += rung
-                continue
-        return mins + [_rayleigh(x, S[:N, :N])] * (len(orders) - i), N, x
+            rung, _, x = _eigen_rungs(S, [N], tol)
+            mins += rung
+        if x is not None:
+            return mins, N, x
     return mins, None, None
 
 
@@ -498,20 +507,21 @@ def psd_check(matrix: CoefficientMatrix, max_order: int, tol: float = 1e-9) -> P
     top section (``_cholesky_rungs``), in real arithmetic when the section
     is real; the method then reads "eigenvalue-ladder + verified-cholesky".
     When Rump's rounding constant leaves no positive shift (a small tol on
-    a large trace), those rungs are eigen-solves too.  Once a rung has
-    failed, every later rung above 256 reports its witness's Rayleigh
-    quotient, which bounds that rung's lambda_min from above.
+    a large trace), those rungs are eigen-solves too.  On every path, once
+    a rung has failed no rung above 256 is solved: from the failing rung on,
+    each reports the witness's Rayleigh quotient, which bounds its
+    lambda_min from above.
     """
     if max_order < 1:
         raise SpecError("max_order must be >= 1")
     S = hermitian_section(matrix, max_order)
+    dtype = S.dtype
     orders = psd_ladder_orders(max_order)
     low = [N for N in orders if N <= EIGEN_LADDER_MAX]
     mins, witness_order, witness_vector = _eigen_rungs(S, low, tol)
     high = orders[len(low):]
     method = "eigenvalue-ladder"
     if high and witness_vector is None:
-        dtype = S.dtype
         if not (np.any(S[-1].imag) or np.any(S.imag)):  # the last row settles most complex sections
             S = np.ascontiguousarray(S.real)
         rungs = _cholesky_rungs(S, high, tol)
@@ -520,12 +530,11 @@ def psd_check(matrix: CoefficientMatrix, max_order: int, tol: float = 1e-9) -> P
         else:
             method += " + verified-cholesky"
         high_mins, witness_order, witness_vector = rungs
-        if witness_vector is not None:
-            witness_vector = witness_vector.astype(dtype)
         mins += high_mins
-    elif high:
+    if witness_vector is not None:
         N = witness_order
-        mins += [_rayleigh(witness_vector, S[:N, :N])] * len(high)
+        mins += [_rayleigh(witness_vector, S[:N, :N])] * (len(orders) - len(mins))
+        witness_vector = witness_vector.astype(dtype)
     verdict = "psd" if witness_order is None else "not_psd"
     return PsdCertificate(
         tuple(orders), tuple(mins), tol, verdict, witness_order, witness_vector, method

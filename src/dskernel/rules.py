@@ -258,10 +258,9 @@ class RatioSum:
     """Result of summing t(l) = |num(l)|^2 * l**extra / den(l) over l >= 1.
 
     The true sum lies within remainder_bound of total.  The bound covers
-    truncation and rounding for the zeta and geometric closed forms and the
-    rounding of the finite sums, but truncation alone for the mixed
-    geometric x power sums.  exact records a closed form or a finite sum,
-    not a zero radius.
+    truncation and rounding for every shape: the zeta and geometric closed
+    forms, the finite sums and the mixed geometric x power sums.  exact
+    records a closed form or a finite sum, not a zero radius.
     """
 
     total: float
@@ -316,7 +315,8 @@ def weighted_ratio_sum(num: SequenceRule, den: SequenceRule, extra: float = 0.0)
     Closed forms: pure geometric (q < 1, gamma = 0) and pure power
     (q = 1, gamma < -1: zeta(-gamma) by Euler-Maclaurin, ``zeta_enclosure``),
     each with its rounding in the remainder bound.  Mixed shapes fall back
-    to a partial sum plus a certified geometric-ratio remainder.  Raises
+    to a partial sum plus a certified geometric-ratio remainder, the
+    rounding of q, gamma, the terms and the sum priced as well.  Raises
     CertificationError when the sum provably diverges or cannot be
     certified finite.
     """
@@ -364,22 +364,30 @@ def weighted_ratio_sum(num: SequenceRule, den: SequenceRule, extra: float = 0.0)
             raise CertificationError("geometric ratio within rounding of 1: the sum cannot be certified finite")
         total = A * q / (1.0 - q)
         return RatioSum(total, True, 0, (_SCALE_ROUNDING + 8.0 / (1.0 - q)) * UNIT_ROUNDOFF * total)
-    # mixed geometric * power with q < 1: partial sum + ratio-test remainder
-    L = 64
-    ls = np.arange(1, L + 1, dtype=float)
-    partial = A * float(np.sum(q**ls * ls**gamma))
-    # for l >= L the term ratio is at most q * ((L+1)/L)**gamma (gamma > 0)
-    # or q (gamma <= 0); both < 1 for reasonable L
-    rho = q * ((L + 1) / L) ** max(gamma, 0.0)
+    # mixed geometric * power with q < 1: the partial sum to L plus a
+    # ratio-test remainder.  For l > L the term ratio q ((l+1)/l)**gamma is
+    # at most rho = q ((L+1)/L)**max(gamma, 0), raised here by its own
+    # rounding (q: 4u, (L+1)/L and its power: (1 + |gamma|)u + 2u, products)
+    # and by gamma's (dgamma), so it bounds the exact ratio too.
+    L, rho = 32, 1.0
     while rho >= 1.0:
         L *= 2
-        ls = np.arange(1, L + 1, dtype=float)
-        partial = A * float(np.sum(q**ls * ls**gamma))
-        rho = q * ((L + 1) / L) ** max(gamma, 0.0)
-    t_next = A * q ** (L + 1) * float(L + 1) ** gamma
-    remainder = t_next / (1.0 - rho)
-    # true sum lies in [partial, partial + remainder]; report the midpoint
-    return RatioSum(partial + remainder / 2, False, L, remainder / 2)
+        rho = q * ((L + 1) / L) ** max(gamma, 0.0) * (1.0 + (12.0 + abs(gamma)) * UNIT_ROUNDOFF + dgamma / L)
+    ls = np.arange(1.0, L + 2.0)
+    terms = q**ls * ls**gamma  # l = 1 .. L + 1
+    # each term is off by q's 4u raised to the l-th power, by l**dgamma, and
+    # by two powers (2u each) and their product
+    errors = terms * np.expm1(6.0 * UNIT_ROUNDOFF * (ls + 1.0) + dgamma * np.log(ls))
+    partial = math.fsum(terms[:L])
+    # fsum rounds once; underflow costs at most 2**-1074 (L+1)**max(gamma, 0) per term
+    rounding = math.fsum(errors[:L]) + UNIT_ROUNDOFF * partial + 2.0**-1072 * (L + 1.0) ** (1.0 + max(gamma, 0.0))
+    remainder = (terms[L] + errors[L]) / (1.0 - rho) * (1.0 + 4.0 * UNIT_ROUNDOFF)
+    # the true sum lies in A [partial - rounding, partial + remainder + rounding]:
+    # report its midpoint, with A's rounding and the products' priced on the upper end
+    upper = partial + remainder + rounding
+    total = A * (partial + remainder / 2)
+    radius = A * (remainder / 2 + rounding + _SCALE_ROUNDING * UNIT_ROUNDOFF * upper) + 2.0**-1072
+    return RatioSum(total, False, L, radius)
 
 
 def power_tail_bound(start: float, beta: float) -> float:

@@ -333,6 +333,12 @@ def symmetrised(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.conj().T)
 
 
+def phase_normalised(x: np.ndarray) -> np.ndarray:
+    """x divided by the phase of its largest component."""
+    j = int(np.argmax(np.abs(x)))
+    return x / (x[j] / abs(x[j]))
+
+
 class TestPsdLadder:
     """Values-only ladder, verified inverse-iteration witness, eigen-solver budget."""
 
@@ -384,7 +390,7 @@ class TestPsdLadder:
 
     def test_failed_solve_falls_back_to_eigh(self, monkeypatch):
         A = planted_not_psd(np.random.default_rng(5), 64, 20)
-        ref = np.linalg.eigh(symmetrised(A)[:32, :32])[1][:, 0]
+        ref = phase_normalised(np.linalg.eigh(symmetrised(A)[:32, :32])[1][:, 0])
 
         def singular(a, b):
             raise np.linalg.LinAlgError("Singular matrix")
@@ -398,10 +404,27 @@ class TestPsdLadder:
         # the identity "solve" hands back the start vector, whose Rayleigh
         # quotient is positive, so the check must reject it
         A = planted_not_psd(np.random.default_rng(6), 64, 20)
-        ref = np.linalg.eigh(symmetrised(A)[:32, :32])[1][:, 0]
+        ref = phase_normalised(np.linalg.eigh(symmetrised(A)[:32, :32])[1][:, 0])
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: b)
         cert = psd_check(DenseMatrix(A), 64)
         assert np.allclose(cert.witness_vector, ref, rtol=0, atol=1e-14)
+
+    def test_unverified_eigh_vector_is_internal_error(self, monkeypatch):
+        from dskernel import InternalCheckError
+
+        # the eigenvector of the largest eigenvalue has a positive Rayleigh
+        # quotient, so it must not stand in as the witness
+        A = planted_not_psd(np.random.default_rng(5), 64, 20)
+        real = np.linalg.eigh
+
+        def top_first(a):
+            w, V = real(a)
+            return w[::-1], V[:, ::-1]
+
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: b)
+        monkeypatch.setattr(np.linalg, "eigh", top_first)
+        with pytest.raises(InternalCheckError):
+            psd_check(DenseMatrix(A), 64)
 
     def test_rising_minimum_is_internal_error(self, monkeypatch):
         from dskernel import InternalCheckError

@@ -71,14 +71,19 @@ def power(scale: float, exponent: float) -> SequenceRule:
 
 
 def true_sum(num: SequenceRule, den: SequenceRule):
-    """sum |num(l)|**2 / den(l) at 40 digits from the rules' exact binary parameters."""
+    """sum |num(l)|**2 / den(l) at 40 digits from the rules' exact binary parameters.
+
+    A q**l l**-beta sums to A q/(1 - q), A zeta(beta) or, when neither q = 1
+    nor beta = 0, the polylogarithm A Li_beta(q).
+    """
     mp = mpmath.mpf
     A = mp(abs(num.scale)) ** 2 / mp(abs(den.scale))
     q = (mp(num.ratio) ** 2 if num.kind == "geometric" else 1) / (mp(den.ratio) if den.kind == "geometric" else 1)
     beta = (mp(den.exponent) if den.kind == "power" else 0) - (2 * mp(num.exponent) if num.kind == "power" else 0)
     if beta == 0:
         return A * q / (1 - q)
-    assert q == 1
+    if q != 1:
+        return A * mpmath.polylog(beta, q)
     return A * mpmath.zeta(beta)
 
 
@@ -125,6 +130,31 @@ class TestPricedClosedForms:
         # beta = 1.02 + 2**-52 - 0.02 is computed as the float just above 1, with a rounding
         with pytest.raises(CertificationError, match="within rounding"):
             weighted_ratio_sum(power(1.0, 0.01), power(1.0, 1.0200000000000002))
+
+
+class TestMixedSums:
+    """Geometric x power sums: a partial sum and a ratio-test remainder, their rounding priced."""
+
+    def test_reported_miss_lies_in_the_disc(self):
+        # ratio 0.7395, scale 2.771 over exponent -2.754, scale 0.2636: the
+        # truncation-only radius was 3.06e-11 against an error of 3.07e-11
+        ratio, scale, exponent, den_scale = 0.7395035642518034, 2.770888466262316, -2.7541588563828316, 0.26362359173243805
+        s = weighted_ratio_sum(geometric(scale, ratio), power(den_scale, exponent))
+        with mpmath.workdps(40):
+            r, e = mpmath.mpf(ratio), mpmath.mpf(exponent)
+            terms = mpmath.nsum(lambda l: r ** (2 * l) * l ** -e, [1, mpmath.inf])
+            assert_encloses(s.total, s.remainder_bound, mpmath.mpf(scale) ** 2 / mpmath.mpf(den_scale) * terms)
+
+    def test_seeded_sweep_lies_in_the_disc(self):
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            ratio, scale, exponent, den_scale = (rng.uniform(0.3, 0.99), rng.uniform(0.1, 10),
+                                                 rng.uniform(-3, 3), rng.uniform(0.1, 10))
+            num, den = geometric(scale, ratio), power(den_scale, exponent)
+            s = weighted_ratio_sum(num, den)
+            assert not s.exact and s.remainder_bound > 0
+            with mpmath.workdps(40):
+                assert_encloses(s.total, s.remainder_bound, true_sum(num, den))
 
 
 class TestPricedMargin:

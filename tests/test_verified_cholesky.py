@@ -392,3 +392,22 @@ def test_no_factor_when_the_rounding_exceeds_the_cutoff(monkeypatch):
     cert = psd_check(DenseMatrix(S), 512, 1e-13)
     assert not factors and cert.method == "eigenvalue-ladder"
     assert (cert.verdict, cert.witness_order) == eigen_ladder(S, cert.orders, 1e-13) == ("psd", None)
+
+
+def test_no_shift_path_stops_solving_at_the_failing_rung(monkeypatch):
+    # tol 1e-17 leaves no positive shift, so the rungs above 256 are eigen
+    # rungs; the one at 512 fails, so 512 and 1024 report the witness's
+    # Rayleigh quotient and no section above 512 is solved
+    C = np.random.default_rng(3).standard_normal((1024, 64)) / 8.0
+    A = C @ C.T + 0.1 * np.eye(1024)
+    A[400, :] = A[:, 400] = 0.0
+    A[400, 400] = -0.3
+    A = exactly_hermitian(A)
+    seen = count_eigvalsh_orders(monkeypatch)
+    cert = psd_check(DenseMatrix(A), 1024, 1e-17)
+    assert cert.method == "eigenvalue-ladder" and cert.witness_order == 512
+    assert max(seen) == 512 and seen.count(512) == 1
+    x = cert.witness_vector
+    quotient = float(np.vdot(x, A[:512, :512] @ x).real)
+    assert cert.min_eigenvalues[-2] == cert.min_eigenvalues[-1] == pytest.approx(quotient, rel=1e-14)
+    assert quotient == pytest.approx(-0.3, rel=1e-12)
