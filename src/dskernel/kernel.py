@@ -27,6 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
+    CertificationError,
     ConvergenceRegionError,
     HermitianError,
     InternalCheckError,
@@ -286,8 +287,10 @@ def _witness(S: np.ndarray, lam_min: float, scale: float, cutoff: float) -> np.n
     result is normalised with its largest component rotated to the positive
     real axis and kept only when its Rayleigh quotient verifies; when a
     solve fails or the check does not hold, the eigenvector of a full
-    ``eigh`` takes its place under the same rotation and check; an
-    InternalCheckError if that does not verify either.
+    ``eigh`` takes its place under the same rotation and check.  If that
+    does not verify either: a CertificationError when lam_min lies within
+    the eigen-solver's rounding below the cutoff (no witness can be
+    verified there), an InternalCheckError otherwise.
     """
     n = S.shape[0]
     shifted = S.copy()
@@ -302,6 +305,11 @@ def _witness(S: np.ndarray, lam_min: float, scale: float, cutoff: float) -> np.n
     x = None if x is None else _verified(x, S, cutoff)
     if x is None:
         x = _verified(np.linalg.eigh(S)[1][:, 0], S, cutoff)
+    if x is None and lam_min >= cutoff - eigensolve_rounding(n, scale):
+        raise CertificationError(
+            f"lambda_min {lam_min} of the order-{n} section lies within the eigen-solver's rounding "
+            f"of the cutoff {cutoff}: no witness verifies, so no verdict is certified at this tol"
+        )
     if x is None:
         raise InternalCheckError(f"internal: no eigenvector of the order-{n} section verifies below {cutoff}")
     return x
@@ -510,7 +518,9 @@ def psd_check(matrix: CoefficientMatrix, max_order: int, tol: float = 1e-9) -> P
     a large trace), those rungs are eigen-solves too.  On every path, once
     a rung has failed no rung above 256 is solved: from the failing rung on,
     each reports the witness's Rayleigh quotient, which bounds its
-    lambda_min from above.
+    lambda_min from above.  A CertificationError when a failing rung's
+    lambda_min lies within the eigen-solver's rounding below its cutoff and
+    no witness verifies (``_witness``).
     """
     if max_order < 1:
         raise SpecError("max_order must be >= 1")

@@ -210,6 +210,9 @@ UNIT_ROUNDOFF = 2.0**-53
 #: Euler-Maclaurin for ``zeta_enclosure``: head terms n < ZETA_N, ZETA_M corrections
 ZETA_N, ZETA_M = 10, 8
 
+#: most terms a mixed geometric * power ratio sum may take before its ratio test holds
+MIXED_TERMS_MAX = 2**20
+
 #: B_{2k} / (2k)! for k = 1 .. ZETA_M + 1, each a correctly rounded quotient
 _EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000,
               1 / 74724249600, -3617 / 10670622842880000, 43867 / 5109094217170944000)
@@ -368,10 +371,16 @@ def weighted_ratio_sum(num: SequenceRule, den: SequenceRule, extra: float = 0.0)
     # ratio-test remainder.  For l > L the term ratio q ((l+1)/l)**gamma is
     # at most rho = q ((L+1)/L)**max(gamma, 0), raised here by its own
     # rounding (q: 4u, (L+1)/L and its power: (1 + |gamma|)u + 2u, products)
-    # and by gamma's (dgamma), so it bounds the exact ratio too.
+    # and by gamma's (dgamma), so it bounds the exact ratio too.  For q
+    # within that rounding of 1, or gamma / (1 - q) beyond MIXED_TERMS_MAX,
+    # the sum is refused rather than summed to an unbounded L.
     L, rho = 32, 1.0
     while rho >= 1.0:
         L *= 2
+        if L > MIXED_TERMS_MAX:
+            raise CertificationError(
+                f"geometric ratio too close to 1: the ratio test needs more than {MIXED_TERMS_MAX} terms"
+            )
         rho = q * ((L + 1) / L) ** max(gamma, 0.0) * (1.0 + (12.0 + abs(gamma)) * UNIT_ROUNDOFF + dgamma / L)
     ls = np.arange(1.0, L + 2.0)
     terms = q**ls * ls**gamma  # l = 1 .. L + 1

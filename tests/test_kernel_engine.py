@@ -426,6 +426,28 @@ class TestPsdLadder:
         with pytest.raises(InternalCheckError):
             psd_check(DenseMatrix(A), 64)
 
+    def test_borderline_rung_without_witness_is_certification_error(self, monkeypatch):
+        from dskernel import CertificationError, InternalCheckError
+
+        # lambda_min planted a few ulps below the cutoff -tol (1 + 1); a
+        # Rayleigh quotient rounded up by 4 eps, well inside the eigen-solver's
+        # rounding, then verifies for no vector: no verdict can be certified
+        tol = 1e-9
+        cutoff = tol * 2.0
+        real = dskernel.kernel._rayleigh
+        monkeypatch.setattr(dskernel.kernel, "_rayleigh", lambda x, S: real(x, S) + 4 * np.finfo(float).eps)
+        planted = np.diag([1.0, 1.0, 1.0, -cutoff * (1 + 8 * np.finfo(float).eps)])
+        with pytest.raises(CertificationError, match="within the eigen-solver's rounding"):
+            psd_check(DenseMatrix(planted), 4, tol=tol)
+        # far below the cutoff the same rounding leaves the witness verified
+        planted[3, 3] = -0.5
+        cert = psd_check(DenseMatrix(planted), 4, tol=tol)
+        assert cert.verdict == "not_psd" and cert.witness_order == 4
+        # and below the rounding band a vector that does not verify is a bug
+        monkeypatch.setattr(dskernel.kernel, "_rayleigh", lambda x, S: 0.0)
+        with pytest.raises(InternalCheckError):
+            psd_check(DenseMatrix(planted), 4, tol=tol)
+
     def test_rising_minimum_is_internal_error(self, monkeypatch):
         from dskernel import InternalCheckError
 

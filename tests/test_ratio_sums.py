@@ -157,6 +157,22 @@ class TestMixedSums:
                 assert_encloses(s.total, s.remainder_bound, true_sum(num, den))
 
 
+    def test_ratio_within_rounding_of_one_is_refused(self):
+        # q = 1 - 2**-52 over l**-2: the rounding-raised ratio never drops below 1
+        with pytest.raises(CertificationError, match="too close to 1"):
+            weighted_ratio_sum(geometric(1.0, 0.9999999999999999), power(1.0, 2.0))
+        # q = 1 - 2**-40 over l**2: the ratio test needs about 2**41 terms
+        with pytest.raises(CertificationError, match="too close to 1"):
+            weighted_ratio_sum(geometric(1.0, 1.0 - 2.0**-41), power(1.0, -2.0))
+
+    def test_ratio_near_one_over_a_power_tail_is_enclosed(self):
+        num, den = geometric(1.0, 1.0 - 2.0**-41), power(1.0, 2.0)  # q = 1 - 2**-40
+        s = weighted_ratio_sum(num, den)
+        assert math.isfinite(s.remainder_bound) and s.partial_terms == 64
+        with mpmath.workdps(40):
+            assert_encloses(s.total, s.remainder_bound, true_sum(num, den))
+
+
 class TestPricedMargin:
     def test_margin_subtracts_the_eigensolve_allowance_and_the_upper_sum(self):
         head = np.array([[2.0, 0.5], [0.5, 1.0]])
