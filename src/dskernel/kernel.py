@@ -36,7 +36,7 @@ from .errors import (
 )
 from .matrices import CoefficientMatrix
 from .rules import UNIT_ROUNDOFF
-from .series import HalfPlane, ValueWithBound, gamma, log_table, rounding_radius
+from .series import HalfPlane, ValueWithBound, gamma, log_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,14 +90,10 @@ def kernel_eval(kernel: DirichletKernel, s: complex, u: complex, order: int) -> 
     if order < 1:
         raise SpecError("order must be >= 1")
     N = order if kernel.matrix.order is None else min(order, kernel.matrix.order)
-    value, mass, nnz = kernel.matrix.partial_sum(s, u, N)
+    value, rounding = kernel.matrix.partial_sum(s, u, N)
     radius = kernel.matrix.tail_radius(s.real, u.real, order)
-    # price the floating-point rounding of the partial sum itself: every
-    # variant sums along chains of at most 2N + 8 roundings, the two products
-    # of a dense section being the longest.  Even a lone term is a table
-    # power, a few ulps off; only an all-zero sum is exact.
-    if math.isfinite(radius) and nnz:
-        radius += rounding_radius(mass, abs(s) + abs(u), math.log(N), 2 * N + 8)
+    if math.isfinite(radius):
+        radius += rounding
     return ValueWithBound(value, radius)
 
 
@@ -194,10 +190,9 @@ def eigensolve_rounding(order: int, scale: float) -> float:
 
 
 def support_pattern(matrix: CoefficientMatrix, order: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """1-based index arrays (m, n) of the entries with |a_{m,n}| > tol, from one truncation (``check_tol`` first)."""
+    """1-based index arrays (m, n) of the entries with |a_{m,n}| > tol, row by row (``check_tol`` first)."""
     check_tol(tol)
-    m, n = np.nonzero(np.abs(matrix.truncation(order)) > tol)
-    return m + 1, n + 1
+    return matrix.support_pattern(order, tol)
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,11 @@ variant to sum a section of the matrix:
 - ``column_prefix(n, N)`` / ``row_prefix(m, N)``: a_{1..N,n} and a_{m,1..N}
   (analytic symbols, exact row/column tails, deflation).
 - ``partial_sum(s, u, N)``, ``tail_radius(sigma_s, sigma_u, N)`` and
-  ``sigma_floors()``: the section paired with m**(-s) and n**(-conj(u)),
-  the certified bound beyond it and where that bound holds
-  (``kernel.kernel_eval`` and ``DirichletKernel``).
+  ``sigma_floors()``: the section paired with m**(-s) and n**(-conj(u))
+  with a bound on its rounding, the certified bound beyond it and where
+  that bound holds (``kernel.kernel_eval`` and ``DirichletKernel``).
+- ``support_pattern(N, tol)``: the 1-based (m, n) with |a_{m,n}| > tol in
+  the section, row by row (``kernel.support_pattern``).
 - ``abs_row_tail`` / ``abs_col_tail`` / ``abs_corner_tail``: absolute tail
   sums (``kernel.tail_bound``).
 
@@ -32,9 +34,13 @@ read-only log table (2**16 entries; longer tables are computed per call), a
 real ``exp`` when the exponent is real, so a real point pays no complex
 power and the diagonal reuses one table for its value and its mass.  Rule
 prefixes are read-only views of a memo (``SequenceRule.prefix``); a variant
-that edits one (tail overrides) copies it first.  ``partial_sum`` reports
-the absolute mass that ``series.rounding_radius`` turns into the rounding
-part of the kernel radius.
+that edits one (tail overrides) copies it first.  A direct ``partial_sum``
+prices its rounding from the absolute mass of its terms
+(``section_rounding``).  A diagonal with an unmasked constant or power rule,
+and the coupling strips and tail of an arrowhead whose coupling and tail
+rules are constant, are Hurwitz-type sums sum_{n=a}^{N} n**-z:
+``rules.partial_zeta`` encloses them in O(|z|) work, so their sections are
+never built.
 """
 
 from __future__ import annotations
@@ -46,8 +52,24 @@ from typing import Optional
 import numpy as np
 
 from .errors import SpecError
-from .rules import CACHE_LIMIT, SequenceRule, power_tail_bound
-from .series import Envelope, power_sum, powers
+from .rules import CACHE_LIMIT, UNIT_ROUNDOFF, SequenceRule, exponent_sum, partial_zeta, power_tail_bound
+from .series import Envelope, ValueWithBound, power_sum, powers, rounding_radius
+
+
+def section_rounding(mass: float, s: complex, u: complex, N: int, nnz: int) -> float:
+    """Rounding bound of a direct section sum of absolute mass ``mass`` with nnz nonzero terms.
+
+    Every variant sums along chains of at most 2N + 8 roundings, the two
+    products of a dense section being the longest.  Even a lone term is a
+    table power, a few ulps off; only an all-zero sum is exact.
+    """
+    return rounding_radius(mass, abs(s) + abs(u), math.log(N), 2 * N + 8) if nnz else 0.0
+
+
+def _power_sum_upper(beta: float, N: int) -> float:
+    """An upper bound on sum_{n<=N} n**-beta (``partial_zeta``: O(beta) work for beta > 1)."""
+    value, radius = partial_zeta(beta, 0.0, 1, N)
+    return value.real + radius
 
 
 class CoefficientMatrix:
@@ -79,17 +101,20 @@ class CoefficientMatrix:
 
     # -- kernel summation protocol ------------------------------------------
 
-    def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float, int]:
-        """Section sum over m, n <= N, its absolute mass (which prices the
-        rounding) and its count of nonzero terms (only an all-zero sum is
-        exact)."""
+    def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float]:
+        """Section sum over m, n <= N and a bound on its rounding error."""
         T = self.truncation(N)
         ps, pu = powers(s, N), powers(np.conj(u), N)
         # complex on both sides: a real vector would send the product down
         # numpy's slow mixed-type path
         value = complex(ps.astype(complex) @ T @ pu.astype(complex))
         mass = float(np.abs(ps) @ np.abs(T) @ np.abs(pu))
-        return value, mass, int(np.count_nonzero(T))
+        return value, section_rounding(mass, s, u, N, int(np.count_nonzero(T)))
+
+    def support_pattern(self, N: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """1-based (m, n) of the entries of the N-section with |a_{m,n}| > tol, in row-major order."""
+        m, n = np.nonzero(np.abs(self.truncation(N)) > tol)
+        return m + 1, n + 1
 
     def tail_radius(self, sigma_s: float, sigma_u: float, N: int) -> float:
         """Bound on |kernel - N-section| at real parts (sigma_s, sigma_u): the
@@ -99,8 +124,7 @@ class CoefficientMatrix:
         env = self.envelope
         if env is None:
             return math.inf
-        fin_s = float(np.sum(powers(sigma_s - env.alpha, N)))
-        fin_u = float(np.sum(powers(sigma_u - env.alpha, N)))
+        fin_s, fin_u = (_power_sum_upper(sigma - env.alpha, N) for sigma in (sigma_s, sigma_u))
         inf_s = power_tail_bound(N, sigma_s - env.alpha)
         inf_u = power_tail_bound(N, sigma_u - env.alpha)
         return env.C * (inf_s * fin_u + fin_s * inf_u + inf_s * inf_u)
@@ -286,14 +310,24 @@ class DiagonalMatrix(CoefficientMatrix):
     def row_prefix(self, m: int, N: int) -> np.ndarray:
         return self.column_prefix(m, N)
 
-    def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float, int]:
+    def support_pattern(self, N: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+        i = np.nonzero(np.abs(self.diagonal_prefix(N)) > tol)[0] + 1
+        return i, i.copy()
+
+    def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float]:
         """One series in z = s + conj(u): one power per term, which also
-        weighs the mass when z is real."""
+        weighs the mass when z is real.  An unmasked rule c n**p sums as
+        c sum_n n**-(z - p) by ``partial_zeta``."""
+        law = self.rule.power_law() if self.support is None else None
+        if law is not None:
+            c, p = law
+            total, radius = partial_zeta(*exponent_sum(s, np.conj(u), -p), 1, N)
+            return c * total, abs(c) * (radius + 3.0 * UNIT_ROUNDOFF * (abs(total) + radius))
         d, ad, nnz = self._weights(N)
         z = s + np.conj(u)
         p = powers(z, N)
         mass = float(ad @ (p if z.imag == 0.0 else powers(z.real, N)))
-        return power_sum(d, p), mass, nnz
+        return power_sum(d, p), section_rounding(mass, s, u, N, nnz)
 
     def tail_radius(self, sigma_s: float, sigma_u: float, N: int) -> float:
         """Row and column pieces are empty: the sharper single-series bound."""
@@ -351,14 +385,14 @@ class RankOneMatrix(CoefficientMatrix):
     def row_prefix(self, m: int, N: int) -> np.ndarray:
         return self._factor(m) * np.conj(self.factor_prefix(N))
 
-    def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float, int]:
+    def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float]:
         """The double sum factors into two single sums."""
         f = self.factor_prefix(N)
         left = power_sum(f, powers(s, N))
         right = power_sum(f, powers(u, N))
         af = np.abs(f)
         mass = float((af @ powers(s.real, N)) * (af @ powers(u.real, N)))
-        return complex(left * np.conj(right)), mass, int(np.count_nonzero(f)) ** 2
+        return complex(left * np.conj(right)), section_rounding(mass, s, u, N, int(np.count_nonzero(f)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -492,9 +526,52 @@ class ArrowheadMatrix(CoefficientMatrix):
             out[: self.k] = self.head[m - 1, :N]
         return out
 
-    def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float, int]:
+    def support_pattern(self, N: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """The head rows (head block, then the coupling columns), then the
+        tail rows (the k coupling columns, then the diagonal), in O(N k)."""
+        k, kk = self.k, min(self.k, N)
+        c = np.abs(self.coupling_prefix(N)) > tol
+        head = np.concatenate([np.abs(self.head[:kk, :kk]) > tol, np.broadcast_to(c, (kk, c.size))], axis=1)
+        m, n = np.nonzero(head)
+        rows = np.concatenate([np.repeat(c[:, None], k, axis=1), (np.abs(self.tail_prefix(N)) > tol)[:, None]], axis=1)
+        i, j = np.nonzero(rows)
+        mt = i + k + 1
+        return np.concatenate([m + 1, mt]), np.concatenate([n + 1, np.where(j < k, j + 1, mt)])
+
+    def _constant_partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float]:
+        """partial_sum for constant coupling c and tail d without overrides, N > k.
+
+        The strips and the tail are c P(s) H(conj u), conj(c) H(s) P(conj u)
+        and d H(s + conj u), with P the head sums over n <= k and H(z) =
+        sum_{k<n<=N} n**-z from ``partial_zeta``: no power beyond k is
+        formed.  The radii of the head block, the P and the H propagate,
+        plus 12u of each piece for the products and sums that join them.
+        """
+        k = self.k
+        ps, pu = powers(s, k), powers(np.conj(u), k)
+        rs, ru = np.abs(ps), np.abs(pu)
+        head_rounding = section_rounding(float(rs @ np.abs(self.head) @ ru), s, u, k, np.count_nonzero(self.head))
+        P_s = ValueWithBound(complex(ps.sum()), rounding_radius(float(rs.sum()), abs(s), math.log(k), k))
+        P_u = ValueWithBound(complex(pu.sum()), rounding_radius(float(ru.sum()), abs(u), math.log(k), k))
+        c = complex(self.coupling.scale)
+
+        def H(*parts) -> ValueWithBound:
+            return ValueWithBound(*partial_zeta(*exponent_sum(*parts), k + 1, N))
+
+        pieces = [
+            ValueWithBound(complex(ps @ self.head @ pu), head_rounding),
+            P_s * ValueWithBound(c, 0.0) * H(np.conj(u)),
+            ValueWithBound(c.conjugate(), 0.0) * H(s) * P_u,
+            ValueWithBound(complex(self.tail.scale).real, 0.0) * H(s, np.conj(u)),
+        ]
+        total = sum(pieces[1:], pieces[0])
+        return total.value, total.error_radius + 12.0 * UNIT_ROUNDOFF * sum(abs(p.value) for p in pieces)
+
+    def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float]:
         """Head block plus the two rank-one coupling strips and the tail diagonal."""
         k, kk = self.k, min(self.k, N)
+        if N > k and self.coupling.kind == self.tail.kind == "constant" and not self.tail_overrides:
+            return self._constant_partial_sum(s, u, N)
         ps, pu = powers(s, N), powers(np.conj(u), N)
         rs, ru = np.abs(ps), np.abs(pu)
         head = self.head[:kk, :kk]
@@ -511,7 +588,7 @@ class ArrowheadMatrix(CoefficientMatrix):
             mass += float(np.sum(rs[:kk]) * (ac @ ru[k:]) + (ac @ rs[k:]) * np.sum(ru[:kk]))
             mass += float(np.abs(d) @ (rs[k:] * ru[k:]))
             nnz += 2 * kk * int(np.count_nonzero(c)) + int(np.count_nonzero(d))
-        return total, mass, nnz
+        return total, section_rounding(mass, s, u, N, nnz)
 
 
 @dataclass(frozen=True, eq=False)
@@ -559,12 +636,14 @@ class DeflatedMatrix(CoefficientMatrix):
         p = self.parent
         return p.row_prefix(m, N) - p.row_prefix(1, N) * (p.entry(m, 1) / self._a11)
 
-    def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float, int]:
-        """The parent's sum minus the product of its first column and row sums."""
+    def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float]:
+        """The parent's sum minus the product of its first column and row
+        sums; their roundings add, and the subtraction's."""
         p = self.parent
         col, row = p.column_prefix(1, N), p.row_prefix(1, N)
-        base, base_mass, base_nnz = p.partial_sum(s, u, N)
+        base, base_rounding = p.partial_sum(s, u, N)
         col_mass = float(np.abs(col) @ powers(s.real, N))
         row_mass = float(np.abs(row) @ powers(u.real, N))
         value = complex(base - power_sum(col, powers(s, N)) * power_sum(row, powers(np.conj(u), N)) / self._a11)
-        return value, base_mass + col_mass * row_mass / abs(self._a11), max(base_nnz, 2)
+        rounding = section_rounding(col_mass * row_mass / abs(self._a11), s, u, N, 1)
+        return value, base_rounding + rounding + 2.0 * UNIT_ROUNDOFF * abs(value)

@@ -123,6 +123,14 @@ class SequenceRule:
         s = complex(self.scale)
         return s.imag == 0 and s.real > 0
 
+    def power_law(self) -> Optional[tuple[complex, float]]:
+        """(c, p) with value(l) = c * l**p for every l, for constant and power rules; None otherwise."""
+        if self.kind == "constant":
+            return complex(self.scale), 0.0
+        if self.kind == "power":
+            return complex(self.scale), self.exponent
+        return None
+
     def poly_bound(self) -> Optional[tuple[float, float]]:
         """(C, p) with |value(l)| <= C * l**p for all l >= 1, or None."""
         if self.kind == "constant":
@@ -207,37 +215,69 @@ def rule_from_spec(spec: dict) -> SequenceRule:
 #: unit roundoff of IEEE double precision
 UNIT_ROUNDOFF = 2.0**-53
 
-#: Euler-Maclaurin for ``zeta_enclosure``: head terms n < ZETA_N, ZETA_M corrections
-ZETA_N, ZETA_M = 10, 8
+#: Euler-Maclaurin: head terms n < ZETA_N for ``zeta_enclosure``, EM_M corrections everywhere
+ZETA_N, EM_M = 10, 8
 
 #: most terms a mixed geometric * power ratio sum may take before its ratio test holds
 MIXED_TERMS_MAX = 2**20
 
-#: B_{2k} / (2k)! for k = 1 .. ZETA_M + 1, each a correctly rounded quotient
+#: B_{2j} / (2j)! for j = 1 .. EM_M, each a correctly rounded quotient
 _EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000,
-              1 / 74724249600, -3617 / 10670622842880000, 43867 / 5109094217170944000)
+              1 / 74724249600, -3617 / 10670622842880000)
+
+
+def _em_corrections(z, x: float, power) -> list:
+    """B_{2j}/(2j)! z(z+1)...(z+2j-2) x**(-z-2j+1) for j = 1 .. EM_M, given power = x**-z.
+
+    The Euler-Maclaurin corrections at the endpoint x of a sum of n**-z; z
+    is a float or a complex, and the arithmetic follows it.
+    """
+    out = []
+    fac = power / x * z
+    for j, coeff in enumerate(_EM_COEFFS):
+        out.append(coeff * fac)
+        # left to right, so a zero fac never meets an overflowed product
+        fac = fac * ((z + 2 * j + 1) / x) * ((z + 2 * j + 2) / x)
+    return out
+
+
+def _em_remainder(z, x: float) -> float:
+    """Bound on the remainder of sum_{n>=x} n**-z after the EM_M corrections, Re z > 1.
+
+    With B~ the periodic Bernoulli function, |B~_{2M}(t)| <= |B_{2M}|, so
+    the remainder -int_x^oo B~_{2M}(t)/(2M)! (z)_{2M} t**(-z-2M) dt is at
+    most |B_{2M}|/(2M)! |(z)_{2M}| x**(1-sigma-2M)/(sigma+2M-1) (Johansson,
+    Numer. Algorithms 69, 2015, Theorem 1).  The same integral from x to a
+    finite end is smaller, so the bound also covers a finite sum from x.
+    It is doubled to cover its own rounding.
+    """
+    sigma = z.real
+    bound = abs(_EM_COEFFS[-1]) * x ** (1.0 - sigma) / (sigma + 2 * EM_M - 1)
+    for j in range(2 * EM_M):
+        bound *= abs(z + j) / x  # from x**(1-sigma) on, so a zero bound never meets an overflowed product
+    return 2.0 * bound
 
 
 def zeta_enclosure(beta: float) -> tuple[float, float]:
     """(value, radius) with |zeta(beta) - value| <= radius, for real beta > 1.
 
-    Euler-Maclaurin summation with N = ZETA_N and M = ZETA_M (Edwards,
+    Euler-Maclaurin summation with N = ZETA_N and M = EM_M (Edwards,
     Riemann's Zeta Function, 1974, sec. 6.4; Johansson, Numer. Algorithms
     69, 2015):
 
         zeta(s) = sum_{n<N} n**-s + N**(1-s)/(s-1) + N**-s/2
                   + sum_{k=1..M} B_{2k}/(2k)! s(s+1)...(s+2k-2) N**(-s-2k+1) + R,
 
-    where, for real s, |R| is below the first omitted term (k = M + 1).
-    That term is under 5e-18 zeta(s) for every s > 1, so the radius is
-    mostly the rounding allowance, with u = UNIT_ROUNDOFF: each term is a
-    ``pow`` (2u), at most 2M - 1 factors (s + j)/N (3u each) and a rounded
-    coefficient (2u), so (6M + 1)u of its size covers it; ``math.fsum``
-    adds one rounding of the value, so (6M + 2)u of the sum of |terms|
-    covers all of it (the head terms, which dominate that sum, carry 2u
-    only).  Terms that underflow, from beta near 300 on, err by less than
-    1e-290, far inside that allowance, which is at least 50u since the
-    first term is 1.  The term count does not depend on beta.
+    with |R| bounded by ``_em_remainder``, under 1e-15 for every s > 1,
+    so the radius is mostly the rounding allowance, with u =
+    UNIT_ROUNDOFF: each term is a ``pow`` (2u), at most 2M - 1 factors
+    (s + j)/N (3u each) and a rounded coefficient (2u), so (6M + 1)u of its
+    size covers it; ``math.fsum`` adds one rounding of the value, so
+    (6M + 2)u of the sum of |terms| covers all of it (the head terms, which
+    dominate that sum, carry 2u only).  Terms that underflow, from beta
+    near 300 on, err by less than 1e-290, far inside that allowance, which
+    is at least 50u since the first term is 1.  The term count does not
+    depend on beta.
     """
     s = float(beta)
     if not s > 1.0:
@@ -245,15 +285,87 @@ def zeta_enclosure(beta: float) -> tuple[float, float]:
     if math.isinf(s):
         return 1.0, 0.0
     t = ZETA_N**-s
-    terms = [n**-s for n in range(1, ZETA_N)] + [ZETA_N * t / (s - 1.0), t / 2.0]
-    fac = t / ZETA_N * s  # s(s+1)...(s+2k) N**(-s-2k-1) at k = 0
-    for k, coeff in enumerate(_EM_COEFFS[:-1]):
-        terms.append(coeff * fac)
-        # left to right, so a zero fac never meets an overflowed product
-        fac = fac * ((s + 2 * k + 1) / ZETA_N) * ((s + 2 * k + 2) / ZETA_N)
+    terms = [n**-s for n in range(1, ZETA_N)] + [ZETA_N * t / (s - 1.0), t / 2.0] + _em_corrections(s, ZETA_N, t)
     value = math.fsum(terms)
-    truncation = 2.0 * abs(_EM_COEFFS[-1]) * fac  # twice the first omitted term, for its own rounding
-    return value, truncation + (6 * ZETA_M + 2) * UNIT_ROUNDOFF * math.fsum(map(abs, terms))
+    return value, _em_remainder(s, ZETA_N) + (6 * EM_M + 2) * UNIT_ROUNDOFF * math.fsum(map(abs, terms))
+
+
+def exponent_sum(*parts) -> tuple[complex, float]:
+    """(z, dz): the sum z of complex parts, correctly rounded per component, and a bound dz on |z - exact sum|.
+
+    ``math.fsum`` rounds the exact sum once, so a second fsum with -z added
+    gives that rounding itself, correctly rounded; dz is 0 when z is exact.
+    """
+    re, im = [complex(p).real for p in parts], [complex(p).imag for p in parts]
+    z = complex(math.fsum(re), math.fsum(im))
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        return z, math.inf
+    dz = abs(math.fsum([*re, -z.real])) + abs(math.fsum([*im, -z.imag]))
+    return z, math.nextafter(dz, math.inf) if dz else 0.0
+
+
+def partial_zeta(z: complex, dz: float, a: int, N: int) -> tuple[complex, float]:
+    """(value, radius) with |sum_{n=a}^{N} n**-w - value| <= radius for every |w - z| <= dz.
+
+    For Re z > 1 and N > K = 2 ceil(|z|) + 2 EM_M, the terms n < K are
+    summed directly and the rest by Euler-Maclaurin with EM_M corrections
+    at both ends:
+
+        sum_{n=b}^{N} n**-z = b**(1-z) (1 - (N/b)**(1-z)) / (z-1)
+                              + (b**-z + N**-z)/2 + (corrections at b) - (corrections at N) + R,
+
+    b = max(a, K), |R| <= ``_em_remainder(z, b)``.  The integral is
+    formed from expm1, so it keeps its accuracy as z approaches 1.  As
+    b >= 2(|z| + EM_M), the 2 EM_M factors |z + j|/b of the remainder
+    multiply to at most 2**(-2 EM_M) (their mean is below 1/2), so R is
+    below 1e-18 b**(1-sigma) whatever |z|.  Otherwise (N <= K, or
+    Re z <= 1) the whole sum is direct, so the work is O(min(N, |z|)).
+
+    The radius prices the rounding as ``series.rounding_radius`` does: the
+    direct terms as table powers; every Euler-Maclaurin term as a power of
+    relative error u (16 + 4 |z| log N) plus (10 EM_M + 10)u for its
+    products; expm1's own error and its argument's (8u |v|, v = (z-1)
+    log(N/b)); the two fsums and the final addition; and underflow.  dz,
+    the error of z itself, moves the sum by at most dz sum log n n**-(sigma-dz),
+    which the mass of the terms bounds.
+    """
+    from .series import SUBNORMAL_MIN, powers, rounding_radius  # series imports this module
+
+    z = complex(z)
+    sigma, u = z.real, UNIT_ROUNDOFF
+    K = 2.0 * math.ceil(abs(z)) + 2 * EM_M if math.isfinite(abs(z)) else math.inf
+    em = sigma > 1.0 and N > max(a, K)
+    b = max(a, int(K)) if em else N + 1
+    # the direct terms a <= n < b
+    p = powers(z, b - 1)[a - 1 :]
+    value = complex(p.sum())
+    mass = float((p if z.imag == 0.0 else powers(sigma, b - 1)[a - 1 :]).sum())
+    radius = rounding_radius(mass, abs(z), math.log(b - 1), p.size) if p.size else 0.0
+    log_n = math.log(max(N, 1))
+    if em:
+        L = math.log1p((N - b) / b)  # log(N/b)
+        w = z - 1.0
+        v = w * L
+        # 1 - e**-v = -expm1(-v), with expm1(x + iy) = expm1(x) cos y - 2 sin(y/2)**2 + i e**x sin y
+        A, B = math.expm1(-v.real) * math.cos(v.imag), 2.0 * math.sin(v.imag / 2.0) ** 2
+        C = math.exp(-v.real) * math.sin(v.imag)
+        d = 8.0 * u * abs(v)
+        expm1_error = 6.0 * u * (abs(A) + B + abs(C)) + min(2.0, d * math.exp(min(d, 1.0)))
+        Pb, PN = cmath.exp(-z * math.log(b)), cmath.exp(-z * log_n)
+        scale = b * Pb / w
+        terms = [scale * complex(B - A, C), Pb / 2.0, PN / 2.0, *_em_corrections(z, b, Pb),
+                 *(-t for t in _em_corrections(z, N, PN))]
+        tail = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+        per_term = u * (16.0 + 4.0 * abs(z) * log_n + 10 * EM_M + 10)
+        radius += (per_term * math.fsum(map(abs, terms)) + abs(scale) * expm1_error + _em_remainder(z, b)
+                   + 2.0 * u * (abs(tail) + abs(value + tail))
+                   + (4 * EM_M + 16) * b * SUBNORMAL_MIN)
+        value += tail
+        # sum_{n=b}^{N} n**-sigma <= b**-sigma + int_b^N t**-sigma dt
+        mass += b**-sigma + b ** (1.0 - sigma) * -math.expm1(-(sigma - 1.0) * L) / (sigma - 1.0)
+    if dz:
+        radius += dz * log_n * mass * math.exp(min(dz * log_n, 700.0))
+    return value, radius
 
 
 @dataclass(frozen=True)

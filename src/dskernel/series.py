@@ -22,6 +22,16 @@ gamma_k = k u / (1 - k u) times their absolute sum per real component
 (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sections 3.1
 and 4.2).  ``rounding_radius`` is that bound; general exponents use their
 largest exponent lambda_N in place of log N and one more rounding.
+
+Rule sums.  A series with log-type exponents omega log n and a constant or
+power coefficient rule c n**p sums, beyond its stored prefix, as
+c sum_{n<=N} n**-z with z = omega s - p, and ``rules.partial_zeta``
+encloses that sum without a table of length N: for Re z > 1 and
+N > K = 2 ceil(|z|) + 16 it sums n < K from the table and the rest by
+Euler-Maclaurin with 8 corrections and a rigorous remainder, so the work
+grows with |z|, not with N; at N <= K it is the direct sum.  The value is
+still the order-N partial sum and the radius the same tail bound plus the
+rounding of the computation as done, including the rounding of z itself.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CollisionError, ConvergenceRegionError, SpecError
-from .rules import CACHE_LIMIT, UNIT_ROUNDOFF, SequenceRule, power_tail_bound
+from .rules import CACHE_LIMIT, UNIT_ROUNDOFF, SequenceRule, exponent_sum, partial_zeta, power_tail_bound
 
 #: relative tolerance below which two merged exponents count as colliding
 COLLISION_RTOL = 1e-12
@@ -64,11 +74,16 @@ def log_table(N: int) -> np.ndarray:
     return _log_cache[:N]
 
 
+def exp_table(lam: np.ndarray, z: complex) -> np.ndarray:
+    """exp(-z lam) for a real array lam; a real array when Im z = 0."""
+    z = complex(z)
+    out = lam * (-z.real if z.imag == 0.0 else -z)
+    return np.exp(out, out=out)
+
+
 def powers(z: complex, N: int) -> np.ndarray:
     """n**(-z) for n = 1..N as exp(-z log n); a real array when Im z = 0."""
-    z = complex(z)
-    out = log_table(N) * (-z.real if z.imag == 0.0 else -z)
-    return np.exp(out, out=out)
+    return exp_table(log_table(N), z)
 
 
 def power_sum(c: np.ndarray, p: np.ndarray) -> complex:
@@ -318,7 +333,10 @@ def evaluate(series: GeneralDirichletSeries, s: complex, order: int) -> ValueWit
     closed form: an integral comparison for log-type exponents and a
     geometric ratio bound for linear ones.  Without an envelope the radius
     is infinite (value-only mode).  Points at or below the certified
-    abscissa are refused.
+    abscissa are refused.  Beyond the stored prefix, log-type exponents
+    omega log n with a constant or power coefficient rule c n**p sum as
+    c sum_n n**-(omega s - p) by ``rules.partial_zeta``; other series sum
+    their terms directly.
     """
     s = complex(s)
     sigma = s.real
@@ -327,12 +345,25 @@ def evaluate(series: GeneralDirichletSeries, s: complex, order: int) -> ValueWit
         raise ConvergenceRegionError(
             f"not in certified convergence region: Re(s)={sigma} <= {threshold}"
         )
-    lam, coef = series.terms(order)
-    value = complex(np.sum(coef * np.exp(-lam * s))) if lam.size else 0.0 + 0.0j
-    # absolute mass prices the rounding of the partial sum itself; even a
-    # lone term is a computed exponential, so only an all-zero sum is exact
-    mass = float(np.sum(np.abs(coef) * np.exp(-lam * sigma))) if lam.size else 0.0
-    rounding = rounding_radius(mass, abs(s), float(lam[-1]), lam.size) if np.any(coef) else 0.0
+    law = series.coefficient_rule.power_law() if series.coefficient_rule is not None else None
+    rule = series.exponent_rule
+    if law is not None and rule is not None and rule.kind == "log" and not series.finite and order > len(series):
+        c, p = law
+        omega_s = rule.omega * s
+        z, dz = exponent_sum(omega_s, -p)
+        if rule.omega != 1.0:  # the product omega s is rounded once per component
+            dz += UNIT_ROUNDOFF * (abs(omega_s.real) + abs(omega_s.imag))
+        total, radius = partial_zeta(z, dz, 1, order)
+        value = c * total
+        rounding = abs(c) * (radius + 3.0 * UNIT_ROUNDOFF * (abs(total) + radius))
+    else:
+        lam, coef = series.terms(order)
+        p = exp_table(lam, s)
+        value = power_sum(coef, p)
+        # absolute mass prices the rounding of the partial sum itself; even a
+        # lone term is a computed exponential, so only an all-zero sum is exact
+        mass = float(np.abs(coef) @ (p if s.imag == 0.0 else exp_table(lam, sigma)))
+        rounding = rounding_radius(mass, abs(s), float(lam[-1]), lam.size) if np.any(coef) else 0.0
 
     if series.finite:
         if order >= len(series):
@@ -341,7 +372,7 @@ def evaluate(series: GeneralDirichletSeries, s: complex, order: int) -> ValueWit
         rest_coef = np.asarray(series.coefficients[order:], dtype=complex)
         tail = float(np.sum(np.abs(rest_coef) * np.exp(-rest_lam * sigma)))
         return ValueWithBound(value, tail + rounding)
-    radius = _tail_radius(series, sigma, max(lam.size, order))
+    radius = _tail_radius(series, sigma, order)
     if math.isfinite(radius):
         radius += rounding
     return ValueWithBound(value, radius)

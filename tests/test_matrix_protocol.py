@@ -1,5 +1,7 @@
 """Every matrix variant's vectorised protocol against entry()-loop references."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from dskernel import (
     SequenceRule,
     SpecError,
 )
+from dskernel.series import rounding_radius
 from dskernel.structured import _schur_min_eigs
 from conftest import random_psd_dense
 
@@ -82,21 +85,56 @@ def test_sections_and_prefixes_match_entry_loop(name, N):
         np.testing.assert_allclose(matrix.row_prefix(i, N), ref[i - 1, :], rtol=0, atol=tol)
 
 
+def summed_mass(matrix, N: int) -> float:
+    """Absolute mass of the terms partial_sum adds: a deflated matrix sums
+    its parent's section and the product of the parent's first column and row."""
+    n = np.arange(1, N + 1, dtype=float)
+    w = np.outer(n ** -S.real, n ** -U.real)
+    if not isinstance(matrix, DeflatedMatrix):
+        return float(np.sum(np.abs(entry_section(matrix, N)) * w))
+    P = np.abs(entry_section(matrix.parent, N))
+    return float(np.sum((P + np.outer(P[:, 0], P[0, :]) / P[0, 0]) * w))
+
+
 @pytest.mark.parametrize("N", [2, 24])
 @pytest.mark.parametrize("name", sorted(VARIANTS))
 def test_partial_sum_matches_entry_double_sum(name, N):
     matrix = VARIANTS[name](np.random.default_rng(12))
-    value, mass, nnz = matrix.partial_sum(S, U, N)
-    ref_value, ref_mass, ref_nnz = 0j, 0.0, 0
+    value, rounding = matrix.partial_sum(S, U, N)
+    ref_value, ref_mass = 0j, 0.0
     for m in range(1, N + 1):
         for n in range(1, N + 1):
             a = matrix.entry(m, n)
             ref_value += a * float(m) ** (-S) * float(n) ** (-U.conjugate())
             ref_mass += abs(a) * float(m) ** (-S.real) * float(n) ** (-U.real)
-            ref_nnz += a != 0
+    mass = summed_mass(matrix, N)
     assert abs(value - ref_value) <= 4 * N * EPS * mass
+    # the rounding is priced on at least the absolute mass of the terms summed
     assert mass >= ref_mass * (1 - 4 * N * EPS)
-    assert min(nnz, 2) >= min(ref_nnz, 2)  # rounding is priced whenever two terms are summed
+    assert rounding >= rounding_radius(mass, abs(S) + abs(U), math.log(N), 2 * N + 8) * (1 - 4 * N * EPS)
+
+
+PATTERN_VARIANTS = {
+    **VARIANTS,
+    "diagonal_power": lambda rng: DiagonalMatrix(SequenceRule("power", scale=0.5, exponent=-0.5)),
+    "diagonal_explicit": lambda rng: DiagonalMatrix(SequenceRule("explicit", values=(1.0, 0.0, 1e-3, 2.0))),
+    "arrowhead_power": lambda rng: ArrowheadMatrix(4, random_psd_dense(rng, 4),
+                                                   SequenceRule("power", scale=0.3, exponent=-0.8),
+                                                   SequenceRule("power", scale=1.0, exponent=0.5)),
+    "arrowhead_constant": lambda rng: ArrowheadMatrix(2, np.array([[1.0, 0.0], [0.0, 1e-3]]),
+                                                      SequenceRule("constant", scale=0.2),
+                                                      SequenceRule("constant", scale=1.0)),
+}
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 24, 200])
+@pytest.mark.parametrize("name", sorted(PATTERN_VARIANTS))
+def test_support_pattern_matches_the_truncation(name, N):
+    matrix = PATTERN_VARIANTS[name](np.random.default_rng(14))
+    for tol in (0.0, 1e-12, 0.01, 0.25, 1.0):
+        ref_m, ref_n = np.nonzero(np.abs(matrix.truncation(N)) > tol)
+        m, n = matrix.support_pattern(N, tol)
+        assert np.array_equal(m, ref_m + 1) and np.array_equal(n, ref_n + 1), (name, N, tol)
 
 
 def _schur_reference(m: ArrowheadMatrix, orders: list) -> list:

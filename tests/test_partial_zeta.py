@@ -1,0 +1,279 @@
+"""Euler-Maclaurin partial sums sum_{n=a}^{N} n**-z (``rules.partial_zeta``) and the three callers routed through them.
+
+Every disc is checked against a 40-digit mpmath oracle of the partial sum:
+a direct ``fsum`` for N <= 5000, and above that mpmath.zeta(z) minus the tail
+sum_{n>N} n**-z by an Euler-Maclaurin series written here with
+``mpmath.bernoulli``, run until its terms fall below 1e-50 of the tail.
+"""
+
+import json
+import math
+import pathlib
+
+import mpmath
+import numpy as np
+import pytest
+
+import dskernel.series as series_module
+from dskernel import (
+    AdmissibleSupport,
+    ArrowheadMatrix,
+    DiagonalMatrix,
+    DirichletKernel,
+    Envelope,
+    ExponentRule,
+    GeneralDirichletSeries,
+    HalfPlane,
+    SequenceRule,
+    evaluate,
+    kernel_eval,
+)
+from dskernel.rules import partial_zeta, power_tail_bound
+
+U = 2.0**-53
+DIRECT_MAX = 5000
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def em_tail(z, a: int):
+    """sum_{n>=a} n**-z by Euler-Maclaurin at the working precision."""
+    a = mpmath.mpf(a)
+    total = a ** (1 - z) / (z - 1) + a**-z / 2
+    fac = z * a ** (-z - 1)  # (z)_{2j-1} a**(-z-2j+1) at j = 1
+    for j in range(1, 400):
+        term = mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j) * fac
+        total += term
+        if abs(term) < mpmath.mpf(10) ** -50 * abs(total):
+            return total
+        fac *= (z + 2 * j - 1) * (z + 2 * j) / a**2
+    raise AssertionError(f"Euler-Maclaurin tail at z={z}, a={a} did not converge")
+
+
+_oracles: dict = {}
+
+
+def oracle(z, N: int):
+    """sum_{n=1}^{N} n**-z to 40 digits, for the exact binary value of a complex z or for an mpc z."""
+    key = (z, N)
+    if key not in _oracles:
+        with mpmath.workdps(40):
+            w = mpmath.mpc(z.real, z.imag)
+            if N <= DIRECT_MAX:
+                value = mpmath.fsum(mpmath.mpf(n) ** -w for n in range(1, N + 1))
+            else:
+                value = mpmath.zeta(w) - em_tail(w, N + 1)
+            _oracles[key] = value
+    return _oracles[key]
+
+
+def head(z: complex, k: int):
+    with mpmath.workdps(40):
+        return mpmath.fsum(mpmath.mpf(n) ** -mpmath.mpc(z.real, z.imag) for n in range(1, k + 1))
+
+
+def assert_in_disc(value: complex, radius: float, truth, what: str) -> None:
+    with mpmath.workdps(40):
+        miss = abs(mpmath.mpc(value.real, value.imag) - truth)
+        assert miss <= radius, f"{what}: |value - truth| = {mpmath.nstr(miss, 5)} > radius {radius!r}"
+
+
+def sweep_pairs() -> list:
+    """(z, N, c, p): Re z - 1 in (0, 3], |Im z| <= 1e4, N from 1 to 1e8, dyadic p.
+
+    Re z lies on a 2**-30 grid and p is dyadic, so the callers' inputs
+    below are exact floats: s + p, (Re z + p)/2 and 2z carry no rounding.
+    """
+    rng = np.random.default_rng(2024)
+    pairs = []
+    near_one = [1.0 + 2.0**-20, 1.000001, 1.0 + 2.0**-10, 1.01]
+    Ns = [1, 2, 3, 7, 19, 40, 100, 350, 700, 5001, 20000, 10**5, 10**6, 10**7, 10**8]
+    for sigma in near_one:
+        for N in (3, 40, 1000, 10**5, 10**8):
+            pairs.append((complex(sigma, 0.0), N, 1.0, 0.0))
+    while len(pairs) < 320:
+        i = len(pairs)
+        sigma = 1.0 + round(float(rng.uniform(0.0, 3.0)) * 2**30 + 1) / 2**30
+        t = 0.0 if i % 5 == 0 else float(10.0 ** rng.uniform(-1, 4)) * float(rng.choice([-1.0, 1.0]))
+        z = complex(sigma, t)
+        K = 2 * math.ceil(abs(z)) + 16
+        # half the orders straddle the switch to Euler-Maclaurin at N = K
+        N = int(rng.choice(Ns)) if i % 2 else int(K + rng.integers(-2, 3))
+        c = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)) if i % 3 else 1.0
+        p = float(rng.choice([0.0, 0.25, -0.5, 0.75, -0.125]))
+        pairs.append((z, max(N, 1), c, p))
+    return pairs
+
+
+PAIRS = sweep_pairs()
+
+
+def rule(c: complex, p: float) -> SequenceRule:
+    return SequenceRule("constant", scale=c) if p == 0.0 else SequenceRule("power", scale=c, exponent=p)
+
+
+class TestSweep:
+    def test_sweep_covers_the_stated_ranges(self):
+        assert len(PAIRS) >= 300
+        sigmas = [z.real for z, *_ in PAIRS]
+        assert min(sigmas) > 1.0 and max(sigmas) <= 4.0 and 1.000001 in sigmas
+        assert max(abs(z.imag) for z, *_ in PAIRS) <= 1e4
+        Ns = [N for _, N, *_ in PAIRS]
+        assert min(Ns) == 1 and max(Ns) == 10**8
+
+    @pytest.mark.parametrize("chunk", range(8))
+    def test_discs_contain_the_partial_sums(self, chunk):
+        for z, N, c, p in PAIRS[chunk::8]:
+            truth = oracle(z, N)
+            value, radius = partial_zeta(z, 0.0, 1, N)
+            assert_in_disc(value, radius, truth, f"partial_zeta({z}, {N})")
+
+            # evaluate: c sum n**p n**-s at s = z + p
+            s = complex(z.real + p, z.imag)
+            series = GeneralDirichletSeries.ordinary(
+                [c * n**p for n in range(1, 5)], envelope=Envelope(abs(c), p), coefficient_rule=rule(c, p))
+            vb = evaluate(series, s, N)
+            tail = abs(c) * power_tail_bound(N, s.real - p)
+            assert_in_disc(vb.value, vb.error_radius - tail + 2 * U * vb.error_radius, c * truth,
+                           f"evaluate({z}, {N}, p={p})")
+
+            # diagonal kernel c n**p with s + conj(u) - p = z
+            kern = DirichletKernel(DiagonalMatrix(rule(c, p)), HalfPlane(p / 2))
+            x = (z.real + p) / 2
+            s, u = complex(x, z.imag / 2), complex(x, -z.imag / 2)
+            value, rounding = kern.matrix.partial_sum(s, u, N)
+            assert_in_disc(value, rounding, c * truth, f"diagonal partial_sum({z}, {N}, p={p})")
+            vb = kernel_eval(kern, s, u, N)
+            tail = kern.matrix.tail_radius(s.real, u.real, N)
+            assert_in_disc(vb.value, vb.error_radius - tail + 2 * U * vb.error_radius, c * truth,
+                           f"diagonal kernel_eval({z}, {N}, p={p})")
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_constant_arrowhead_discs_contain_the_partial_sums(self, chunk):
+        """s = z and u = conj(z), so the strips sum n**-z and the tail n**-2z."""
+        rng = np.random.default_rng(chunk)
+        for z, N, c, _ in PAIRS[chunk::4]:
+            k = int(rng.integers(1, 4))
+            H = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+            d = float(rng.uniform(0.5, 2.0))
+            kern = DirichletKernel(ArrowheadMatrix(k, H + H.conj().T, SequenceRule("constant", scale=c),
+                                                   SequenceRule("constant", scale=d)), HalfPlane(0.5))
+            s, u = z, z.conjugate()
+            with mpmath.workdps(40):
+                ps = [mpmath.mpf(m) ** -mpmath.mpc(s.real, s.imag) for m in range(1, k + 1)]
+                block = mpmath.fsum(complex(kern.matrix.head[m, n]) * ps[m] * ps[n]
+                                    for m in range(min(k, N)) for n in range(min(k, N)))
+                if N > k:
+                    strip = oracle(z, N) - head(z, k)
+                    P = head(z, k)
+                    truth = (block + c * P * strip + c.conjugate() * strip * P
+                             + d * (oracle(2 * z, N) - head(2 * z, k)))
+                else:
+                    truth = block
+            value, rounding = kern.matrix.partial_sum(s, u, N)
+            assert_in_disc(value, rounding, truth, f"arrowhead partial_sum({z}, {N}, k={k})")
+            vb = kernel_eval(kern, s, u, N)
+            tail = kern.matrix.tail_radius(s.real, u.real, N)
+            assert_in_disc(vb.value, vb.error_radius - tail + 2 * U * vb.error_radius, truth,
+                           f"arrowhead kernel_eval({z}, {N}, k={k})")
+
+
+class TestRoundedExponents:
+    """omega s - p and s + conj(u) - p that do not come out exact: the discs
+    price the rounding of the exponent itself."""
+
+    @pytest.mark.parametrize("N", [30, 4000, 10**5, 10**7])
+    def test_evaluate_with_omega(self, N):
+        rng = np.random.default_rng(N)
+        for omega in (math.sqrt(2.0), 0.7, 3.0):
+            c, p = complex(rng.uniform(0.5, 2.0), rng.uniform(-1, 1)), float(rng.uniform(-0.6, 0.6))
+            s = complex((p + 1.0) / omega + rng.uniform(0.01, 1.5), rng.uniform(-200, 200))
+            series = GeneralDirichletSeries.from_rules(ExponentRule("log", omega=omega), rule(c, p), 4,
+                                                       envelope=Envelope(abs(c), p))
+            vb = evaluate(series, s, N)
+            with mpmath.workdps(40):
+                z = mpmath.mpf(omega) * mpmath.mpc(s.real, s.imag) - mpmath.mpf(p)
+                truth = mpmath.mpc(c.real, c.imag) * oracle(z, N)
+            tail = abs(c) * power_tail_bound(N, omega * s.real - p)
+            assert_in_disc(vb.value, vb.error_radius - tail + 2 * U * vb.error_radius, truth,
+                           f"evaluate(omega={omega}, s={s}, p={p}, N={N})")
+
+    @pytest.mark.parametrize("N", [30, 4000, 10**5, 10**7])
+    def test_diagonal(self, N):
+        rng = np.random.default_rng(N + 7)
+        for _ in range(3):
+            c, p = 1.3, float(rng.uniform(-0.9, 0.9))
+            s = complex(rng.uniform(0.6, 2.0) + p / 2, rng.uniform(-500, 500))
+            u = complex(rng.uniform(0.6, 2.0) + p / 2, rng.uniform(-500, 500))
+            matrix = DiagonalMatrix(rule(c, p))
+            value, rounding = matrix.partial_sum(s, u, N)
+            with mpmath.workdps(40):
+                z = mpmath.mpc(s.real, s.imag) + mpmath.mpc(u.real, -u.imag) - mpmath.mpf(p)
+                truth = c * oracle(z, N)
+            assert_in_disc(value, rounding, truth, f"diagonal partial_sum({s}, {u}, p={p}, N={N})")
+
+
+class TestAgreesWithTheDirectSum:
+    """A masked diagonal and a ratio-1 geometric rule take the direct path; the
+    same sums through partial_zeta agree within the sum of the two radii."""
+
+    @pytest.mark.parametrize("N", [50, 999, 20000, 2 * 10**5])
+    def test_diagonal(self, N):
+        rng = np.random.default_rng(N)
+        for _ in range(4):
+            r = SequenceRule("power", scale=1.5, exponent=-0.25)
+            s = complex(rng.uniform(0.6, 1.5), rng.uniform(-300, 300))
+            u = complex(rng.uniform(0.6, 1.5), rng.uniform(-30, 30))
+            em = kernel_eval(DirichletKernel(DiagonalMatrix(r), HalfPlane(0.5)), s, u, N)
+            direct = kernel_eval(DirichletKernel(DiagonalMatrix(r, support=AdmissibleSupport("all")), HalfPlane(0.5)),
+                                 s, u, N)
+            assert abs(em.value - direct.value) <= em.error_radius + direct.error_radius
+
+    @pytest.mark.parametrize("N", [50, 999, 20000, 2 * 10**5])
+    def test_evaluate(self, N):
+        rng = np.random.default_rng(N + 1)
+        for _ in range(4):
+            s = complex(rng.uniform(1.2, 3.0), rng.uniform(-500, 500))
+            env = Envelope(0.7, 0.0)
+            em = evaluate(GeneralDirichletSeries.ordinary(
+                [0.7] * 4, envelope=env, coefficient_rule=SequenceRule("constant", scale=0.7)), s, N)
+            direct = evaluate(GeneralDirichletSeries.ordinary(
+                [0.7] * 4, envelope=env, coefficient_rule=SequenceRule("geometric", scale=0.7, ratio=1.0)), s, N)
+            assert abs(em.value - direct.value) <= em.error_radius + direct.error_radius
+
+
+class TestNoLongTables:
+    def test_no_array_of_length_order_is_built(self, monkeypatch):
+        N = 10**7
+        sizes = []
+        log_table, prefix = series_module.log_table, SequenceRule.prefix
+
+        def log_spy(n):
+            sizes.append(n)
+            return log_table(n)
+
+        def prefix_spy(self, n):
+            sizes.append(n)
+            return prefix(self, n)
+
+        monkeypatch.setattr(series_module, "log_table", log_spy)
+        monkeypatch.setattr(SequenceRule, "prefix", prefix_spy)
+        s, u = complex(1.4, 700.0), complex(1.3, -2.0)
+        evaluate(GeneralDirichletSeries.ordinary(
+            [2.0] * 4, envelope=Envelope(2.0, 0.0), coefficient_rule=SequenceRule("constant", scale=2.0)), s, N)
+        kernel_eval(DirichletKernel(DiagonalMatrix(SequenceRule("power", scale=1.0, exponent=0.5)), HalfPlane(0.5)),
+                    s, u, N)
+        kernel_eval(DirichletKernel(ArrowheadMatrix(2, np.eye(2), SequenceRule("constant", scale=0.3),
+                                                    SequenceRule("constant", scale=1.0)), HalfPlane(0.5)), s, u, N)
+        assert sizes and max(sizes) <= 2 * math.ceil(abs(s + u.conjugate())) + 16
+
+
+class TestGoldenDiscs:
+    @pytest.mark.parametrize("name, z", [("eval_series_zeta_series_s_2_order_10000.json", 2.0),
+                                         ("eval_matrix_diag_ones_s_2_u_2_order_100000.json", 4.0)])
+    def test_golden_discs_contain_the_partial_sums(self, name, z):
+        report = json.loads((GOLDEN / name).read_text())
+        N = report["inputs"]["order"]
+        value, radius = report["results"]["value"], report["results"]["error_radius"]
+        tail = power_tail_bound(N, z)
+        assert_in_disc(complex(value), radius, oracle(complex(z), N), name)
+        assert_in_disc(complex(value), radius - tail + 2 * U * radius, oracle(complex(z), N), name)
