@@ -80,7 +80,6 @@ from .series import (
     evaluate,
     merge_log_exponents,
     multiply_merged,
-    series_equal,
 )
 from .structured import (
     MarginCertificate,
@@ -89,7 +88,6 @@ from .structured import (
     coupling_sum,
     example_arrowhead,
     growth_check,
-    margin_preserving_eps,
     perturbation_psd,
     psd_margin,
 )

@@ -33,14 +33,14 @@ Every power m**(-s) here is ``series.powers``: one exponential of the cached
 read-only log table (2**16 entries; longer tables are computed per call), a
 real ``exp`` when the exponent is real, so a real point pays no complex
 power and the diagonal reuses one table for its value and its mass.  Rule
-prefixes are read-only views of a memo (``SequenceRule.prefix``); a variant
-that edits one (tail overrides) copies it first.  A direct ``partial_sum``
-prices its rounding from the absolute mass of its terms
+prefixes are read-only views of a memo (``SequenceRule.prefix``).  A direct
+``partial_sum`` prices its rounding from the absolute mass of its terms
 (``section_rounding``).  A diagonal with an unmasked constant or power rule,
 and the coupling strips and tail of an arrowhead whose coupling and tail
 rules are constant, are Hurwitz-type sums sum_{n=a}^{N} n**-z:
 ``rules.partial_zeta`` encloses them in O(|z|) work, so their sections are
-never built.
+never built.  Such closed-form pieces are combined as ``ValueWithBound``
+balls, whose arithmetic prices the rounding that joins them.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SpecError
-from .rules import CACHE_LIMIT, UNIT_ROUNDOFF, SequenceRule, exponent_sum, partial_zeta, power_tail_bound
+from .rules import CACHE_LIMIT, SequenceRule, exponent_sum, partial_zeta, power_tail_bound
 from .series import Envelope, ValueWithBound, power_sum, powers, rounding_radius
 
 
@@ -258,6 +258,8 @@ class DiagonalMatrix(CoefficientMatrix):
     envelope: Optional[Envelope] = None
 
     def __post_init__(self):
+        if getattr(self.support, "kind", None) == "all":  # masks nothing: the unmasked paths
+            object.__setattr__(self, "support", None)
         if self.envelope is None:
             pb = self.rule.poly_bound()
             if pb is not None:
@@ -321,8 +323,8 @@ class DiagonalMatrix(CoefficientMatrix):
         law = self.rule.power_law() if self.support is None else None
         if law is not None:
             c, p = law
-            total, radius = partial_zeta(*exponent_sum(s, np.conj(u), -p), 1, N)
-            return c * total, abs(c) * (radius + 3.0 * UNIT_ROUNDOFF * (abs(total) + radius))
+            total = ValueWithBound(*partial_zeta(*exponent_sum(s, np.conj(u), -p), 1, N)) * c
+            return total.value, total.error_radius
         d, ad, nnz = self._weights(N)
         z = s + np.conj(u)
         p = powers(z, N)
@@ -401,9 +403,7 @@ class ArrowheadMatrix(CoefficientMatrix):
 
     Entries: a = [[head, c], [c*, diag(d)]] where every head row couples to
     the tail through the same sequence c_{k+l} = coupling(l) and the tail is
-    diag(d_{k+l}) = diag(tail(l)).  tail_overrides carries pointwise
-    replacements of tail values (used by diagonal perturbations) keyed by
-    matrix index m > k.
+    diag(d_{k+l}) = diag(tail(l)).
     """
 
     k: int
@@ -411,7 +411,6 @@ class ArrowheadMatrix(CoefficientMatrix):
     coupling: SequenceRule
     tail: SequenceRule
     envelope: Optional[Envelope] = None
-    tail_overrides: tuple = ()
 
     def __post_init__(self):
         h = np.asarray(self.head, dtype=complex)
@@ -442,10 +441,7 @@ class ArrowheadMatrix(CoefficientMatrix):
         return None
 
     def tail_value(self, m: int) -> float:
-        """Tail diagonal entry at matrix index m > k, override-aware."""
-        for idx, val in self.tail_overrides:
-            if idx == m:
-                return val
+        """Tail diagonal entry at matrix index m > k."""
         return complex(self.tail.value(m - self.k)).real
 
     def coupling_value(self, n: int) -> complex:
@@ -453,18 +449,8 @@ class ArrowheadMatrix(CoefficientMatrix):
         return self.coupling.value(n - self.k)
 
     def tail_prefix(self, N: int) -> np.ndarray:
-        """Tail diagonal d_{k+1..N} as a real array, override-aware.
-
-        Without overrides this is a read-only view of the rule's memo; with
-        them it is a copy, so an override never reaches the shared prefix.
-        """
-        d = self.tail.prefix(max(0, N - self.k)).real
-        if self.tail_overrides:
-            d = d.copy()
-        for idx, val in reversed(self.tail_overrides):  # the first override of an index wins
-            if self.k < idx <= N:
-                d[idx - self.k - 1] = val
-        return d
+        """Tail diagonal d_{k+1..N} as a real array, a read-only view of the rule's memo."""
+        return self.tail.prefix(max(0, N - self.k)).real
 
     def coupling_prefix(self, N: int) -> np.ndarray:
         """Coupling entries c_{k+1..N}."""
@@ -482,20 +468,12 @@ class ArrowheadMatrix(CoefficientMatrix):
             return complex(self.tail_value(m))
         return 0.0 + 0.0j
 
-    def with_tail_override(self, m: int, value: float) -> "ArrowheadMatrix":
-        if m <= self.k:
-            raise SpecError("tail override index must exceed k")
-        overrides = tuple(o for o in self.tail_overrides if o[0] != m) + ((m, value),)
-        return ArrowheadMatrix(
-            self.k, self.head, self.coupling, self.tail, self.envelope, overrides
-        )
-
     def with_head_perturbation(self, idx: int, eps: float) -> "ArrowheadMatrix":
         if not (1 <= idx <= self.k):
             raise SpecError("head perturbation index must lie in the head block")
         h = self.head.copy()
         h[idx - 1, idx - 1] -= eps
-        return ArrowheadMatrix(self.k, h, self.coupling, self.tail, None, self.tail_overrides)
+        return ArrowheadMatrix(self.k, h, self.coupling, self.tail)
 
     def truncation(self, N: int) -> np.ndarray:
         k = self.k
@@ -539,13 +517,13 @@ class ArrowheadMatrix(CoefficientMatrix):
         return np.concatenate([m + 1, mt]), np.concatenate([n + 1, np.where(j < k, j + 1, mt)])
 
     def _constant_partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float]:
-        """partial_sum for constant coupling c and tail d without overrides, N > k.
+        """partial_sum for constant coupling c and tail d, N > k.
 
         The strips and the tail are c P(s) H(conj u), conj(c) H(s) P(conj u)
         and d H(s + conj u), with P the head sums over n <= k and H(z) =
         sum_{k<n<=N} n**-z from ``partial_zeta``: no power beyond k is
-        formed.  The radii of the head block, the P and the H propagate,
-        plus 12u of each piece for the products and sums that join them.
+        formed.  The head block, the P and the H are balls, and their
+        products and sum are ball arithmetic.
         """
         k = self.k
         ps, pu = powers(s, k), powers(np.conj(u), k)
@@ -558,19 +536,18 @@ class ArrowheadMatrix(CoefficientMatrix):
         def H(*parts) -> ValueWithBound:
             return ValueWithBound(*partial_zeta(*exponent_sum(*parts), k + 1, N))
 
-        pieces = [
+        total = ValueWithBound.fsum([
             ValueWithBound(complex(ps @ self.head @ pu), head_rounding),
-            P_s * ValueWithBound(c, 0.0) * H(np.conj(u)),
-            ValueWithBound(c.conjugate(), 0.0) * H(s) * P_u,
-            ValueWithBound(complex(self.tail.scale).real, 0.0) * H(s, np.conj(u)),
-        ]
-        total = sum(pieces[1:], pieces[0])
-        return total.value, total.error_radius + 12.0 * UNIT_ROUNDOFF * sum(abs(p.value) for p in pieces)
+            P_s * c * H(np.conj(u)),
+            c.conjugate() * H(s) * P_u,
+            complex(self.tail.scale).real * H(s, np.conj(u)),
+        ])
+        return total.value, total.error_radius
 
     def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float]:
         """Head block plus the two rank-one coupling strips and the tail diagonal."""
         k, kk = self.k, min(self.k, N)
-        if N > k and self.coupling.kind == self.tail.kind == "constant" and not self.tail_overrides:
+        if N > k and self.coupling.kind == self.tail.kind == "constant":
             return self._constant_partial_sum(s, u, N)
         ps, pu = powers(s, N), powers(np.conj(u), N)
         rs, ru = np.abs(ps), np.abs(pu)
@@ -637,13 +614,11 @@ class DeflatedMatrix(CoefficientMatrix):
         return p.row_prefix(m, N) - p.row_prefix(1, N) * (p.entry(m, 1) / self._a11)
 
     def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float]:
-        """The parent's sum minus the product of its first column and row
-        sums; their roundings add, and the subtraction's."""
+        """The parent's sum minus the product of its first column and row sums
+        over a_{1,1}, priced on its mass like a section, as balls."""
         p = self.parent
         col, row = p.column_prefix(1, N), p.row_prefix(1, N)
-        base, base_rounding = p.partial_sum(s, u, N)
-        col_mass = float(np.abs(col) @ powers(s.real, N))
-        row_mass = float(np.abs(row) @ powers(u.real, N))
-        value = complex(base - power_sum(col, powers(s, N)) * power_sum(row, powers(np.conj(u), N)) / self._a11)
-        rounding = section_rounding(col_mass * row_mass / abs(self._a11), s, u, N, 1)
-        return value, base_rounding + rounding + 2.0 * UNIT_ROUNDOFF * abs(value)
+        mass = float(np.abs(col) @ powers(s.real, N)) * float(np.abs(row) @ powers(u.real, N)) / abs(self._a11)
+        product = power_sum(col, powers(s, N)) * power_sum(row, powers(np.conj(u), N)) / self._a11
+        total = ValueWithBound(*p.partial_sum(s, u, N)) - ValueWithBound(product, section_rounding(mass, s, u, N, 1))
+        return complex(total.value), total.error_radius

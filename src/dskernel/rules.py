@@ -10,7 +10,12 @@ weighted ratio sums below have closed forms or certified remainders.
 A sum of two power rules is a Riemann zeta value zeta(beta), beta > 1.
 ``zeta_enclosure`` encloses it by Euler-Maclaurin summation with a fixed
 number of terms and a remainder bound for real arguments, so every closed
-form here carries a radius for its truncation and rounding.
+form here carries a radius for its truncation and rounding.  Their pieces
+combine as ``series.ValueWithBound`` balls, whose arithmetic prices its own
+rounding, and every libm result among them enters through
+``ValueWithBound.libm`` (the error assumption is ``series.LIBM_UNITS``).
+Only ``partial_zeta``, the hot path of deep rule sums, prices its scalar
+work by hand, as ``series.rounding_radius`` prices its direct terms.
 """
 
 from __future__ import annotations
@@ -221,20 +226,22 @@ ZETA_N, EM_M = 10, 8
 #: most terms a mixed geometric * power ratio sum may take before its ratio test holds
 MIXED_TERMS_MAX = 2**20
 
-#: B_{2j} / (2j)! for j = 1 .. EM_M, each a correctly rounded quotient
-_EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000,
-              1 / 74724249600, -3617 / 10670622842880000)
+#: B_{2j} / (2j)! for j = 1 .. EM_M as integer pairs, and each as a correctly rounded quotient
+_EM_BERNOULLI = ((1, 12), (-1, 720), (1, 30240), (-1, 1209600), (1, 47900160), (-691, 1307674368000),
+                 (1, 74724249600), (-3617, 10670622842880000))
+_EM_COEFFS = tuple(p / q for p, q in _EM_BERNOULLI)
 
 
-def _em_corrections(z, x: float, power) -> list:
+def _em_corrections(z, x: float, power, coeffs=_EM_COEFFS) -> list:
     """B_{2j}/(2j)! z(z+1)...(z+2j-2) x**(-z-2j+1) for j = 1 .. EM_M, given power = x**-z.
 
-    The Euler-Maclaurin corrections at the endpoint x of a sum of n**-z; z
-    is a float or a complex, and the arithmetic follows it.
+    The Euler-Maclaurin corrections at the endpoint x of a sum of n**-z; z,
+    power and coeffs are floats, complex numbers or balls, and the
+    arithmetic follows them.
     """
     out = []
     fac = power / x * z
-    for j, coeff in enumerate(_EM_COEFFS):
+    for j, coeff in enumerate(coeffs):
         out.append(coeff * fac)
         # left to right, so a zero fac never meets an overflowed product
         fac = fac * ((z + 2 * j + 1) / x) * ((z + 2 * j + 2) / x)
@@ -268,26 +275,23 @@ def zeta_enclosure(beta: float) -> tuple[float, float]:
         zeta(s) = sum_{n<N} n**-s + N**(1-s)/(s-1) + N**-s/2
                   + sum_{k=1..M} B_{2k}/(2k)! s(s+1)...(s+2k-2) N**(-s-2k+1) + R,
 
-    with |R| bounded by ``_em_remainder``, under 1e-15 for every s > 1,
-    so the radius is mostly the rounding allowance, with u =
-    UNIT_ROUNDOFF: each term is a ``pow`` (2u), at most 2M - 1 factors
-    (s + j)/N (3u each) and a rounded coefficient (2u), so (6M + 1)u of its
-    size covers it; ``math.fsum`` adds one rounding of the value, so
-    (6M + 2)u of the sum of |terms| covers all of it (the head terms, which
-    dominate that sum, carry 2u only).  Terms that underflow, from beta
-    near 300 on, err by less than 1e-290, far inside that allowance, which
-    is at least 50u since the first term is 1.  The term count does not
-    depend on beta.
+    with |R| bounded by ``_em_remainder``, under 1e-15 for every s > 1.
+    The terms are balls (the powers libm results, the Bernoulli
+    coefficients rounded quotients), so the radius is |R| plus the rounding
+    as done.  Beyond s = 1100, zeta(s) - 1 < 2**-s (1 + 2/(s - 1)) is below
+    one subnormal.  The term count does not depend on beta.
     """
+    from .series import SUBNORMAL_MIN, ValueWithBound as Ball  # series imports this module
+
     s = float(beta)
     if not s > 1.0:
         raise SpecError(f"zeta_enclosure needs real beta > 1, got {beta!r}")
-    if math.isinf(s):
-        return 1.0, 0.0
-    t = ZETA_N**-s
-    terms = [n**-s for n in range(1, ZETA_N)] + [ZETA_N * t / (s - 1.0), t / 2.0] + _em_corrections(s, ZETA_N, t)
-    value = math.fsum(terms)
-    return value, _em_remainder(s, ZETA_N) + (6 * EM_M + 2) * UNIT_ROUNDOFF * math.fsum(map(abs, terms))
+    if s > 1100.0:
+        return 1.0, 0.0 if s == math.inf else SUBNORMAL_MIN
+    z, t = Ball(s), Ball.libm(ZETA_N**-s)
+    total = Ball.fsum([*(Ball.libm(n**-s) for n in range(1, ZETA_N)), ZETA_N * t / (z - 1.0), t / 2,
+                       *_em_corrections(z, ZETA_N, t, [Ball(p) / q for p, q in _EM_BERNOULLI])])
+    return total.value, total.error_radius + _em_remainder(s, ZETA_N)
 
 
 def exponent_sum(*parts) -> tuple[complex, float]:
@@ -383,39 +387,23 @@ class RatioSum:
     partial_terms: int
     remainder_bound: float
 
-    @property
-    def upper(self) -> float:
-        return self.total + self.remainder_bound
+
+def _ratio_sum(total, exact: bool, partial_terms: int) -> RatioSum:
+    return RatioSum(total.value, exact, partial_terms, total.error_radius)
 
 
-#: relative rounding, in units of UNIT_ROUNDOFF, of the scale A of
-#: ``_normal_form`` (|scale|**2 and a quotient: 7u) and of the products and
-#: quotients that carry it into a total; it also covers one term
-#: |num(l)|**2 l**extra / den(l) of a finite sum (|.|**2: 3u, the power and
-#: its product: 2u, a rule's den(l): 4u, the quotient: 1u)
-_SCALE_ROUNDING = 12
+def _normal_form(num: SequenceRule, den: SequenceRule, extra: float):
+    """Write t(l) = A * q**l * l**gamma for non-explicit rule pairs: A and q balls, gamma and its rounding."""
+    from .series import ValueWithBound as Ball
 
-
-def rounded_sum(terms: list, dens: list) -> tuple[float, float]:
-    """``math.fsum`` of terms x/d, d in dens, and a bound on the total's error.
-
-    Each term carries up to _SCALE_ROUNDING units of relative rounding, and
-    underflow in x and in the quotient up to 2**-1072 (1 + 1/d) absolute.
-    """
-    total = math.fsum(terms)
-    underflow = 2.0**-1072 * math.fsum(1.0 + 1.0 / d for d in dens)
-    return total, UNIT_ROUNDOFF * (_SCALE_ROUNDING * math.fsum(map(abs, terms)) + abs(total)) + underflow
-
-
-def _normal_form(num: SequenceRule, den: SequenceRule, extra: float) -> tuple[float, float, float, float]:
-    """Write t(l) = A * q**l * l**gamma for non-explicit rule pairs; the last entry bounds |gamma's rounding|."""
-    A, q, parts = abs(num.scale) ** 2 / abs(den.scale), 1.0, [extra]
+    c, q, parts = complex(num.scale), Ball(1.0), [extra]
+    A = (Ball(c.real) * c.real + Ball(c.imag) * c.imag) / complex(den.scale).real
     if num.kind == "geometric":
-        q *= num.ratio**2
+        q = Ball(num.ratio) * num.ratio
     elif num.kind == "power":
         parts.append(2 * num.exponent)
     if den.kind == "geometric":
-        q /= den.ratio
+        q = q / den.ratio
     elif den.kind == "power":
         parts.append(-den.exponent)
     gamma = math.fsum(parts)
@@ -428,37 +416,39 @@ def weighted_ratio_sum(num: SequenceRule, den: SequenceRule, extra: float = 0.0)
     """Certified value of sum_{l>=1} |num(l)|^2 * l**extra / den(l).
 
     Closed forms: pure geometric (q < 1, gamma = 0) and pure power
-    (q = 1, gamma < -1: zeta(-gamma) by Euler-Maclaurin, ``zeta_enclosure``),
-    each with its rounding in the remainder bound.  Mixed shapes fall back
-    to a partial sum plus a certified geometric-ratio remainder, the
-    rounding of q, gamma, the terms and the sum priced as well.  Raises
-    CertificationError when the sum provably diverges or cannot be
-    certified finite.
+    (q = 1, gamma < -1: zeta(-gamma) by Euler-Maclaurin, ``zeta_enclosure``).
+    Mixed shapes fall back to a partial sum plus a certified geometric-ratio
+    remainder.  Every branch combines its pieces as ``series.ValueWithBound``
+    balls, which price the rounding.  Raises CertificationError when the sum
+    provably diverges or cannot be certified finite.
     """
+    from .series import ValueWithBound as Ball
+
     if not den.is_positive():
         raise CertificationError("denominator sequence is not certifiably positive")
     if den.kind == "explicit" or num.kind == "explicit":
         if num.kind != "explicit" and den.kind == "explicit":
             # numerator extends beyond the stored denominators: undefined tail
             raise CertificationError("explicit denominator shorter than numerator support")
-        # numerator has finite support: the finite sum, its rounding priced
-        L = len(num.values)
-        terms, dens = [], []
-        for l in range(1, L + 1):
-            d = complex(den.value(l)).real
-            if d <= 0:
+        # numerator has finite support: the finite sum
+        terms = []
+        for l in range(1, len(num.values) + 1):
+            v, d = complex(num.value(l)), Ball(complex(den.value(l)).real)  # SpecError when not a finite double
+            if den.kind in ("geometric", "power"):  # a libm power times the scale
+                power = den.ratio**l if den.kind == "geometric" else float(l) ** den.exponent
+                d = complex(den.scale).real * Ball.libm(power)
+            if not d.lower > 0.0:
                 raise CertificationError(f"denominator value at l={l} is not positive")
-            terms.append(abs(num.value(l)) ** 2 * float(l) ** extra / d)
-            dens.append(d)
-        total, radius = rounded_sum(terms, dens)
-        return RatioSum(total=total, exact=True, partial_terms=L, remainder_bound=radius)
+            terms.append((Ball(v.real) * v.real + Ball(v.imag) * v.imag) * Ball.libm(float(l) ** extra) / d)
+        return _ratio_sum(Ball.fsum(terms), True, len(num.values))
 
-    A, q, gamma, dgamma = _normal_form(num, den, extra)
-    if A == 0.0:
+    if num.scale == 0:
         return RatioSum(0.0, True, 0, 0.0)
-    if q > 1.0 or (q == 1.0 and gamma >= -1.0):
+    A, q, gamma, dgamma = _normal_form(num, den, extra)
+    gap = 1 - q
+    if gap.upper < 0.0 or ("geometric" not in (num.kind, den.kind) and gamma >= -1.0):
         raise CertificationError("ratio sum diverges: hypothesis (finite coupling sum) fails")
-    if q == 1.0:
+    if "geometric" not in (num.kind, den.kind):
         # sum l**gamma = zeta(-gamma), gamma < -1
         value, radius = zeta_enclosure(-gamma)
         if dgamma:
@@ -469,46 +459,42 @@ def weighted_ratio_sum(num: SequenceRule, den: SequenceRule, extra: float = 0.0)
                 raise CertificationError("ratio sum exponent within rounding of -1: the sum cannot be certified finite")
             hi, r_hi = zeta_enclosure(below)
             lo, r_lo = zeta_enclosure(math.nextafter(-gamma + dgamma, math.inf))
-            radius = max(hi + r_hi - value, value - lo + r_lo)
-        total = A * value
-        return RatioSum(total, False, ZETA_N - 1, A * radius + _SCALE_ROUNDING * UNIT_ROUNDOFF * total)
+            radius = max((Ball(hi, r_hi) - value).upper, (value - Ball(lo, r_lo)).upper)
+        return _ratio_sum(A * Ball(value, radius), False, ZETA_N - 1)
     if gamma == 0.0:
-        # geometric: sum q**l = q/(1-q).  q is rounded by at most 4u, which
-        # moves q/(1-q) by at most 8u/(1-q) of itself while 4uq <= (1-q)/2
-        if 8.0 * UNIT_ROUNDOFF * q > 1.0 - q:
-            raise CertificationError("geometric ratio within rounding of 1: the sum cannot be certified finite")
-        total = A * q / (1.0 - q)
-        return RatioSum(total, True, 0, (_SCALE_ROUNDING + 8.0 / (1.0 - q)) * UNIT_ROUNDOFF * total)
+        # geometric: sum q**l = q/(1-q); the division refuses a disc of 1 - q that holds 0
+        try:
+            return _ratio_sum(A * (q / gap), True, 0)
+        except ZeroDivisionError:
+            raise CertificationError("geometric ratio within rounding of 1: the sum cannot be certified finite") from None
     # mixed geometric * power with q < 1: the partial sum to L plus a
     # ratio-test remainder.  For l > L the term ratio q ((l+1)/l)**gamma is
-    # at most rho = q ((L+1)/L)**max(gamma, 0), raised here by its own
-    # rounding (q: 4u, (L+1)/L and its power: (1 + |gamma|)u + 2u, products)
-    # and by gamma's (dgamma), so it bounds the exact ratio too.  For q
-    # within that rounding of 1, or gamma / (1 - q) beyond MIXED_TERMS_MAX,
-    # the sum is refused rather than summed to an unbounded L.
-    L, rho = 32, 1.0
-    while rho >= 1.0:
+    # at most rho = q ((L+1)/L)**max(gamma, 0), a ball ((L+1)/L is exact, and
+    # gamma's rounding moves the power by a factor within 2 dgamma / L of 1).
+    # Once the disc of 1 - rho lies above 0 the remainder is at most
+    # t(L+1) / (1 - rho); for q within rounding of 1, or gamma / (1 - q)
+    # beyond MIXED_TERMS_MAX, the sum is refused instead.
+    g = max(gamma, 0.0)
+    L, gap = 32, Ball(0.0)
+    while not gap.lower > 0.0:
         L *= 2
         if L > MIXED_TERMS_MAX:
             raise CertificationError(
                 f"geometric ratio too close to 1: the ratio test needs more than {MIXED_TERMS_MAX} terms"
             )
-        rho = q * ((L + 1) / L) ** max(gamma, 0.0) * (1.0 + (12.0 + abs(gamma)) * UNIT_ROUNDOFF + dgamma / L)
+        gap = 1 - (q * Ball.libm((1.0 + 1.0 / L) ** g) * Ball(1.0, 2.0 * dgamma / L) if g else q)
     ls = np.arange(1.0, L + 2.0)
-    terms = q**ls * ls**gamma  # l = 1 .. L + 1
+    terms = q.value**ls * ls**gamma  # l = 1 .. L + 1
     # each term is off by q's 4u raised to the l-th power, by l**dgamma, and
-    # by two powers (2u each) and their product
+    # by two powers (2u each) and their product; one that underflows, by at
+    # most 2**-1072 (L+1)**max(gamma, 0)
     errors = terms * np.expm1(6.0 * UNIT_ROUNDOFF * (ls + 1.0) + dgamma * np.log(ls))
-    partial = math.fsum(terms[:L])
-    # fsum rounds once; underflow costs at most 2**-1074 (L+1)**max(gamma, 0) per term
-    rounding = math.fsum(errors[:L]) + UNIT_ROUNDOFF * partial + 2.0**-1072 * (L + 1.0) ** (1.0 + max(gamma, 0.0))
-    remainder = (terms[L] + errors[L]) / (1.0 - rho) * (1.0 + 4.0 * UNIT_ROUNDOFF)
-    # the true sum lies in A [partial - rounding, partial + remainder + rounding]:
-    # report its midpoint, with A's rounding and the products' priced on the upper end
-    upper = partial + remainder + rounding
-    total = A * (partial + remainder / 2)
-    radius = A * (remainder / 2 + rounding + _SCALE_ROUNDING * UNIT_ROUNDOFF * upper) + 2.0**-1072
-    return RatioSum(total, False, L, radius)
+    underflow = Ball(0.0, 2.0**-1072 * (L + 1.0) ** g)
+    partial = Ball.fsum([*map(Ball, terms[:L].tolist(), errors[:L].tolist()), L * underflow])
+    remainder = (Ball(float(terms[L]), float(errors[L])) + underflow) / gap
+    # the remainder lies in [0, remainder.upper]: the disc of centre and radius h
+    h = math.nextafter(remainder.upper / 2.0, math.inf)
+    return _ratio_sum(A * (partial + Ball(h, h)), False, L)
 
 
 def power_tail_bound(start: float, beta: float) -> float:

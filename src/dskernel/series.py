@@ -13,15 +13,21 @@ holds log 1, ..., log N, cached read-only up to ``CACHE_LIMIT`` = 2**16
 entries (a longer table is computed for its call and kept by nobody), and
 ``powers(z, N)`` exponentiates it, with a real ``exp`` when Im z = 0.
 
-Rounding model.  ``numpy.log`` is faithful (within one ulp, a relative error
-2u with u = 2**-53), so the argument z log n of a power carries an absolute
-error of at most 3u |z| log n and the power a relative error of at most
-u (c + 3 |z| log n), where c covers ``exp``/``cos``/``sin`` and the complex
-products that form a term.  Summing k terms in any order adds at most
-gamma_k = k u / (1 - k u) times their absolute sum per real component
-(Higham, Accuracy and Stability of Numerical Algorithms, 2002, sections 3.1
-and 4.2).  ``rounding_radius`` is that bound; general exponents use their
-largest exponent lambda_N in place of log N and one more rounding.
+Rounding model.  Scalar closed forms compose through ``ValueWithBound``, a
+midpoint-radius ball whose + - * / round outward (Rump, BIT 39, 1999): each
+adds the rounding of its own midpoint, u = 2**-53 of its size, and a few
+subnormals.  The one libm assumption is ``LIBM_UNITS``: pow, exp, expm1,
+log, cos and sin, numpy's too, are within one ulp (2u), and
+``ValueWithBound.libm`` enters such a result as a ball.  A vectorised sum
+of table powers is priced from its mass instead: the argument z log n of a
+power carries an absolute error of at most 3u |z| log n and the power a
+relative error of at most u (c + 3 |z| log n), where c covers
+``exp``/``cos``/``sin`` and the complex products that form a term.  Summing
+k terms in any order adds at most gamma_k = k u / (1 - k u) times their
+absolute sum per real component (Higham, Accuracy and Stability of
+Numerical Algorithms, 2002, sections 3.1 and 4.2).  ``rounding_radius`` is
+that bound; general exponents use their largest exponent lambda_N in place
+of log N and one more rounding.
 
 Rule sums.  A series with log-type exponents omega log n and a constant or
 power coefficient rule c n**p sums, beyond its stored prefix, as
@@ -56,6 +62,19 @@ POWER_ROUNDING_UNITS = 16.0
 #: smallest positive subnormal double: the absolute error an underflowing
 #: operation may add on top of its relative one
 SUBNORMAL_MIN = 2.0**-1074
+
+#: relative error of one libm call, in units of u: glibc states pow, exp,
+#: expm1, log, cos and sin within one ulp, a relative 2u (``ValueWithBound.libm``)
+LIBM_UNITS = 2.0
+
+#: a ball's radius is computed to nearest from at most a dozen rounded
+#: non-negative numbers, so it lies below the exact one by less than 16u of
+#: itself, which this factor covers
+_RADIUS_SLACK = 1.0 + 32.0 * UNIT_ROUNDOFF
+
+#: underflow allowance of one ball operation: each product or quotient that
+#: underflows errs by at most half a subnormal, and no operation forms 16
+_UNDERFLOW = 8.0 * SUBNORMAL_MIN
 
 _log_cache = np.empty(0)
 _log_cache.flags.writeable = False
@@ -132,30 +151,124 @@ class HalfPlane:
     rho: float
 
 
+def _ball(mid, radius: float) -> "ValueWithBound":
+    """The ball at a computed midpoint, its radius raised to cover its own computation.
+
+    Every radius holds a term that is not finite when the midpoint is not, so then it is inf.
+    """
+    r = radius * _RADIUS_SLACK + _UNDERFLOW
+    return ValueWithBound(mid, r if r < math.inf else math.inf)
+
+
+def _parts(x) -> tuple:
+    """(midpoint, radius) of a ball; a number is exact, a numpy scalar a Python number (which overflows quietly)."""
+    if isinstance(x, ValueWithBound):
+        return x.value, x.error_radius
+    return (x.item() if isinstance(x, np.generic) else x), 0.0
+
+
+def _sum(x, rx: float, y, ry: float) -> "ValueWithBound":
+    """The ball x + y from the midpoints and radii of two balls."""
+    if not (x or rx) or not (y or ry):  # adding an exact 0 is exact
+        return ValueWithBound(x + y, rx + ry)
+    c = x + y
+    return _ball(c, rx + ry + UNIT_ROUNDOFF * abs(c))
+
+
+def _directed(a: float, b: float, toward: float) -> float:
+    """a + b rounded toward -inf or +inf: stepped once when its exact error (Knuth's TwoSum) lies that way."""
+    s = a + b
+    t = s - a
+    err = (a - (s - t)) + (b - t)  # a + b = s + err exactly
+    return math.nextafter(s, toward) if math.isfinite(s) and err and (err > 0.0) == (toward > 0.0) else s
+
+
 @dataclass(frozen=True)
 class ValueWithBound:
-    """A computed value together with a certified error radius.
+    """A computed value together with a certified error radius: a ball.
 
     The contract is that the true quantity lies in the closed disc of radius
-    error_radius around value.  Radii are propagated pessimistically.
+    error_radius around value.  + - * / take balls or numbers (exact) and
+    hold every combination of the operands' points plus the rounding of the
+    midpoint c: u |c| for a sum or a quotient by a real (each component is
+    rounded once), 4u |a| |b| for a product (each component is two rounded
+    products and a rounded sum, (2 + sqrt 2) u |a| |b| in all), and
+    underflow; only a zero operand is exact.  A complex divisor y, scaled
+    near 1, divides as conj(y) / |y|**2; a divisor disc that holds 0 raises
+    ZeroDivisionError.  A non-finite midpoint gets radius inf.
     """
 
     value: complex
-    error_radius: float
+    error_radius: float = 0.0
 
-    def __add__(self, other: "ValueWithBound") -> "ValueWithBound":
-        return ValueWithBound(self.value + other.value, self.error_radius + other.error_radius)
+    @staticmethod
+    def libm(value) -> "ValueWithBound":
+        """A libm result, within LIBM_UNITS u of the true value, relative."""
+        return _ball(value, LIBM_UNITS * UNIT_ROUNDOFF * abs(value))
 
-    def __sub__(self, other: "ValueWithBound") -> "ValueWithBound":
-        return ValueWithBound(self.value - other.value, self.error_radius + other.error_radius)
+    @staticmethod
+    def fsum(terms) -> "ValueWithBound":
+        """The sum of balls and numbers: ``math.fsum`` rounds each component of the midpoint once."""
+        parts = [_parts(t) for t in terms]
+        try:
+            value = math.fsum([m.real for m, _ in parts])
+            if any(isinstance(m, complex) for m, _ in parts):
+                value = complex(value, math.fsum([m.imag for m, _ in parts]))
+            return _ball(value, math.fsum([r for _, r in parts]) + UNIT_ROUNDOFF * abs(value))
+        except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+            return ValueWithBound(sum(m for m, _ in parts), math.inf)
 
-    def __mul__(self, other: "ValueWithBound") -> "ValueWithBound":
-        r = (
-            abs(self.value) * other.error_radius
-            + abs(other.value) * self.error_radius
-            + self.error_radius * other.error_radius
-        )
-        return ValueWithBound(self.value * other.value, r)
+    @property
+    def lower(self) -> float:
+        """The least real part in the disc, rounded down."""
+        return _directed(self.value.real, -self.error_radius, -math.inf)
+
+    @property
+    def upper(self) -> float:
+        """The largest real part in the disc, rounded up."""
+        return _directed(self.value.real, self.error_radius, math.inf)
+
+    def __add__(self, other) -> "ValueWithBound":
+        return _sum(self.value, self.error_radius, *_parts(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "ValueWithBound":
+        y, ry = _parts(other)
+        return _sum(self.value, self.error_radius, -y, ry)
+
+    def __rsub__(self, other) -> "ValueWithBound":
+        return _sum(*_parts(other), -self.value, self.error_radius)
+
+    def __mul__(self, other) -> "ValueWithBound":
+        (x, rx), (y, ry) = (self.value, self.error_radius), _parts(other)
+        c = x * y
+        if c == 0 and (not (x or rx) or not (y or ry)):  # a zero operand: exact
+            return ValueWithBound(c)
+        ax, ay = abs(x), abs(y)
+        return _ball(c, ax * ry + ay * rx + rx * ry + 4.0 * UNIT_ROUNDOFF * (ax * ay))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "ValueWithBound":
+        y, ry = _parts(other)
+        if y.imag:  # x / y = x s conj(s y) / |s y|**2, s a power of two near 1 / |y|
+            s = math.ldexp(1.0, -max(math.frexp(max(abs(y.real), abs(y.imag)))[1], -1000))
+            t, r = _parts(ValueWithBound(y, ry) * s)
+            re, im = ValueWithBound(t.real, r), ValueWithBound(t.imag, r)
+            return self * s * ValueWithBound(t.conjugate(), r) / (re * re + im * im)
+        den = abs(y) - ry
+        if not den > 0.0:
+            raise ZeroDivisionError("the divisor's disc holds 0")
+        c = self.value / y
+        if c == 0 and not (self.value or self.error_radius):
+            return ValueWithBound(c)
+        # |x/y - a/b| <= (r_x + |a/b| r_y) / (|b| - r_y), and |a/b| <= |c| + its rounding
+        return _ball(c, (self.error_radius + (abs(c) + _UNDERFLOW) * ry + _UNDERFLOW) / den
+                     + UNIT_ROUNDOFF * abs(c))
+
+    def __rtruediv__(self, other) -> "ValueWithBound":
+        return ValueWithBound(*_parts(other)) / self
 
 
 @dataclass(frozen=True)
@@ -283,11 +396,6 @@ class GeneralDirichletSeries:
     def __len__(self) -> int:
         return len(self.exponents)
 
-    @property
-    def is_ordinary(self) -> bool:
-        rule = self.exponent_rule
-        return rule is not None and rule.kind == "log" and rule.omega == 1.0
-
     def terms(self, order: int) -> tuple[np.ndarray, np.ndarray]:
         """Exponent/coefficient arrays for the first ``order`` terms.
 
@@ -349,13 +457,10 @@ def evaluate(series: GeneralDirichletSeries, s: complex, order: int) -> ValueWit
     rule = series.exponent_rule
     if law is not None and rule is not None and rule.kind == "log" and not series.finite and order > len(series):
         c, p = law
-        omega_s = rule.omega * s
-        z, dz = exponent_sum(omega_s, -p)
-        if rule.omega != 1.0:  # the product omega s is rounded once per component
-            dz += UNIT_ROUNDOFF * (abs(omega_s.real) + abs(omega_s.imag))
-        total, radius = partial_zeta(z, dz, 1, order)
-        value = c * total
-        rounding = abs(c) * (radius + 3.0 * UNIT_ROUNDOFF * (abs(total) + radius))
+        w, dw = (s, 0.0) if rule.omega == 1.0 else _parts(ValueWithBound(s) * rule.omega)
+        z, dz = exponent_sum(w, -p)
+        total = ValueWithBound(*partial_zeta(z, dz + dw, 1, order)) * c
+        value, rounding = total.value, total.error_radius
     else:
         lam, coef = series.terms(order)
         p = exp_table(lam, s)
@@ -471,23 +576,4 @@ def multiply_merged(
     return GeneralDirichletSeries(
         tuple(nu[keep]), tuple(ab[keep]), finite=f.finite and g.finite
     )
-
-
-def series_equal(
-    f: GeneralDirichletSeries, g: GeneralDirichletSeries, tol: float
-) -> bool:
-    """Coefficient-wise comparison of two ordinary series; missing indices are zero.
-
-    This is the computable face of uniqueness: a series vanishing on a
-    half-plane has all-zero coefficients, so coefficient equality is series
-    equality.
-    """
-    if not (f.is_ordinary and g.is_ordinary):
-        raise SpecError("series_equal compares ordinary Dirichlet series")
-    n = max(len(f), len(g))
-    a = np.zeros(n, dtype=complex)
-    b = np.zeros(n, dtype=complex)
-    a[: len(f)] = np.asarray(f.coefficients, dtype=complex)
-    b[: len(g)] = np.asarray(g.coefficients, dtype=complex)
-    return bool(np.all(np.abs(a - b) <= tol))
 

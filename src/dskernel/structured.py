@@ -33,16 +33,17 @@ from .kernel import (
     psd_cutoff,
 )
 from .matrices import ArrowheadMatrix
-from .rules import UNIT_ROUNDOFF, RatioSum, SequenceRule, rounded_sum, weighted_ratio_sum
+from .rules import RatioSum, SequenceRule, weighted_ratio_sum
+from .series import ValueWithBound
 
 
 @dataclass(frozen=True)
 class MarginCertificate:
     """Margin data for an arrowhead matrix.
 
-    margin = lambda_min_head - (eigen-solve rounding) - k * (coupling_sum
-    + coupling_sum_radius): the smallest the head's least eigenvalue could
-    be, less the largest k times the coupling sum could be.  coupling_sum
+    margin is the lower end of the ball lambda_min_head - k * coupling_sum,
+    radii the eigen-solve rounding and coupling_sum_radius: the least the
+    difference could be, rounded down.  coupling_sum
     is the certified value of sum |c_{k+l}|**2 / d_{k+l}
     (coupling_sum_exact records whether it came from a closed form or a
     bounded partial sum).
@@ -60,23 +61,8 @@ HEAD_NOT_HERMITIAN = f"head block is not Hermitian (relative tolerance {HERMITIA
 
 
 def coupling_sum(m: ArrowheadMatrix) -> RatioSum:
-    """Certified sum |c_{k+l}|**2 / d_{k+l}, override-aware: each override's correction is priced like a term."""
-    base = weighted_ratio_sum(m.coupling, m.tail)
-    if not m.tail_overrides:
-        return base
-    corrections, dens = [], []
-    for idx, new_d in m.tail_overrides:
-        if new_d <= 0:
-            raise CertificationError("tail override destroys positivity")
-        l = idx - m.k
-        old_d = complex(m.tail.value(l)).real
-        c2 = abs(m.coupling.value(l)) ** 2
-        corrections += [c2 / new_d, -c2 / old_d]
-        dens += [new_d, old_d]
-    change, radius = rounded_sum(corrections, dens)
-    total = base.total + change
-    return RatioSum(total, base.exact, base.partial_terms,
-                    base.remainder_bound + radius + UNIT_ROUNDOFF * abs(total))
+    """Certified sum |c_{k+l}|**2 / d_{k+l}."""
+    return weighted_ratio_sum(m.coupling, m.tail)
 
 
 def psd_margin(m: ArrowheadMatrix, tol: float = 1e-9) -> MarginCertificate:
@@ -90,8 +76,8 @@ def psd_margin(m: ArrowheadMatrix, tol: float = 1e-9) -> MarginCertificate:
     if lam_min < -psd_cutoff(w, tol):
         raise CertificationError(f"head block is not PSD: min eigenvalue {lam_min}")
     s = coupling_sum(m)
-    # conservative margin: the least lambda_min could be, less the largest the sum could be
-    margin = lam_min - eigensolve_rounding(m.k, float(np.max(np.abs(w)))) - m.k * s.upper
+    head = ValueWithBound(lam_min, eigensolve_rounding(m.k, float(np.max(np.abs(w)))))
+    margin = (head - m.k * ValueWithBound(s.total, s.remainder_bound)).lower
     return MarginCertificate(lam_min, s.total, s.exact, s.remainder_bound, margin, m.k)
 
 
@@ -178,46 +164,6 @@ def perturbation_psd(
             f"{min(ladder.min_eigenvalues)} at order {ladder.witness_order}"
         )
     return True
-
-
-def margin_preserving_eps(m: ArrowheadMatrix, idx: int) -> float:
-    """An eps > 0 whose diagonal subtraction at idx keeps the margin positive.
-
-    For head positions the choice margin/2 works (eigenvalues move by at
-    most eps).  For tail positions the margin of the perturbed matrix has
-    the closed form margin + k|c_idx|**2 (1/d_idx - 1/(d_idx - eps)), which
-    stays positive on an explicit sub-interval of (0, d_idx); the midpoint
-    of that interval is returned.  The returned value is re-verified on the
-    perturbed matrix.
-    """
-    cert = psd_margin(m)
-    if cert.margin <= 0:
-        raise CertificationError("margin must be positive for an eps search")
-    if idx < 1:
-        raise SpecError("index is 1-based")
-    if idx <= m.k:
-        eps = cert.margin / 2.0
-        perturbed = m.with_head_perturbation(idx, eps)
-        new = psd_margin(perturbed)
-        if new.margin <= 0:
-            raise InternalCheckError("internal: head eps re-verification failed")
-        return eps
-    d = m.tail_value(idx)
-    c2 = abs(m.coupling_value(idx)) ** 2
-    if c2 == 0.0:
-        eps = d / 2.0
-    else:
-        # need k*c2*(1/(d-eps) - 1/d) < margin, i.e. d - eps > 1/Q
-        Q = cert.margin / (m.k * c2) + 1.0 / d
-        eps_max = d - 1.0 / Q
-        if eps_max <= 0:
-            raise InternalCheckError("internal: feasible interval is empty")
-        eps = eps_max / 2.0
-    perturbed = m.with_tail_override(idx, d - eps)
-    new = psd_margin(perturbed)
-    if new.margin <= 0:
-        raise InternalCheckError("internal: tail eps re-verification failed")
-    return eps
 
 
 def growth_check(

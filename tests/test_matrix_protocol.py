@@ -31,10 +31,9 @@ def _complex(rng, *shape):
 
 def _arrowhead(rng) -> ArrowheadMatrix:
     # rules whose scalar and vectorised values agree bit for bit
-    m = ArrowheadMatrix(3, random_psd_dense(rng, 3) + 5.0 * np.eye(3),
-                        SequenceRule("geometric", scale=0.5 + 0.25j, ratio=0.5),
-                        SequenceRule("constant", scale=2.0))
-    return m.with_tail_override(7, 3.5)
+    return ArrowheadMatrix(3, random_psd_dense(rng, 3) + 5.0 * np.eye(3),
+                           SequenceRule("geometric", scale=0.5 + 0.25j, ratio=0.5),
+                           SequenceRule("constant", scale=2.0))
 
 
 def _banded(rng) -> BandedMatrix:
@@ -50,7 +49,7 @@ VARIANTS = {
     "diagonal_powers": lambda rng: DiagonalMatrix(SequenceRule("geometric", scale=1.5 - 0.5j, ratio=0.5),
                                                   support=AdmissibleSupport("powers", base=2)),
     "rank_one": lambda rng: RankOneMatrix(_complex(rng, 15)),
-    "arrowhead_override": _arrowhead,
+    "arrowhead_geometric": _arrowhead,
     "deflated_dense": lambda rng: DeflatedMatrix(DenseMatrix(random_psd_dense(rng, 12) + np.eye(12))),
     "deflated_arrowhead": lambda rng: DeflatedMatrix(_arrowhead(rng)),
 }
@@ -156,7 +155,8 @@ def test_schur_min_eigs_match_per_rung_loop():
     m = _arrowhead(np.random.default_rng(13))
     orders = [2, 3, 4, 8, 16, 64, 100]
     assert _schur_min_eigs(m, orders) == _schur_reference(m, orders)
-    bad = m.with_tail_override(6, -1.0)
+    # an explicit tail shorter than the section: its entries beyond the list are 0
+    bad = ArrowheadMatrix(m.k, m.head, m.coupling, SequenceRule("explicit", values=(2.0,) * 2))
     for fn in (_schur_min_eigs, _schur_reference):
         with pytest.raises(CertificationError):
             fn(bad, orders)

@@ -212,6 +212,16 @@ class TestRoundedExponents:
             assert_in_disc(value, rounding, truth, f"diagonal partial_sum({s}, {u}, p={p}, N={N})")
 
 
+class EveryIndex:
+    """A support mask that happens to hold every index: it sends a diagonal down the direct path."""
+
+    def contains(self, n: int) -> bool:
+        return n >= 1
+
+    def indices_up_to(self, M: int) -> np.ndarray:
+        return np.arange(1, M + 1)
+
+
 class TestAgreesWithTheDirectSum:
     """A masked diagonal and a ratio-1 geometric rule take the direct path; the
     same sums through partial_zeta agree within the sum of the two radii."""
@@ -224,9 +234,16 @@ class TestAgreesWithTheDirectSum:
             s = complex(rng.uniform(0.6, 1.5), rng.uniform(-300, 300))
             u = complex(rng.uniform(0.6, 1.5), rng.uniform(-30, 30))
             em = kernel_eval(DirichletKernel(DiagonalMatrix(r), HalfPlane(0.5)), s, u, N)
-            direct = kernel_eval(DirichletKernel(DiagonalMatrix(r, support=AdmissibleSupport("all")), HalfPlane(0.5)),
-                                 s, u, N)
+            direct = kernel_eval(DirichletKernel(DiagonalMatrix(r, support=EveryIndex()), HalfPlane(0.5)), s, u, N)
             assert abs(em.value - direct.value) <= em.error_radius + direct.error_radius
+
+    def test_the_all_support_is_unmasked(self):
+        # AdmissibleSupport("all") masks nothing, so it takes the support=None path: same value, same radius
+        rule = SequenceRule("constant", scale=1.0)
+        plain = kernel_eval(DirichletKernel(DiagonalMatrix(rule), HalfPlane(0.5)), 2.0, 2.0, 10**6)
+        full = kernel_eval(DirichletKernel(DiagonalMatrix(rule, support=AdmissibleSupport("all")), HalfPlane(0.5)),
+                           2.0, 2.0, 10**6)
+        assert full == plain and plain.error_radius < 1e-13
 
     @pytest.mark.parametrize("N", [50, 999, 20000, 2 * 10**5])
     def test_evaluate(self, N):

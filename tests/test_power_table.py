@@ -115,36 +115,6 @@ class TestRulePrefixMemo:
 
 
 class TestCacheIsolation:
-    def test_tail_override_never_reaches_the_shared_rule(self):
-        tail = SequenceRule("power", scale=1.0, exponent=0.5)
-        coupling = SequenceRule("constant", scale=0.2)
-        head = np.eye(2, dtype=complex)
-        plain = ArrowheadMatrix(2, head, coupling, tail)
-        before = tail.prefix(40).copy()
-        bent = plain.with_tail_override(5, 9.0)
-        d = bent.tail_prefix(40)
-        assert d[2] == 9.0 and d.flags.writeable
-        assert not np.shares_memory(d, tail.prefix(40))
-        bent.truncation(40)
-        bent.partial_sum(2.0 + 1j, 2.5 - 1j, 40)
-        assert np.array_equal(tail.prefix(40), before)
-        assert np.array_equal(plain.tail_prefix(40), before[:38].real)
-        T_plain, T_bent = plain.truncation(40), bent.truncation(40)
-        diff = np.argwhere(T_plain != T_bent)
-        assert diff.tolist() == [[4, 4]]
-        assert T_plain[4, 4] == before[2] and T_bent[4, 4] == 9.0
-
-    def test_shared_rule_keeps_independent_sections(self):
-        tail = SequenceRule("constant", scale=1.0)
-        coupling = SequenceRule("constant", scale=0.3)
-        plain = ArrowheadMatrix(1, np.eye(1), coupling, tail)
-        bent = plain.with_tail_override(3, 4.0)
-        s, u = 2.2 + 0.3j, 2.4 - 0.1j
-        first = plain.partial_sum(s, u, 200)
-        bent.partial_sum(s, u, 200)
-        assert plain.partial_sum(s, u, 200) == first
-        assert bent.partial_sum(s, u, 200)[0] != first[0]
-
     @pytest.mark.parametrize("name", ["diagonal", "diagonal_powers", "arrowhead", "rank_one",
                                       "dense", "deflated"])
     def test_n_then_longer_then_n_is_identical(self, name):

@@ -2,6 +2,7 @@
 
 import math
 import time
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -20,7 +21,6 @@ from dskernel import (
 )
 from dskernel.kernel import eigensolve_rounding
 from dskernel.rules import ZETA_N
-from dskernel.structured import coupling_sum
 
 
 def assert_encloses(value: float, radius: float, truth) -> None:
@@ -179,9 +179,11 @@ class TestPricedMargin:
         m = ArrowheadMatrix(2, head, SequenceRule("constant", scale=0.3), power(1.0, 2.0))
         cert = psd_margin(m)
         w = np.linalg.eigvalsh(head)
-        upper = cert.coupling_sum + cert.coupling_sum_radius
+        upper = Fraction(cert.coupling_sum) + Fraction(cert.coupling_sum_radius)
+        exact = Fraction(float(w[0])) - Fraction(eigensolve_rounding(2, float(np.max(np.abs(w))))) - 2 * upper
         assert cert.lambda_min_head == float(w[0])
-        assert cert.margin == float(w[0]) - eigensolve_rounding(2, float(np.max(np.abs(w)))) - 2 * upper
+        # the lower end of the ball, rounded down: never above the exact difference, a few ulps below it
+        assert cert.margin <= exact and exact - Fraction(cert.margin) <= 1e-15
         assert cert.coupling_sum_radius > 0 and not cert.coupling_sum_exact
         with mpmath.workdps(40):
             assert_encloses(cert.coupling_sum, cert.coupling_sum_radius, mpmath.mpf(0.3) ** 2 * mpmath.zeta(2))
@@ -213,7 +215,7 @@ def exact_finite_sum(num: SequenceRule, den: SequenceRule, extra: float = 0.0):
 
 
 class TestFiniteSums:
-    """The explicit branch and the tail-override corrections price their rounding."""
+    """The explicit branch prices its rounding."""
 
     def test_thousand_tenths_over_three(self):
         num, den = SequenceRule("explicit", values=(0.1,) * 1000), SequenceRule("constant", scale=3.0)
@@ -238,12 +240,76 @@ class TestFiniteSums:
         s = weighted_ratio_sum(num, den, extra)
         assert_encloses(s.total, s.remainder_bound, exact_finite_sum(num, den, extra))
 
-    def test_tail_override_corrections_are_priced(self):
-        m = ArrowheadMatrix(1, np.array([[5.0]]), SequenceRule("explicit", values=(0.1,) * 50),
-                            SequenceRule("constant", scale=3.0))
-        for idx in (2, 7, 30):
-            m = m.with_tail_override(idx, 0.7)
-        s = coupling_sum(m)
-        tail = SequenceRule("explicit", values=tuple(0.7 if l + 1 in (2, 7, 30) else 3.0 for l in range(1, 51)))
-        assert s.remainder_bound > 0.0
-        assert_encloses(s.total, s.remainder_bound, exact_finite_sum(m.coupling, tail))
+
+KINDS = ("constant", "geometric", "power", "explicit")
+
+
+def _rule(rng, kind: str, numerator: bool) -> SequenceRule:
+    """A seeded rule of the kind; denominators are positive, numerator scales may be complex."""
+    scale = float(rng.uniform(0.1, 3.0))
+    if numerator and rng.random() < 0.3:
+        scale = complex(scale, float(rng.uniform(-2.0, 2.0)))
+    if kind == "constant":
+        return SequenceRule("constant", scale=scale)
+    if kind == "geometric":
+        return geometric(scale, float(rng.uniform(0.05, 1.1) if numerator else rng.uniform(0.5, 5.0)))
+    if kind == "power":
+        return power(scale, float(rng.uniform(-3.0, 1.0) if numerator else rng.uniform(-2.0, 5.0)))
+    if numerator:
+        return SequenceRule("explicit", values=tuple(complex(*rng.uniform(-3.0, 3.0, 2)) for _ in range(rng.integers(1, 30))))
+    return SequenceRule("explicit", values=tuple(float(v) for v in rng.uniform(0.1, 5.0, 40)))
+
+
+def _sweep_truth(num: SequenceRule, den: SequenceRule, extra: float):
+    """The 40-digit sum of |num(l)|**2 l**extra / den(l), inf when it diverges, None within 2 % of the border."""
+    if num.kind == "explicit":
+        return exact_finite_sum(num, den, extra)
+    if den.kind == "explicit":
+        return mpmath.inf  # den(l) = 0 beyond the list
+    mp = mpmath.mpf
+    A = abs(mpmath.mpc(complex(num.scale))) ** 2 / mp(complex(den.scale).real)
+    q = (mp(num.ratio) ** 2 if num.kind == "geometric" else 1) / (mp(den.ratio) if den.kind == "geometric" else 1)
+    beta = ((mp(den.exponent) if den.kind == "power" else 0) - (2 * mp(num.exponent) if num.kind == "power" else 0)
+            - mp(extra))
+    if q == 1 and abs(beta - 1) > 0.02 or q != 1 and abs(q - 1) > 0.02:
+        if q > 1 or (q == 1 and beta < 1):
+            return mpmath.inf
+        if beta == 0:
+            return A * q / (1 - q)
+        return A * (mpmath.zeta(beta) if q == 1 else mpmath.polylog(beta, q))
+    return None
+
+
+class TestRuleKindSweep:
+    """Every numerator x denominator rule kind: a certified disc holds the 40-digit sum, and only divergent sums are refused."""
+
+    def test_thousand_seeded_pairs_over_all_sixteen_kinds(self):
+        rng = np.random.default_rng(2024)
+        counts, certified = dict.fromkeys([(a, b) for a in KINDS for b in KINDS], 0), 0
+        with mpmath.workdps(40):
+            while min(counts.values()) < 63:
+                pair = min(counts, key=counts.get)
+                num, den = _rule(rng, pair[0], True), _rule(rng, pair[1], False)
+                extra = float(rng.choice([0.0, 0.0, 1.0, -0.5]))
+                truth = _sweep_truth(num, den, extra)
+                if truth is None:
+                    continue
+                counts[pair] += 1
+                if truth == mpmath.inf:
+                    with pytest.raises(CertificationError):
+                        weighted_ratio_sum(num, den, extra)
+                    continue
+                s = weighted_ratio_sum(num, den, extra)
+                assert_encloses(s.total, s.remainder_bound, truth)
+                certified += 1
+        assert sum(counts.values()) >= 1000 and certified >= 600
+
+
+class TestZetaSweep:
+    def test_seeded_betas_up_to_a_million(self):
+        rng = np.random.default_rng(7)
+        betas = [1.0 + 10.0 ** float(e) for e in rng.uniform(-9.0, 6.0, 400)]
+        with mpmath.workdps(40):
+            for beta in [*betas, 1.0 + 2.0**-52, 2.0, 1e6]:
+                value, radius = zeta_enclosure(beta)
+                assert_encloses(value, radius, mpmath.zeta(mpmath.mpf(beta)))

@@ -19,7 +19,6 @@ from dskernel import (
     evaluate,
     merge_log_exponents,
     multiply_merged,
-    series_equal,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -211,42 +210,6 @@ class TestMultiply:
         lhs = evaluate(f, s, 3) * evaluate(g, s, 3)
         rhs = evaluate(prod, s, len(prod))
         assert abs(lhs.value - rhs.value) <= lhs.error_radius + rhs.error_radius + 1e-12
-
-
-class TestSeriesEqual:
-    def test_identical(self):
-        f = GeneralDirichletSeries.ordinary([1.0, 2.0, 3.0])
-        assert series_equal(f, f, 0.0)
-
-    def test_shifted_support(self):
-        f = GeneralDirichletSeries.ordinary([1.0])
-        g = GeneralDirichletSeries.ordinary([0.0, 1.0])
-        assert not series_equal(f, g, 0.5)
-
-    def test_independent_recomputation(self):
-        f = GeneralDirichletSeries.ordinary([1.0 / n**2 for n in range(1, 51)])
-        g = GeneralDirichletSeries.ordinary([float(n) ** -2.0 for n in range(1, 51)])
-        assert series_equal(f, g, 1e-15)
-
-    def test_rejects_general_series(self):
-        f = GeneralDirichletSeries.single_term(1.0, 1.0)
-        with pytest.raises(SpecError):
-            series_equal(f, f, 0.0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(st.integers(-3, 3), min_size=0, max_size=6),
-        st.lists(st.integers(-3, 3), min_size=0, max_size=6),
-        st.lists(st.integers(-3, 3), min_size=0, max_size=6),
-    )
-    def test_equivalence_relation_at_zero_tol(self, a, b, c):
-        fa = GeneralDirichletSeries.ordinary([complex(x) for x in a])
-        fb = GeneralDirichletSeries.ordinary([complex(x) for x in b])
-        fc = GeneralDirichletSeries.ordinary([complex(x) for x in c])
-        assert series_equal(fa, fa, 0.0)
-        assert series_equal(fa, fb, 0.0) == series_equal(fb, fa, 0.0)
-        if series_equal(fa, fb, 0.0) and series_equal(fb, fc, 0.0):
-            assert series_equal(fa, fc, 0.0)
 
 
 class TestInvariants:

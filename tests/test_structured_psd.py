@@ -14,7 +14,6 @@ from dskernel import (
     certify_psd,
     example_arrowhead,
     growth_check,
-    margin_preserving_eps,
     perturbation_psd,
     psd_check,
     psd_margin,
@@ -193,43 +192,6 @@ class TestPerturbation:
         with pytest.raises(SpecError):
             perturbation_psd(m, 2, 0.1, 12)
         assert perturbation_psd(m, 2, 0.0, 12)
-
-
-class TestEpsSearch:
-    def test_zero_coupling_tail_gives_half_tail_value(self):
-        m = ArrowheadMatrix(
-            1,
-            np.array([[1.0]]),
-            SequenceRule("explicit", values=(0.0, 0.0, 0.5)),
-            SequenceRule("geometric", scale=1.0, ratio=4.0),
-        )
-        # index 2 is tail position l=1 with coupling 0 and d = 4
-        eps = margin_preserving_eps(m, 2)
-        assert abs(eps - 2.0) < 1e-12
-
-    def test_k1_tail_position_verified(self):
-        m = k1_example()
-        base = psd_margin(m).margin
-        eps = margin_preserving_eps(m, 2)
-        d2, c2 = 4.0, 0.5
-        assert 0 < eps < d2
-        # closed-form oracle by direct substitution
-        new_margin = base + 1 * abs(c2) ** 2 * (1.0 / d2 - 1.0 / (d2 - eps))
-        assert new_margin > 0
-        pert = m.with_tail_override(2, d2 - eps)
-        assert abs(psd_margin(pert).margin - new_margin) < 1e-12
-
-    def test_head_position_half_margin(self):
-        m = k1_example()
-        eps = margin_preserving_eps(m, 1)
-        assert abs(eps - psd_margin(m).margin / 2) < 1e-15
-        pert = m.with_head_perturbation(1, eps)
-        assert psd_margin(pert).margin > 0
-
-    def test_refuses_nonpositive_margin(self):
-        m, _ = example_arrowhead()
-        with pytest.raises(CertificationError):
-            margin_preserving_eps(m, 1)
 
 
 class TestGrowth:
