@@ -12,16 +12,21 @@ Every certificate builds its self-adjoint section once (``hermitian_section``,
 a HermitianError otherwise) and judges it by one cutoff (``psd_cutoff``).
 Ladder rungs up to order 256 compute eigenvalues only; the witness of the
 first failing section comes from shifted inverse iteration and is verified,
-with a full ``eigh`` of that section as the fallback.  The rungs above 256
-are certified together by one Cholesky factorisation of the shifted top
-section, verified by Rump's rounding bound at a cutoff no larger than the
-eigen ladder's, which judges every rung the factor does not certify.
+with a full ``eigh`` of that section as the fallback.  Above 256, a matrix
+with a ``psd_structure`` (arrowhead, rank-one, diagonal) has each rung
+decided from its prefixes, without its section: an arrowhead through the
+shifted k x k Schur complement (``schur_complements``), a rank-one and a
+diagonal exactly; the structure also cross-checks the eigen rungs.  For any
+other matrix the rungs above 256 are certified together by one Cholesky
+factorisation of the shifted top section, verified by Rump's rounding bound
+at a cutoff no larger than the eigen ladder's, which judges every rung the
+factor does not certify.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,7 +39,7 @@ from .errors import (
     RecoveryError,
     SpecError,
 )
-from .matrices import CoefficientMatrix
+from .matrices import CoefficientMatrix, SectionStructure
 from .rules import UNIT_ROUNDOFF
 from .series import HalfPlane, ValueWithBound, gamma, log_table
 
@@ -134,21 +139,24 @@ HERMITIAN_TOL = 1e-10
 NOT_SELF_ADJOINT = f"matrix is not self-adjoint at this order (relative tolerance {HERMITIAN_TOL})"
 
 
-def hermitian_part(T: np.ndarray, message: str = NOT_SELF_ADJOINT) -> np.ndarray:
+def hermitian_part(T: np.ndarray, message: str = NOT_SELF_ADJOINT, largest: float = 0.0) -> np.ndarray:
     """(T + T*)/2; a HermitianError(message) if T is not Hermitian.
 
     T counts as Hermitian when max |T - T*| <= HERMITIAN_TOL (1 + max |T|):
     the rounding of a product such as ``np.outer(f, conj(f))`` grows with
     the entries, so an absolute cutoff would reject large Hermitian blocks.
-    A 1-D T is read as the diagonal of a diagonal matrix, so the rule bounds
-    its imaginary parts and the result is its real part.  The result is a
-    new array, never a view of T: D = T - T* is formed once, tested, and
-    turned into T - D/2 in place.
+    When T is a block of a larger section, ``largest`` is that section's
+    largest |entry|, which then stands in for max |T| when it is larger, so
+    the block is judged by the section's rule.  A 1-D T is read as the
+    diagonal of a diagonal matrix, so the rule bounds its imaginary parts
+    and the result is its real part.  The result is a new array, never a
+    view of T: D = T - T* is formed once, tested, and turned into T - D/2
+    in place.
     """
     D = np.conjugate(T.T, order="C")  # the ufunc, since ndarray.conj() of a real T is T itself
     np.subtract(T, D, out=D)
     deviation = np.max(np.abs(D)) if T.size else 0.0
-    if deviation > HERMITIAN_TOL * (1.0 + np.max(np.abs(T))):
+    if deviation > HERMITIAN_TOL * (1.0 + max(largest, np.max(np.abs(T)))):
         raise HermitianError(message)
     D *= -0.5
     D += T
@@ -209,14 +217,21 @@ class PsdCertificate:
     least that value, which is no lower than the eigen-ladder cutoff.  A
     rung whose factor fails is judged by the eigen ladder's cutoff, so the
     verdicts are the eigen ladder's: when it passes, min_eigenvalues[i] is
-    its smallest eigenvalue.  Above 256, whichever path judged the rungs,
-    the first failing rung and every later one report the witness's
-    Rayleigh quotient, by interlacing an upper bound on lambda_min, and no
-    later rung is solved.  The verdict is "psd" when every rung passes;
-    otherwise the first failing order and a witness vector are recorded:
-    unit norm, largest component real and positive, and a Rayleigh quotient
-    below that order's cutoff, on every path.  ``method`` names
-    ``verified-cholesky`` when a factor judged the rungs above 256.
+    its smallest eigenvalue.  For an arrowhead, rank-one or diagonal matrix
+    its structure decides the rungs above 256 instead, with the same
+    semantics: an arrowhead rung certified by its Schur complement reports
+    -eps_N, eps_N = tol (1 + l_N) with l_N a structural lower bound on the
+    section's norm; a rank-one rung reports its exact lambda_min 0; a
+    diagonal rung its least entry; a rung the structure leaves undecided is
+    an eigen rung.  Above 256, whichever path judged the rungs, the first
+    failing rung and every later one report the witness's Rayleigh
+    quotient, by interlacing an upper bound on lambda_min, and no later
+    rung is solved.  The verdict is "psd" when every rung passes; otherwise
+    the first failing order and a witness vector are recorded: unit norm,
+    largest component real and positive, and a Rayleigh quotient below that
+    order's cutoff, on every path.  ``method`` names the path that judged
+    the rungs above 256: ``eigenvalue-ladder + verified-cholesky``, ``+
+    arrowhead-schur``, ``+ rank-one-exact`` or ``+ diagonal-exact``.
     """
 
     orders: tuple
@@ -246,7 +261,8 @@ def psd_ladder_orders(max_order: int) -> list[int]:
 
 #: ladder rungs up to this order are eigen-solves, which give the reported
 #: minima, the interlacing check and the inverse-iteration witness; the
-#: rungs above it are certified by one verified Cholesky factorisation
+#: rungs above it are decided by the matrix's structure or certified by one
+#: verified Cholesky factorisation
 EIGEN_LADDER_MAX = 256
 
 #: inverse iteration shifts this far below lambda_min, relative to
@@ -310,14 +326,18 @@ def _witness(S: np.ndarray, lam_min: float, scale: float, cutoff: float) -> np.n
     return x
 
 
-def _eigen_rungs(S: np.ndarray, orders: list[int], tol: float) -> tuple[list, Optional[int], Optional[np.ndarray]]:
+def _eigen_rungs(
+    S: np.ndarray, orders: list[int], tol: float, bounds: Optional[list] = None
+) -> tuple[list, Optional[int], Optional[np.ndarray]]:
     """Rung minima, first failing order and its witness, from one ``eigvalsh`` per rung.
 
     By Cauchy interlacing lambda_min cannot rise from one rung to the next;
     a rise beyond the rung's cutoff plus the eigen-solver's rounding is an
-    InternalCheckError.  Every rung up to ``EIGEN_LADDER_MAX`` is solved;
-    above it the solves stop at the first failing rung, whose value is left
-    to ``psd_check``.
+    InternalCheckError.  So is a lambda_min that lies further than that
+    rounding outside the rung's (lo, hi) in ``bounds``, the enclosure its
+    structure certifies (``_structural_rung``).  Every rung up to
+    ``EIGEN_LADDER_MAX`` is solved; above it the solves stop at the first
+    failing rung, whose value is left to ``psd_check``.
     """
     mins, witness_order, witness_vector = [], None, None
     for i, N in enumerate(orders):
@@ -331,6 +351,13 @@ def _eigen_rungs(S: np.ndarray, orders: list[int], tol: float) -> tuple[list, Op
                 f"internal: lambda_min rose from {mins[-1]} at order {orders[i - 1]} to "
                 f"{lam} at order {N}, against Cauchy interlacing"
             )
+        if bounds is not None:
+            lo, hi = bounds[i]
+            if not lo - eigensolve_rounding(N, scale) <= lam <= hi + eigensolve_rounding(N, scale):
+                raise InternalCheckError(
+                    f"internal: lambda_min {lam} of the order-{N} section lies outside "
+                    f"[{lo}, {hi}], the enclosure its structure certifies"
+                )
         if lam < -slack and witness_order is None:
             witness_order = N
             witness_vector = _witness(sec, lam, scale, -slack)
@@ -496,6 +523,166 @@ def _cholesky_rungs(S: np.ndarray, orders: list[int], tol: float) -> Optional[tu
     return mins, None, None
 
 
+def _judged(form: SectionStructure) -> tuple[SectionStructure, float]:
+    """form with its head and diagonal made Hermitian by ``hermitian_part``'s rule, and the section's largest |entry|.
+
+    The rule is the one ``hermitian_section`` applies to the whole section,
+    read from the prefixes: only the head and the diagonal can break
+    self-adjointness, since an arrowhead's coupling block and its
+    conjugate transpose are built from the same c, and f f* is Hermitian by
+    construction.
+    """
+    f = np.abs(form.vector)
+    if form.kind == "rank-one-exact":
+        return form, float(np.max(f)) ** 2
+    largest = max(float(np.max(f, initial=0.0)), float(np.max(np.abs(form.diagonal), initial=0.0)))
+    head = form.head
+    if head.size:
+        head = hermitian_part(head, NOT_SELF_ADJOINT, largest)
+        largest = max(largest, float(np.max(np.abs(form.head))))
+    diagonal = hermitian_part(form.diagonal, NOT_SELF_ADJOINT, largest).real
+    return replace(form, head=head, diagonal=diagonal), largest
+
+
+def schur_complements(
+    head: np.ndarray, coupling: np.ndarray, tail: np.ndarray, orders: list[int], eps: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The k x k complements head + eps I - sigma_N J of arrowhead sections, one per order, and the sigma_N.
+
+    sigma_N = sum_{l <= N - k} |c_l|**2 / (d_l + eps) over the prefixes c
+    (coupling) and d >= 0 (tail), J = ones(k, k) and head Hermitian.  The
+    order-N section plus eps I is PSD exactly when its complement is, once
+    every d_l + eps > 0 (Haynsworth, *Linear Algebra Appl.* 1, 1968).  A
+    term with c_l = 0 is 0, as its row and column are diagonal; one with
+    c_l != 0 over d_l + eps = 0 makes sigma_N infinite.  Below order k the
+    complement is the whole head.
+    """
+    k, m = head.shape[0], max(0, max(orders) - head.shape[0])
+    c2 = np.abs(coupling[:m]) ** 2
+    with np.errstate(divide="ignore"):
+        terms = np.divide(c2, tail[:m] + eps, out=np.zeros(m), where=c2 > 0.0)
+    sigma = np.cumsum(np.concatenate(([0.0], terms)))[[max(0, N - k) for N in orders]]
+    M = np.repeat(head[None], len(orders), axis=0)
+    M[:, np.arange(k), np.arange(k)] += eps
+    M -= sigma[:, None, None]
+    return M, sigma
+
+
+def arrowhead_norm_bounds(head: np.ndarray, coupling: np.ndarray, tail: np.ndarray) -> tuple[float, float]:
+    """(l, u) with l <= ||S||_2 <= u for the arrowhead section with these prefixes, in O(N + k**2).
+
+    l is the larger of the largest |entry| and sqrt(k) ||c||, the norm of
+    the coupling block 1 c^T; u the lesser of the largest absolute row sum
+    and the Frobenius norm.  Each is moved by the rounding of its sums.
+    """
+    k = head.shape[0]
+    n = k + coupling.size
+    ah, ac, ad = np.abs(head), np.abs(coupling), np.abs(tail)
+    big = float(np.max(ac, initial=0.0))
+    strip = math.sqrt(k * float(np.sum((ac / big) ** 2))) * big if big > 0.0 else 0.0
+    lower = max(float(np.max(ah)), big, float(np.max(ad, initial=0.0)), strip if math.isfinite(strip) else 0.0)
+    with np.errstate(over="ignore"):  # an overflowing sum leaves the other bound, or inf
+        rows = max(float(np.max(ah.sum(axis=1))) + float(ac.sum()), float(np.max(k * ac + ad, initial=0.0)))
+        frobenius = math.sqrt(float(np.vdot(ah, ah)) + 2.0 * k * float(ac @ ac) + float(ad @ ad))
+    return lower * (1.0 - gamma(n + 6)), min(rows, frobenius) * (1.0 + 2.0 * gamma(n + 4))
+
+
+def _arrowhead_rayleigh(head: np.ndarray, coupling: np.ndarray, tail: np.ndarray, x: np.ndarray) -> float:
+    """Re(x* S x) for the arrowhead section S, x = [a; b]: a* H a + 2 Re(conj(sum a) c.b) + sum d |b|**2."""
+    a, b = x[:head.shape[0]], x[head.shape[0]:]
+    return float(np.vdot(a, head @ a).real + 2.0 * (np.conj(a.sum()) * (coupling @ b)).real + tail @ (b.real**2 + b.imag**2))
+
+
+def _schur_rung(head: np.ndarray, coupling: np.ndarray, tail: np.ndarray, tol: float) -> tuple:
+    """(lo, hi, witness) for the arrowhead section with these prefixes (``_structural_rung``).
+
+    It passes at lo = -eps, eps = tol (1 + l) with l from
+    ``arrowhead_norm_bounds``, when the complement at eps is certified PSD:
+    its computed lambda_min clears the eigen-solver's rounding, the
+    rounding of forming it and k times that of sigma.  Else, at eps' = tol
+    (1 + u), a negative direction y of the complement gives x = [y;
+    -(D + eps' I)^{-1} conj(c) (1^T y)] with x* (S + eps' I) x = y* M y < 0;
+    normalised by ``unit_phase``, it is the witness when its Rayleigh
+    quotient hi lies below -eps', hence below the eigen ladder's cutoff.
+    Otherwise the rung is undecided.
+    """
+    k, n = head.shape[0], head.shape[0] + coupling.size
+    lower, upper = arrowhead_norm_bounds(head, coupling, tail)
+    eps = tol * (1.0 + lower)
+    M, sigma = schur_complements(head, coupling, tail, [n], eps)
+    s = float(sigma[0])
+    if math.isfinite(eps) and math.isfinite(s):
+        w = np.linalg.eigvalsh(M[0])
+        formed = 3.0 * UNIT_ROUNDOFF * (float(np.max(np.abs(head))) + eps + s)
+        if w[0] >= eigensolve_rounding(k, float(np.max(np.abs(w)))) + k * (2.0 * gamma(n + 6) * s + formed):
+            return -eps, math.inf, None
+    eps = tol * (1.0 + upper)
+    M, sigma = schur_complements(head, coupling, tail, [n], eps)
+    if math.isfinite(eps) and math.isfinite(float(sigma[0])):
+        w, V = np.linalg.eigh(M[0])
+        if w[0] < 0.0:
+            y = V[:, 0]
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # judged by the size below
+                x = np.concatenate([y, -np.conj(coupling) * (y.sum() / (tail + eps))])
+                size = float(np.linalg.norm(x))
+            if 0.0 < size < math.inf:
+                x = unit_phase(x / size)
+                q = _arrowhead_rayleigh(head, coupling, tail, x)
+                if q < -eps:
+                    return -math.inf, q, x
+    return -math.inf, math.inf, None
+
+
+def _structural_rung(form: SectionStructure, N: int, tol: float) -> tuple:
+    """(lo, hi, witness): lo <= lambda_min(S_N) <= hi, from the structure alone.
+
+    A witness (a verified unit vector whose Rayleigh quotient hi lies below
+    the rung's cutoff) means the rung fails; otherwise a finite lo means it
+    passes, and (-inf, inf) that the structure does not decide it.  Rank
+    one: lambda_min is 0 for N >= 2, |f_1|**2 at N = 1.  Diagonal: the
+    least d_j, with witness e_j when it lies below the eigen ladder's
+    cutoff, which for diag(d) is exact.  Arrowhead: ``_schur_rung``.
+    """
+    if form.kind == "rank-one-exact":
+        lam = float(abs(form.vector[0]) ** 2) if N == 1 else 0.0
+        return lam, lam, None
+    if form.kind == "diagonal-exact":
+        d = form.diagonal[:N]
+        j = int(np.argmin(d))
+        lam, x = float(d[j]), None
+        if lam < -psd_cutoff(d, tol):
+            x = np.zeros(N, dtype=complex)
+            x[j] = 1.0
+        return lam, lam, x
+    k = form.head.shape[0]
+    if N < k:
+        return -math.inf, math.inf, None
+    return _schur_rung(form.head, form.vector[:N - k], form.diagonal[:N - k], tol)
+
+
+def _structural_rungs(
+    matrix: CoefficientMatrix, form: SectionStructure, largest: float, orders: list[int], tol: float
+) -> tuple[list, Optional[int], Optional[np.ndarray]]:
+    """Values of the rungs above ``EIGEN_LADDER_MAX``, the first failing order and its witness, from the structure.
+
+    A rung that passes reports lo; from the first failing rung on, each
+    reports the witness's Rayleigh quotient.  Only a rung the structure
+    leaves undecided has its section built, judged by ``hermitian_part`` at
+    the largest entry of the top section, and eigen-solved (``_eigen_rungs``).
+    """
+    mins = []
+    for i, N in enumerate(orders):
+        lo, hi, x = _structural_rung(form, N, tol)
+        if x is None and lo == -math.inf:
+            S = hermitian_part(matrix.truncation(N), NOT_SELF_ADJOINT, largest)
+            rung, _, x = _eigen_rungs(S, [N], tol)
+            lo, hi = (rung[0], None) if x is None else (None, _rayleigh(x, S))
+        if x is not None:
+            return mins + [hi] * (len(orders) - i), N, x
+        mins.append(lo)
+    return mins, None, None
+
+
 def psd_check(matrix: CoefficientMatrix, max_order: int, tol: float = 1e-9) -> PsdCertificate:
     """Certify formal positive semi-definiteness up to max_order.
 
@@ -505,10 +692,17 @@ def psd_check(matrix: CoefficientMatrix, max_order: int, tol: float = 1e-9) -> P
     self-adjoint matrix.
 
     Rungs of order <= ``EIGEN_LADDER_MAX`` compute eigenvalues only, with
-    the Cauchy-interlacing check of ``_eigen_rungs``.  The rungs above it
-    are certified together by one verified Cholesky factorisation of the
-    top section (``_cholesky_rungs``), in real arithmetic when the section
-    is real; the method then reads "eigenvalue-ladder + verified-cholesky".
+    the Cauchy-interlacing check of ``_eigen_rungs``.  A matrix with a
+    ``psd_structure`` (arrowhead, rank-one, diagonal) is judged
+    self-adjoint at max_order from its prefixes, its eigen rungs are built
+    on the order-256 section alone and cross-checked against the enclosure
+    its structure certifies, and its rungs above 256 are decided from the
+    structure in O(N k + k**3) work each (``_structural_rungs``); the
+    method then reads "eigenvalue-ladder + " and the structure's kind, such
+    as "arrowhead-schur".  For any other matrix the rungs above 256 are
+    certified together by one verified Cholesky factorisation of the top
+    section (``_cholesky_rungs``), in real arithmetic when the section is
+    real; the method then reads "eigenvalue-ladder + verified-cholesky".
     When Rump's rounding constant leaves no positive shift (a small tol on
     a large trace), those rungs are eigen-solves too.  On every path, once
     a rung has failed no rung above 256 is solved: from the failing rung on,
@@ -519,26 +713,38 @@ def psd_check(matrix: CoefficientMatrix, max_order: int, tol: float = 1e-9) -> P
     """
     if max_order < 1:
         raise SpecError("max_order must be >= 1")
-    S = hermitian_section(matrix, max_order)
-    dtype = S.dtype
+    check_tol(tol)
     orders = psd_ladder_orders(max_order)
     low = [N for N in orders if N <= EIGEN_LADDER_MAX]
-    mins, witness_order, witness_vector = _eigen_rungs(S, low, tol)
     high = orders[len(low):]
+    form = matrix.psd_structure(max_order)
+    if form is None:
+        S, bounds = hermitian_section(matrix, max_order), None
+    else:
+        form, largest = _judged(form)
+        S = hermitian_part(matrix.truncation(low[-1]), NOT_SELF_ADJOINT, largest)
+        bounds = [_structural_rung(form, N, tol)[:2] for N in low]
+    dtype = S.dtype
+    mins, witness_order, witness_vector = _eigen_rungs(S, low, tol, bounds)
     method = "eigenvalue-ladder"
     if high and witness_vector is None:
-        if not (np.any(S[-1].imag) or np.any(S.imag)):  # the last row settles most complex sections
-            S = np.ascontiguousarray(S.real)
-        rungs = _cholesky_rungs(S, high, tol)
-        if rungs is None:
-            rungs = _eigen_rungs(S, high, tol)
+        if form is not None:
+            rungs = _structural_rungs(matrix, form, largest, high, tol)
+            method += f" + {form.kind}"
         else:
-            method += " + verified-cholesky"
+            if not (np.any(S[-1].imag) or np.any(S.imag)):  # the last row settles most complex sections
+                S = np.ascontiguousarray(S.real)
+            rungs = _cholesky_rungs(S, high, tol)
+            if rungs is None:
+                rungs = _eigen_rungs(S, high, tol)
+            else:
+                method += " + verified-cholesky"
         high_mins, witness_order, witness_vector = rungs
         mins += high_mins
-    if witness_vector is not None:
+    if len(mins) < len(orders):  # the rest report the failing rung's witness quotient
         N = witness_order
         mins += [_rayleigh(witness_vector, S[:N, :N])] * (len(orders) - len(mins))
+    if witness_vector is not None:
         witness_vector = witness_vector.astype(dtype)
     verdict = "psd" if witness_order is None else "not_psd"
     return PsdCertificate(

@@ -23,6 +23,10 @@ variant to sum a section of the matrix:
   the section, row by row (``kernel.support_pattern``).
 - ``abs_row_tail`` / ``abs_col_tail`` / ``abs_corner_tail``: absolute tail
   sums (``kernel.tail_bound``).
+- ``psd_structure(N)``: the N-section as a ``SectionStructure`` (arrowhead,
+  diagonal or rank-one prefixes) from which ``kernel.psd_check`` decides
+  its rungs above order 256 without building it; None for the variants
+  without one.
 
 The base class sums a dense section and bounds tails by the envelope; each
 structured variant overrides what its structure makes cheaper or sharper.
@@ -72,6 +76,31 @@ def _power_sum_upper(beta: float, N: int) -> float:
     return value.real + radius
 
 
+@dataclass(frozen=True)
+class SectionStructure:
+    """The leading N x N section described by its prefixes (``CoefficientMatrix.psd_structure``).
+
+    ``kind`` names the structure, and the ladder method that reads it:
+
+    - ``"arrowhead-schur"``: [[head, 1 c^T], [conj(c) 1^T, diag(d)]], the
+      k x k ``head`` as stored, every head row coupled to the tail through
+      the same c (``vector``, length N - k), the real tail d >= 0
+      (``diagonal``);
+    - ``"diagonal-exact"``: diag(d), d (``diagonal``) as stored;
+    - ``"rank-one-exact"``: f f*, f (``vector``) of length N.
+
+    Unused fields are empty arrays.
+    """
+
+    kind: str
+    head: np.ndarray
+    vector: np.ndarray
+    diagonal: np.ndarray
+
+
+_NONE = np.zeros(0)
+
+
 class CoefficientMatrix:
     """Abstract coefficient matrix; indices are 1-based as in the math.
 
@@ -98,6 +127,10 @@ class CoefficientMatrix:
     def row_prefix(self, m: int, N: int) -> np.ndarray:
         """Entries a_{m, 1..N}."""
         raise NotImplementedError
+
+    def psd_structure(self, N: int) -> Optional[SectionStructure]:
+        """The N-section's structure for ``kernel.psd_check``; None when only the dense section decides."""
+        return None
 
     # -- kernel summation protocol ------------------------------------------
 
@@ -316,6 +349,9 @@ class DiagonalMatrix(CoefficientMatrix):
         i = np.nonzero(np.abs(self.diagonal_prefix(N)) > tol)[0] + 1
         return i, i.copy()
 
+    def psd_structure(self, N: int) -> SectionStructure:
+        return SectionStructure("diagonal-exact", _NONE.reshape(0, 0), _NONE, self.diagonal_prefix(N))
+
     def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float]:
         """One series in z = s + conj(u): one power per term, which also
         weighs the mass when z is real.  An unmasked rule c n**p sums as
@@ -380,6 +416,9 @@ class RankOneMatrix(CoefficientMatrix):
     def truncation(self, N: int) -> np.ndarray:
         f = self.factor_prefix(N)
         return np.outer(f, np.conj(f))
+
+    def psd_structure(self, N: int) -> SectionStructure:
+        return SectionStructure("rank-one-exact", _NONE.reshape(0, 0), self.factor_prefix(N), _NONE)
 
     def column_prefix(self, n: int, N: int) -> np.ndarray:
         return self.factor_prefix(N) * np.conj(self._factor(n))
@@ -486,6 +525,12 @@ class ArrowheadMatrix(CoefficientMatrix):
             t = np.arange(k, N)
             out[t, t] = self.tail_prefix(N)
         return out
+
+    def psd_structure(self, N: int) -> Optional[SectionStructure]:
+        """The arrowhead prefixes; None below order k, where the section is a block of the head."""
+        if N < self.k:
+            return None
+        return SectionStructure("arrowhead-schur", self.head, self.coupling_prefix(N), self.tail_prefix(N))
 
     def column_prefix(self, n: int, N: int) -> np.ndarray:
         out = np.zeros(N, dtype=complex)

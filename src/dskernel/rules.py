@@ -311,9 +311,9 @@ def exponent_sum(*parts) -> tuple[complex, float]:
 def partial_zeta(z: complex, dz: float, a: int, N: int) -> tuple[complex, float]:
     """(value, radius) with |sum_{n=a}^{N} n**-w - value| <= radius for every |w - z| <= dz.
 
-    For Re z > 1 and N > K = 2 ceil(|z|) + 2 EM_M, the terms n < K are
-    summed directly and the rest by Euler-Maclaurin with EM_M corrections
-    at both ends:
+    For Re z > 1 and N - max(a, K) > 1024 (12288 for a real z), K = 2
+    ceil(|z|) + 2 EM_M, the terms n < K are summed directly and the rest by
+    Euler-Maclaurin with EM_M corrections at both ends:
 
         sum_{n=b}^{N} n**-z = b**(1-z) (1 - (N/b)**(1-z)) / (z-1)
                               + (b**-z + N**-z)/2 + (corrections at b) - (corrections at N) + R,
@@ -322,8 +322,12 @@ def partial_zeta(z: complex, dz: float, a: int, N: int) -> tuple[complex, float]
     formed from expm1, so it keeps its accuracy as z approaches 1.  As
     b >= 2(|z| + EM_M), the 2 EM_M factors |z + j|/b of the remainder
     multiply to at most 2**(-2 EM_M) (their mean is below 1/2), so R is
-    below 1e-18 b**(1-sigma) whatever |z|.  Otherwise (N <= K, or
-    Re z <= 1) the whole sum is direct, so the work is O(min(N, |z|)).
+    below 1e-18 b**(1-sigma) whatever |z|.  Otherwise (N closer to
+    max(a, K), or Re z <= 1) the whole sum is direct, so the work is
+    O(min(N, |z| + 12288)).  The switch is where the two cost the same on a
+    2-core x86_64 (``timeit``): the Euler-Maclaurin terms take about 40 us
+    in all, a direct term about 0.04 us for a complex z and 0.003 us for a
+    real z, whose table powers are real exponentials.
 
     The radius prices the rounding as ``series.rounding_radius`` does: the
     direct terms as table powers; every Euler-Maclaurin term as a power of
@@ -338,7 +342,7 @@ def partial_zeta(z: complex, dz: float, a: int, N: int) -> tuple[complex, float]
     z = complex(z)
     sigma, u = z.real, UNIT_ROUNDOFF
     K = 2.0 * math.ceil(abs(z)) + 2 * EM_M if math.isfinite(abs(z)) else math.inf
-    em = sigma > 1.0 and N > max(a, K)
+    em = sigma > 1.0 and N > max(a, K) + (1024 if z.imag else 12288)
     b = max(a, int(K)) if em else N + 1
     # the direct terms a <= n < b
     p = powers(z, b - 1)[a - 1 :]

@@ -192,10 +192,14 @@ class ValueWithBound:
     hold every combination of the operands' points plus the rounding of the
     midpoint c: u |c| for a sum or a quotient by a real (each component is
     rounded once), 4u |a| |b| for a product (each component is two rounded
-    products and a rounded sum, (2 + sqrt 2) u |a| |b| in all), and
-    underflow; only a zero operand is exact.  A complex divisor y, scaled
-    near 1, divides as conj(y) / |y|**2; a divisor disc that holds 0 raises
-    ZeroDivisionError.  A non-finite midpoint gets radius inf.
+    products and a rounded sum, (2 + sqrt 2) u |a| |b| in all), 16u |c| for
+    a quotient by a complex y (Python divides by Smith's algorithm, a few u
+    normwise), whose intermediates' underflow adds 8 |c| SUBNORMAL_MIN / |y|,
+    and underflow; only a zero operand is exact.  A
+    divisor disc of centre y and radius r_y, real or complex, widens the
+    quotient by (r_x + |c| r_y) / (|y| - r_y), a complex |y| rounded down;
+    a divisor disc that holds 0 raises ZeroDivisionError.  A non-finite
+    midpoint gets radius inf.
     """
 
     value: complex
@@ -252,20 +256,21 @@ class ValueWithBound:
 
     def __truediv__(self, other) -> "ValueWithBound":
         y, ry = _parts(other)
-        if y.imag:  # x / y = x s conj(s y) / |s y|**2, s a power of two near 1 / |y|
-            s = math.ldexp(1.0, -max(math.frexp(max(abs(y.real), abs(y.imag)))[1], -1000))
-            t, r = _parts(ValueWithBound(y, ry) * s)
-            re, im = ValueWithBound(t.real, r), ValueWithBound(t.imag, r)
-            return self * s * ValueWithBound(t.conjugate(), r) / (re * re + im * im)
-        den = abs(y) - ry
+        size, rounding, bound = abs(y), UNIT_ROUNDOFF, 1.0
+        if y.imag:  # |y| from hypot, rounded down; the complex quotient by Smith's algorithm, whose
+            # denominator is at least |y|, errs by under 16u and its intermediates' underflow over |y|
+            size = size * (1.0 - 2.0 * UNIT_ROUNDOFF)
+            rounding = 16.0 * UNIT_ROUNDOFF + _UNDERFLOW / size
+            bound += rounding
+        den = size - ry
         if not den > 0.0:
             raise ZeroDivisionError("the divisor's disc holds 0")
         c = self.value / y
         if c == 0 and not (self.value or self.error_radius):
             return ValueWithBound(c)
         # |x/y - a/b| <= (r_x + |a/b| r_y) / (|b| - r_y), and |a/b| <= |c| + its rounding
-        return _ball(c, (self.error_radius + (abs(c) + _UNDERFLOW) * ry + _UNDERFLOW) / den
-                     + UNIT_ROUNDOFF * abs(c))
+        return _ball(c, (self.error_radius + (abs(c) * bound + _UNDERFLOW) * ry + _UNDERFLOW) / den
+                     + rounding * abs(c))
 
     def __rtruediv__(self, other) -> "ValueWithBound":
         return ValueWithBound(*_parts(other)) / self

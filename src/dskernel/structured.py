@@ -10,9 +10,12 @@ A non-negative margin certifies formal positive semi-definiteness through
 the Schur complement of every finite section: the complement equals
 b - (partial coupling sum) * ones(k), whose minimum eigenvalue stays above
 the margin by a Weyl-type eigenvalue perturbation bound.  The converse
-fails: matrices with negative margin can still be PSD, which the direct
-eigenvalue ladder detects.  Every margin certificate here is cross-checked
-against the ladder; disagreement is a hard internal error.
+fails: matrices with negative margin can still be PSD, which the ladder
+detects.  ``psd_check`` decides an arrowhead's rungs above order 256 from
+the same complements, shifted (``kernel.schur_complements``, the one Schur
+routine), and eigen-solves the rungs up to 256.  Every margin certificate
+here is cross-checked against the ladder and against the unshifted
+complements; disagreement is a hard internal error.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .kernel import (
     hermitian_part,
     psd_check,
     psd_cutoff,
+    schur_complements,
 )
 from .matrices import ArrowheadMatrix
 from .rules import RatioSum, SequenceRule, weighted_ratio_sum
@@ -81,17 +85,6 @@ def psd_margin(m: ArrowheadMatrix, tol: float = 1e-9) -> MarginCertificate:
     return MarginCertificate(lam_min, s.total, s.exact, s.remainder_bound, margin, m.k)
 
 
-def _schur_min_eigs(m: ArrowheadMatrix, orders: list[int]) -> list[float]:
-    """Min eigenvalue of b - (partial coupling sum)*ones(k) per ladder order."""
-    h = hermitian_part(m.head, HEAD_NOT_HERMITIAN)
-    d = m.tail_prefix(max(orders))
-    if np.any(d <= 0):
-        raise CertificationError("tail entry not positive in truncation")
-    partial = np.cumsum(np.concatenate(([0.0], np.abs(m.coupling_prefix(max(orders))) ** 2 / d)))
-    ones = np.ones((m.k, m.k))
-    return [float(np.linalg.eigvalsh(h - partial[max(0, N - m.k)] * ones)[0]) for N in orders]
-
-
 def certify_arrowhead(
     m: ArrowheadMatrix, max_order: int, tol: float = 1e-9
 ) -> tuple[PsdCertificate, Optional[MarginCertificate]]:
@@ -104,7 +97,10 @@ def certify_arrowhead(
             raise
         return replace(ladder, method=f"{ladder.method} (margin certificate unavailable)"), None
     if cert.margin >= 0.0:
-        schur = _schur_min_eigs(m, ladder.orders)
+        # a certified coupling sum has no zero d_l under a nonzero c_l, so every sigma_N is finite
+        h, n = hermitian_part(m.head, HEAD_NOT_HERMITIAN), ladder.orders[-1]
+        complements, _ = schur_complements(h, m.coupling_prefix(n), m.tail_prefix(n), list(ladder.orders), 0.0)
+        schur = np.linalg.eigvalsh(complements)[:, 0]
         slack = 1e-9 * (1.0 + abs(cert.lambda_min_head))
         for N, lam in zip(ladder.orders, schur):
             if lam < cert.margin - slack:

@@ -139,6 +139,14 @@ class TestNumbersOnEitherSide:
 
 
 class TestDivisorDiscs:
+    def test_a_complex_divisor_disc_widens_the_quotient_as_a_real_one_does(self):
+        # the exact bound r / (|y| (|y| - r)) is 0.0209 here; dividing by conj(y) / |y|**2 gave 0.086
+        ball = 1 / ValueWithBound(2 + 1j, 0.1)
+        assert ball.error_radius <= 0.022
+        rng = np.random.default_rng(3)
+        for q in _points(ValueWithBound(2 + 1j, 0.1), rng):
+            _assert_holds(ball, _exact_at("/", 1.0, q))
+
     @pytest.mark.parametrize("y", [ValueWithBound(0.5, 0.5), ValueWithBound(0.0), ValueWithBound(-1.0, 2.0),
                                    ValueWithBound(1 + 1j, 1.5), ValueWithBound(1.0, math.inf)])
     def test_a_disc_holding_zero_is_refused(self, y):

@@ -574,8 +574,9 @@ class TestInterlacingCheck:
     def test_rising_ladder_exits_3(self, capsys, monkeypatch):
         import numpy as np
 
-        # lambda_min = N on the rung of order N: against Cauchy interlacing
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.arange(a.shape[0], 2.0 * a.shape[0]))
+        # lambda_min = N / 2 on the rung of order N: 1 at order 2, as the
+        # structure of diag(1) certifies, then rising against Cauchy interlacing
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.arange(a.shape[0], 2.0 * a.shape[0]) / 2.0)
         code, out = run(capsys, "psd", "--matrix", str(SAMPLES / "diag_ones.json"), "--max-order", "16")
         rep = _strict_loads(out)
         assert code == 3

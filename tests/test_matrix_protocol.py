@@ -18,7 +18,7 @@ from dskernel import (
     SpecError,
 )
 from dskernel.series import rounding_radius
-from dskernel.structured import _schur_min_eigs
+from dskernel.kernel import hermitian_part, schur_complements
 from conftest import random_psd_dense
 
 EPS = np.finfo(float).eps
@@ -136,7 +136,7 @@ def test_support_pattern_matches_the_truncation(name, N):
         assert np.array_equal(m, ref_m + 1) and np.array_equal(n, ref_n + 1), (name, N, tol)
 
 
-def _schur_reference(m: ArrowheadMatrix, orders: list) -> list:
+def _schur_reference(m: ArrowheadMatrix, orders: list, eps: float = 0.0) -> list:
     """The per-rung loop the cumulative sum replaced."""
     h = 0.5 * (m.head + m.head.conj().T)
     out = []
@@ -146,20 +146,30 @@ def _schur_reference(m: ArrowheadMatrix, orders: list) -> list:
             d = m.tail_value(m.k + l)
             if d <= 0:
                 raise CertificationError("tail entry not positive in truncation")
-            partial += abs(m.coupling_value(m.k + l)) ** 2 / d
-        out.append(float(np.linalg.eigvalsh(h - partial * np.ones((m.k, m.k)))[0]))
+            partial += abs(m.coupling_value(m.k + l)) ** 2 / (d + eps)
+        out.append(float(np.linalg.eigvalsh(h + eps * np.eye(m.k) - partial * np.ones((m.k, m.k)))[0]))
     return out
+
+
+def _schur_complements(m: ArrowheadMatrix, orders: list, eps: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    n = max(orders)
+    return schur_complements(hermitian_part(m.head), m.coupling_prefix(n), m.tail_prefix(n), orders, eps)
 
 
 def test_schur_min_eigs_match_per_rung_loop():
     m = _arrowhead(np.random.default_rng(13))
     orders = [2, 3, 4, 8, 16, 64, 100]
-    assert _schur_min_eigs(m, orders) == _schur_reference(m, orders)
-    # an explicit tail shorter than the section: its entries beyond the list are 0
+    for eps in (0.0, 1e-3):
+        minima = np.linalg.eigvalsh(_schur_complements(m, orders, eps)[0])[:, 0]
+        assert [float(w) for w in minima] == _schur_reference(m, orders, eps)
+    # an explicit tail shorter than the section: its entries beyond the list
+    # are 0, under a nonzero coupling, so the complement is unbounded below
     bad = ArrowheadMatrix(m.k, m.head, m.coupling, SequenceRule("explicit", values=(2.0,) * 2))
-    for fn in (_schur_min_eigs, _schur_reference):
-        with pytest.raises(CertificationError):
-            fn(bad, orders)
+    with pytest.raises(CertificationError):
+        _schur_reference(bad, orders)
+    sigma = _schur_complements(bad, orders)[1]
+    assert [math.isinf(s) for s in sigma] == [N > m.k + 2 for N in orders]
+    assert np.all(np.isfinite(_schur_complements(bad, orders, 1e-3)[1]))
 
 
 class TestRuleFiniteness:

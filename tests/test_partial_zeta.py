@@ -77,6 +77,11 @@ def assert_in_disc(value: complex, radius: float, truth, what: str) -> None:
         assert miss <= radius, f"{what}: |value - truth| = {mpmath.nstr(miss, 5)} > radius {radius!r}"
 
 
+def switch(z: complex) -> int:
+    """The last order ``partial_zeta`` sums directly from n = 1 for Re z > 1: K + 1024, or K + 12288 for a real z."""
+    return 2 * math.ceil(abs(z)) + 16 + (1024 if z.imag else 12288)
+
+
 def sweep_pairs() -> list:
     """(z, N, c, p): Re z - 1 in (0, 3], |Im z| <= 1e4, N from 1 to 1e8, dyadic p.
 
@@ -95,9 +100,8 @@ def sweep_pairs() -> list:
         sigma = 1.0 + round(float(rng.uniform(0.0, 3.0)) * 2**30 + 1) / 2**30
         t = 0.0 if i % 5 == 0 else float(10.0 ** rng.uniform(-1, 4)) * float(rng.choice([-1.0, 1.0]))
         z = complex(sigma, t)
-        K = 2 * math.ceil(abs(z)) + 16
-        # half the orders straddle the switch to Euler-Maclaurin at N = K
-        N = int(rng.choice(Ns)) if i % 2 else int(K + rng.integers(-2, 3))
+        # half the orders straddle the switch to Euler-Maclaurin
+        N = int(rng.choice(Ns)) if i % 2 else int(switch(z) + rng.integers(-2, 3))
         c = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)) if i % 3 else 1.0
         p = float(rng.choice([0.0, 0.25, -0.5, 0.75, -0.125]))
         pairs.append((z, max(N, 1), c, p))
@@ -119,6 +123,9 @@ class TestSweep:
         assert max(abs(z.imag) for z, *_ in PAIRS) <= 1e4
         Ns = [N for _, N, *_ in PAIRS]
         assert min(Ns) == 1 and max(Ns) == 10**8
+        for real in (True, False):  # direct sums and Euler-Maclaurin next to the switch
+            offsets = {N - switch(z) for z, N, *_ in PAIRS[4 * 5:] if (z.imag == 0.0) == real}
+            assert {-1, 0} & offsets and {1, 2} & offsets
 
     @pytest.mark.parametrize("chunk", range(8))
     def test_discs_contain_the_partial_sums(self, chunk):

@@ -222,11 +222,26 @@ PARITY_CASES = ["dense_psd_300", "dense_middle_600", "dense_top_600", "banded_to
                 "arrow_psd_1024", "arrow_middle_1536", "arrow_top_1536"]
 
 
+def ladder_method(matrix, n) -> str:
+    """The path that judges the rungs above 256: the matrix's structure, else one verified Cholesky factor."""
+    form = matrix.psd_structure(n)
+    return "verified-cholesky" if form is None else form.kind
+
+
+def structural_value(matrix, N: int, tol: float) -> float:
+    """What a rung above 256 that its structure certifies reports: 0 for rank one, -eps_N for an arrowhead."""
+    form = matrix.psd_structure(N)
+    if form.kind == "rank-one-exact":
+        return 0.0
+    return -tol * (1.0 + kernel.arrowhead_norm_bounds(kernel.hermitian_part(form.head), form.vector, form.diagonal)[0])
+
+
 def assert_certificate_matches_the_eigen_ladder(matrix, n, cert, tol=1e-9, factored=True):
     """Same verdict and witness order as ``eigen_ladder``, and a verified witness.
 
     A rung above 256 that passes reports -eps_N when its factor certified
-    it (factored), else the least eigenvalue of its section.
+    it (factored), the structure's value when its structure did, else the
+    least eigenvalue of its section.
     """
     S = hermitian_section(matrix, n)
     assert cert.orders == tuple(psd_ladder_orders(n))
@@ -234,7 +249,9 @@ def assert_certificate_matches_the_eigen_ladder(matrix, n, cert, tol=1e-9, facto
     failed = cert.witness_order or n + 1
     for N, value in zip(cert.orders, cert.min_eigenvalues):
         if EIGEN_LADDER_MAX < N < failed:
-            if factored:
+            if factored and ladder_method(matrix, n) != "verified-cholesky":
+                assert value == structural_value(matrix, N, tol)
+            elif factored:
                 assert value == -factor_cutoff(S, N, tol)
             else:
                 lam = np.linalg.eigvalsh(S[:N, :N])[0]
@@ -257,13 +274,16 @@ class TestParityWithTheEigenLadder:
     def test_same_verdict_and_witness_order(self, name):
         matrix, n = parity_case(name)
         cert = certify_psd(matrix, n) if isinstance(matrix, ArrowheadMatrix) else psd_check(matrix, n)
-        assert "verified-cholesky" in cert.method
+        assert ladder_method(matrix, n) in cert.method
         assert_certificate_matches_the_eigen_ladder(matrix, n, cert)
 
     @pytest.mark.parametrize("name", ["dense_middle_600", "banded_top_768", "arrow_top_1536"])
     def test_eigen_fallback_when_no_schur_witness_verifies(self, monkeypatch, name):
         matrix, n = parity_case(name)
-        monkeypatch.setattr(kernel, "_schur_witness", lambda *args: None)
+        if isinstance(matrix, ArrowheadMatrix):  # the structural witness: its quotient never verifies
+            monkeypatch.setattr(kernel, "_arrowhead_rayleigh", lambda *args: np.inf)
+        else:
+            monkeypatch.setattr(kernel, "_schur_witness", lambda *args: None)
         assert_certificate_matches_the_eigen_ladder(matrix, n, psd_check(matrix, n))
 
     @pytest.mark.parametrize("name", ["dense_psd_300", "dense_top_600", "deflated_middle_600"])
@@ -285,7 +305,8 @@ class TestParityWithTheEigenLadder:
         assert seen == [N for N in cert.orders if N <= EIGEN_LADDER_MAX]
 
     def test_real_section_is_factored_in_real_arithmetic(self, monkeypatch):
-        matrix, n = parity_case("arrow_top_1536")
+        arrow, n = parity_case("arrow_top_1536")
+        matrix = DenseMatrix(hermitian_section(arrow, n))  # the arrowhead itself is decided from its structure
         dtypes, real = [], np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: dtypes.append(a.dtype) or real(a))
         cert = psd_check(matrix, n)
