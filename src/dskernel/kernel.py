@@ -155,8 +155,8 @@ def hermitian_part(T: np.ndarray, message: str = NOT_SELF_ADJOINT, largest: floa
     """
     D = np.conjugate(T.T, order="C")  # the ufunc, since ndarray.conj() of a real T is T itself
     np.subtract(T, D, out=D)
-    deviation = np.max(np.abs(D)) if T.size else 0.0
-    if deviation > HERMITIAN_TOL * (1.0 + max(largest, np.max(np.abs(T)))):
+    deviation = np.max(np.abs(D), initial=0.0)
+    if deviation > HERMITIAN_TOL * (1.0 + max(largest, np.max(np.abs(T), initial=0.0))):
         raise HermitianError(message)
     D *= -0.5
     D += T

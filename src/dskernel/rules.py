@@ -311,7 +311,7 @@ def exponent_sum(*parts) -> tuple[complex, float]:
 def partial_zeta(z: complex, dz: float, a: int, N: int) -> tuple[complex, float]:
     """(value, radius) with |sum_{n=a}^{N} n**-w - value| <= radius for every |w - z| <= dz.
 
-    For Re z > 1 and N - max(a, K) > 1024 (12288 for a real z), K = 2
+    For Re z > 1 and N - max(a, K) > 512 (6144 for a real z), K = 2
     ceil(|z|) + 2 EM_M, the terms n < K are summed directly and the rest by
     Euler-Maclaurin with EM_M corrections at both ends:
 
@@ -324,31 +324,34 @@ def partial_zeta(z: complex, dz: float, a: int, N: int) -> tuple[complex, float]
     multiply to at most 2**(-2 EM_M) (their mean is below 1/2), so R is
     below 1e-18 b**(1-sigma) whatever |z|.  Otherwise (N closer to
     max(a, K), or Re z <= 1) the whole sum is direct, so the work is
-    O(min(N, |z| + 12288)).  The switch is where the two cost the same on a
-    2-core x86_64 (``timeit``): the Euler-Maclaurin terms take about 40 us
-    in all, a direct term about 0.04 us for a complex z and 0.003 us for a
-    real z, whose table powers are real exponentials.
+    O(min(N, |z| + 6144)).  The switch is where the two cost the same on a
+    2-core x86_64 (``timeit`` at the switch itself, about 40 us each): a
+    direct term costs about 0.05 us for a complex z and 0.005 us for a real
+    z, whose table powers are real exponentials.
 
     The radius prices the rounding as ``series.rounding_radius`` does: the
-    direct terms as table powers; every Euler-Maclaurin term as a power of
-    relative error u (16 + 4 |z| log N) plus (10 EM_M + 10)u for its
-    products; expm1's own error and its argument's (8u |v|, v = (z-1)
-    log(N/b)); the two fsums and the final addition; and underflow.  dz,
+    direct terms as table powers added by ``series.pairwise_sum``, whose
+    rounding grows with log N as the Euler-Maclaurin terms' does, so the
+    two sides of the switch have radii within a small factor; every
+    Euler-Maclaurin term as a power of relative error u (16 + 4 |z| log N)
+    plus (10 EM_M + 10)u for its products; expm1's own error and its
+    argument's (8u |v|, v = (z-1) log(N/b)); the two fsums and the final
+    addition; and underflow.  dz,
     the error of z itself, moves the sum by at most dz sum log n n**-(sigma-dz),
     which the mass of the terms bounds.
     """
-    from .series import SUBNORMAL_MIN, powers, rounding_radius  # series imports this module
+    from .series import SUBNORMAL_MIN, pairwise_sum, powers, rounding_radius  # series imports this module
 
     z = complex(z)
     sigma, u = z.real, UNIT_ROUNDOFF
     K = 2.0 * math.ceil(abs(z)) + 2 * EM_M if math.isfinite(abs(z)) else math.inf
-    em = sigma > 1.0 and N > max(a, K) + (1024 if z.imag else 12288)
+    em = sigma > 1.0 and N > max(a, K) + (512 if z.imag else 6144)
     b = max(a, int(K)) if em else N + 1
     # the direct terms a <= n < b
     p = powers(z, b - 1)[a - 1 :]
-    value = complex(p.sum())
     mass = float((p if z.imag == 0.0 else powers(sigma, b - 1)[a - 1 :]).sum())
-    radius = rounding_radius(mass, abs(z), math.log(b - 1), p.size) if p.size else 0.0
+    value, depth = pairwise_sum(p)
+    radius = rounding_radius(mass, abs(z), math.log(b - 1), depth, p.size) if p.size else 0.0
     log_n = math.log(max(N, 1))
     if em:
         L = math.log1p((N - b) / b)  # log(N/b)

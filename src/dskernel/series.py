@@ -119,28 +119,45 @@ def power_sum(c: np.ndarray, p: np.ndarray) -> complex:
     return complex(c.real @ p, c.imag @ p)
 
 
+def pairwise_sum(p: np.ndarray) -> tuple[complex, int]:
+    """(sum of p, the most additions one term goes through), which is ceil(log2 p.size).
+
+    Each pass adds the top half of the live terms onto the bottom half, in
+    place (p is overwritten), so a term meets at most one addition per pass:
+    the rounding of the sum grows with log2 of its length, not its length.
+    """
+    n, depth = p.size, 0
+    while n > 1:
+        h = n // 2
+        p[:h] += p[n - h : n]
+        n -= h
+        depth += 1
+    return (complex(p[0]) if p.size else 0j), depth
+
+
 def gamma(k: int) -> float:
     """Higham's gamma_k = k u / (1 - k u), u the unit roundoff."""
     ku = k * UNIT_ROUNDOFF
     return ku / (1.0 - ku)
 
 
-def rounding_radius(mass: float, size: float, log_max: float, chain: int) -> float:
+def rounding_radius(mass: float, size: float, log_max: float, chain: int, terms: Optional[int] = None) -> float:
     """Bound on the rounding error of a sum of table powers.
 
     ``mass`` is the absolute sum of the terms, ``size`` the total modulus
     of the exponents that multiply log n in one term (|s| + |u| for a
     kernel term m**(-s) n**(-conj(u))), ``log_max`` the largest log n and
     ``chain`` the most additions one term goes through (at most the number
-    of terms, whatever the order).  Each term is off by u (c + 4 size
-    log_max) relative (one rounding more than the module docstring's 3
-    covers exponents lambda_n = omega log n), and the additions add
-    gamma_chain per real component, so 2 gamma_chain in modulus.  Underflow
-    adds at most one subnormal per operation; c chain**2 operations bound
-    even a dense section's.
+    of terms, whatever the order; ceil(log2 of it) for ``pairwise_sum``).
+    Each term is off by u (c + 4 size log_max) relative (one rounding more
+    than the module docstring's 3 covers exponents lambda_n = omega log n),
+    and the additions add gamma_chain per real component, so 2 gamma_chain
+    in modulus.  Underflow adds at most one subnormal per operation; c
+    terms**2 operations bound even a dense section's, ``terms`` being the
+    number of terms, or chain when that bounds it.
     """
     per_term = UNIT_ROUNDOFF * (POWER_ROUNDING_UNITS + 4.0 * size * log_max)
-    underflow = POWER_ROUNDING_UNITS * float(chain) ** 2 * SUBNORMAL_MIN
+    underflow = POWER_ROUNDING_UNITS * float(chain if terms is None else terms) ** 2 * SUBNORMAL_MIN
     return mass * (per_term + 2.0 * gamma(chain)) + underflow
 
 

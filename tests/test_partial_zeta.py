@@ -78,8 +78,8 @@ def assert_in_disc(value: complex, radius: float, truth, what: str) -> None:
 
 
 def switch(z: complex) -> int:
-    """The last order ``partial_zeta`` sums directly from n = 1 for Re z > 1: K + 1024, or K + 12288 for a real z."""
-    return 2 * math.ceil(abs(z)) + 16 + (1024 if z.imag else 12288)
+    """The last order ``partial_zeta`` sums directly from n = 1 for Re z > 1: K + 512, or K + 6144 for a real z."""
+    return 2 * math.ceil(abs(z)) + 16 + (512 if z.imag else 6144)
 
 
 def sweep_pairs() -> list:
@@ -289,6 +289,27 @@ class TestNoLongTables:
         kernel_eval(DirichletKernel(ArrowheadMatrix(2, np.eye(2), SequenceRule("constant", scale=0.3),
                                                     SequenceRule("constant", scale=1.0)), HalfPlane(0.5)), s, u, N)
         assert sizes and max(sizes) <= 2 * math.ceil(abs(s + u.conjugate())) + 16
+
+
+class TestTheSwitchKeepsTheRadius:
+    @pytest.mark.parametrize("z", [1.5, 2.0, 3.0, 1.000001, complex(2.2, 0.7), complex(1.2, 20.0), complex(3.0, -900.0)])
+    def test_the_direct_and_euler_maclaurin_radii_agree_at_the_switch(self, z):
+        # the direct terms are added pairwise, so their rounding grows with
+        # log N as the Euler-Maclaurin terms' does: the switch widens no disc
+        z = complex(z)
+        N = switch(z)
+        direct, em = partial_zeta(z, 0.0, 1, N)[1], partial_zeta(z, 0.0, 1, N + 1)[1]
+        assert direct <= 3.0 * em and em <= 3.0 * direct
+
+    def test_pairwise_sum_depth_and_error(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3, 7, 8, 9, 1000, 6161):
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            value, depth = series_module.pairwise_sum(x.copy())
+            assert depth == math.ceil(math.log2(n))
+            exact = complex(math.fsum(x.real), math.fsum(x.imag))
+            assert abs(value - exact) <= 2.0 * series_module.gamma(depth) * float(np.sum(np.abs(x))) + 4 * U * abs(exact)
+        assert series_module.pairwise_sum(np.zeros(0)) == (0j, 0)
 
 
 class TestGoldenDiscs:

@@ -256,6 +256,27 @@ class TestInputs:
         with pytest.raises(HermitianError):
             psd_check(DiagonalMatrix(SequenceRule("explicit", values=tuple(d))), 400)
 
+    @pytest.mark.parametrize("k", [1, 2, 4, 7])
+    def test_max_order_equal_to_k(self, k):
+        # the order-k section is the head alone: empty coupling and tail prefixes
+        matrix = arrowhead(20 + k, k, "power", 300, None, k % 2 == 0)
+        for cert in (psd_check(matrix, k), certify_psd(matrix, k)):
+            assert cert.orders[-1] == k and cert.is_psd
+            assert_matches_the_dense_ladder(matrix, k, cert)
+
+    @pytest.mark.parametrize("k, path", [(1, None), (2, SAMPLES / "example_arrowhead.json")])
+    def test_the_cli_at_max_order_k(self, tmp_path, capsys, k, path):
+        if path is None:
+            path = tmp_path / "arrow_k1.json"
+            path.write_text(json.dumps({"variant": "arrowhead", "k": 1, "head": [[2.0]],
+                                        "c_rule": {"kind": "constant", "value": 0.5},
+                                        "d_rule": {"kind": "geometric", "scale": 1, "ratio": 4}}))
+        code = main(["psd", "--matrix", str(path), "--max-order", str(k)])
+        results = json.loads(capsys.readouterr().out)["results"]
+        head = np.array(json.loads(path.read_text())["head"])
+        assert code == 0 and results["verdict"] == "psd" and results["orders"][-1] == k
+        assert results["min_eigenvalues"][-1] == pytest.approx(np.linalg.eigvalsh(head)[0], rel=1e-12)
+
     def test_a_non_finite_tail_prefix_is_a_spec_error(self, capsys):
         m = ArrowheadMatrix(1, np.eye(1), SequenceRule("constant", scale=1.0),
                             SequenceRule("geometric", scale=1.0, ratio=4.0))
