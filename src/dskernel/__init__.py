@@ -28,7 +28,6 @@ from .homogeneous import (
     TranslateGram,
     TranslateSpan,
     adjoint_condition_check,
-    adjoint_domain_probe,
     admissibility_check,
     apply_generator,
     apply_shift,
@@ -65,7 +64,6 @@ from .rkhs import (
     analytic_symbol,
     expansion_check,
     infinity_kernel,
-    limit_at_infinity_check,
     membership_test,
     reproducing_check,
 )
@@ -76,7 +74,6 @@ from .series import (
     GeneralDirichletSeries,
     HalfPlane,
     ValueWithBound,
-    abscissa_upper_bound,
     evaluate,
     merge_log_exponents,
     multiply_merged,
@@ -94,7 +91,6 @@ from .structured import (
 from .symmetry import (
     Automorphism,
     ClassificationReport,
-    cocycle_unitarity_check,
     linear_invariance_test,
     quasi_invariance_classify,
     rank_one_factor,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -29,9 +29,6 @@ from .series import HalfPlane, log_table, powers, rounding_radius
 #: columns of the phase matrix formed at once by ``translate_gram``: 4 MB of
 #: complex phases for 64 offsets, however long the truncation
 GRAM_BLOCK = 4096
-
-#: Dirichlet terms n**(-ib), n <= PROBE_FIT_ORDER, of the fit in ``adjoint_domain_probe``
-PROBE_FIT_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -395,58 +392,4 @@ def adjoint_condition_check(
         residual = abs(partial - vb.value.real)
     return AdjointConditionReport(
         verdict, exponent, partial, remainder, kernel_value, kernel_radius, residual
-    )
-
-
-@dataclass(frozen=True)
-class AdjointProbeReport:
-    """Diagnostic least-squares probe of the adjoint pairing functional.
-
-    For h in the space, b -> <h, T f_b> = -ib * h(a+ib) would need a
-    Dirichlet series representation for h to sit in the adjoint domain; the
-    theory says that never happens for h != 0.  A finite grid cannot
-    certify that, so this only reports how badly a truncated series fits
-    the functional and how the functional grows along the grid.
-    """
-
-    functional: tuple
-    fit_residual: float
-    relative_fit_residual: float
-    growth_ratio: float
-    fit_order: int
-
-
-def adjoint_domain_probe(
-    h_hat: Sequence[complex],
-    a: float,
-    b_grid: Sequence[float],
-) -> AdjointProbeReport:
-    """Fit b -> -ib*h(a+ib) by a Dirichlet series in ib of PROBE_FIT_ORDER terms, report misfit.
-
-    h is given by its coefficients; h(a+ib) = sum h_n n**(-a) n**(-ib) is
-    evaluated directly.  The functional grows linearly in b while Dirichlet
-    series on the imaginary axis are almost periodic, so a nonzero h leaves
-    a visible residual on a wide enough grid.
-    """
-    h = np.asarray(h_hat, dtype=complex)
-    bs = np.asarray(sorted(float(b) for b in b_grid), dtype=float)
-    if bs.size < 2 * PROBE_FIT_ORDER:
-        raise SpecError("b grid too small for the requested fit order")
-    # h(a + ib) = sum_n (h_n n**(-a)) n**(-ib): one matrix-vector product
-    hvals = np.exp(np.outer(-1j * bs, log_table(h.size))) @ (h * powers(a, h.size))
-    lam = -1j * bs * hvals
-    E = np.exp(np.outer(-1j * bs, log_table(PROBE_FIT_ORDER)))
-    coef, *_ = np.linalg.lstsq(E, lam, rcond=None)
-    resid = lam - E @ coef
-    fit_residual = float(np.linalg.norm(resid))
-    scale = float(np.linalg.norm(lam))
-    rel = fit_residual / scale if scale > 0 else 0.0
-    # compare the functional near b = 0 with the large-|b| region
-    by_mag = np.argsort(np.abs(bs))
-    third = max(1, bs.size // 3)
-    inner = float(np.mean(np.abs(lam[by_mag[:third]])))
-    outer = float(np.mean(np.abs(lam[by_mag[-third:]])))
-    growth = outer / inner if inner > 0 else math.inf if outer > 0 else 1.0
-    return AdjointProbeReport(
-        tuple(lam.tolist()), fit_residual, rel, growth, PROBE_FIT_ORDER
     )

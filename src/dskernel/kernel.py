@@ -169,9 +169,10 @@ def hermitian_section(matrix: CoefficientMatrix, order: int) -> np.ndarray:
 
 
 def self_adjoint_check(matrix: CoefficientMatrix, order: int) -> bool:
-    """Whether the leading order x order section is Hermitian by the rule of ``hermitian_part``."""
+    """Whether the leading order x order section is Hermitian by ``hermitian_part``'s rule, from the prefixes (``_judged``) when there is a ``psd_structure``."""
+    form = matrix.psd_structure(order)
     try:
-        hermitian_section(matrix, order)
+        hermitian_section(matrix, order) if form is None else _judged(form)
     except HermitianError:
         return False
     return True
@@ -390,13 +391,22 @@ def cholesky_rounding(orders: list[int], diag: np.ndarray, cutoffs: np.ndarray, 
     return 2.0 * g / (1.0 - g) * trace + 4.0 * (n + 1.0) * (2.0 * (n + 2.0) + largest) * eta
 
 
+def _binade_scale(big: float) -> float:
+    """An exact power of two that brings big near 1, so squares of entries up to big neither overflow nor underflow; 1.0 for 0, inf or NaN."""
+    if not 0.0 < big < math.inf:
+        return 1.0
+    return math.ldexp(1.0, -min(max(math.frexp(big)[1], -1021), 1021))
+
+
 def norm_lower_bound(S: np.ndarray, N: int) -> float:
     """A number no larger than ||S_N||_2, from four power-iteration steps on the leading order-N section.
 
     Each step's ||fl(S_N x)|| / ||x|| is shrunk by the rounding of the
     product and of the norms (|fl(S x) - S x| <= gamma_{N+4} |S| |x| and
     || |S_N| ||_2 <= sqrt(N) ||S_N||_2), so it stays below ||S_N||_2, as does
-    the largest |S_ii|.  NaN when the section is not finite.
+    the largest |S_ii|.  ||S x|| is taken in units of ``_binade_scale``, so
+    a graded section's squares do not overflow; from a step that overflows
+    on, the bound stays.  NaN when the section is not finite.
     """
     sec = S[:N, :N]
     best = float(np.max(np.abs(sec.diagonal())))
@@ -404,10 +414,12 @@ def norm_lower_bound(S: np.ndarray, N: int) -> float:
     x = np.random.default_rng(0).standard_normal(N)
     x /= np.linalg.norm(x)
     for _ in range(4):
-        y = sec @ x
-        size = float(np.linalg.norm(y))
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = sec @ x
+        scale = _binade_scale(float(np.max(np.abs(y))))
+        size = float(np.linalg.norm(y * scale)) / scale
         if not math.isfinite(size):
-            return math.nan
+            return best if np.all(np.isfinite(sec)) else math.nan
         if size == 0.0:
             break
         best = max(best, shrink * size / float(np.linalg.norm(x)))
@@ -418,15 +430,27 @@ def norm_lower_bound(S: np.ndarray, N: int) -> float:
 def norm_upper_bound(S: np.ndarray, N: int) -> float:
     """A number no smaller than ||S_N||_2: the lesser of the largest absolute row sum and the Frobenius norm.
 
-    Read 256 rows at a time, so no full-size copy of S is made; the result
-    is raised by the rounding of the sums.
+    Read 256 rows at a time, so no full-size copy of S is made; summed again
+    in units of ``_binade_scale`` at the largest row sum when the squares
+    overflow or underflow.  Raised by the rounding of the sums.
     """
-    rows, square = 0.0, 0.0
-    for i in range(0, N, 256):
-        a = np.abs(S[i:i + 256, :N])
-        rows = max(rows, float(np.max(a.sum(axis=1))))
-        square += float(np.vdot(a, a))
-    return min(rows, math.sqrt(square)) * (1.0 + 4.0 * (N * N + N) * UNIT_ROUNDOFF)
+    def sums(scale: float) -> tuple[float, float]:
+        rows, square = 0.0, 0.0
+        for i in range(0, N, 256):
+            with np.errstate(over="ignore"):  # an overflowing row sum is a valid bound, inf
+                a = np.abs(S[i:i + 256, :N])
+                if scale != 1.0:
+                    a *= scale
+                rows = max(rows, float(np.max(a.sum(axis=1))))
+            square += float(np.vdot(a, a))
+        return rows, square
+
+    scale = 1.0
+    rows, square = sums(scale)
+    if not 2.0**-900 < square < math.inf:
+        scale = _binade_scale(rows)
+        rows, square = sums(scale)
+    return min(rows, math.sqrt(square)) / scale * (1.0 + 4.0 * (N * N + N) * UNIT_ROUNDOFF)
 
 
 def _shifted_cholesky(S: np.ndarray, N: int, shift: float) -> Optional[np.ndarray]:

@@ -139,26 +139,6 @@ def reproducing_check(
     return abs(lhs - rhs)
 
 
-def limit_at_infinity_check(
-    model: GramModel, coeffs: Sequence[complex], p_grid: Sequence[float]
-) -> tuple[float, list[float]]:
-    """Check <f, A_1> = lim_{p->inf} f(p) on the model.
-
-    Returns the residual at the largest grid point together with the whole
-    trace |<f, A_1> - f(p)| along the grid; for honest models the trace
-    decreases like 2**(-p).
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    e1 = np.zeros(model.order, dtype=complex)
-    e1[0] = 1.0
-    target = model.inner(c, e1)
-    ps = sorted(float(p) for p in p_grid)
-    if not ps:
-        raise SpecError("p_grid must be non-empty")
-    trace = [abs(target - model.value_at(c, p)) for p in ps]
-    return trace[-1], trace
-
-
 def infinity_kernel(matrix: CoefficientMatrix) -> CoefficientMatrix:
     """Coefficient matrix of the subspace of functions vanishing at +infinity.
 

@@ -326,10 +326,6 @@ class ExponentRule:
             return self.omega * log_table(n)
         return self.slope * np.arange(1, n + 1, dtype=float)
 
-    def limsup_log_ratio(self) -> float:
-        """limsup log(n)/lambda_n, exact for both closed forms."""
-        return 1.0 / self.omega if self.kind == "log" else 0.0
-
 
 @dataclass(frozen=True)
 class GeneralDirichletSeries:
@@ -523,24 +519,6 @@ def _tail_radius(series: GeneralDirichletSeries, sigma: float, order: int) -> fl
         )
     t_next = env.C * (order + 1) ** env.alpha * math.exp(-rule.slope * sigma * (order + 1))
     return t_next / (1.0 - ratio)
-
-
-def abscissa_upper_bound(series: GeneralDirichletSeries, rho_conv: float) -> float:
-    """Upper bound rho_conv + limsup log(n)/lambda_n for the absolute abscissa.
-
-    Exact when the exponent rule is closed-form; otherwise estimated from
-    the tail half of the stored prefix.
-    """
-    if series.exponent_rule is not None:
-        return rho_conv + series.exponent_rule.limsup_log_ratio()
-    lam = np.asarray(series.exponents, dtype=float)
-    if lam.size < 2:
-        return rho_conv
-    if np.any(lam[1:] == 0.0):
-        raise SpecError("malformed exponent sequence: lambda_n = 0 for n > 1")
-    start = max(1, lam.size // 2)
-    ns = np.arange(start + 1, lam.size + 1, dtype=float)
-    return rho_conv + float(np.max(np.log(ns) / lam[start:]))
 
 
 def _merged(lam: np.ndarray, mu: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -194,10 +194,10 @@ def example_arrowhead(max_order: int = 16, tol: float = 1e-9) -> tuple[Arrowhead
     constant coupling 1 and geometric tail 4**l.  The coupling sum is
     exactly 1/3, so the margin is 1/6 - 2/3 = -1/2 and the Schur-margin
     certificate is unavailable; yet every finite section is PSD, as the
-    explicit Schur complements b - S_j * ones(2) show: S_j = (1 - 4**-j)/3
-    stays in [1/4, 1/3), keeping trace and determinant positive.  The
-    report carries all of those quantities (S_j for j = 1..20, whatever
-    max_order is) plus the eigenvalue ladder up to max_order at tol.
+    Schur complements b - S_j * ones(2) show (``schur_complements``, order
+    2 + j): S_j = (1 - 4**-j)/3 stays in [1/4, 1/3), keeping trace and
+    determinant positive.  The report carries all of those quantities (S_j
+    for j = 1..20, whatever max_order is) plus the ladder up to max_order.
     """
     head = np.array([[0.5, 1.0 / math.sqrt(6.0)], [1.0 / math.sqrt(6.0), 2.0 / 3.0]])
     m = ArrowheadMatrix(
@@ -208,22 +208,20 @@ def example_arrowhead(max_order: int = 16, tol: float = 1e-9) -> tuple[Arrowhead
     )
     ladder, cert = certify_arrowhead(m, max_order, tol)
     eigs = sorted(np.linalg.eigvalsh(0.5 * (head + head.T)))
-    js = list(range(1, 21))
-    s_j = [(1.0 - 4.0**-j) / 3.0 for j in js]
-    traces = [0.5 + 2.0 / 3.0 - 2.0 * s for s in s_j]
-    dets = [
-        (0.5 - s) * (2.0 / 3.0 - s) - (1.0 / math.sqrt(6.0) - s) ** 2 for s in s_j
-    ]
+    n = 2 + 20
+    M, s_j = schur_complements(head, m.coupling_prefix(n), m.tail_prefix(n), list(range(3, n + 1)), 0.0)
+    traces = np.trace(head) - 2.0 * s_j  # the trace of head - S_j ones(2)
+    dets = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
     report = {
         "head_eigenvalues": [float(e) for e in eigs],
         "coupling_sum": cert.coupling_sum,
         "coupling_sum_exact": cert.coupling_sum_exact,
         "margin": cert.margin,
-        "schur_shift_S_j": s_j,
-        "schur_trace_positive": all(t > 0 for t in traces),
-        "schur_det_positive": all(d > 0 for d in dets),
-        "schur_traces": traces,
-        "schur_dets": dets,
+        "schur_shift_S_j": s_j.tolist(),
+        "schur_trace_positive": bool(np.all(traces > 0)),
+        "schur_det_positive": bool(np.all(dets > 0)),
+        "schur_traces": traces.tolist(),
+        "schur_dets": dets.tolist(),
         "ladder_orders": list(ladder.orders),
         "ladder_min_eigenvalues": list(ladder.min_eigenvalues),
         "ladder_verdict": ladder.verdict,

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CertificationError, OutsideDomainError, SpecError
+from .errors import OutsideDomainError, SpecError
 from .kernel import DirichletKernel, check_tol, hermitian_section, kernel_eval, support_pattern, unit_phase
 from .series import GeneralDirichletSeries, evaluate
 
@@ -367,55 +367,3 @@ def linear_invariance_test(
                     )
                 best = max(best, dev)
     return LinearInvarianceReport(False, False, None, None, None, best)
-
-
-def cocycle_unitarity_check(
-    fhat: Sequence[complex],
-    phi: Automorphism,
-    sample_points: Sequence[complex],
-    order: int,
-) -> float:
-    """Gram preservation of the weighted substitution operator on a rank-one kernel.
-
-    For kappa = f conj(f) and the cocycle J(psi, s) = f(s)/f(psi(s)), the
-    operator (U h)(s) = J(phi**-1, s) h(phi**-1 (s)) must send kernel
-    sections to elements with unchanged pairwise inner products (computed
-    by reproducing: <kappa_u, kappa_v> = kappa(v, u)).  Returns the largest
-    deviation found, combining Gram mismatch and the defect of U-images
-    staying proportional to f.  Refuses if f vanishes, to within 1e-12 of
-    sum |fhat|, at any point it is needed.
-    """
-    f = np.asarray(fhat, dtype=complex)
-    series = GeneralDirichletSeries.ordinary(f, finite=True)
-    pts = [complex(z) for z in sample_points]
-    if not pts:
-        raise SpecError("need at least one sample point")
-    inv = phi.inverse()
-    scale = float(np.sum(np.abs(f))) + 1e-300
-
-    def fval(z: complex) -> complex:
-        v = evaluate(series, z, len(f)).value
-        if abs(v) <= 1e-12 * scale:
-            raise CertificationError(f"factor vanishes at needed point {z}")
-        return v
-
-    # U kappa_u evaluated at s: J(inv, s) * kappa(inv(s), u)
-    coords = {}
-    defect = 0.0
-    for u in pts:
-        vals = []
-        for s in pts:
-            w = inv(s)
-            j = fval(s) / fval(w)
-            vals.append(j * fval(w) * np.conj(fval(u)))
-        ref = vals[0] / fval(pts[0])
-        coords[u] = ref
-        for s, v in zip(pts, vals):
-            defect = max(defect, abs(v - ref * fval(s)))
-    gram_dev = 0.0
-    for u in pts:
-        for v in pts:
-            lhs = coords[u] * np.conj(coords[v])  # <U kappa_u, U kappa_v>, |f| normalised
-            rhs = fval(v) * np.conj(fval(u))  # kappa(v, u)
-            gram_dev = max(gram_dev, abs(lhs - rhs))
-    return max(defect, gram_dev)

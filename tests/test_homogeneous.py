@@ -13,7 +13,6 @@ from dskernel import (
     SpecError,
     TranslateSpan,
     adjoint_condition_check,
-    adjoint_domain_probe,
     admissibility_check,
     apply_generator,
     apply_shift,
@@ -228,25 +227,3 @@ class TestAdjointCondition:
                 SequenceRule("explicit", values=(1.0, 0.0, 1.0)),
                 AdmissibleSupport("all"), a=1.0, delta=0.25, M=3,
             )
-
-
-class TestAdjointProbe:
-    def test_zero_vector_fits_perfectly(self):
-        rep = adjoint_domain_probe([0.0, 0.0], a=1.0, b_grid=np.linspace(-5, 5, 41))
-        assert max(abs(v) for v in rep.functional) == 0.0
-        assert rep.fit_residual == 0.0
-
-    def test_first_symbol_leaves_residual(self):
-        rep = adjoint_domain_probe([1.0], a=1.0, b_grid=np.linspace(-5, 5, 41))
-        # Lambda(b) = -ib: linear growth cannot be matched by a Dirichlet
-        # polynomial in ib; the misfit must be visible
-        assert rep.relative_fit_residual > 1e-3
-        assert rep.growth_ratio > 1.5
-
-    def test_linearity_in_h(self):
-        grid = np.linspace(-4, 4, 33)
-        r1 = adjoint_domain_probe([1.0, 0.5], a=1.0, b_grid=grid)
-        r2 = adjoint_domain_probe([2.0, 1.0], a=1.0, b_grid=grid)
-        f1 = np.array(r1.functional)
-        f2 = np.array(r2.functional)
-        assert np.max(np.abs(f2 - 2.0 * f1)) < 1e-12

@@ -2,9 +2,9 @@
 
 Every kernel sum reads n**(-z) from one cached log table and rule prefixes
 from a memo, so these tests pin that nothing written by one caller reaches
-another, that the caches stay bounded, and that the batched translate Gram,
-symbol expansion and adjoint probe agree with the per-pair / per-symbol /
-per-point loops they replaced, which are kept here as references.
+another, that the caches stay bounded, and that the batched translate Gram
+and symbol expansion agree with the per-pair / per-symbol loops they
+replaced, which are kept here as references.
 """
 
 import math
@@ -25,7 +25,6 @@ from dskernel import (
     RankOneMatrix,
     SequenceRule,
     TranslateSpan,
-    adjoint_domain_probe,
     analytic_symbol,
     evaluate,
     expansion_check,
@@ -209,16 +208,6 @@ class TestBatchedExpansion:
         lhs = kernel_eval(kern, s, u, order)
         assert abs(lhs.value - per_symbol_expansion(kern, s, u, order)) <= 1e-13 * (1 + abs(lhs.value))
         assert expansion_check(kern, s, u, order) <= 1e-13 * (1 + abs(lhs.value))
-
-
-class TestBatchedAdjointProbe:
-    def test_functional_matches_the_per_point_loop(self):
-        h = np.array([1.0, 0.5 - 0.25j, 0.0, 2.0])
-        a, bs = 1.3, np.linspace(-6, 6, 37)
-        n = np.arange(1, h.size + 1, dtype=float)
-        expected = -1j * bs * np.array([np.sum(h * n ** (-(a + 1j * b))) for b in bs])
-        rep = adjoint_domain_probe(h, a, bs)
-        assert np.max(np.abs(np.array(rep.functional) - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 class TestGramModelPowers:

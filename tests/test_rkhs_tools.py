@@ -20,7 +20,6 @@ from dskernel import (
     example_arrowhead,
     expansion_check,
     infinity_kernel,
-    limit_at_infinity_check,
     membership_test,
     psd_check,
     reproducing_check,
@@ -94,32 +93,6 @@ class TestReproducing:
     def test_refuses_non_psd_model(self):
         with pytest.raises(CertificationError):
             GramModel(DenseMatrix(np.array([[1.0, 2.0], [2.0, 1.0]])), 2)
-
-
-class TestLimitAtInfinity:
-    def test_first_symbol_on_diagonal_ones(self):
-        model = GramModel(diag_ones(), 8)
-        c = np.zeros(8, dtype=complex)
-        c[0] = 1.0  # f = A_1 = 1
-        residual, trace = limit_at_infinity_check(model, c, [5.0, 10.0, 20.0])
-        assert residual < 1e-6
-        assert trace == sorted(trace, reverse=True)
-
-    def test_second_symbol_decays_to_zero(self):
-        model = GramModel(diag_ones(), 8)
-        c = np.zeros(8, dtype=complex)
-        c[1] = 1.0  # f = A_2 = 2**-s, <f, A_1> = 0, f(p) = 2**-p
-        residual, trace = limit_at_infinity_check(model, c, [10.0, 20.0, 40.0])
-        assert residual < 2.0**-40 * 1.01
-        assert trace == sorted(trace, reverse=True)
-
-    def test_random_model_converges(self):
-        rng = np.random.default_rng(31)
-        A = random_psd_dense(rng, 4)
-        model = GramModel(DenseMatrix(A), 4)
-        c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        residual, _ = limit_at_infinity_check(model, c, [10.0, 20.0, 40.0])
-        assert residual < 1e-6
 
 
 class TestInfinityKernel:

@@ -1,4 +1,4 @@
-"""Series evaluation, abscissa bounds, merged-exponent products."""
+"""Series evaluation and merged-exponent products."""
 
 import math
 
@@ -15,7 +15,6 @@ from dskernel import (
     GeneralDirichletSeries,
     SequenceRule,
     SpecError,
-    abscissa_upper_bound,
     evaluate,
     merge_log_exponents,
     multiply_merged,
@@ -95,36 +94,6 @@ class TestEvaluate:
             lo = evaluate(s, sigma, M)
             hi = evaluate(s, sigma, 10 * M)
             assert abs(hi.value - lo.value) <= lo.error_radius
-
-
-class TestAbscissa:
-    def test_log_rule_omega_one(self):
-        assert abscissa_upper_bound(ones_series(50), 0.0) == 1.0
-
-    def test_log_rule_omega_sqrt2(self):
-        s = GeneralDirichletSeries.from_rules(
-            ExponentRule("log", omega=SQRT2), SequenceRule("constant"), 50
-        )
-        assert abs(abscissa_upper_bound(s, 0.0) - 1.0 / SQRT2) < 1e-15
-
-    def test_linear_rule_is_zero(self):
-        s = GeneralDirichletSeries.from_rules(
-            ExponentRule("linear", slope=1.0), SequenceRule("constant"), 50
-        )
-        assert abscissa_upper_bound(s, 0.0) == 0.0
-
-    def test_explicit_prefix_estimate_decays(self):
-        # lambda_n = n without a declared rule: estimate shrinks with the prefix
-        def est(N):
-            lam = tuple(float(n) for n in range(1, N + 1))
-            coef = (1.0,) * N
-            return abscissa_upper_bound(GeneralDirichletSeries(lam, coef), 0.0)
-
-        assert est(2000) < est(100) < est(20)
-        assert est(2000) < 0.01
-
-    def test_offset_propagates(self):
-        assert abscissa_upper_bound(ones_series(10), 2.5) == 3.5
 
 
 class TestMerge:

@@ -235,6 +235,56 @@ class TestCrossCheck:
         assert psd_check(m, 256).is_psd
 
 
+def section_verdict(matrix, n: int) -> bool:
+    """``hermitian_part``'s rule applied to the dense order-n section."""
+    try:
+        kernel.hermitian_part(matrix.truncation(n))
+    except HermitianError:
+        return False
+    return True
+
+
+def nudged_arrowhead(k: int, i: int, j: int, nudge: complex) -> ArrowheadMatrix:
+    """2 I + 0.1 off the diagonal, with nudge added to head[i, j], over a power coupling and tail."""
+    head = 2.0 * np.eye(k) + 0.1 * (1.0 - np.eye(k)) + 0j
+    head[i, j] += nudge
+    return ArrowheadMatrix(k, head, SequenceRule("power", scale=0.1, exponent=-1.0),
+                           SequenceRule("power", scale=1.0, exponent=0.6))
+
+
+def nudged_diagonal(n: int, j: int, nudge: complex) -> DiagonalMatrix:
+    d = np.ones(n, dtype=complex)
+    d[j] += nudge
+    return DiagonalMatrix(SequenceRule("explicit", values=tuple(d)))
+
+
+#: name -> (matrix, order, expected verdict); each is judged both from its structure and on its section
+SELF_ADJOINT_CASES = {
+    "head_off_by_5e-9_at_300": lambda: (nudged_arrowhead(2, 0, 1, 5e-9), 300, False),
+    "head_off_by_5e-9_at_2048": lambda: (nudged_arrowhead(2, 0, 1, 5e-9), 2048, True),
+    "complex_head_diagonal": lambda: (nudged_arrowhead(3, 1, 1, 1e-6j), 500, False),
+    "hermitian_complex_head": lambda: (arrowhead(32, 2, "complex_power", 700, None, True), 700, True),
+    "below_k_off_outside_the_section": lambda: (nudged_arrowhead(4, 3, 0, 1e-3), 3, True),
+    "below_k_off_inside_the_section": lambda: (nudged_arrowhead(4, 1, 0, 1e-3), 3, False),
+    "at_k_off": lambda: (nudged_arrowhead(4, 3, 0, 1e-3), 4, False),
+    "complex_diagonal_entry": lambda: (nudged_diagonal(400, 350, 1e-6j), 400, False),
+    "complex_diagonal_entry_beyond_the_order": lambda: (nudged_diagonal(400, 350, 1e-6j), 300, True),
+    "complex_diagonal_entry_within_the_rule": lambda: (nudged_diagonal(400, 350, 1e-11j), 400, True),
+    "rank_one_complex": lambda: (rank_one(30, 700), 700, True),
+    "rank_one_zero_padded": lambda: (rank_one(31, 400), 1100, True),
+}
+
+
+class TestSelfAdjointCheck:
+    @pytest.mark.parametrize("name", sorted(SELF_ADJOINT_CASES))
+    def test_the_structure_judges_as_the_section_does(self, monkeypatch, name):
+        matrix, n, expected = SELF_ADJOINT_CASES[name]()
+        assert section_verdict(matrix, n) is expected
+        seen = spy_truncations(monkeypatch, type(matrix))
+        assert self_adjoint_check(matrix, n) is expected
+        assert seen == ([] if matrix.psd_structure(n) is not None else [n])  # no section where a structure decides
+
+
 class TestInputs:
     def test_self_adjointness_is_judged_at_max_order_from_the_prefixes(self):
         # a head off by 5e-9 from Hermitian: outside the rule at order 300,

@@ -16,7 +16,6 @@ from dskernel import (
     RankOneMatrix,
     SequenceRule,
     SpecError,
-    cocycle_unitarity_check,
     linear_invariance_test,
     psd_check,
     quasi_invariance_classify,
@@ -212,40 +211,3 @@ class TestLinearInvariance:
         assert not rep.invariant
         assert rep.witness_kind is not None
         assert rep.violation > 1e-8
-
-
-class TestCocycle:
-    def test_identity_automorphism_zero_residual(self):
-        res = cocycle_unitarity_check(
-            [0.0, 1.0], Automorphism.identity(0.0), [1.5, 2.0 + 1j, 3.0 - 0.5j], 4
-        )
-        assert res < 1e-14
-
-    def test_translation_on_single_frequency(self):
-        res = cocycle_unitarity_check(
-            [0.0, 1.0], Automorphism.translation(0.8, 0.0), [1.5, 2.0 + 1j, 2.5], 4
-        )
-        assert res < 1e-10
-
-    def test_scaling_on_single_frequency(self):
-        res = cocycle_unitarity_check(
-            [0.0, 1.0], Automorphism.scaling(math.sqrt(2.0), 0.0), [1.5, 2.0 + 1j, 2.5], 4
-        )
-        assert res < 1e-10
-
-    def test_mixed_rank_one_factor(self):
-        rng = np.random.default_rng(3)
-        f = np.zeros(5, dtype=complex)
-        f[0] = 1.0
-        f[1:] = 0.1 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        for phi in (Automorphism.translation(1.3, 0.0), Automorphism.scaling(1.4, 0.0)):
-            res = cocycle_unitarity_check(f, phi, [1.5, 2.2 + 0.5j, 3.1], 5)
-            assert res < 1e-10
-
-    def test_vanishing_factor_refused(self):
-        from dskernel import CertificationError
-
-        with pytest.raises(CertificationError):
-            cocycle_unitarity_check(
-                [1.0, -2.0], Automorphism.identity(0.0), [1.0], 2
-            )

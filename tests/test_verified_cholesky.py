@@ -23,6 +23,7 @@ from dskernel import (
     RankOneMatrix,
     SequenceRule,
     certify_psd,
+    example_arrowhead,
     membership_test,
     psd_check,
 )
@@ -347,6 +348,42 @@ class TestNormBounds:
         assert kernel.norm_lower_bound(Z, 300) == 0.0 == kernel.norm_upper_bound(Z, 300)
         Z[5, 7] = Z[7, 5] = np.nan
         assert np.isnan(kernel.norm_lower_bound(Z, 300))
+
+    def test_graded_section_squares_do_not_overflow(self):
+        S = np.ascontiguousarray(graded_section(False).real)
+        norm = np.linalg.norm(S, 2)  # 2.6e179, within the SVD's rounding of the largest S_ii
+        lower, upper = kernel.norm_lower_bound(S, 300), kernel.norm_upper_bound(S, 300)
+        assert 0.5 * norm <= lower <= norm * (1 + 1e-12) and norm * (1 - 1e-12) <= upper <= 2.0 * norm
+
+    def test_norm_beyond_the_float_range(self):
+        S = np.full((300, 300), 1e307)  # ||S||_2 = 3e309: a power step overflows
+        S[np.diag_indices(300)] = 2e307
+        assert 2e307 <= kernel.norm_lower_bound(S, 300) < np.inf
+        assert kernel.norm_upper_bound(S, 300) == np.inf
+
+
+def graded_section(top_fails: bool) -> np.ndarray:
+    """The bundled example's order-300 section, entries up to 2.6e179, whose squares overflow.
+
+    With top_fails, its last diagonal entry (the largest) is negated, so
+    only the order-300 rung fails.
+    """
+    S = hermitian_section(example_arrowhead()[0], 300)
+    if top_fails:
+        S[-1, -1] = -S[-1, -1]
+    return S
+
+
+class TestGradedSections:
+    """A dense section graded over 179 decades is factored, and judged as the eigen ladder judges it."""
+
+    @pytest.mark.parametrize("top_fails", [False, True])
+    def test_same_verdict_and_witness_order(self, top_fails):
+        matrix = DenseMatrix(graded_section(top_fails))
+        cert = psd_check(matrix, 300)
+        assert "verified-cholesky" in cert.method
+        assert (cert.verdict, cert.witness_order) == (("not_psd", 300) if top_fails else ("psd", None))
+        assert_certificate_matches_the_eigen_ladder(matrix, 300, cert)
 
 
 def band_section(is_complex: bool, kappa: float, tol: float = 1e-9) -> np.ndarray:
