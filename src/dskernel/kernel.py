@@ -151,11 +151,15 @@ def hermitian_part(T: np.ndarray, message: str = NOT_SELF_ADJOINT, largest: floa
     diagonal of a diagonal matrix, so the rule bounds its imaginary parts
     and the result is its real part.  The result is a new array, never a
     view of T: D = T - T* is formed once, tested, and turned into T - D/2
-    in place.
+    in place.  A NaN or infinite entry of T makes max |D| NaN or inf, which
+    is a SpecError: no cutoff could judge such a block.
     """
     D = np.conjugate(T.T, order="C")  # the ufunc, since ndarray.conj() of a real T is T itself
-    np.subtract(T, D, out=D)
+    with np.errstate(invalid="ignore"):  # inf - inf; refused below
+        np.subtract(T, D, out=D)
     deviation = np.max(np.abs(D), initial=0.0)
+    if not math.isfinite(deviation):
+        raise SpecError("block has a NaN or infinite entry")
     if deviation > HERMITIAN_TOL * (1.0 + max(largest, np.max(np.abs(T), initial=0.0))):
         raise HermitianError(message)
     D *= -0.5
@@ -187,10 +191,14 @@ def check_tol(tol: float) -> None:
 def psd_cutoff(eigenvalues: np.ndarray, tol: float) -> float:
     """The one PSD cutoff: eigenvalues may sit down to -tol (1 + max |lambda|), or -tol if there are none.
 
-    A SpecError for a negative or NaN tol (``check_tol``).
+    A SpecError for a negative or NaN tol (``check_tol``); a
+    CertificationError for a cutoff that overflows, which every section would pass.
     """
     check_tol(tol)
-    return tol * (1.0 + float(np.max(np.abs(eigenvalues)))) if eigenvalues.size else tol
+    cutoff = tol * (1.0 + float(np.max(np.abs(eigenvalues)))) if eigenvalues.size else tol
+    if not math.isfinite(cutoff):
+        raise CertificationError(f"PSD cutoff {cutoff} is not finite: an eigenvalue or tol overflows")
+    return cutoff
 
 
 def eigensolve_rounding(order: int, scale: float) -> float:

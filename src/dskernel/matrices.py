@@ -56,7 +56,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SpecError
-from .rules import CACHE_LIMIT, SequenceRule, exponent_sum, partial_zeta, power_tail_bound
+from .rules import SequenceRule, exponent_sum, partial_zeta, power_tail_bound
 from .series import Envelope, ValueWithBound, power_sum, powers, rounding_radius
 
 
@@ -319,20 +319,6 @@ class DiagonalMatrix(CoefficientMatrix):
             d = np.where(mask, d, 0.0)
         return d
 
-    def _weights(self, N: int) -> tuple[np.ndarray, np.ndarray, int]:
-        """(d, |d|, nonzero count) for n <= N, read-only; the last triple of
-        at most CACHE_LIMIT terms is memoised, like the rule's prefix."""
-        memo = self.__dict__.get("_memo")
-        if memo is not None and memo[0].size == N:
-            return memo
-        d = self.diagonal_prefix(N)
-        ad = np.abs(d)
-        d.flags.writeable = ad.flags.writeable = False
-        out = (d, ad, int(np.count_nonzero(ad)))
-        if N <= CACHE_LIMIT:
-            object.__setattr__(self, "_memo", out)
-        return out
-
     def truncation(self, N: int) -> np.ndarray:
         return np.diag(self.diagonal_prefix(N))
 
@@ -361,11 +347,12 @@ class DiagonalMatrix(CoefficientMatrix):
             c, p = law
             total = ValueWithBound(*partial_zeta(*exponent_sum(s, np.conj(u), -p), 1, N)) * c
             return total.value, total.error_radius
-        d, ad, nnz = self._weights(N)
+        d = self.diagonal_prefix(N)
+        ad = np.abs(d)
         z = s + np.conj(u)
         p = powers(z, N)
         mass = float(ad @ (p if z.imag == 0.0 else powers(z.real, N)))
-        return power_sum(d, p), section_rounding(mass, s, u, N, nnz)
+        return power_sum(d, p), section_rounding(mass, s, u, N, int(np.count_nonzero(ad)))
 
     def tail_radius(self, sigma_s: float, sigma_u: float, N: int) -> float:
         """Row and column pieces are empty: the sharper single-series bound."""

@@ -105,12 +105,6 @@ class GramModel:
         """Symbol coordinates of the kernel section kappa_t = sum_n n**(-conj(t)) A_n."""
         return powers(np.conj(complex(t)), self.order).astype(complex)
 
-    def value_at(self, c: Sequence[complex], p: complex) -> complex:
-        """Pointwise value (sum_n c_n A_n)(p) through the truncated columns."""
-        c = np.asarray(c, dtype=complex)
-        weights = self.gram @ c  # row m: sum_n a_{m,n} c_n
-        return power_sum(weights, powers(p, self.order))
-
 
 def expansion_check(kernel: DirichletKernel, s: complex, u: complex, order: int) -> float:
     """Residual of the symbol expansion kappa(s,u) = sum_n A_n(s) n**(-conj(u)).

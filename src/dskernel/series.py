@@ -386,28 +386,8 @@ class GeneralDirichletSeries:
         return cls(lam, coefficients, rule, coefficient_rule, envelope, finite, sigma_abs)
 
     @classmethod
-    def from_rules(
-        cls,
-        exponent_rule: ExponentRule,
-        coefficient_rule: SequenceRule,
-        order: int,
-        envelope: Optional[Envelope] = None,
-        sigma_abs: Optional[float] = None,
-    ) -> "GeneralDirichletSeries":
-        lam = tuple(exponent_rule.prefix(order))
-        coef = tuple(coefficient_rule.prefix(order))
-        return cls(
-            lam, coef, exponent_rule, coefficient_rule, envelope,
-            coefficient_rule.is_finite, sigma_abs,
-        )
-
-    @classmethod
     def zero(cls) -> "GeneralDirichletSeries":
         return cls((), (), finite=True)
-
-    @classmethod
-    def single_term(cls, exponent: float, coefficient: complex) -> "GeneralDirichletSeries":
-        return cls((float(exponent),), (complex(coefficient),), finite=True)
 
     # -- accessors ----------------------------------------------------------
 

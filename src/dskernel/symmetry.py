@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .kernel import DirichletKernel, check_tol, hermitian_section, kernel_eval, 
 from .series import GeneralDirichletSeries, evaluate
 
 SL2_DET_TOL = 1e-12
-LINEAR_C_TOL = 1e-14
 #: random translations at which ``translation_invariance_test`` samples a diagonal kernel
 TRANSLATION_SAMPLES = 20
 
@@ -45,10 +44,6 @@ class Automorphism:
             raise SpecError(f"matrix determinant {det} is not 1")
 
     @classmethod
-    def identity(cls, rho: float) -> "Automorphism":
-        return cls(1.0, 0.0, 0.0, 1.0, rho)
-
-    @classmethod
     def translation(cls, b: float, rho: float) -> "Automorphism":
         """phi_b(s) = s - ib."""
         return cls(1.0, b, 0.0, 1.0, rho)
@@ -59,10 +54,6 @@ class Automorphism:
         if a == 0:
             raise SpecError("scaling parameter must be nonzero")
         return cls(a, 0.0, 0.0, 1.0 / a, rho)
-
-    @property
-    def is_linear(self) -> bool:
-        return abs(self.c) <= LINEAR_C_TOL
 
     def apply(self, s: complex) -> complex:
         s = complex(s)
@@ -85,9 +76,6 @@ class Automorphism:
             self.c * other.b + self.d * other.d,
             self.rho,
         )
-
-    def inverse(self) -> "Automorphism":
-        return Automorphism(self.d, -self.b, -self.c, self.a, self.rho)
 
 
 def rank_one_factor(
@@ -168,10 +156,10 @@ def translation_invariance_test(
     negative or NaN tol is a SpecError (``support_pattern``).
     """
     m, n = support_pattern(kernel.matrix, order, tol)
-    diagonal = bool(np.all(m == n))
+    off = m != n
     edge = kernel.certified_sigma()
     rng = np.random.default_rng(seed)
-    if diagonal:
+    if not off.any():
         worst = 0.0
         for _ in range(TRANSLATION_SAMPLES):
             b = float(rng.uniform(-10, 10))
@@ -187,27 +175,28 @@ def translation_invariance_test(
                 )
             worst = max(worst, dev)
         return TranslationReport(True, True, worst, None, TRANSLATION_SAMPLES)
-    offdiag = [(int(a), int(b)) for a, b in zip(m, n) if a != b]
-    witness = _translation_witness(kernel, offdiag, order, tol)
+    m, n = m[off], n[off]
+    lead = np.lexsort((n, m, m * n))[:8]  # by m n, then m, then n
+    witness = _translation_witness(kernel, zip(m[lead].tolist(), n[lead].tolist()), order, tol)
     return TranslationReport(
         False, False, witness.violation if witness else 0.0, witness, TRANSLATION_SAMPLES
     )
 
 
 def _translation_witness(
-    kernel: DirichletKernel, offdiag: list, order: int, tol: float
+    kernel: DirichletKernel, leading: Iterable[tuple[int, int]], order: int, tol: float
 ) -> Optional[InvarianceWitness]:
     """Search for (b, s, u) violating translation invariance by more than tol.
 
-    ``offdiag`` lists the 1-based off-diagonal (m, n) with |a_{m,n}| > tol.
+    ``leading`` holds the first 1-based off-diagonal (m, n) with
+    |a_{m,n}| > tol, ordered by m n, then m, then n.
     For such an entry (m0, n0), the translation b = pi/log(m0/n0)
     flips that term's phase; evaluating at real s = u = sigma with sigma
     growing makes the term dominate the remaining off-diagonal mass, so the
     difference stays provably above tol once sigma is large enough.
     """
-    offdiag = sorted(offdiag, key=lambda mn: (mn[0] * mn[1], mn))
     edge = kernel.certified_sigma()
-    for m0, n0 in offdiag[:8]:
+    for m0, n0 in leading:
         b = math.pi / math.log(m0 / n0)
         for sigma in np.arange(edge + 0.5, edge + 24.5, 0.5):
             s = u = complex(sigma)
@@ -297,20 +286,21 @@ def _dominance_sigma(f: np.ndarray) -> Optional[float]:
 
     For Re(s) >= the returned value, |f(s)| >= |f(n0)| n0**(-sigma) -
     sum_{n>n0} |f(n)| n**(-sigma) > 0, so the factor cannot vanish there.
+    The 0.5-step grid on [0, 400) ends past log(sum_{n>n0} |f(n)| / |f(n0)|) / log(n1/n0),
+    n1 the second support index: from there on (n1/n0)**(-sigma) alone gives the dominance.
     """
     nz = np.nonzero(np.abs(f) > 0)[0]
     if nz.size == 0:
         return None
-    n0 = int(nz[0]) + 1
-    rest = [(int(i) + 1, abs(f[i])) for i in nz[1:]]
-    if not rest:
+    if nz.size == 1:
         return 0.0
-    lead = abs(f[n0 - 1])
-    for sigma in np.arange(0.0, 400.0, 0.5):
-        tail = sum(c * n ** (-sigma) for n, c in rest)
-        if lead * n0 ** (-sigma) > tail:
-            return float(sigma)
-    return None
+    n, c = nz + 1.0, np.abs(f[nz])
+    stop = max((math.log(np.sum(c[1:])) - math.log(c[0])) / math.log(n[1] / n[0]), 0.0) + 1.0
+    sigma = np.arange(0.0, min(stop, 400.0), 0.5)
+    # summed over axis 0, term after term, in index order
+    tail = (c[1:, None] * n[1:, None] ** -sigma).sum(axis=0)
+    ok = np.flatnonzero(c[0] * n[0] ** -sigma > tail)
+    return float(sigma[ok[0]]) if ok.size else None
 
 
 @dataclass(frozen=True)

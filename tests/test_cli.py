@@ -480,6 +480,13 @@ class TestNonFiniteInputs:
         assert code == 2
         assert rep["error"]["kind"] == "SpecError"
 
+    def test_overflowing_eigenvalue_is_not_psd_by_an_infinite_cutoff(self, capsys, tmp_path):
+        # lambda_max = 2.5e308 overflows, so tol (1 + max |lambda|) is inf and lambda_min = -5e307 passed
+        f = self.write(tmp_path, {"variant": "dense", "entries": [[1e308, 1.5e308], [1.5e308, 1e308]]})
+        code, rep = self.run_strict(capsys, "psd", "--matrix", f, "--max-order", "2")
+        assert code == 2
+        assert rep["error"]["kind"] == "CertificationError" and "not finite" in rep["error"]["message"]
+
     @pytest.mark.parametrize("entries", [[[1, 0], [0]], [1, 0]])
     def test_ragged_or_flat_dense_rows(self, capsys, tmp_path, entries):
         f = self.write(tmp_path, {"variant": "dense", "entries": entries})

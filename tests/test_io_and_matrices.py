@@ -1,4 +1,4 @@
-"""JSON ingestion, matrix variant accessors, expansion identity."""
+"""JSON ingestion and matrix variant accessors."""
 
 import json
 import math
@@ -9,11 +9,9 @@ import pytest
 from dskernel import (
     BandedMatrix,
     DiagonalMatrix,
-    GramModel,
     RankOneMatrix,
     SequenceRule,
     SpecError,
-    analytic_symbol,
     bandwidth_detect,
     evaluate,
 )
@@ -24,7 +22,6 @@ from dskernel.io import (
     load_span,
     parse_complex,
 )
-from conftest import random_psd_dense
 
 
 class TestParseComplex:
@@ -147,23 +144,3 @@ class TestVariantAccessors:
         m = DiagonalMatrix(SequenceRule("constant", scale=3.0))
         assert m.entry(2, 3) == 0.0
         assert m.entry(4, 4) == 3.0
-
-
-class TestExpansionIdentity:
-    def test_symbol_coordinates_reproduce_pointwise_values(self):
-        # two routes to f(s) = sum_n c_n A_n(s): through the Gram model and
-        # through direct symbol evaluation
-        rng = np.random.default_rng(8)
-        A = random_psd_dense(rng, 6)
-        from dskernel import DenseMatrix
-
-        m = DenseMatrix(A)
-        model = GramModel(m, 6)
-        c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        for s in (1.5, 2.0 + 1.0j, 3.0 - 0.5j):
-            via_model = model.value_at(c, s)
-            direct = 0.0 + 0.0j
-            for n in range(1, 7):
-                sym = analytic_symbol(m, n)
-                direct += c[n - 1] * evaluate(sym.series, s, 6).value
-            assert abs(via_model - direct) < 1e-8

@@ -11,6 +11,7 @@ import dskernel.rkhs
 import dskernel.structured
 from dskernel import (
     ArrowheadMatrix,
+    CertificationError,
     ConvergenceRegionError,
     DenseMatrix,
     DiagonalMatrix,
@@ -195,6 +196,13 @@ class TestOneCutoff:
     def test_cutoff_is_relative_to_the_spectrum(self):
         assert psd_cutoff(np.array([-3.0, 1.0]), 1e-9) == 1e-9 * 4.0
         assert psd_cutoff(np.empty(0), 1e-9) == 1e-9
+
+    @pytest.mark.parametrize("eigenvalues, tol", [([-5e307, math.inf], 1e-9), ([math.nan, 1.0], 1e-9),
+                                                  ([1.0], math.inf), ([], math.inf)])
+    def test_cutoff_that_is_not_finite_is_refused(self, eigenvalues, tol):
+        # an infinite cutoff would pass every section, an overflowing one included
+        with pytest.raises(CertificationError, match="not finite"):
+            psd_cutoff(np.array(eigenvalues), tol)
 
     @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
     def test_negative_or_nan_tol_is_a_spec_error(self, tol):
@@ -516,3 +524,15 @@ class TestHermitianPart:
         assert np.array_equal(hermitian_part(d), np.array([1.0, -2.0, 3.0], dtype=complex))
         with pytest.raises(HermitianError):
             hermitian_part(np.array([1.0 + 1e-3j]))
+
+    @pytest.mark.parametrize("T", [
+        [[1.0, math.nan], [0.0, 1.0]],
+        [[math.inf, 0.0], [0.0, 1.0]],
+        [1.0, math.nan],
+        [math.inf, 1.0],
+    ], ids=["nan-2d", "inf-diagonal-2d", "nan-1d", "inf-1d"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_non_finite_entry_is_a_spec_error(self, T, dtype):
+        # max |T - T*| is then NaN or inf, which no cutoff comparison may pass
+        with pytest.raises(SpecError, match="NaN or infinite"):
+            hermitian_part(np.array(T, dtype=dtype))

@@ -194,8 +194,9 @@ class TestRoundedExponents:
         for omega in (math.sqrt(2.0), 0.7, 3.0):
             c, p = complex(rng.uniform(0.5, 2.0), rng.uniform(-1, 1)), float(rng.uniform(-0.6, 0.6))
             s = complex((p + 1.0) / omega + rng.uniform(0.01, 1.5), rng.uniform(-200, 200))
-            series = GeneralDirichletSeries.from_rules(ExponentRule("log", omega=omega), rule(c, p), 4,
-                                                       envelope=Envelope(abs(c), p))
+            exponents, coefficients = ExponentRule("log", omega=omega), rule(c, p)
+            series = GeneralDirichletSeries(tuple(exponents.prefix(4)), tuple(coefficients.prefix(4)),
+                                            exponents, coefficients, Envelope(abs(c), p))
             vb = evaluate(series, s, N)
             with mpmath.workdps(40):
                 z = mpmath.mpf(omega) * mpmath.mpc(s.real, s.imag) - mpmath.mpf(p)

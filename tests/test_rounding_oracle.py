@@ -114,7 +114,9 @@ def test_general_exponent_series_disc_holds(s, gaps):
 def test_rule_exponent_series_disc_holds(s, omega, order):
     # exponents omega * log n are computed, so their own rounding is priced too
     rule = SequenceRule("explicit", values=(1.0,) * order)
-    series = GeneralDirichletSeries.from_rules(ExponentRule("log", omega=omega), rule, order)
+    exponents = ExponentRule("log", omega=omega)
+    series = GeneralDirichletSeries(tuple(exponents.prefix(order)), tuple(rule.prefix(order)),
+                                    exponents, rule, finite=True)
     vb = evaluate(series, s, order)
     with mpmath.workdps(ORACLE_DPS):
         z = mpmath.mpf(omega) * mpmath.mpc(s.real, s.imag)

@@ -24,12 +24,9 @@ SQRT2 = math.sqrt(2.0)
 
 
 def ones_series(order: int) -> GeneralDirichletSeries:
-    return GeneralDirichletSeries.from_rules(
-        ExponentRule("log", omega=1.0),
-        SequenceRule("constant", scale=1.0),
-        order,
-        envelope=Envelope(1.0, 0.0),
-    )
+    exponents, coefficients = ExponentRule("log", omega=1.0), SequenceRule("constant", scale=1.0)
+    return GeneralDirichletSeries(tuple(exponents.prefix(order)), tuple(coefficients.prefix(order)),
+                                  exponents, coefficients, Envelope(1.0, 0.0))
 
 
 def brute_zeta(s: float, order: int) -> float:
@@ -50,7 +47,7 @@ class TestEvaluate:
         assert v.value == 0 and v.error_radius == 0.0
 
     def test_single_term_exact(self):
-        s = GeneralDirichletSeries.single_term(1.0, 1.0)
+        s = GeneralDirichletSeries((1.0,), (1.0 + 0.0j,), finite=True)
         v = evaluate(s, 1.0, 5)
         import mpmath
         with mpmath.workdps(40):
@@ -70,12 +67,9 @@ class TestEvaluate:
         assert math.isinf(v.error_radius)
 
     def test_linear_exponent_tail(self):
-        s = GeneralDirichletSeries.from_rules(
-            ExponentRule("linear", slope=1.0),
-            SequenceRule("constant", scale=1.0),
-            50,
-            envelope=Envelope(1.0, 0.0),
-        )
+        exponents, coefficients = ExponentRule("linear", slope=1.0), SequenceRule("constant", scale=1.0)
+        s = GeneralDirichletSeries(tuple(exponents.prefix(50)), tuple(coefficients.prefix(50)),
+                                   exponents, coefficients, Envelope(1.0, 0.0))
         v = evaluate(s, 1.0, 50)
         # geometric: sum e**(-n) = 1/(e-1)
         assert abs(v.value - 1.0 / (math.e - 1.0)) <= v.error_radius + 1e-12
@@ -87,9 +81,9 @@ class TestEvaluate:
             C = float(rng.uniform(0.1, 2.0))
             alpha = float(rng.uniform(-1.0, 1.0))
             coef = SequenceRule("power", scale=C, exponent=alpha)
-            s = GeneralDirichletSeries.from_rules(
-                ExponentRule("log", omega=1.0), coef, 10 * M, envelope=Envelope(C, alpha)
-            )
+            exponents = ExponentRule("log", omega=1.0)
+            s = GeneralDirichletSeries(tuple(exponents.prefix(10 * M)), tuple(coef.prefix(10 * M)),
+                                       exponents, coef, Envelope(C, alpha))
             sigma = alpha + 1.0 + 0.5 + float(rng.uniform(0, 2))
             lo = evaluate(s, sigma, M)
             hi = evaluate(s, sigma, 10 * M)
@@ -136,15 +130,15 @@ class TestMerge:
 
 class TestMultiply:
     def test_single_terms(self):
-        f = GeneralDirichletSeries.single_term(1.0, 1.0)
-        g = GeneralDirichletSeries.single_term(SQRT2, 1.0)
+        f = GeneralDirichletSeries((1.0,), (1.0 + 0.0j,), finite=True)
+        g = GeneralDirichletSeries((SQRT2,), (1.0 + 0.0j,), finite=True)
         prod = multiply_merged(f, g)
         assert len(prod) == 1
         assert abs(prod.exponents[0] - (1.0 + SQRT2)) < 1e-15
 
     def test_zero_times_anything(self):
         f = GeneralDirichletSeries.zero()
-        g = GeneralDirichletSeries.single_term(0.5, 2.0)
+        g = GeneralDirichletSeries((0.5,), (2.0 + 0.0j,), finite=True)
         assert len(multiply_merged(f, g)) == 0
         assert len(multiply_merged(g, f)) == 0
 

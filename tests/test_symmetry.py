@@ -22,6 +22,7 @@ from dskernel import (
     rank_one_factor,
     translation_invariance_test,
 )
+from dskernel.symmetry import _dominance_sigma
 from conftest import dense_kernel, rank_one_kernel
 
 
@@ -33,10 +34,6 @@ def random_sl2(rng, rho=0.0) -> Automorphism:
 
 
 class TestAutomorphism:
-    def test_identity(self):
-        phi = Automorphism.identity(0.5)
-        assert phi(2.0 + 3.0j) == 2.0 + 3.0j
-
     def test_translation(self):
         phi = Automorphism.translation(1.5, 0.0)
         s = 2.0 + 1.0j
@@ -57,7 +54,7 @@ class TestAutomorphism:
 
     def test_refuses_outside_domain(self):
         with pytest.raises(OutsideDomainError):
-            Automorphism.identity(1.0).apply(0.5)
+            Automorphism(1.0, 0.0, 0.0, 1.0, 1.0).apply(0.5)
 
     def test_determinant_validated(self):
         with pytest.raises(SpecError):
@@ -71,14 +68,9 @@ class TestAutomorphism:
             s = complex(rng.uniform(0.05, 4), rng.uniform(-4, 4))
             composed = phi.compose(psi)
             worst = max(worst, abs(phi(psi(s)) - composed(s)))
-            ident = phi.compose(phi.inverse())
+            ident = phi.compose(Automorphism(phi.d, -phi.b, -phi.c, phi.a, phi.rho))  # A A**-1
             worst = max(worst, abs(ident(s) - s))
         assert worst < 1e-10
-
-    def test_linear_flag(self):
-        assert Automorphism.translation(3.0, 0.0).is_linear
-        assert Automorphism.scaling(2.0, 0.0).is_linear
-        assert not Automorphism(1.0, 0.0, 1.0, 1.0, 0.0).is_linear
 
 
 class TestRankOneFactor:
@@ -126,6 +118,14 @@ class TestTranslationInvariance:
     def test_zero_kernel_invariant(self):
         rep = translation_invariance_test(dense_kernel(np.zeros((4, 4))), 4)
         assert rep.invariant
+
+    def test_witness_entry_comes_first_by_product_then_row(self):
+        # (2, 3), (3, 2), (1, 6) and (6, 1) all have m n = 6: the smallest m, (1, 6), leads
+        A = np.eye(6)
+        for m, n in ((2, 3), (3, 2), (1, 6), (6, 1)):
+            A[m - 1, n - 1] = 0.3
+        rep = translation_invariance_test(dense_kernel(A), 6, tol=1e-6)
+        assert rep.witness is not None and rep.witness.b == math.pi / math.log(1 / 6)
 
     def test_verdicts_agree_on_generated_matrices(self):
         rng = np.random.default_rng(15)
@@ -190,6 +190,34 @@ class TestQuasiInvariance:
             grid = [complex(1.5 + j * 0.7, (-1) ** j) for j in range(4)]
             rep = quasi_invariance_classify(kern, 6, grid=grid)
             assert rep.verdict == expect
+
+
+def scanned_dominance_sigma(f: np.ndarray):
+    """The reference: the first sigma of the 0.5-step grid on [0, 400) where the lead term dominates, term by term."""
+    nz = [i + 1 for i in np.nonzero(np.abs(f) > 0)[0]]
+    if not nz:
+        return None
+    for sigma in np.arange(0.0, 400.0, 0.5):
+        if abs(f[nz[0] - 1]) * nz[0] ** (-sigma) > sum(abs(f[n - 1]) * n ** (-sigma) for n in nz[1:]):
+            return float(sigma)
+    return None
+
+
+class TestDominanceSigma:
+    def test_equals_the_scalar_scan(self):
+        rng = np.random.default_rng(21)
+        for i in range(400):
+            size = int(rng.integers(1, 40))
+            f = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * rng.uniform(0, 3, size) ** (i % 5)
+            f[rng.uniform(size=size) < 0.5] = 0
+            if i % 3 == 0:
+                f = np.round(f)  # integer moduli, so some sums tie with the lead exactly
+            assert _dominance_sigma(f) == scanned_dominance_sigma(f), f
+
+    @pytest.mark.parametrize("f, expected", [([0.0, 0.0], None), ([0.0, 2.0], 0.0), ([1.0, 1.0], 0.5),
+                                             ([1.0, 0.0, 0.0, 4.0], 1.5), ([1e-300, 1.0], None)])
+    def test_ties_and_edges(self, f, expected):
+        assert _dominance_sigma(np.array(f)) == scanned_dominance_sigma(np.array(f)) == expected
 
 
 class TestLinearInvariance:
