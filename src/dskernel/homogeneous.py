@@ -23,11 +23,11 @@ import numpy as np
 from .errors import SpecError
 from .kernel import DirichletKernel, kernel_eval
 from .matrices import DiagonalMatrix
-from .rules import SequenceRule, power_tail_bound
-from .series import HalfPlane, log_table, powers, rounding_radius
+from .rules import UNIT_ROUNDOFF, SequenceRule, em_start, exponent_sum, power_tail_bound, zeta_tails
+from .series import SUBNORMAL_MIN, HalfPlane, log_table, powers, rounding_radius
 
-#: columns of the phase matrix formed at once by ``translate_gram``: 4 MB of
-#: complex phases for 64 offsets, however long the truncation
+#: columns of the phase matrix formed at once by ``translate_gram``'s head: 4 MB
+#: of complex phases for 64 offsets, however many columns K the head has
 GRAM_BLOCK = 4096
 
 
@@ -248,21 +248,31 @@ def translate_gram(span: TranslateSpan) -> TranslateGram:
     truncation (``independent``) iff the eigenvalue lower bound, the least
     eigenvalue less the order times the entry radius, is positive.
 
-    G = E diag(w) E* with E[j, n] = exp(-i c_j log n), built GRAM_BLOCK
-    columns at a time.  The c_j are the offsets centred on their midrange:
-    the differences b_j - b_k, and with them G, are unchanged, and the
-    phases stay within half the spread, which is what their rounding costs.
+    The head n < K is E diag(w) E* with E[j, n] = exp(-i c_j log n), built
+    GRAM_BLOCK columns at a time; the c_j are the offsets centred on their
+    midrange, which leaves b_j - b_k and G unchanged and keeps the phases,
+    and their rounding, within half the spread.  For an unmasked constant or
+    power diagonal c n**p, K = ``rules.em_start`` at the widest pair's
+    z = 2a - p + i(b_j - b_k), and ``rules.zeta_tails`` adds each entry's
+    c sum_{n=K}^{N} n**-z: O(offsets (K + offsets)) work, not O(offsets N).
+    Otherwise the head is the whole sum.
     """
-    idx = span.support.indices_up_to(span.order) - 1
+    # the offsets as integers num over one denominator D: each quotient below is correctly rounded
+    D = math.lcm(*(b.denominator for b in span.offsets))
+    num = [b.numerator * (D // b.denominator) for b in span.offsets]
+    hi, lo = max(num), min(num)
+    law = span.diagonal.power_law() if span.support.kind == "all" else None
+    s, ds = exponent_sum(2.0 * span.a, -law[1]) if law else (0j, 0.0)
+    K = em_start(complex(s.real, (hi - lo) / D), 1, span.order) if law else span.order + 1
+    idx = span.support.indices_up_to(K - 1) - 1
     if idx.size == 0:
         raise SpecError("support is empty below the truncation order")
-    diag = np.real(span.diagonal.prefix(span.order))[idx]
+    diag = np.real(span.diagonal.prefix(K - 1))[idx]
     if np.any(diag < 0):
         raise SpecError("diagonal sequence must be non-negative")
-    weights = diag * powers(2.0 * span.a, span.order)[idx]
-    logs = log_table(span.order)[idx]
-    hi, lo = max(span.offsets), min(span.offsets)
-    c = np.array([float(b - (hi + lo) / 2) for b in span.offsets])
+    weights = diag * powers(2.0 * span.a, K - 1)[idx]
+    logs = log_table(K - 1)[idx]
+    c = np.array([(2 * x - hi - lo) / (2 * D) for x in num])
     G = np.zeros((c.size, c.size), dtype=complex)
     for start in range(0, logs.size, GRAM_BLOCK):
         E = np.exp(np.outer(-1j * c, logs[start : start + GRAM_BLOCK]))
@@ -275,9 +285,19 @@ def translate_gram(span: TranslateSpan) -> TranslateGram:
         C, p = pb
         radius = C * power_tail_bound(span.order, 2.0 * span.a - p)
         # each term carries the powers n**(-2a), n**(-i c_j) and n**(i c_k)
-        radius += rounding_radius(
-            float(np.sum(weights)), 2.0 * span.a + float(hi - lo), float(logs[-1]), 2 * logs.size + 8
-        )
+        radius += rounding_radius(float(np.sum(weights)), 2.0 * span.a + (hi - lo) / D, float(logs[-1]),
+                                  2 * logs.size + 8)
+    if K <= span.order:
+        # b_j - b_k for j < k, 0 first for the diagonal; their rounding joins ds in the tails' dz
+        gaps = np.array([0.0, *((x - y) / D for i, x in enumerate(num) for y in num[i + 1 :])])
+        tail, r, _ = zeta_tails(s.real + 1j * gaps, ds + UNIT_ROUNDOFF * np.abs(gaps) + SUBNORMAL_MIN, K, span.order)
+        tail *= law[0].real
+        j, k = np.triu_indices(c.size, 1)
+        G[j, k] += tail[1:]
+        G[k, j] = G[j, k].conj()
+        np.fill_diagonal(G, G.diagonal().real + tail[0].real)
+        # the product by c and the addition round once per component each
+        radius += float(np.max(abs(law[0].real) * r + 2.0 * UNIT_ROUNDOFF * (np.abs(tail) + np.max(np.abs(G)))))
     w = np.linalg.eigvalsh(G)
     min_eig = float(w[0])
     lower = min_eig - (radius * c.size if math.isfinite(radius) else math.inf)

@@ -183,15 +183,15 @@ def self_adjoint_check(matrix: CoefficientMatrix, order: int) -> bool:
 
 
 def check_tol(tol: float) -> None:
-    """A SpecError for a tol that is negative or NaN, which would turn a tolerance rule around."""
-    if not tol >= 0.0:
-        raise SpecError(f"tol must be a non-negative number, got {tol}")
+    """A SpecError for a tol that is negative or NaN, which turns a tolerance rule around, or infinite, which passes all."""
+    if not 0.0 <= tol < math.inf:
+        raise SpecError(f"tol must be a finite non-negative number, got {tol}")
 
 
 def psd_cutoff(eigenvalues: np.ndarray, tol: float) -> float:
     """The one PSD cutoff: eigenvalues may sit down to -tol (1 + max |lambda|), or -tol if there are none.
 
-    A SpecError for a negative or NaN tol (``check_tol``); a
+    A SpecError for a negative, infinite or NaN tol (``check_tol``); a
     CertificationError for a cutoff that overflows, which every section would pass.
     """
     check_tol(tol)

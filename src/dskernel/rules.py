@@ -15,7 +15,8 @@ combine as ``series.ValueWithBound`` balls, whose arithmetic prices its own
 rounding, and every libm result among them enters through
 ``ValueWithBound.libm`` (the error assumption is ``series.LIBM_UNITS``).
 Only ``partial_zeta``, the hot path of deep rule sums, prices its scalar
-work by hand, as ``series.rounding_radius`` prices its direct terms.
+work by hand, as ``series.rounding_radius`` prices its direct terms, and
+``zeta_tails`` its Euler-Maclaurin tail for many exponents at once.
 """
 
 from __future__ import annotations
@@ -308,26 +309,30 @@ def exponent_sum(*parts) -> tuple[complex, float]:
     return z, math.nextafter(dz, math.inf) if dz else 0.0
 
 
+def em_start(z: complex, a: int, N: int) -> int:
+    """Where Euler-Maclaurin takes over sum_{n=a}^{N} n**-z: max(a, K), K = 2 ceil(|z|) + 2 EM_M, if Re z > 1
+    and N exceeds it by 512 (6144 for a real z), where the two cost the same in ``partial_zeta`` (``timeit``,
+    2-core x86_64: 0.05 us a direct term, 0.005 us for a real z); otherwise N + 1, the whole sum direct."""
+    K = 2.0 * math.ceil(abs(z)) + 2 * EM_M if math.isfinite(abs(z)) else math.inf
+    if z.real > 1.0 and N > max(a, K) + (512 if z.imag else 6144):
+        return max(a, int(K))
+    return N + 1
+
+
 def partial_zeta(z: complex, dz: float, a: int, N: int) -> tuple[complex, float]:
     """(value, radius) with |sum_{n=a}^{N} n**-w - value| <= radius for every |w - z| <= dz.
 
-    For Re z > 1 and N - max(a, K) > 512 (6144 for a real z), K = 2
-    ceil(|z|) + 2 EM_M, the terms n < K are summed directly and the rest by
-    Euler-Maclaurin with EM_M corrections at both ends:
+    The terms a <= n < b = ``em_start(z, a, N)`` are summed directly and
+    the rest, if any, by Euler-Maclaurin with EM_M corrections at both ends:
 
         sum_{n=b}^{N} n**-z = b**(1-z) (1 - (N/b)**(1-z)) / (z-1)
                               + (b**-z + N**-z)/2 + (corrections at b) - (corrections at N) + R,
 
-    b = max(a, K), |R| <= ``_em_remainder(z, b)``.  The integral is
-    formed from expm1, so it keeps its accuracy as z approaches 1.  As
-    b >= 2(|z| + EM_M), the 2 EM_M factors |z + j|/b of the remainder
-    multiply to at most 2**(-2 EM_M) (their mean is below 1/2), so R is
-    below 1e-18 b**(1-sigma) whatever |z|.  Otherwise (N closer to
-    max(a, K), or Re z <= 1) the whole sum is direct, so the work is
-    O(min(N, |z| + 6144)).  The switch is where the two cost the same on a
-    2-core x86_64 (``timeit`` at the switch itself, about 40 us each): a
-    direct term costs about 0.05 us for a complex z and 0.005 us for a real
-    z, whose table powers are real exponentials.
+    |R| <= ``_em_remainder(z, b)``.  The integral is formed from expm1, so
+    it keeps its accuracy as z approaches 1.  As b >= 2(|z| + EM_M), the
+    2 EM_M factors |z + j|/b of the remainder multiply to at most
+    2**(-2 EM_M) (their mean is below 1/2), so R is below 1e-18
+    b**(1-sigma) whatever |z|.
 
     The radius prices the rounding as ``series.rounding_radius`` does: the
     direct terms as table powers added by ``series.pairwise_sum``, whose
@@ -344,16 +349,14 @@ def partial_zeta(z: complex, dz: float, a: int, N: int) -> tuple[complex, float]
 
     z = complex(z)
     sigma, u = z.real, UNIT_ROUNDOFF
-    K = 2.0 * math.ceil(abs(z)) + 2 * EM_M if math.isfinite(abs(z)) else math.inf
-    em = sigma > 1.0 and N > max(a, K) + (512 if z.imag else 6144)
-    b = max(a, int(K)) if em else N + 1
+    b = em_start(z, a, N)
     # the direct terms a <= n < b
     p = powers(z, b - 1)[a - 1 :]
     mass = float((p if z.imag == 0.0 else powers(sigma, b - 1)[a - 1 :]).sum())
     value, depth = pairwise_sum(p)
     radius = rounding_radius(mass, abs(z), math.log(b - 1), depth, p.size) if p.size else 0.0
     log_n = math.log(max(N, 1))
-    if em:
+    if b <= N:
         L = math.log1p((N - b) / b)  # log(N/b)
         w = z - 1.0
         v = w * L
@@ -377,6 +380,32 @@ def partial_zeta(z: complex, dz: float, a: int, N: int) -> tuple[complex, float]
     if dz:
         radius += dz * log_n * mass * math.exp(min(dz * log_n, 700.0))
     return value, radius
+
+
+def zeta_tails(z: np.ndarray, dz, b: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(value, radius, mass) arrays: |sum_{n=b}^{N} n**-w - value| <= radius for every |w - z| <= dz, and
+    mass >= sum_{n=b}^{N} n**-Re z, for an array z with Re z > 1 sharing b < N: ``partial_zeta``'s tail in
+    numpy's arithmetic, its terms added in order (2 gamma of their count times their mass), not by fsum."""
+    from .series import SUBNORMAL_MIN, gamma  # series imports this module
+
+    u, sigma, log_n = UNIT_ROUNDOFF, z.real, math.log(N)
+    L = math.log1p((N - b) / b)  # log(N/b)
+    v = (z - 1.0) * L
+    A, B = np.expm1(-v.real) * np.cos(v.imag), 2.0 * np.sin(v.imag / 2.0) ** 2
+    C = np.exp(-v.real) * np.sin(v.imag)
+    d = 8.0 * u * np.abs(v)
+    expm1_error = 6.0 * u * (np.abs(A) + B + np.abs(C)) + np.minimum(2.0, d * np.exp(np.minimum(d, 1.0)))
+    Pb, PN = np.exp(-z * math.log(b)), np.exp(-z * log_n)
+    scale = b * Pb / (z - 1.0)
+    terms = np.array([scale * (B - A + 1j * C), Pb / 2.0, PN / 2.0, *_em_corrections(z, b, Pb),
+                      *(-t for t in _em_corrections(z, N, PN))])
+    value = terms.sum(axis=0)
+    per_term = u * (16.0 + 4.0 * np.abs(z) * log_n + 10 * EM_M + 10) + 2.0 * gamma(len(terms))
+    radius = (per_term * np.abs(terms).sum(axis=0) + np.abs(scale) * expm1_error + _em_remainder(z, b)
+              + (4 * EM_M + 16) * b * SUBNORMAL_MIN)
+    mass = b**-sigma + b ** (1.0 - sigma) * -np.expm1(-(sigma - 1.0) * L) / (sigma - 1.0)
+    radius += dz * log_n * mass * np.exp(np.minimum(dz * log_n, 700.0))
+    return value, radius, mass
 
 
 @dataclass(frozen=True)

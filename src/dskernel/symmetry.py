@@ -88,8 +88,8 @@ def rank_one_factor(
     largest component rotated to the positive real axis (the factor is only
     determined up to a unimodular scalar).  Returns the zero vector for the
     zero matrix and None when the rank exceeds one; a section that is not
-    self-adjoint is a HermitianError (``hermitian_section``), a negative or
-    NaN tol a SpecError (``check_tol``).
+    self-adjoint is a HermitianError (``hermitian_section``), a negative,
+    infinite or NaN tol a SpecError (``check_tol``).
     """
     check_tol(tol)
     S = hermitian_section(matrix, order)
@@ -153,7 +153,7 @@ def translation_invariance_test(
     ones get an explicit witness built from the leading off-diagonal entry,
     evaluated deep enough in the half-plane that the entry dominates the
     rest.  A
-    negative or NaN tol is a SpecError (``support_pattern``).
+    negative, infinite or NaN tol is a SpecError (``support_pattern``).
     """
     m, n = support_pattern(kernel.matrix, order, tol)
     off = m != n
@@ -241,7 +241,7 @@ def quasi_invariance_classify(
     kernel whose space has dimension > 1 cannot be quasi-invariant.  The
     computable content is the rank-one test plus a nonvanishing check for
     the factor on the supplied grid and asymptotically for large Re.  A
-    negative or NaN tol is a SpecError (``check_tol``).
+    negative, infinite or NaN tol is a SpecError (``check_tol``).
     """
     check_tol(tol)
     S = hermitian_section(kernel.matrix, order)
@@ -321,7 +321,7 @@ def linear_invariance_test(
     Only constant kernels (coefficient mass at the (1,1) entry alone) pass;
     any other kernel is defeated by an explicit scaling or a
     translation-composed scaling, which the search below produces.  A
-    negative or NaN tol is a SpecError (``support_pattern``).
+    negative, infinite or NaN tol is a SpecError (``support_pattern``).
     """
     m, n = support_pattern(kernel.matrix, order, tol)
     if np.all((m == 1) & (n == 1)):

@@ -487,6 +487,14 @@ class TestNonFiniteInputs:
         assert code == 2
         assert rep["error"]["kind"] == "CertificationError" and "not finite" in rep["error"]["message"]
 
+    @pytest.mark.parametrize("command", ["invariance", "classify"])
+    def test_infinite_tol_is_refused(self, capsys, tmp_path, command):
+        # with tol = inf no entry counted, so the dense kernel below was called invariant
+        f = self.write(tmp_path, {"variant": "dense", "entries": [[1, 0.5], [0.5, 1]]})
+        code, rep = self.run_strict(capsys, command, "--matrix", f, "--order", "2", "--tol", "inf")
+        assert code == 2
+        assert rep["error"]["kind"] == "SpecError" and "finite" in rep["error"]["message"]
+
     @pytest.mark.parametrize("entries", [[[1, 0], [0]], [1, 0]])
     def test_ragged_or_flat_dense_rows(self, capsys, tmp_path, entries):
         f = self.write(tmp_path, {"variant": "dense", "entries": entries})

@@ -3,9 +3,12 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+from dskernel import homogeneous
+from dskernel.rules import em_start, exponent_sum, power_tail_bound
 from dskernel import (
     AdmissibleSupport,
     ExactComplex,
@@ -141,6 +144,96 @@ class TestTranslateGram:
                 for k, bk in enumerate(offsets):
                     truth = scale * mpmath.zeta(mpmath.mpc(2 * a, float(bj - bk)))
                     assert abs(mpmath.mpc(gram.matrix[j, k]) - truth) <= gram.entry_radius
+
+
+class TestGramTails:
+    """The Euler-Maclaurin Gram path of an unmasked constant or power diagonal, priced on its own."""
+
+    @staticmethod
+    def span(a, rule, offsets, order):
+        return TranslateSpan(a=a, offsets=offsets, diagonal=rule, support=AdmissibleSupport("all"),
+                             order=order, rho=0.5)
+
+    @staticmethod
+    def start(span):
+        """K = em_start at the widest pair, with N large enough for Euler-Maclaurin."""
+        law = span.diagonal.power_law()
+        s, _ = exponent_sum(2.0 * span.a, -law[1])
+        return em_start(complex(s.real, float(max(span.offsets) - min(span.offsets))), 1, 10**9)
+
+    @staticmethod
+    def rounding(span, gram):
+        """entry_radius less the envelope tail bound, exactly: the radius of the order-N partial sum."""
+        C, p = span.diagonal.poly_bound()
+        return mpmath.mpf(gram.entry_radius) - mpmath.mpf(C * power_tail_bound(span.order, 2.0 * span.a - p))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_entries_are_the_partial_zeta_sums_on_both_sides_of_the_switch(self, seed):
+        rng = np.random.default_rng(seed)
+        a = float(rng.uniform(0.8, 3.0))
+        scale = float(rng.uniform(0.5, 2.0))
+        if seed % 2:
+            p = float(rng.uniform(-0.5, min(0.5, 2.0 * a - 1.1)))
+            rule = SequenceRule("power", scale=scale, exponent=p)
+        else:
+            p, rule = 0.0, SequenceRule("constant", scale=scale)
+        offsets = (Fraction(-500), Fraction(500), *(Fraction(int(rng.integers(-500, 501)), int(rng.integers(1, 8)))
+                                                    for _ in range(3)))
+        K = self.start(self.span(a, rule, offsets, 10**9))
+        grams, radii = {}, {}
+        for N in (K + 512, K + 513):  # the last direct order, the first Euler-Maclaurin one
+            span = self.span(a, rule, offsets, N)
+            assert (em_start(complex(2.0 * a - p, 1000.0), 1, N) <= N) == (N == K + 513)
+            gram = translate_gram(span)
+            grams[N], radii[N] = gram.matrix, self.rounding(span, gram)
+            assert 0 < radii[N] < 1e-9
+            with mpmath.workdps(30):
+                for j, bj in enumerate(offsets):
+                    for k, bk in enumerate(offsets):
+                        d = bj - bk
+                        z = mpmath.mpf(2.0 * a) - mpmath.mpf(p) + 1j * mpmath.mpf(d.numerator) / d.denominator
+                        truth = scale * (mpmath.zeta(z) - mpmath.zeta(z, N + 1))
+                        assert abs(mpmath.mpc(gram.matrix[j, k]) - truth) <= radii[N]
+        # the two sides differ by the term n = K + 513 alone
+        with mpmath.workdps(30):
+            for j, bj in enumerate(offsets):
+                for k, bk in enumerate(offsets):
+                    d = bj - bk
+                    z = mpmath.mpf(2.0 * a) - mpmath.mpf(p) + 1j * mpmath.mpf(d.numerator) / d.denominator
+                    step = scale * mpmath.power(K + 513, -z)
+                    gap = mpmath.mpc(grams[K + 513][j, k]) - mpmath.mpc(grams[K + 512][j, k]) - step
+                    assert abs(gap) <= radii[K + 512] + radii[K + 513]
+
+    def test_single_offset_switches_at_the_real_threshold(self):
+        rule = SequenceRule("constant", scale=1.0)
+        K = self.start(self.span(1.0, rule, (Fraction(0),), 10**9))
+        for N in (K + 6144, K + 6145):
+            span = self.span(1.0, rule, (Fraction(0),), N)
+            gram = translate_gram(span)
+            with mpmath.workdps(30):
+                truth = mpmath.zeta(2) - mpmath.zeta(2, N + 1)
+            assert abs(mpmath.mpf(gram.matrix[0, 0].real) - truth) <= self.rounding(span, gram)
+
+    @pytest.mark.parametrize("rule", [SequenceRule("constant", scale=1.0),
+                                      SequenceRule("power", scale=0.5, exponent=-0.25)], ids=["constant", "power"])
+    def test_order_two_million_reads_no_table_beyond_the_head(self, monkeypatch, rule):
+        rng = np.random.default_rng(7)
+        offsets = tuple(sorted({Fraction(int(rng.integers(-700, 701)), int(rng.integers(1, 8))) for _ in range(64)}))
+        span = self.span(1.0, rule, offsets, 2 * 10**6)
+        K = self.start(span)
+
+        def guarded(f):
+            def g(*args):
+                assert args[-1] <= K, f"asked for {args[-1]} entries, the head has {K}"
+                return f(*args)
+            return g
+
+        for name in ("log_table", "powers"):
+            monkeypatch.setattr(homogeneous, name, guarded(getattr(homogeneous, name)))
+        monkeypatch.setattr(SequenceRule, "prefix", guarded(SequenceRule.prefix))
+        gram = translate_gram(span)
+        assert K < 3000 and gram.independent
+        assert gram.entry_radius < 1e-6
 
 
 class TestSpanOperators:

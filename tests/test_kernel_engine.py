@@ -197,14 +197,13 @@ class TestOneCutoff:
         assert psd_cutoff(np.array([-3.0, 1.0]), 1e-9) == 1e-9 * 4.0
         assert psd_cutoff(np.empty(0), 1e-9) == 1e-9
 
-    @pytest.mark.parametrize("eigenvalues, tol", [([-5e307, math.inf], 1e-9), ([math.nan, 1.0], 1e-9),
-                                                  ([1.0], math.inf), ([], math.inf)])
+    @pytest.mark.parametrize("eigenvalues, tol", [([-5e307, math.inf], 1e-9), ([math.nan, 1.0], 1e-9)])
     def test_cutoff_that_is_not_finite_is_refused(self, eigenvalues, tol):
         # an infinite cutoff would pass every section, an overflowing one included
         with pytest.raises(CertificationError, match="not finite"):
             psd_cutoff(np.array(eigenvalues), tol)
 
-    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf])
     def test_negative_or_nan_tol_is_a_spec_error(self, tol):
         with pytest.raises(SpecError, match="non-negative"):
             psd_cutoff(np.array([1.0]), tol)

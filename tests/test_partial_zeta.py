@@ -28,7 +28,7 @@ from dskernel import (
     evaluate,
     kernel_eval,
 )
-from dskernel.rules import partial_zeta, power_tail_bound
+from dskernel.rules import partial_zeta, power_tail_bound, zeta_tails
 
 U = 2.0**-53
 DIRECT_MAX = 5000
@@ -323,3 +323,30 @@ class TestGoldenDiscs:
         tail = power_tail_bound(N, z)
         assert_in_disc(complex(value), radius, oracle(complex(z), N), name)
         assert_in_disc(complex(value), radius - tail + 2 * U * radius, oracle(complex(z), N), name)
+
+
+class TestArrayTail:
+    """``rules.zeta_tails``: the Euler-Maclaurin tail of ``partial_zeta`` over an array of exponents sharing b and N."""
+
+    @pytest.mark.parametrize("N", [2600, 20000, 10**6, 10**8])
+    def test_discs_contain_the_tails_and_match_the_scalar_tail(self, N):
+        rng = np.random.default_rng(N)
+        z = 1.0 + rng.uniform(0.0, 3.0, 24) + 1j * rng.uniform(-1000.0, 1000.0, 24)
+        z[:4] = [1.0 + 2.0**-20, 1.5, complex(1.01, 1000.0), 4.0]
+        b = 2 * math.ceil(np.max(np.abs(z))) + 16
+        dz = np.where(np.arange(z.size) % 2, 1e-12, 0.0)
+        value, radius, mass = zeta_tails(z, dz, b, N)
+        assert value.shape == radius.shape == mass.shape == z.shape
+        with mpmath.workdps(40):
+            for i, w in enumerate(z):
+                sigma = mpmath.mpf(w.real)
+                assert mass[i] >= em_tail(sigma, b) - em_tail(sigma, N + 1)
+                # the disc holds the tail at every exponent within dz of z
+                for shift in (0.0, dz[i], -1j * dz[i]):
+                    x = mpmath.mpc(w.real, w.imag) + mpmath.mpc(shift.real, shift.imag)
+                    assert_in_disc(value[i], radius[i], em_tail(x, b) - em_tail(x, N + 1), f"z={w}, N={N}")
+                # the scalar partial_zeta from b is the same sum (by Euler-Maclaurin but for a real z
+                # below its switch), priced by fsum
+                scalar, r = partial_zeta(complex(w), float(dz[i]), b, N)
+                assert abs(value[i] - scalar) <= radius[i] + r
+                assert radius[i] <= 3.0 * r

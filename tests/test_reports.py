@@ -2,9 +2,14 @@
 
 The golden files under ``tests/golden/`` hold the JSON report of each
 command in the CLI block of README.md.  After a deliberate change to a
-report, regenerate them from the repository root with
+report, regenerate the goldens of the commands that start with the given
+words from the repository root, e.g.
 
-    PYTHONPATH=src python tests/test_reports.py
+    PYTHONPATH=src python tests/test_reports.py homog --span
+
+which leaves every other file untouched, so that the diff shows only what
+the change moved (last digits of unrelated reports may differ between
+machines).  Without words it rewrites them all.
 """
 
 import csv
@@ -14,6 +19,7 @@ import os
 import pathlib
 import re
 import shlex
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -77,6 +83,27 @@ class TestGoldenReports:
         code, out = run_from_root(capsys, monkeypatch, shlex.split(command))
         assert code == 0
         assert_matches(json.loads(out), json.loads((GOLDEN / golden_name(command)).read_text()))
+
+    def test_selection_is_by_leading_words(self):
+        assert [golden_name(c) for c in selected_commands(["homog", "--span"])] == [
+            "homog_span_span_zeta_delta_0.25.json"]
+        assert len(selected_commands(["homog"])) == 2
+        assert selected_commands(["homo"]) == []
+        assert selected_commands([]) == readme_commands()
+
+    def test_regenerating_some_commands_leaves_the_other_files_untouched(self, tmp_path, monkeypatch, capsys):
+        golden = GOLDEN
+        monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
+        monkeypatch.chdir(ROOT)
+        other = tmp_path / golden_name("sk --example")
+        other.write_text("untouched")
+        regenerate(["homog", "--span"])
+        name = "homog_span_span_zeta_delta_0.25.json"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([other.name, name])
+        assert other.read_text() == "untouched"
+        assert_matches(json.loads((tmp_path / name).read_text()), json.loads((golden / name).read_text()))
+        with pytest.raises(SystemExit):
+            regenerate(["nosuchcommand"])
 
     def test_comparison_rejects_a_new_key_and_a_moved_number(self):
         with pytest.raises(AssertionError):
@@ -204,17 +231,26 @@ class TestAddedKeysOnly:
         assert set(t["witness"]) == {"b", "s", "u", "violation"}
 
 
-def regenerate() -> None:
-    """Write the golden report of every README command."""
+def selected_commands(words: list[str]) -> list[str]:
+    """The README commands whose first words are ``words`` (every command for none)."""
+    return [c for c in readme_commands() if shlex.split(c)[: len(words)] == words]
+
+
+def regenerate(words: list[str]) -> None:
+    """Write the golden report of each README command that starts with ``words``; all of them, afresh, for none."""
     os.chdir(ROOT)
     GOLDEN.mkdir(exist_ok=True)
-    for old in GOLDEN.glob("*.json"):
-        old.unlink()
-    for command in readme_commands():
+    commands = selected_commands(words)
+    if not commands:
+        raise SystemExit(f"no README command starts with {' '.join(words)!r}")
+    if not words:
+        for old in GOLDEN.glob("*.json"):
+            old.unlink()
+    for command in commands:
         target = GOLDEN / golden_name(command)
         assert cli.main([*shlex.split(command), "--out", str(target)]) == 0, command
-        print(target.relative_to(ROOT))
+        print(target)
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:])

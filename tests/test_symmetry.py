@@ -148,6 +148,23 @@ class TestTranslationInvariance:
                 assert rep.witness is not None and rep.witness.violation > 1e-6
 
 
+class TestToleranceMustBeFinite:
+    """An infinite tol keeps no entry in the support pattern, so every kernel passed as invariant."""
+
+    @pytest.mark.parametrize("test", [translation_invariance_test, linear_invariance_test,
+                                      quasi_invariance_classify])
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
+    def test_is_a_spec_error(self, test, tol):
+        with pytest.raises(SpecError, match="finite non-negative"):
+            test(dense_kernel([[1.0, 0.5], [0.5, 1.0]]), 2, tol=tol)
+
+    def test_the_same_kernel_is_not_invariant_at_a_finite_tol(self):
+        kern = dense_kernel([[1.0, 0.5], [0.5, 1.0]])
+        assert not translation_invariance_test(kern, 2).invariant
+        assert not linear_invariance_test(kern, 2).invariant
+        assert quasi_invariance_classify(kern, 2).verdict == "not_quasi_invariant"
+
+
 class TestQuasiInvariance:
     def test_single_frequency_is_quasi_invariant(self):
         # kappa = c**2 j**(-s-conj(u)) for j = 3, c = 2
