@@ -176,12 +176,9 @@ def _cmd_homog(args) -> dict:
     inputs, results = {}, {}
     if args.verify:
         rng = np.random.default_rng(args.seed)
-        worst = 0
-        for _ in range(args.pairs):
-            c = Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 13)))
-            b = Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 13)))
-            residual = homogeneity_residual(c, b)
-            worst = max(worst, len(residual))
+        draws = [rng.integers(lo, hi, max(args.pairs, 0)).tolist() for lo, hi in ((-50, 51), (1, 13)) * 2]
+        worst = max((len(homogeneity_residual(Fraction(p, q), Fraction(r, s))) for p, q, r, s in zip(*draws)),
+                    default=0)
         results["homogeneity"] = {
             "pairs": args.pairs,
             "nonzero_residuals": worst,

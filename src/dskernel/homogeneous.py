@@ -48,9 +48,6 @@ class ExactComplex:
             return cls(Fraction(x.real), Fraction(x.imag))
         raise SpecError(f"cannot coerce {x!r} to an exact complex number")
 
-    def __sub__(self, other: "ExactComplex") -> "ExactComplex":
-        return ExactComplex(self.re - other.re, self.im - other.im)
-
     def times_imag(self, b: Fraction) -> "ExactComplex":
         """Multiply by i*b exactly."""
         return ExactComplex(-self.im * b, self.re * b)
@@ -267,7 +264,7 @@ def translate_gram(span: TranslateSpan) -> TranslateGram:
     idx = span.support.indices_up_to(K - 1) - 1
     if idx.size == 0:
         raise SpecError("support is empty below the truncation order")
-    diag = np.real(span.diagonal.prefix(K - 1))[idx]
+    diag = _real_values(span.diagonal, K - 1, idx)
     if np.any(diag < 0):
         raise SpecError("diagonal sequence must be non-negative")
     weights = diag * powers(2.0 * span.a, K - 1)[idx]
@@ -275,7 +272,11 @@ def translate_gram(span: TranslateSpan) -> TranslateGram:
     c = np.array([(2 * x - hi - lo) / (2 * D) for x in num])
     G = np.zeros((c.size, c.size), dtype=complex)
     for start in range(0, logs.size, GRAM_BLOCK):
-        E = np.exp(np.outer(-1j * c, logs[start : start + GRAM_BLOCK]))
+        block = logs[start : start + GRAM_BLOCK]
+        E = np.empty((c.size, block.size), dtype=complex)
+        # the phases -c_j log n wait in E.imag, so no third array is held beside E
+        np.cos(np.outer(-c, block, out=E.imag), out=E.real)
+        np.sin(E.imag, out=E.imag)
         G += (E * weights[start : start + GRAM_BLOCK]) @ E.conj().T
     G = 0.5 * (G + G.conj().T)  # exactly Hermitian, with a real diagonal
     pb = span.diagonal.poly_bound()
@@ -304,6 +305,14 @@ def translate_gram(span: TranslateSpan) -> TranslateGram:
     return TranslateGram(G, radius, min_eig, lower, bool(lower > 0))
 
 
+def _real_values(rule: SequenceRule, n: int, idx: np.ndarray) -> np.ndarray:
+    """The rule's values at the 0-based indices idx below n, as reals; SpecError if one is not real."""
+    values = rule.prefix(n)[idx]
+    if np.any(values.imag != 0):
+        raise SpecError("diagonal sequence must be real")
+    return values.real
+
+
 def apply_generator(span: TranslateSpan, v: SpanVector) -> SpanVector:
     """T v: multiply the coefficient at offset b by the eigenvalue i*b, exactly."""
     for b in v:
@@ -316,11 +325,6 @@ def _times_label(v: SpanVector) -> SpanVector:
     return span_vector({b: coef.times_imag(Fraction(b)) for b, coef in v.items()})
 
 
-def _difference(x: SpanVector, y: SpanVector) -> SpanVector:
-    zero = ExactComplex()
-    return span_vector({off: x.get(off, zero) - y.get(off, zero) for off in set(x) | set(y)})
-
-
 def apply_shift(c, v: SpanVector) -> SpanVector:
     """U_c v: relabel every translate offset b to b + c; coefficients unchanged."""
     c = Fraction(c)
@@ -331,15 +335,12 @@ def homogeneity_residual(c, b) -> SpanVector:
     """U_c T delta_b - (T - icI) U_c delta_b in exact label coordinates.
 
     The homogeneity relation U_c T = (T - icI) U_c is an exact identity:
-    both sides send delta_b to ib * delta_{b+c}.  The residual is therefore
-    the empty vector, at zero tolerance, whenever the arithmetic is exact.
+    U_c T delta_b = ib delta_{b+c} and (T - icI) U_c delta_b = (i(b+c) - ic)
+    delta_{b+c}, so the residual is i(b - ((b+c) - c)) delta_{b+c}, the
+    empty vector, at zero tolerance, whenever the arithmetic is exact.
     """
-    c = Fraction(c)
-    v = delta(b)
-    shifted = apply_shift(c, v)
-    lhs = apply_shift(c, _times_label(v))
-    rhs = _difference(_times_label(shifted), {off: coef.times_imag(c) for off, coef in shifted.items()})
-    return _difference(lhs, rhs)
+    c, b = Fraction(c), Fraction(b)
+    return span_vector({b + c: ExactComplex(Fraction(0), b - ((b + c) - c))})
 
 
 @dataclass(frozen=True)
@@ -379,7 +380,7 @@ def adjoint_condition_check(
     if delta <= 0:
         raise SpecError("delta must be positive")
     idx = support.indices_up_to(M) - 1
-    diag = np.real(diagonal.prefix(M))[idx]
+    diag = _real_values(diagonal, M, idx)
     if np.any(diag == 0):
         raise SpecError("malformed diagonal: zero value on a support index")
     if np.any(diag < 0):

@@ -14,9 +14,10 @@ form here carries a radius for its truncation and rounding.  Their pieces
 combine as ``series.ValueWithBound`` balls, whose arithmetic prices its own
 rounding, and every libm result among them enters through
 ``ValueWithBound.libm`` (the error assumption is ``series.LIBM_UNITS``).
-Only ``partial_zeta``, the hot path of deep rule sums, prices its scalar
-work by hand, as ``series.rounding_radius`` prices its direct terms, and
-``zeta_tails`` its Euler-Maclaurin tail for many exponents at once.
+Only the Euler-Maclaurin partial sums price their work by hand.  One
+routine, ``_em_tail``, builds and prices the tail for both callers: in
+math for ``partial_zeta``, the hot path of deep rule sums, and in numpy
+for ``zeta_tails``, many exponents at once; each prices only its own sum.
 """
 
 from __future__ import annotations
@@ -319,33 +320,53 @@ def em_start(z: complex, a: int, N: int) -> int:
     return N + 1
 
 
+def _em_tail(z, b: int, N: int) -> tuple:
+    """Euler-Maclaurin for sum_{n=b}^{N} n**-z, Re z > 1, b < N, in math/cmath for a Python complex z and in
+    numpy for an array: (terms, per_term, expm1_error, remainder, underflow, mass).
+
+        sum_{n=b}^{N} n**-z = b**(1-z) (1 - (N/b)**(1-z)) / (z-1)
+                              + (b**-z + N**-z)/2 + (corrections at b) - (corrections at N) + R
+
+    is the sum of the terms plus R, |R| <= remainder = ``_em_remainder(z, b)``.  The integral is formed from
+    expm1, so it keeps its accuracy as z approaches 1.  As b >= 2(|z| + EM_M) (``em_start``), the 2 EM_M
+    factors |z + j|/b of the remainder multiply to at most 2**(-2 EM_M) (their mean is below 1/2), so R is
+    below 1e-18 b**(1-sigma) whatever |z|.  The other parts price the terms, not their sum: each term is a
+    power of relative error u (16 + 4 |z| log N) plus (10 EM_M + 10)u for its products (per_term); expm1's
+    own error and its argument's (8u |v|, v = (z-1) log(N/b)) move the integral by expm1_error; underflow
+    allows a subnormal per product.  mass >= sum_{n=b}^{N} n**-sigma prices an error dz in z, which moves
+    the sum by at most dz sum log n n**-(sigma-dz).
+    """
+    m, cexp, least = (math, cmath.exp, min) if isinstance(z, complex) else (np, np.exp, np.minimum)
+    u, sigma, log_n = UNIT_ROUNDOFF, z.real, math.log(N)
+    L = math.log1p((N - b) / b)  # log(N/b)
+    w = z - 1.0
+    v = w * L
+    # 1 - e**-v = -expm1(-v), with expm1(x + iy) = expm1(x) cos y - 2 sin(y/2)**2 + i e**x sin y
+    A, B = m.expm1(-v.real) * m.cos(v.imag), 2.0 * m.sin(v.imag / 2.0) ** 2
+    C = m.exp(-v.real) * m.sin(v.imag)
+    d = 8.0 * u * abs(v)
+    expm1_error = 6.0 * u * (abs(A) + B + abs(C)) + least(2.0, d * m.exp(least(d, 1.0)))
+    Pb, PN = cexp(-z * math.log(b)), cexp(-z * log_n)
+    scale = b * Pb / w
+    terms = [scale * (B - A + 1j * C), Pb / 2.0, PN / 2.0, *_em_corrections(z, b, Pb),
+             *(-t for t in _em_corrections(z, N, PN))]
+    per_term = u * (16.0 + 4.0 * abs(z) * log_n + 10 * EM_M + 10)
+    # sum_{n=b}^{N} n**-sigma <= b**-sigma + int_b^N t**-sigma dt
+    mass = b**-sigma + b ** (1.0 - sigma) * -m.expm1(-(sigma - 1.0) * L) / (sigma - 1.0)
+    # math.ulp(0.0) is the least subnormal: no import of series on the scalar hot path
+    return terms, per_term, abs(scale) * expm1_error, _em_remainder(z, b), (4 * EM_M + 16) * b * math.ulp(0.0), mass
+
+
 def partial_zeta(z: complex, dz: float, a: int, N: int) -> tuple[complex, float]:
     """(value, radius) with |sum_{n=a}^{N} n**-w - value| <= radius for every |w - z| <= dz.
 
-    The terms a <= n < b = ``em_start(z, a, N)`` are summed directly and
-    the rest, if any, by Euler-Maclaurin with EM_M corrections at both ends:
-
-        sum_{n=b}^{N} n**-z = b**(1-z) (1 - (N/b)**(1-z)) / (z-1)
-                              + (b**-z + N**-z)/2 + (corrections at b) - (corrections at N) + R,
-
-    |R| <= ``_em_remainder(z, b)``.  The integral is formed from expm1, so
-    it keeps its accuracy as z approaches 1.  As b >= 2(|z| + EM_M), the
-    2 EM_M factors |z + j|/b of the remainder multiply to at most
-    2**(-2 EM_M) (their mean is below 1/2), so R is below 1e-18
-    b**(1-sigma) whatever |z|.
-
-    The radius prices the rounding as ``series.rounding_radius`` does: the
-    direct terms as table powers added by ``series.pairwise_sum``, whose
-    rounding grows with log N as the Euler-Maclaurin terms' does, so the
-    two sides of the switch have radii within a small factor; every
-    Euler-Maclaurin term as a power of relative error u (16 + 4 |z| log N)
-    plus (10 EM_M + 10)u for its products; expm1's own error and its
-    argument's (8u |v|, v = (z-1) log(N/b)); the two fsums and the final
-    addition; and underflow.  dz,
-    the error of z itself, moves the sum by at most dz sum log n n**-(sigma-dz),
-    which the mass of the terms bounds.
+    The terms a <= n < b = ``em_start(z, a, N)`` are summed directly, as table powers added by
+    ``series.pairwise_sum`` and priced as ``series.rounding_radius`` prices them; the rest, if any, are
+    ``_em_tail``'s terms added by fsum, priced by its parts, the two fsums and the final addition.  Both
+    roundings grow with log N, so the two sides of the switch have radii within a small factor.  dz is
+    priced from the mass of all the terms.
     """
-    from .series import SUBNORMAL_MIN, pairwise_sum, powers, rounding_radius  # series imports this module
+    from .series import pairwise_sum, powers, rounding_radius  # series imports this module
 
     z = complex(z)
     sigma, u = z.real, UNIT_ROUNDOFF
@@ -357,26 +378,12 @@ def partial_zeta(z: complex, dz: float, a: int, N: int) -> tuple[complex, float]
     radius = rounding_radius(mass, abs(z), math.log(b - 1), depth, p.size) if p.size else 0.0
     log_n = math.log(max(N, 1))
     if b <= N:
-        L = math.log1p((N - b) / b)  # log(N/b)
-        w = z - 1.0
-        v = w * L
-        # 1 - e**-v = -expm1(-v), with expm1(x + iy) = expm1(x) cos y - 2 sin(y/2)**2 + i e**x sin y
-        A, B = math.expm1(-v.real) * math.cos(v.imag), 2.0 * math.sin(v.imag / 2.0) ** 2
-        C = math.exp(-v.real) * math.sin(v.imag)
-        d = 8.0 * u * abs(v)
-        expm1_error = 6.0 * u * (abs(A) + B + abs(C)) + min(2.0, d * math.exp(min(d, 1.0)))
-        Pb, PN = cmath.exp(-z * math.log(b)), cmath.exp(-z * log_n)
-        scale = b * Pb / w
-        terms = [scale * complex(B - A, C), Pb / 2.0, PN / 2.0, *_em_corrections(z, b, Pb),
-                 *(-t for t in _em_corrections(z, N, PN))]
+        terms, per_term, expm1_error, remainder, underflow, tail_mass = _em_tail(z, b, N)
         tail = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-        per_term = u * (16.0 + 4.0 * abs(z) * log_n + 10 * EM_M + 10)
-        radius += (per_term * math.fsum(map(abs, terms)) + abs(scale) * expm1_error + _em_remainder(z, b)
-                   + 2.0 * u * (abs(tail) + abs(value + tail))
-                   + (4 * EM_M + 16) * b * SUBNORMAL_MIN)
+        radius += (per_term * math.fsum(map(abs, terms)) + expm1_error + remainder
+                   + 2.0 * u * (abs(tail) + abs(value + tail)) + underflow)
         value += tail
-        # sum_{n=b}^{N} n**-sigma <= b**-sigma + int_b^N t**-sigma dt
-        mass += b**-sigma + b ** (1.0 - sigma) * -math.expm1(-(sigma - 1.0) * L) / (sigma - 1.0)
+        mass += tail_mass
     if dz:
         radius += dz * log_n * mass * math.exp(min(dz * log_n, 700.0))
     return value, radius
@@ -384,28 +391,17 @@ def partial_zeta(z: complex, dz: float, a: int, N: int) -> tuple[complex, float]
 
 def zeta_tails(z: np.ndarray, dz, b: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(value, radius, mass) arrays: |sum_{n=b}^{N} n**-w - value| <= radius for every |w - z| <= dz, and
-    mass >= sum_{n=b}^{N} n**-Re z, for an array z with Re z > 1 sharing b < N: ``partial_zeta``'s tail in
-    numpy's arithmetic, its terms added in order (2 gamma of their count times their mass), not by fsum."""
-    from .series import SUBNORMAL_MIN, gamma  # series imports this module
+    mass >= sum_{n=b}^{N} n**-Re z, for an array z with Re z > 1 sharing b < N: ``_em_tail``'s terms added
+    in order (2 gamma of their count times their mass), not by fsum."""
+    from .series import gamma  # series imports this module
 
-    u, sigma, log_n = UNIT_ROUNDOFF, z.real, math.log(N)
-    L = math.log1p((N - b) / b)  # log(N/b)
-    v = (z - 1.0) * L
-    A, B = np.expm1(-v.real) * np.cos(v.imag), 2.0 * np.sin(v.imag / 2.0) ** 2
-    C = np.exp(-v.real) * np.sin(v.imag)
-    d = 8.0 * u * np.abs(v)
-    expm1_error = 6.0 * u * (np.abs(A) + B + np.abs(C)) + np.minimum(2.0, d * np.exp(np.minimum(d, 1.0)))
-    Pb, PN = np.exp(-z * math.log(b)), np.exp(-z * log_n)
-    scale = b * Pb / (z - 1.0)
-    terms = np.array([scale * (B - A + 1j * C), Pb / 2.0, PN / 2.0, *_em_corrections(z, b, Pb),
-                      *(-t for t in _em_corrections(z, N, PN))])
-    value = terms.sum(axis=0)
-    per_term = u * (16.0 + 4.0 * np.abs(z) * log_n + 10 * EM_M + 10) + 2.0 * gamma(len(terms))
-    radius = (per_term * np.abs(terms).sum(axis=0) + np.abs(scale) * expm1_error + _em_remainder(z, b)
-              + (4 * EM_M + 16) * b * SUBNORMAL_MIN)
-    mass = b**-sigma + b ** (1.0 - sigma) * -np.expm1(-(sigma - 1.0) * L) / (sigma - 1.0)
+    terms, per_term, expm1_error, remainder, underflow, mass = _em_tail(z, b, N)
+    terms = np.array(terms)
+    log_n = math.log(N)
+    radius = ((per_term + 2.0 * gamma(len(terms))) * np.abs(terms).sum(axis=0) + expm1_error + remainder
+              + underflow)
     radius += dz * log_n * mass * np.exp(np.minimum(dz * log_n, 700.0))
-    return value, radius, mass
+    return terms.sum(axis=0), radius, mass
 
 
 @dataclass(frozen=True)

@@ -35,10 +35,12 @@ c sum_{n<=N} n**-z with z = omega s - p, and ``rules.partial_zeta``
 encloses that sum without a table of length N: from ``rules.em_start``,
 K = 2 ceil(|z|) + 16 for Re z > 1 and N > K + 512, it sums n < K from the
 table and the rest by Euler-Maclaurin with 8 corrections and a rigorous
-remainder, so the work grows with |z|, not with N; the translate Gram's
-entries take the same tail all at once (``rules.zeta_tails``).  The value
-is still the order-N partial sum and the radius the same tail bound plus
-the rounding of the computation as done, including the rounding of z itself.
+remainder, so the work grows with |z|, not with N.  One routine,
+``rules._em_tail``, builds and prices that tail both here and, over an
+array of exponents, for the translate Gram's entries (``rules.zeta_tails``).
+The value is still the order-N partial sum and the radius the same tail
+bound plus the rounding of the computation as done, including the rounding
+of z itself.
 """
 
 from __future__ import annotations

@@ -584,6 +584,13 @@ class TestMissingOrInvalidKeys:
         rep = self.run_spec(capsys, tmp_path, "homog", "--span", dict(self.SPAN, order="many"))
         assert "'order'" in rep["error"]["message"]
 
+    @pytest.mark.parametrize("diagonal", [{"kind": "constant", "value": "1+1j"},
+                                          {"kind": "power", "scale": [2, -0.5], "exponent": -0.5},
+                                          {"kind": "explicit", "values": [1, 0.5, "0.25+0.001j"]}])
+    def test_non_real_span_diagonal(self, capsys, tmp_path, diagonal):
+        rep = self.run_spec(capsys, tmp_path, "homog", "--span", dict(self.SPAN, diagonal=diagonal))
+        assert "real" in rep["error"]["message"]
+
 
 class TestInterlacingCheck:
     def test_rising_ladder_exits_3(self, capsys, monkeypatch):

@@ -290,6 +290,58 @@ class TestHomogeneity:
         # binary floats carry exact Fraction values, so the identity survives
         assert homogeneity_residual(0.3, 0.1) == {}
 
+    @staticmethod
+    def rebuilt(c, b, sign=-1):
+        """U_c T delta_b - (T + sign icI) U_c delta_b from the span operators, coefficient by coefficient."""
+        T = lambda v: {x: coef.times_imag(x) for x, coef in v.items()}
+        shifted = apply_shift(c, delta(b))
+        lhs, rhs = apply_shift(c, T(delta(b))), T(shifted)
+        zero, out = ExactComplex(), {}
+        for x in set(lhs) | set(rhs):
+            l, r, s = lhs.get(x, zero), rhs.get(x, zero), shifted.get(x, zero).times_imag(sign * Fraction(c))
+            out[x] = ExactComplex(l.re - r.re - s.re, l.im - r.im - s.im)
+        return span_vector(out)
+
+    def test_closed_form_matches_the_operators(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            c = Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 13)))
+            b = Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 13)))
+            assert self.rebuilt(c, b) == homogeneity_residual(c, b) == {}
+            # negative control: T + icI breaks the relation by -2ic at b + c
+            if c:
+                assert self.rebuilt(c, b, sign=1) == {b + c: ExactComplex(Fraction(0), -2 * c)}
+
+
+class TestRealDiagonal:
+    """A Gram diagonal must be real: a value with a non-zero imaginary part is refused, not read by its real part."""
+
+    NOT_REAL = [SequenceRule("constant", scale=1 + 1j), SequenceRule("power", scale=2 - 0.5j, exponent=-0.5),
+                SequenceRule("explicit", values=(1.0, 0.5, 0.25 + 1e-3j, 0.125))]
+
+    @staticmethod
+    def span(rule) -> TranslateSpan:
+        return TranslateSpan(a=1.0, offsets=(Fraction(0), Fraction(1)), diagonal=rule,
+                             support=AdmissibleSupport("all"), order=20000, rho=0.5)
+
+    @pytest.mark.parametrize("rule", NOT_REAL)
+    def test_gram_refuses(self, rule):
+        with pytest.raises(SpecError, match="real"):
+            translate_gram(self.span(rule))
+
+    @pytest.mark.parametrize("rule", NOT_REAL)
+    def test_adjoint_condition_refuses(self, rule):
+        with pytest.raises(SpecError, match="real"):
+            adjoint_condition_check(rule, AdmissibleSupport("all"), a=1.0, delta=0.25, M=1000, rho=0.5)
+
+    @pytest.mark.parametrize("kind, extra", [("constant", {}), ("power", {"exponent": -0.5})])
+    def test_complex_typed_real_scale_is_accepted(self, kind, extra):
+        real, typed = (SequenceRule(kind, scale=s, **extra) for s in (2.0, 2 + 0j))
+        g, h = translate_gram(self.span(real)), translate_gram(self.span(typed))
+        assert np.array_equal(g.matrix, h.matrix) and g.entry_radius == h.entry_radius
+        rep = adjoint_condition_check(typed, AdmissibleSupport("all"), a=1.0, delta=0.25, M=1000, rho=0.5)
+        assert rep == adjoint_condition_check(real, AdmissibleSupport("all"), a=1.0, delta=0.25, M=1000, rho=0.5)
+
 
 class TestAdjointCondition:
     def test_ones_quarter_delta(self):

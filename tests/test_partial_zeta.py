@@ -28,7 +28,8 @@ from dskernel import (
     evaluate,
     kernel_eval,
 )
-from dskernel.rules import partial_zeta, power_tail_bound, zeta_tails
+from dskernel import rules
+from dskernel.rules import em_start, partial_zeta, power_tail_bound, zeta_tails
 
 U = 2.0**-53
 DIRECT_MAX = 5000
@@ -350,3 +351,32 @@ class TestArrayTail:
                 scalar, r = partial_zeta(complex(w), float(dz[i]), b, N)
                 assert abs(value[i] - scalar) <= radius[i] + r
                 assert radius[i] <= 3.0 * r
+
+
+class TestOneTail:
+    """``partial_zeta`` and ``zeta_tails`` both take their Euler-Maclaurin tail from ``rules._em_tail``, so a
+    fix to its terms or pricing reaches both; the direct sum below the switch does not use it."""
+
+    @pytest.fixture
+    def refused(self, monkeypatch):
+        def refuse(*args):
+            raise RuntimeError("_em_tail")
+        monkeypatch.setattr(rules, "_em_tail", refuse)
+
+    @pytest.mark.parametrize("z", [complex(2.0), complex(2.2, 0.7), complex(3.0)])
+    def test_partial_zeta_above_its_switch(self, refused, z):
+        N = 10**5
+        assert em_start(z, 1, N) <= N
+        with pytest.raises(RuntimeError, match="_em_tail"):
+            partial_zeta(z, 0.0, 1, N)
+
+    def test_zeta_tails(self, refused):
+        with pytest.raises(RuntimeError, match="_em_tail"):
+            zeta_tails(np.array([2.0 + 0j, 2.0 + 1j]), 0.0, 24, 10**5)
+
+    @pytest.mark.parametrize("z", [complex(2.0), complex(2.2, 0.7)])
+    def test_partial_zeta_below_its_switch(self, refused, z):
+        N = 500
+        assert em_start(z, 1, N) == N + 1
+        value, radius = partial_zeta(z, 0.0, 1, N)
+        assert abs(value - complex(mpmath.zeta(z) - mpmath.zeta(z, N + 1))) <= radius
