@@ -31,7 +31,6 @@ from .homogeneous import (
     admissibility_check,
     apply_generator,
     apply_shift,
-    delta,
     homogeneity_residual,
     span_vector,
     translate_gram,

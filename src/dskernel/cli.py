@@ -19,16 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .errors import (
-    CertificationError,
-    CollisionError,
-    ConvergenceRegionError,
-    DskernelError,
-    HermitianError,
-    OutsideDomainError,
-    RecoveryError,
-    SpecError,
-)
+from .errors import DskernelError, HermitianError, InternalCheckError, SpecError
 from .homogeneous import (
     adjoint_condition_check,
     admissibility_check,
@@ -318,11 +309,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _emit(args.fn(args), args)
-    except (SpecError, CollisionError, ConvergenceRegionError, OutsideDomainError,
-            HermitianError, RecoveryError, CertificationError, OSError) as exc:
-        return _fail(args, type(exc).__name__, str(exc), 2)
-    except DskernelError as exc:
+    except InternalCheckError as exc:
         return _fail(args, type(exc).__name__, str(exc), 3)
+    except (DskernelError, OSError) as exc:
+        return _fail(args, type(exc).__name__, str(exc), 2)
     return 0
 
 

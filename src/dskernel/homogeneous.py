@@ -71,11 +71,6 @@ def span_vector(entries: dict) -> SpanVector:
     return out
 
 
-def delta(offset) -> SpanVector:
-    """The basis vector supported on one translate."""
-    return span_vector({offset: ExactComplex.of(1)})
-
-
 @dataclass(frozen=True)
 class AdmissibleSupport:
     """Support set of a diagonal sequence, given by kind.

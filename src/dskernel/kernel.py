@@ -10,17 +10,10 @@ evaluation grid.
 
 Every certificate builds its self-adjoint section once (``hermitian_section``,
 a HermitianError otherwise) and judges it by one cutoff (``psd_cutoff``).
-Ladder rungs up to order 256 compute eigenvalues only; the witness of the
-first failing section comes from shifted inverse iteration and is verified,
-with a full ``eigh`` of that section as the fallback.  Above 256, a matrix
-with a ``psd_structure`` (arrowhead, rank-one, diagonal) has each rung
-decided from its prefixes, without its section: an arrowhead through the
-shifted k x k Schur complement (``schur_complements``), a rank-one and a
-diagonal exactly; the structure also cross-checks the eigen rungs.  For any
-other matrix the rungs above 256 are certified together by one Cholesky
-factorisation of the shifted top section, verified by Rump's rounding bound
-at a cutoff no larger than the eigen ladder's, which judges every rung the
-factor does not certify.
+``psd_check`` walks the ladder in one loop: rungs up to order 256 are
+eigen-solves, and above it each rung is decided by its path's judge (the
+matrix's structure, or one verified Cholesky factorisation) or, when the
+judge leaves it undecided, eigen-solved too.
 """
 
 from __future__ import annotations
@@ -214,33 +207,22 @@ def support_pattern(matrix: CoefficientMatrix, order: int, tol: float) -> tuple[
 
 @dataclass(frozen=True)
 class PsdCertificate:
-    """Positivity certificate over a ladder of leading sections.
+    """Positivity certificate over a ladder of leading sections (``psd_check``).
 
-    The ladder has two regimes.  Up to order ``EIGEN_LADDER_MAX`` (256) each
-    rung is an eigen-solve: min_eigenvalues[i] is the smallest eigenvalue of
-    the leading orders[i] x orders[i] section, and the rung passes when it
-    clears the cutoff -tol (1 + max |lambda|).  Above it one verified
-    Cholesky factorisation certifies the rungs: min_eigenvalues[i] is
-    -eps_N for a certified rung, eps_N = tol (1 + l_N) with l_N a verified
-    lower bound on the section's norm, so the rung's true lambda_min is at
-    least that value, which is no lower than the eigen-ladder cutoff.  A
-    rung whose factor fails is judged by the eigen ladder's cutoff, so the
-    verdicts are the eigen ladder's: when it passes, min_eigenvalues[i] is
-    its smallest eigenvalue.  For an arrowhead, rank-one or diagonal matrix
-    its structure decides the rungs above 256 instead, with the same
-    semantics: an arrowhead rung certified by its Schur complement reports
-    -eps_N, eps_N = tol (1 + l_N) with l_N a structural lower bound on the
-    section's norm; a rank-one rung reports its exact lambda_min 0; a
-    diagonal rung its least entry; a rung the structure leaves undecided is
-    an eigen rung.  Above 256, whichever path judged the rungs, the first
-    failing rung and every later one report the witness's Rayleigh
-    quotient, by interlacing an upper bound on lambda_min, and no later
-    rung is solved.  The verdict is "psd" when every rung passes; otherwise
-    the first failing order and a witness vector are recorded: unit norm,
+    A rung passes when the least eigenvalue of its orders[i] section clears
+    the cutoff -tol (1 + max |lambda|).  min_eigenvalues[i] is that
+    eigenvalue on an eigen rung.  A rung above 256 that its judge certifies
+    reports -eps_N, eps_N = tol (1 + l_N) with l_N a verified lower bound on
+    the section's norm, so lambda_min >= -eps_N, a value no lower than the
+    cutoff; a rank-one rung reports its exact lambda_min 0, a diagonal rung
+    its least entry.  Above 256 the first failing rung and every later one
+    report the witness's Rayleigh quotient, by interlacing an upper bound on
+    lambda_min.  The verdict is "psd" when every rung passes; otherwise the
+    first failing order and a witness vector are recorded: unit norm,
     largest component real and positive, and a Rayleigh quotient below that
-    order's cutoff, on every path.  ``method`` names the path that judged
-    the rungs above 256: ``eigenvalue-ladder + verified-cholesky``, ``+
-    arrowhead-schur``, ``+ rank-one-exact`` or ``+ diagonal-exact``.
+    order's cutoff.  ``method`` names the judge of the rungs above 256:
+    ``eigenvalue-ladder + verified-cholesky``, ``+ arrowhead-schur``, ``+
+    rank-one-exact`` or ``+ diagonal-exact``.
     """
 
     orders: tuple
@@ -268,10 +250,8 @@ def psd_ladder_orders(max_order: int) -> list[int]:
     return sorted(set(orders))
 
 
-#: ladder rungs up to this order are eigen-solves, which give the reported
-#: minima, the interlacing check and the inverse-iteration witness; the
-#: rungs above it are decided by the matrix's structure or certified by one
-#: verified Cholesky factorisation
+#: ladder rungs up to this order are eigen-solves; each rung above it is
+#: first put to its path's judge (``psd_check``)
 EIGEN_LADDER_MAX = 256
 
 #: inverse iteration shifts this far below lambda_min, relative to
@@ -335,45 +315,38 @@ def _witness(S: np.ndarray, lam_min: float, scale: float, cutoff: float) -> np.n
     return x
 
 
-def _eigen_rungs(
-    S: np.ndarray, orders: list[int], tol: float, bounds: Optional[list] = None
-) -> tuple[list, Optional[int], Optional[np.ndarray]]:
-    """Rung minima, first failing order and its witness, from one ``eigvalsh`` per rung.
+def _eigen_rung(sec: np.ndarray, tol: float, previous: Optional[tuple], bounds: tuple, wanted: bool) -> tuple:
+    """(lambda_min, witness) of the section sec from one ``eigvalsh``; the witness (``_witness``) only when it fails and is wanted.
 
-    By Cauchy interlacing lambda_min cannot rise from one rung to the next;
-    a rise beyond the rung's cutoff plus the eigen-solver's rounding is an
-    InternalCheckError.  So is a lambda_min that lies further than that
-    rounding outside the rung's (lo, hi) in ``bounds``, the enclosure its
-    structure certifies (``_structural_rung``).  Every rung up to
-    ``EIGEN_LADDER_MAX`` is solved; above it the solves stop at the first
-    failing rung, whose value is left to ``psd_check``.
+    By Cauchy interlacing lambda_min cannot rise above that of the previous
+    eigen rung, previous = (order, lambda_min); a rise beyond this rung's
+    cutoff plus the eigen-solver's rounding is an InternalCheckError.  So is
+    a lambda_min further than that rounding outside bounds = (lo, hi), the
+    enclosure its structure certifies ((-inf, inf) without one).
     """
-    mins, witness_order, witness_vector = [], None, None
-    for i, N in enumerate(orders):
-        sec = S[:N, :N]
-        w = np.linalg.eigvalsh(sec)
-        scale = float(np.max(np.abs(w)))
-        lam = float(w[0])
-        slack = psd_cutoff(w, tol)
-        if mins and lam > mins[-1] + slack + eigensolve_rounding(N, scale):
-            raise InternalCheckError(
-                f"internal: lambda_min rose from {mins[-1]} at order {orders[i - 1]} to "
-                f"{lam} at order {N}, against Cauchy interlacing"
-            )
-        if bounds is not None:
-            lo, hi = bounds[i]
-            if not lo - eigensolve_rounding(N, scale) <= lam <= hi + eigensolve_rounding(N, scale):
-                raise InternalCheckError(
-                    f"internal: lambda_min {lam} of the order-{N} section lies outside "
-                    f"[{lo}, {hi}], the enclosure its structure certifies"
-                )
-        if lam < -slack and witness_order is None:
-            witness_order = N
-            witness_vector = _witness(sec, lam, scale, -slack)
-        if witness_order is not None and N > EIGEN_LADDER_MAX:
-            break
-        mins.append(lam)
-    return mins, witness_order, witness_vector
+    N = sec.shape[0]
+    w = np.linalg.eigvalsh(sec)
+    scale = float(np.max(np.abs(w)))
+    lam = float(w[0])
+    slack = psd_cutoff(w, tol)
+    rounding = eigensolve_rounding(N, scale)
+    if previous is not None and lam > previous[1] + slack + rounding:
+        raise InternalCheckError(
+            f"internal: lambda_min rose from {previous[1]} at order {previous[0]} to "
+            f"{lam} at order {N}, against Cauchy interlacing"
+        )
+    lo, hi = bounds
+    if not lo - rounding <= lam <= hi + rounding:
+        raise InternalCheckError(
+            f"internal: lambda_min {lam} of the order-{N} section lies outside "
+            f"[{lo}, {hi}], the enclosure its structure certifies"
+        )
+    return lam, _witness(sec, lam, scale, -slack) if wanted and lam < -slack else None
+
+
+def _undecided(N: int) -> tuple:
+    """The judge that decides no rung: (lo, hi, witness) = (-inf, inf, None)."""
+    return -math.inf, math.inf, None
 
 
 def cholesky_rounding(orders: list[int], diag: np.ndarray, cutoffs: np.ndarray, is_complex: bool) -> np.ndarray:
@@ -504,24 +477,23 @@ def _schur_witness(S: np.ndarray, N: int, P: int, L: np.ndarray, t: float, cutof
     return _verified(x / np.linalg.norm(x), S[:N, :N], cutoff)
 
 
-def _cholesky_rungs(S: np.ndarray, orders: list[int], tol: float) -> Optional[tuple[list, Optional[int], Optional[np.ndarray]]]:
-    """Values of the rungs above ``EIGEN_LADDER_MAX`` that pass, the first failing order and its witness.
+def _cholesky_judge(S: np.ndarray, orders: list[int], tol: float) -> Callable[[int], tuple]:
+    """The judge of the rungs above ``EIGEN_LADDER_MAX`` (orders, in increasing order) of a section without structure.
 
     eps_N = ``psd_cutoff`` at l_N = ``norm_lower_bound`` <= ||S_N||_2, so it
     is never above the eigen-ladder cutoff tol (1 + max |lambda|).  One
     factor of the top section shifted by s = min_N (eps_N - c_N) certifies
-    every rung: the leading blocks of the factor are the factors of the
-    leading sections, so its success proves lambda_min(S_N) >= -eps_N at all
-    of them at once (``cholesky_rounding``).  Only when it fails are the
-    rungs below the top factored in increasing order, each at its own shift.
-    A rung whose factor fails gets a witness from the Schur complement over
-    the last factor that passed (``_schur_witness``), kept only when its
-    Rayleigh quotient is below -tol (1 + ``norm_upper_bound``), hence below
-    the eigen-ladder cutoff; otherwise that section is an eigen rung
-    (``_eigen_rungs``), judged by that cutoff.  So every verdict
-    is the eigen ladder's.  None when s is not positive (or not finite): a
-    factor shifted down cannot certify a singular PSD section, and the
-    eigen ladder is then the cheaper route.
+    every rung at lo = -eps_N: the leading blocks of the factor are the
+    factors of the leading sections, so its success proves lambda_min(S_N)
+    >= -eps_N at all of them at once (``cholesky_rounding``).  Only when it
+    fails is each rung below the top factored at its own shift, as the
+    ladder reaches it.  A rung whose factor fails gets a witness from the
+    Schur complement over the last factor that passed (``_schur_witness``),
+    kept only when its Rayleigh quotient hi is below -tol (1 +
+    ``norm_upper_bound``), hence below the eigen-ladder cutoff; otherwise
+    the rung is undecided.  ``_undecided`` when s is not positive (or not
+    finite): a factor shifted down cannot certify a singular PSD section,
+    and eigen rungs are then the cheaper route.
     """
     cutoffs = np.array([psd_cutoff(np.array([norm_lower_bound(S, N)]), tol) for N in orders])
     rounding = cholesky_rounding(orders, S.diagonal().real, cutoffs, np.iscomplexobj(S))
@@ -529,30 +501,27 @@ def _cholesky_rungs(S: np.ndarray, orders: list[int], tol: float) -> Optional[tu
     shifts -= 2.0 * UNIT_ROUNDOFF * np.abs(shifts)  # rounded down, so t + c_N <= eps_N holds exactly
     s = float(np.min(shifts))
     if not s > 0.0:
-        return None
+        return _undecided
     if _shifted_cholesky(S, orders[-1], s) is not None:
-        return [-float(e) for e in cutoffs], None, None
-    mins, base = [], (EIGEN_LADDER_MAX, None, None)  # the last eigen rung's factor is formed on demand
-    for i, N in enumerate(orders):
-        eps = float(cutoffs[i])
+        return lambda N: (-float(cutoffs[orders.index(N)]), math.inf, None)
+    base = (EIGEN_LADDER_MAX, None, None)  # the last factor that passed; the order-256 one is formed on demand
+
+    def judge(N: int) -> tuple:
+        nonlocal base
+        i = orders.index(N)
         if N < orders[-1]:  # the top rung has just failed at a shift no larger than its own
             L = _shifted_cholesky(S, N, float(shifts[i]))
             if L is not None:
                 base = (N, L, float(shifts[i]))
-                mins.append(-eps)
-                continue
+                return -float(cutoffs[i]), math.inf, None
         P, L, t = base
         if t is None:
             t = float(shifts[i])
             L = _shifted_cholesky(S, P, t)
             base = (P, L, t)
         x = None if L is None else _schur_witness(S, N, P, L, t, -tol * (1.0 + norm_upper_bound(S, N)))
-        if x is None:
-            rung, _, x = _eigen_rungs(S, [N], tol)
-            mins += rung
-        if x is not None:
-            return mins, N, x
-    return mins, None, None
+        return _undecided(N) if x is None else (-math.inf, _rayleigh(x, S[:N, :N]), x)
+    return judge
 
 
 def _judged(form: SectionStructure) -> tuple[SectionStructure, float]:
@@ -692,95 +661,65 @@ def _structural_rung(form: SectionStructure, N: int, tol: float) -> tuple:
     return _schur_rung(form.head, form.vector[:N - k], form.diagonal[:N - k], tol)
 
 
-def _structural_rungs(
-    matrix: CoefficientMatrix, form: SectionStructure, largest: float, orders: list[int], tol: float
-) -> tuple[list, Optional[int], Optional[np.ndarray]]:
-    """Values of the rungs above ``EIGEN_LADDER_MAX``, the first failing order and its witness, from the structure.
-
-    A rung that passes reports lo; from the first failing rung on, each
-    reports the witness's Rayleigh quotient.  Only a rung the structure
-    leaves undecided has its section built, judged by ``hermitian_part`` at
-    the largest entry of the top section, and eigen-solved (``_eigen_rungs``).
-    """
-    mins = []
-    for i, N in enumerate(orders):
-        lo, hi, x = _structural_rung(form, N, tol)
-        if x is None and lo == -math.inf:
-            S = hermitian_part(matrix.truncation(N), NOT_SELF_ADJOINT, largest)
-            rung, _, x = _eigen_rungs(S, [N], tol)
-            lo, hi = (rung[0], None) if x is None else (None, _rayleigh(x, S))
-        if x is not None:
-            return mins + [hi] * (len(orders) - i), N, x
-        mins.append(lo)
-    return mins, None, None
-
-
 def psd_check(matrix: CoefficientMatrix, max_order: int, tol: float = 1e-9) -> PsdCertificate:
     """Certify formal positive semi-definiteness up to max_order.
 
     Formal PSD means every finite section is PSD, which is exactly
     equivalent to the kernel being a positive semi-definite function; the
     ladder documents how far that was actually checked.  Requires a
-    self-adjoint matrix.
+    self-adjoint matrix: with a ``psd_structure`` (arrowhead, rank-one,
+    diagonal) it is judged at max_order from the prefixes (``_judged``) and
+    only the order-256 section is built.
 
-    Rungs of order <= ``EIGEN_LADDER_MAX`` compute eigenvalues only, with
-    the Cauchy-interlacing check of ``_eigen_rungs``.  A matrix with a
-    ``psd_structure`` (arrowhead, rank-one, diagonal) is judged
-    self-adjoint at max_order from its prefixes, its eigen rungs are built
-    on the order-256 section alone and cross-checked against the enclosure
-    its structure certifies, and its rungs above 256 are decided from the
-    structure in O(N k + k**3) work each (``_structural_rungs``); the
-    method then reads "eigenvalue-ladder + " and the structure's kind, such
-    as "arrowhead-schur".  For any other matrix the rungs above 256 are
-    certified together by one verified Cholesky factorisation of the top
-    section (``_cholesky_rungs``), in real arithmetic when the section is
-    real; the method then reads "eigenvalue-ladder + verified-cholesky".
-    When Rump's rounding constant leaves no positive shift (a small tol on
-    a large trace), those rungs are eigen-solves too.  On every path, once
-    a rung has failed no rung above 256 is solved: from the failing rung on,
-    each reports the witness's Rayleigh quotient, which bounds its
-    lambda_min from above.  A CertificationError when a failing rung's
-    lambda_min lies within the eigen-solver's rounding below its cutoff and
-    no witness verifies (``_witness``).
+    One loop walks the rungs.  A rung up to ``EIGEN_LADDER_MAX`` is an eigen
+    rung (``_eigen_rung``) within the enclosure its structure certifies.
+    Above it each rung asks its path's judge for (lo, hi, witness): the
+    structure (``_structural_rung``, O(N k + k**3) work), or for any other
+    matrix one verified Cholesky factorisation (``_cholesky_judge``), in real
+    arithmetic when the section is real.  A rung the judge leaves undecided
+    is an eigen rung on its own section.  Once a rung has failed, no rung
+    above 256 is decided: each reports the witness's Rayleigh quotient.
     """
     if max_order < 1:
         raise SpecError("max_order must be >= 1")
     check_tol(tol)
     orders = psd_ladder_orders(max_order)
-    low = [N for N in orders if N <= EIGEN_LADDER_MAX]
-    high = orders[len(low):]
     form = matrix.psd_structure(max_order)
     if form is None:
-        S, bounds = hermitian_section(matrix, max_order), None
+        S, structural = hermitian_section(matrix, max_order), _undecided
     else:
         form, largest = _judged(form)
-        S = hermitian_part(matrix.truncation(low[-1]), NOT_SELF_ADJOINT, largest)
-        bounds = [_structural_rung(form, N, tol)[:2] for N in low]
-    dtype = S.dtype
-    mins, witness_order, witness_vector = _eigen_rungs(S, low, tol, bounds)
-    method = "eigenvalue-ladder"
-    if high and witness_vector is None:
-        if form is not None:
-            rungs = _structural_rungs(matrix, form, largest, high, tol)
-            method += f" + {form.kind}"
-        else:
-            if not (np.any(S[-1].imag) or np.any(S.imag)):  # the last row settles most complex sections
-                S = np.ascontiguousarray(S.real)
-            rungs = _cholesky_rungs(S, high, tol)
-            if rungs is None:
-                rungs = _eigen_rungs(S, high, tol)
-            else:
-                method += " + verified-cholesky"
-        high_mins, witness_order, witness_vector = rungs
-        mins += high_mins
-    if len(mins) < len(orders):  # the rest report the failing rung's witness quotient
-        N = witness_order
-        mins += [_rayleigh(witness_vector, S[:N, :N])] * (len(orders) - len(mins))
-    if witness_vector is not None:
-        witness_vector = witness_vector.astype(dtype)
-    verdict = "psd" if witness_order is None else "not_psd"
+        S = hermitian_part(matrix.truncation(min(max_order, EIGEN_LADDER_MAX)), NOT_SELF_ADJOINT, largest)
+        structural = lambda N: _structural_rung(form, N, tol)
+    dtype, method, judge = S.dtype, "eigenvalue-ladder", None
+    mins, previous, witness = [], None, None  # previous: (order, lambda_min) of the last eigen rung
+    for N in orders:
+        high = N > EIGEN_LADDER_MAX
+        if high and witness is not None:
+            mins.append(witness[2])
+            continue
+        if high and judge is None:
+            judge = structural
+            if form is None:
+                if not (np.any(S[-1].imag) or np.any(S.imag)):  # the last row settles most complex sections
+                    S = np.ascontiguousarray(S.real)
+                judge = _cholesky_judge(S, [M for M in orders if M > EIGEN_LADDER_MAX], tol)
+            if judge is not _undecided:
+                method += " + " + (form.kind if form is not None else "verified-cholesky")
+        lo, hi, x = judge(N) if high else (*structural(N)[:2], None)
+        if x is None and (not high or lo == -math.inf):  # every low rung, and one its judge leaves undecided
+            sec = S[:N, :N] if form is None or not high else hermitian_part(
+                matrix.truncation(N), NOT_SELF_ADJOINT, largest)
+            lo, x = _eigen_rung(sec, tol, previous, (lo, hi), witness is None)
+            previous = (N, lo)
+            if x is not None:
+                hi = _rayleigh(x, sec)
+        if x is not None:
+            witness = (N, x.astype(dtype), hi)
+        mins.append(hi if high and x is not None else lo)
+    order, vector = (None, None) if witness is None else witness[:2]
     return PsdCertificate(
-        tuple(orders), tuple(mins), tol, verdict, witness_order, witness_vector, method
+        tuple(orders), tuple(mins), tol, "psd" if witness is None else "not_psd", order, vector, method
     )
 
 

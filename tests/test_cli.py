@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from dskernel import DenseMatrix, psd_check, structured
+from dskernel import DenseMatrix, cli, errors, psd_check, structured
 from dskernel.cli import main
 from dskernel.kernel import eigensolve_rounding
 
@@ -346,6 +346,33 @@ class TestMerge:
         assert code == 2
         assert rep["error"]["kind"] == "CollisionError"
 
+    @staticmethod
+    def series_files(tmp_path) -> tuple[str, str]:
+        """f = 1 + 0.5 2**-s + 0.25 3**-s, and g with coefficients 1, -0.5, 0.3 at exponents sqrt(2) log n."""
+        f, g = tmp_path / "f.json", tmp_path / "g.json"
+        f.write_text(json.dumps({"kind": "ordinary", "coefficients": [1, 0.5, 0.25], "finite": True}))
+        g.write_text(json.dumps({"kind": "general", "coefficients": [1, -0.5, 0.3], "finite": True,
+                                 "generator": {"exponents": {"kind": "log", "omega": math.sqrt(2.0)}}}))
+        return str(f), str(g)
+
+    def test_check_multiply_agrees_within_the_radii(self, capsys, tmp_path):
+        f, g = self.series_files(tmp_path)
+        code, rep = run_json(capsys, "merge", "--omega", "sqrt2", "--m-max", "3", "--n-max", "3",
+                             "--check-multiply", f, g)
+        assert code == 0
+        checks = rep["results"]["multiply_check"]
+        assert [c["s"] for c in checks] == [2.5, 3.0, 4.5]
+        for c in checks:
+            assert 0.0 < c["combined_radius"] < 1e-13
+            assert c["difference"] <= c["combined_radius"]
+
+    def test_check_multiply_of_two_ordinary_series_collides(self, capsys, tmp_path):
+        f, _ = self.series_files(tmp_path)
+        code, rep = run_json(capsys, "merge", "--omega", "sqrt2", "--m-max", "3", "--n-max", "3",
+                             "--check-multiply", f, f)
+        assert code == 2
+        assert rep["error"]["kind"] == "CollisionError"
+
 
 class TestErrorPolicy:
     def test_malformed_json_exit_2(self, capsys, tmp_path):
@@ -364,6 +391,17 @@ class TestErrorPolicy:
     def test_missing_file_exit_2(self, capsys):
         code, rep = run_json(capsys, "psd", "--matrix", "/nonexistent.json")
         assert code == 2
+
+    @pytest.mark.parametrize("error", [e for e in vars(errors).values()
+                                       if isinstance(e, type) and issubclass(e, errors.DskernelError)
+                                       and e is not errors.DskernelError])
+    def test_every_error_exits_by_its_class(self, capsys, monkeypatch, error):
+        def handler(args):
+            raise error("raised by the handler")
+        monkeypatch.setattr(cli, "_cmd_merge", handler)
+        code, rep = run_json(capsys, "merge", "--omega", "2", "--m-max", "1", "--n-max", "1")
+        assert code == (3 if error is errors.InternalCheckError else 2)
+        assert rep["error"] == {"kind": error.__name__, "message": "raised by the handler"}
 
     @pytest.mark.parametrize("argv", [
         ["psd", "--matrix", str(SAMPLES / "diag_ones.json"), "--max-order", "4"],

@@ -56,7 +56,11 @@ def run_from_root(capsys, monkeypatch, argv) -> tuple[int, str]:
 
 
 def assert_matches(got, want, path="report"):
-    """Same keys at every level; equal strings, bools and nulls; numbers within 1e-12 (1 + |want|)."""
+    """Same keys at every level; equal strings, bools and nulls; numbers within 1e-12 (1 + |want|), radii also within 1e-9 |want|.
+
+    A radius is a field whose key ends in ``_radius``; the absolute rule
+    alone would not see a change in one near 1e-14.
+    """
     if isinstance(want, dict):
         assert isinstance(got, dict) and set(got) == set(want), f"{path}: keys {sorted(got)} != {sorted(want)}"
         for k in want:
@@ -68,6 +72,8 @@ def assert_matches(got, want, path="report"):
     elif isinstance(want, (int, float)) and not isinstance(want, bool):
         assert isinstance(got, (int, float)) and not isinstance(got, bool), f"{path}: {got!r} != {want!r}"
         assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), f"{path}: {got!r} != {want!r}"
+        if path.endswith("_radius"):
+            assert abs(got - want) <= 1e-9 * abs(want), f"{path}: {got!r} != {want!r}"
     else:
         assert got == want and type(got) is type(want), f"{path}: {got!r} != {want!r}"
 
