@@ -52,7 +52,7 @@ SCHEMA = "dskernel-report/1"
 def _report(args: argparse.Namespace, results, **inputs) -> dict:
     """The report around a handler's results, which ``dump_report`` encodes as they come."""
     return {"schema": SCHEMA, "version": __version__, "command": args.command,
-            "inputs": {**inputs, "seed": args.seed}, "results": results}
+            "inputs": inputs, "results": results}
 
 
 def _emit(report: dict, args: argparse.Namespace) -> None:
@@ -149,7 +149,7 @@ def _cmd_invariance(args) -> dict:
         "translation": translation_invariance_test(kern, args.order, tol=args.tol, seed=args.seed),
         "linear_subgroup": linear_invariance_test(kern, args.order, tol=min(args.tol, 1e-8)),
     }
-    return _report(args, results, matrix=args.matrix, order=args.order, tol=args.tol)
+    return _report(args, results, matrix=args.matrix, order=args.order, tol=args.tol, seed=args.seed)
 
 
 def _cmd_classify(args) -> dict:
@@ -187,7 +187,7 @@ def _cmd_homog(args) -> dict:
             )
     if not results:
         raise SpecError("homog needs --verify and/or --span")
-    return _report(args, results, **inputs)
+    return _report(args, results, seed=args.seed, **inputs)
 
 
 def _cmd_merge(args) -> dict:
@@ -226,10 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="dskernel", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, matrix=False, series=False, span=False, tol=None):
+    def common(sp, matrix=False, series=False, span=False, tol=None, seed=False):
         sp.add_argument("--out", default=None, help="write the report to a file")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--seed", type=int, default=0)
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
         if tol is not None:
             sp.add_argument("--tol", type=float, default=tol)
         if matrix:
@@ -275,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_sk)
 
     sp = sub.add_parser("invariance", help="translation / linear-subgroup invariance")
-    common(sp, matrix=True, tol=1e-6)
+    common(sp, matrix=True, tol=1e-6, seed=True)
     sp.add_argument("--order", type=int, default=16)
     sp.set_defaults(fn=_cmd_invariance)
 
@@ -286,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_classify)
 
     sp = sub.add_parser("homog", help="homogeneity sweep / translate Gram analysis")
-    common(sp, span=True)
+    common(sp, span=True, seed=True)
     sp.add_argument("--verify", action="store_true")
     sp.add_argument("--pairs", type=int, default=1000)
     sp.add_argument("--delta", type=float, default=None)

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import SpecError
 from .kernel import DirichletKernel, kernel_eval
 from .matrices import DiagonalMatrix
-from .rules import UNIT_ROUNDOFF, SequenceRule, em_start, exponent_sum, power_tail_bound, zeta_tails
+from .rules import UNIT_ROUNDOFF, SequenceRule, em_start, exponent_sum, zeta_tails
 from .series import SUBNORMAL_MIN, HalfPlane, log_table, powers, rounding_radius
 
 #: columns of the phase matrix formed at once by ``translate_gram``'s head: 4 MB
@@ -235,10 +235,11 @@ def translate_gram(span: TranslateSpan) -> TranslateGram:
 
     The reproducing identity turns inner products of translates into kernel
     values, which for a diagonal kernel is the single sum above, truncated
-    at the span order with an envelope tail radius plus a bound on the
-    rounding of the truncated sum.  The family is independent at this
-    truncation (``independent``) iff the eigenvalue lower bound, the least
-    eigenvalue less the order times the entry radius, is positive.
+    at the span order with the diagonal kernel's tail radius at (a, a) plus
+    a bound on the rounding of the truncated sum.  The family is independent
+    at this truncation (``independent``) iff the eigenvalue lower bound, the
+    least eigenvalue less the number of offsets times the entry radius, is
+    positive.
 
     The head n < K is E diag(w) E* with E[j, n] = exp(-i c_j log n), built
     GRAM_BLOCK columns at a time; the c_j are the offsets centred on their
@@ -274,12 +275,8 @@ def translate_gram(span: TranslateSpan) -> TranslateGram:
         np.sin(E.imag, out=E.imag)
         G += (E * weights[start : start + GRAM_BLOCK]) @ E.conj().T
     G = 0.5 * (G + G.conj().T)  # exactly Hermitian, with a real diagonal
-    pb = span.diagonal.poly_bound()
-    if pb is None:
-        radius = math.inf
-    else:
-        C, p = pb
-        radius = C * power_tail_bound(span.order, 2.0 * span.a - p)
+    radius = DiagonalMatrix(span.diagonal).tail_radius(span.a, span.a, span.order)
+    if math.isfinite(radius):
         # each term carries the powers n**(-2a), n**(-i c_j) and n**(i c_k)
         radius += rounding_radius(float(np.sum(weights)), 2.0 * span.a + (hi - lo) / D, float(logs[-1]),
                                   2 * logs.size + 8)
@@ -385,23 +382,19 @@ def adjoint_condition_check(
     partial = float(np.sum(terms))
 
     pb = diagonal.poly_bound()
-    exponent = None
-    verdict = "unknown"
-    remainder = math.inf
-    if pb is not None:
-        C, p = pb
-        # terms are a_n n**(2 delta - 2a) <= C n**(p + 2 delta - 2a)
-        exponent = p + 2.0 * delta - 2.0 * a
-        if exponent < -1.0:
-            verdict = "finite"
-            remainder = C * power_tail_bound(M, -exponent)
-        elif support.kind == "all" and diagonal.kind in ("constant", "power"):
-            # exact p-series comparison: terms = scale * n**exponent
-            verdict = "divergent"
-            remainder = math.inf
-    kernel_value = kernel_radius = residual = None
-    kern = DirichletKernel(DiagonalMatrix(diagonal, support=support), HalfPlane(rho))
+    # terms are a_n n**(2 delta - 2a) <= C n**(p + 2 delta - 2a): the diagonal kernel's tail at a - delta
+    exponent = None if pb is None else pb[1] + 2.0 * delta - 2.0 * a
+    matrix = DiagonalMatrix(diagonal, support=support)
     point = a - delta
+    remainder = matrix.tail_radius(point, point, M)
+    if math.isfinite(remainder):
+        verdict = "finite"
+    elif support.kind == "all" and diagonal.power_law() is not None and exponent >= -1.0:
+        verdict = "divergent"  # exact p-series comparison: terms = c n**exponent
+    else:
+        verdict = "unknown"
+    kernel_value = kernel_radius = residual = None
+    kern = DirichletKernel(matrix, HalfPlane(rho))
     if point > kern.certified_sigma():
         vb = kernel_eval(kern, point, point, M)
         kernel_value, kernel_radius = vb.value, vb.error_radius

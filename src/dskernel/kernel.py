@@ -33,8 +33,8 @@ from .errors import (
     SpecError,
 )
 from .matrices import CoefficientMatrix, SectionStructure
-from .rules import UNIT_ROUNDOFF
-from .series import HalfPlane, ValueWithBound, gamma, log_table
+from .rules import UNIT_ROUNDOFF, power_tail_bound
+from .series import HalfPlane, ValueWithBound, gamma, log_table, powers
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,14 +114,31 @@ def tail_bound(
         raise ConvergenceRegionError(f"need r > alpha + 1 = {env.alpha + 1.0}")
     if s.real <= r or u.real <= r:
         raise ConvergenceRegionError("need Re(s), Re(u) > r")
-    m = kernel.matrix
-    C_r = max(m.abs_row_tail(k, l, r), m.abs_col_tail(k, l, r), m.abs_corner_tail(k, l, r))
+    C_r = max(_abs_tails(kernel.matrix, k, l, r))
     if math.isinf(C_r):
         return math.inf
     t_row = l**u.real / (l + 1) ** (u.real - r)
     t_col = k**s.real / (k + 1) ** (s.real - r)
     t_corner = (k**s.real * l**u.real) / ((k + 1) ** (s.real - r) * (l + 1) ** (u.real - r))
     return C_r * (t_row + t_col + t_corner)
+
+
+def _abs_tails(matrix: CoefficientMatrix, k: int, l: int, r: float) -> tuple[float, float, float]:
+    """The row, column and corner tails sum_{n > l} |a_{k,n}| n**-r, sum_{m > k} |a_{m,l}| m**-r and
+    sum_{m > k, n > l} |a_{m,n}| (m n)**-r: exact sums over the section on a finite support, bounds by the
+    envelope C m**alpha n**alpha otherwise, and infinite without one."""
+    if matrix.order is not None:
+        # rows and columns past the order are zero: order + 1 stands for any index beyond it
+        k, l = min(k, matrix.order + 1), min(l, matrix.order + 1)
+        M = max(matrix.order, k, l)
+        T, p = np.abs(matrix.truncation(M)), powers(r, M)
+        row, col = float(np.sum(T[k - 1, l:] * p[l:])), float(np.sum(T[k:, l - 1] * p[k:]))
+        return row, col, float(p[k:] @ T[k:, l:] @ p[l:])
+    env = matrix.envelope
+    if env is None:
+        return math.inf, math.inf, math.inf
+    row, col = power_tail_bound(l, r - env.alpha), power_tail_bound(k, r - env.alpha)
+    return env.C * k**env.alpha * row, env.C * l**env.alpha * col, env.C * col * row
 
 
 #: largest |a_{m,n} - conj(a_{n,m})|, relative to 1 + max |a_{m,n}|, with

@@ -12,17 +12,15 @@ variant to sum a section of the matrix:
 
 - ``entry(m, n)``: one entry (the deflation pivot a_{1,1}; test references).
 - ``truncation(N)``: the N x N section (eigenvalue ladders, Gram models,
-  membership, the classifiers in ``symmetry``, exact corner tails).
+  membership, the classifiers in ``symmetry``, ``kernel.tail_bound``).
 - ``column_prefix(n, N)`` / ``row_prefix(m, N)``: a_{1..N,n} and a_{m,1..N}
-  (analytic symbols, exact row/column tails, deflation).
+  (analytic symbols, deflation).
 - ``partial_sum(s, u, N)``, ``tail_radius(sigma_s, sigma_u, N)`` and
   ``sigma_floors()``: the section paired with m**(-s) and n**(-conj(u))
   with a bound on its rounding, the certified bound beyond it and where
   that bound holds (``kernel.kernel_eval`` and ``DirichletKernel``).
 - ``support_pattern(N, tol)``: the 1-based (m, n) with |a_{m,n}| > tol in
   the section, row by row (``kernel.support_pattern``).
-- ``abs_row_tail`` / ``abs_col_tail`` / ``abs_corner_tail``: absolute tail
-  sums (``kernel.tail_bound``).
 - ``psd_structure(N)``: the N-section as a ``SectionStructure`` (arrowhead,
   diagonal or rank-one prefixes) from which ``kernel.psd_check`` decides
   its rungs above order 256 without building it; None for the variants
@@ -169,45 +167,6 @@ class CoefficientMatrix:
         if env is None or self.order is not None:
             return -math.inf, -math.inf
         return env.alpha + 1.0, -math.inf
-
-    # -- absolute tail sums (exact for finite support, envelope otherwise) --
-
-    def abs_row_tail(self, k: int, l: int, r: float) -> float:
-        """sum_{n > l} |a_{k,n}| n**(-r)."""
-        if self.order is not None:
-            if l >= self.order:
-                return 0.0
-            row = np.abs(self.row_prefix(k, self.order)[l:])
-            return float(np.sum(row * powers(r, self.order)[l:]))
-        env = self.envelope
-        if env is None:
-            return math.inf
-        return env.C * k**env.alpha * power_tail_bound(l, r - env.alpha)
-
-    def abs_col_tail(self, k: int, l: int, r: float) -> float:
-        """sum_{m > k} |a_{m,l}| m**(-r)."""
-        if self.order is not None:
-            if k >= self.order:
-                return 0.0
-            col = np.abs(self.column_prefix(l, self.order)[k:])
-            return float(np.sum(col * powers(r, self.order)[k:]))
-        env = self.envelope
-        if env is None:
-            return math.inf
-        return env.C * l**env.alpha * power_tail_bound(k, r - env.alpha)
-
-    def abs_corner_tail(self, k: int, l: int, r: float) -> float:
-        """sum_{m > k, n > l} |a_{m,n}| m**(-r) n**(-r)."""
-        if self.order is not None:
-            if k >= self.order or l >= self.order:
-                return 0.0
-            T = np.abs(self.truncation(self.order)[k:, l:])
-            p = powers(r, self.order)
-            return float(p[k:] @ T @ p[l:])
-        env = self.envelope
-        if env is None:
-            return math.inf
-        return env.C * power_tail_bound(k, r - env.alpha) * power_tail_bound(l, r - env.alpha)
 
 
 class StoredMatrix(CoefficientMatrix):
@@ -493,13 +452,6 @@ class ArrowheadMatrix(CoefficientMatrix):
         if m == n:
             return complex(self.tail_value(m))
         return 0.0 + 0.0j
-
-    def with_head_perturbation(self, idx: int, eps: float) -> "ArrowheadMatrix":
-        if not (1 <= idx <= self.k):
-            raise SpecError("head perturbation index must lie in the head block")
-        h = self.head.copy()
-        h[idx - 1, idx - 1] -= eps
-        return ArrowheadMatrix(self.k, h, self.coupling, self.tail)
 
     def truncation(self, N: int) -> np.ndarray:
         k = self.k

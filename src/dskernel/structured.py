@@ -150,9 +150,13 @@ def perturbation_psd(
         raise CertificationError("margin is negative; the perturbation certificate does not apply")
     if eps < 0 or eps > cert.margin + 1e-15:
         raise SpecError(f"eps must lie in [0, margin] = [0, {cert.margin}]")
-    if idx > m.k and eps != 0.0:
-        raise SpecError("diagonal perturbations beyond the head require eps = 0")
-    perturbed = m.with_head_perturbation(idx, eps) if idx <= m.k and eps != 0.0 else m
+    if eps != 0.0 and not 1 <= idx <= m.k:
+        raise SpecError("diagonal perturbations outside the head block require eps = 0")
+    perturbed = m
+    if eps != 0.0:
+        head = m.head.copy()
+        head[idx - 1, idx - 1] -= eps
+        perturbed = ArrowheadMatrix(m.k, head, m.coupling, m.tail)
     ladder = psd_check(perturbed, max_order, tol)
     if not ladder.is_psd:
         raise InternalCheckError(
@@ -177,14 +181,8 @@ def growth_check(
         raise SpecError("l_max must be >= 1")
     ls = np.arange(m.k + 1, m.k + l_max + 1, dtype=float)
     fitted_C = np.max(m.tail_prefix(m.k + l_max) / ls ** (rho - 1.0))
-    rule = m.tail
-    if rule.kind == "geometric":
-        ok = rule.ratio <= 1.0
-    elif rule.kind == "power":
-        ok = rule.exponent <= rho - 1.0
-    else:  # constant or explicit: bounded sequences always obey a power law
-        ok = True
-    return ok, float(fitted_C)
+    pb = m.tail.poly_bound()
+    return pb is not None and pb[1] <= rho - 1.0, float(fitted_C)
 
 
 def example_arrowhead(max_order: int = 16, tol: float = 1e-9) -> tuple[ArrowheadMatrix, dict]:

@@ -439,6 +439,24 @@ class TestErrorPolicy:
         assert exc.value.code == 2
 
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--series", str(SAMPLES / "zeta_series.json"), "--s", "2"],
+        ["psd", "--matrix", str(SAMPLES / "diag_ones.json")],
+        ["symbols", "--matrix", str(SAMPLES / "example_arrowhead.json"), "--n", "1"],
+        ["membership", "--query", str(SAMPLES / "membership_query.json")],
+        ["sk", "--example"],
+        ["classify", "--matrix", str(SAMPLES / "rank_one_2.json"), "--order", "2"],
+        ["merge", "--omega", "sqrt2", "--m-max", "2", "--n-max", "2"],
+    ])
+    def test_seed_is_refused_where_it_is_not_read(self, capsys, argv):
+        assert main(argv) == 0
+        assert "seed" not in json.loads(capsys.readouterr().out)["inputs"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "1"])
+        capsys.readouterr()
+        assert exc.value.code == 2
+
+
 class TestOutputModes:
     def test_csv_format(self, capsys):
         code, out = run(

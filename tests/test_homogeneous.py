@@ -145,6 +145,27 @@ class TestTranslateGram:
                     assert abs(mpmath.mpc(gram.matrix[j, k]) - truth) <= gram.entry_radius
 
 
+    def test_explicit_diagonal_past_its_length_has_no_tail(self):
+        d, offsets, a = (1.0, 0.5, 0.25), (Fraction(0), Fraction(1)), 0.9
+        span = TranslateSpan(a=a, offsets=offsets, diagonal=SequenceRule("explicit", values=d),
+                             support=AdmissibleSupport("all"), order=10)
+        gram = translate_gram(span)
+        assert gram.entry_radius <= 1e-12 and gram.independent
+        with mpmath.workdps(30):
+            for j, bj in enumerate(offsets):
+                for k, bk in enumerate(offsets):
+                    z = mpmath.mpc(2 * a, float(bj - bk))
+                    truth = mpmath.fsum(dn * mpmath.power(n, -z) for n, dn in enumerate(d, 1))
+                    assert abs(mpmath.mpc(gram.matrix[j, k]) - truth) <= gram.entry_radius
+
+    def test_growing_diagonal_has_no_envelope(self):
+        span = TranslateSpan(a=1.0, offsets=(Fraction(0), Fraction(1)),
+                             diagonal=SequenceRule("geometric", scale=1.0, ratio=1.5),
+                             support=AdmissibleSupport("all"), order=40)
+        gram = translate_gram(span)
+        assert gram.entry_radius == math.inf and not gram.independent
+
+
 class TestGramTails:
     """The Euler-Maclaurin Gram path of an unmasked constant or power diagonal, priced on its own."""
 
@@ -364,6 +385,17 @@ class TestAdjointCondition:
         )
         assert rep.verdict == "divergent"
         assert abs(rep.exponent - (-0.8)) < 1e-15
+
+    def test_explicit_diagonal_to_its_length_is_finite(self):
+        # the envelope exponent 2 delta - 2a = -0.8 alone would not decide: the support ends at 3
+        d = (1.0, 0.5, 0.25)
+        rep = adjoint_condition_check(SequenceRule("explicit", values=d), AdmissibleSupport("all"),
+                                      a=0.9, delta=0.5, M=3)
+        assert rep.verdict == "finite" and rep.remainder_bound == 0.0
+        assert abs(rep.exponent - (-0.8)) < 1e-15
+        truth = math.fsum(dn * n**-0.8 for n, dn in enumerate(d, 1))
+        assert abs(rep.partial_sum - truth) < 1e-15
+        assert abs(rep.kernel_value - truth) <= rep.kernel_radius
 
     def test_zero_on_support_rejected(self):
         with pytest.raises(SpecError):

@@ -122,6 +122,41 @@ class TestTailBound:
         with pytest.raises(ConvergenceRegionError):
             tail_bound(diag_ones_kernel, 1, 1, 5.0, 5.0, 1.2)
 
+    @staticmethod
+    def brute_force(a: np.ndarray, k: int, l: int, s: float, u: float, r: float) -> float:
+        """The three absolute tails of the finite matrix a by a double loop, combined as tail_bound does."""
+        size = a.shape[0]
+        row = math.fsum(abs(a[k - 1, n - 1]) * n**-r for n in range(l + 1, size + 1) if k <= size)
+        col = math.fsum(abs(a[m - 1, l - 1]) * m**-r for m in range(k + 1, size + 1) if l <= size)
+        corner = math.fsum(abs(a[m - 1, n - 1]) * m**-r * n**-r
+                           for m in range(k + 1, size + 1) for n in range(l + 1, size + 1))
+        t_row = l**u / (l + 1) ** (u - r)
+        t_col = k**s / (k + 1) ** (s - r)
+        t_corner = (k**s * l**u) / ((k + 1) ** (s - r) * (l + 1) ** (u - r))
+        return max(row, col, corner) * (t_row + t_col + t_corner)
+
+    @pytest.mark.parametrize("k, l", [(1, 1), (1, 3), (3, 2), (2, 5), (5, 2), (5, 5), (6, 1), (1, 9), (7, 8)])
+    def test_finite_support_tails_match_a_double_loop(self, k, l):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        diag = np.array([1.0, 0.5, 0.25, 2.0, 0.125])
+        for kern, entries in [(dense_kernel(a), a),
+                              (DirichletKernel(DiagonalMatrix(SequenceRule("explicit", values=tuple(diag))),
+                                               HalfPlane(0.0)), np.diag(diag))]:
+            got = tail_bound(kern, k, l, 3.5, 4.0, 2.0)
+            want = self.brute_force(entries, k, l, 3.5, 4.0, 2.0)
+            assert abs(got - want) <= 1e-13 * want
+            if min(k, l) >= 5 or max(k, l) > 5:  # every tail lies past the support
+                assert got == want == 0.0
+            else:
+                assert got > 0.0
+
+    def test_no_envelope_means_an_infinite_bound(self):
+        m = ArrowheadMatrix(1, np.array([[1.0]]), SequenceRule("constant", scale=1.0),
+                            SequenceRule("geometric", scale=1.0, ratio=2.0))
+        assert m.envelope is None and m.order is None
+        assert tail_bound(DirichletKernel(m, HalfPlane(0.0)), 1, 1, 5.0, 5.0, 2.0) == math.inf
+
     def test_monotone_in_real_parts(self, diag_ones_kernel):
         for k, l in [(1, 1), (2, 3)]:
             vals = [tail_bound(diag_ones_kernel, k, l, p, p + 0.5, 2.0)

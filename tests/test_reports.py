@@ -7,9 +7,11 @@ words from the repository root, e.g.
 
     PYTHONPATH=src python tests/test_reports.py homog --span
 
-which leaves every other file untouched, so that the diff shows only what
-the change moved (last digits of unrelated reports may differ between
-machines).  Without words it rewrites them all.
+which leaves every other file untouched.  A number that ``assert_matches``
+accepts against the old golden keeps its old digits, so the diff shows
+only what the change moved, not the last digits in which machines and
+summation orders differ.  Without words it rewrites them all and deletes
+the files no command names.
 """
 
 import csv
@@ -110,6 +112,30 @@ class TestGoldenReports:
         assert_matches(json.loads((tmp_path / name).read_text()), json.loads((golden / name).read_text()))
         with pytest.raises(SystemExit):
             regenerate(["nosuchcommand"])
+
+    def test_regenerating_keeps_the_old_digits_the_comparison_accepts(self, tmp_path, monkeypatch, capsys):
+        golden = GOLDEN
+        monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
+        monkeypatch.chdir(ROOT)
+        name = "homog_span_span_zeta_delta_0.25.json"
+        fresh = json.loads((golden / name).read_text())
+        old = json.loads((golden / name).read_text())
+        gram = old["results"]["gram"]
+        gram["min_eigenvalue"] *= 1.0 + 1e-14  # accepted: keeps these digits
+        gram["entry_radius"] *= 1.0 + 1e-6  # a radius moved beyond 1e-9: replaced
+        old["inputs"]["stale"] = 1  # a key the report no longer has: dropped
+        (tmp_path / name).write_text(dump_report(old))
+        regenerate(["homog", "--span"])
+        new = json.loads((tmp_path / name).read_text())
+        assert new["results"]["gram"]["min_eigenvalue"] == gram["min_eigenvalue"]
+        assert new["results"]["gram"]["entry_radius"] != gram["entry_radius"]
+        assert_matches(new, fresh)
+        assert (tmp_path / name).read_text() == dump_report(new)
+
+    def test_kept_takes_new_keys_and_lengths_from_the_report(self):
+        got = {"a": [1.0, 2.0], "b": [1.0], "c": "x", "d_radius": 1e-14}
+        want = {"a": [1.0 + 1e-13, 3.0], "b": [1.0, 2.0], "d_radius": 1.1e-14}
+        assert kept(got, want) == {"a": [1.0 + 1e-13, 2.0], "b": [1.0], "c": "x", "d_radius": 1e-14}
 
     def test_comparison_rejects_a_new_key_and_a_moved_number(self):
         with pytest.raises(AssertionError):
@@ -242,19 +268,36 @@ def selected_commands(words: list[str]) -> list[str]:
     return [c for c in readme_commands() if shlex.split(c)[: len(words)] == words]
 
 
+def kept(got, want, path="report"):
+    """``got`` with every number that ``assert_matches`` accepts against ``want`` replaced by want's."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        return {k: kept(v, want[k], f"{path}.{k}") if k in want else v for k, v in got.items()}
+    if isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
+        return [kept(g, w, f"{path}[{i}]") for i, (g, w) in enumerate(zip(got, want))]
+    try:
+        assert_matches(got, want, path)
+    except AssertionError:
+        return got
+    return want
+
+
 def regenerate(words: list[str]) -> None:
-    """Write the golden report of each README command that starts with ``words``; all of them, afresh, for none."""
+    """Write the golden report of each README command that starts with ``words`` (all of them for none),
+    keeping the numbers of the old golden that still match."""
     os.chdir(ROOT)
     GOLDEN.mkdir(exist_ok=True)
     commands = selected_commands(words)
     if not commands:
         raise SystemExit(f"no README command starts with {' '.join(words)!r}")
     if not words:
-        for old in GOLDEN.glob("*.json"):
-            old.unlink()
+        for stale in set(GOLDEN.glob("*.json")) - {GOLDEN / golden_name(c) for c in commands}:
+            stale.unlink()
     for command in commands:
         target = GOLDEN / golden_name(command)
+        old = json.loads(target.read_text()) if target.exists() else None
         assert cli.main([*shlex.split(command), "--out", str(target)]) == 0, command
+        if old is not None:
+            target.write_text(dump_report(kept(json.loads(target.read_text()), old)))
         print(target)
 
 

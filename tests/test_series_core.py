@@ -55,6 +55,18 @@ class TestEvaluate:
         assert v.error_radius <= 1e-14 * abs(v.value)
         assert abs(v.value - math.exp(-1.0)) < 1e-15
 
+    def test_finite_series_below_its_length_covers_the_whole_sum(self):
+        import mpmath
+        coef = [1.0, -0.5, 0.25j, 2.0, 0.125 - 1j]
+        s = 1.5 + 2.0j
+        v = evaluate(GeneralDirichletSeries.ordinary(coef, finite=True), s, 2)
+        with mpmath.workdps(40):
+            truth = mpmath.fsum(mpmath.mpc(c) * mpmath.power(n, -mpmath.mpc(s)) for n, c in enumerate(coef, 1))
+            assert abs(mpmath.mpc(v.value.real, v.value.imag) - truth) <= v.error_radius
+        head = sum(c * n**-s for n, c in enumerate(coef[:2], 1))
+        rest = math.fsum(abs(c) * n**-s.real for n, c in enumerate(coef[2:], 3))
+        assert abs(v.value - head) < 1e-15 and rest <= v.error_radius < rest + 1e-14
+
     def test_refuses_outside_certified_region(self):
         with pytest.raises(ConvergenceRegionError):
             evaluate(ones_series(100), 0.9, 100)

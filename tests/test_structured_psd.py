@@ -193,6 +193,12 @@ class TestPerturbation:
             perturbation_psd(m, 2, 0.1, 12)
         assert perturbation_psd(m, 2, 0.0, 12)
 
+    @pytest.mark.parametrize("idx", [0, -1])
+    def test_index_before_the_head_is_refused(self, idx):
+        m = k1_example()
+        with pytest.raises(SpecError):
+            perturbation_psd(m, idx, psd_margin(m).margin / 2, 12)
+
 
 class TestGrowth:
     def test_linear_tail(self):
