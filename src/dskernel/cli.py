@@ -166,10 +166,11 @@ def _cmd_classify(args) -> dict:
 def _cmd_homog(args) -> dict:
     inputs, results = {}, {}
     if args.verify:
+        if args.pairs < 1:
+            raise SpecError(f"--pairs must be >= 1, got {args.pairs}")
         rng = np.random.default_rng(args.seed)
-        draws = [rng.integers(lo, hi, max(args.pairs, 0)).tolist() for lo, hi in ((-50, 51), (1, 13)) * 2]
-        worst = max((len(homogeneity_residual(Fraction(p, q), Fraction(r, s))) for p, q, r, s in zip(*draws)),
-                    default=0)
+        draws = [rng.integers(lo, hi, args.pairs).tolist() for lo, hi in ((-50, 51), (1, 13)) * 2]
+        worst = max(len(homogeneity_residual(Fraction(p, q), Fraction(r, s))) for p, q, r, s in zip(*draws))
         results["homogeneity"] = {
             "pairs": args.pairs,
             "nonzero_residuals": worst,
@@ -191,7 +192,12 @@ def _cmd_homog(args) -> dict:
 
 
 def _cmd_merge(args) -> dict:
-    omega = math.sqrt(2.0) if args.omega == "sqrt2" else float(args.omega)
+    try:
+        omega = math.sqrt(2.0) if args.omega == "sqrt2" else float(args.omega)
+    except ValueError:
+        raise SpecError(f'--omega must be a number or "sqrt2", got {args.omega!r}') from None
+    if args.limit is not None and args.limit < 0:
+        raise SpecError(f"--limit must be >= 0, got {args.limit}")
     merged = merge_log_exponents(omega, args.m_max, args.n_max)
     gaps = [b[0] - a[0] for a, b in zip(merged, merged[1:])]
     limit = args.limit if args.limit is not None else len(merged)
@@ -309,6 +315,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy's generators take only non-negative seeds
+            raise SpecError(f"--seed must be >= 0, got {args.seed}")
         _emit(args.fn(args), args)
     except InternalCheckError as exc:
         return _fail(args, type(exc).__name__, str(exc), 3)

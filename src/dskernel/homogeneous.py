@@ -14,6 +14,7 @@ certified entry radii.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -21,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SpecError
-from .kernel import DirichletKernel, kernel_eval
+from .kernel import DirichletKernel, check_order, kernel_eval
 from .matrices import DiagonalMatrix
 from .rules import UNIT_ROUNDOFF, SequenceRule, em_start, exponent_sum, zeta_tails
 from .series import SUBNORMAL_MIN, HalfPlane, log_table, powers, rounding_radius
@@ -99,29 +100,6 @@ class AdmissibleSupport:
         if self.kind == "explicit" and not self.elements:
             raise SpecError("explicit support needs elements")
 
-    def contains(self, n: int) -> bool:
-        if n < 1:
-            return False
-        if self.kind == "all":
-            return True
-        if self.kind == "powers":
-            while n % self.base == 0:
-                n //= self.base
-            return n == 1
-        if self.kind == "generated":
-            # search every chain of divisions: dividing greedily by the
-            # largest generator misses products such as 900 = 6 * 10 * 15
-            stack, seen = [n], set()
-            while stack:
-                x = stack.pop()
-                if x == 1:
-                    return True
-                if x not in seen:
-                    seen.add(x)
-                    stack.extend(x // g for g in self.generators if x % g == 0)
-            return False
-        return n in self.elements
-
     def indices_up_to(self, M: int) -> np.ndarray:
         """1-based support members <= M, ascending."""
         if self.kind == "all":
@@ -158,31 +136,10 @@ def admissibility_check(support: AdmissibleSupport, M: int) -> AdmissibilityRepo
     """
     if M < 4:
         raise SpecError("admissibility check needs M >= 4")
-    members = [int(n) for n in support.indices_up_to(M)]
-    member_set = set(members)
-    closed = True
-    for i, m in enumerate(members):
-        if m == 1:
-            continue
-        for n in members[i:]:
-            if n == 1:
-                continue
-            if m * n > M:
-                break
-            if m * n not in member_set:
-                closed = False
-                break
-        if not closed:
-            break
-    pair = None
-    nontrivial = [m for m in members if m != 1]
-    for i, p in enumerate(nontrivial):
-        for q in nontrivial[i + 1 :]:
-            if math.gcd(p, q) == 1:
-                pair = (p, q)
-                break
-        if pair:
-            break
+    members = [int(n) for n in support.indices_up_to(M) if n != 1]
+    in_support = set(members)  # a product of two members is at least 4: 1 need not be in it
+    closed = all(m * n in in_support for i, m in enumerate(members) for n in members[i : bisect_right(members, M // m)])
+    pair = next(((p, q) for i, p in enumerate(members) for q in members[i + 1 :] if math.gcd(p, q) == 1), None)
     return AdmissibilityReport(closed and pair is not None, closed, pair, M)
 
 
@@ -208,8 +165,7 @@ class TranslateSpan:
             raise SpecError("offsets must be pairwise distinct")
         if self.a <= self.rho:
             raise SpecError("need a > rho")
-        if self.order < 1:
-            raise SpecError("order must be >= 1")
+        check_order(self.order)
         object.__setattr__(self, "offsets", offs)
 
     def require_offset(self, b) -> Fraction:
@@ -236,10 +192,12 @@ def translate_gram(span: TranslateSpan) -> TranslateGram:
     The reproducing identity turns inner products of translates into kernel
     values, which for a diagonal kernel is the single sum above, truncated
     at the span order with the diagonal kernel's tail radius at (a, a) plus
-    a bound on the rounding of the truncated sum.  The family is independent
-    at this truncation (``independent``) iff the eigenvalue lower bound, the
-    least eigenvalue less the number of offsets times the entry radius, is
-    positive.
+    a bound on the rounding of the truncated sum.  The n summed are those
+    of ``DiagonalMatrix(diagonal, support).nonzero_entries``: the declared
+    support intersected with {n : a_n != 0}; with none, G = 0.  The family
+    is independent at this truncation (``independent``) iff the eigenvalue
+    lower bound, the least eigenvalue less the number of offsets times the
+    entry radius, is positive.
 
     The head n < K is E diag(w) E* with E[j, n] = exp(-i c_j log n), built
     GRAM_BLOCK columns at a time; the c_j are the offsets centred on their
@@ -257,12 +215,7 @@ def translate_gram(span: TranslateSpan) -> TranslateGram:
     law = span.diagonal.power_law() if span.support.kind == "all" else None
     s, ds = exponent_sum(2.0 * span.a, -law[1]) if law else (0j, 0.0)
     K = em_start(complex(s.real, (hi - lo) / D), 1, span.order) if law else span.order + 1
-    idx = span.support.indices_up_to(K - 1) - 1
-    if idx.size == 0:
-        raise SpecError("support is empty below the truncation order")
-    diag = _real_values(span.diagonal, K - 1, idx)
-    if np.any(diag < 0):
-        raise SpecError("diagonal sequence must be non-negative")
+    idx, diag = _terms(DiagonalMatrix(span.diagonal, span.support), K - 1)
     weights = diag * powers(2.0 * span.a, K - 1)[idx]
     logs = log_table(K - 1)[idx]
     c = np.array([(2 * x - hi - lo) / (2 * D) for x in num])
@@ -276,7 +229,7 @@ def translate_gram(span: TranslateSpan) -> TranslateGram:
         G += (E * weights[start : start + GRAM_BLOCK]) @ E.conj().T
     G = 0.5 * (G + G.conj().T)  # exactly Hermitian, with a real diagonal
     radius = DiagonalMatrix(span.diagonal).tail_radius(span.a, span.a, span.order)
-    if math.isfinite(radius):
+    if math.isfinite(radius) and logs.size:  # no term, no rounding: the head is exactly 0
         # each term carries the powers n**(-2a), n**(-i c_j) and n**(i c_k)
         radius += rounding_radius(float(np.sum(weights)), 2.0 * span.a + (hi - lo) / D, float(logs[-1]),
                                   2 * logs.size + 8)
@@ -297,12 +250,14 @@ def translate_gram(span: TranslateSpan) -> TranslateGram:
     return TranslateGram(G, radius, min_eig, lower, bool(lower > 0))
 
 
-def _real_values(rule: SequenceRule, n: int, idx: np.ndarray) -> np.ndarray:
-    """The rule's values at the 0-based indices idx below n, as reals; SpecError if one is not real."""
-    values = rule.prefix(n)[idx]
+def _terms(matrix: DiagonalMatrix, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """n - 1 and the real a_n for the support's members n <= N with a_n != 0; SpecError if one is not real or is < 0."""
+    n, _, values = matrix.nonzero_entries(N)
     if np.any(values.imag != 0):
         raise SpecError("diagonal sequence must be real")
-    return values.real
+    if np.any(values.real < 0):
+        raise SpecError("diagonal sequence must be non-negative")
+    return n - 1, values.real
 
 
 def apply_generator(span: TranslateSpan, v: SpanVector) -> SpanVector:
@@ -367,16 +322,13 @@ def adjoint_condition_check(
 
     The weights are the canonical b_n = a_n n**(-a); no others are taken.
     The sum then collapses to the diagonal kernel at (a - delta, a -
-    delta), and both sides are computed and compared.
+    delta), and both sides are computed and compared, over the n that
+    ``translate_gram`` sums.
     """
-    if delta <= 0:
-        raise SpecError("delta must be positive")
-    idx = support.indices_up_to(M) - 1
-    diag = _real_values(diagonal, M, idx)
-    if np.any(diag == 0):
-        raise SpecError("malformed diagonal: zero value on a support index")
-    if np.any(diag < 0):
-        raise SpecError("diagonal must be positive on its support")
+    if not 0 < delta < math.inf:
+        raise SpecError(f"delta must be positive and finite, got {delta}")
+    matrix = DiagonalMatrix(diagonal, support=support)
+    idx, diag = _terms(matrix, M)
     w = diag * powers(a, M)[idx]
     terms = powers(-2.0 * delta, M)[idx] * w**2 / diag
     partial = float(np.sum(terms))
@@ -384,7 +336,6 @@ def adjoint_condition_check(
     pb = diagonal.poly_bound()
     # terms are a_n n**(2 delta - 2a) <= C n**(p + 2 delta - 2a): the diagonal kernel's tail at a - delta
     exponent = None if pb is None else pb[1] + 2.0 * delta - 2.0 * a
-    matrix = DiagonalMatrix(diagonal, support=support)
     point = a - delta
     remainder = matrix.tail_radius(point, point, M)
     if math.isfinite(remainder):

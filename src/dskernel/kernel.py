@@ -18,6 +18,7 @@ judge leaves it undecided, eigen-solved too.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -72,10 +73,12 @@ class DirichletKernel:
 def kernel_eval(kernel: DirichletKernel, s: complex, u: complex, order: int) -> ValueWithBound:
     """Truncated kernel value with a certified three-piece tail radius.
 
-    Refuses points outside the certified region; with no envelope (and
-    infinite support) the radius is infinite.
+    Refuses non-finite points and points outside the certified region;
+    with no envelope (and infinite support) the radius is infinite.
     """
     s, u = complex(s), complex(u)
+    if not (cmath.isfinite(s) and cmath.isfinite(u)):
+        raise SpecError(f"evaluation point ({s}, {u}) is not finite")
     edge = kernel.certified_sigma()
     if s.real <= edge or u.real <= edge:
         raise ConvergenceRegionError(
@@ -85,8 +88,7 @@ def kernel_eval(kernel: DirichletKernel, s: complex, u: complex, order: int) -> 
         raise ConvergenceRegionError(
             f"outside certified region: need Re(s) + Re(u) > {kernel.joint_sigma_floor()}"
         )
-    if order < 1:
-        raise SpecError("order must be >= 1")
+    check_order(order)
     N = order if kernel.matrix.order is None else min(order, kernel.matrix.order)
     value, rounding = kernel.matrix.partial_sum(s, u, N)
     radius = kernel.matrix.tail_radius(s.real, u.real, order)
@@ -104,7 +106,9 @@ def tail_bound(
     m >= k, n >= l.  The bound has the standard three-term shape with a
     single constant C_r collecting the absolute row/column/corner sums at
     abscissa r; it decays to zero as Re(s), Re(u) grow, which is what makes
-    scaled kernel sections converge to single coefficients.
+    scaled kernel sections converge to single coefficients.  On a finite
+    support the sums are exact, over the matrix's ``nonzero_entries`` (no
+    section for a diagonal or an arrowhead); otherwise the envelope bounds them.
     """
     s, u = complex(s), complex(u)
     if r <= kernel.rho + 1.0:
@@ -125,15 +129,16 @@ def tail_bound(
 
 def _abs_tails(matrix: CoefficientMatrix, k: int, l: int, r: float) -> tuple[float, float, float]:
     """The row, column and corner tails sum_{n > l} |a_{k,n}| n**-r, sum_{m > k} |a_{m,l}| m**-r and
-    sum_{m > k, n > l} |a_{m,n}| (m n)**-r: exact sums over the section on a finite support, bounds by the
+    sum_{m > k, n > l} |a_{m,n}| (m n)**-r: exact sums over the nonzero entries on a finite support, bounds by the
     envelope C m**alpha n**alpha otherwise, and infinite without one."""
     if matrix.order is not None:
-        # rows and columns past the order are zero: order + 1 stands for any index beyond it
-        k, l = min(k, matrix.order + 1), min(l, matrix.order + 1)
-        M = max(matrix.order, k, l)
-        T, p = np.abs(matrix.truncation(M)), powers(r, M)
-        row, col = float(np.sum(T[k - 1, l:] * p[l:])), float(np.sum(T[k:, l - 1] * p[k:]))
-        return row, col, float(p[k:] @ T[k:, l:] @ p[l:])
+        m, n, values = matrix.nonzero_entries(matrix.order)
+        p = powers(r, matrix.order)
+        start, stop = np.searchsorted(m, (k, k + 1))  # row by row: row k is [start, stop), the rows past it follow
+        past_l = np.where(np.arange(1, p.size + 1) > l, p, 0.0)  # n**-r on the columns n > l, 0 on the others
+        a, pm, pn = np.abs(values[start:]), p[m[start:] - 1], past_l[n[start:] - 1]
+        j, col = stop - start, n[stop:] == l
+        return float(a[:j] @ pn[:j]), float(a[j:][col] @ pm[j:][col]), float((a[j:] * pm[j:]) @ pn[j:])
     env = matrix.envelope
     if env is None:
         return math.inf, math.inf, math.inf
@@ -179,6 +184,7 @@ def hermitian_part(T: np.ndarray, message: str = NOT_SELF_ADJOINT, largest: floa
 
 def hermitian_section(matrix: CoefficientMatrix, order: int) -> np.ndarray:
     """The symmetrised order x order section (``hermitian_part``, which raises if it is not Hermitian)."""
+    check_order(order)
     return hermitian_part(matrix.truncation(order))
 
 
@@ -190,6 +196,12 @@ def self_adjoint_check(matrix: CoefficientMatrix, order: int) -> bool:
     except HermitianError:
         return False
     return True
+
+
+def check_order(order: int) -> None:
+    """A SpecError for a truncation order below 1: no section to judge."""
+    if order < 1:
+        raise SpecError(f"order must be >= 1, got {order}")
 
 
 def check_tol(tol: float) -> None:
@@ -217,9 +229,12 @@ def eigensolve_rounding(order: int, scale: float) -> float:
 
 
 def support_pattern(matrix: CoefficientMatrix, order: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """1-based index arrays (m, n) of the entries with |a_{m,n}| > tol, row by row (``check_tol`` first)."""
+    """1-based index arrays (m, n) of the entries with |a_{m,n}| > tol, row by row, from ``nonzero_entries``."""
     check_tol(tol)
-    return matrix.support_pattern(order, tol)
+    check_order(order)
+    m, n, values = matrix.nonzero_entries(order)
+    keep = np.abs(values) > tol
+    return m[keep], n[keep]
 
 
 @dataclass(frozen=True)
@@ -790,8 +805,7 @@ def recover_block(
     Blocks from two shorter grid prefixes are kept so callers can judge
     stabilisation along the increasing p sequence.
     """
-    if order < 1:
-        raise SpecError("order must be >= 1")
+    check_order(order)
     if grid_count < order + 12:
         raise SpecError("grid_count must be at least order + 12 for stable prefixes")
     ps = sigma_min + 0.1 + 0.25 * np.arange(grid_count)

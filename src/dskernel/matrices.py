@@ -12,15 +12,17 @@ variant to sum a section of the matrix:
 
 - ``entry(m, n)``: one entry (the deflation pivot a_{1,1}; test references).
 - ``truncation(N)``: the N x N section (eigenvalue ladders, Gram models,
-  membership, the classifiers in ``symmetry``, ``kernel.tail_bound``).
+  membership, the classifiers in ``symmetry``).
 - ``column_prefix(n, N)`` / ``row_prefix(m, N)``: a_{1..N,n} and a_{m,1..N}
   (analytic symbols, deflation).
 - ``partial_sum(s, u, N)``, ``tail_radius(sigma_s, sigma_u, N)`` and
   ``sigma_floors()``: the section paired with m**(-s) and n**(-conj(u))
   with a bound on its rounding, the certified bound beyond it and where
   that bound holds (``kernel.kernel_eval`` and ``DirichletKernel``).
-- ``support_pattern(N, tol)``: the 1-based (m, n) with |a_{m,n}| > tol in
-  the section, row by row (``kernel.support_pattern``).
+- ``nonzero_entries(N)``: the 1-based (m, n) and values of the section's
+  nonzero entries, row by row, which decides what carries a term (supports,
+  finite tails, the ``homogeneous`` sums); O(N) for a diagonal, O(N k) for
+  an arrowhead.
 - ``psd_structure(N)``: the N-section as a ``SectionStructure`` (arrowhead,
   diagonal or rank-one prefixes) from which ``kernel.psd_check`` decides
   its rungs above order 256 without building it; None for the variants
@@ -142,10 +144,14 @@ class CoefficientMatrix:
         mass = float(np.abs(ps) @ np.abs(T) @ np.abs(pu))
         return value, section_rounding(mass, s, u, N, int(np.count_nonzero(T)))
 
-    def support_pattern(self, N: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-        """1-based (m, n) of the entries of the N-section with |a_{m,n}| > tol, in row-major order."""
-        m, n = np.nonzero(np.abs(self.truncation(N)) > tol)
-        return m + 1, n + 1
+    def nonzero_entries(self, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """1-based (m, n) and the values of the nonzero entries of the N-section, in row-major order."""
+        T = self.truncation(N).ravel()
+        i = np.flatnonzero(T)
+        m, n = np.divmod(i, N)
+        m += 1
+        n += 1
+        return m, n, T[i]
 
     def tail_radius(self, sigma_s: float, sigma_u: float, N: int) -> float:
         """Bound on |kernel - N-section| at real parts (sigma_s, sigma_u): the
@@ -246,7 +252,7 @@ class DiagonalMatrix(CoefficientMatrix):
     """Diagonal coefficient matrix a_{n,n} = rule(n), optionally support-masked."""
 
     rule: SequenceRule
-    support: Optional[object] = None  # anything with .contains(n) and .indices_up_to(M)
+    support: Optional[object] = None  # anything with .indices_up_to(M)
     envelope: Optional[Envelope] = None
 
     def __post_init__(self):
@@ -262,11 +268,8 @@ class DiagonalMatrix(CoefficientMatrix):
     def order(self) -> Optional[int]:
         return len(self.rule.values) if self.rule.is_finite else None
 
-    def _on_support(self, n: int) -> bool:
-        return self.support is None or self.support.contains(n)
-
     def entry(self, m: int, n: int) -> complex:
-        if m != n or not self._on_support(n):
+        if m != n or self.support is not None and n not in self.support.indices_up_to(n):
             return 0.0 + 0.0j
         return self.rule.value(n)
 
@@ -290,9 +293,10 @@ class DiagonalMatrix(CoefficientMatrix):
     def row_prefix(self, m: int, N: int) -> np.ndarray:
         return self.column_prefix(m, N)
 
-    def support_pattern(self, N: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-        i = np.nonzero(np.abs(self.diagonal_prefix(N)) > tol)[0] + 1
-        return i, i.copy()
+    def nonzero_entries(self, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        d = self.diagonal_prefix(N)  # the support's members n <= N with a_{n,n} != 0
+        i = np.flatnonzero(d)
+        return i + 1, i + 1, d[i]
 
     def psd_structure(self, N: int) -> SectionStructure:
         return SectionStructure("diagonal-exact", _NONE.reshape(0, 0), _NONE, self.diagonal_prefix(N))
@@ -488,17 +492,19 @@ class ArrowheadMatrix(CoefficientMatrix):
             out[: self.k] = self.head[m - 1, :N]
         return out
 
-    def support_pattern(self, N: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    def nonzero_entries(self, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The head rows (head block, then the coupling columns), then the
         tail rows (the k coupling columns, then the diagonal), in O(N k)."""
         k, kk = self.k, min(self.k, N)
-        c = np.abs(self.coupling_prefix(N)) > tol
-        head = np.concatenate([np.abs(self.head[:kk, :kk]) > tol, np.broadcast_to(c, (kk, c.size))], axis=1)
-        m, n = np.nonzero(head)
-        rows = np.concatenate([np.repeat(c[:, None], k, axis=1), (np.abs(self.tail_prefix(N)) > tol)[:, None]], axis=1)
-        i, j = np.nonzero(rows)
+        c = self.coupling_prefix(N)
+        head = np.concatenate([self.head[:kk, :kk], np.broadcast_to(c, (kk, c.size))], axis=1)
+        rows = np.concatenate([np.broadcast_to(np.conj(c)[:, None], (c.size, k)), self.tail_prefix(N)[:, None]], axis=1)
+        on_head, on_rows = head != 0, rows != 0  # one mask each gives the indices and gathers the values
+        m, n = np.nonzero(on_head)
+        i, j = np.nonzero(on_rows)
         mt = i + k + 1
-        return np.concatenate([m + 1, mt]), np.concatenate([n + 1, np.where(j < k, j + 1, mt)])
+        return (np.concatenate([m + 1, mt]), np.concatenate([n + 1, np.where(j < k, j + 1, mt)]),
+                np.concatenate([head[on_head], rows[on_rows]]))
 
     def _constant_partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float]:
         """partial_sum for constant coupling c and tail d, N > k.

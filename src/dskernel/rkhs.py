@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CertificationError, InternalCheckError, SpecError
-from .kernel import DirichletKernel, eigensolve_rounding, hermitian_part, hermitian_section, kernel_eval, psd_cutoff
+from .kernel import DirichletKernel, check_order, eigensolve_rounding, hermitian_part, hermitian_section, kernel_eval, psd_cutoff
 from .matrices import (
     CoefficientMatrix,
     DeflatedMatrix,
@@ -47,6 +47,8 @@ def analytic_symbol(
     """
     if n < 1:
         raise SpecError("symbol index is 1-based")
+    if order is not None:
+        check_order(order)
     if matrix.order is not None:
         length = matrix.order
         finite = True
@@ -196,10 +198,14 @@ def membership_test(
     c_star > c_max, is a non-member.  A member's c_star is certified by one
     eigenvalue probe of S - f f*/c_star**2, which must clear -eps less the
     eigen-solver's rounding; a miss means the two certificates disagree and
-    is an InternalCheckError.
+    is an InternalCheckError.  A NaN or infinite fhat, and a c_max that is
+    negative or NaN, are SpecErrors.
     """
-    if order < 1:
-        raise SpecError("order must be >= 1")
+    fv = np.asarray(fhat, dtype=complex).ravel()
+    if not np.all(np.isfinite(fv)):
+        raise SpecError("fhat has a NaN or infinite coefficient")
+    if not c_max >= 0:
+        raise SpecError(f"c_max must be a non-negative number, got {c_max}")
     S = hermitian_section(matrix, order)
     lam, V = np.linalg.eigh(S)
     scale = float(np.max(np.abs(lam)))
@@ -207,7 +213,6 @@ def membership_test(
     if lam[0] < -eps:
         raise CertificationError("matrix is not PSD at this order; membership undefined")
     f = np.zeros(order, dtype=complex)
-    fv = np.asarray(fhat, dtype=complex).ravel()
     f[: min(order, fv.size)] = fv[:order]
     if not np.any(f):
         return MembershipResult(True, 0.0, order, c_max, 0.0)

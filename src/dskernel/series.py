@@ -45,6 +45,7 @@ of z itself.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -442,12 +443,14 @@ def evaluate(series: GeneralDirichletSeries, s: complex, order: int) -> ValueWit
     closed form: an integral comparison for log-type exponents and a
     geometric ratio bound for linear ones.  Without an envelope the radius
     is infinite (value-only mode).  Points at or below the certified
-    abscissa are refused.  Beyond the stored prefix, log-type exponents
-    omega log n with a constant or power coefficient rule c n**p sum as
-    c sum_n n**-(omega s - p) by ``rules.partial_zeta``; other series sum
-    their terms directly.
+    abscissa, and non-finite points, are refused.  Beyond the stored
+    prefix, log-type exponents omega log n with a constant or power
+    coefficient rule c n**p sum as c sum_n n**-(omega s - p) by
+    ``rules.partial_zeta``; other series sum their terms directly.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise SpecError(f"evaluation point {s} is not finite")
     sigma = s.real
     threshold = series.certified_sigma()
     if threshold is not None and sigma <= threshold:
@@ -532,8 +535,8 @@ def merge_log_exponents(omega: float, m_max: int, n_max: int) -> list[tuple[floa
     is injective (Gelfond-Schneider), so a closer-than-tolerance pair means
     the caller's hypothesis is violated, e.g. rational omega.
     """
-    if omega <= 0:
-        raise SpecError("omega must be positive")
+    if not 0 < omega < math.inf:
+        raise SpecError(f"omega must be positive and finite, got {omega}")
     if m_max < 1 or n_max < 1:
         raise SpecError("grid bounds must be positive")
     nu, i, j = _merged(log_table(m_max), omega * log_table(n_max), "nu({},{})")

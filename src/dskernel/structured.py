@@ -173,10 +173,10 @@ def growth_check(
 
     Fits the single constant C = max d_l / l**(rho-1) over matrix indices
     l = k+1 .. k+l_max, then confirms the bound holds for all l from the
-    rule's closed form.  rho must exceed 1.
+    rule's closed form.  rho must be finite and exceed 1.
     """
-    if rho <= 1.0:
-        raise SpecError("growth exponent needs rho > 1")
+    if not 1.0 < rho < math.inf:
+        raise SpecError(f"growth exponent needs a finite rho > 1, got {rho}")
     if l_max < 1:
         raise SpecError("l_max must be >= 1")
     ls = np.arange(m.k + 1, m.k + l_max + 1, dtype=float)

@@ -329,6 +329,17 @@ class TestHomog:
         assert res["admissibility"]["admissible_up_to"] is True
         assert res["adjoint_condition"]["verdict"] == "finite"
 
+    def test_explicit_span_past_its_list(self, capsys, tmp_path):
+        """Indices past an explicit diagonal's list carry no term: with or without --delta the span is answered."""
+        f = tmp_path / "span.json"
+        f.write_text(json.dumps({"a": 2.0, "offsets": ["0", "1/2", "3"], "order": 10,
+                                 "diagonal": {"kind": "explicit", "values": [1, 0.5, 0.25]}}))
+        code, rep = run_json(capsys, "homog", "--span", str(f))
+        assert code == 0 and "adjoint_condition" not in rep["results"]
+        code, rep = run_json(capsys, "homog", "--span", str(f), "--delta", "0.5")
+        assert code == 0
+        assert rep["results"]["adjoint_condition"]["verdict"] == "finite"
+
 
 class TestMerge:
     def test_sqrt2_grid(self, capsys):
@@ -575,6 +586,59 @@ class TestNonFiniteInputs:
         code, rep = self.run_strict(capsys, "merge", "--omega", "2", "--m-max", "1", "--n-max", "1")
         assert code == 3
         assert rep["error"]["kind"] == "InternalCheckError"
+
+
+#: a valid command line per subcommand (two for eval), to which MALFORMED appends one bad option
+BASE_ARGV = {
+    "eval": ["eval", "--matrix", str(SAMPLES / "diag_ones.json"), "--s", "2"],
+    "eval-series": ["eval", "--series", str(SAMPLES / "zeta_series.json"), "--s", "2"],
+    "psd": ["psd", "--matrix", str(SAMPLES / "example_arrowhead.json")],
+    "symbols": ["symbols", "--matrix", str(SAMPLES / "diag_ones.json"), "--n", "1"],
+    "membership": ["membership", "--matrix", str(SAMPLES / "diag_ones.json"), "--fhat", "1,0.5"],
+    "sk": ["sk", "--matrix", str(SAMPLES / "example_arrowhead.json")],
+    "invariance": ["invariance", "--matrix", str(SAMPLES / "diag_ones.json")],
+    "classify": ["classify", "--matrix", str(SAMPLES / "rank_one_2.json"), "--order", "2"],
+    "homog": ["homog", "--verify", "--span", str(SAMPLES / "span_zeta.json")],
+    "merge": ["merge", "--omega", "sqrt2", "--m-max", "3", "--n-max", "3"],
+}
+
+#: NaN, infinity, text and counts of 0 or -1, option by option (the last occurrence of an option wins)
+MALFORMED = [
+    ("eval", "--s", "nan"), ("eval", "--s", "inf"), ("eval", "--s", "abc"), ("eval", "--u", "nan"),
+    ("eval", "--order", "0"), ("eval", "--order", "-1"), ("eval", "--order", "abc"),
+    ("eval-series", "--s", "nan+1j"), ("eval-series", "--s", "inf"), ("eval-series", "--order", "-1"),
+    ("psd", "--tol", "nan"), ("psd", "--tol", "inf"), ("psd", "--tol", "abc"),
+    ("psd", "--max-order", "0"), ("psd", "--max-order", "-1"),
+    ("symbols", "--n", "0"), ("symbols", "--n", "-1"), ("symbols", "--order", "0"), ("symbols", "--order", "-4"),
+    ("membership", "--fhat", "nan"), ("membership", "--fhat", "1,inf"), ("membership", "--fhat", "abc"),
+    ("membership", "--tol", "nan"), ("membership", "--c-max", "nan"), ("membership", "--c-max", "-1"),
+    ("membership", "--order", "0"), ("membership", "--order", "-1"),
+    ("sk", "--tol", "inf"), ("sk", "--max-order", "0"), ("sk", "--max-order", "-1"),
+    ("sk", "--growth-rho", "nan"), ("sk", "--growth-rho", "inf"), ("sk", "--growth-rho", "2", "--l-max", "0"),
+    ("invariance", "--tol", "nan"), ("invariance", "--tol", "inf"), ("invariance", "--order", "0"),
+    ("invariance", "--order", "-1"), ("invariance", "--seed", "-1"), ("invariance", "--seed", "abc"),
+    ("classify", "--grid", "nan"), ("classify", "--grid", "inf"), ("classify", "--grid", "abc"),
+    ("classify", "--order", "0"), ("classify", "--order", "-1"), ("classify", "--tol", "inf"),
+    ("homog", "--pairs", "0"), ("homog", "--pairs", "-5"), ("homog", "--delta", "nan"),
+    ("homog", "--delta", "inf"), ("homog", "--delta", "0"), ("homog", "--seed", "-1"),
+    ("merge", "--omega", "nan"), ("merge", "--omega", "inf"), ("merge", "--omega", "abc"),
+    ("merge", "--m-max", "0"), ("merge", "--n-max", "-1"), ("merge", "--limit", "-1"),
+]
+
+
+@pytest.mark.parametrize("case", MALFORMED, ids=" ".join)
+def test_malformed_argv_is_bad_input(capsys, case):
+    """Every bad value exits 2 with an error report: a JSON one, or argparse's for a value its type cannot read."""
+    name, *bad = case
+    assert main(BASE_ARGV[name]) == 0
+    capsys.readouterr()
+    try:
+        code = main([*BASE_ARGV[name], *bad])
+    except SystemExit as exc:
+        code, message = exc.code, capsys.readouterr().err
+    else:
+        message = json.loads(capsys.readouterr().out)["error"]["message"]
+    assert code == 2 and message
 
 
 class TestMissingOrInvalidKeys:

@@ -58,8 +58,26 @@ class TestAdmissibility:
         assert not rep.multiplicatively_closed  # 2*3 = 6 missing
 
 
+def is_member(support: AdmissibleSupport, n: int) -> bool:
+    """Membership by division, one n at a time: the loop reference for indices_up_to."""
+    if support.kind in ("all", "explicit"):
+        return n >= 1 and (support.kind == "all" or n in support.elements)
+    # search every chain of divisions: dividing greedily by the
+    # largest generator misses products such as 900 = 6 * 10 * 15
+    generators = (support.base,) if support.kind == "powers" else support.generators
+    stack, seen = [n], set()
+    while stack:
+        x = stack.pop()
+        if x == 1:
+            return True
+        if x not in seen:
+            seen.add(x)
+            stack.extend(x // g for g in generators if x % g == 0)
+    return False
+
+
 class TestSupportMembers:
-    """indices_up_to builds the members directly; contains() stays the loop reference."""
+    """indices_up_to builds the members directly; is_member is the loop reference."""
 
     SUPPORTS = [
         AdmissibleSupport("all"),
@@ -76,7 +94,7 @@ class TestSupportMembers:
     @pytest.mark.parametrize("support", SUPPORTS, ids=lambda sup: f"{sup.kind}")
     @pytest.mark.parametrize("M", [0, 1, 2, 3, 16, 899, 900, 5000])
     def test_matches_contains_loop(self, support, M):
-        ref = np.array([n for n in range(1, M + 1) if support.contains(n)], dtype=int)
+        ref = np.array([n for n in range(1, M + 1) if is_member(support, n)], dtype=int)
         got = support.indices_up_to(M)
         assert got.dtype == ref.dtype
         assert np.array_equal(got, ref)
@@ -87,9 +105,8 @@ class TestSupportMembers:
     def test_generated_products_sharing_factors(self):
         # 900 = 6 * 10 * 15; dividing by the largest generator first strands 4
         sup = AdmissibleSupport("generated", generators=(6, 10, 15))
-        assert sup.contains(900)
-        assert 900 in sup.indices_up_to(900)
-        assert not sup.contains(4)
+        assert is_member(sup, 900) and 900 in sup.indices_up_to(900)
+        assert not is_member(sup, 4) and 4 not in sup.indices_up_to(4)
 
     @pytest.mark.parametrize("generators", [(1,), (2, 0), (3, -2)])
     def test_generators_below_two_refused(self, generators):
@@ -103,6 +120,12 @@ class TestTranslateGram:
         gram = translate_gram(span)
         assert abs(gram.matrix[0, 0].real - math.pi**2 / 6.0) < 1e-6
         assert gram.entry_radius < 1e-6
+
+    def test_no_term_below_the_order_is_the_zero_gram(self):
+        span = TranslateSpan(a=1.0, offsets=(Fraction(0), Fraction(1)), diagonal=SequenceRule("constant", scale=1.0),
+                             support=AdmissibleSupport("explicit", elements=(17, 40)), order=10)
+        gram = translate_gram(span)
+        assert not gram.matrix.any() and not gram.independent
 
     def test_duplicate_offsets_refused(self):
         with pytest.raises(SpecError):
@@ -397,9 +420,18 @@ class TestAdjointCondition:
         assert abs(rep.partial_sum - truth) < 1e-15
         assert abs(rep.kernel_value - truth) <= rep.kernel_radius
 
-    def test_zero_on_support_rejected(self):
-        with pytest.raises(SpecError):
-            adjoint_condition_check(
-                SequenceRule("explicit", values=(1.0, 0.0, 1.0)),
-                AdmissibleSupport("all"), a=1.0, delta=0.25, M=3,
-            )
+    @pytest.mark.parametrize("support, nonzero", [
+        (AdmissibleSupport("all"), (1, 3, 5, 7)),
+        (AdmissibleSupport("generated", generators=(2, 3)), (1, 3)),
+        (AdmissibleSupport("explicit", elements=(2, 3, 4, 7, 9)), (3, 7)),
+    ])
+    def test_zero_values_leave_the_support(self, support, nonzero):
+        """Support S and the explicit support S and {n : a_n != 0} give one Gram and one adjoint report."""
+        rule = SequenceRule("explicit", values=(1.0, 0.0, 0.5, 0.0, 0.25, 0.0, 0.125))
+        twin = AdmissibleSupport("explicit", elements=nonzero)
+        offsets = (Fraction(0), Fraction(1, 3), Fraction(-2))
+        g, h = (translate_gram(TranslateSpan(a=2.0, offsets=offsets, diagonal=rule, support=s, order=10))
+                for s in (support, twin))
+        assert np.array_equal(g.matrix, h.matrix) and g.entry_radius == h.entry_radius
+        rep = adjoint_condition_check(rule, support, a=2.0, delta=0.5, M=10)
+        assert rep.verdict == "finite" and rep == adjoint_condition_check(rule, twin, a=2.0, delta=0.5, M=10)

@@ -1,6 +1,7 @@
 """Kernel evaluation, tail bounds, PSD certification, coefficient recovery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,9 +141,12 @@ class TestTailBound:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         diag = np.array([1.0, 0.5, 0.25, 2.0, 0.125])
+        arrow = ArrowheadMatrix(2, a[:2, :2], SequenceRule("explicit", values=tuple(a[2:, 0])),
+                                SequenceRule("explicit", values=tuple(diag[2:])))
         for kern, entries in [(dense_kernel(a), a),
                               (DirichletKernel(DiagonalMatrix(SequenceRule("explicit", values=tuple(diag))),
-                                               HalfPlane(0.0)), np.diag(diag))]:
+                                               HalfPlane(0.0)), np.diag(diag)),
+                              (DirichletKernel(arrow, HalfPlane(0.0)), arrow.truncation(5))]:
             got = tail_bound(kern, k, l, 3.5, 4.0, 2.0)
             want = self.brute_force(entries, k, l, 3.5, 4.0, 2.0)
             assert abs(got - want) <= 1e-13 * want
@@ -150,6 +154,18 @@ class TestTailBound:
                 assert got == want == 0.0
             else:
                 assert got > 0.0
+
+    def test_explicit_diagonal_builds_no_section(self):
+        """The exact tails of a 5,000-value explicit diagonal come from its O(order) view; its section is 400 MB."""
+        values = tuple(np.random.default_rng(0).uniform(0.1, 1.0, 5000))
+        kern = DirichletKernel(DiagonalMatrix(SequenceRule("explicit", values=values)), HalfPlane(0.0))
+        tracemalloc.start()
+        try:
+            bound = tail_bound(kern, 3, 3, 4.0, 4.0, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < bound < math.inf and peak <= 5e6
 
     def test_no_envelope_means_an_infinite_bound(self):
         m = ArrowheadMatrix(1, np.array([[1.0]]), SequenceRule("constant", scale=1.0),

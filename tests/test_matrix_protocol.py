@@ -18,7 +18,7 @@ from dskernel import (
     SpecError,
 )
 from dskernel.series import rounding_radius
-from dskernel.kernel import hermitian_part, schur_complements
+from dskernel.kernel import hermitian_part, schur_complements, support_pattern
 from conftest import random_psd_dense
 
 EPS = np.finfo(float).eps
@@ -123,6 +123,9 @@ PATTERN_VARIANTS = {
     "arrowhead_constant": lambda rng: ArrowheadMatrix(2, np.array([[1.0, 0.0], [0.0, 1e-3]]),
                                                       SequenceRule("constant", scale=0.2),
                                                       SequenceRule("constant", scale=1.0)),
+    "arrowhead_finite": lambda rng: ArrowheadMatrix(3, np.array([[2.0, 0.0, 0.5j], [0.0, 0.0, 0.0], [-0.5j, 0.0, 1.0]]),
+                                                    SequenceRule("explicit", values=(0.3, 0.0, 1e-3 + 0.2j, 0.4)),
+                                                    SequenceRule("explicit", values=(1.0, 0.5, 2.0))),
 }
 
 
@@ -130,9 +133,14 @@ PATTERN_VARIANTS = {
 @pytest.mark.parametrize("name", sorted(PATTERN_VARIANTS))
 def test_support_pattern_matches_the_truncation(name, N):
     matrix = PATTERN_VARIANTS[name](np.random.default_rng(14))
+    T = matrix.truncation(N)
+    ref_m, ref_n = np.nonzero(T)
+    m, n, values = matrix.nonzero_entries(N)
+    assert np.array_equal(m, ref_m + 1) and np.array_equal(n, ref_n + 1), (name, N)
+    assert np.array_equal(values, T[ref_m, ref_n]), (name, N)
     for tol in (0.0, 1e-12, 0.01, 0.25, 1.0):
-        ref_m, ref_n = np.nonzero(np.abs(matrix.truncation(N)) > tol)
-        m, n = matrix.support_pattern(N, tol)
+        ref_m, ref_n = np.nonzero(np.abs(T) > tol)
+        m, n = support_pattern(matrix, N, tol)
         assert np.array_equal(m, ref_m + 1) and np.array_equal(n, ref_n + 1), (name, N, tol)
 
 

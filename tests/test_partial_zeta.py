@@ -224,9 +224,6 @@ class TestRoundedExponents:
 class EveryIndex:
     """A support mask that happens to hold every index: it sends a diagonal down the direct path."""
 
-    def contains(self, n: int) -> bool:
-        return n >= 1
-
     def indices_up_to(self, M: int) -> np.ndarray:
         return np.arange(1, M + 1)
 
