@@ -125,6 +125,8 @@ def _cmd_membership(args) -> dict:
 
 
 def _cmd_sk(args) -> dict:
+    if args.l_max < 1:  # refused even when --growth-rho, which reads it, is absent
+        raise SpecError(f"--l-max must be >= 1, got {args.l_max}")
     if args.example:
         _, results = example_arrowhead(args.max_order, args.tol)
         return _report(args, results, example=True, max_order=args.max_order, tol=args.tol)

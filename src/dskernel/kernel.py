@@ -13,7 +13,8 @@ a HermitianError otherwise) and judges it by one cutoff (``psd_cutoff``).
 ``psd_check`` walks the ladder in one loop: rungs up to order 256 are
 eigen-solves, and above it each rung is decided by its path's judge (the
 matrix's structure, or one verified Cholesky factorisation) or, when the
-judge leaves it undecided, eigen-solved too.
+judge leaves it undecided, eigen-solved too.  A ladder without structure
+holds one section, symmetrised and factored in place in blocks of ``BLOCK``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
     RecoveryError,
     SpecError,
 )
-from .matrices import CoefficientMatrix, SectionStructure
+from .matrices import BLOCK, CoefficientMatrix, SectionStructure
 from .rules import UNIT_ROUNDOFF, power_tail_bound
 from .series import HalfPlane, ValueWithBound, gamma, log_table, powers
 
@@ -154,38 +155,48 @@ HERMITIAN_TOL = 1e-10
 NOT_SELF_ADJOINT = f"matrix is not self-adjoint at this order (relative tolerance {HERMITIAN_TOL})"
 
 
-def hermitian_part(T: np.ndarray, message: str = NOT_SELF_ADJOINT, largest: float = 0.0) -> np.ndarray:
-    """(T + T*)/2; a HermitianError(message) if T is not Hermitian.
-
-    T counts as Hermitian when max |T - T*| <= HERMITIAN_TOL (1 + max |T|):
-    the rounding of a product such as ``np.outer(f, conj(f))`` grows with
-    the entries, so an absolute cutoff would reject large Hermitian blocks.
-    When T is a block of a larger section, ``largest`` is that section's
-    largest |entry|, which then stands in for max |T| when it is larger, so
-    the block is judged by the section's rule.  A 1-D T is read as the
-    diagonal of a diagonal matrix, so the rule bounds its imaginary parts
-    and the result is its real part.  The result is a new array, never a
-    view of T: D = T - T* is formed once, tested, and turned into T - D/2
-    in place.  A NaN or infinite entry of T makes max |D| NaN or inf, which
-    is a SpecError: no cutoff could judge such a block.
-    """
-    D = np.conjugate(T.T, order="C")  # the ufunc, since ndarray.conj() of a real T is T itself
+def _symmetrised(X: np.ndarray, Y: np.ndarray, message: str, largest: float) -> np.ndarray:
+    """X - D/2 with D = X - Y*, for blocks X = T[i, j] and Y = T[j, i] of T (Y is X on the diagonal), judged by
+    ``hermitian_part``'s rule with largest >= max |T|: a SpecError if max |D| is not finite, a HermitianError if large."""
+    D = np.conjugate(Y.T, order="C")  # the ufunc, since ndarray.conj() of a real T is T itself
     with np.errstate(invalid="ignore"):  # inf - inf; refused below
-        np.subtract(T, D, out=D)
-    deviation = np.max(np.abs(D), initial=0.0)
+        np.subtract(X, D, out=D)
+        deviation = np.max(np.abs(D), initial=0.0)
+        D *= -0.5
+        D += X
     if not math.isfinite(deviation):
         raise SpecError("block has a NaN or infinite entry")
-    if deviation > HERMITIAN_TOL * (1.0 + max(largest, np.max(np.abs(T), initial=0.0))):
+    if deviation > HERMITIAN_TOL * (1.0 + largest):
         raise HermitianError(message)
-    D *= -0.5
-    D += T
     return D
 
 
+def hermitian_part(T: np.ndarray, message: str = NOT_SELF_ADJOINT, largest: float = 0.0) -> np.ndarray:
+    """(T + T*)/2 as a new array; a HermitianError(message) if T is not Hermitian.
+
+    T counts as Hermitian when max |T - T*| <= HERMITIAN_TOL (1 + max |T|),
+    relative since the rounding of a product such as ``np.outer(f, conj(f))``
+    grows with the entries.  For a block of a larger section, ``largest``
+    (its largest |entry|) stands in for max |T| when larger.  A 1-D T is a
+    diagonal, so the result is its real part; a NaN or inf is a SpecError.
+    """
+    return _symmetrised(T, T, message, max(largest, np.max(np.abs(T), initial=0.0)))
+
+
 def hermitian_section(matrix: CoefficientMatrix, order: int) -> np.ndarray:
-    """The symmetrised order x order section (``hermitian_part``, which raises if it is not Hermitian)."""
+    """``hermitian_part`` of the order x order truncation, bit for bit, in its storage: blocks T[i, j] and T[j, i]
+    of order ``BLOCK`` are both read before either is written, and judged at max |T| (NaN if T is not finite)."""
     check_order(order)
-    return hermitian_part(matrix.truncation(order))
+    T = matrix.truncation(order)
+    largest = float(np.max([np.max(np.abs(T[i:i + BLOCK]), initial=0.0) for i in range(0, order, BLOCK)]))
+    for i in range(0, order, BLOCK):
+        for j in range(i, order, BLOCK):
+            X, Y = T[i:i + BLOCK, j:j + BLOCK], T[j:j + BLOCK, i:i + BLOCK]
+            R = _symmetrised(X, Y, NOT_SELF_ADJOINT, largest)
+            if j > i:
+                Y[...] = _symmetrised(Y, X, NOT_SELF_ADJOINT, largest)
+            X[...] = R
+    return T
 
 
 def self_adjoint_check(matrix: CoefficientMatrix, order: int) -> bool:
@@ -394,7 +405,8 @@ def cholesky_rounding(orders: list[int], diag: np.ndarray, cutoffs: np.ndarray, 
     more operations (Higham, ch. 3.6).  The trace is bounded by the sum of
     the positive diagonal entries of S_N plus N eps_N, and the first term is
     doubled to cover the rounding of the shift and of this formula.  diag
-    holds the real diagonal of the section of the largest order.
+    holds the real diagonal of the section of the largest order.  Higham's Thm 10.3 takes the sum in each
+    factor entry (a_ij - sum_k l_ik conj(l_jk)) / l_jj in any order, so c_N holds for ``_cholesky``'s blocks.
     """
     n = np.asarray(orders, dtype=float)
     g = gamma(n + (4.0 if is_complex else 2.0))
@@ -443,15 +455,15 @@ def norm_lower_bound(S: np.ndarray, N: int) -> float:
 def norm_upper_bound(S: np.ndarray, N: int) -> float:
     """A number no smaller than ||S_N||_2: the lesser of the largest absolute row sum and the Frobenius norm.
 
-    Read 256 rows at a time, so no full-size copy of S is made; summed again
+    Read ``BLOCK`` rows at a time, so no full-size copy of S is made; summed again
     in units of ``_binade_scale`` at the largest row sum when the squares
     overflow or underflow.  Raised by the rounding of the sums.
     """
     def sums(scale: float) -> tuple[float, float]:
         rows, square = 0.0, 0.0
-        for i in range(0, N, 256):
+        for i in range(0, N, BLOCK):
             with np.errstate(over="ignore"):  # an overflowing row sum is a valid bound, inf
-                a = np.abs(S[i:i + 256, :N])
+                a = np.abs(S[i:i + BLOCK, :N])
                 if scale != 1.0:
                     a *= scale
                 rows = max(rows, float(np.max(a.sum(axis=1))))
@@ -466,45 +478,68 @@ def norm_upper_bound(S: np.ndarray, N: int) -> float:
     return min(rows, math.sqrt(square)) / scale * (1.0 + 4.0 * (N * N + N) * UNIT_ROUNDOFF)
 
 
-def _shifted_cholesky(S: np.ndarray, N: int, shift: float) -> Optional[np.ndarray]:
-    """Lower Cholesky factor of fl(S_N + shift I), or None when the factorisation breaks down.
+def _substitute(L: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """L^{-1} Y in Y's storage, reading only the lower triangle and the real diagonal of L: forward substitution by
+    real pivots, no pivoting and no inverse, the rows before each 32 subtracted by one matrix product."""
+    for i in range(0, L.shape[0], 32):
+        Y[i:i + 32] -= L[i:i + 32, :i] @ Y[:i]
+        for j in range(i, min(i + 32, L.shape[0])):
+            Y[j] -= L[j, i:j] @ Y[i:j]
+            Y[j] /= L[j, j].real
+    return Y
 
-    The shift goes onto S's diagonal in place, which is restored afterwards.
-    A factor with a non-finite pivot counts as a breakdown.
+
+def _restore(S: np.ndarray, diag: np.ndarray, N: int) -> None:
+    """S_N as before ``_cholesky`` wrote into it: its upper triangle from its strict lower one, its diagonal from diag."""
+    for k in range(0, N, BLOCK):
+        e = min(k + BLOCK, N)
+        np.copyto(S[k:e, k:N], np.conjugate(S[k:N, k:e].T), where=~np.tri(e - k, N - k, dtype=bool))
+    S[np.diag_indices(N)] = diag[:N]
+
+
+def _cholesky(S: np.ndarray, N: int, shift: float, diag: np.ndarray) -> bool:
+    """Whether the Cholesky factorisation L L* of fl(S_N + shift I) runs to completion, diag being S's saved diagonal.
+
+    Right-looking, ``BLOCK`` rows at a time, with L* written into S's upper triangle, so the strict lower
+    one, which ``eigvalsh``, ``eigh`` and ``np.linalg.cholesky`` read, is never written: the diagonal block
+    by ``np.linalg.cholesky``, the panel right of it by ``_substitute`` in place, the trailing upper blocks
+    by one matrix product per block row.  S_N is restored (``_restore``) unless it succeeds.
     """
-    i = np.arange(N)
-    saved = S[i, i]
-    S[i, i] += shift
-    try:
-        L = np.linalg.cholesky(S[:N, :N])
-    except np.linalg.LinAlgError:
-        return None
-    finally:
-        S[i, i] = saved
-    return L if np.all(np.isfinite(L.diagonal())) else None
+    S[np.diag_indices(N)] = diag[:N] + shift
+    for k in range(0, N, BLOCK):
+        e = min(k + BLOCK, N)
+        try:
+            L = np.linalg.cholesky(np.conjugate(S[k:e, k:e].T))  # the block as updated, from the upper triangle
+        except np.linalg.LinAlgError:
+            L = None
+        if L is None or not np.all(np.isfinite(L.diagonal())):
+            _restore(S, diag, N)
+            return False
+        np.copyto(S[k:e, k:e], np.conjugate(L.T), where=~np.tri(e - k, k=-1, dtype=bool))
+        panel = _substitute(L, S[k:e, e:N])
+        for j in range(e, N, BLOCK):
+            G = np.conjugate(panel[:, j - e:j - e + BLOCK].T) @ panel[:, j - e:]
+            trailing = S[j:j + G.shape[0], j:N]
+            np.subtract(trailing, G, out=trailing, where=~np.tri(*G.shape, k=-1, dtype=bool))
+    return True
 
 
-def _lower_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """L^{-1} B for a lower-triangular L: a solve per diagonal block of 256, matrix products for the rest."""
-    X, block = np.array(B, dtype=np.result_type(L, B)), 256
-    for i in range(0, L.shape[0], block):
-        X[i:i + block] = np.linalg.solve(L[i:i + block, i:i + block], X[i:i + block] - L[i:i + block, :i] @ X[:i])
-    return X
-
-
-def _schur_witness(S: np.ndarray, N: int, P: int, L: np.ndarray, t: float, cutoff: float) -> Optional[np.ndarray]:
+def _schur_witness(S: np.ndarray, diag: np.ndarray, N: int, P: int, t: float, cutoff: float) -> Optional[np.ndarray]:
     """Verified unit witness for the order-N section from the factor L L* = fl(S_P + t I), P < N, or None.
 
     With B = S[:P, P:N] and the Schur complement C = S[P:N, P:N] + t I -
     B* (S_P + t I)^{-1} B, a negative direction y of C gives x = [-(S_P +
-    t I)^{-1} B y; y] with x* (S_N + t I) x = y* C y.  x is kept only when
-    its Rayleigh quotient against the unshifted section is below cutoff.
+    t I)^{-1} B y; y] with x* (S_N + t I) x = y* C y.  L* is formed in S, then
+    S_P restored; x is kept only when its Rayleigh quotient against S_N is below cutoff.
     """
-    W = _lower_solve(L, S[:P, P:N])
+    if not _cholesky(S, P, t, diag):
+        return None
+    W = np.conjugate(_substitute(S[:P, :P].T, np.conjugate(S[:P, P:N])))  # L^{-1} B, as L^T = (L*)^T is lower
     C = S[P:N, P:N] - W.conj().T @ W
     C[np.diag_indices(N - P)] += t
     y = np.linalg.eigh(C)[1][:, 0]
-    z = _lower_solve(L.conj().T[::-1, ::-1], (W @ y)[::-1])[::-1]  # L^{-*} W y, as a lower solve on the reversed L*
+    z = _substitute(S[P - 1::-1, P - 1::-1], (W @ y)[::-1])[::-1]  # L^{-*} W y, as L* reversed is lower
+    _restore(S, diag, P)
     x = np.concatenate([-z, y])
     return _verified(x / np.linalg.norm(x), S[:N, :N], cutoff)
 
@@ -512,46 +547,40 @@ def _schur_witness(S: np.ndarray, N: int, P: int, L: np.ndarray, t: float, cutof
 def _cholesky_judge(S: np.ndarray, orders: list[int], tol: float) -> Callable[[int], tuple]:
     """The judge of the rungs above ``EIGEN_LADDER_MAX`` (orders, in increasing order) of a section without structure.
 
-    eps_N = ``psd_cutoff`` at l_N = ``norm_lower_bound`` <= ||S_N||_2, so it
-    is never above the eigen-ladder cutoff tol (1 + max |lambda|).  One
-    factor of the top section shifted by s = min_N (eps_N - c_N) certifies
-    every rung at lo = -eps_N: the leading blocks of the factor are the
-    factors of the leading sections, so its success proves lambda_min(S_N)
-    >= -eps_N at all of them at once (``cholesky_rounding``).  Only when it
-    fails is each rung below the top factored at its own shift, as the
-    ladder reaches it.  A rung whose factor fails gets a witness from the
-    Schur complement over the last factor that passed (``_schur_witness``),
-    kept only when its Rayleigh quotient hi is below -tol (1 +
-    ``norm_upper_bound``), hence below the eigen-ladder cutoff; otherwise
-    the rung is undecided.  ``_undecided`` when s is not positive (or not
-    finite): a factor shifted down cannot certify a singular PSD section,
-    and eigen rungs are then the cheaper route.
+    eps_N = ``psd_cutoff`` at l_N = ``norm_lower_bound`` <= ||S_N||_2, so it is never above the
+    eigen-ladder cutoff tol (1 + max |lambda|).  One factor of the top section shifted by s = min_N
+    (eps_N - c_N) certifies every rung at lo = -eps_N: its leading blocks are the factors of the leading
+    sections, so its success proves lambda_min(S_N) >= -eps_N at all of them at once
+    (``cholesky_rounding``, whose c_N holds for any order of the sums in the factor entries, so for the
+    blocks in which ``_cholesky`` forms it in S itself).  Only when it fails is each rung below the top
+    factored at its own shift, as the ladder reaches it.  A rung whose factor fails gets a witness from
+    the Schur complement over the last factor that passed, formed again (``_schur_witness``), kept only
+    when its Rayleigh quotient hi is below -tol (1 + ``norm_upper_bound``), hence below the eigen-ladder
+    cutoff; otherwise the rung is undecided.  ``_undecided`` when s is not positive (or not finite): a
+    factor shifted down cannot certify a singular PSD section, and eigen rungs are then the cheaper
+    route.
     """
     cutoffs = np.array([psd_cutoff(np.array([norm_lower_bound(S, N)]), tol) for N in orders])
-    rounding = cholesky_rounding(orders, S.diagonal().real, cutoffs, np.iscomplexobj(S))
+    diag = S.diagonal().copy()
+    rounding = cholesky_rounding(orders, diag.real, cutoffs, np.iscomplexobj(S))
     shifts = cutoffs - rounding
     shifts -= 2.0 * UNIT_ROUNDOFF * np.abs(shifts)  # rounded down, so t + c_N <= eps_N holds exactly
     s = float(np.min(shifts))
     if not s > 0.0:
         return _undecided
-    if _shifted_cholesky(S, orders[-1], s) is not None:
+    if _cholesky(S, orders[-1], s, diag):
         return lambda N: (-float(cutoffs[orders.index(N)]), math.inf, None)
-    base = (EIGEN_LADDER_MAX, None, None)  # the last factor that passed; the order-256 one is formed on demand
+    base = (EIGEN_LADDER_MAX, None)  # order and shift of the last factor that passed; the order-256 one at need
 
     def judge(N: int) -> tuple:
         nonlocal base
         i = orders.index(N)
-        if N < orders[-1]:  # the top rung has just failed at a shift no larger than its own
-            L = _shifted_cholesky(S, N, float(shifts[i]))
-            if L is not None:
-                base = (N, L, float(shifts[i]))
-                return -float(cutoffs[i]), math.inf, None
-        P, L, t = base
-        if t is None:
-            t = float(shifts[i])
-            L = _shifted_cholesky(S, P, t)
-            base = (P, L, t)
-        x = None if L is None else _schur_witness(S, N, P, L, t, -tol * (1.0 + norm_upper_bound(S, N)))
+        if N < orders[-1] and _cholesky(S, N, float(shifts[i]), diag):  # the top has failed at a shift no larger
+            _restore(S, diag, N)
+            base = (N, float(shifts[i]))
+            return -float(cutoffs[i]), math.inf, None
+        base = (base[0], float(shifts[i]) if base[1] is None else base[1])
+        x = _schur_witness(S, diag, N, *base, -tol * (1.0 + norm_upper_bound(S, N)))
         return _undecided(N) if x is None else (-math.inf, _rayleigh(x, S[:N, :N]), x)
     return judge
 

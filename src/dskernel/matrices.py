@@ -12,7 +12,8 @@ variant to sum a section of the matrix:
 
 - ``entry(m, n)``: one entry (the deflation pivot a_{1,1}; test references).
 - ``truncation(N)``: the N x N section (eigenvalue ladders, Gram models,
-  membership, the classifiers in ``symmetry``).
+  membership, the classifiers in ``symmetry``), a new array that its
+  caller may overwrite (``kernel.hermitian_section`` does).
 - ``column_prefix(n, N)`` / ``row_prefix(m, N)``: a_{1..N,n} and a_{m,1..N}
   (analytic symbols, deflation).
 - ``partial_sum(s, u, N)``, ``tail_radius(sigma_s, sigma_u, N)`` and
@@ -58,6 +59,9 @@ import numpy as np
 from .errors import SpecError
 from .rules import SequenceRule, exponent_sum, partial_zeta, power_tail_bound
 from .series import Envelope, ValueWithBound, power_sum, powers, rounding_radius
+
+#: rows at a time in which a section is deflated, symmetrised and factored (``kernel.psd_check``)
+BLOCK = 256
 
 
 def section_rounding(mass: float, s: complex, u: complex, N: int, nnz: int) -> float:
@@ -592,8 +596,11 @@ class DeflatedMatrix(CoefficientMatrix):
         return p.entry(m, n) - p.entry(m, 1) * p.entry(1, n) / self._a11
 
     def truncation(self, N: int) -> np.ndarray:
-        T = self.parent.truncation(N)
-        return T - np.outer(T[:, 0], T[0, :]) / self._a11
+        T = self.parent.truncation(N).astype(complex, copy=False)
+        column, row = T[:, 0].copy(), T[0, :].copy()
+        for i in range(0, N, BLOCK):  # in place, so no outer product of order N is held
+            T[i:i + BLOCK] -= np.outer(column[i:i + BLOCK], row) / self._a11
+        return T
 
     def column_prefix(self, n: int, N: int) -> np.ndarray:
         p = self.parent

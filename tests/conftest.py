@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -39,3 +44,32 @@ def dense_kernel(entries: np.ndarray, rho: float = 0.0) -> DirichletKernel:
 
 def rank_one_kernel(fhat, rho: float = 0.0) -> DirichletKernel:
     return DirichletKernel(RankOneMatrix(np.asarray(fhat, dtype=complex)), HalfPlane(rho))
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+#: thread-count variables of the BLAS builds numpy may load; one thread keeps their buffers fixed
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def rss_growth_mib(setup: str, call: str) -> float:
+    """MiB by which ``call`` lifts the peak resident set above the resident set just before it.
+
+    Both snippets run in a fresh interpreter with one BLAS thread and
+    PYTHONPATH=src, ``setup`` first.  The peak counts every page the process
+    touched, so LAPACK's and malloc's buffers, which tracemalloc does not
+    see, count too.  It is VmHWM, the ru_maxrss of the interpreter's own
+    memory: Linux's ru_maxrss also keeps the peak of the process that
+    started it (pytest's), across exec.  Linux only (/proc/self/status).
+    """
+    code = "\n".join([
+        setup,
+        "def status(key):",
+        "    return next(int(l.split()[1]) for l in open('/proc/self/status') if l.startswith(key + ':'))",
+        "before = status('VmRSS')",
+        call,
+        "print((status('VmHWM') - before) / 1024)",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(SRC), **{name: "1" for name in BLAS_THREADS}}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return float(out.stdout.split()[-1])

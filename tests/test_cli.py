@@ -615,6 +615,7 @@ MALFORMED = [
     ("membership", "--order", "0"), ("membership", "--order", "-1"),
     ("sk", "--tol", "inf"), ("sk", "--max-order", "0"), ("sk", "--max-order", "-1"),
     ("sk", "--growth-rho", "nan"), ("sk", "--growth-rho", "inf"), ("sk", "--growth-rho", "2", "--l-max", "0"),
+    ("sk", "--l-max", "0"), ("sk", "--l-max", "-1"),
     ("invariance", "--tol", "nan"), ("invariance", "--tol", "inf"), ("invariance", "--order", "0"),
     ("invariance", "--order", "-1"), ("invariance", "--seed", "-1"), ("invariance", "--seed", "abc"),
     ("classify", "--grid", "nan"), ("classify", "--grid", "inf"), ("classify", "--grid", "abc"),

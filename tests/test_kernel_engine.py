@@ -586,3 +586,63 @@ class TestHermitianPart:
         # max |T - T*| is then NaN or inf, which no cutoff comparison may pass
         with pytest.raises(SpecError, match="NaN or infinite"):
             hermitian_part(np.array(T, dtype=dtype))
+
+
+def whole_array_hermitian_part(T: np.ndarray) -> np.ndarray:
+    """The formula ``hermitian_section`` used before it worked in blocks: T - (T - T*)/2 over the whole array."""
+    D = np.conjugate(T.T, order="C")
+    np.subtract(T, D, out=D)
+    D *= -0.5
+    D += T
+    return D
+
+
+class Truncated:
+    """A stand-in matrix whose truncation is a fresh copy of a given array, of its dtype; the last one is kept."""
+
+    def __init__(self, T: np.ndarray):
+        self.T, self.last = T, None
+
+    def truncation(self, N: int) -> np.ndarray:
+        self.last = self.T[:N, :N].copy()
+        return self.last
+
+
+class TestHermitianSection:
+    """``hermitian_section`` symmetrises the truncation block by block in its own storage, bit for bit as over the whole array."""
+
+    @staticmethod
+    def off_hermitian(n: int, is_complex: bool) -> np.ndarray:
+        """A Hermitian matrix moved off by up to 3e-11 relative to its largest entry, inside HERMITIAN_TOL, with exact zeros."""
+        rng = np.random.default_rng(n + is_complex)
+        A = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if is_complex else 0.0)
+        A = A + A.conj().T
+        zeros = rng.random((n, n)) < 0.05
+        A[zeros | zeros.T] = 0.0
+        noise = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if is_complex else 0.0)
+        return A + 1e-11 * np.max(np.abs(A)) * noise * (rng.random((n, n)) < 0.5)
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    def test_bit_identical_to_the_whole_array_formula(self, n, is_complex):
+        T = self.off_hermitian(n, is_complex)
+        matrix = Truncated(T)
+        H = dskernel.kernel.hermitian_section(matrix, n)
+        expected = whole_array_hermitian_part(T)
+        assert H is matrix.last and H.dtype == T.dtype
+        assert H.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("where", [(3, 590), (590, 3), (300, 301), (599, 599)])
+    def test_asymmetry_beyond_the_tolerance_is_refused(self, where):
+        T = self.off_hermitian(600, True)
+        T[where] += 1e-8 * (1.0 + np.max(np.abs(T))) * (1j if where[0] == where[1] else 1.0)
+        with pytest.raises(HermitianError):
+            dskernel.kernel.hermitian_section(Truncated(T), 600)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", [(3, 590), (590, 3), (300, 400)])
+    def test_non_finite_entry_off_the_diagonal_blocks_is_a_spec_error(self, where, value):
+        T = self.off_hermitian(600, False)
+        T[where] = value
+        with pytest.raises(SpecError, match="NaN or infinite"):
+            dskernel.kernel.hermitian_section(Truncated(T), 600)

@@ -1,13 +1,17 @@
 """Ladder rungs above order 256: one verified Cholesky factorisation instead of eigen-solves.
 
 The shift s = min_N (eps_N - c_N) is checked against 40-digit mpmath on
-near-singular sections, and the verdicts and witness orders against a
-test-side eigenvalue ladder on planted inputs at orders 300-1536, also
-with the least eigenvalue planted between the factor's cutoff and the
-eigen ladder's, where ``membership_test`` must agree with the verdict.
+near-singular sections and on exact sections whose least eigenvalue sits
+at block edges, and the verdicts and witness orders against a test-side
+eigenvalue ladder on planted inputs at orders 300-1536, also with the
+least eigenvalue planted between the factor's cutoff and the eigen
+ladder's, where ``membership_test`` must agree with the verdict.  The
+factor is blocked and in place: it keeps the section's lower triangle,
+restores the section when it fails, and a dense ladder holds one section.
 """
 
 import functools
+import sys
 
 import mpmath
 import numpy as np
@@ -27,7 +31,8 @@ from dskernel import (
     membership_test,
     psd_check,
 )
-from dskernel.kernel import EIGEN_LADDER_MAX, hermitian_section, psd_ladder_orders
+from dskernel.kernel import BLOCK, EIGEN_LADDER_MAX, hermitian_section, psd_ladder_orders
+from conftest import rss_growth_mib
 
 
 def cplx(rng, *shape) -> np.ndarray:
@@ -73,6 +78,35 @@ def count_eigvalsh_orders(monkeypatch) -> list:
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     return orders
+
+
+def dyadic_hole(n: int, j: int, lam: float, is_complex: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(S, C): S = C C* + (I - e_j e_j*)/4 + lam e_j e_j*, C of rank 3 with entries in Z[i]/8 and row j zero.
+
+    Every entry of C C* is a sum of three products of such numbers, which
+    floating point forms exactly, so e_j is an exact eigenvector for lam and
+    the rest of the spectrum is at least 1/4.
+    """
+    rng = np.random.default_rng(n + j + is_complex)
+    K = rng.integers(-4, 5, (n, 3)) + (1j * rng.integers(-4, 5, (n, 3)) if is_complex else 0)
+    K[j] = 0
+    C = K / 8.0
+    S = C @ C.conj().T
+    real, imag = np.real(K).astype(np.int64), np.imag(K).astype(np.int64)
+    assert np.array_equal(64 * S, (real @ real.T + imag @ imag.T) + 1j * (imag @ real.T - real @ imag.T))
+    S[np.diag_indices(n)] += 0.25
+    S[j, j] = lam
+    return S, C
+
+
+def dyadic_quotient(C: np.ndarray, j: int, lam: float, x: np.ndarray) -> mpmath.mpf:
+    """x* S x / x* x for ``dyadic_hole``'s S at 40 digits, from C and the diagonal: O(n) terms."""
+    with mpmath.workdps(40):
+        xs = [mpmath.mpc(complex(z)) for z in x]
+        ys = [mpmath.fdot([mpmath.conj(mpmath.mpc(complex(c))) for c in col], xs) for col in C.T]  # C* x
+        size = mpmath.fsum(abs(z) ** 2 for z in xs)
+        total = mpmath.fsum(abs(y) ** 2 for y in ys) + (size - abs(xs[j]) ** 2) / 4 + mpmath.mpf(lam) * abs(xs[j]) ** 2
+        return total / size
 
 
 class TestVerifiedShift:
@@ -138,6 +172,31 @@ class TestVerifiedShift:
             assert cert.is_psd and cert.min_eigenvalues[-1] == -eps
             assert max(seen) <= EIGEN_LADDER_MAX
             assert -eta - spread >= -eps
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    @pytest.mark.parametrize("multiple", [0.5, -0.5, 2.0, -2.0])
+    @pytest.mark.parametrize("n, j", [(300, 280), (513, 256), (1000, 767)])
+    def test_planted_eigenvalue_across_block_edges(self, n, j, multiple, is_complex):
+        # lambda_min of every section of order > j is lam = multiple * eps
+        # exactly (``dyadic_hole``), the others' is at least 1/4: the hole
+        # sits in the last, partial block at 300, in the first row of the
+        # second block at 513 (failing at the middle rung 512) and in the
+        # last row of the third block at 1000 (failing at the top, over the
+        # factor of order 512 formed again for the Schur witness)
+        tol = 1e-9
+        lam = multiple * factor_cutoff(dyadic_hole(n, j, 0.0, is_complex)[0], n, tol)
+        S, C = dyadic_hole(n, j, lam, is_complex)
+        cert = psd_check(DenseMatrix(S), n, tol)
+        assert "verified-cholesky" in cert.method
+        assert_certificate_matches_the_eigen_ladder(DenseMatrix(S), n, cert, tol)
+        assert (cert.verdict, cert.witness_order) == (("psd", None) if multiple > -1.0 else
+                                                       ("not_psd", next(N for N in cert.orders if N > j)))
+        failed = cert.witness_order or n + 1
+        for N, value in zip(cert.orders, cert.min_eigenvalues):
+            if EIGEN_LADDER_MAX < N < failed:  # certified by the factor: -eps_N is no more than the exact lambda_min
+                assert value <= (min(lam, 0.25) if N > j else 0.25)
+        if not cert.is_psd:
+            assert dyadic_quotient(C, j, lam, cert.witness_vector) < -ladder_cutoff(S, cert.witness_order, tol)
 
     def test_rounding_constant_grows_with_the_order_and_the_trace(self):
         diag = np.full(2000, 3.0)
@@ -302,7 +361,8 @@ class TestParityWithTheEigenLadder:
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: factors.append(a.shape) or real(a))
         seen = count_eigvalsh_orders(monkeypatch)
         cert = psd_check(matrix, n)
-        assert cert.is_psd and factors == [(n, n)]
+        # one pass over the top section: its diagonal blocks of order BLOCK, in order, and no other
+        assert cert.is_psd and factors == [(BLOCK, BLOCK), (n - BLOCK, n - BLOCK)]
         assert seen == [N for N in cert.orders if N <= EIGEN_LADDER_MAX]
 
     def test_real_section_is_factored_in_real_arithmetic(self, monkeypatch):
@@ -324,6 +384,42 @@ class TestParityWithTheEigenLadder:
         S = hermitian_section(matrix, 128)
         x = cert.witness_vector
         assert cert.min_eigenvalues[-2:] == (float(np.vdot(x, S @ x).real),) * 2
+
+
+class TestInPlaceFactor:
+    """``kernel._cholesky`` writes L* into the section's upper triangle, never its strict lower one, and restores it on failure."""
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    @pytest.mark.parametrize("n", [255, 256, 600])
+    def test_factor_and_untouched_lower_triangle(self, n, is_complex):
+        rng = np.random.default_rng(n)
+        C = cplx(rng, n, n) if is_complex else rng.standard_normal((n, n))
+        S = exactly_hermitian(C @ C.conj().T / n + np.eye(n))
+        before, diag = S.copy(), S.diagonal().copy()
+        assert kernel._cholesky(S, n, 1e-3, diag)
+        assert np.tril(S, -1).tobytes() == np.tril(before, -1).tobytes()
+        U = np.triu(S)
+        np.testing.assert_allclose(U.conj().T @ U, before + 1e-3 * np.eye(n), rtol=0, atol=1e-12)
+        kernel._restore(S, diag, n)
+        assert np.array_equal(S, before)
+
+    @pytest.mark.parametrize("fail_at", [100, 300, 599])
+    def test_breakdown_restores_the_section(self, fail_at):
+        # the lower triangle and the diagonal bit for bit; the upper triangle
+        # is their conjugate, equal in value (a zero may change sign)
+        S = planted_hole(np.random.default_rng(fail_at), 600, fail_at)
+        before = S.copy()
+        assert not kernel._cholesky(S, 600, 1e-9, S.diagonal().copy())
+        assert np.tril(S).tobytes() == np.tril(before).tobytes() and np.array_equal(S, before)
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_substitution_reads_the_lower_triangle_only(self, is_complex):
+        rng = np.random.default_rng(7)
+        L = np.tril(cplx(rng, 100, 100) if is_complex else rng.standard_normal((100, 100))) + 10.0 * np.eye(100)
+        L[np.diag_indices(100)] = L.diagonal().real
+        garbage = L + np.triu(np.full((100, 100), np.nan), 1)
+        for Y in (cplx(rng, 100), cplx(rng, 100, 7)):
+            np.testing.assert_allclose(kernel._substitute(garbage, Y.copy()), np.linalg.solve(L, Y), rtol=1e-12)
 
 
 class TestNormBounds:
@@ -414,13 +510,14 @@ class TestCutoffBand:
     @pytest.mark.parametrize("is_complex", [False, True])
     def test_psd_inside_the_band_agrees_with_membership(self, monkeypatch, is_complex):
         S = band_section(is_complex, 0.5)
-        factors, real = [], np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factors.append(a.shape[0]) or real(a))
+        factors, real = [], kernel._cholesky
+        monkeypatch.setattr(kernel, "_cholesky", lambda S, N, *args: factors.append(N) or real(S, N, *args))
         cert = psd_check(DenseMatrix(S), 1024)
         assert cert.is_psd and "verified-cholesky" in cert.method
         # the top factor and the 512 factor fail; the order-256 factor behind
-        # the Schur witnesses is formed once and kept for the top rung
-        assert factors == [1024, 512, 256]
+        # the Schur witnesses is formed in the section at 512's shift, and
+        # formed again there for the top rung, after the eigen rung at 512
+        assert factors == [1024, 512, 256, 256]
         assert_certificate_matches_the_eigen_ladder(DenseMatrix(S), 1024, cert, factored=False)
         f = np.random.default_rng(1).standard_normal(512)
         assert membership_test(DenseMatrix(S), f, 512).c_star > 0.0
@@ -469,3 +566,21 @@ def test_no_shift_path_stops_solving_at_the_failing_rung(monkeypatch):
     quotient = float(np.vdot(x, A[:512, :512] @ x).real)
     assert cert.min_eigenvalues[-2] == cert.min_eigenvalues[-1] == pytest.approx(quotient, rel=1e-14)
     assert quotient == pytest.approx(-0.3, rel=1e-12)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="rss_growth_mib reads /proc/self/status")
+def test_dense_ladder_holds_one_section():
+    # a complex section of order 1024 is 16 MiB; the ladder symmetrises and
+    # factors it in its own storage, with temporaries of order 1024 x 256
+    setup = "\n".join([
+        "import numpy as np",
+        "import dskernel as dk",
+        "C = np.random.default_rng(1).standard_normal((1024, 128)).view(complex)",
+        "A = C @ C.conj().T",
+        "A[np.diag_indices(1024)] += 0.1",
+        "matrix = dk.DenseMatrix(A)",
+        "del A, C",
+        "dk.psd_check(dk.DenseMatrix(matrix.truncation(300)), 300)  # LAPACK's and BLAS's first buffers",
+    ])
+    growth = rss_growth_mib(setup, "assert dk.psd_check(matrix, 1024).method.endswith('verified-cholesky')")
+    assert growth <= 1.5 * 16.0
