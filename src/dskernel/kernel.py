@@ -12,9 +12,11 @@ Every certificate builds its self-adjoint section once (``hermitian_section``,
 a HermitianError otherwise) and judges it by one cutoff (``psd_cutoff``).
 ``psd_check`` walks the ladder in one loop: rungs up to order 256 are
 eigen-solves, and above it each rung is decided by its path's judge (the
-matrix's structure, or one verified Cholesky factorisation) or, when the
+matrix's structure, or one verified Cholesky factor pass) or, when the
 judge leaves it undecided, eigen-solved too.  A ladder without structure
-holds one section, symmetrised and factored in place in blocks of ``BLOCK``.
+holds one section, symmetrised and factored in place in blocks of ``BLOCK``;
+a factor that stops leaves there the Schur complement from which the next
+rung's witness comes.
 """
 
 from __future__ import annotations
@@ -290,7 +292,7 @@ def psd_ladder_orders(max_order: int) -> list[int]:
         orders.append(k)
         k *= 2
     orders.append(max_order)
-    return sorted(set(orders))
+    return orders
 
 
 #: ladder rungs up to this order are eigen-solves; each rung above it is
@@ -359,7 +361,8 @@ def _witness(S: np.ndarray, lam_min: float, scale: float, cutoff: float) -> np.n
 
 
 def _eigen_rung(sec: np.ndarray, tol: float, previous: Optional[tuple], bounds: tuple, wanted: bool) -> tuple:
-    """(lambda_min, witness) of the section sec from one ``eigvalsh``; the witness (``_witness``) only when it fails and is wanted.
+    """(lambda_min, Re(x* sec x), x) of the section sec from one ``eigvalsh``: the witness x (``_witness``) only when
+    it fails and is wanted, else (lambda_min, inf, None).
 
     By Cauchy interlacing lambda_min cannot rise above that of the previous
     eigen rung, previous = (order, lambda_min); a rise beyond this rung's
@@ -384,7 +387,8 @@ def _eigen_rung(sec: np.ndarray, tol: float, previous: Optional[tuple], bounds: 
             f"internal: lambda_min {lam} of the order-{N} section lies outside "
             f"[{lo}, {hi}], the enclosure its structure certifies"
         )
-    return lam, _witness(sec, lam, scale, -slack) if wanted and lam < -slack else None
+    x = _witness(sec, lam, scale, -slack) if wanted and lam < -slack else None
+    return lam, math.inf if x is None else _rayleigh(x, sec), x
 
 
 def _undecided(N: int) -> tuple:
@@ -497,13 +501,15 @@ def _restore(S: np.ndarray, diag: np.ndarray, N: int) -> None:
     S[np.diag_indices(N)] = diag[:N]
 
 
-def _cholesky(S: np.ndarray, N: int, shift: float, diag: np.ndarray) -> bool:
-    """Whether the Cholesky factorisation L L* of fl(S_N + shift I) runs to completion, diag being S's saved diagonal.
+def _cholesky(S: np.ndarray, N: int, shift: float, diag: np.ndarray) -> int:
+    """The order k at which the Cholesky factorisation L L* of fl(S_N + shift I) stops, N when it completes.
 
-    Right-looking, ``BLOCK`` rows at a time, with L* written into S's upper triangle, so the strict lower
-    one, which ``eigvalsh``, ``eigh`` and ``np.linalg.cholesky`` read, is never written: the diagonal block
-    by ``np.linalg.cholesky``, the panel right of it by ``_substitute`` in place, the trailing upper blocks
-    by one matrix product per block row.  S_N is restored (``_restore``) unless it succeeds.
+    Right-looking, ``BLOCK`` rows at a time, in S's upper triangle, so the strict lower one, which
+    ``eigvalsh``, ``eigh`` and ``np.linalg.cholesky`` read, is never written: the diagonal block by
+    ``np.linalg.cholesky``, the panel right of it by ``_substitute`` in place, the trailing upper blocks
+    by one matrix product per block row.  When the block at k breaks down, S[:k, :k] holds L*, S[:k, k:N]
+    holds L^{-1} B for B the section's S[:k, k:N], and the upper triangle of S[k:N, k:N] the Schur
+    complement of S_k + shift I in S_N + shift I.  diag is S's saved diagonal; ``_restore`` rebuilds S_N.
     """
     S[np.diag_indices(N)] = diag[:N] + shift
     for k in range(0, N, BLOCK):
@@ -511,54 +517,32 @@ def _cholesky(S: np.ndarray, N: int, shift: float, diag: np.ndarray) -> bool:
         try:
             L = np.linalg.cholesky(np.conjugate(S[k:e, k:e].T))  # the block as updated, from the upper triangle
         except np.linalg.LinAlgError:
-            L = None
-        if L is None or not np.all(np.isfinite(L.diagonal())):
-            _restore(S, diag, N)
-            return False
+            return k
+        if not np.all(np.isfinite(L.diagonal())):
+            return k
         np.copyto(S[k:e, k:e], np.conjugate(L.T), where=~np.tri(e - k, k=-1, dtype=bool))
         panel = _substitute(L, S[k:e, e:N])
         for j in range(e, N, BLOCK):
             G = np.conjugate(panel[:, j - e:j - e + BLOCK].T) @ panel[:, j - e:]
             trailing = S[j:j + G.shape[0], j:N]
             np.subtract(trailing, G, out=trailing, where=~np.tri(*G.shape, k=-1, dtype=bool))
-    return True
-
-
-def _schur_witness(S: np.ndarray, diag: np.ndarray, N: int, P: int, t: float, cutoff: float) -> Optional[np.ndarray]:
-    """Verified unit witness for the order-N section from the factor L L* = fl(S_P + t I), P < N, or None.
-
-    With B = S[:P, P:N] and the Schur complement C = S[P:N, P:N] + t I -
-    B* (S_P + t I)^{-1} B, a negative direction y of C gives x = [-(S_P +
-    t I)^{-1} B y; y] with x* (S_N + t I) x = y* C y.  L* is formed in S, then
-    S_P restored; x is kept only when its Rayleigh quotient against S_N is below cutoff.
-    """
-    if not _cholesky(S, P, t, diag):
-        return None
-    W = np.conjugate(_substitute(S[:P, :P].T, np.conjugate(S[:P, P:N])))  # L^{-1} B, as L^T = (L*)^T is lower
-    C = S[P:N, P:N] - W.conj().T @ W
-    C[np.diag_indices(N - P)] += t
-    y = np.linalg.eigh(C)[1][:, 0]
-    z = _substitute(S[P - 1::-1, P - 1::-1], (W @ y)[::-1])[::-1]  # L^{-*} W y, as L* reversed is lower
-    _restore(S, diag, P)
-    x = np.concatenate([-z, y])
-    return _verified(x / np.linalg.norm(x), S[:N, :N], cutoff)
+    return N
 
 
 def _cholesky_judge(S: np.ndarray, orders: list[int], tol: float) -> Callable[[int], tuple]:
     """The judge of the rungs above ``EIGEN_LADDER_MAX`` (orders, in increasing order) of a section without structure.
 
     eps_N = ``psd_cutoff`` at l_N = ``norm_lower_bound`` <= ||S_N||_2, so it is never above the
-    eigen-ladder cutoff tol (1 + max |lambda|).  One factor of the top section shifted by s = min_N
-    (eps_N - c_N) certifies every rung at lo = -eps_N: its leading blocks are the factors of the leading
-    sections, so its success proves lambda_min(S_N) >= -eps_N at all of them at once
-    (``cholesky_rounding``, whose c_N holds for any order of the sums in the factor entries, so for the
-    blocks in which ``_cholesky`` forms it in S itself).  Only when it fails is each rung below the top
-    factored at its own shift, as the ladder reaches it.  A rung whose factor fails gets a witness from
-    the Schur complement over the last factor that passed, formed again (``_schur_witness``), kept only
-    when its Rayleigh quotient hi is below -tol (1 + ``norm_upper_bound``), hence below the eigen-ladder
-    cutoff; otherwise the rung is undecided.  ``_undecided`` when s is not positive (or not finite): a
-    factor shifted down cannot certify a singular PSD section, and eigen rungs are then the cheaper
-    route.
+    eigen-ladder cutoff tol (1 + max |lambda|).  One factor pass over the top section shifted by s = min_N
+    (eps_N - c_N) decides the ladder: its leading blocks are the factors of the leading sections, so
+    reaching order k proves lambda_min(S_N) >= -eps_N at every rung N <= k (``cholesky_rounding``, whose
+    c_N holds for any order of the sums in the factor entries, so for the blocks in which ``_cholesky``
+    forms it in S itself).  When it stops at k > 0, the first rung N above k gets its witness from the
+    complement left in place: y, the least eigenvector of its leading block, gives x = [-(S_k + s I)^{-1}
+    B y; y] with x* (S_N + s I) x = y* C y.  S is then restored, and x kept only when its Rayleigh
+    quotient hi is below -tol (1 + ``norm_upper_bound``), hence below the eigen-ladder cutoff.  Every
+    other rung is undecided, as is every rung when s is not positive (or not finite): a factor shifted
+    down cannot certify a singular PSD section, and eigen rungs are then the cheaper route.
     """
     cutoffs = np.array([psd_cutoff(np.array([norm_lower_bound(S, N)]), tol) for N in orders])
     diag = S.diagonal().copy()
@@ -568,20 +552,22 @@ def _cholesky_judge(S: np.ndarray, orders: list[int], tol: float) -> Callable[[i
     s = float(np.min(shifts))
     if not s > 0.0:
         return _undecided
-    if _cholesky(S, orders[-1], s, diag):
-        return lambda N: (-float(cutoffs[orders.index(N)]), math.inf, None)
-    base = (EIGEN_LADDER_MAX, None)  # order and shift of the last factor that passed; the order-256 one at need
+    k = _cholesky(S, orders[-1], s, diag)
+    failed, x = next((N for N in orders if N > k), None), None
+    if failed is not None:
+        if k > 0:
+            y = np.linalg.eigh(S[k:failed, k:failed], UPLO="U")[1][:, 0]
+            # z = L^{-*} L^{-1} B y by forward substitution, as L* reversed is lower triangular
+            z = _substitute(S[k - 1::-1, k - 1::-1], (S[:k, k:failed] @ y)[::-1])[::-1]
+            x = np.concatenate([-z, y])
+        _restore(S, diag, orders[-1])
+        if x is not None:
+            x = _verified(x / np.linalg.norm(x), S[:failed, :failed], -tol * (1.0 + norm_upper_bound(S, failed)))
 
     def judge(N: int) -> tuple:
-        nonlocal base
-        i = orders.index(N)
-        if N < orders[-1] and _cholesky(S, N, float(shifts[i]), diag):  # the top has failed at a shift no larger
-            _restore(S, diag, N)
-            base = (N, float(shifts[i]))
-            return -float(cutoffs[i]), math.inf, None
-        base = (base[0], float(shifts[i]) if base[1] is None else base[1])
-        x = _schur_witness(S, diag, N, *base, -tol * (1.0 + norm_upper_bound(S, N)))
-        return _undecided(N) if x is None else (-math.inf, _rayleigh(x, S[:N, :N]), x)
+        if N <= k:
+            return -float(cutoffs[orders.index(N)]), math.inf, None
+        return _undecided(N) if N != failed or x is None else (-math.inf, _rayleigh(x, S[:N, :N]), x)
     return judge
 
 
@@ -769,12 +755,9 @@ def psd_check(matrix: CoefficientMatrix, max_order: int, tol: float = 1e-9) -> P
                 method += " + " + (form.kind if form is not None else "verified-cholesky")
         lo, hi, x = judge(N) if high else (*structural(N)[:2], None)
         if x is None and (not high or lo == -math.inf):  # every low rung, and one its judge leaves undecided
-            sec = S[:N, :N] if form is None or not high else hermitian_part(
-                matrix.truncation(N), NOT_SELF_ADJOINT, largest)
-            lo, x = _eigen_rung(sec, tol, previous, (lo, hi), witness is None)
+            lo, hi, x = _eigen_rung(S[:N, :N] if form is None or not high else hermitian_part(
+                matrix.truncation(N), NOT_SELF_ADJOINT, largest), tol, previous, (lo, hi), witness is None)
             previous = (N, lo)
-            if x is not None:
-                hi = _rayleigh(x, sec)
         if x is not None:
             witness = (N, x.astype(dtype), hi)
         mins.append(hi if high and x is not None else lo)

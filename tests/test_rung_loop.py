@@ -64,7 +64,7 @@ class TestEveryEigenRungGoesThroughOneFunction:
     def test_an_undecided_cholesky_rung(self, monkeypatch):
         matrix = dense(300, hole=280)
         assert psd_check(matrix, 300).method == "eigenvalue-ladder + verified-cholesky"
-        monkeypatch.setattr(kernel, "_schur_witness", lambda *args: None)
+        monkeypatch.setattr(kernel, "norm_upper_bound", lambda *args: math.inf)  # no witness verifies
         refuse_eigen_rungs_above(monkeypatch, kernel.EIGEN_LADDER_MAX)
         with pytest.raises(Reached):
             psd_check(matrix, 300)
@@ -84,3 +84,11 @@ def test_interlacing_spans_the_256_boundary(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: real(a) + (10.0 if a.shape[0] == 300 else 0.0))
     with pytest.raises(InternalCheckError, match="Cauchy interlacing"):
         psd_check(matrix, 300, tol=0.0)
+
+
+def test_ladder_orders():
+    # increasing doublings from 2, then max_order itself, once
+    for max_order in range(1, 1101):
+        orders = kernel.psd_ladder_orders(max_order)
+        assert orders[-1] == max_order and all(a < b for a, b in zip(orders, orders[1:]))
+        assert orders[:-1] == [2**i for i in range(1, len(orders))]

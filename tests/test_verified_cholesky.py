@@ -6,8 +6,10 @@ at block edges, and the verdicts and witness orders against a test-side
 eigenvalue ladder on planted inputs at orders 300-1536, also with the
 least eigenvalue planted between the factor's cutoff and the eigen
 ladder's, where ``membership_test`` must agree with the verdict.  The
-factor is blocked and in place: it keeps the section's lower triangle,
-restores the section when it fails, and a dense ladder holds one section.
+factor is blocked and in place: it keeps the section's lower triangle and,
+when it fails, leaves the Schur complement there, from which the judge takes
+its witness before it restores the section.  One factor pass serves the
+whole ladder, and a dense ladder holds one section.
 """
 
 import functools
@@ -181,8 +183,8 @@ class TestVerifiedShift:
         # exactly (``dyadic_hole``), the others' is at least 1/4: the hole
         # sits in the last, partial block at 300, in the first row of the
         # second block at 513 (failing at the middle rung 512) and in the
-        # last row of the third block at 1000 (failing at the top, over the
-        # factor of order 512 formed again for the Schur witness)
+        # last row of the third block at 1000 (failing at the top, with the
+        # witness from the complement the factor leaves at order 768)
         tol = 1e-9
         lam = multiple * factor_cutoff(dyadic_hole(n, j, 0.0, is_complex)[0], n, tol)
         S, C = dyadic_hole(n, j, lam, is_complex)
@@ -342,8 +344,8 @@ class TestParityWithTheEigenLadder:
         matrix, n = parity_case(name)
         if isinstance(matrix, ArrowheadMatrix):  # the structural witness: its quotient never verifies
             monkeypatch.setattr(kernel, "_arrowhead_rayleigh", lambda *args: np.inf)
-        else:
-            monkeypatch.setattr(kernel, "_schur_witness", lambda *args: None)
+        else:  # the factor's witness must lie below -tol (1 + inf)
+            monkeypatch.setattr(kernel, "norm_upper_bound", lambda *args: np.inf)
         assert_certificate_matches_the_eigen_ladder(matrix, n, psd_check(matrix, n))
 
     @pytest.mark.parametrize("name", ["dense_psd_300", "dense_top_600", "deflated_middle_600"])
@@ -364,6 +366,23 @@ class TestParityWithTheEigenLadder:
         # one pass over the top section: its diagonal blocks of order BLOCK, in order, and no other
         assert cert.is_psd and factors == [(BLOCK, BLOCK), (n - BLOCK, n - BLOCK)]
         assert seen == [N for N in cert.orders if N <= EIGEN_LADDER_MAX]
+
+    def test_one_factor_pass_for_a_failing_ladder(self, monkeypatch):
+        # the factor stops in the block of the hole at 1500; 512 and 1024 are
+        # certified by its leading blocks, and 2000's witness comes from the
+        # complement it leaves in place
+        matrix = DenseMatrix(planted_hole(np.random.default_rng(2000), 2000, 1500))
+        factors, real = [], kernel._cholesky
+        monkeypatch.setattr(kernel, "_cholesky", lambda S, N, *args: factors.append(N) or real(S, N, *args))
+        cert = psd_check(matrix, 2000)
+        assert factors == [2000]
+        assert (cert.verdict, cert.witness_order) == ("not_psd", 2000)
+        S = hermitian_section(matrix, 2000)
+        assert cert.min_eigenvalues[-3:-1] == tuple(-factor_cutoff(S, N, 1e-9) for N in (512, 1024))
+        x = cert.witness_vector
+        quotient = float(np.vdot(x, S @ x).real)
+        assert quotient == pytest.approx(cert.min_eigenvalues[-1], rel=1e-12)
+        assert quotient < -1e-9 * (1.0 + kernel.norm_upper_bound(S, 2000))  # below the eigen ladder's cutoff
 
     def test_real_section_is_factored_in_real_arithmetic(self, monkeypatch):
         arrow, n = parity_case("arrow_top_1536")
@@ -387,7 +406,7 @@ class TestParityWithTheEigenLadder:
 
 
 class TestInPlaceFactor:
-    """``kernel._cholesky`` writes L* into the section's upper triangle, never its strict lower one, and restores it on failure."""
+    """``kernel._cholesky`` writes the upper triangle, never the strict lower one; the judge restores the section."""
 
     @pytest.mark.parametrize("is_complex", [False, True])
     @pytest.mark.parametrize("n", [255, 256, 600])
@@ -396,20 +415,44 @@ class TestInPlaceFactor:
         C = cplx(rng, n, n) if is_complex else rng.standard_normal((n, n))
         S = exactly_hermitian(C @ C.conj().T / n + np.eye(n))
         before, diag = S.copy(), S.diagonal().copy()
-        assert kernel._cholesky(S, n, 1e-3, diag)
+        assert kernel._cholesky(S, n, 1e-3, diag) == n
         assert np.tril(S, -1).tobytes() == np.tril(before, -1).tobytes()
         U = np.triu(S)
         np.testing.assert_allclose(U.conj().T @ U, before + 1e-3 * np.eye(n), rtol=0, atol=1e-12)
         kernel._restore(S, diag, n)
         assert np.array_equal(S, before)
 
+    @pytest.mark.parametrize("is_complex", [False, True])
+    @pytest.mark.parametrize("n, hole", [(300, 255), (300, 256), (600, 255), (600, 256), (600, 511),
+                                         (1000, 255), (1000, 256), (1000, 511), (1000, 767)])
+    def test_breakdown_leaves_the_schur_complement(self, n, hole, is_complex):
+        # the factor stops at the block that holds the hole; before it, L*
+        # and L^{-1} B, after it the complement of the shifted leading block
+        S = planted_hole(np.random.default_rng(n + hole), n, hole)
+        if not is_complex:
+            S = np.ascontiguousarray(S.real)
+        before, t = S.copy(), 1e-6
+        k = kernel._cholesky(S, n, t, S.diagonal().copy())
+        assert k == hole // BLOCK * BLOCK
+        assert np.tril(S, -1).tobytes() == np.tril(before, -1).tobytes()
+        T = before + t * np.eye(n)
+        L = np.linalg.cholesky(T[:k, :k])
+        W = np.linalg.solve(L, T[:k, k:])
+        complement = T[k:, k:] - W.conj().T @ W
+        scale = np.linalg.norm(T, 2)
+        np.testing.assert_allclose(np.triu(S[:k, :k]), L.conj().T, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(S[:k, k:], W, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(np.triu(S[k:, k:]), np.triu(complement), rtol=0, atol=1e-13 * scale)
+
     @pytest.mark.parametrize("fail_at", [100, 300, 599])
-    def test_breakdown_restores_the_section(self, fail_at):
-        # the lower triangle and the diagonal bit for bit; the upper triangle
-        # is their conjugate, equal in value (a zero may change sign)
+    def test_the_judge_restores_the_section(self, fail_at):
+        # once the judge is built, the one factor has stopped, the witness
+        # come from the complement and the section been rebuilt: the lower
+        # triangle and the diagonal bit for bit, the upper triangle their
+        # conjugate, equal in value (a zero may change sign)
         S = planted_hole(np.random.default_rng(fail_at), 600, fail_at)
         before = S.copy()
-        assert not kernel._cholesky(S, 600, 1e-9, S.diagonal().copy())
+        assert kernel._cholesky_judge(S, [512, 600], 1e-9) is not kernel._undecided
         assert np.tril(S).tobytes() == np.tril(before).tobytes() and np.array_equal(S, before)
 
     @pytest.mark.parametrize("is_complex", [False, True])
@@ -514,10 +557,9 @@ class TestCutoffBand:
         monkeypatch.setattr(kernel, "_cholesky", lambda S, N, *args: factors.append(N) or real(S, N, *args))
         cert = psd_check(DenseMatrix(S), 1024)
         assert cert.is_psd and "verified-cholesky" in cert.method
-        # the top factor and the 512 factor fail; the order-256 factor behind
-        # the Schur witnesses is formed in the section at 512's shift, and
-        # formed again there for the top rung, after the eigen rung at 512
-        assert factors == [1024, 512, 256, 256]
+        # one factor pass: it stops inside the order-512 block, whose witness
+        # does not verify, so 512 and 1024 are eigen rungs
+        assert factors == [1024]
         assert_certificate_matches_the_eigen_ladder(DenseMatrix(S), 1024, cert, factored=False)
         f = np.random.default_rng(1).standard_normal(512)
         assert membership_test(DenseMatrix(S), f, 512).c_star > 0.0
@@ -583,4 +625,26 @@ def test_dense_ladder_holds_one_section():
         "dk.psd_check(dk.DenseMatrix(matrix.truncation(300)), 300)  # LAPACK's and BLAS's first buffers",
     ])
     growth = rss_growth_mib(setup, "assert dk.psd_check(matrix, 1024).method.endswith('verified-cholesky')")
+    assert growth <= 1.5 * 16.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="rss_growth_mib reads /proc/self/status")
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_failing_dense_ladder_holds_one_section(is_complex):
+    # the factor stops in its last block; the witness comes from the order-256
+    # complement it leaves there, and the section is restored in place
+    setup = "\n".join([
+        "import numpy as np",
+        "import dskernel as dk",
+        f"C = np.random.default_rng(1).standard_normal((1024, {128 if is_complex else 64}))",
+        "C = C.view(complex)" if is_complex else "",
+        "C[1000] = 0.0",
+        "A = C @ C.conj().T",
+        "A[np.diag_indices(1024)] += 0.1",
+        "A[1000, 1000] = -0.3",
+        "matrix = dk.DenseMatrix(A)",
+        "del A, C",
+        "dk.psd_check(dk.DenseMatrix(matrix.truncation(300)), 300)  # LAPACK's and BLAS's first buffers",
+    ])
+    growth = rss_growth_mib(setup, "assert dk.psd_check(matrix, 1024).witness_order == 1024")
     assert growth <= 1.5 * 16.0
