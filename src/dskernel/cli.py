@@ -3,9 +3,11 @@
 Subcommands map one-to-one onto the library modules and emit deterministic
 machine-readable reports (JSON by default, CSV for trace tables).  Exit
 code policy: mathematical negatives (a kernel failing PSD, a series failing
-membership) are successful analyses and exit 0; only malformed input (2)
-and internal cross-check failures (3) are errors, so pipelines can tell
-"the kernel is not PSD" from "the tool broke".
+membership) are successful analyses and exit 0; only bad input (2:
+malformed, unreadable, or too large to hold) and internal cross-check
+failures (3) are errors, so pipelines can tell "the kernel is not PSD" from
+"the tool broke".  Each handler imports the library modules it calls, so a
+command loads only those beside ``io`` and what ``io`` reads.
 """
 
 from __future__ import annotations
@@ -20,31 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DskernelError, HermitianError, InternalCheckError, SpecError
-from .homogeneous import (
-    adjoint_condition_check,
-    admissibility_check,
-    homogeneity_residual,
-    translate_gram,
-)
-from .io import (
-    dump_csv,
-    dump_report,
-    load_kernel,
-    load_membership_query,
-    load_series,
-    load_span,
-    parse_complex,
-)
-from .kernel import HERMITIAN_TOL, kernel_eval, psd_check
-from .matrices import ArrowheadMatrix
-from .rkhs import analytic_symbol, membership_test
-from .series import COLLISION_RTOL, evaluate, merge_log_exponents, multiply_merged
-from .structured import certify_arrowhead, certify_psd, example_arrowhead, growth_check
-from .symmetry import (
-    linear_invariance_test,
-    quasi_invariance_classify,
-    translation_invariance_test,
-)
+from .io import dump_csv, dump_report, load_kernel, load_membership_query, load_series, load_span, parse_complex
 
 SCHEMA = "dskernel-report/1"
 
@@ -78,6 +56,9 @@ def _fail(args: argparse.Namespace, kind: str, message: str, code: int) -> int:
 
 
 def _cmd_eval(args) -> dict:
+    from .kernel import kernel_eval
+    from .series import evaluate
+
     if args.matrix:
         kern = load_kernel(args.matrix)
         s = parse_complex(args.s)
@@ -92,8 +73,13 @@ def _cmd_eval(args) -> dict:
 
 
 def _cmd_psd(args) -> dict:
+    from .kernel import HERMITIAN_TOL, psd_check
+    from .matrices import ArrowheadMatrix
+
     kern = load_kernel(args.matrix)
-    certify = certify_psd if isinstance(kern.matrix, ArrowheadMatrix) else psd_check
+    certify = psd_check
+    if isinstance(kern.matrix, ArrowheadMatrix):
+        from .structured import certify_psd as certify
     try:
         results = {"self_adjoint": True, **asdict(certify(kern.matrix, args.max_order, args.tol))}
     except HermitianError:
@@ -103,6 +89,8 @@ def _cmd_psd(args) -> dict:
 
 
 def _cmd_symbols(args) -> dict:
+    from .rkhs import analytic_symbol
+
     sym = analytic_symbol(load_kernel(args.matrix).matrix, args.n, order=args.order)
     results = {"index": sym.index, "coefficients": sym.series.coefficients,
                "finite": sym.series.finite}
@@ -110,6 +98,8 @@ def _cmd_symbols(args) -> dict:
 
 
 def _cmd_membership(args) -> dict:
+    from .rkhs import membership_test
+
     if args.query:
         q = load_membership_query(args.query)
         matrix, fhat, order, c_max = q["matrix"], q["fhat"], q["order"], q["c_max"]
@@ -119,12 +109,16 @@ def _cmd_membership(args) -> dict:
         matrix = load_kernel(args.matrix).matrix
         fhat = [parse_complex(x) for x in args.fhat.split(",")]
         order, c_max = args.order, args.c_max
+    source = {"query": args.query} if args.query else {"matrix": args.matrix}
     res = membership_test(matrix, fhat, order, tol=args.tol, c_max=c_max)
     return _report(args, {**asdict(res), "order_relative": True},
-                   order=order, c_max=c_max, fhat=fhat)
+                   order=order, c_max=c_max, fhat=fhat, tol=args.tol, **source)
 
 
 def _cmd_sk(args) -> dict:
+    from .matrices import ArrowheadMatrix
+    from .structured import certify_arrowhead, example_arrowhead, growth_check
+
     if args.l_max < 1:  # refused even when --growth-rho, which reads it, is absent
         raise SpecError(f"--l-max must be >= 1, got {args.l_max}")
     if args.example:
@@ -146,6 +140,8 @@ def _cmd_sk(args) -> dict:
 
 
 def _cmd_invariance(args) -> dict:
+    from .symmetry import linear_invariance_test, translation_invariance_test
+
     kern = load_kernel(args.matrix)
     results = {
         "translation": translation_invariance_test(kern, args.order, tol=args.tol, seed=args.seed),
@@ -155,6 +151,8 @@ def _cmd_invariance(args) -> dict:
 
 
 def _cmd_classify(args) -> dict:
+    from .symmetry import quasi_invariance_classify
+
     kern = load_kernel(args.matrix)
     if args.grid:
         grid = [parse_complex(z) for z in args.grid.split(",")]
@@ -166,18 +164,17 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_homog(args) -> dict:
+    from .homogeneous import adjoint_condition_check, admissibility_check, homogeneity_residual, translate_gram
+    from .series import MAX_LENGTH
+
     inputs, results = {}, {}
     if args.verify:
-        if args.pairs < 1:
-            raise SpecError(f"--pairs must be >= 1, got {args.pairs}")
+        if not 1 <= args.pairs <= MAX_LENGTH:
+            raise SpecError(f"--pairs must be >= 1 and <= {MAX_LENGTH}, got {args.pairs}")
         rng = np.random.default_rng(args.seed)
         draws = [rng.integers(lo, hi, args.pairs).tolist() for lo, hi in ((-50, 51), (1, 13)) * 2]
         worst = max(len(homogeneity_residual(Fraction(p, q), Fraction(r, s))) for p, q, r, s in zip(*draws))
-        results["homogeneity"] = {
-            "pairs": args.pairs,
-            "nonzero_residuals": worst,
-            "exact": worst == 0,
-        }
+        results["homogeneity"] = {"pairs": args.pairs, "nonzero_residuals": worst, "exact": worst == 0}
         inputs["pairs"] = args.pairs
     if args.span:
         span = load_span(args.span)
@@ -185,6 +182,7 @@ def _cmd_homog(args) -> dict:
         results["gram"] = translate_gram(span)
         results["admissibility"] = admissibility_check(span.support, min(max(span.order, 4), 4096))
         if args.delta is not None:
+            inputs["delta"] = args.delta
             results["adjoint_condition"] = adjoint_condition_check(
                 span.diagonal, span.support, span.a, args.delta, span.order, rho=span.rho
             )
@@ -194,6 +192,8 @@ def _cmd_homog(args) -> dict:
 
 
 def _cmd_merge(args) -> dict:
+    from .series import COLLISION_RTOL, evaluate, merge_log_exponents, multiply_merged
+
     try:
         omega = math.sqrt(2.0) if args.omega == "sqrt2" else float(args.omega)
     except ValueError:
@@ -202,20 +202,17 @@ def _cmd_merge(args) -> dict:
         raise SpecError(f"--limit must be >= 0, got {args.limit}")
     merged = merge_log_exponents(omega, args.m_max, args.n_max)
     gaps = [b[0] - a[0] for a, b in zip(merged, merged[1:])]
-    limit = args.limit if args.limit is not None else len(merged)
     results = {
         "count": len(merged),
         "min_gap": min(gaps) if gaps else None,
-        "entries": [{"nu": nu, "m": m, "n": n} for nu, m, n in merged[:limit]],
+        "entries": [{"nu": nu, "m": m, "n": n} for nu, m, n in merged[:args.limit]],
         "collision_tolerance_relative": COLLISION_RTOL,
     }
     if args.check_multiply:
-        f = load_series(args.check_multiply[0])
-        g = load_series(args.check_multiply[1])
+        f, g = (load_series(path) for path in args.check_multiply)
         prod = multiply_merged(f, g)
-        pts = [2.5, 3.0, 4.5]
         checks = []
-        for sigma in pts:
+        for sigma in (2.5, 3.0, 4.5):
             vf, vg = evaluate(f, sigma, len(f)), evaluate(g, sigma, len(g))
             vp = evaluate(prod, sigma, len(prod))
             lhs = vf * vg
@@ -227,7 +224,8 @@ def _cmd_merge(args) -> dict:
                 "combined_radius": lhs.error_radius + vp.error_radius,
             })
         results["multiply_check"] = checks
-    return _report(args, results, omega=omega, m_max=args.m_max, n_max=args.n_max)
+    return _report(args, results, omega=omega, m_max=args.m_max, n_max=args.n_max, limit=args.limit,
+                   check_multiply=args.check_multiply)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,6 +322,8 @@ def main(argv=None) -> int:
         return _fail(args, type(exc).__name__, str(exc), 3)
     except (DskernelError, OSError) as exc:
         return _fail(args, type(exc).__name__, str(exc), 2)
+    except MemoryError as exc:  # an input too large to hold (numpy raises a private subclass)
+        return _fail(args, "MemoryError", str(exc), 2)
     return 0
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import SpecError
 from .kernel import DirichletKernel, check_order, kernel_eval
-from .matrices import DiagonalMatrix
+from .matrices import AdmissibleSupport, DiagonalMatrix
 from .rules import UNIT_ROUNDOFF, SequenceRule, em_start, exponent_sum, zeta_tails
 from .series import SUBNORMAL_MIN, HalfPlane, log_table, powers, rounding_radius
 
@@ -70,52 +70,6 @@ def span_vector(entries: dict) -> SpanVector:
         if not c.is_zero:
             out[off] = c
     return out
-
-
-@dataclass(frozen=True)
-class AdmissibleSupport:
-    """Support set of a diagonal sequence, given by kind.
-
-    kinds:
-      all        every positive integer
-      powers     powers base**j, j >= 0
-      generated  all products of the listed generators (including 1)
-      explicit   exactly the listed integers
-    """
-
-    kind: str
-    base: int = 2
-    generators: tuple = ()
-    elements: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in ("all", "powers", "generated", "explicit"):
-            raise SpecError(f"unknown support kind {self.kind!r}")
-        if self.kind == "powers" and self.base < 2:
-            raise SpecError("powers support needs base >= 2")
-        if self.kind == "generated" and not self.generators:
-            raise SpecError("generated support needs generators")
-        if self.kind == "generated" and min(self.generators) < 2:
-            raise SpecError("generated support needs generators >= 2")
-        if self.kind == "explicit" and not self.elements:
-            raise SpecError("explicit support needs elements")
-
-    def indices_up_to(self, M: int) -> np.ndarray:
-        """1-based support members <= M, ascending."""
-        if self.kind == "all":
-            return np.arange(1, M + 1)
-        if self.kind == "explicit":
-            return np.array(sorted({e for e in self.elements if 1 <= e <= M}), dtype=int)
-        # multiply out the generators: every member is a product of powers
-        members = [1] if M >= 1 else []
-        for g in {self.base} if self.kind == "powers" else set(self.generators):
-            grown = []
-            for x in members:
-                while x <= M:
-                    grown.append(x)
-                    x *= g
-            members = grown
-        return np.unique(np.array(members, dtype=int))
 
 
 @dataclass(frozen=True)

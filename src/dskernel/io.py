@@ -3,8 +3,9 @@
 Reports are strict JSON (RFC 8259): an infinite value, such as the error
 radius of a kernel without an envelope, is written as the string "inf" or
 "-inf", and a NaN is never written (it is an internal error, exit code 3).
-A missing required key, or a value of the wrong kind, is a SpecError that
-names the key (exit code 2).
+A file that is not UTF-8 JSON, or is nested too deep to parse, is a
+SpecError (exit code 2), as is a missing required key or a value of the
+wrong kind; the latter names the key.
 
 Schemas (all numbers; complex values may be written as a number, a
 [re, im] pair, or a Python-style string "1+2j"):
@@ -70,9 +71,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import InternalCheckError, SpecError
-from .homogeneous import AdmissibleSupport, TranslateSpan
 from .kernel import DirichletKernel
 from .matrices import (
+    AdmissibleSupport,
     ArrowheadMatrix,
     BandedMatrix,
     CoefficientMatrix,
@@ -87,10 +88,9 @@ from .series import Envelope, ExponentRule, GeneralDirichletSeries, HalfPlane
 def _load(obj_or_path) -> dict:
     if isinstance(obj_or_path, dict):
         return obj_or_path
-    text = Path(obj_or_path).read_text()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(Path(obj_or_path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise SpecError(f"malformed JSON in {obj_or_path}: {exc}") from exc
     if not isinstance(data, dict):
         raise SpecError("top-level JSON value must be an object")
@@ -221,7 +221,9 @@ def load_kernel(obj_or_path) -> DirichletKernel:
     return DirichletKernel(matrix, HalfPlane(rho))
 
 
-def load_span(obj_or_path) -> TranslateSpan:
+def load_span(obj_or_path):
+    from .homogeneous import TranslateSpan  # only the span commands load it
+
     spec = _load(obj_or_path)
     offsets = spec_value(spec, "offsets", lambda v: tuple(Fraction(str(o)) for o in v))
     support = _support(spec.get("support")) or AdmissibleSupport("all")

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .matrices import BLOCK, CoefficientMatrix, SectionStructure
 from .rules import UNIT_ROUNDOFF, power_tail_bound
-from .series import HalfPlane, ValueWithBound, gamma, log_table, powers
+from .series import MAX_LENGTH, HalfPlane, ValueWithBound, gamma, log_table, powers
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,9 +212,9 @@ def self_adjoint_check(matrix: CoefficientMatrix, order: int) -> bool:
 
 
 def check_order(order: int) -> None:
-    """A SpecError for a truncation order below 1: no section to judge."""
-    if order < 1:
-        raise SpecError(f"order must be >= 1, got {order}")
+    """A SpecError for a truncation order below 1 (no section to judge) or above ``MAX_LENGTH`` (none numpy can index)."""
+    if not 1 <= order <= MAX_LENGTH:
+        raise SpecError(f"order must be >= 1 and <= {MAX_LENGTH}, got {order}")
 
 
 def check_tol(tol: float) -> None:
@@ -727,8 +727,7 @@ def psd_check(matrix: CoefficientMatrix, max_order: int, tol: float = 1e-9) -> P
     is an eigen rung on its own section.  Once a rung has failed, no rung
     above 256 is decided: each reports the witness's Rayleigh quotient.
     """
-    if max_order < 1:
-        raise SpecError("max_order must be >= 1")
+    check_order(max_order)
     check_tol(tol)
     orders = psd_ladder_orders(max_order)
     form = matrix.psd_structure(max_order)

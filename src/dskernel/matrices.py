@@ -33,6 +33,8 @@ The base class sums a dense section and bounds tails by the envelope; each
 structured variant overrides what its structure makes cheaper or sharper.
 Variant-only prefixes (``diagonal_prefix``, ``factor_prefix``,
 ``coupling_prefix``, ``tail_prefix``) feed those overrides and ``structured``.
+An ``AdmissibleSupport`` masks a diagonal to its members; ``homogeneous``
+reads the same support for the translate spans.
 
 Every power m**(-s) here is ``series.powers``: one exponential of the cached
 read-only log table (2**16 entries; longer tables are computed per call), a
@@ -251,16 +253,62 @@ class BandedMatrix(StoredMatrix):
             raise SpecError("entries outside the declared band are nonzero")
 
 
+@dataclass(frozen=True)
+class AdmissibleSupport:
+    """Support set of a diagonal sequence, given by kind.
+
+    kinds:
+      all        every positive integer
+      powers     powers base**j, j >= 0
+      generated  all products of the listed generators (including 1)
+      explicit   exactly the listed integers
+    """
+
+    kind: str
+    base: int = 2
+    generators: tuple = ()
+    elements: tuple = ()
+
+    def __post_init__(self):
+        if self.kind not in ("all", "powers", "generated", "explicit"):
+            raise SpecError(f"unknown support kind {self.kind!r}")
+        if self.kind == "powers" and self.base < 2:
+            raise SpecError("powers support needs base >= 2")
+        if self.kind == "generated" and not self.generators:
+            raise SpecError("generated support needs generators")
+        if self.kind == "generated" and min(self.generators) < 2:
+            raise SpecError("generated support needs generators >= 2")
+        if self.kind == "explicit" and not self.elements:
+            raise SpecError("explicit support needs elements")
+
+    def indices_up_to(self, M: int) -> np.ndarray:
+        """1-based support members <= M, ascending."""
+        if self.kind == "all":
+            return np.arange(1, M + 1)
+        if self.kind == "explicit":
+            return np.array(sorted({e for e in self.elements if 1 <= e <= M}), dtype=int)
+        # multiply out the generators: every member is a product of powers
+        members = [1] if M >= 1 else []
+        for g in {self.base} if self.kind == "powers" else set(self.generators):
+            grown = []
+            for x in members:
+                while x <= M:
+                    grown.append(x)
+                    x *= g
+            members = grown
+        return np.unique(np.array(members, dtype=int))
+
+
 @dataclass(frozen=True, eq=False)
 class DiagonalMatrix(CoefficientMatrix):
     """Diagonal coefficient matrix a_{n,n} = rule(n), optionally support-masked."""
 
     rule: SequenceRule
-    support: Optional[object] = None  # anything with .indices_up_to(M)
+    support: Optional[AdmissibleSupport] = None
     envelope: Optional[Envelope] = None
 
     def __post_init__(self):
-        if getattr(self.support, "kind", None) == "all":  # masks nothing: the unmasked paths
+        if self.support is not None and self.support.kind == "all":  # masks nothing: the unmasked paths
             object.__setattr__(self, "support", None)
         if self.envelope is None:
             pb = self.rule.poly_bound()

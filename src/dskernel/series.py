@@ -58,6 +58,11 @@ from .rules import CACHE_LIMIT, UNIT_ROUNDOFF, SequenceRule, exponent_sum, parti
 #: relative tolerance below which two merged exponents count as colliding
 COLLISION_RTOL = 1e-12
 
+#: the most entries a complex array can have before numpy cannot count its
+#: bytes: longer orders (``kernel.check_order``, ``terms``) and merge grids
+#: are refused
+MAX_LENGTH = np.iinfo(np.intp).max // 16
+
 #: relative error, in units of u, of one power exp(-z log n) apart from the
 #: |z| log n part: exp, cos and sin within one ulp each, the complex products
 #: forming a term (coefficient times one or two powers) a few u each
@@ -404,8 +409,8 @@ class GeneralDirichletSeries:
         Rule-backed series extend beyond the stored prefix; finite series
         simply stop.  Anything else cannot honestly produce more terms.
         """
-        if order < 0:
-            raise SpecError("order must be non-negative")
+        if not 0 <= order <= MAX_LENGTH:
+            raise SpecError(f"order must be non-negative and <= {MAX_LENGTH}, got {order}")
         n = len(self.exponents)
         if order <= n or self.finite:
             m = min(order, n)
@@ -539,6 +544,8 @@ def merge_log_exponents(omega: float, m_max: int, n_max: int) -> list[tuple[floa
         raise SpecError(f"omega must be positive and finite, got {omega}")
     if m_max < 1 or n_max < 1:
         raise SpecError("grid bounds must be positive")
+    if m_max * n_max > MAX_LENGTH:
+        raise SpecError(f"a grid of {m_max} x {n_max} exponents is more than numpy can index")
     nu, i, j = _merged(log_table(m_max), omega * log_table(n_max), "nu({},{})")
     return list(zip(nu.tolist(), (i + 1).tolist(), (j + 1).tolist()))
 

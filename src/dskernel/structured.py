@@ -38,7 +38,7 @@ from .kernel import (
 )
 from .matrices import ArrowheadMatrix
 from .rules import RatioSum, SequenceRule, weighted_ratio_sum
-from .series import ValueWithBound
+from .series import MAX_LENGTH, ValueWithBound
 
 
 @dataclass(frozen=True)
@@ -177,8 +177,8 @@ def growth_check(
     """
     if not 1.0 < rho < math.inf:
         raise SpecError(f"growth exponent needs a finite rho > 1, got {rho}")
-    if l_max < 1:
-        raise SpecError("l_max must be >= 1")
+    if not 1 <= l_max <= MAX_LENGTH:
+        raise SpecError(f"l_max must be >= 1 and <= {MAX_LENGTH}, got {l_max}")
     ls = np.arange(m.k + 1, m.k + l_max + 1, dtype=float)
     fitted_C = np.max(m.tail_prefix(m.k + l_max) / ls ** (rho - 1.0))
     pb = m.tail.poly_bound()

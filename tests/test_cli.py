@@ -386,12 +386,43 @@ class TestMerge:
 
 
 class TestErrorPolicy:
-    def test_malformed_json_exit_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize("content", [b"{nope", b"[" * 100_000, b"\xff"],
+                             ids=["not-json", "nested-too-deep", "not-utf8"])
+    def test_malformed_json_exit_2(self, capsys, tmp_path, content):
         f = tmp_path / "bad.json"
-        f.write_text("{nope")
+        f.write_bytes(content)
         code, rep = run_json(capsys, "psd", "--matrix", str(f))
         assert code == 2
-        assert rep["error"]["kind"] == "SpecError"
+        assert rep["error"]["kind"] == "SpecError" and "malformed JSON" in rep["error"]["message"]
+
+    @pytest.mark.parametrize("argv, kind", [
+        (["merge", "--omega", "sqrt2", "--m-max", "10000000", "--n-max", "10000000", "--limit", "1"], "MemoryError"),
+        (["merge", "--omega", "sqrt2", "--m-max", "100000000000000000000", "--n-max", "2"], "SpecError"),
+        (["symbols", "--matrix", str(SAMPLES / "example_arrowhead.json"), "--n", "5",
+          "--order", "100000000000000000000"], "SpecError"),
+        (["psd", "--matrix", str(SAMPLES / "diag_ones.json"), "--max-order", "100000000000000000000"], "SpecError"),
+        (["sk", "--matrix", str(SAMPLES / "example_arrowhead.json"), "--growth-rho", "2",
+          "--l-max", "100000000000000000000"], "SpecError"),
+        (["homog", "--verify", "--pairs", "100000000000000000000"], "SpecError"),
+    ], ids=["merge-grid-too-large-to-hold", "merge-bound-past-numpy", "symbols-order-past-numpy",
+            "psd-order-past-numpy", "sk-l-max-past-numpy", "homog-pairs-past-numpy"])
+    def test_oversized_input_exit_2(self, argv, kind):
+        """Sizes refused at allocation or before it, in a child process held to 2 GiB of address space."""
+        out = fresh_python("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, "
+                           "resource.getrlimit(resource.RLIMIT_AS)[1])); from dskernel.cli import main; "
+                           "sys.exit(main(sys.argv[1:]))", *argv)
+        assert out.returncode == 2, out.stderr
+        assert json.loads(out.stdout)["error"]["kind"] == kind
+
+    def test_series_order_past_numpy_exit_2(self, capsys, tmp_path):
+        """A series without a closed form past its prefix sums its terms, so its order is checked as a length."""
+        f = tmp_path / "geometric.json"
+        f.write_text(json.dumps({"kind": "ordinary", "coefficients": [0.5, 0.25], "envelope": {"C": 1, "alpha": 0},
+                                 "generator": {"coefficients": {"kind": "geometric", "scale": 1, "ratio": 0.5}}}))
+        assert main(["eval", "--series", str(f), "--s", "2", "--order", "40"]) == 0
+        capsys.readouterr()
+        code, rep = run_json(capsys, "eval", "--series", str(f), "--s", "2", "--order", str(10**20))
+        assert code == 2 and rep["error"]["kind"] == "SpecError"
 
     def test_unknown_variant_exit_2(self, capsys, tmp_path):
         f = tmp_path / "bad.json"
@@ -727,10 +758,43 @@ class TestInterlacingCheck:
         assert "interlacing" in rep["error"]["message"]
 
 
+def fresh_python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """``python -c code argv...`` in a new interpreter that imports dskernel from this checkout."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+
+
 class TestColdImport:
     def test_cli_imports_no_scipy(self):
-        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         code = "import sys, dskernel.cli; print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        assert fresh_python(code).stdout.strip() == "[]"
+
+
+#: dskernel modules that only some commands call
+OPTIONAL_MODULES = {"rkhs", "structured", "symmetry", "homogeneous"}
+
+
+class TestWhatACommandLoads:
+    """A command loads the modules it calls and no other; ``import dskernel`` loads none."""
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["eval", "--series", str(SAMPLES / "zeta_series.json"), "--s", "2"], set()),
+        (["eval", "--matrix", str(SAMPLES / "diag_ones.json"), "--s", "2"], set()),
+        (["psd", "--matrix", str(SAMPLES / "diag_ones.json")], set()),
+        (["psd", "--matrix", str(SAMPLES / "example_arrowhead.json")], {"structured"}),
+        (["homog", "--verify", "--pairs", "10"], {"homogeneous"}),
+        (["merge", "--omega", "sqrt2", "--m-max", "3", "--n-max", "3"], set()),
+    ], ids=["eval-series", "eval-matrix", "psd-diagonal", "psd-arrowhead", "homog-verify", "merge"])
+    def test_a_command_loads_only_what_it_calls(self, argv, calls):
+        out = fresh_python("import contextlib, io, sys; from dskernel.cli import main\n"
+                           "with contextlib.redirect_stdout(io.StringIO()): code = main(sys.argv[1:])\n"
+                           "print(code, *sorted(m[9:] for m in sys.modules if m.startswith('dskernel.')))", *argv)
+        code, *loaded = out.stdout.split()
+        assert code == "0", out.stderr
+        assert {"cli", "io", "errors"} <= set(loaded)
+        assert set(loaded) & OPTIONAL_MODULES == calls
+
+    def test_the_package_root_loads_no_module(self):
+        out = fresh_python("import sys, dskernel; print([m for m in sys.modules if m.startswith('dskernel.')])")
+        assert out.stdout.strip() == "[]", out.stderr

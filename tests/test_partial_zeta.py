@@ -221,11 +221,9 @@ class TestRoundedExponents:
             assert_in_disc(value, rounding, truth, f"diagonal partial_sum({s}, {u}, p={p}, N={N})")
 
 
-class EveryIndex:
-    """A support mask that happens to hold every index: it sends a diagonal down the direct path."""
-
-    def indices_up_to(self, M: int) -> np.ndarray:
-        return np.arange(1, M + 1)
+def every_index(N: int) -> AdmissibleSupport:
+    """A support mask that happens to hold every index up to N: it sends a diagonal down the direct path."""
+    return AdmissibleSupport("explicit", elements=tuple(range(1, N + 1)))
 
 
 class TestAgreesWithTheDirectSum:
@@ -240,7 +238,7 @@ class TestAgreesWithTheDirectSum:
             s = complex(rng.uniform(0.6, 1.5), rng.uniform(-300, 300))
             u = complex(rng.uniform(0.6, 1.5), rng.uniform(-30, 30))
             em = kernel_eval(DirichletKernel(DiagonalMatrix(r), HalfPlane(0.5)), s, u, N)
-            direct = kernel_eval(DirichletKernel(DiagonalMatrix(r, support=EveryIndex()), HalfPlane(0.5)), s, u, N)
+            direct = kernel_eval(DirichletKernel(DiagonalMatrix(r, support=every_index(N)), HalfPlane(0.5)), s, u, N)
             assert abs(em.value - direct.value) <= em.error_radius + direct.error_radius
 
     def test_the_all_support_is_unmasked(self):

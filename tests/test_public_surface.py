@@ -115,8 +115,8 @@ def code_names(path: pathlib.Path, strings: bool) -> tuple:
 
 
 def exported_functions() -> list:
-    """Names of the public functions of ``dskernel``."""
-    return [name for name, obj in vars(dskernel).items() if inspect.isfunction(obj) and not name.startswith("_")]
+    """Names of the public functions of ``dskernel``: the functions among ``__all__``, which the root resolves lazily."""
+    return [name for name in dskernel.__all__ if inspect.isfunction(getattr(dskernel, name))]
 
 
 def class_members(module) -> dict:
@@ -194,6 +194,12 @@ def test_the_class_scan_sees_public_members_of_its_own_classes(tmp_path, monkeyp
     monkeypatch.setitem(sys.modules, "pkg.m", module)
     spec.loader.exec_module(module)
     assert class_members(module) == {"m.A.f": "f", "m.A.p": "p", "m.A.c": "c", "m.A.s": "s", "m._B.h": "h"}
+
+
+def test_every_export_resolves_and_is_listed():
+    for name in dskernel.__all__:
+        assert getattr(dskernel, name).__name__ == name
+    assert set(dskernel.__all__) <= set(dir(dskernel))
 
 
 def test_the_surface_is_not_empty():
