@@ -68,10 +68,6 @@ class DirichletKernel:
         """Evaluation is certified for Re(s), Re(u) strictly above this."""
         return max(self.rho, self.matrix.sigma_floors()[0])
 
-    def joint_sigma_floor(self) -> float:
-        """Lower bound that Re(s) + Re(u) must strictly exceed (-inf if none)."""
-        return self.matrix.sigma_floors()[1]
-
 
 def kernel_eval(kernel: DirichletKernel, s: complex, u: complex, order: int) -> ValueWithBound:
     """Truncated kernel value with a certified three-piece tail radius.
@@ -82,19 +78,17 @@ def kernel_eval(kernel: DirichletKernel, s: complex, u: complex, order: int) -> 
     s, u = complex(s), complex(u)
     if not (cmath.isfinite(s) and cmath.isfinite(u)):
         raise SpecError(f"evaluation point ({s}, {u}) is not finite")
-    edge = kernel.certified_sigma()
+    matrix = kernel.matrix
+    edge, joint = matrix.sigma_floors()  # joint: the floor Re(s) + Re(u) must exceed
+    edge = max(kernel.rho, edge)
     if s.real <= edge or u.real <= edge:
-        raise ConvergenceRegionError(
-            f"outside certified region: need Re(s), Re(u) > {edge}"
-        )
-    if s.real + u.real <= kernel.joint_sigma_floor():
-        raise ConvergenceRegionError(
-            f"outside certified region: need Re(s) + Re(u) > {kernel.joint_sigma_floor()}"
-        )
+        raise ConvergenceRegionError(f"outside certified region: need Re(s), Re(u) > {edge}")
+    if s.real + u.real <= joint:
+        raise ConvergenceRegionError(f"outside certified region: need Re(s) + Re(u) > {joint}")
     check_order(order)
-    N = order if kernel.matrix.order is None else min(order, kernel.matrix.order)
-    value, rounding = kernel.matrix.partial_sum(s, u, N)
-    radius = kernel.matrix.tail_radius(s.real, u.real, order)
+    N = order if matrix.order is None else min(order, matrix.order)
+    value, rounding = matrix.partial_sum(s, u, N)
+    radius = matrix.tail_radius(s.real, u.real, order)
     if math.isfinite(radius):
         radius += rounding
     return ValueWithBound(value, radius)

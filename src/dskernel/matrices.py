@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import SpecError
 from .rules import SequenceRule, exponent_sum, partial_zeta, power_tail_bound
-from .series import Envelope, ValueWithBound, power_sum, powers, rounding_radius
+from .series import Envelope, ValueWithBound, ball_product, power_sum, powers, rounding_radius
 
 #: rows at a time in which a section is deflated, symmetrised and factored (``kernel.psd_check``)
 BLOCK = 256
@@ -360,8 +360,7 @@ class DiagonalMatrix(CoefficientMatrix):
         law = self.rule.power_law() if self.support is None else None
         if law is not None:
             c, p = law
-            total = ValueWithBound(*partial_zeta(*exponent_sum(s, np.conj(u), -p), 1, N)) * c
-            return total.value, total.error_radius
+            return ball_product(*partial_zeta(*exponent_sum(s, u.conjugate(), -p), 1, N), c)
         d = self.diagonal_prefix(N)
         ad = np.abs(d)
         z = s + np.conj(u)

@@ -15,9 +15,11 @@ combine as ``series.ValueWithBound`` balls, whose arithmetic prices its own
 rounding, and every libm result among them enters through
 ``ValueWithBound.libm`` (the error assumption is ``series.LIBM_UNITS``).
 Only the Euler-Maclaurin partial sums price their work by hand.  One
-routine, ``_em_tail``, builds and prices the tail for both callers: in
-math for ``partial_zeta``, the hot path of deep rule sums, and in numpy
-for ``zeta_tails``, many exponents at once; each prices only its own sum.
+routine, ``_em_tail``, builds and prices the tail for both callers, in one
+loop over the corrections at both ends and the remainder: in math (float
+arithmetic for a real z) for ``partial_zeta``, the hot path of deep rule
+sums, which adds a short direct head by fsum, and in numpy for
+``zeta_tails``, many exponents at once; each prices only its own sum.
 """
 
 from __future__ import annotations
@@ -234,37 +236,17 @@ _EM_BERNOULLI = ((1, 12), (-1, 720), (1, 30240), (-1, 1209600), (1, 47900160), (
 _EM_COEFFS = tuple(p / q for p, q in _EM_BERNOULLI)
 
 
-def _em_corrections(z, x: float, power, coeffs=_EM_COEFFS) -> list:
-    """B_{2j}/(2j)! z(z+1)...(z+2j-2) x**(-z-2j+1) for j = 1 .. EM_M, given power = x**-z.
-
-    The Euler-Maclaurin corrections at the endpoint x of a sum of n**-z; z,
-    power and coeffs are floats, complex numbers or balls, and the
-    arithmetic follows them.
-    """
-    out = []
-    fac = power / x * z
-    for j, coeff in enumerate(coeffs):
-        out.append(coeff * fac)
-        # left to right, so a zero fac never meets an overflowed product
-        fac = fac * ((z + 2 * j + 1) / x) * ((z + 2 * j + 2) / x)
-    return out
-
-
-def _em_remainder(z, x: float) -> float:
-    """Bound on the remainder of sum_{n>=x} n**-z after the EM_M corrections, Re z > 1.
+def _em_remainder(sigma: float, x: float, ratio) -> float:
+    """Bound on the remainder of sum_{n>=x} n**-z after the M = EM_M corrections, given ratio >= |(z)_{2M}|/x**(2M).
 
     With B~ the periodic Bernoulli function, |B~_{2M}(t)| <= |B_{2M}|, so
     the remainder -int_x^oo B~_{2M}(t)/(2M)! (z)_{2M} t**(-z-2M) dt is at
     most |B_{2M}|/(2M)! |(z)_{2M}| x**(1-sigma-2M)/(sigma+2M-1) (Johansson,
     Numer. Algorithms 69, 2015, Theorem 1).  The same integral from x to a
     finite end is smaller, so the bound also covers a finite sum from x.
-    It is doubled to cover its own rounding.
+    It is doubled to cover its own rounding and the ratio's (a few u per factor).
     """
-    sigma = z.real
-    bound = abs(_EM_COEFFS[-1]) * x ** (1.0 - sigma) / (sigma + 2 * EM_M - 1)
-    for j in range(2 * EM_M):
-        bound *= abs(z + j) / x  # from x**(1-sigma) on, so a zero bound never meets an overflowed product
-    return 2.0 * bound
+    return 2.0 * abs(_EM_COEFFS[-1]) * x ** (1.0 - sigma) / (sigma + 2 * EM_M - 1) * ratio
 
 
 def zeta_enclosure(beta: float) -> tuple[float, float]:
@@ -291,53 +273,73 @@ def zeta_enclosure(beta: float) -> tuple[float, float]:
     if s > 1100.0:
         return 1.0, 0.0 if s == math.inf else SUBNORMAL_MIN
     z, t = Ball(s), Ball.libm(ZETA_N**-s)
-    total = Ball.fsum([*(Ball.libm(n**-s) for n in range(1, ZETA_N)), ZETA_N * t / (z - 1.0), t / 2,
-                       *_em_corrections(z, ZETA_N, t, [Ball(p) / q for p, q in _EM_BERNOULLI])])
-    return total.value, total.error_radius + _em_remainder(s, ZETA_N)
+    terms, fac = [*(Ball.libm(n**-s) for n in range(1, ZETA_N)), ZETA_N * t / (z - 1.0), t / 2], t / ZETA_N * z
+    for j, (p, q) in enumerate(_EM_BERNOULLI):  # B_{2j+2}/(2j+2)! z(z+1)...(z+2j) ZETA_N**(-z-2j-1)
+        terms.append(Ball(p) / q * fac)
+        fac = fac * ((z + 2 * j + 1) / ZETA_N) * ((z + 2 * j + 2) / ZETA_N)
+    total = Ball.fsum(terms)
+    ratio = math.prod((s + j) / ZETA_N for j in range(2 * EM_M))  # (s)_{2M} / ZETA_N**(2M)
+    return total.value, total.error_radius + _em_remainder(s, ZETA_N, ratio)
 
 
 def exponent_sum(*parts) -> tuple[complex, float]:
-    """(z, dz): the sum z of complex parts, correctly rounded per component, and a bound dz on |z - exact sum|.
+    """(z, dz): the sum z of complex parts, added left to right, and a bound dz on |z - exact sum|.
 
-    ``math.fsum`` rounds the exact sum once, so a second fsum with -z added
-    gives that rounding itself, correctly rounded; dz is 0 when z is exact.
+    Python adds complex numbers per component, so Knuth's TwoSum on them
+    gives the rounding of each addition exactly (z is correctly rounded for
+    two parts); dz adds their components, raised past its own roundings (at
+    most 2k for k parts), and is 0 when z is exact.
     """
-    re, im = [complex(p).real for p in parts], [complex(p).imag for p in parts]
-    z = complex(math.fsum(re), math.fsum(im))
+    z, dz = complex(parts[0]), 0.0
+    for p in parts[1:]:
+        w = z + p
+        t = w - z
+        e = (z - (w - t)) + (p - t)  # z + p = w + e exactly
+        z, dz = w, dz + abs(e.real) + abs(e.imag)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         return z, math.inf
-    dz = abs(math.fsum([*re, -z.real])) + abs(math.fsum([*im, -z.imag]))
-    return z, math.nextafter(dz, math.inf) if dz else 0.0
+    return z, math.nextafter(dz * (1.0 + 2 * len(parts) * UNIT_ROUNDOFF), math.inf) if dz else 0.0
+
+
+#: longest direct sum ``partial_zeta`` adds by fsum, not pairwise: the two cost the same there for a complex z
+FSUM_TERMS = 128
 
 
 def em_start(z: complex, a: int, N: int) -> int:
     """Where Euler-Maclaurin takes over sum_{n=a}^{N} n**-z: max(a, K), K = 2 ceil(|z|) + 2 EM_M, if Re z > 1
-    and N exceeds it by 512 (6144 for a real z), where the two cost the same in ``partial_zeta`` (``timeit``,
-    2-core x86_64: 0.05 us a direct term, 0.005 us for a real z); otherwise N + 1, the whole sum direct."""
+    and N exceeds it by 512, about where the two cost the same in ``partial_zeta`` (``timeit``, 2-core x86_64:
+    the tail costs what 250 to 500 more direct terms cost for a complex z, 14 us against 14 to 17 us for
+    128 to 512 more terms for a real z); otherwise N + 1, the whole sum direct."""
     K = 2.0 * math.ceil(abs(z)) + 2 * EM_M if math.isfinite(abs(z)) else math.inf
-    if z.real > 1.0 and N > max(a, K) + (512 if z.imag else 6144):
+    if z.real > 1.0 and N > max(a, K) + 512:
         return max(a, int(K))
     return N + 1
 
 
 def _em_tail(z, b: int, N: int) -> tuple:
-    """Euler-Maclaurin for sum_{n=b}^{N} n**-z, Re z > 1, b < N, in math/cmath for a Python complex z and in
-    numpy for an array: (terms, per_term, expm1_error, remainder, underflow, mass).
+    """Euler-Maclaurin for sum_{n=b}^{N} n**-z, Re z > 1, b < N, in math for a float z, cmath for a Python
+    complex z and numpy for an array: (terms, rounding, error, mass).
 
         sum_{n=b}^{N} n**-z = b**(1-z) (1 - (N/b)**(1-z)) / (z-1)
                               + (b**-z + N**-z)/2 + (corrections at b) - (corrections at N) + R
 
-    is the sum of the terms plus R, |R| <= remainder = ``_em_remainder(z, b)``.  The integral is formed from
-    expm1, so it keeps its accuracy as z approaches 1.  As b >= 2(|z| + EM_M) (``em_start``), the 2 EM_M
-    factors |z + j|/b of the remainder multiply to at most 2**(-2 EM_M) (their mean is below 1/2), so R is
-    below 1e-18 b**(1-sigma) whatever |z|.  The other parts price the terms, not their sum: each term is a
-    power of relative error u (16 + 4 |z| log N) plus (10 EM_M + 10)u for its products (per_term); expm1's
-    own error and its argument's (8u |v|, v = (z-1) log(N/b)) move the integral by expm1_error; underflow
-    allows a subnormal per product.  mass >= sum_{n=b}^{N} n**-sigma prices an error dz in z, which moves
-    the sum by at most dz sum log n n**-(sigma-dz).
+    is the sum of the terms plus R.  The integral is formed from expm1, so it keeps its accuracy as z approaches
+    1.  One loop builds the corrections at x = b and x = N and the ratio |(z)_{2M}|/b**(2M) in R's bound
+    (``_em_remainder``): step j forms q = (z+2j+1)(z+2j+2) once, for a factor q/x**2 of each correction and
+    |q|/b**2 of the ratio.  As b >= 2(|z| + EM_M) (``em_start``), the ratio's 2 EM_M factors |z + j|/b have a
+    mean below 1/2, so R is below 1e-18 b**(1-sigma) whatever |z|.  rounding prices the terms, not their sum: a
+    power x**-z is off by u (16 + 4 |z| log x) relative; the integral's b, z - 1, quotient by it (16u, as
+    ``ValueWithBound`` prices a complex quotient), B - A and product add under 24u; correction j's z x**-z / x
+    adds under 5u, each of its j steps under 11u (two additions, x**2, the quotient by it, and q and the product
+    into the correction at (2 + sqrt 2)u each, as ``ValueWithBound`` prices a product) and its coefficient 2u,
+    so 7 + 11 (EM_M - 1) <= 10 EM_M + 10 units with the other terms.  error is R's bound, the error of 1 - e**-v
+    (expm1's own and its argument's, 8u |v|, v = (z-1) log(N/b)) times the integral, and a subnormal per product
+    of underflow.  mass >= sum_{n=b}^{N} n**-sigma prices an error dz in z.
     """
-    m, cexp, least = (math, cmath.exp, min) if isinstance(z, complex) else (np, np.exp, np.minimum)
-    u, sigma, log_n = UNIT_ROUNDOFF, z.real, math.log(N)
+    # a float z (C = 0 below) keeps float arithmetic and float terms: its unit i is 0, not 1j
+    m, cexp, least, i = ((np, np.exp, np.minimum, 1j) if isinstance(z, np.ndarray) else
+                         (math, cmath.exp, min, 1j) if isinstance(z, complex) else (math, math.exp, min, 0.0))
+    u, sigma, log_b, log_n = UNIT_ROUNDOFF, z.real, math.log(b), math.log(N)
     L = math.log1p((N - b) / b)  # log(N/b)
     w = z - 1.0
     v = w * L
@@ -346,46 +348,63 @@ def _em_tail(z, b: int, N: int) -> tuple:
     C = m.exp(-v.real) * m.sin(v.imag)
     d = 8.0 * u * abs(v)
     expm1_error = 6.0 * u * (abs(A) + B + abs(C)) + least(2.0, d * m.exp(least(d, 1.0)))
-    Pb, PN = cexp(-z * math.log(b)), cexp(-z * log_n)
+    Pb, PN = cexp(-z * log_b), cexp(-z * log_n)
     scale = b * Pb / w
-    terms = [scale * (B - A + 1j * C), Pb / 2.0, PN / 2.0, *_em_corrections(z, b, Pb),
-             *(-t for t in _em_corrections(z, N, PN))]
-    per_term = u * (16.0 + 4.0 * abs(z) * log_n + 10 * EM_M + 10)
+    terms = [scale * (B - A + i * C), Pb / 2.0, PN / 2.0]
+    # every factor q/x**2 is finite and below 1, so a zero correction never meets an overflow
+    b2, N2 = float(b) * b, float(N) * N
+    fb, fN, ratio = z * Pb / b, z * PN / N, abs(z) * abs(z + (2 * EM_M - 1)) / b2
+    for j, coeff in enumerate(_EM_COEFFS):
+        terms += (coeff * fb, -coeff * fN)
+        if j < EM_M - 1:
+            q = (z + (2 * j + 1)) * (z + (2 * j + 2))
+            fb, fN, ratio = fb * (q / b2), fN * (q / N2), ratio * (abs(q) / b2)
+    rounding = u * ((40.0 + 4.0 * abs(z) * log_b) * abs(terms[0])
+                    + (16.0 + 4.0 * abs(z) * log_n + 10 * EM_M + 10) * sum(map(abs, terms[1:])))
+    # math.ulp(0.0) is the least subnormal: no import of series on the scalar hot path
+    error = abs(scale) * expm1_error + _em_remainder(sigma, b, ratio) + (4 * EM_M + 16) * b * math.ulp(0.0)
     # sum_{n=b}^{N} n**-sigma <= b**-sigma + int_b^N t**-sigma dt
     mass = b**-sigma + b ** (1.0 - sigma) * -m.expm1(-(sigma - 1.0) * L) / (sigma - 1.0)
-    # math.ulp(0.0) is the least subnormal: no import of series on the scalar hot path
-    return terms, per_term, abs(scale) * expm1_error, _em_remainder(z, b), (4 * EM_M + 16) * b * math.ulp(0.0), mass
+    return terms, rounding, error, mass
 
 
 def partial_zeta(z: complex, dz: float, a: int, N: int) -> tuple[complex, float]:
     """(value, radius) with |sum_{n=a}^{N} n**-w - value| <= radius for every |w - z| <= dz.
 
-    The terms a <= n < b = ``em_start(z, a, N)`` are summed directly, as table powers added by
-    ``series.pairwise_sum`` and priced as ``series.rounding_radius`` prices them; the rest, if any, are
-    ``_em_tail``'s terms added by fsum, priced by its parts, the two fsums and the final addition.  Both
-    roundings grow with log N, so the two sides of the switch have radii within a small factor.  dz is
-    priced from the mass of all the terms.
+    The terms a <= n < b = ``em_start(z, a, N)`` are table powers summed directly, each priced at its own
+    log n (``series.rounding_radius`` from their log-weighted mass): up to FSUM_TERMS of them by fsum, which
+    rounds each component once, more by ``series.pairwise_sum``.  The tail, if any, is ``_em_tail``'s terms
+    added by fsum, priced by its parts, the two fsums and the final addition.  Both roundings grow with
+    log N, so the two sides of the switch have radii within a small factor.  dz is priced from the
+    log-weighted mass of all the terms, as |n**-w - n**-z| <= dz log n n**-sigma e**(dz log n).
     """
-    from .series import pairwise_sum, powers, rounding_radius  # series imports this module
+    from . import series  # series imports this module
 
     z = complex(z)
     sigma, u = z.real, UNIT_ROUNDOFF
+    real = z.imag == 0.0  # a real z takes float arithmetic and gives float terms
     b = em_start(z, a, N)
     # the direct terms a <= n < b
-    p = powers(z, b - 1)[a - 1 :]
-    mass = float((p if z.imag == 0.0 else powers(sigma, b - 1)[a - 1 :]).sum())
-    value, depth = pairwise_sum(p)
-    radius = rounding_radius(mass, abs(z), math.log(b - 1), depth, p.size) if p.size else 0.0
+    logs = series.log_table(b - 1)[a - 1 :]
+    p = series.exp_table(logs, z)
+    moduli = p if real else series.exp_table(logs, sigma)
+    mass, log_mass = float(moduli.sum()), float(moduli @ logs)
+    if p.size <= FSUM_TERMS:  # one rounding per component, none for a lone term
+        value = complex(math.fsum(p.real.tolist()), 0.0 if real else math.fsum(p.imag.tolist()))
+        depth = int(p.size > 1)
+    else:
+        value, depth = series.pairwise_sum(p)
+    radius = series.rounding_radius(mass, abs(z), 0.0, depth, p.size, log_mass=log_mass) if p.size else 0.0
     log_n = math.log(max(N, 1))
     if b <= N:
-        terms, per_term, expm1_error, remainder, underflow, tail_mass = _em_tail(z, b, N)
-        tail = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-        radius += (per_term * math.fsum(map(abs, terms)) + expm1_error + remainder
-                   + 2.0 * u * (abs(tail) + abs(value + tail)) + underflow)
+        terms, rounding, error, tail_mass = _em_tail(sigma if real else z, b, N)
+        tail = math.fsum(terms) if real else complex(math.fsum(t.real for t in terms),
+                                                     math.fsum(t.imag for t in terms))
+        radius += rounding + error + 2.0 * u * (abs(tail) + abs(value + tail))
         value += tail
-        mass += tail_mass
+        log_mass += log_n * tail_mass
     if dz:
-        radius += dz * log_n * mass * math.exp(min(dz * log_n, 700.0))
+        radius += dz * log_mass * math.exp(min(dz * log_n, 700.0))
     return value, radius
 
 
@@ -395,11 +414,10 @@ def zeta_tails(z: np.ndarray, dz, b: int, N: int) -> tuple[np.ndarray, np.ndarra
     in order (2 gamma of their count times their mass), not by fsum."""
     from .series import gamma  # series imports this module
 
-    terms, per_term, expm1_error, remainder, underflow, mass = _em_tail(z, b, N)
+    terms, rounding, error, mass = _em_tail(z, b, N)
     terms = np.array(terms)
     log_n = math.log(N)
-    radius = ((per_term + 2.0 * gamma(len(terms))) * np.abs(terms).sum(axis=0) + expm1_error + remainder
-              + underflow)
+    radius = rounding + error + 2.0 * gamma(len(terms)) * np.abs(terms).sum(axis=0)
     radius += dz * log_n * mass * np.exp(np.minimum(dz * log_n, 700.0))
     return terms.sum(axis=0), radius, mass
 

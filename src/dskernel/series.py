@@ -150,7 +150,8 @@ def gamma(k: int) -> float:
     return ku / (1.0 - ku)
 
 
-def rounding_radius(mass: float, size: float, log_max: float, chain: int, terms: Optional[int] = None) -> float:
+def rounding_radius(mass: float, size: float, log_max: float, chain: int, terms: Optional[int] = None,
+                    log_mass: Optional[float] = None) -> float:
     """Bound on the rounding error of a sum of table powers.
 
     ``mass`` is the absolute sum of the terms, ``size`` the total modulus
@@ -158,16 +159,19 @@ def rounding_radius(mass: float, size: float, log_max: float, chain: int, terms:
     kernel term m**(-s) n**(-conj(u))), ``log_max`` the largest log n and
     ``chain`` the most additions one term goes through (at most the number
     of terms, whatever the order; ceil(log2 of it) for ``pairwise_sum``).
-    Each term is off by u (c + 4 size log_max) relative (one rounding more
+    Each term t_n is off by u (c + 4 size log n) |t_n| (one rounding more
     than the module docstring's 3 covers exponents lambda_n = omega log n),
-    and the additions add gamma_chain per real component, so 2 gamma_chain
-    in modulus.  Underflow adds at most one subnormal per operation; c
+    so all of them by u (c mass + 4 size log_mass), log_mass being
+    sum |t_n| log n when the caller has it and mass log_max otherwise; the
+    additions add gamma_chain per real component, so 2 gamma_chain in
+    modulus.  Underflow adds at most one subnormal per operation; c
     terms**2 operations bound even a dense section's, ``terms`` being the
     number of terms, or chain when that bounds it.
     """
-    per_term = UNIT_ROUNDOFF * (POWER_ROUNDING_UNITS + 4.0 * size * log_max)
+    log_mass = mass * log_max if log_mass is None else log_mass
+    per_term = UNIT_ROUNDOFF * (POWER_ROUNDING_UNITS * mass + 4.0 * size * log_mass)
     underflow = POWER_ROUNDING_UNITS * float(chain if terms is None else terms) ** 2 * SUBNORMAL_MIN
-    return mass * (per_term + 2.0 * gamma(chain)) + underflow
+    return per_term + 2.0 * gamma(chain) * mass + underflow
 
 
 @dataclass(frozen=True)
@@ -177,13 +181,24 @@ class HalfPlane:
     rho: float
 
 
-def _ball(mid, radius: float) -> "ValueWithBound":
-    """The ball at a computed midpoint, its radius raised to cover its own computation.
-
-    Every radius holds a term that is not finite when the midpoint is not, so then it is inf.
-    """
+def _widened(radius: float) -> float:
+    """A ball's radius raised to cover its own computation: inf when not finite, as when the midpoint is not."""
     r = radius * _RADIUS_SLACK + _UNDERFLOW
-    return ValueWithBound(mid, r if r < math.inf else math.inf)
+    return r if r < math.inf else math.inf
+
+
+def _ball(mid, radius: float) -> "ValueWithBound":
+    """The ball at a computed midpoint with its radius ``_widened``."""
+    return ValueWithBound(mid, _widened(radius))
+
+
+def ball_product(x, rx: float, y, ry: float = 0.0) -> tuple:
+    """(midpoint, radius) of the product of the balls (x, rx) and (y, ry), priced as ``ValueWithBound`` prices it."""
+    c = x * y
+    if c == 0 and (not (x or rx) or not (y or ry)):  # a zero operand: exact
+        return c, 0.0
+    ax, ay = abs(x), abs(y)
+    return c, _widened(ax * ry + ay * rx + rx * ry + 4.0 * UNIT_ROUNDOFF * (ax * ay))
 
 
 def _parts(x) -> tuple:
@@ -271,12 +286,7 @@ class ValueWithBound:
         return _sum(*_parts(other), -self.value, self.error_radius)
 
     def __mul__(self, other) -> "ValueWithBound":
-        (x, rx), (y, ry) = (self.value, self.error_radius), _parts(other)
-        c = x * y
-        if c == 0 and (not (x or rx) or not (y or ry)):  # a zero operand: exact
-            return ValueWithBound(c)
-        ax, ay = abs(x), abs(y)
-        return _ball(c, ax * ry + ay * rx + rx * ry + 4.0 * UNIT_ROUNDOFF * (ax * ay))
+        return ValueWithBound(*ball_product(self.value, self.error_radius, *_parts(other)))
 
     __rmul__ = __mul__
 
@@ -466,10 +476,9 @@ def evaluate(series: GeneralDirichletSeries, s: complex, order: int) -> ValueWit
     rule = series.exponent_rule
     if law is not None and rule is not None and rule.kind == "log" and not series.finite and order > len(series):
         c, p = law
-        w, dw = (s, 0.0) if rule.omega == 1.0 else _parts(ValueWithBound(s) * rule.omega)
+        w, dw = (s, 0.0) if rule.omega == 1.0 else ball_product(s, 0.0, rule.omega)
         z, dz = exponent_sum(w, -p)
-        total = ValueWithBound(*partial_zeta(z, dz + dw, 1, order)) * c
-        value, rounding = total.value, total.error_radius
+        value, rounding = ball_product(*partial_zeta(z, dz + dw, 1, order), c)
     else:
         lam, coef = series.terms(order)
         p = exp_table(lam, s)

@@ -110,7 +110,7 @@ def test_criterion_03_tail_bound_soundness():
             )
             rho = mat.envelope.alpha + 0.05
         kern = DirichletKernel(mat, HalfPlane(rho))
-        edge = max(kern.certified_sigma(), (kern.joint_sigma_floor() + 0.0) / 2.0)
+        edge = max(kern.certified_sigma(), (kern.matrix.sigma_floors()[1] + 0.0) / 2.0)
         sigma = edge + 0.5 + float(rng.uniform(0.0, 1.5))
         for M in (100, 1000):
             lo = kernel_eval(kern, sigma, sigma, M)

@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -46,6 +47,21 @@ class TestEval:
         )
         assert code == 0
         assert abs(rep["results"]["value"] - 1.0823) < 1e-3
+
+    @pytest.mark.parametrize("source, point", [
+        (["--matrix", "diag_ones.json"], ["--s", "1e300", "--u", "1"]),
+        (["--series", "zeta_series.json"], ["--s", "1e200"]),
+        (["--matrix", "diag_ones.json"], ["--s", "400", "--u", "1"]),
+    ])
+    def test_a_value_of_one_keeps_a_radius_of_a_few_ulps(self, capsys, source, point):
+        """Every term but n = 1 is below one subnormal: each term is priced at its own log n, and log 1 = 0."""
+        code, rep = run_json(capsys, "eval", source[0], str(SAMPLES / source[1]), *point, "--order", "10000")
+        assert code == 0
+        value, radius = rep["results"]["value"], rep["results"]["error_radius"]
+        assert value == 1.0 and radius <= 1e-14
+        with mpmath.workdps(40):
+            z = sum(mpmath.mpf(x) for x in point[1::2])  # s + conj(u), both real
+            assert abs(mpmath.mpf(value) - mpmath.zeta(z)) <= radius
 
     def test_missing_inputs_is_usage_error(self, capsys):
         code, rep = run_json(capsys, "eval", "--s", "2")

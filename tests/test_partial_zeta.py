@@ -79,8 +79,8 @@ def assert_in_disc(value: complex, radius: float, truth, what: str) -> None:
 
 
 def switch(z: complex) -> int:
-    """The last order ``partial_zeta`` sums directly from n = 1 for Re z > 1: K + 512, or K + 6144 for a real z."""
-    return 2 * math.ceil(abs(z)) + 16 + (512 if z.imag else 6144)
+    """The last order ``partial_zeta`` sums directly from n = 1 for Re z > 1: K + 512."""
+    return 2 * math.ceil(abs(z)) + 16 + 512
 
 
 def sweep_pairs() -> list:
@@ -346,6 +346,32 @@ class TestArrayTail:
                 scalar, r = partial_zeta(complex(w), float(dz[i]), b, N)
                 assert abs(value[i] - scalar) <= radius[i] + r
                 assert radius[i] <= 3.0 * r
+
+
+class TestRadiusLedger:
+    """``golden/radii/partial_zeta_radii.json`` holds the (value, radius) that the code at commit d839199, before
+    the fused Euler-Maclaurin loop and the per-term log pricing, gave for ``partial_zeta`` on TestSweep's pairs
+    of that time (switch(z) was K + 6144 for a real z) and for ``zeta_tails`` on TestArrayTail's arrays.  No
+    radius may grow past 1.1 times its ledger entry, and each value lies within both radii of the ledger's."""
+
+    LEDGER = json.loads((GOLDEN / "radii" / "partial_zeta_radii.json").read_text())
+
+    def test_partial_zeta(self):
+        rows = self.LEDGER["partial_zeta"]
+        assert len(rows) == len(PAIRS) and {row["N"] for row in rows} >= {1, 10**8}
+        for row in rows:
+            z, N = complex(*row["z"]), row["N"]
+            value, radius = partial_zeta(z, 0.0, 1, N)
+            assert radius <= 1.1 * row["radius"], (z, N, radius, row["radius"])
+            assert abs(value - complex(*row["value"])) <= radius + row["radius"], (z, N)
+
+    def test_zeta_tails(self):
+        for row in self.LEDGER["zeta_tails"]:
+            z = np.array([complex(*w) for w in row["z"]])
+            value, radius, _ = zeta_tails(z, np.array(row["dz"]), row["b"], row["N"])
+            before = np.array(row["radius"])
+            assert np.all(radius <= 1.1 * before), row["N"]
+            assert np.all(np.abs(value - np.array([complex(*w) for w in row["value"]])) <= radius + before), row["N"]
 
 
 class TestOneTail:
