@@ -185,7 +185,7 @@ def translate_gram(span: TranslateSpan) -> TranslateGram:
     radius = DiagonalMatrix(span.diagonal).tail_radius(span.a, span.a, span.order)
     if math.isfinite(radius) and logs.size:  # no term, no rounding: the head is exactly 0
         # each term carries the powers n**(-2a), n**(-i c_j) and n**(i c_k)
-        radius += rounding_radius(float(np.sum(weights)), 2.0 * span.a + (hi - lo) / D, float(logs[-1]),
+        radius += rounding_radius(float(np.sum(weights)), (2.0 * span.a + (hi - lo) / D) * float(weights @ logs),
                                   2 * logs.size + 8)
     if K <= span.order:
         # b_j - b_k for j < k, 0 first for the diagonal; their rounding joins ds in the tails' dz

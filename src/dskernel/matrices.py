@@ -40,11 +40,13 @@ Every power m**(-s) here is ``series.powers``: one exponential of the cached
 read-only log table (2**16 entries; longer tables are computed per call), a
 real ``exp`` when the exponent is real, so a real point pays no complex
 power and the diagonal reuses one table for its value and its mass.  Rule
-prefixes are read-only views of a memo (``SequenceRule.prefix``).  A direct
-``partial_sum`` prices its rounding from the absolute mass of its terms
-(``section_rounding``).  A diagonal with an unmasked constant or power rule,
-and the coupling strips and tail of an arrowhead whose coupling and tail
-rules are constant, are Hurwitz-type sums sum_{n=a}^{N} n**-z:
+prefixes are read-only views of a memo (``SequenceRule.prefix``).  Every
+term of a ``partial_sum`` is priced at its own log m and log n: a single
+series (a diagonal, a rank-one or deflated factor, an arrowhead's head sums)
+is a ``series.direct_sum``, a two-sided sum of BLAS products is priced from
+its log-weighted mass.  A diagonal with an unmasked constant or power rule,
+and the strips and tail of an arrowhead whose coupling and tail rules are
+constant, are Hurwitz-type sums sum_{n=a}^{N} n**-z:
 ``rules.partial_zeta`` encloses them in O(|z|) work, so their sections are
 never built.  Such closed-form pieces are combined as ``ValueWithBound``
 balls, whose arithmetic prices the rounding that joins them.
@@ -60,20 +62,27 @@ import numpy as np
 
 from .errors import SpecError
 from .rules import SequenceRule, exponent_sum, partial_zeta, power_tail_bound
-from .series import Envelope, ValueWithBound, ball_product, power_sum, powers, rounding_radius
+from .series import Envelope, ValueWithBound, ball_product, direct_sum, log_table, power_sum, powers, rounding_radius
 
 #: rows at a time in which a section is deflated, symmetrised and factored (``kernel.psd_check``)
 BLOCK = 256
 
 
-def section_rounding(mass: float, s: complex, u: complex, N: int, nnz: int) -> float:
-    """Rounding bound of a direct section sum of absolute mass ``mass`` with nnz nonzero terms.
+def _two_sided_rounding(mass, s: complex, u: complex, N: int) -> float:
+    """Rounding bound of a two-sided sum over m, n <= N by BLAS products: chains of at most 2N + 8 roundings.
 
-    Every variant sums along chains of at most 2N + 8 roundings, the two
-    products of a dense section being the longest.  Even a lone term is a
-    table power, a few ulps off; only an all-zero sum is exact.
+    ``mass(X, Y)`` is the matrix of the sums of |a_{m,n}| X_{i,m} Y_{j,n} over the terms.  At x = |m**(-s)|
+    and y = |n**(-conj(u))| it is their absolute mass, and each term is priced at its own log m and log n by
+    the log-weighted mass |s| mass(x log m, y) + |u| mass(x, y log n).
     """
-    return rounding_radius(mass, abs(s) + abs(u), math.log(N), 2 * N + 8) if nnz else 0.0
+    x, y, L = powers(s.real, N), powers(u.real, N), log_table(N)
+    M = mass(np.array([x, x * L]), np.array([y, y * L]))
+    return rounding_radius(float(M[0, 0]), abs(s) * float(M[1, 0]) + abs(u) * float(M[0, 1]), 2 * N + 8)
+
+
+def _series(lam: np.ndarray, z: complex, coef: Optional[np.ndarray] = None) -> ValueWithBound:
+    """``series.direct_sum`` of sum_n c_n exp(-lambda_n z) as a ball."""
+    return ValueWithBound(*direct_sum(lam, z, coef)[:2])
 
 
 def _power_sum_upper(beta: float, N: int) -> float:
@@ -141,14 +150,15 @@ class CoefficientMatrix:
     # -- kernel summation protocol ------------------------------------------
 
     def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float]:
-        """Section sum over m, n <= N and a bound on its rounding error."""
+        """Section sum over m, n <= N and a bound on its rounding error; even
+        a lone term is a table power, a few ulps off, so only an all-zero
+        section is exact."""
         T = self.truncation(N)
-        ps, pu = powers(s, N), powers(np.conj(u), N)
         # complex on both sides: a real vector would send the product down
         # numpy's slow mixed-type path
-        value = complex(ps.astype(complex) @ T @ pu.astype(complex))
-        mass = float(np.abs(ps) @ np.abs(T) @ np.abs(pu))
-        return value, section_rounding(mass, s, u, N, int(np.count_nonzero(T)))
+        value = complex(powers(s, N).astype(complex) @ T @ powers(np.conj(u), N).astype(complex))
+        A = np.abs(T)
+        return value, _two_sided_rounding(lambda X, Y: X @ A @ Y.T, s, u, N) if np.any(T) else 0.0
 
     def nonzero_entries(self, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """1-based (m, n) and the values of the nonzero entries of the N-section, in row-major order."""
@@ -354,19 +364,14 @@ class DiagonalMatrix(CoefficientMatrix):
         return SectionStructure("diagonal-exact", _NONE.reshape(0, 0), _NONE, self.diagonal_prefix(N))
 
     def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float]:
-        """One series in z = s + conj(u): one power per term, which also
-        weighs the mass when z is real.  An unmasked rule c n**p sums as
-        c sum_n n**-(z - p) by ``partial_zeta``."""
+        """One series in z = s + conj(u), a ``series.direct_sum`` with
+        each term priced at (|s| + |u|) log n.  An unmasked rule c n**p
+        sums as c sum_n n**-(z - p) by ``partial_zeta``."""
         law = self.rule.power_law() if self.support is None else None
         if law is not None:
             c, p = law
             return ball_product(*partial_zeta(*exponent_sum(s, u.conjugate(), -p), 1, N), c)
-        d = self.diagonal_prefix(N)
-        ad = np.abs(d)
-        z = s + np.conj(u)
-        p = powers(z, N)
-        mass = float(ad @ (p if z.imag == 0.0 else powers(z.real, N)))
-        return power_sum(d, p), section_rounding(mass, s, u, N, int(np.count_nonzero(ad)))
+        return direct_sum(log_table(N), s + np.conj(u), self.diagonal_prefix(N), abs(s) + abs(u))[:2]
 
     def tail_radius(self, sigma_s: float, sigma_u: float, N: int) -> float:
         """Row and column pieces are empty: the sharper single-series bound."""
@@ -428,13 +433,11 @@ class RankOneMatrix(CoefficientMatrix):
         return self._factor(m) * np.conj(self.factor_prefix(N))
 
     def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float]:
-        """The double sum factors into two single sums."""
-        f = self.factor_prefix(N)
-        left = power_sum(f, powers(s, N))
-        right = power_sum(f, powers(u, N))
-        af = np.abs(f)
-        mass = float((af @ powers(s.real, N)) * (af @ powers(u.real, N)))
-        return complex(left * np.conj(right)), section_rounding(mass, s, u, N, int(np.count_nonzero(f)))
+        """The double sum factors into two single sums, multiplied as balls."""
+        f = self.fhat[:N]
+        logs = log_table(f.size)
+        total = _series(logs, s, f) * _series(logs, np.conj(u), np.conj(f))
+        return complex(total.value), total.error_radius
 
 
 @dataclass(frozen=True, eq=False)
@@ -557,56 +560,39 @@ class ArrowheadMatrix(CoefficientMatrix):
         return (np.concatenate([m + 1, mt]), np.concatenate([n + 1, np.where(j < k, j + 1, mt)]),
                 np.concatenate([head[on_head], rows[on_rows]]))
 
-    def _constant_partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float]:
-        """partial_sum for constant coupling c and tail d, N > k.
-
-        The strips and the tail are c P(s) H(conj u), conj(c) H(s) P(conj u)
-        and d H(s + conj u), with P the head sums over n <= k and H(z) =
-        sum_{k<n<=N} n**-z from ``partial_zeta``: no power beyond k is
-        formed.  The head block, the P and the H are balls, and their
-        products and sum are ball arithmetic.
-        """
-        k = self.k
-        ps, pu = powers(s, k), powers(np.conj(u), k)
-        rs, ru = np.abs(ps), np.abs(pu)
-        head_rounding = section_rounding(float(rs @ np.abs(self.head) @ ru), s, u, k, np.count_nonzero(self.head))
-        P_s = ValueWithBound(complex(ps.sum()), rounding_radius(float(rs.sum()), abs(s), math.log(k), k))
-        P_u = ValueWithBound(complex(pu.sum()), rounding_radius(float(ru.sum()), abs(u), math.log(k), k))
-        c = complex(self.coupling.scale)
-
-        def H(*parts) -> ValueWithBound:
-            return ValueWithBound(*partial_zeta(*exponent_sum(*parts), k + 1, N))
-
-        total = ValueWithBound.fsum([
-            ValueWithBound(complex(ps @ self.head @ pu), head_rounding),
-            P_s * c * H(np.conj(u)),
-            c.conjugate() * H(s) * P_u,
-            complex(self.tail.scale).real * H(s, np.conj(u)),
-        ])
-        return total.value, total.error_radius
-
     def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float]:
-        """Head block plus the two rank-one coupling strips and the tail diagonal."""
-        k, kk = self.k, min(self.k, N)
-        if N > k and self.coupling.kind == self.tail.kind == "constant":
-            return self._constant_partial_sum(s, u, N)
-        ps, pu = powers(s, N), powers(np.conj(u), N)
-        rs, ru = np.abs(ps), np.abs(pu)
-        head = self.head[:kk, :kk]
-        total = complex(ps[:kk] @ head @ pu[:kk])
-        mass = float(rs[:kk] @ np.abs(head) @ ru[:kk])
-        nnz = int(np.count_nonzero(head))
-        if N > k:
-            c = self.coupling_prefix(N)
-            d = self.tail_prefix(N)
-            ac = np.abs(c)
-            total += complex(np.sum(ps[:kk]) * power_sum(c, pu[k:]))
-            total += complex(power_sum(np.conj(c), ps[k:]) * np.sum(pu[:kk]))
-            total += power_sum(d, ps[k:] * pu[k:])
-            mass += float(np.sum(rs[:kk]) * (ac @ ru[k:]) + (ac @ rs[k:]) * np.sum(ru[:kk]))
-            mass += float(np.abs(d) @ (rs[k:] * ru[k:]))
-            nnz += 2 * kk * int(np.count_nonzero(c)) + int(np.count_nonzero(d))
-        return total, section_rounding(mass, s, u, N, nnz)
+        """Head block plus the two rank-one coupling strips and the tail diagonal.
+
+        Up to order k the section is a block of the head, summed as a dense one.  For constant coupling and
+        tail rules c and d, the strips and the tail are c P(s) H(conj u), conj(c) H(s) P(conj u) and
+        d H(s + conj u), P the head sums over n <= k (``series.direct_sum``) and H(z) = sum_{k<n<=N} n**-z
+        (``partial_zeta``), all balls: no power beyond k is formed.  Otherwise the pieces share one table
+        of powers on each side and are priced as one two-sided sum.
+        """
+        k, ub = self.k, complex(np.conj(u))
+        if N <= k:
+            return super().partial_sum(s, u, N)
+        if self.coupling.kind == self.tail.kind == "constant":
+            logs, c = log_table(k), complex(self.coupling.scale)
+            P_s, P_u = _series(logs, s), _series(logs, ub)
+
+            def H(*parts) -> ValueWithBound:
+                return ValueWithBound(*partial_zeta(*exponent_sum(*parts), k + 1, N))
+
+            total = ValueWithBound.fsum([ValueWithBound(*super().partial_sum(s, u, k)), P_s * c * H(ub),
+                                         c.conjugate() * H(s) * P_u, complex(self.tail.scale).real * H(s, ub)])
+            return complex(total.value), total.error_radius
+        ps, pu = powers(s, N), powers(ub, N)
+        c, d = self.coupling_prefix(N), self.tail_prefix(N)
+        value = (complex(ps[:k] @ self.head @ pu[:k]) + ps[:k].sum() * power_sum(c, pu[k:])
+                 + power_sum(np.conj(c), ps[k:]) * pu[:k].sum() + power_sum(d, ps[k:] * pu[k:]))
+        A, ac, ad = np.abs(self.head), np.abs(c), np.abs(d)
+
+        def mass(X, Y) -> np.ndarray:
+            return (X[:, :k] @ A @ Y[:, :k].T + np.outer(X[:, :k].sum(1), Y[:, k:] @ ac)
+                    + np.outer(X[:, k:] @ ac, Y[:, :k].sum(1)) + (X[:, k:] * ad) @ Y[:, k:].T)
+
+        return value, _two_sided_rounding(mass, s, u, N)  # the tail rule is positive: never an all-zero sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -659,10 +645,8 @@ class DeflatedMatrix(CoefficientMatrix):
 
     def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float]:
         """The parent's sum minus the product of its first column and row sums
-        over a_{1,1}, priced on its mass like a section, as balls."""
-        p = self.parent
-        col, row = p.column_prefix(1, N), p.row_prefix(1, N)
-        mass = float(np.abs(col) @ powers(s.real, N)) * float(np.abs(row) @ powers(u.real, N)) / abs(self._a11)
-        product = power_sum(col, powers(s, N)) * power_sum(row, powers(np.conj(u), N)) / self._a11
-        total = ValueWithBound(*p.partial_sum(s, u, N)) - ValueWithBound(product, section_rounding(mass, s, u, N, 1))
+        (each a ``series.direct_sum``) over a_{1,1}, as balls."""
+        p, logs = self.parent, log_table(N)
+        product = _series(logs, s, p.column_prefix(1, N)) * _series(logs, np.conj(u), p.row_prefix(1, N))
+        total = ValueWithBound(*p.partial_sum(s, u, N)) - product / self._a11
         return complex(total.value), total.error_radius

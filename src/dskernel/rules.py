@@ -301,10 +301,6 @@ def exponent_sum(*parts) -> tuple[complex, float]:
     return z, math.nextafter(dz * (1.0 + 2 * len(parts) * UNIT_ROUNDOFF), math.inf) if dz else 0.0
 
 
-#: longest direct sum ``partial_zeta`` adds by fsum, not pairwise: the two cost the same there for a complex z
-FSUM_TERMS = 128
-
-
 def em_start(z: complex, a: int, N: int) -> int:
     """Where Euler-Maclaurin takes over sum_{n=a}^{N} n**-z: max(a, K), K = 2 ceil(|z|) + 2 EM_M, if Re z > 1
     and N exceeds it by 512, about where the two cost the same in ``partial_zeta`` (``timeit``, 2-core x86_64:
@@ -371,33 +367,21 @@ def _em_tail(z, b: int, N: int) -> tuple:
 def partial_zeta(z: complex, dz: float, a: int, N: int) -> tuple[complex, float]:
     """(value, radius) with |sum_{n=a}^{N} n**-w - value| <= radius for every |w - z| <= dz.
 
-    The terms a <= n < b = ``em_start(z, a, N)`` are table powers summed directly, each priced at its own
-    log n (``series.rounding_radius`` from their log-weighted mass): up to FSUM_TERMS of them by fsum, which
-    rounds each component once, more by ``series.pairwise_sum``.  The tail, if any, is ``_em_tail``'s terms
-    added by fsum, priced by its parts, the two fsums and the final addition.  Both roundings grow with
-    log N, so the two sides of the switch have radii within a small factor.  dz is priced from the
-    log-weighted mass of all the terms, as |n**-w - n**-z| <= dz log n n**-sigma e**(dz log n).
+    The terms a <= n < b = ``em_start(z, a, N)`` are table powers added and priced, each at its own log n, by
+    ``series.direct_sum``.  The tail, if any, is ``_em_tail``'s terms added by fsum, priced by its parts, the
+    two fsums and the final addition.  Both roundings grow with log N, so the two sides of the switch have
+    radii within a small factor.  dz is priced from the log-weighted mass of all the terms, as
+    |n**-w - n**-z| <= dz log n n**-sigma e**(dz log n).
     """
     from . import series  # series imports this module
 
     z = complex(z)
-    sigma, u = z.real, UNIT_ROUNDOFF
-    real = z.imag == 0.0  # a real z takes float arithmetic and gives float terms
+    u, real = UNIT_ROUNDOFF, z.imag == 0.0  # a real z takes float arithmetic and gives float terms
     b = em_start(z, a, N)
-    # the direct terms a <= n < b
-    logs = series.log_table(b - 1)[a - 1 :]
-    p = series.exp_table(logs, z)
-    moduli = p if real else series.exp_table(logs, sigma)
-    mass, log_mass = float(moduli.sum()), float(moduli @ logs)
-    if p.size <= FSUM_TERMS:  # one rounding per component, none for a lone term
-        value = complex(math.fsum(p.real.tolist()), 0.0 if real else math.fsum(p.imag.tolist()))
-        depth = int(p.size > 1)
-    else:
-        value, depth = series.pairwise_sum(p)
-    radius = series.rounding_radius(mass, abs(z), 0.0, depth, p.size, log_mass=log_mass) if p.size else 0.0
+    value, radius, log_mass = series.direct_sum(series.log_table(b - 1)[a - 1 :], z)
     log_n = math.log(max(N, 1))
     if b <= N:
-        terms, rounding, error, tail_mass = _em_tail(sigma if real else z, b, N)
+        terms, rounding, error, tail_mass = _em_tail(z.real if real else z, b, N)
         tail = math.fsum(terms) if real else complex(math.fsum(t.real for t in terms),
                                                      math.fsum(t.imag for t in terms))
         radius += rounding + error + 2.0 * u * (abs(tail) + abs(value + tail))

@@ -26,8 +26,12 @@ relative error of at most u (c + 3 |z| log n), where c covers
 k terms in any order adds at most gamma_k = k u / (1 - k u) times their
 absolute sum per real component (Higham, Accuracy and Stability of
 Numerical Algorithms, 2002, sections 3.1 and 4.2).  ``rounding_radius`` is
-that bound; general exponents use their largest exponent lambda_N in place
-of log N and one more rounding.
+that bound, each term priced at its own exponent: u (c + 4 |z| lambda_n) for
+exp(-z lambda_n), one rounding more than log n needs, which covers lambda_n =
+omega log n.  ``direct_sum`` forms, adds and prices a single series
+sum_n c_n exp(-lambda_n z) for ``evaluate``, ``rules.partial_zeta`` and
+``matrices``; a two-sided sum passes its log-weighted mass
+sum |t| (|s| log m + |u| log n) to the same bound.
 
 Rule sums.  A series with log-type exponents omega log n and a constant or
 power coefficient rule c n**p sums, beyond its stored prefix, as
@@ -54,6 +58,9 @@ import numpy as np
 
 from .errors import CollisionError, ConvergenceRegionError, SpecError
 from .rules import CACHE_LIMIT, UNIT_ROUNDOFF, SequenceRule, exponent_sum, partial_zeta, power_tail_bound
+
+#: longest direct sum ``direct_sum`` adds by fsum, not pairwise: the two cost the same there for a complex z
+FSUM_TERMS = 128
 
 #: relative tolerance below which two merged exponents count as colliding
 COLLISION_RTOL = 1e-12
@@ -150,28 +157,53 @@ def gamma(k: int) -> float:
     return ku / (1.0 - ku)
 
 
-def rounding_radius(mass: float, size: float, log_max: float, chain: int, terms: Optional[int] = None,
-                    log_mass: Optional[float] = None) -> float:
+def rounding_radius(mass: float, log_mass: float, chain: int, terms: Optional[int] = None) -> float:
     """Bound on the rounding error of a sum of table powers.
 
-    ``mass`` is the absolute sum of the terms, ``size`` the total modulus
-    of the exponents that multiply log n in one term (|s| + |u| for a
-    kernel term m**(-s) n**(-conj(u))), ``log_max`` the largest log n and
-    ``chain`` the most additions one term goes through (at most the number
-    of terms, whatever the order; ceil(log2 of it) for ``pairwise_sum``).
-    Each term t_n is off by u (c + 4 size log n) |t_n| (one rounding more
-    than the module docstring's 3 covers exponents lambda_n = omega log n),
-    so all of them by u (c mass + 4 size log_mass), log_mass being
-    sum |t_n| log n when the caller has it and mass log_max otherwise; the
-    additions add gamma_chain per real component, so 2 gamma_chain in
-    modulus.  Underflow adds at most one subnormal per operation; c
-    terms**2 operations bound even a dense section's, ``terms`` being the
-    number of terms, or chain when that bounds it.
+    ``mass`` is the absolute sum of the terms t and ``log_mass`` their
+    absolute sum weighted by the modulus of each term's exponent argument:
+    sum |t_n| |z| lambda_n for a series, sum |t| (|s| log m + |u| log n) for
+    a kernel section's terms m**(-s) n**(-conj(u)).  ``chain`` is the most
+    additions one term goes through (at most the number of terms, whatever
+    the order; ceil(log2 of it) for ``pairwise_sum``, 1 for fsum).  Each
+    term is off by u (c + 4 |argument|) |t_n|, so all of them by
+    u (c mass + 4 log_mass); the additions add gamma_chain per real
+    component, so 2 gamma_chain in modulus.  Underflow adds at most one
+    subnormal per operation; c terms**2 operations bound even a dense
+    section's, ``terms`` being the number of terms, or chain when that
+    bounds it.
     """
-    log_mass = mass * log_max if log_mass is None else log_mass
-    per_term = UNIT_ROUNDOFF * (POWER_ROUNDING_UNITS * mass + 4.0 * size * log_mass)
+    per_term = UNIT_ROUNDOFF * (POWER_ROUNDING_UNITS * mass + 4.0 * log_mass)
     underflow = POWER_ROUNDING_UNITS * float(chain if terms is None else terms) ** 2 * SUBNORMAL_MIN
     return per_term + 2.0 * gamma(chain) * mass + underflow
+
+
+def direct_sum(lam: np.ndarray, z: complex, coef: Optional[np.ndarray] = None,
+               size: Optional[float] = None) -> tuple[complex, float, float]:
+    """(value, radius, log_mass) of sum_n c_n exp(-lambda_n z) over a table lam >= 0; c_n = 1 without coef.
+
+    Up to FSUM_TERMS terms t_n are added by ``math.fsum`` (one rounding per component, none for a lone
+    term), more by ``pairwise_sum``.  log_mass = sum |t_n| lambda_n prices each term at its own lambda_n
+    times ``size``, |z| unless z was formed from larger parts (|s| + |u| for s + conj(u)).  Only a sum
+    without a nonzero coefficient is exact.
+    """
+    z = complex(z)
+    p = exp_table(lam, z)
+    moduli = p if z.imag == 0.0 else exp_table(lam, z.real)
+    if coef is not None:
+        p, moduli = p * coef, moduli * np.abs(coef)
+    mass, log_mass = float(moduli.sum()), float(moduli @ lam)
+    if p.size <= FSUM_TERMS:
+        try:
+            value = complex(math.fsum(p.real.tolist()), math.fsum(p.imag.tolist()) if p.dtype.kind == "c" else 0.0)
+        except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+            value = complex(p.sum())
+        depth = int(p.size > 1)
+    else:
+        value, depth = pairwise_sum(p)
+    if not (p.size if coef is None else np.any(coef)):
+        return value, 0.0, log_mass
+    return value, rounding_radius(mass, (abs(z) if size is None else size) * log_mass, depth, p.size), log_mass
 
 
 @dataclass(frozen=True)
@@ -461,7 +493,9 @@ def evaluate(series: GeneralDirichletSeries, s: complex, order: int) -> ValueWit
     abscissa, and non-finite points, are refused.  Beyond the stored
     prefix, log-type exponents omega log n with a constant or power
     coefficient rule c n**p sum as c sum_n n**-(omega s - p) by
-    ``rules.partial_zeta``; other series sum their terms directly.
+    ``rules.partial_zeta``; other series sum their terms by ``direct_sum``.
+    A finite series cut short adds the remainder's absolute sum, rounded up,
+    to the radius.
     """
     s = complex(s)
     if not cmath.isfinite(s):
@@ -481,20 +515,14 @@ def evaluate(series: GeneralDirichletSeries, s: complex, order: int) -> ValueWit
         value, rounding = ball_product(*partial_zeta(z, dz + dw, 1, order), c)
     else:
         lam, coef = series.terms(order)
-        p = exp_table(lam, s)
-        value = power_sum(coef, p)
-        # absolute mass prices the rounding of the partial sum itself; even a
-        # lone term is a computed exponential, so only an all-zero sum is exact
-        mass = float(np.abs(coef) @ (p if s.imag == 0.0 else exp_table(lam, sigma)))
-        rounding = rounding_radius(mass, abs(s), float(lam[-1]), lam.size) if np.any(coef) else 0.0
+        value, rounding, _ = direct_sum(lam, s, coef)
 
     if series.finite:
         if order >= len(series):
             return ValueWithBound(value, rounding)
-        rest_lam = np.asarray(series.exponents[order:], dtype=float)
-        rest_coef = np.asarray(series.coefficients[order:], dtype=complex)
-        tail = float(np.sum(np.abs(rest_coef) * np.exp(-rest_lam * sigma)))
-        return ValueWithBound(value, tail + rounding)
+        lam, coef = series.terms(len(series))  # the remainder, bounded above by its own ball
+        rest = direct_sum(lam[order:], sigma, np.abs(coef[order:]))
+        return _ball(value, ValueWithBound(*rest[:2]).upper + rounding)
     radius = _tail_radius(series, sigma, order)
     if math.isfinite(radius):
         radius += rounding

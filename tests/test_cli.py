@@ -52,16 +52,27 @@ class TestEval:
         (["--matrix", "diag_ones.json"], ["--s", "1e300", "--u", "1"]),
         (["--series", "zeta_series.json"], ["--s", "1e200"]),
         (["--matrix", "diag_ones.json"], ["--s", "400", "--u", "1"]),
+        (["--series", {"kind": "ordinary", "coefficients": [1, 1, 1, 1], "finite": True}], ["--s", "1e300"]),
+        (["--matrix", {"variant": "diagonal", "values": [1] * 100, "rho": 0.5}], ["--s", "1e300", "--u", "1"]),
     ])
-    def test_a_value_of_one_keeps_a_radius_of_a_few_ulps(self, capsys, source, point):
-        """Every term but n = 1 is below one subnormal: each term is priced at its own log n, and log 1 = 0."""
-        code, rep = run_json(capsys, "eval", source[0], str(SAMPLES / source[1]), *point, "--order", "10000")
+    def test_a_value_of_one_keeps_a_radius_of_a_few_ulps(self, capsys, tmp_path, source, point):
+        """Every term but n = 1 is below one subnormal: each term is priced at its own log n, and log 1 = 0.
+        A spec given inline is written to a file and evaluated at its own length, so its truth is that
+        finite sum; a sample's truth is zeta."""
+        flag, spec = source
+        path, order = SAMPLES / str(spec), 10000
+        if isinstance(spec, dict):
+            path, order = tmp_path / "spec.json", len(spec.get("coefficients") or spec["values"])
+            path.write_text(json.dumps(spec))
+        code, rep = run_json(capsys, "eval", flag, str(path), *point, "--order", str(order))
         assert code == 0
         value, radius = rep["results"]["value"], rep["results"]["error_radius"]
         assert value == 1.0 and radius <= 1e-14
         with mpmath.workdps(40):
             z = sum(mpmath.mpf(x) for x in point[1::2])  # s + conj(u), both real
-            assert abs(mpmath.mpf(value) - mpmath.zeta(z)) <= radius
+            truth = (mpmath.fsum(mpmath.power(n, -z) for n in range(1, order + 1)) if isinstance(spec, dict)
+                     else mpmath.zeta(z))
+            assert abs(mpmath.mpf(value) - truth) <= radius
 
     def test_missing_inputs_is_usage_error(self, capsys):
         code, rep = run_json(capsys, "eval", "--s", "2")

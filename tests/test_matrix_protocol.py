@@ -1,7 +1,10 @@
 """Every matrix variant's vectorised protocol against entry()-loop references."""
 
+import json
 import math
+import pathlib
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,7 +20,9 @@ from dskernel import (
     SequenceRule,
     SpecError,
 )
-from dskernel.series import rounding_radius
+from dskernel.homogeneous import translate_gram
+from dskernel.io import load_series, load_span
+from dskernel.series import evaluate, rounding_radius
 from dskernel.kernel import hermitian_part, schur_complements, support_pattern
 from conftest import random_psd_dense
 
@@ -84,15 +89,38 @@ def test_sections_and_prefixes_match_entry_loop(name, N):
         np.testing.assert_allclose(matrix.row_prefix(i, N), ref[i - 1, :], rtol=0, atol=tol)
 
 
-def summed_mass(matrix, N: int) -> float:
-    """Absolute mass of the terms partial_sum adds: a deflated matrix sums
-    its parent's section and the product of the parent's first column and row."""
+def summed_masses(matrix, N: int, s: complex, u: complex) -> tuple[float, float]:
+    """Absolute mass, and mass weighted by |s| log m + |u| log n, of the terms
+    partial_sum adds: a deflated matrix sums its parent's section and the
+    product of the parent's first column and row."""
     n = np.arange(1, N + 1, dtype=float)
-    w = np.outer(n ** -S.real, n ** -U.real)
-    if not isinstance(matrix, DeflatedMatrix):
-        return float(np.sum(np.abs(entry_section(matrix, N)) * w))
-    P = np.abs(entry_section(matrix.parent, N))
-    return float(np.sum((P + np.outer(P[:, 0], P[0, :]) / P[0, 0]) * w))
+    w = np.outer(n ** -s.real, n ** -u.real)
+    lw = abs(s) * np.log(n)[:, None] + abs(u) * np.log(n)[None, :]
+    A = np.abs(entry_section(matrix, N))
+    if isinstance(matrix, DeflatedMatrix):
+        P = np.abs(entry_section(matrix.parent, N))
+        A = P + np.outer(P[:, 0], P[0, :]) / P[0, 0]
+    return float(np.sum(A * w)), float(np.sum(A * w * lw))
+
+
+def exact_section(matrix, N: int) -> list:
+    """The N-section in mpmath from what the variant stores: the rank-one
+    products and the deflation of the parent's section are formed exactly."""
+    if isinstance(matrix, RankOneMatrix):
+        f = [mpmath.mpc(complex(x)) for x in matrix.factor_prefix(N)]
+        return [[fm * mpmath.conj(fn) for fn in f] for fm in f]
+    if isinstance(matrix, DeflatedMatrix):
+        P = exact_section(matrix.parent, N)
+        return [[P[m][n] - P[m][0] * P[0][n] / P[0][0] for n in range(N)] for m in range(N)]
+    return [[mpmath.mpc(matrix.entry(m, n)) for n in range(1, N + 1)] for m in range(1, N + 1)]
+
+
+def exact_partial_sum(matrix, N: int, s: complex, u: complex):
+    with mpmath.workdps(40):
+        T = exact_section(matrix, N)
+        ps = [mpmath.mpf(m) ** -mpmath.mpc(s) for m in range(1, N + 1)]
+        pu = [mpmath.mpf(n) ** -mpmath.conj(mpmath.mpc(u)) for n in range(1, N + 1)]
+        return mpmath.fsum(T[m][n] * ps[m] * pu[n] for m in range(N) for n in range(N))
 
 
 @pytest.mark.parametrize("N", [2, 24])
@@ -106,11 +134,17 @@ def test_partial_sum_matches_entry_double_sum(name, N):
             a = matrix.entry(m, n)
             ref_value += a * float(m) ** (-S) * float(n) ** (-U.conjugate())
             ref_mass += abs(a) * float(m) ** (-S.real) * float(n) ** (-U.real)
-    mass = summed_mass(matrix, N)
+    mass, log_mass = summed_masses(matrix, N, S, U)
     assert abs(value - ref_value) <= 4 * N * EPS * mass
-    # the rounding is priced on at least the absolute mass of the terms summed
+    # the rounding is priced on at least the absolute mass of the terms summed, each
+    # term at its own log m and log n, and at least one rounding per component; the
+    # rank-one and deflated sums multiply balls of single sums, which could price
+    # below this were a factor to cancel, and do not at this point
     assert mass >= ref_mass * (1 - 4 * N * EPS)
-    assert rounding >= rounding_radius(mass, abs(S) + abs(U), math.log(N), 2 * N + 8) * (1 - 4 * N * EPS)
+    assert rounding >= rounding_radius(mass, log_mass, 1) * (1 - 4 * N * EPS)
+    for s, u in ((S, U), (1e300 + 0j, U)):
+        value, rounding = matrix.partial_sum(s, u, N)
+        assert abs(mpmath.mpc(value) - exact_partial_sum(matrix, N, s, u)) <= rounding, (s, u)
 
 
 PATTERN_VARIANTS = {
@@ -190,3 +224,36 @@ class TestRuleFiniteness:
             SequenceRule("geometric", ratio=2.0).prefix(1100)
         with pytest.raises(SpecError, match="index 2"):
             SequenceRule("explicit", values=(1.0, float("nan"))).prefix(3)
+
+
+class TestDirectSumLedger:
+    """``golden/radii/direct_sum_radii.json`` holds the (value, radius) that the code at commit a0b326a, which
+    priced every term of a direct sum at the largest log n of its sum, gave for ``partial_sum`` of every
+    PATTERN_VARIANTS entry (built from ``default_rng(12)``) at N = 2, 24 and 200 and three points, for
+    ``evaluate`` on finite, general-exponent and rule-backed series, and for ``translate_gram`` on the
+    ``homog --span`` sample and three masked or finite spans.  No radius may grow past 1.1 times its ledger
+    entry, and each value lies within both radii of the ledger's."""
+
+    LEDGER = json.loads((pathlib.Path(__file__).parent / "golden" / "radii" / "direct_sum_radii.json").read_text())
+
+    def test_partial_sum(self):
+        rows = self.LEDGER["partial_sum"]
+        assert {row["variant"] for row in rows} == set(PATTERN_VARIANTS) and {row["N"] for row in rows} == {2, 24, 200}
+        for row in rows:
+            matrix = PATTERN_VARIANTS[row["variant"]](np.random.default_rng(12))
+            value, radius = matrix.partial_sum(complex(*row["s"]), complex(*row["u"]), row["N"])
+            assert radius <= 1.1 * row["radius"], row
+            assert abs(value - complex(*row["value"])) <= radius + row["radius"], row
+
+    def test_evaluate(self):
+        for row in self.LEDGER["evaluate"]:
+            vb = evaluate(load_series(self.LEDGER["series"][row["series"]]), complex(*row["s"]), row["order"])
+            assert vb.error_radius <= 1.1 * row["radius"], row
+            assert abs(vb.value - complex(*row["value"])) <= vb.error_radius + row["radius"], row
+
+    def test_translate_gram(self):
+        for row in self.LEDGER["translate_gram"]:
+            gram = translate_gram(load_span(row["span"]))
+            before = np.array([[complex(*x) for x in r] for r in row["matrix"]])
+            assert gram.entry_radius <= 1.1 * row["radius"], row["span"]
+            assert np.all(np.abs(gram.matrix - before) <= gram.entry_radius + row["radius"]), row["span"]

@@ -67,6 +67,36 @@ class TestEvaluate:
         rest = math.fsum(abs(c) * n**-s.real for n, c in enumerate(coef[2:], 3))
         assert abs(v.value - head) < 1e-15 and rest <= v.error_radius < rest + 1e-14
 
+    @pytest.mark.parametrize("negligible_head, cases", [(True, 3000), (False, 2000)])
+    def test_finite_remainder_sweep_holds_every_sum(self, negligible_head, cases):
+        """Seeded finite series cut short, ordinary and with general exponents: the disc holds the whole
+        finite sum.  With a negligible head the radius is the remainder sum |a_n| e**(-lambda_n sigma) alone,
+        so a remainder rounded to nearest would miss about half the time; it is rounded up."""
+        import mpmath
+        rng = np.random.default_rng(26 + negligible_head)
+        misses = []
+        for case in range(cases):
+            L = int(rng.integers(2, 9))
+            order = int(rng.integers(1, L))
+            coef = rng.standard_normal(L) + 1j * rng.standard_normal(L) * (case % 4 == 0)
+            if negligible_head:
+                coef[:order] *= 1e-300
+            s = complex(rng.uniform(-1.0, 3.0), rng.uniform(-20.0, 20.0) * (case % 3 == 0))
+            if case % 2:
+                lam = np.cumsum(rng.uniform(0.01, 2.0, L)) - 0.01
+                series = GeneralDirichletSeries(tuple(lam), tuple(coef), finite=True)
+            else:
+                series = GeneralDirichletSeries.ordinary(coef, finite=True)
+            v = evaluate(series, s, order)
+            with mpmath.workdps(40):
+                z = mpmath.mpc(s)
+                powers = ([mpmath.power(n, -z) for n in range(1, L + 1)] if case % 2 == 0
+                          else [mpmath.exp(-mpmath.mpf(x) * z) for x in lam])
+                truth = mpmath.fsum(mpmath.mpc(c) * p for c, p in zip(coef, powers))
+                if not abs(mpmath.mpc(v.value) - truth) <= v.error_radius:
+                    misses.append(case)
+        assert not misses, (len(misses), misses[:10])
+
     def test_refuses_outside_certified_region(self):
         with pytest.raises(ConvergenceRegionError):
             evaluate(ones_series(100), 0.9, 100)
