@@ -24,7 +24,7 @@ _EXPORTS = {name: f"{__name__}.{module}" for module, names in {
                 "DiagonalMatrix RankOneMatrix",
     "rkhs": "AnalyticSymbol GramModel MembershipResult analytic_symbol expansion_check infinity_kernel "
             "membership_test reproducing_check",
-    "rules": "SequenceRule rule_from_spec weighted_ratio_sum zeta_enclosure",
+    "rules": "SequenceRule rule_from_spec weighted_ratio_sum",
     "series": "Envelope ExponentRule GeneralDirichletSeries HalfPlane ValueWithBound evaluate merge_log_exponents "
               "multiply_merged",
     "structured": "MarginCertificate certify_arrowhead certify_psd coupling_sum example_arrowhead growth_check "

@@ -59,17 +59,19 @@ def _cmd_eval(args) -> dict:
     from .kernel import kernel_eval
     from .series import evaluate
 
-    if args.matrix:
-        kern = load_kernel(args.matrix)
+    # numpy stays quiet on a term that overflows: both evaluations refuse its value with a SpecError
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.matrix:
+            kern = load_kernel(args.matrix)
+            s = parse_complex(args.s)
+            u = parse_complex(args.u if args.u is not None else args.s)
+            return _report(args, kernel_eval(kern, s, u, args.order),
+                           matrix=args.matrix, s=s, u=u, order=args.order)
+        if not args.series:
+            raise SpecError("eval needs --series or --matrix")
+        series = load_series(args.series)
         s = parse_complex(args.s)
-        u = parse_complex(args.u if args.u is not None else args.s)
-        return _report(args, kernel_eval(kern, s, u, args.order),
-                       matrix=args.matrix, s=s, u=u, order=args.order)
-    if not args.series:
-        raise SpecError("eval needs --series or --matrix")
-    series = load_series(args.series)
-    s = parse_complex(args.s)
-    return _report(args, evaluate(series, s, args.order), series=args.series, s=s, order=args.order)
+        return _report(args, evaluate(series, s, args.order), series=args.series, s=s, order=args.order)
 
 
 def _cmd_psd(args) -> dict:

@@ -72,7 +72,7 @@ class DirichletKernel:
 def kernel_eval(kernel: DirichletKernel, s: complex, u: complex, order: int) -> ValueWithBound:
     """Truncated kernel value with a certified three-piece tail radius.
 
-    Refuses non-finite points and points outside the certified region;
+    Refuses non-finite points, points outside the certified region and sums whose terms overflow a double;
     with no envelope (and infinite support) the radius is infinite.
     """
     s, u = complex(s), complex(u)
@@ -88,6 +88,8 @@ def kernel_eval(kernel: DirichletKernel, s: complex, u: complex, order: int) -> 
     check_order(order)
     N = order if matrix.order is None else min(order, matrix.order)
     value, rounding = matrix.partial_sum(s, u, N)
+    if not cmath.isfinite(value) or math.isnan(rounding):
+        raise SpecError(f"a term of the kernel sum at ({s}, {u}) overflows a double")
     radius = matrix.tail_radius(s.real, u.real, order)
     if math.isfinite(radius):
         radius += rounding

@@ -7,19 +7,20 @@ arrowhead matrices.  Restricting to these shapes is what makes summability
 conditions certifiable: each rule admits a polynomial envelope and the
 weighted ratio sums below have closed forms or certified remainders.
 
-A sum of two power rules is a Riemann zeta value zeta(beta), beta > 1.
-``zeta_enclosure`` encloses it by Euler-Maclaurin summation with a fixed
-number of terms and a remainder bound for real arguments, so every closed
-form here carries a radius for its truncation and rounding.  Their pieces
-combine as ``series.ValueWithBound`` balls, whose arithmetic prices its own
-rounding, and every libm result among them enters through
-``ValueWithBound.libm`` (the error assumption is ``series.LIBM_UNITS``).
-Only the Euler-Maclaurin partial sums price their work by hand.  One
-routine, ``_em_tail``, builds and prices the tail for both callers, in one
+A sum of two power rules is a Riemann zeta value zeta(beta), beta > 1: the
+Euler-Maclaurin partial sum taken to infinity, ``partial_zeta(beta, dbeta,
+1, math.inf)``.  The other closed forms combine their pieces as
+``series.ValueWithBound`` balls, whose arithmetic prices its own rounding,
+and every libm result among them enters through ``ValueWithBound.libm``
+(the error assumption is ``series.LIBM_UNITS``), so every closed form here
+carries a radius for its truncation and rounding.  Only the Euler-Maclaurin
+sums, to a finite or an infinite end, price their work by hand.  One
+routine, ``_em_tail``, builds and prices the tail for every caller, in one
 loop over the corrections at both ends and the remainder: in math (float
 arithmetic for a real z) for ``partial_zeta``, the hot path of deep rule
-sums, which adds a short direct head by fsum, and in numpy for
-``zeta_tails``, many exponents at once; each prices only its own sum.
+sums and the zeta(beta) of the ratio sums, which adds a short direct head
+by fsum, and in numpy for ``zeta_tails``, many exponents at once; each
+prices only its own sum.
 """
 
 from __future__ import annotations
@@ -224,62 +225,18 @@ def rule_from_spec(spec: dict) -> SequenceRule:
 #: unit roundoff of IEEE double precision
 UNIT_ROUNDOFF = 2.0**-53
 
-#: Euler-Maclaurin: head terms n < ZETA_N for ``zeta_enclosure``, EM_M corrections everywhere
-ZETA_N, EM_M = 10, 8
+#: Euler-Maclaurin corrections at each end of a sum
+EM_M = 8
+
+#: beyond this real z, sum_{n>=2} n**-z < 2**-z (1 + 2/(z-1)) is below one subnormal: a sum to infinity forms no head
+ZETA_HEADLESS = 1100.0
 
 #: most terms a mixed geometric * power ratio sum may take before its ratio test holds
 MIXED_TERMS_MAX = 2**20
 
-#: B_{2j} / (2j)! for j = 1 .. EM_M as integer pairs, and each as a correctly rounded quotient
-_EM_BERNOULLI = ((1, 12), (-1, 720), (1, 30240), (-1, 1209600), (1, 47900160), (-691, 1307674368000),
-                 (1, 74724249600), (-3617, 10670622842880000))
-_EM_COEFFS = tuple(p / q for p, q in _EM_BERNOULLI)
-
-
-def _em_remainder(sigma: float, x: float, ratio) -> float:
-    """Bound on the remainder of sum_{n>=x} n**-z after the M = EM_M corrections, given ratio >= |(z)_{2M}|/x**(2M).
-
-    With B~ the periodic Bernoulli function, |B~_{2M}(t)| <= |B_{2M}|, so
-    the remainder -int_x^oo B~_{2M}(t)/(2M)! (z)_{2M} t**(-z-2M) dt is at
-    most |B_{2M}|/(2M)! |(z)_{2M}| x**(1-sigma-2M)/(sigma+2M-1) (Johansson,
-    Numer. Algorithms 69, 2015, Theorem 1).  The same integral from x to a
-    finite end is smaller, so the bound also covers a finite sum from x.
-    It is doubled to cover its own rounding and the ratio's (a few u per factor).
-    """
-    return 2.0 * abs(_EM_COEFFS[-1]) * x ** (1.0 - sigma) / (sigma + 2 * EM_M - 1) * ratio
-
-
-def zeta_enclosure(beta: float) -> tuple[float, float]:
-    """(value, radius) with |zeta(beta) - value| <= radius, for real beta > 1.
-
-    Euler-Maclaurin summation with N = ZETA_N and M = EM_M (Edwards,
-    Riemann's Zeta Function, 1974, sec. 6.4; Johansson, Numer. Algorithms
-    69, 2015):
-
-        zeta(s) = sum_{n<N} n**-s + N**(1-s)/(s-1) + N**-s/2
-                  + sum_{k=1..M} B_{2k}/(2k)! s(s+1)...(s+2k-2) N**(-s-2k+1) + R,
-
-    with |R| bounded by ``_em_remainder``, under 1e-15 for every s > 1.
-    The terms are balls (the powers libm results, the Bernoulli
-    coefficients rounded quotients), so the radius is |R| plus the rounding
-    as done.  Beyond s = 1100, zeta(s) - 1 < 2**-s (1 + 2/(s - 1)) is below
-    one subnormal.  The term count does not depend on beta.
-    """
-    from .series import SUBNORMAL_MIN, ValueWithBound as Ball  # series imports this module
-
-    s = float(beta)
-    if not s > 1.0:
-        raise SpecError(f"zeta_enclosure needs real beta > 1, got {beta!r}")
-    if s > 1100.0:
-        return 1.0, 0.0 if s == math.inf else SUBNORMAL_MIN
-    z, t = Ball(s), Ball.libm(ZETA_N**-s)
-    terms, fac = [*(Ball.libm(n**-s) for n in range(1, ZETA_N)), ZETA_N * t / (z - 1.0), t / 2], t / ZETA_N * z
-    for j, (p, q) in enumerate(_EM_BERNOULLI):  # B_{2j+2}/(2j+2)! z(z+1)...(z+2j) ZETA_N**(-z-2j-1)
-        terms.append(Ball(p) / q * fac)
-        fac = fac * ((z + 2 * j + 1) / ZETA_N) * ((z + 2 * j + 2) / ZETA_N)
-    total = Ball.fsum(terms)
-    ratio = math.prod((s + j) / ZETA_N for j in range(2 * EM_M))  # (s)_{2M} / ZETA_N**(2M)
-    return total.value, total.error_radius + _em_remainder(s, ZETA_N, ratio)
+#: B_{2j} / (2j)! for j = 1 .. EM_M, each the correctly rounded quotient of its integer pair
+_EM_COEFFS = tuple(p / q for p, q in ((1, 12), (-1, 720), (1, 30240), (-1, 1209600), (1, 47900160),
+                                      (-691, 1307674368000), (1, 74724249600), (-3617, 10670622842880000)))
 
 
 def exponent_sum(*parts) -> tuple[complex, float]:
@@ -313,38 +270,46 @@ def em_start(z: complex, a: int, N: int) -> int:
 
 
 def _em_tail(z, b: int, N: int) -> tuple:
-    """Euler-Maclaurin for sum_{n=b}^{N} n**-z, Re z > 1, b < N, in math for a float z, cmath for a Python
+    """Euler-Maclaurin for sum_{n=b}^{N} n**-z, Re z > 1, b < N <= inf, in math for a float z, cmath for a Python
     complex z and numpy for an array: (terms, rounding, error, mass).
 
         sum_{n=b}^{N} n**-z = b**(1-z) (1 - (N/b)**(1-z)) / (z-1)
                               + (b**-z + N**-z)/2 + (corrections at b) - (corrections at N) + R
 
     is the sum of the terms plus R.  The integral is formed from expm1, so it keeps its accuracy as z approaches
-    1.  One loop builds the corrections at x = b and x = N and the ratio |(z)_{2M}|/b**(2M) in R's bound
-    (``_em_remainder``): step j forms q = (z+2j+1)(z+2j+2) once, for a factor q/x**2 of each correction and
+    1; N = math.inf takes a float z, whose integral is b**(1-z)/(z-1) with no expm1 factor or error, and no term
+    at N.  |R| <= |B_{2M}|/(2M)! |(z)_{2M}| b**(1-sigma-2M)/(sigma+2M-1), M = EM_M, as |B~_{2M}| <= |B_{2M}| for
+    the periodic Bernoulli function (Johansson, Numer. Algorithms 69, 2015, Theorem 1), to a finite N too;
+    doubled for its own rounding.  One loop builds the corrections at x = b and x = N and the ratio
+    |(z)_{2M}|/b**(2M): step j forms q = (z+2j+1)(z+2j+2) once, for a factor q/x**2 of each correction and
     |q|/b**2 of the ratio.  As b >= 2(|z| + EM_M) (``em_start``), the ratio's 2 EM_M factors |z + j|/b have a
     mean below 1/2, so R is below 1e-18 b**(1-sigma) whatever |z|.  rounding prices the terms, not their sum: a
-    power x**-z is off by u (16 + 4 |z| log x) relative; the integral's b, z - 1, quotient by it (16u, as
-    ``ValueWithBound`` prices a complex quotient), B - A and product add under 24u; correction j's z x**-z / x
-    adds under 5u, each of its j steps under 11u (two additions, x**2, the quotient by it, and q and the product
-    into the correction at (2 + sqrt 2)u each, as ``ValueWithBound`` prices a product) and its coefficient 2u,
-    so 7 + 11 (EM_M - 1) <= 10 EM_M + 10 units with the other terms.  error is R's bound, the error of 1 - e**-v
-    (expm1's own and its argument's, 8u |v|, v = (z-1) log(N/b)) times the integral, and a subnormal per product
-    of underflow.  mass >= sum_{n=b}^{N} n**-sigma prices an error dz in z.
+    power x**-z is off by u (16 + 4 |z| log x) relative, each priced at log N (log b for N = inf); the
+    integral's b, z - 1, quotient by it (16u, as ``ValueWithBound`` prices a complex quotient), B - A and
+    product add under 24u; correction j's z x**-z / x adds under 5u, each of its j steps under 11u (two
+    additions, x**2, the quotient by it, and q and the product into the correction at (2 + sqrt 2)u each, as
+    ``ValueWithBound`` prices a product) and its coefficient 2u, so 7 + 11 (EM_M - 1) <= 10 EM_M + 10 units with
+    the other terms.  error is R's bound, the error of 1 - e**-v (expm1's own and its argument's, 8u |v|,
+    v = (z-1) log(N/b)) times the integral, and a subnormal per product of underflow.  mass >=
+    sum_{n=b}^{N} n**-sigma prices an error dz in z.
     """
     # a float z (C = 0 below) keeps float arithmetic and float terms: its unit i is 0, not 1j
     m, cexp, least, i = ((np, np.exp, np.minimum, 1j) if isinstance(z, np.ndarray) else
                          (math, cmath.exp, min, 1j) if isinstance(z, complex) else (math, math.exp, min, 0.0))
-    u, sigma, log_b, log_n = UNIT_ROUNDOFF, z.real, math.log(b), math.log(N)
-    L = math.log1p((N - b) / b)  # log(N/b)
+    u, sigma, log_b = UNIT_ROUNDOFF, z.real, math.log(b)
     w = z - 1.0
-    v = w * L
-    # 1 - e**-v = -expm1(-v), with expm1(x + iy) = expm1(x) cos y - 2 sin(y/2)**2 + i e**x sin y
-    A, B = m.expm1(-v.real) * m.cos(v.imag), 2.0 * m.sin(v.imag / 2.0) ** 2
-    C = m.exp(-v.real) * m.sin(v.imag)
-    d = 8.0 * u * abs(v)
-    expm1_error = 6.0 * u * (abs(A) + B + abs(C)) + least(2.0, d * m.exp(least(d, 1.0)))
-    Pb, PN = cexp(-z * log_b), cexp(-z * log_n)
+    if N < math.inf:
+        L, log_n = math.log1p((N - b) / b), math.log(N)  # log(N/b)
+        v = w * L
+        # 1 - e**-v = -expm1(-v), with expm1(x + iy) = expm1(x) cos y - 2 sin(y/2)**2 + i e**x sin y
+        A, B = m.expm1(-v.real) * m.cos(v.imag), 2.0 * m.sin(v.imag / 2.0) ** 2
+        C = m.exp(-v.real) * m.sin(v.imag)
+        d = 8.0 * u * abs(v)
+        expm1_error = 6.0 * u * (abs(A) + B + abs(C)) + least(2.0, d * m.exp(least(d, 1.0)))
+        PN = cexp(-z * log_n)
+    else:  # 1 - e**-v = 1 exactly, and the power at N is 0
+        L, log_n, A, B, C, expm1_error, PN = math.inf, log_b, -1.0, 0.0, 0.0, 0.0, 0.0
+    Pb = cexp(-z * log_b)
     scale = b * Pb / w
     terms = [scale * (B - A + i * C), Pb / 2.0, PN / 2.0]
     # every factor q/x**2 is finite and below 1, so a zero correction never meets an overflow
@@ -358,37 +323,53 @@ def _em_tail(z, b: int, N: int) -> tuple:
     rounding = u * ((40.0 + 4.0 * abs(z) * log_b) * abs(terms[0])
                     + (16.0 + 4.0 * abs(z) * log_n + 10 * EM_M + 10) * sum(map(abs, terms[1:])))
     # math.ulp(0.0) is the least subnormal: no import of series on the scalar hot path
-    error = abs(scale) * expm1_error + _em_remainder(sigma, b, ratio) + (4 * EM_M + 16) * b * math.ulp(0.0)
+    remainder = 2.0 * abs(_EM_COEFFS[-1]) * b ** (1.0 - sigma) / (sigma + 2 * EM_M - 1) * ratio
+    error = abs(scale) * expm1_error + remainder + (4 * EM_M + 16) * b * math.ulp(0.0)
     # sum_{n=b}^{N} n**-sigma <= b**-sigma + int_b^N t**-sigma dt
     mass = b**-sigma + b ** (1.0 - sigma) * -m.expm1(-(sigma - 1.0) * L) / (sigma - 1.0)
     return terms, rounding, error, mass
 
 
 def partial_zeta(z: complex, dz: float, a: int, N: int) -> tuple[complex, float]:
-    """(value, radius) with |sum_{n=a}^{N} n**-w - value| <= radius for every |w - z| <= dz.
+    """(value, radius) with |sum_{n=a}^{N} n**-w - value| <= radius for every |w - z| <= dz; N = math.inf takes a
+    real z with z - dz > 1, so that zeta(beta) is ``partial_zeta(beta, dbeta, 1, math.inf)``.
 
     The terms a <= n < b = ``em_start(z, a, N)`` are table powers added and priced, each at its own log n, by
     ``series.direct_sum``.  The tail, if any, is ``_em_tail``'s terms added by fsum, priced by its parts, the
     two fsums and the final addition.  Both roundings grow with log N, so the two sides of the switch have
     radii within a small factor.  dz is priced from the log-weighted mass of all the terms, as
-    |n**-w - n**-z| <= dz log n n**-sigma e**(dz log n).
+    |n**-w - n**-z| <= dz log n n**-sigma e**(dz log n); to infinity, the tail's at s = sigma - dz, the least
+    Re w, by sum_{n>=b} n**-s log n <= b**-s log b + b**(1-s) (log b/(s-1) + 1/(s-1)**2).  Beyond z =
+    ZETA_HEADLESS no term is formed: the sum from c = max(a, 2) is at most c**-s (1 + c/(s-1)), doubled for its
+    rounding, below one subnormal for s > ZETA_HEADLESS.
     """
     from . import series  # series imports this module
 
     z = complex(z)
     u, real = UNIT_ROUNDOFF, z.imag == 0.0  # a real z takes float arithmetic and gives float terms
+    if N == math.inf:
+        s = math.nextafter(z.real - dz, -math.inf) if dz else z.real  # at most the least Re w
+        if not (real and s > 1.0):
+            raise SpecError(f"a sum to infinity needs a real z with z - dz > 1, got z = {z}, dz = {dz}")
+        if z.real > ZETA_HEADLESS:
+            c = max(a, 2)
+            return complex(a == 1), 0.0 if s == math.inf else 2.0 * c**-s * (1.0 + c / (s - 1.0)) + math.ulp(0.0)
     b = em_start(z, a, N)
     value, radius, log_mass = series.direct_sum(series.log_table(b - 1)[a - 1 :], z)
-    log_n = math.log(max(N, 1))
+    tail_mass = 0.0
     if b <= N:
         terms, rounding, error, tail_mass = _em_tail(z.real if real else z, b, N)
         tail = math.fsum(terms) if real else complex(math.fsum(t.real for t in terms),
                                                      math.fsum(t.imag for t in terms))
         radius += rounding + error + 2.0 * u * (abs(tail) + abs(value + tail))
         value += tail
-        log_mass += log_n * tail_mass
-    if dz:
-        radius += dz * log_mass * math.exp(min(dz * log_n, 700.0))
+    if dz and N < math.inf:
+        log_n = math.log(max(N, 1))
+        radius += dz * (log_mass + log_n * tail_mass) * math.exp(min(dz * log_n, 700.0))
+    elif dz:
+        log_b = math.log(b)
+        radius += dz * (log_mass * math.exp(min(dz * math.log(b - 1), 700.0)) + b**-s * log_b
+                        + b ** (1.0 - s) * (log_b / (s - 1.0) + 1.0 / (s - 1.0) ** 2))
     return value, radius
 
 
@@ -413,7 +394,9 @@ class RatioSum:
     The true sum lies within remainder_bound of total.  The bound covers
     truncation and rounding for every shape: the zeta and geometric closed
     forms, the finite sums and the mixed geometric x power sums.  exact
-    records a closed form or a finite sum, not a zero radius.
+    records a closed form or a finite sum, not a zero radius.  partial_terms
+    counts the terms summed one by one: for zeta(beta), the direct head of
+    ``partial_zeta`` to infinity (none beyond ZETA_HEADLESS).
     """
 
     total: float
@@ -450,7 +433,7 @@ def weighted_ratio_sum(num: SequenceRule, den: SequenceRule, extra: float = 0.0)
     """Certified value of sum_{l>=1} |num(l)|^2 * l**extra / den(l).
 
     Closed forms: pure geometric (q < 1, gamma = 0) and pure power
-    (q = 1, gamma < -1: zeta(-gamma) by Euler-Maclaurin, ``zeta_enclosure``).
+    (q = 1, gamma < -1: zeta(-gamma), ``partial_zeta`` to infinity).
     Mixed shapes fall back to a partial sum plus a certified geometric-ratio
     remainder.  Every branch combines its pieces as ``series.ValueWithBound``
     balls, which price the rounding.  Raises CertificationError when the sum
@@ -483,18 +466,13 @@ def weighted_ratio_sum(num: SequenceRule, den: SequenceRule, extra: float = 0.0)
     if gap.upper < 0.0 or ("geometric" not in (num.kind, den.kind) and gamma >= -1.0):
         raise CertificationError("ratio sum diverges: hypothesis (finite coupling sum) fails")
     if "geometric" not in (num.kind, den.kind):
-        # sum l**gamma = zeta(-gamma), gamma < -1
-        value, radius = zeta_enclosure(-gamma)
-        if dgamma:
-            # zeta decreases, so a rounded gamma is priced by the enclosures
-            # at the floats just outside -gamma -+ dgamma
-            below = math.nextafter(-gamma - dgamma, -math.inf)
-            if not below > 1.0:
-                raise CertificationError("ratio sum exponent within rounding of -1: the sum cannot be certified finite")
-            hi, r_hi = zeta_enclosure(below)
-            lo, r_lo = zeta_enclosure(math.nextafter(-gamma + dgamma, math.inf))
-            radius = max((Ball(hi, r_hi) - value).upper, (value - Ball(lo, r_lo)).upper)
-        return _ratio_sum(A * Ball(value, radius), False, ZETA_N - 1)
+        # sum l**gamma = zeta(-gamma), gamma < -1, for every exponent within the rounding dgamma of -gamma
+        try:
+            value, radius = partial_zeta(-gamma, dgamma, 1, math.inf)
+        except SpecError:  # -gamma - dgamma <= 1
+            raise CertificationError("ratio sum exponent within rounding of -1: the sum cannot be certified finite") from None
+        head = em_start(complex(-gamma), 1, math.inf) - 1 if -gamma <= ZETA_HEADLESS else 0
+        return _ratio_sum(A * Ball(value.real, radius), False, head)
     if gamma == 0.0:
         # geometric: sum q**l = q/(1-q); the division refuses a disc of 1 - q that holds 0
         try:

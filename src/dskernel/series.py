@@ -40,11 +40,11 @@ encloses that sum without a table of length N: from ``rules.em_start``,
 K = 2 ceil(|z|) + 16 for Re z > 1 and N > K + 512, it sums n < K from the
 table and the rest by Euler-Maclaurin with 8 corrections and a rigorous
 remainder, so the work grows with |z|, not with N.  One routine,
-``rules._em_tail``, builds and prices that tail both here and, over an
-array of exponents, for the translate Gram's entries (``rules.zeta_tails``).
-The value is still the order-N partial sum and the radius the same tail
-bound plus the rounding of the computation as done, including the rounding
-of z itself.
+``rules._em_tail``, builds and prices that tail here, to infinity for the
+zeta(beta) of the coupling ratio sums, and, over an array of exponents, for
+the translate Gram's entries (``rules.zeta_tails``).  The value is still
+the order-N partial sum and the radius the same tail bound plus the
+rounding of the computation as done, including the rounding of z itself.
 """
 
 from __future__ import annotations
@@ -486,16 +486,14 @@ class GeneralDirichletSeries:
 def evaluate(series: GeneralDirichletSeries, s: complex, order: int) -> ValueWithBound:
     """Partial sum of the first ``order`` terms plus a certified tail radius.
 
-    The tail bound uses the declared envelope together with the exponent
-    closed form: an integral comparison for log-type exponents and a
-    geometric ratio bound for linear ones.  Without an envelope the radius
-    is infinite (value-only mode).  Points at or below the certified
-    abscissa, and non-finite points, are refused.  Beyond the stored
-    prefix, log-type exponents omega log n with a constant or power
-    coefficient rule c n**p sum as c sum_n n**-(omega s - p) by
-    ``rules.partial_zeta``; other series sum their terms by ``direct_sum``.
-    A finite series cut short adds the remainder's absolute sum, rounded up,
-    to the radius.
+    The tail bound uses the declared envelope together with the exponent closed form: an integral
+    comparison for log-type exponents and a geometric ratio bound for linear ones.  Without an envelope
+    the radius is infinite (value-only mode).  Points at or below the certified abscissa, non-finite
+    points and sums whose terms overflow a double are refused.  Beyond the stored prefix, log-type
+    exponents omega log n with a constant or power coefficient rule c n**p sum as
+    c sum_n n**-(omega s - p) by ``rules.partial_zeta``; other series sum their terms by
+    ``direct_sum``.  A finite series cut short adds the remainder's absolute sum, rounded up, to the
+    radius.
     """
     s = complex(s)
     if not cmath.isfinite(s):
@@ -516,13 +514,14 @@ def evaluate(series: GeneralDirichletSeries, s: complex, order: int) -> ValueWit
     else:
         lam, coef = series.terms(order)
         value, rounding, _ = direct_sum(lam, s, coef)
-
-    if series.finite:
-        if order >= len(series):
-            return ValueWithBound(value, rounding)
+    if series.finite and order < len(series):
         lam, coef = series.terms(len(series))  # the remainder, bounded above by its own ball
         rest = direct_sum(lam[order:], sigma, np.abs(coef[order:]))
-        return _ball(value, ValueWithBound(*rest[:2]).upper + rounding)
+        rounding = _widened(ValueWithBound(*rest[:2]).upper + rounding)
+    if not cmath.isfinite(value) or math.isnan(rounding):
+        raise SpecError(f"a term of the series at s = {s} overflows a double")
+    if series.finite:
+        return ValueWithBound(value, rounding)
     radius = _tail_radius(series, sigma, order)
     if math.isfinite(radius):
         radius += rounding
@@ -539,14 +538,16 @@ def _tail_radius(series: GeneralDirichletSeries, sigma: float, order: int) -> fl
     # linear exponents: terms C n**alpha e**(-slope*sigma*n), geometric ratio bound
     if sigma <= 0:
         return math.inf
-    decay = math.exp(-rule.slope * sigma)
-    ratio = decay * ((order + 1) / order) ** max(env.alpha, 0.0)
-    if ratio >= 1.0:
+    # the ratio e**-(slope sigma) ((N+1)/N)**max(alpha, 0) and the next term C (N+1)**alpha e**(-slope sigma (N+1))
+    # in logs: their powers alone overflow long before either does
+    log_ratio = max(env.alpha, 0.0) * math.log1p(1.0 / order) - rule.slope * sigma
+    if log_ratio >= 0.0:
         raise ConvergenceRegionError(
             "not in certified convergence region: geometric tail ratio >= 1 at this order"
         )
-    t_next = env.C * (order + 1) ** env.alpha * math.exp(-rule.slope * sigma * (order + 1))
-    return t_next / (1.0 - ratio)
+    log_next = ((math.log(env.C) if env.C else -math.inf) + env.alpha * math.log(order + 1)
+                - rule.slope * sigma * (order + 1))
+    return (math.exp(log_next) if log_next < 709.0 else math.inf) / -math.expm1(log_ratio)
 
 
 def _merged(lam: np.ndarray, mu: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -74,6 +74,25 @@ class TestEval:
                      else mpmath.zeta(z))
             assert abs(mpmath.mpf(value) - truth) <= radius
 
+    @pytest.mark.parametrize("alpha, order, code", [(300, 100000, 0), (2000, 1, 2)])
+    def test_linear_exponent_tail_past_a_large_power(self, capsys, tmp_path, alpha, order, code):
+        """(N+1)**alpha = 100001**300 overflows a double, but the tail term C (N+1)**alpha e**(-2(N+1)) is below
+        e**-10**5, and ((N+1)/N)**alpha = 2**2000 overflows where the tail ratio is refused: the tail bound takes
+        both in logs."""
+        f = tmp_path / "linear.json"
+        f.write_text(json.dumps({"kind": "general", "coefficients": [1],
+                                 "generator": {"exponents": {"kind": "linear", "slope": 1},
+                                               "coefficients": {"kind": "constant", "value": 1}},
+                                 "envelope": {"C": 1, "alpha": alpha}}))
+        assert main(["eval", "--series", str(f), "--s", "2", "--order", str(order)]) == code
+        rep = json.loads(capsys.readouterr().out)
+        if code:
+            assert rep["error"]["kind"] == "ConvergenceRegionError"
+            return
+        with mpmath.workdps(40):
+            truth = mpmath.exp(-2) / (1 - mpmath.exp(-2))  # sum_{n>=1} e**(-2n)
+            assert abs(mpmath.mpf(rep["results"]["value"]) - truth) <= rep["results"]["error_radius"]
+
     def test_missing_inputs_is_usage_error(self, capsys):
         code, rep = run_json(capsys, "eval", "--s", "2")
         assert code == 2
@@ -431,15 +450,34 @@ class TestErrorPolicy:
         (["sk", "--matrix", str(SAMPLES / "example_arrowhead.json"), "--growth-rho", "2",
           "--l-max", "100000000000000000000"], "SpecError"),
         (["homog", "--verify", "--pairs", "100000000000000000000"], "SpecError"),
+        (["eval", "--series", {"kind": "ordinary", "coefficients": [1, [0, 1], -1, 2], "finite": True},
+          "--s=-800+3j", "--order", "4"], "SpecError"),
+        (["eval", "--series", {"kind": "ordinary", "coefficients": [1, 1, 1, 1], "finite": True},
+          "--s=-1e300", "--order", "4"], "SpecError"),
+        (["eval", "--matrix", {"variant": "dense", "entries": [[1, 0.5], [0.5, 1]], "rho": -3000},
+          "--s=-2000", "--u=1", "--order", "2"], "SpecError"),
+        (["eval", "--matrix", {"variant": "diagonal", "values": [1, 1, 1], "rho": -3000},
+          "--s=-2000", "--u=1", "--order", "3"], "SpecError"),
+        (["eval", "--matrix", {"variant": "rank_one", "fhat": [1, 1, 1], "rho": -3000},
+          "--s=-2000", "--u=1", "--order", "3"], "SpecError"),
     ], ids=["merge-grid-too-large-to-hold", "merge-bound-past-numpy", "symbols-order-past-numpy",
-            "psd-order-past-numpy", "sk-l-max-past-numpy", "homog-pairs-past-numpy"])
-    def test_oversized_input_exit_2(self, argv, kind):
-        """Sizes refused at allocation or before it, in a child process held to 2 GiB of address space."""
+            "psd-order-past-numpy", "sk-l-max-past-numpy", "homog-pairs-past-numpy", "series-terms-overflow",
+            "finite-series-terms-overflow", "dense-kernel-terms-overflow", "values-kernel-terms-overflow",
+            "rank-one-kernel-terms-overflow"])
+    def test_oversized_input_exit_2(self, tmp_path, argv, kind):
+        """Sizes refused at allocation or before it, and sums whose terms overflow a double, in a child process
+        held to 2 GiB of address space, with nothing on stderr.  A spec given inline is written to a file."""
+        spec = tmp_path / "spec.json"
+        for arg in argv:
+            if isinstance(arg, dict):
+                spec.write_text(json.dumps(arg))
+        argv = [str(spec) if isinstance(arg, dict) else arg for arg in argv]
         out = fresh_python("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, "
                            "resource.getrlimit(resource.RLIMIT_AS)[1])); from dskernel.cli import main; "
                            "sys.exit(main(sys.argv[1:]))", *argv)
         assert out.returncode == 2, out.stderr
         assert json.loads(out.stdout)["error"]["kind"] == kind
+        assert out.stderr == ""
 
     def test_series_order_past_numpy_exit_2(self, capsys, tmp_path):
         """A series without a closed form past its prefix sums its terms, so its order is checked as a length."""

@@ -25,6 +25,7 @@ from dskernel import (
     GeneralDirichletSeries,
     HalfPlane,
     SequenceRule,
+    SpecError,
     evaluate,
     kernel_eval,
 )
@@ -374,6 +375,48 @@ class TestRadiusLedger:
             assert np.all(np.abs(value - np.array([complex(*w) for w in row["value"]])) <= radius + before), row["N"]
 
 
+def hurwitz(w, a: int):
+    """sum_{n>=a} n**-w at the working precision: a direct head up to K = max(a, ceil(w) + 30), where the
+    Euler-Maclaurin series ``em_tail`` converges past 1e-50, and that series from K.  mpmath.zeta(w, a) is not
+    used for a > 1: at 40 digits it gives 1.0518341962e-3999 for w = 1000, a = 10**4, against 1.0518341950e-3999
+    at 4,040 digits and here."""
+    K = max(a, math.ceil(w) + 30)
+    return mpmath.fsum(mpmath.mpf(n) ** -w for n in range(a, K)) + em_tail(w, K)
+
+
+class TestInfiniteEnd:
+    """``partial_zeta`` to N = math.inf: sum_{n>=a} n**-w for every real w within dz of z, the Hurwitz zeta(w, a)."""
+
+    def test_seeded_sweep_holds_hurwitz_zeta_at_both_ends_of_the_exponent_disc(self):
+        rng = np.random.default_rng(27)
+        betas = [1.0 + 1e-6, 1e3, *(1.0 + 10.0 ** rng.uniform(-6.0, 3.0, 30))]
+        misses = []
+        with mpmath.workdps(40):
+            for beta in betas:
+                assert abs(hurwitz(mpmath.mpf(beta), 1) / mpmath.zeta(beta) - 1) <= 1e-35
+                for a in (1, 2, 17, 10**4):
+                    for dz in (0.0, 1e-16 * beta, 1e-8):
+                        value, radius = partial_zeta(beta, dz, a, math.inf)
+                        for sign in (-1, 0, 1):
+                            truth = hurwitz(mpmath.mpf(beta) + sign * mpmath.mpf(dz), a)
+                            if abs(mpmath.mpc(value.real, value.imag) - truth) > radius:
+                                misses.append((beta, a, dz, sign))
+        assert misses == []
+
+    @pytest.mark.parametrize("z, dz", [(1.0, 0.0), (1.5, 0.5), (1.5, 0.75), (2.0, 1.0 + 2.0**-52), (math.nan, 0.0),
+                                       (complex(3.0, 1.0), 0.0)])
+    def test_exponent_disc_reaching_one_or_a_complex_z_is_refused(self, z, dz):
+        with pytest.raises(SpecError, match="infinity"):
+            partial_zeta(z, dz, 1, math.inf)
+
+    @pytest.mark.parametrize("a", [1, 2, 17])
+    def test_beyond_the_headless_exponent_no_term_is_formed(self, a):
+        for beta in (1100.5, 1e6, 1e300):
+            value, radius = partial_zeta(beta, 1e-16 * beta, a, math.inf)
+            assert value == (1.0 if a == 1 else 0.0) and 0.0 < radius <= 2.0**-1070
+        assert partial_zeta(math.inf, 0.0, a, math.inf) == (1.0 if a == 1 else 0.0, 0.0)
+
+
 class TestOneTail:
     """``partial_zeta`` and ``zeta_tails`` both take their Euler-Maclaurin tail from ``rules._em_tail``, so a
     fix to its terms or pricing reaches both; the direct sum below the switch does not use it."""
@@ -390,6 +433,10 @@ class TestOneTail:
         assert em_start(z, 1, N) <= N
         with pytest.raises(RuntimeError, match="_em_tail"):
             partial_zeta(z, 0.0, 1, N)
+
+    def test_zeta_to_infinity(self, refused):
+        with pytest.raises(RuntimeError, match="_em_tail"):
+            partial_zeta(2.5, 0.0, 1, math.inf)
 
     def test_zeta_tails(self, refused):
         with pytest.raises(RuntimeError, match="_em_tail"):
