@@ -114,11 +114,12 @@ def expansion_check(kernel: DirichletKernel, s: complex, u: complex, order: int)
     Both sides are the same truncated double sum regrouped, so the residual
     is pure floating-point noise; a large value signals an implementation
     inconsistency, not a mathematical one.  The symbol values A_n(s) are
-    the columns a_{1..order,n} against one power vector.
+    one scatter of the ``nonzero_entries`` terms a_{m,n} m**(-s) by n.
     """
     lhs = kernel_eval(kernel, s, u, order).value
-    ps = powers(s, order)
-    symbols = np.array([power_sum(kernel.matrix.column_prefix(n, order), ps) for n in range(1, order + 1)])
+    m, n, values = kernel.matrix.nonzero_entries(order)
+    symbols = np.zeros(order, dtype=complex)
+    np.add.at(symbols, n - 1, values * powers(s, order)[m - 1])
     return abs(lhs - power_sum(symbols, powers(np.conj(complex(u)), order)))
 
 

@@ -20,13 +20,15 @@ loop over the corrections at both ends and the remainder: in math (float
 arithmetic for a real z) for ``partial_zeta``, the hot path of deep rule
 sums and the zeta(beta) of the ratio sums, which adds a short direct head
 by fsum, and in numpy for ``zeta_tails``, many exponents at once; each
-prices only its own sum.
+prices only its own sum.  ``em_start`` sizes the head by the remainder the
+tail must meet, and a short real head is summed in float arithmetic.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 import reprlib
 from dataclasses import dataclass
 from typing import Optional
@@ -231,12 +233,22 @@ EM_M = 8
 #: beyond this real z, sum_{n>=2} n**-z < 2**-z (1 + 2/(z-1)) is below one subnormal: a sum to infinity forms no head
 ZETA_HEADLESS = 1100.0
 
+#: longest real head ``partial_zeta`` sums in float arithmetic, not in numpy: the two cost the same near 35 terms
+FLOAT_HEAD = 32
+
 #: most terms a mixed geometric * power ratio sum may take before its ratio test holds
 MIXED_TERMS_MAX = 2**20
 
 #: B_{2j} / (2j)! for j = 1 .. EM_M, each the correctly rounded quotient of its integer pair
 _EM_COEFFS = tuple(p / q for p, q in ((1, 12), (-1, 720), (1, 30240), (-1, 1209600), (1, 47900160),
                                       (-691, 1307674368000), (1, 74724249600), (-3617, 10670622842880000)))
+
+#: ``em_start``: log(2 |B_{2M}|/(2M)! 2**60), and sum d**2 and sum d**4 / 2 over d = 1/2 .. EM_M - 1/2
+_EM_TARGET = math.log(2.0 * abs(_EM_COEFFS[-1])) + 60.0 * math.log(2.0)
+_EM_D2, _EM_D4 = sum((k + 0.5) ** 2 for k in range(EM_M)), sum((k + 0.5) ** 4 for k in range(EM_M)) / 2
+
+#: the corrections before the last, each with the k = 2j + 1 of its step q = (z + k)(z + k + 1) to the next
+_EM_STEPS = tuple(zip(_EM_COEFFS[:-1], range(1, 2 * EM_M, 2)))
 
 
 def exponent_sum(*parts) -> tuple[complex, float]:
@@ -259,14 +271,28 @@ def exponent_sum(*parts) -> tuple[complex, float]:
 
 
 def em_start(z: complex, a: int, N: int) -> int:
-    """Where Euler-Maclaurin takes over sum_{n=a}^{N} n**-z: max(a, K), K = 2 ceil(|z|) + 2 EM_M, if Re z > 1
-    and N exceeds it by 512, about where the two cost the same in ``partial_zeta`` (``timeit``, 2-core x86_64:
-    the tail costs what 250 to 500 more direct terms cost for a complex z, 14 us against 14 to 17 us for
-    128 to 512 more terms for a real z); otherwise N + 1, the whole sum direct."""
-    K = 2.0 * math.ceil(abs(z)) + 2 * EM_M if math.isfinite(abs(z)) else math.inf
-    if z.real > 1.0 and N > max(a, K) + 512:
-        return max(a, int(K))
-    return N + 1
+    """Where Euler-Maclaurin takes over sum_{n=a}^{N} n**-z, Re z = sigma > 1: b if N > b + 512, about where the two
+    cost the same in ``partial_zeta`` (``timeit``, 2-core x86_64: the tail costs what 250 to 500 more direct terms
+    cost for a complex z, 128 to 512 more for a real z); otherwise N + 1, the whole sum direct.  b is the least
+    start >= max(a, 2) whose remainder bound 2 |B_{2M}|/(2M)! P b**(1-sigma-2M)/(sigma+2M-1) (``_em_tail``),
+    M = EM_M, P = prod_{j<2M} |z+j|, is at most 2**-60 a**-sigma, 1/128 of the first term's rounding.  Pairing
+    z + j = w +- d about w = z + M - 1/2, log(1 + t) <= t gives log P <= M log |w|**2 + sum_d (d**2 (|w|**2 -
+    2 (Re w)**2) + d**4/2)/|w|**4, within 2 of log P (0.04 from |z| = 12 on), so b is at most 13 % above the
+    least.  b is never above max(a, K), K = 2 ceil(|z|) + 2 EM_M, where every factor q/b**2 of ``_em_tail`` is
+    below 1, and stays there where sigma log b > 700, so that b**-sigma is a normal double."""
+    sigma, r = z.real, abs(z)
+    if not (sigma > 1.0 and r < math.inf):
+        return N + 1
+    K, m, x, y = 2 * math.ceil(r) + 2 * EM_M, sigma + (2 * EM_M - 1), sigma + (EM_M - 0.5), z.imag
+    x2, w2 = x * x, x * x + y * y
+    log_b = (EM_M * math.log(w2) + (_EM_D2 * (w2 - 2.0 * x2) + _EM_D4) / (w2 * w2) + _EM_TARGET - math.log(m)
+             + (sigma * math.log(a) if a > 1 else 0.0)) / m
+    b = K if K > a else a
+    least = math.ceil(math.exp(log_b)) if log_b < 700.0 else b  # not for a NaN log_b, |z| above 1e154
+    least = least if least > a else a if a > 2 else 2
+    if least < b and sigma * math.log(least) <= 700.0:
+        b = least
+    return b if N > b + 512 else N + 1
 
 
 def _em_tail(z, b: int, N: int) -> tuple:
@@ -282,28 +308,32 @@ def _em_tail(z, b: int, N: int) -> tuple:
     the periodic Bernoulli function (Johansson, Numer. Algorithms 69, 2015, Theorem 1), to a finite N too;
     doubled for its own rounding.  One loop builds the corrections at x = b and x = N and the ratio
     |(z)_{2M}|/b**(2M): step j forms q = (z+2j+1)(z+2j+2) once, for a factor q/x**2 of each correction and
-    |q|/b**2 of the ratio.  As b >= 2(|z| + EM_M) (``em_start``), the ratio's 2 EM_M factors |z + j|/b have a
-    mean below 1/2, so R is below 1e-18 b**(1-sigma) whatever |z|.  rounding prices the terms, not their sum: a
+    |q|/b**2 of the ratio.  ``em_start`` sizes b so that R is at most about 2**-60 a**-sigma.  q/x**2 > 1 where
+    x < |z| + 2 EM_M, but the products |(z)_k| x**(-sigma-k) have ratios |z+k|/x growing with k: each is below
+    the first, |z| x**(-sigma-1), or the last, about 1e-6 by b's bound, and |z| < 1e38 by it (sigma log b <= 700,
+    N < 2**63), so nothing overflows.  One at b that a later factor above 1 scales is >= b**-sigma (|z|/(|z| +
+    2 EM_M))**(2 EM_M - 1) > e**-702 (|z| > 120 where sigma log b >= 600), normal.  rounding prices the terms: a
     power x**-z is off by u (16 + 4 |z| log x) relative, each priced at log N (log b for N = inf); the
     integral's b, z - 1, quotient by it (16u, as ``ValueWithBound`` prices a complex quotient), B - A and
     product add under 24u; correction j's z x**-z / x adds under 5u, each of its j steps under 11u (two
     additions, x**2, the quotient by it, and q and the product into the correction at (2 + sqrt 2)u each, as
     ``ValueWithBound`` prices a product) and its coefficient 2u, so 7 + 11 (EM_M - 1) <= 10 EM_M + 10 units with
     the other terms.  error is R's bound, the error of 1 - e**-v (expm1's own and its argument's, 8u |v|,
-    v = (z-1) log(N/b)) times the integral, and a subnormal per product of underflow.  mass >=
+    v = (z-1) log(N/b)) times the integral, and a subnormal per product of underflow, times
+    (max(N, |z| + 2 EM_M)/N)**(2 EM_M - 2) for the factors above 1 that may scale one at N.  mass >=
     sum_{n=b}^{N} n**-sigma prices an error dz in z.
     """
     # a float z (C = 0 below) keeps float arithmetic and float terms: its unit i is 0, not 1j
     m, cexp, least, i = ((np, np.exp, np.minimum, 1j) if isinstance(z, np.ndarray) else
                          (math, cmath.exp, min, 1j) if isinstance(z, complex) else (math, math.exp, min, 0.0))
-    u, sigma, log_b = UNIT_ROUNDOFF, z.real, math.log(b)
+    u, sigma, r, log_b = UNIT_ROUNDOFF, z.real, abs(z), math.log(b)
     w = z - 1.0
     if N < math.inf:
         L, log_n = math.log1p((N - b) / b), math.log(N)  # log(N/b)
         v = w * L
         # 1 - e**-v = -expm1(-v), with expm1(x + iy) = expm1(x) cos y - 2 sin(y/2)**2 + i e**x sin y
-        A, B = m.expm1(-v.real) * m.cos(v.imag), 2.0 * m.sin(v.imag / 2.0) ** 2
-        C = m.exp(-v.real) * m.sin(v.imag)
+        A, B, C = ((m.expm1(-v.real) * m.cos(v.imag), 2.0 * m.sin(v.imag / 2.0) ** 2, m.exp(-v.real) * m.sin(v.imag))
+                   if i else (math.expm1(-v), 0.0, 0.0))  # for a float v, y = 0: cos y = 1 and sin y = 0 exactly
         d = 8.0 * u * abs(v)
         expm1_error = 6.0 * u * (abs(A) + B + abs(C)) + least(2.0, d * m.exp(least(d, 1.0)))
         PN = cexp(-z * log_n)
@@ -312,19 +342,19 @@ def _em_tail(z, b: int, N: int) -> tuple:
     Pb = cexp(-z * log_b)
     scale = b * Pb / w
     terms = [scale * (B - A + i * C), Pb / 2.0, PN / 2.0]
-    # every factor q/x**2 is finite and below 1, so a zero correction never meets an overflow
     b2, N2 = float(b) * b, float(N) * N
-    fb, fN, ratio = z * Pb / b, z * PN / N, abs(z) * abs(z + (2 * EM_M - 1)) / b2
-    for j, coeff in enumerate(_EM_COEFFS):
+    fb, fN, ratio = z * Pb / b, z * PN / N, r * abs(z + (2 * EM_M - 1)) / b2
+    for coeff, k in _EM_STEPS:
         terms += (coeff * fb, -coeff * fN)
-        if j < EM_M - 1:
-            q = (z + (2 * j + 1)) * (z + (2 * j + 2))
-            fb, fN, ratio = fb * (q / b2), fN * (q / N2), ratio * (abs(q) / b2)
-    rounding = u * ((40.0 + 4.0 * abs(z) * log_b) * abs(terms[0])
-                    + (16.0 + 4.0 * abs(z) * log_n + 10 * EM_M + 10) * sum(map(abs, terms[1:])))
+        q = (z + k) * (z + (k + 1))
+        fb, fN, ratio = fb * (q / b2), fN * (q / N2), ratio * (abs(q) / b2)
+    terms += (_EM_COEFFS[-1] * fb, -_EM_COEFFS[-1] * fN)
+    rounding = u * ((40.0 + 4.0 * r * log_b) * abs(terms[0])
+                    + (16.0 + 4.0 * r * log_n + 10 * EM_M + 10) * sum(map(abs, terms[1:])))
     # math.ulp(0.0) is the least subnormal: no import of series on the scalar hot path
     remainder = 2.0 * abs(_EM_COEFFS[-1]) * b ** (1.0 - sigma) / (sigma + 2 * EM_M - 1) * ratio
-    error = abs(scale) * expm1_error + remainder + (4 * EM_M + 16) * b * math.ulp(0.0)
+    spread = least(1.0, N / (r + 2 * EM_M)) ** (2 - 2 * EM_M)
+    error = abs(scale) * expm1_error + remainder + (4 * EM_M + 16) * b * spread * math.ulp(0.0)
     # sum_{n=b}^{N} n**-sigma <= b**-sigma + int_b^N t**-sigma dt
     mass = b**-sigma + b ** (1.0 - sigma) * -m.expm1(-(sigma - 1.0) * L) / (sigma - 1.0)
     return terms, rounding, error, mass
@@ -335,7 +365,8 @@ def partial_zeta(z: complex, dz: float, a: int, N: int) -> tuple[complex, float]
     real z with z - dz > 1, so that zeta(beta) is ``partial_zeta(beta, dbeta, 1, math.inf)``.
 
     The terms a <= n < b = ``em_start(z, a, N)`` are table powers added and priced, each at its own log n, by
-    ``series.direct_sum``.  The tail, if any, is ``_em_tail``'s terms added by fsum, priced by its parts, the
+    ``series.direct_sum``, or for a real z and up to FLOAT_HEAD of them as ``math.exp`` of the table's logs by
+    fsum, priced the same way.  The tail, if any, is ``_em_tail``'s terms added by fsum, priced by its parts, the
     two fsums and the final addition.  Both roundings grow with log N, so the two sides of the switch have
     radii within a small factor.  dz is priced from the log-weighted mass of all the terms, as
     |n**-w - n**-z| <= dz log n n**-sigma e**(dz log n); to infinity, the tail's at s = sigma - dz, the least
@@ -355,7 +386,14 @@ def partial_zeta(z: complex, dz: float, a: int, N: int) -> tuple[complex, float]
             c = max(a, 2)
             return complex(a == 1), 0.0 if s == math.inf else 2.0 * c**-s * (1.0 + c / (s - 1.0)) + math.ulp(0.0)
     b = em_start(z, a, N)
-    value, radius, log_mass = series.direct_sum(series.log_table(b - 1)[a - 1 :], z)
+    logs = series.log_table(b - 1, a)
+    if real and logs.size <= FLOAT_HEAD:
+        lam = logs.tolist()
+        t = [math.exp(-z.real * x) for x in lam]
+        mass, log_mass = math.fsum(t), sum(map(operator.mul, t, lam))
+        value, radius = complex(mass), series.rounding_radius(mass, z.real * log_mass, int(len(t) > 1), len(t))
+    else:
+        value, radius, log_mass = series.direct_sum(logs, z)
     tail_mass = 0.0
     if b <= N:
         terms, rounding, error, tail_mass = _em_tail(z.real if real else z, b, N)

@@ -36,10 +36,10 @@ sum |t| (|s| log m + |u| log n) to the same bound.
 Rule sums.  A series with log-type exponents omega log n and a constant or
 power coefficient rule c n**p sums, beyond its stored prefix, as
 c sum_{n<=N} n**-z with z = omega s - p, and ``rules.partial_zeta``
-encloses that sum without a table of length N: from ``rules.em_start``,
-K = 2 ceil(|z|) + 16 for Re z > 1 and N > K + 512, it sums n < K from the
-table and the rest by Euler-Maclaurin with 8 corrections and a rigorous
-remainder, so the work grows with |z|, not with N.  One routine,
+encloses that sum without a table of length N: from the start b of
+``rules.em_start``, sized by the remainder it must meet, for Re z > 1 and
+N > b + 512, it sums n < b from the table and the rest by Euler-Maclaurin
+with 8 corrections and a rigorous remainder: work O(|z|), not O(N).  One routine,
 ``rules._em_tail``, builds and prices that tail here, to infinity for the
 zeta(beta) of the coupling ratio sums, and, over an array of exponents, for
 the translate Gram's entries (``rules.zeta_tails``).  The value is still
@@ -96,17 +96,17 @@ _log_cache = np.empty(0)
 _log_cache.flags.writeable = False
 
 
-def log_table(N: int) -> np.ndarray:
-    """log n for n = 1..N, read-only: a view of the cached table when N <= CACHE_LIMIT."""
+def log_table(N: int, a: int = 1) -> np.ndarray:
+    """log n for n = a..N, read-only: a view of the cached table when N <= CACHE_LIMIT, else only those logs."""
     global _log_cache
     if N > CACHE_LIMIT:
-        out = np.log(np.arange(1, N + 1, dtype=float))
+        out = np.log(np.arange(a, N + 1, dtype=float))
         out.flags.writeable = False
         return out
     if _log_cache.size < N:
         _log_cache = np.log(np.arange(1, CACHE_LIMIT + 1, dtype=float))
         _log_cache.flags.writeable = False
-    return _log_cache[:N]
+    return _log_cache[a - 1 : N]
 
 
 def exp_table(lam: np.ndarray, z: complex) -> np.ndarray:

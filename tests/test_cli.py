@@ -50,6 +50,7 @@ class TestEval:
 
     @pytest.mark.parametrize("source, point", [
         (["--matrix", "diag_ones.json"], ["--s", "1e300", "--u", "1"]),
+        (["--matrix", "diag_ones.json"], ["--s", "1e30", "--u", "1"]),
         (["--series", "zeta_series.json"], ["--s", "1e200"]),
         (["--matrix", "diag_ones.json"], ["--s", "400", "--u", "1"]),
         (["--series", {"kind": "ordinary", "coefficients": [1, 1, 1, 1], "finite": True}], ["--s", "1e300"]),

@@ -9,6 +9,8 @@ sum_{n>N} n**-z by an Euler-Maclaurin series written here with
 import json
 import math
 import pathlib
+import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -80,8 +82,8 @@ def assert_in_disc(value: complex, radius: float, truth, what: str) -> None:
 
 
 def switch(z: complex) -> int:
-    """The last order ``partial_zeta`` sums directly from n = 1 for Re z > 1: K + 512."""
-    return 2 * math.ceil(abs(z)) + 16 + 512
+    """The last order ``partial_zeta`` sums directly from n = 1 for Re z > 1: b + 512, b the start of ``em_start``."""
+    return em_start(complex(z), 1, math.inf) + 512
 
 
 def sweep_pairs() -> list:
@@ -269,9 +271,9 @@ class TestNoLongTables:
         sizes = []
         log_table, prefix = series_module.log_table, SequenceRule.prefix
 
-        def log_spy(n):
+        def log_spy(n, *start):
             sizes.append(n)
-            return log_table(n)
+            return log_table(n, *start)
 
         def prefix_spy(self, n):
             sizes.append(n)
@@ -415,6 +417,119 @@ class TestInfiniteEnd:
             value, radius = partial_zeta(beta, 1e-16 * beta, a, math.inf)
             assert value == (1.0 if a == 1 else 0.0) and 0.0 < radius <= 2.0**-1070
         assert partial_zeta(math.inf, 0.0, a, math.inf) == (1.0 if a == 1 else 0.0, 0.0)
+
+
+def start_draws() -> list:
+    """(z, a, N, dz): 200 real z from 1.05 to 1100 at N = 2*10**4, 10**6 and infinity, and 60 complex z with
+    Re z from 1.05 to 4 and |Im z| from 1 to 1e6 at the two finite N; a in {1, 5, 17}, dz 0 or 1e-15 |z|."""
+    rng = np.random.default_rng(28)
+    draws = []
+    for i in range(260):
+        real = i < 200
+        sigma = 1.0 + float(10.0 ** rng.uniform(math.log10(0.05), math.log10(1099.0 if real else 3.0)))
+        t = 0.0 if real else float(10.0 ** rng.uniform(0.0, 6.0)) * float(rng.choice([-1.0, 1.0]))
+        z = complex(sigma, t)
+        N = (2 * 10**4, 10**6, math.inf)[i % 3] if real else (2 * 10**4, 10**6)[i % 2]
+        draws.append((z, (1, 5, 17)[i // 3 % 3], N, 1e-15 * abs(z) if rng.random() < 0.5 else 0.0))
+    return draws
+
+
+_sums: dict = {}
+
+
+def sum_oracle(w, a: int, N) -> mpmath.mpc:
+    """sum_{n=a}^{N} n**-w at the working precision for an mpmath w: the Hurwitz zeta for a real w, and for a
+    complex one zeta(w) less the head below a and the tail beyond N, where the tail's Euler-Maclaurin series
+    converges (N + 1 > |w|/4), else the direct sum."""
+    key = (w, a, N)
+    if key not in _sums:
+        if w.imag == 0:
+            w = mpmath.mpf(w.real)
+            value = hurwitz(w, a) - (hurwitz(w, N + 1) if N < math.inf else 0)
+        elif N + 1 > abs(w) / 4:
+            value = mpmath.zeta(w) - mpmath.fsum(mpmath.mpf(n) ** -w for n in range(1, a)) - em_tail(w, N + 1)
+        else:
+            value = mpmath.fsum(mpmath.mpf(n) ** -w for n in range(a, N + 1))
+        _sums[key] = value
+    return _sums[key]
+
+
+class TestLeastStart:
+    """``em_start`` starts Euler-Maclaurin at the least b whose remainder bound is at most 2**-60 a**-sigma, far
+    below the former start K = 2 ceil(|z|) + 16, often below |z| + 16, where factors q/b**2 of ``_em_tail`` exceed 1."""
+
+    DRAWS = start_draws()
+
+    def test_draws_cover_starts_below_the_exponent(self):
+        for real in (True, False):
+            below = [(z, a, N) for z, a, N, _ in self.DRAWS if (z.imag == 0.0) == real
+                     and em_start(z, a, N) < min(N, abs(z) + 16)]
+            assert len(below) >= 10, real
+        assert max(abs(z.imag) for z, *_ in self.DRAWS) > 5e5
+        assert {a for _, a, *_ in self.DRAWS} == {1, 5, 17}
+        assert {N for *_, N, _ in self.DRAWS} == {2 * 10**4, 10**6, math.inf}
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_discs_hold_the_sums_at_every_exponent_within_dz(self, chunk):
+        misses = []
+        with mpmath.workdps(40):
+            for z, a, N, dz in self.DRAWS[chunk::4]:
+                value, radius = partial_zeta(z, dz, a, N)
+                w = mpmath.mpc(z.real, z.imag)
+                shifts = [0] if not dz else [-dz, dz] if z.imag == 0.0 else [-dz, dz, 1j * dz]
+                for shift in shifts:
+                    if abs(mpmath.mpc(value.real, value.imag) - sum_oracle(w + shift, a, N)) > radius:
+                        misses.append((z, a, N, dz, shift))
+        assert misses == []
+
+    def test_the_start_meets_its_bound_within_13_percent_of_the_least(self):
+        # the bound with the exact product: met at b, and missed below (b - 1)/1.14, which the closed-form bound on
+        # log prod |z + j| (within 2 of it) cannot reach
+        checked = 0
+        with mpmath.workdps(30):
+            for z, a, *_ in self.DRAWS:
+                b = em_start(z, a, math.inf)
+                if b >= max(a, 2 * math.ceil(abs(z)) + 16):  # kept at the former start
+                    continue
+                sigma, w = mpmath.mpf(z.real), mpmath.mpc(z.real, z.imag)
+                P = mpmath.fprod(abs(w + j) for j in range(16))
+                bound = lambda x: (2 * abs(mpmath.bernoulli(16)) / mpmath.factorial(16) * P
+                                   * mpmath.mpf(x) ** (1 - sigma - 16) / (sigma + 15))
+                target = mpmath.mpf(2) ** -60 * mpmath.mpf(a) ** -sigma
+                assert bound(b) <= target * (1 + mpmath.mpf(10) ** -12), (z, a, b)
+                below = math.ceil((b - 1) / 1.14) - 1
+                if below >= max(a, 2):
+                    assert bound(below) > target, (z, a, b)
+                    checked += 1
+        assert checked >= 100
+
+    def test_real_heads_on_the_recovery_grid_are_short(self):
+        # the exponents s + u of kernel samples on recover_block's grid 2.1 + 0.25 r, r < 50: K was 26 to 74
+        for z in np.linspace(4.2, 28.7, 99):
+            assert em_start(complex(z), 1, 20000) <= 14, z
+
+    def test_never_above_the_former_start(self):
+        for z, a, N, _ in self.DRAWS:
+            K = max(a, 2 * math.ceil(abs(z)) + 16)
+            b = em_start(z, a, N)
+            assert b == N + 1 or (max(a, 2) <= b <= K and N > b + 512)
+
+    def test_an_empty_head_forms_no_table(self):
+        partial_zeta(2.5, 0.0, 10**7, math.inf)  # imports and caches
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            value, radius = partial_zeta(2.5, 0.0, 10**7, math.inf)
+            best = min(best, time.perf_counter() - start)
+        tracemalloc.start()
+        try:
+            partial_zeta(2.5, 0.0, 10**7, math.inf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert best < 5e-3 and peak < 2**20
+        with mpmath.workdps(40):
+            assert_in_disc(value, radius, hurwitz(mpmath.mpf(2.5), 10**7), "zeta(2.5, 10**7)")
 
 
 class TestOneTail:

@@ -16,6 +16,7 @@ import pytest
 from dskernel import (
     AdmissibleSupport,
     ArrowheadMatrix,
+    BandedMatrix,
     DeflatedMatrix,
     DenseMatrix,
     DiagonalMatrix,
@@ -194,14 +195,23 @@ def per_symbol_expansion(kernel, s, u, order) -> complex:
 
 
 class TestBatchedExpansion:
-    @pytest.mark.parametrize("name", ["diagonal", "dense", "arrowhead"])
+    @pytest.mark.parametrize("name", ["diagonal", "dense", "arrowhead", "banded", "rank_one", "deflated",
+                                      "masked_diagonal"])
     def test_agrees_with_the_per_symbol_sum(self, name):
         rng = np.random.default_rng(8)
+        dense, head, banded = random_psd_dense(rng, 7), random_psd_dense(rng, 2), random_psd_dense(rng, 9)
+        m, n = np.indices(banded.shape)
+        banded[np.abs(m - n) > 2] = 0.0
         matrix = {
             "diagonal": DiagonalMatrix(SequenceRule("constant", scale=1.3)),
-            "dense": DenseMatrix(random_psd_dense(rng, 7)),
-            "arrowhead": ArrowheadMatrix(2, random_psd_dense(rng, 2), SequenceRule("constant", scale=0.2),
-                                         SequenceRule("constant", scale=1.0)),
+            "dense": DenseMatrix(dense),
+            "arrowhead": ArrowheadMatrix(2, head, SequenceRule("constant", scale=0.2), SequenceRule("constant", scale=1.0)),
+            "banded": BandedMatrix(2, banded),
+            "rank_one": RankOneMatrix(rng.standard_normal(11) + 1j * rng.standard_normal(11)),
+            "deflated": DeflatedMatrix(ArrowheadMatrix(2, head + np.eye(2), SequenceRule("geometric", scale=0.3, ratio=0.5),
+                                                       SequenceRule("power", scale=1.0, exponent=-0.5))),
+            "masked_diagonal": DiagonalMatrix(SequenceRule("power", scale=0.8, exponent=0.25),
+                                              support=AdmissibleSupport("powers", base=3)),
         }[name]
         kern = DirichletKernel(matrix, HalfPlane(0.5))
         s, u, order = 2.1 + 0.7j, 1.9 - 0.4j, 60
