@@ -23,7 +23,8 @@ variant to sum a section of the matrix:
 - ``nonzero_entries(N)``: the 1-based (m, n) and values of the section's
   nonzero entries, row by row, which decides what carries a term (supports,
   finite tails, the ``homogeneous`` sums); O(N) for a diagonal, O(N k) for
-  an arrowhead.
+  an arrowhead, the stored block for a dense or banded matrix, each marked
+  by ``sparse_view``; the others form the dense N-section.
 - ``psd_structure(N)``: the N-section as a ``SectionStructure`` (arrowhead,
   diagonal or rank-one prefixes) from which ``kernel.psd_check`` decides
   its rungs above order 256 without building it; None for the variants
@@ -128,6 +129,9 @@ class CoefficientMatrix:
     envelope: Optional[Envelope]
     order: Optional[int]
 
+    #: whether ``nonzero_entries`` costs O(its nonzeros), not the dense N-section
+    sparse_view = False
+
     def entry(self, m: int, n: int) -> complex:
         raise NotImplementedError
 
@@ -195,6 +199,7 @@ class StoredMatrix(CoefficientMatrix):
     """Finitely supported matrix held as a square complex block ``entries``."""
 
     entries: np.ndarray
+    sparse_view = True
 
     def _store(self, variant: str) -> np.ndarray:
         """Validate and store ``entries``; derive the envelope if none was given."""
@@ -227,6 +232,10 @@ class StoredMatrix(CoefficientMatrix):
         if n <= self.order:
             out[: self.order] = self.entries[:N, n - 1]
         return out
+
+    def nonzero_entries(self, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        m, n = np.nonzero(self.entries[:N, :N])  # the stored block only, whatever N
+        return m + 1, n + 1, self.entries[m, n]
 
     def row_prefix(self, m: int, N: int) -> np.ndarray:
         out = np.zeros(N, dtype=complex)
@@ -316,6 +325,7 @@ class DiagonalMatrix(CoefficientMatrix):
     rule: SequenceRule
     support: Optional[AdmissibleSupport] = None
     envelope: Optional[Envelope] = None
+    sparse_view = True
 
     def __post_init__(self):
         if self.support is not None and self.support.kind == "all":  # masks nothing: the unmasked paths
@@ -454,6 +464,7 @@ class ArrowheadMatrix(CoefficientMatrix):
     coupling: SequenceRule
     tail: SequenceRule
     envelope: Optional[Envelope] = None
+    sparse_view = True
 
     def __post_init__(self):
         h = np.asarray(self.head, dtype=complex)

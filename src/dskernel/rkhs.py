@@ -114,12 +114,18 @@ def expansion_check(kernel: DirichletKernel, s: complex, u: complex, order: int)
     Both sides are the same truncated double sum regrouped, so the residual
     is pure floating-point noise; a large value signals an implementation
     inconsistency, not a mathematical one.  The symbol values A_n(s) are
-    one scatter of the ``nonzero_entries`` terms a_{m,n} m**(-s) by n.
+    one scatter of the ``nonzero_entries`` terms a_{m,n} m**(-s) by n where
+    that view is sparse, else the columns a_{1..order,n} against one power
+    vector, in O(order) memory.
     """
     lhs = kernel_eval(kernel, s, u, order).value
-    m, n, values = kernel.matrix.nonzero_entries(order)
-    symbols = np.zeros(order, dtype=complex)
-    np.add.at(symbols, n - 1, values * powers(s, order)[m - 1])
+    matrix, ps = kernel.matrix, powers(s, order)
+    if matrix.sparse_view:
+        m, n, values = matrix.nonzero_entries(order)
+        symbols = np.zeros(order, dtype=complex)
+        np.add.at(symbols, n - 1, values * ps[m - 1])
+    else:
+        symbols = np.array([power_sum(matrix.column_prefix(n, order), ps) for n in range(1, order + 1)])
     return abs(lhs - power_sum(symbols, powers(np.conj(complex(u)), order)))
 
 

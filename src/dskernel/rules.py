@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import reprlib
 from dataclasses import dataclass
 from typing import Optional
@@ -233,9 +232,6 @@ EM_M = 8
 #: beyond this real z, sum_{n>=2} n**-z < 2**-z (1 + 2/(z-1)) is below one subnormal: a sum to infinity forms no head
 ZETA_HEADLESS = 1100.0
 
-#: longest real head ``partial_zeta`` sums in float arithmetic, not in numpy: the two cost the same near 35 terms
-FLOAT_HEAD = 32
-
 #: most terms a mixed geometric * power ratio sum may take before its ratio test holds
 MIXED_TERMS_MAX = 2**20
 
@@ -365,12 +361,11 @@ def partial_zeta(z: complex, dz: float, a: int, N: int) -> tuple[complex, float]
     real z with z - dz > 1, so that zeta(beta) is ``partial_zeta(beta, dbeta, 1, math.inf)``.
 
     The terms a <= n < b = ``em_start(z, a, N)`` are table powers added and priced, each at its own log n, by
-    ``series.direct_sum``, or for a real z and up to FLOAT_HEAD of them as ``math.exp`` of the table's logs by
-    fsum, priced the same way.  The tail, if any, is ``_em_tail``'s terms added by fsum, priced by its parts, the
-    two fsums and the final addition.  Both roundings grow with log N, so the two sides of the switch have
-    radii within a small factor.  dz is priced from the log-weighted mass of all the terms, as
-    |n**-w - n**-z| <= dz log n n**-sigma e**(dz log n); to infinity, the tail's at s = sigma - dz, the least
-    Re w, by sum_{n>=b} n**-s log n <= b**-s log b + b**(1-s) (log b/(s-1) + 1/(s-1)**2).  Beyond z =
+    ``series.direct_sum``, in float arithmetic for a short real head.  The tail, if any, is ``_em_tail``'s terms
+    added by fsum, priced by its parts, the two fsums and the final addition.  Both roundings grow with log N, so
+    the two sides of the switch have radii within a small factor.  dz is priced from the log-weighted mass of all
+    the terms, as |n**-w - n**-z| <= dz log n n**-sigma e**(dz log n); to infinity, the tail's at s = sigma - dz,
+    the least Re w, by sum_{n>=b} n**-s log n <= b**-s log b + b**(1-s) (log b/(s-1) + 1/(s-1)**2).  Beyond z =
     ZETA_HEADLESS no term is formed: the sum from c = max(a, 2) is at most c**-s (1 + c/(s-1)), doubled for its
     rounding, below one subnormal for s > ZETA_HEADLESS.
     """
@@ -386,14 +381,7 @@ def partial_zeta(z: complex, dz: float, a: int, N: int) -> tuple[complex, float]
             c = max(a, 2)
             return complex(a == 1), 0.0 if s == math.inf else 2.0 * c**-s * (1.0 + c / (s - 1.0)) + math.ulp(0.0)
     b = em_start(z, a, N)
-    logs = series.log_table(b - 1, a)
-    if real and logs.size <= FLOAT_HEAD:
-        lam = logs.tolist()
-        t = [math.exp(-z.real * x) for x in lam]
-        mass, log_mass = math.fsum(t), sum(map(operator.mul, t, lam))
-        value, radius = complex(mass), series.rounding_radius(mass, z.real * log_mass, int(len(t) > 1), len(t))
-    else:
-        value, radius, log_mass = series.direct_sum(logs, z)
+    value, radius, log_mass = series.direct_sum(series.log_table(b - 1, a), z)
     tail_mass = 0.0
     if b <= N:
         terms, rounding, error, tail_mass = _em_tail(z.real if real else z, b, N)

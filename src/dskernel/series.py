@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,6 +62,9 @@ from .rules import CACHE_LIMIT, UNIT_ROUNDOFF, SequenceRule, exponent_sum, parti
 
 #: longest direct sum ``direct_sum`` adds by fsum, not pairwise: the two cost the same there for a complex z
 FSUM_TERMS = 128
+
+#: longest sum of plain powers at a real z that ``direct_sum`` forms by ``math.exp``: numpy costs the same near 35
+FLOAT_TERMS = 32
 
 #: relative tolerance below which two merged exponents count as colliding
 COLLISION_RTOL = 1e-12
@@ -183,11 +187,21 @@ def direct_sum(lam: np.ndarray, z: complex, coef: Optional[np.ndarray] = None,
     """(value, radius, log_mass) of sum_n c_n exp(-lambda_n z) over a table lam >= 0; c_n = 1 without coef.
 
     Up to FSUM_TERMS terms t_n are added by ``math.fsum`` (one rounding per component, none for a lone
-    term), more by ``pairwise_sum``.  log_mass = sum |t_n| lambda_n prices each term at its own lambda_n
+    term), more by ``pairwise_sum``; up to FLOAT_TERMS plain powers at a real z are formed by ``math.exp``,
+    or by numpy where one overflows.  log_mass = sum |t_n| lambda_n prices each term at its own lambda_n
     times ``size``, |z| unless z was formed from larger parts (|s| + |u| for s + conj(u)).  Only a sum
     without a nonzero coefficient is exact.
     """
     z = complex(z)
+    size = abs(z) if size is None else size
+    if coef is None and z.imag == 0.0 and lam.size <= FLOAT_TERMS:
+        try:
+            x, c, exp = lam.tolist(), -z.real, math.exp
+            t = [exp(c * v) for v in x]
+            mass, log_mass = math.fsum(t), sum(map(operator.mul, t, x))
+            return complex(mass), rounding_radius(mass, size * log_mass, int(len(t) > 1), len(t)), log_mass
+        except OverflowError:  # a term or their sum past a double: numpy's inf reaches the caller's check
+            pass
     p = exp_table(lam, z)
     moduli = p if z.imag == 0.0 else exp_table(lam, z.real)
     if coef is not None:
@@ -203,7 +217,7 @@ def direct_sum(lam: np.ndarray, z: complex, coef: Optional[np.ndarray] = None,
         value, depth = pairwise_sum(p)
     if not (p.size if coef is None else np.any(coef)):
         return value, 0.0, log_mass
-    return value, rounding_radius(mass, (abs(z) if size is None else size) * log_mass, depth, p.size), log_mass
+    return value, rounding_radius(mass, size * log_mass, depth, p.size), log_mass
 
 
 @dataclass(frozen=True)

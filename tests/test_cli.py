@@ -461,10 +461,13 @@ class TestErrorPolicy:
           "--s=-2000", "--u=1", "--order", "3"], "SpecError"),
         (["eval", "--matrix", {"variant": "rank_one", "fhat": [1, 1, 1], "rho": -3000},
           "--s=-2000", "--u=1", "--order", "3"], "SpecError"),
+        (["eval", "--series", {"kind": "ordinary", "coefficients": [1],
+                               "generator": {"coefficients": {"kind": "constant", "value": 1}}},
+          "--s=-800", "--order", "4"], "SpecError"),
     ], ids=["merge-grid-too-large-to-hold", "merge-bound-past-numpy", "symbols-order-past-numpy",
             "psd-order-past-numpy", "sk-l-max-past-numpy", "homog-pairs-past-numpy", "series-terms-overflow",
             "finite-series-terms-overflow", "dense-kernel-terms-overflow", "values-kernel-terms-overflow",
-            "rank-one-kernel-terms-overflow"])
+            "rank-one-kernel-terms-overflow", "rule-series-head-overflow"])
     def test_oversized_input_exit_2(self, tmp_path, argv, kind):
         """Sizes refused at allocation or before it, and sums whose terms overflow a double, in a child process
         held to 2 GiB of address space, with nothing on stderr.  A spec given inline is written to a file."""

@@ -563,3 +563,26 @@ class TestOneTail:
         assert em_start(z, 1, N) == N + 1
         value, radius = partial_zeta(z, 0.0, 1, N)
         assert abs(value - complex(mpmath.zeta(z) - mpmath.zeta(z, N + 1))) <= radius
+
+
+class TestShortRealHead:
+    """``series.direct_sum`` forms up to FLOAT_TERMS plain powers at a real z by ``math.exp``: the same discs as the
+    numpy path, priced at |z| on either side of 0, and numpy's inf where a term overflows a double."""
+
+    @pytest.mark.parametrize("z", [-30.5, -3.0, -0.5, 0.0, 0.5, 2.0, 12.45, 700.0])
+    @pytest.mark.parametrize("k", [1, 5, series_module.FLOAT_TERMS])
+    def test_disc_holds_and_matches_numpy(self, monkeypatch, z, k):
+        lam = series_module.log_table(k)
+        value, radius, log_mass = series_module.direct_sum(lam, z)
+        with mpmath.workdps(40):
+            assert_in_disc(value, radius, mpmath.fsum(mpmath.mpf(n) ** -z for n in range(1, k + 1)), f"{z}, {k}")
+        assert radius >= 0.0 and (radius > 0.0 or k == 1 and z == 0.0) and log_mass >= 0.0
+        monkeypatch.setattr(series_module, "FLOAT_TERMS", 0)
+        v, r, lm = series_module.direct_sum(lam, z)
+        assert abs(v - value) <= radius + r and r <= 1.1 * radius + 1e-300 and radius <= 1.1 * r + 1e-300
+
+    @pytest.mark.parametrize("z", [-800.0, -1e300])
+    def test_an_overflowing_term_gives_numpys_inf(self, z):
+        with np.errstate(over="ignore"):  # as the eval handler keeps numpy quiet
+            value, radius = partial_zeta(z, 0.0, 1, 4)
+        assert value == complex(math.inf) and radius == math.inf

@@ -8,6 +8,7 @@ replaced, which are kept here as references.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -218,6 +219,22 @@ class TestBatchedExpansion:
         lhs = kernel_eval(kern, s, u, order)
         assert abs(lhs.value - per_symbol_expansion(kern, s, u, order)) <= 1e-13 * (1 + abs(lhs.value))
         assert expansion_check(kern, s, u, order) <= 1e-13 * (1 + abs(lhs.value))
+
+    @pytest.mark.parametrize("name", ["dense", "rank_one"])
+    def test_memory_grows_with_the_order_not_its_square(self, name):
+        """A stored block scatters its own nonzeros; a rank-one matrix, whose coordinate view is its dense
+        section, takes the columns one at a time: either way no order x order array is formed."""
+        rng, order = np.random.default_rng(3), 4000
+        matrix = DenseMatrix(random_psd_dense(rng, 7)) if name == "dense" else RankOneMatrix(rng.standard_normal(50))
+        kern = DirichletKernel(matrix, HalfPlane(0.5))
+        expansion_check(kern, 2.1 + 0.7j, 1.9 - 0.4j, 2)  # the cached log table is formed outside the trace
+        tracemalloc.start()
+        try:
+            residual = expansion_check(kern, 2.1 + 0.7j, 1.9 - 0.4j, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert residual <= 1e-13 and peak < 2**20
 
 
 class TestGramModelPowers:
