@@ -24,8 +24,9 @@ import numpy as np
 from .errors import SpecError
 from .kernel import DirichletKernel, check_order, kernel_eval
 from .matrices import AdmissibleSupport, DiagonalMatrix
-from .rules import UNIT_ROUNDOFF, SequenceRule, em_start, exponent_sum, zeta_tails
-from .series import SUBNORMAL_MIN, HalfPlane, log_table, powers, rounding_radius
+from .rules import SequenceRule
+from .series import (SUBNORMAL_MIN, UNIT_ROUNDOFF, HalfPlane, em_start, exponent_sum, log_table, powers,
+                     rounding_radius, zeta_tails)
 
 #: columns of the phase matrix formed at once by ``translate_gram``'s head: 4 MB
 #: of complex phases for 64 offsets, however many columns K the head has
@@ -157,8 +158,8 @@ def translate_gram(span: TranslateSpan) -> TranslateGram:
     GRAM_BLOCK columns at a time; the c_j are the offsets centred on their
     midrange, which leaves b_j - b_k and G unchanged and keeps the phases,
     and their rounding, within half the spread.  For an unmasked constant or
-    power diagonal c n**p, K = ``rules.em_start`` at the widest pair's
-    z = 2a - p + i(b_j - b_k), and ``rules.zeta_tails`` adds each entry's
+    power diagonal c n**p, K = ``series.em_start`` at the widest pair's
+    z = 2a - p + i(b_j - b_k), and ``series.zeta_tails`` adds each entry's
     c sum_{n=K}^{N} n**-z: O(offsets (K + offsets)) work, not O(offsets N).
     Otherwise the head is the whole sum.
     """

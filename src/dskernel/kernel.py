@@ -37,8 +37,7 @@ from .errors import (
     SpecError,
 )
 from .matrices import BLOCK, CoefficientMatrix, SectionStructure
-from .rules import UNIT_ROUNDOFF, power_tail_bound
-from .series import MAX_LENGTH, HalfPlane, ValueWithBound, gamma, log_table, powers
+from .series import MAX_LENGTH, UNIT_ROUNDOFF, HalfPlane, ValueWithBound, gamma, log_table, power_tail_bound, powers
 
 
 @dataclass(frozen=True, eq=False)

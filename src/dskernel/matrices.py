@@ -24,7 +24,7 @@ variant to sum a section of the matrix:
   nonzero entries, row by row, which decides what carries a term (supports,
   finite tails, the ``homogeneous`` sums); O(N) for a diagonal, O(N k) for
   an arrowhead, the stored block for a dense or banded matrix, each marked
-  by ``sparse_view``; the others form the dense N-section.
+  by ``sparse_view``; the others form the dense section, cut at the order.
 - ``psd_structure(N)``: the N-section as a ``SectionStructure`` (arrowhead,
   diagonal or rank-one prefixes) from which ``kernel.psd_check`` decides
   its rungs above order 256 without building it; None for the variants
@@ -48,7 +48,7 @@ is a ``series.direct_sum``, a two-sided sum of BLAS products is priced from
 its log-weighted mass.  A diagonal with an unmasked constant or power rule,
 and the strips and tail of an arrowhead whose coupling and tail rules are
 constant, are Hurwitz-type sums sum_{n=a}^{N} n**-z:
-``rules.partial_zeta`` encloses them in O(|z|) work, so their sections are
+``series.partial_zeta`` encloses them in O(|z|) work, so their sections are
 never built.  Such closed-form pieces are combined as ``ValueWithBound``
 balls, whose arithmetic prices the rounding that joins them.
 """
@@ -62,8 +62,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import SpecError
-from .rules import SequenceRule, exponent_sum, partial_zeta, power_tail_bound
-from .series import Envelope, ValueWithBound, ball_product, direct_sum, log_table, power_sum, powers, rounding_radius
+from .rules import SequenceRule
+from .series import (Envelope, ValueWithBound, ball_product, direct_sum, exponent_sum, log_table, partial_zeta,
+                     power_sum, power_tail_bound, powers, rounding_radius)
 
 #: rows at a time in which a section is deflated, symmetrised and factored (``kernel.psd_check``)
 BLOCK = 256
@@ -166,6 +167,7 @@ class CoefficientMatrix:
 
     def nonzero_entries(self, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """1-based (m, n) and the values of the nonzero entries of the N-section, in row-major order."""
+        N = N if self.order is None else min(N, self.order)  # nothing lies past a finite support
         T = self.truncation(N).ravel()
         i = np.flatnonzero(T)
         m, n = np.divmod(i, N)

@@ -29,22 +29,28 @@ Numerical Algorithms, 2002, sections 3.1 and 4.2).  ``rounding_radius`` is
 that bound, each term priced at its own exponent: u (c + 4 |z| lambda_n) for
 exp(-z lambda_n), one rounding more than log n needs, which covers lambda_n =
 omega log n.  ``direct_sum`` forms, adds and prices a single series
-sum_n c_n exp(-lambda_n z) for ``evaluate``, ``rules.partial_zeta`` and
+sum_n c_n exp(-lambda_n z) for ``evaluate``, ``partial_zeta`` and
 ``matrices``; a two-sided sum passes its log-weighted mass
 sum |t| (|s| log m + |u| log n) to the same bound.
 
 Rule sums.  A series with log-type exponents omega log n and a constant or
 power coefficient rule c n**p sums, beyond its stored prefix, as
-c sum_{n<=N} n**-z with z = omega s - p, and ``rules.partial_zeta``
-encloses that sum without a table of length N: from the start b of
-``rules.em_start``, sized by the remainder it must meet, for Re z > 1 and
-N > b + 512, it sums n < b from the table and the rest by Euler-Maclaurin
-with 8 corrections and a rigorous remainder: work O(|z|), not O(N).  One routine,
-``rules._em_tail``, builds and prices that tail here, to infinity for the
-zeta(beta) of the coupling ratio sums, and, over an array of exponents, for
-the translate Gram's entries (``rules.zeta_tails``).  The value is still
-the order-N partial sum and the radius the same tail bound plus the
-rounding of the computation as done, including the rounding of z itself.
+c sum_{n<=N} n**-z with z = omega s - p, and ``partial_zeta`` encloses
+that sum without a table of length N: from the start b of ``em_start``,
+sized by the remainder the tail must meet, for Re z > 1 and N > b + 512,
+it sums n < b by ``direct_sum`` (in float arithmetic for a short real
+head) and the rest by Euler-Maclaurin with EM_M = 8 corrections and a
+rigorous remainder: work O(|z|), not O(N).  A sum of two power rules is a
+Riemann zeta value zeta(beta), beta > 1: the same sum taken to infinity,
+``partial_zeta(beta, dbeta, 1, math.inf)``, for the coupling ratio sums of
+``rules``.  One routine, ``_em_tail``, builds and prices the tail for
+every caller, in one loop over the corrections at both ends and the
+remainder: in math (float arithmetic for a real z) for ``partial_zeta``,
+which adds the tail by fsum, and in numpy for ``zeta_tails``, the
+translate Gram's entries over an array of exponents; each prices only its
+own sum.  The value is still the order-N partial sum and the radius the
+same tail bound plus the rounding of the computation as done, including
+the rounding of z itself.
 """
 
 from __future__ import annotations
@@ -58,7 +64,30 @@ from typing import Optional
 import numpy as np
 
 from .errors import CollisionError, ConvergenceRegionError, SpecError
-from .rules import CACHE_LIMIT, UNIT_ROUNDOFF, SequenceRule, exponent_sum, partial_zeta, power_tail_bound
+
+#: unit roundoff of IEEE double precision
+UNIT_ROUNDOFF = 2.0**-53
+
+#: longest table kept between calls: the log table of ``log_table`` and the
+#: prefix a rule memoises (2**16 entries, 1 MB complex)
+CACHE_LIMIT = 2**16
+
+#: Euler-Maclaurin corrections at each end of a sum
+EM_M = 8
+
+#: beyond this real z, sum_{n>=2} n**-z < 2**-z (1 + 2/(z-1)) is below one subnormal: a sum to infinity forms no head
+ZETA_HEADLESS = 1100.0
+
+#: B_{2j} / (2j)! for j = 1 .. EM_M, each the correctly rounded quotient of its integer pair
+_EM_COEFFS = tuple(p / q for p, q in ((1, 12), (-1, 720), (1, 30240), (-1, 1209600), (1, 47900160),
+                                      (-691, 1307674368000), (1, 74724249600), (-3617, 10670622842880000)))
+
+#: ``em_start``: log(2 |B_{2M}|/(2M)! 2**60), and sum d**2 and sum d**4 / 2 over d = 1/2 .. EM_M - 1/2
+_EM_TARGET = math.log(2.0 * abs(_EM_COEFFS[-1])) + 60.0 * math.log(2.0)
+_EM_D2, _EM_D4 = sum((k + 0.5) ** 2 for k in range(EM_M)), sum((k + 0.5) ** 4 for k in range(EM_M)) / 2
+
+#: the corrections before the last, each with the k = 2j + 1 of its step q = (z + k)(z + k + 1) to the next
+_EM_STEPS = tuple(zip(_EM_COEFFS[:-1], range(1, 2 * EM_M, 2)))
 
 #: longest direct sum ``direct_sum`` adds by fsum, not pairwise: the two cost the same there for a complex z
 FSUM_TERMS = 128
@@ -220,6 +249,156 @@ def direct_sum(lam: np.ndarray, z: complex, coef: Optional[np.ndarray] = None,
     return value, rounding_radius(mass, size * log_mass, depth, p.size), log_mass
 
 
+def em_start(z: complex, a: int, N: int) -> int:
+    """Where Euler-Maclaurin takes over sum_{n=a}^{N} n**-z, Re z = sigma > 1: b if N > b + 512, about where the two
+    cost the same in ``partial_zeta`` (``timeit``, 2-core x86_64: the tail costs what 250 to 500 more direct terms
+    cost for a complex z, 128 to 512 more for a real z); otherwise N + 1, the whole sum direct.  b is the least
+    start >= max(a, 2) whose remainder bound 2 |B_{2M}|/(2M)! P b**(1-sigma-2M)/(sigma+2M-1) (``_em_tail``),
+    M = EM_M, P = prod_{j<2M} |z+j|, is at most 2**-60 a**-sigma, 1/128 of the first term's rounding.  Pairing
+    z + j = w +- d about w = z + M - 1/2, log(1 + t) <= t gives log P <= M log |w|**2 + sum_d (d**2 (|w|**2 -
+    2 (Re w)**2) + d**4/2)/|w|**4, within 2 of log P (0.04 from |z| = 12 on), so b is at most 13 % above the
+    least.  b is never above max(a, K), K = 2 ceil(|z|) + 2 EM_M, where every factor q/b**2 of ``_em_tail`` is
+    below 1, and stays there where sigma log b > 700, so that b**-sigma is a normal double."""
+    sigma, r = z.real, abs(z)
+    if not (sigma > 1.0 and r < math.inf):
+        return N + 1
+    K, m, x, y = 2 * math.ceil(r) + 2 * EM_M, sigma + (2 * EM_M - 1), sigma + (EM_M - 0.5), z.imag
+    x2, w2 = x * x, x * x + y * y
+    log_b = (EM_M * math.log(w2) + (_EM_D2 * (w2 - 2.0 * x2) + _EM_D4) / (w2 * w2) + _EM_TARGET - math.log(m)
+             + (sigma * math.log(a) if a > 1 else 0.0)) / m
+    b = K if K > a else a
+    least = math.ceil(math.exp(log_b)) if log_b < 700.0 else b  # not for a NaN log_b, |z| above 1e154
+    least = least if least > a else a if a > 2 else 2
+    if least < b and sigma * math.log(least) <= 700.0:
+        b = least
+    return b if N > b + 512 else N + 1
+
+
+def _em_tail(z, b: int, N: int) -> tuple:
+    """Euler-Maclaurin for sum_{n=b}^{N} n**-z, Re z > 1, b < N <= inf, in math for a float z, cmath for a Python
+    complex z and numpy for an array: (terms, rounding, error, mass).
+
+        sum_{n=b}^{N} n**-z = b**(1-z) (1 - (N/b)**(1-z)) / (z-1)
+                              + (b**-z + N**-z)/2 + (corrections at b) - (corrections at N) + R
+
+    is the sum of the terms plus R.  The integral is formed from expm1, so it keeps its accuracy as z approaches
+    1; N = math.inf takes a float z, whose integral is b**(1-z)/(z-1) with no expm1 factor or error, and no term
+    at N.  |R| <= |B_{2M}|/(2M)! |(z)_{2M}| b**(1-sigma-2M)/(sigma+2M-1), M = EM_M, as |B~_{2M}| <= |B_{2M}| for
+    the periodic Bernoulli function (Johansson, Numer. Algorithms 69, 2015, Theorem 1), to a finite N too;
+    doubled for its own rounding.  One loop builds the corrections at x = b and x = N and the ratio
+    |(z)_{2M}|/b**(2M): step j forms q = (z+2j+1)(z+2j+2) once, for a factor q/x**2 of each correction and
+    |q|/b**2 of the ratio.  ``em_start`` sizes b so that R is at most about 2**-60 a**-sigma.  q/x**2 > 1 where
+    x < |z| + 2 EM_M, but the products |(z)_k| x**(-sigma-k) have ratios |z+k|/x growing with k: each is below
+    the first, |z| x**(-sigma-1), or the last, about 1e-6 by b's bound, and |z| < 1e38 by it (sigma log b <= 700,
+    N < 2**63), so nothing overflows.  One at b that a later factor above 1 scales is >= b**-sigma (|z|/(|z| +
+    2 EM_M))**(2 EM_M - 1) > e**-702 (|z| > 120 where sigma log b >= 600), normal.  rounding prices the terms: a
+    power x**-z is off by u (16 + 4 |z| log x) relative, each priced at log N (log b for N = inf); the
+    integral's b, z - 1, quotient by it (16u, as ``ValueWithBound`` prices a complex quotient), B - A and
+    product add under 24u; correction j's z x**-z / x adds under 5u, each of its j steps under 11u (two
+    additions, x**2, the quotient by it, and q and the product into the correction at (2 + sqrt 2)u each, as
+    ``ValueWithBound`` prices a product) and its coefficient 2u, so 7 + 11 (EM_M - 1) <= 10 EM_M + 10 units with
+    the other terms.  error is R's bound, the error of 1 - e**-v (expm1's own and its argument's, 8u |v|,
+    v = (z-1) log(N/b)) times the integral, and a subnormal per product of underflow, times
+    (max(N, |z| + 2 EM_M)/N)**(2 EM_M - 2) for the factors above 1 that may scale one at N.  mass >=
+    sum_{n=b}^{N} n**-sigma prices an error dz in z.
+    """
+    # a float z (C = 0 below) keeps float arithmetic and float terms: its unit i is 0, not 1j
+    m, cexp, least, i = ((np, np.exp, np.minimum, 1j) if isinstance(z, np.ndarray) else
+                         (math, cmath.exp, min, 1j) if isinstance(z, complex) else (math, math.exp, min, 0.0))
+    u, sigma, r, log_b = UNIT_ROUNDOFF, z.real, abs(z), math.log(b)
+    w = z - 1.0
+    if N < math.inf:
+        L, log_n = math.log1p((N - b) / b), math.log(N)  # log(N/b)
+        v = w * L
+        # 1 - e**-v = -expm1(-v), with expm1(x + iy) = expm1(x) cos y - 2 sin(y/2)**2 + i e**x sin y
+        A, B, C = ((m.expm1(-v.real) * m.cos(v.imag), 2.0 * m.sin(v.imag / 2.0) ** 2, m.exp(-v.real) * m.sin(v.imag))
+                   if i else (math.expm1(-v), 0.0, 0.0))  # for a float v, y = 0: cos y = 1 and sin y = 0 exactly
+        d = 8.0 * u * abs(v)
+        expm1_error = 6.0 * u * (abs(A) + B + abs(C)) + least(2.0, d * m.exp(least(d, 1.0)))
+        PN = cexp(-z * log_n)
+    else:  # 1 - e**-v = 1 exactly, and the power at N is 0
+        L, log_n, A, B, C, expm1_error, PN = math.inf, log_b, -1.0, 0.0, 0.0, 0.0, 0.0
+    Pb = cexp(-z * log_b)
+    scale = b * Pb / w
+    terms = [scale * (B - A + i * C), Pb / 2.0, PN / 2.0]
+    b2, N2 = float(b) * b, float(N) * N
+    fb, fN, ratio = z * Pb / b, z * PN / N, r * abs(z + (2 * EM_M - 1)) / b2
+    for coeff, k in _EM_STEPS:
+        terms += (coeff * fb, -coeff * fN)
+        q = (z + k) * (z + (k + 1))
+        fb, fN, ratio = fb * (q / b2), fN * (q / N2), ratio * (abs(q) / b2)
+    terms += (_EM_COEFFS[-1] * fb, -_EM_COEFFS[-1] * fN)
+    rounding = u * ((40.0 + 4.0 * r * log_b) * abs(terms[0])
+                    + (16.0 + 4.0 * r * log_n + 10 * EM_M + 10) * sum(map(abs, terms[1:])))
+    remainder = 2.0 * abs(_EM_COEFFS[-1]) * b ** (1.0 - sigma) / (sigma + 2 * EM_M - 1) * ratio
+    spread = least(1.0, N / (r + 2 * EM_M)) ** (2 - 2 * EM_M)
+    error = abs(scale) * expm1_error + remainder + (4 * EM_M + 16) * b * spread * SUBNORMAL_MIN
+    # sum_{n=b}^{N} n**-sigma <= b**-sigma + int_b^N t**-sigma dt
+    mass = b**-sigma + b ** (1.0 - sigma) * -m.expm1(-(sigma - 1.0) * L) / (sigma - 1.0)
+    return terms, rounding, error, mass
+
+
+def partial_zeta(z: complex, dz: float, a: int, N: int) -> tuple[complex, float]:
+    """(value, radius) with |sum_{n=a}^{N} n**-w - value| <= radius for every |w - z| <= dz; N = math.inf takes a
+    real z with z - dz > 1, so that zeta(beta) is ``partial_zeta(beta, dbeta, 1, math.inf)``.
+
+    The terms a <= n < b = ``em_start(z, a, N)`` are table powers added and priced, each at its own log n, by
+    ``direct_sum``, in float arithmetic for a short real head.  The tail, if any, is ``_em_tail``'s terms
+    added by fsum, priced by its parts, the two fsums and the final addition.  Both roundings grow with log N, so
+    the two sides of the switch have radii within a small factor.  dz is priced from the log-weighted mass of all
+    the terms, as |n**-w - n**-z| <= dz log n n**-sigma e**(dz log n); to infinity, the tail's at s = sigma - dz,
+    the least Re w, by sum_{n>=b} n**-s log n <= b**-s log b + b**(1-s) (log b/(s-1) + 1/(s-1)**2).  Beyond z =
+    ZETA_HEADLESS no term is formed: the sum from c = max(a, 2) is at most c**-s (1 + c/(s-1)), doubled for its
+    rounding, below one subnormal for s > ZETA_HEADLESS.
+    """
+    z = complex(z)
+    u, real = UNIT_ROUNDOFF, z.imag == 0.0  # a real z takes float arithmetic and gives float terms
+    if N == math.inf:
+        s = math.nextafter(z.real - dz, -math.inf) if dz else z.real  # at most the least Re w
+        if not (real and s > 1.0):
+            raise SpecError(f"a sum to infinity needs a real z with z - dz > 1, got z = {z}, dz = {dz}")
+        if z.real > ZETA_HEADLESS:
+            c = max(a, 2)
+            return complex(a == 1), 0.0 if s == math.inf else 2.0 * c**-s * (1.0 + c / (s - 1.0)) + SUBNORMAL_MIN
+    b = em_start(z, a, N)
+    value, radius, log_mass = direct_sum(log_table(b - 1, a), z)
+    tail_mass = 0.0
+    if b <= N:
+        terms, rounding, error, tail_mass = _em_tail(z.real if real else z, b, N)
+        tail = math.fsum(terms) if real else complex(math.fsum(t.real for t in terms),
+                                                     math.fsum(t.imag for t in terms))
+        radius += rounding + error + 2.0 * u * (abs(tail) + abs(value + tail))
+        value += tail
+    if dz and N < math.inf:
+        log_n = math.log(max(N, 1))
+        radius += dz * (log_mass + log_n * tail_mass) * math.exp(min(dz * log_n, 700.0))
+    elif dz:
+        log_b = math.log(b)
+        radius += dz * (log_mass * math.exp(min(dz * math.log(b - 1), 700.0)) + b**-s * log_b
+                        + b ** (1.0 - s) * (log_b / (s - 1.0) + 1.0 / (s - 1.0) ** 2))
+    return value, radius
+
+
+def zeta_tails(z: np.ndarray, dz, b: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(value, radius, mass) arrays: |sum_{n=b}^{N} n**-w - value| <= radius for every |w - z| <= dz, and
+    mass >= sum_{n=b}^{N} n**-Re z, for an array z with Re z > 1 sharing b < N: ``_em_tail``'s terms added
+    in order (2 gamma of their count times their mass), not by fsum."""
+    terms, rounding, error, mass = _em_tail(z, b, N)
+    terms = np.array(terms)
+    log_n = math.log(N)
+    radius = rounding + error + 2.0 * gamma(len(terms)) * np.abs(terms).sum(axis=0)
+    radius += dz * log_n * mass * np.exp(np.minimum(dz * log_n, 700.0))
+    return terms.sum(axis=0), radius, mass
+
+
+def power_tail_bound(start: float, beta: float) -> float:
+    """Upper bound for sum_{n > start} n**(-beta), beta > 1 (math.inf otherwise), by the midpoint integral test:
+    x**(-beta) is convex and decreasing, so each term is at most its integral over the centred unit interval."""
+    if beta <= 1.0:
+        return math.inf
+    return (start + 0.5) ** (1.0 - beta) / (beta - 1.0)
+
+
 @dataclass(frozen=True)
 class HalfPlane:
     """Open right half-plane Re(s) > rho."""
@@ -262,12 +441,48 @@ def _sum(x, rx: float, y, ry: float) -> "ValueWithBound":
     return _ball(c, rx + ry + UNIT_ROUNDOFF * abs(c))
 
 
-def _directed(a: float, b: float, toward: float) -> float:
-    """a + b rounded toward -inf or +inf: stepped once when its exact error (Knuth's TwoSum) lies that way."""
+def _two_sum(a, b) -> tuple:
+    """(s, e): s = a + b rounded and a + b = s + e exactly (Knuth's TwoSum), per component for complex a, b."""
     s = a + b
     t = s - a
-    err = (a - (s - t)) + (b - t)  # a + b = s + err exactly
+    return s, (a - (s - t)) + (b - t)
+
+
+def _directed(a: float, b: float, toward: float) -> float:
+    """a + b rounded toward -inf or +inf: stepped once when its exact error lies that way."""
+    s, err = _two_sum(a, b)
     return math.nextafter(s, toward) if math.isfinite(s) and err and (err > 0.0) == (toward > 0.0) else s
+
+
+def exponent_sum(*parts) -> tuple[complex, float]:
+    """(z, dz): the sum z of complex parts, added left to right, and a bound dz on |z - exact sum|.
+
+    ``_two_sum`` gives the rounding of each addition exactly (z is correctly
+    rounded for two parts); dz adds their components, raised past its own
+    roundings (at most 2k for k parts), and is 0 when z is exact.
+    """
+    z, dz = complex(parts[0]), 0.0
+    for p in parts[1:]:
+        z, e = _two_sum(z, p)
+        dz = dz + abs(e.real) + abs(e.imag)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        return z, math.inf
+    return z, math.nextafter(dz * (1.0 + 2 * len(parts) * UNIT_ROUNDOFF), math.inf) if dz else 0.0
+
+
+def ball_fsum(mids, radii) -> "ValueWithBound":
+    """The sum of the balls of midpoints ``mids`` and radii ``radii``, two lists of numbers or two arrays:
+    ``math.fsum`` rounds each component of the midpoint once."""
+    if isinstance(mids, np.ndarray):  # its dtype says whether a midpoint is complex
+        cplx, mids, radii = mids.dtype.kind == "c", mids.tolist(), radii.tolist()
+    else:
+        cplx = any(isinstance(m, complex) for m in mids)
+    try:
+        value = math.fsum([m.real for m in mids] if cplx else mids)
+        value = complex(value, math.fsum([m.imag for m in mids])) if cplx else value
+        return _ball(value, math.fsum(radii) + UNIT_ROUNDOFF * abs(value))
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+        return ValueWithBound(sum(mids), math.inf)
 
 
 @dataclass(frozen=True)
@@ -299,15 +514,9 @@ class ValueWithBound:
 
     @staticmethod
     def fsum(terms) -> "ValueWithBound":
-        """The sum of balls and numbers: ``math.fsum`` rounds each component of the midpoint once."""
+        """The sum of balls and numbers, by ``ball_fsum``."""
         parts = [_parts(t) for t in terms]
-        try:
-            value = math.fsum([m.real for m, _ in parts])
-            if any(isinstance(m, complex) for m, _ in parts):
-                value = complex(value, math.fsum([m.imag for m, _ in parts]))
-            return _ball(value, math.fsum([r for _, r in parts]) + UNIT_ROUNDOFF * abs(value))
-        except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
-            return ValueWithBound(sum(m for m, _ in parts), math.inf)
+        return ball_fsum([m for m, _ in parts], [r for _, r in parts])
 
     @property
     def lower(self) -> float:
@@ -400,7 +609,8 @@ class GeneralDirichletSeries:
     Dirichlet polynomial in the ordinary case), which makes tails exactly
     zero.  sigma_abs is a user-asserted upper bound for the abscissa of
     absolute convergence, used only to gate evaluation when no envelope is
-    available.
+    available.  coefficient_rule is a ``rules.SequenceRule``, an annotation
+    only: ``rules`` imports this module.
     """
 
     exponents: tuple
@@ -505,7 +715,7 @@ def evaluate(series: GeneralDirichletSeries, s: complex, order: int) -> ValueWit
     the radius is infinite (value-only mode).  Points at or below the certified abscissa, non-finite
     points and sums whose terms overflow a double are refused.  Beyond the stored prefix, log-type
     exponents omega log n with a constant or power coefficient rule c n**p sum as
-    c sum_n n**-(omega s - p) by ``rules.partial_zeta``; other series sum their terms by
+    c sum_n n**-(omega s - p) by ``partial_zeta``; other series sum their terms by
     ``direct_sum``.  A finite series cut short adds the remainder's absolute sum, rounded up, to the
     radius.
     """

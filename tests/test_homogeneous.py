@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dskernel import homogeneous
-from dskernel.rules import em_start, exponent_sum, power_tail_bound
+from dskernel.series import em_start, exponent_sum, power_tail_bound
 from dskernel import (
     AdmissibleSupport,
     ExactComplex,

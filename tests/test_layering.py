@@ -1,0 +1,83 @@
+"""The package's import layering, read from its source with ``ast``: no module is imported to check it.
+
+``series`` holds the certified sums (balls, direct sums, Euler-Maclaurin and zeta) and ``rules`` builds on it,
+so ``series`` imports nothing from ``rules``.  Package modules import each other at module level: the only
+imports inside a function are the lazy ones by design, in the CLI's command handlers (each loads what its
+command runs) and in ``io.load_span`` (only the span commands load ``homogeneous``).
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+TESTS = pathlib.Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "dskernel"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+
+
+def lazy_by_design(module: str, function: str) -> bool:
+    return (module == "cli" and function.startswith("_cmd_")) or (module, function) == ("io", "load_span")
+
+
+def package_imports(module: str) -> list[tuple[str, str, int]]:
+    """(imported package module, enclosing function or "", line) for every import of a dskernel module."""
+    found = []
+
+    def visit(node, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, function or child.name)
+                continue
+            targets = []
+            if isinstance(child, ast.ImportFrom):
+                base = child.module or ""
+                if child.level == 1 or base == "dskernel" or base.startswith("dskernel."):
+                    base = base.removeprefix("dskernel").lstrip(".")
+                    targets = [base] if base else [alias.name for alias in child.names]
+            elif isinstance(child, ast.Import):
+                targets = [a.name.removeprefix("dskernel.") for a in child.names if a.name.startswith("dskernel.")]
+            found.extend((target, function, child.lineno) for target in targets)
+            visit(child, function)
+
+    visit(ast.parse((PACKAGE / f"{module}.py").read_text()), "")
+    return found
+
+
+def test_the_package_modules_are_found():
+    assert {"cli", "io", "rules", "series", "matrices", "kernel", "homogeneous"} <= set(MODULES)
+
+
+def test_series_imports_nothing_from_rules():
+    assert [(line, target) for target, _, line in package_imports("series") if target == "rules"] == []
+
+
+def test_no_name_of_series_is_read_through_rules():
+    """``rules`` imports what it uses from ``series`` and re-exports none of it, to the package or to the tests."""
+    body = ast.parse((PACKAGE / "series.py").read_text()).body
+    defined = {node.name for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {t.id for node in body if isinstance(node, ast.Assign) for t in node.targets if isinstance(t, ast.Name)}
+    assert {"partial_zeta", "zeta_tails", "em_start", "_em_tail", "UNIT_ROUNDOFF", "CACHE_LIMIT"} <= defined
+    for path in [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "rules":
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "rules":
+                names = {node.attr}
+            else:
+                continue
+            assert not names & defined, f"{path.name}:{node.lineno} reads {sorted(names & defined)} through rules"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_package_import_inside_a_function(module):
+    deferred = [(function, line, target) for target, function, line in package_imports(module)
+                if function and not lazy_by_design(module, function)]
+    assert deferred == [], f"{module}.py imports package modules inside functions"
+
+
+def test_the_lazy_imports_by_design_are_there():
+    """The exceptions above name real imports: every CLI handler and ``io.load_span``."""
+    cli = {function for _, function, _ in package_imports("cli") if function}
+    assert len(cli) >= 8 and all(f.startswith("_cmd_") for f in cli)
+    assert ("homogeneous", "load_span") in {(t, f) for t, f, _ in package_imports("io")}

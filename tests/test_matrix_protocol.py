@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -21,7 +22,7 @@ from dskernel import (
     SpecError,
 )
 from dskernel.homogeneous import translate_gram
-from dskernel.io import load_series, load_span
+from dskernel.io import load_matrix, load_series, load_span
 from dskernel.series import evaluate, rounding_radius
 from dskernel.kernel import hermitian_part, schur_complements, support_pattern
 from conftest import random_psd_dense
@@ -176,6 +177,28 @@ def test_support_pattern_matches_the_truncation(name, N):
         ref_m, ref_n = np.nonzero(np.abs(T) > tol)
         m, n = support_pattern(matrix, N, tol)
         assert np.array_equal(m, ref_m + 1) and np.array_equal(n, ref_n + 1), (name, N, tol)
+
+
+@pytest.mark.parametrize("name", ["rank_one_2.json", "deflated"])
+def test_a_finite_support_stops_its_view_at_its_order(name):
+    """The base-class view of a finite support reads its order-section, not the N-section: at N = 20,000 that
+    would be 6.4 GB; the two-entry rank-one sample took 61 MiB at N = 2,000."""
+    if name == "deflated":
+        matrix = DeflatedMatrix(DenseMatrix(random_psd_dense(np.random.default_rng(3), 5)))
+    else:
+        matrix = load_matrix(pathlib.Path(__file__).resolve().parent.parent / "sample_inputs" / name)[0]
+    T = matrix.truncation(matrix.order)
+    ref_m, ref_n = np.nonzero(T)
+    tracemalloc.start()
+    try:
+        m, n, values = matrix.nonzero_entries(20000)
+        m_tol, n_tol = support_pattern(matrix, 20000, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert np.array_equal(m, ref_m + 1) and np.array_equal(n, ref_n + 1) and np.array_equal(values, T[ref_m, ref_n])
+    assert np.array_equal(m_tol, m) and np.array_equal(n_tol, n)
 
 
 def _schur_reference(m: ArrowheadMatrix, orders: list, eps: float = 0.0) -> list:

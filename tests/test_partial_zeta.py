@@ -1,4 +1,4 @@
-"""Euler-Maclaurin partial sums sum_{n=a}^{N} n**-z (``rules.partial_zeta``) and the three callers routed through them.
+"""Euler-Maclaurin partial sums sum_{n=a}^{N} n**-z (``series.partial_zeta``) and the three callers routed through them.
 
 Every disc is checked against a 40-digit mpmath oracle of the partial sum:
 a direct ``fsum`` for N <= 5000, and above that mpmath.zeta(z) minus the tail
@@ -31,8 +31,7 @@ from dskernel import (
     evaluate,
     kernel_eval,
 )
-from dskernel import rules
-from dskernel.rules import em_start, partial_zeta, power_tail_bound, zeta_tails
+from dskernel.series import em_start, partial_zeta, power_tail_bound, zeta_tails
 
 U = 2.0**-53
 DIRECT_MAX = 5000
@@ -325,7 +324,7 @@ class TestGoldenDiscs:
 
 
 class TestArrayTail:
-    """``rules.zeta_tails``: the Euler-Maclaurin tail of ``partial_zeta`` over an array of exponents sharing b and N."""
+    """``series.zeta_tails``: the Euler-Maclaurin tail of ``partial_zeta`` over an array of exponents sharing b and N."""
 
     @pytest.mark.parametrize("N", [2600, 20000, 10**6, 10**8])
     def test_discs_contain_the_tails_and_match_the_scalar_tail(self, N):
@@ -533,14 +532,14 @@ class TestLeastStart:
 
 
 class TestOneTail:
-    """``partial_zeta`` and ``zeta_tails`` both take their Euler-Maclaurin tail from ``rules._em_tail``, so a
+    """``partial_zeta`` and ``zeta_tails`` both take their Euler-Maclaurin tail from ``series._em_tail``, so a
     fix to its terms or pricing reaches both; the direct sum below the switch does not use it."""
 
     @pytest.fixture
     def refused(self, monkeypatch):
         def refuse(*args):
             raise RuntimeError("_em_tail")
-        monkeypatch.setattr(rules, "_em_tail", refuse)
+        monkeypatch.setattr(series_module, "_em_tail", refuse)
 
     @pytest.mark.parametrize("z", [complex(2.0), complex(2.2, 0.7), complex(3.0)])
     def test_partial_zeta_above_its_switch(self, refused, z):

@@ -33,8 +33,7 @@ from dskernel import (
     kernel_eval,
     translate_gram,
 )
-from dskernel.rules import CACHE_LIMIT
-from dskernel.series import log_table, power_sum, powers
+from dskernel.series import CACHE_LIMIT, log_table, power_sum, powers
 from conftest import random_psd_dense
 
 U = 2.0**-53

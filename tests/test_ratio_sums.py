@@ -23,7 +23,7 @@ from dskernel import (
     weighted_ratio_sum,
 )
 from dskernel.kernel import eigensolve_rounding
-from dskernel.rules import em_start, partial_zeta
+from dskernel.series import em_start, partial_zeta
 
 
 def assert_encloses(value: float, radius: float, truth) -> None:
@@ -191,6 +191,15 @@ class TestMixedSums:
             with mpmath.workdps(40):
                 assert_encloses(s.total, s.remainder_bound, true_sum(num, den))
 
+    def test_long_partial_sum_is_one_array_fsum(self):
+        """q = 0.999995**2 over l**-1 takes L = 131,072 terms.  Their balls are summed from two arrays by
+        ``series.ball_fsum``, not built one per term: 22 ms on a 2-core x86_64 (154 ms with a ball per term), so
+        the guard at 40 ms fails if the per-term balls come back.  The sum is pinned bit for bit."""
+        num, den = geometric(1.0, 0.999995), power(1.0, -1.0)
+        s = weighted_ratio_sum(num, den)
+        assert (s.total, s.remainder_bound, s.partial_terms, s.exact) == (
+            float.fromhex("0x1.4e7ba17e46156p+33"), float.fromhex("0x1.bc46062b864b8p+32"), 131072, False)
+        assert min(_seconds(weighted_ratio_sum, num, den) for _ in range(5)) <= 0.040
 
     def test_ratio_within_rounding_of_one_is_refused(self):
         # q = 1 - 2**-52 over l**-2: the rounding-raised ratio never drops below 1
