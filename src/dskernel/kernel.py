@@ -197,10 +197,10 @@ def hermitian_section(matrix: CoefficientMatrix, order: int) -> np.ndarray:
 
 
 def self_adjoint_check(matrix: CoefficientMatrix, order: int) -> bool:
-    """Whether the leading order x order section is Hermitian by ``hermitian_part``'s rule, from the prefixes (``_judged``) when there is a ``psd_structure``."""
+    """Whether the leading order x order section is Hermitian by ``hermitian_part``'s rule, from the prefixes (``judged_structure``) when there is a ``psd_structure``."""
     form = matrix.psd_structure(order)
     try:
-        hermitian_section(matrix, order) if form is None else _judged(form)
+        hermitian_section(matrix, order) if form is None else judged_structure(form)
     except HermitianError:
         return False
     return True
@@ -566,7 +566,7 @@ def _cholesky_judge(S: np.ndarray, orders: list[int], tol: float) -> Callable[[i
     return judge
 
 
-def _judged(form: SectionStructure) -> tuple[SectionStructure, float]:
+def judged_structure(form: SectionStructure) -> tuple[SectionStructure, float]:
     """form with its head and diagonal made Hermitian by ``hermitian_part``'s rule, and the section's largest |entry|.
 
     The rule is the one ``hermitian_section`` applies to the whole section,
@@ -710,7 +710,7 @@ def psd_check(matrix: CoefficientMatrix, max_order: int, tol: float = 1e-9) -> P
     equivalent to the kernel being a positive semi-definite function; the
     ladder documents how far that was actually checked.  Requires a
     self-adjoint matrix: with a ``psd_structure`` (arrowhead, rank-one,
-    diagonal) it is judged at max_order from the prefixes (``_judged``) and
+    diagonal) it is judged at max_order from the prefixes (``judged_structure``) and
     only the order-256 section is built.
 
     One loop walks the rungs.  A rung up to ``EIGEN_LADDER_MAX`` is an eigen
@@ -729,7 +729,7 @@ def psd_check(matrix: CoefficientMatrix, max_order: int, tol: float = 1e-9) -> P
     if form is None:
         S, structural = hermitian_section(matrix, max_order), _undecided
     else:
-        form, largest = _judged(form)
+        form, largest = judged_structure(form)
         S = hermitian_part(matrix.truncation(min(max_order, EIGEN_LADDER_MAX)), NOT_SELF_ADJOINT, largest)
         structural = lambda N: _structural_rung(form, N, tol)
     dtype, method, judge = S.dtype, "eigenvalue-ladder", None

@@ -30,6 +30,9 @@ variant to sum a section of the matrix:
   its rungs above order 256 without building it; None for the variants
   without one.
 
+Every accessor gives the N-section's numbers bit for bit: a rule's value is
+its prefix entry, and products and quotients are numpy's array arithmetic.
+
 The base class sums a dense section and bounds tails by the envelope; each
 structured variant overrides what its structure makes cheaper or sharper.
 Variant-only prefixes (``diagonal_prefix``, ``factor_prefix``,
@@ -424,7 +427,7 @@ class RankOneMatrix(CoefficientMatrix):
         return self.fhat[n - 1] if n <= self.fhat.size else 0.0
 
     def entry(self, m: int, n: int) -> complex:
-        return complex(self._factor(m) * np.conj(self._factor(n)))
+        return complex(self.row_prefix(m, n)[n - 1])  # numpy's array product, as the section's
 
     def factor_prefix(self, N: int) -> np.ndarray:
         out = np.zeros(N, dtype=complex)
@@ -638,8 +641,7 @@ class DeflatedMatrix(CoefficientMatrix):
         return Envelope(env.C + env.C**2 / a11, env.alpha)
 
     def entry(self, m: int, n: int) -> complex:
-        p = self.parent
-        return p.entry(m, n) - p.entry(m, 1) * p.entry(1, n) / self._a11
+        return complex(self.column_prefix(n, m)[m - 1])  # numpy's array arithmetic, as the section's
 
     def truncation(self, N: int) -> np.ndarray:
         T = self.parent.truncation(N).astype(complex, copy=False)
@@ -650,11 +652,11 @@ class DeflatedMatrix(CoefficientMatrix):
 
     def column_prefix(self, n: int, N: int) -> np.ndarray:
         p = self.parent
-        return p.column_prefix(n, N) - p.column_prefix(1, N) * (p.entry(1, n) / self._a11)
+        return p.column_prefix(n, N) - p.column_prefix(1, N) * p.entry(1, n) / self._a11
 
     def row_prefix(self, m: int, N: int) -> np.ndarray:
         p = self.parent
-        return p.row_prefix(m, N) - p.row_prefix(1, N) * (p.entry(m, 1) / self._a11)
+        return p.row_prefix(m, N) - p.entry(m, 1) * p.row_prefix(1, N) / self._a11
 
     def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float]:
         """The parent's sum minus the product of its first column and row sums

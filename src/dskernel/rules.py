@@ -5,7 +5,14 @@ every sequence this package needs to reason about rigorously: series
 coefficients, diagonal kernel entries, and the coupling/tail sequences of
 arrowhead matrices.  Restricting to these shapes is what makes summability
 conditions certifiable: each rule admits a polynomial envelope and the
-weighted ratio sums below have closed forms or certified remainders.
+ratio sums below have closed forms or certified remainders.
+
+The constant, geometric and power rules are one formula,
+scale * ratio**l * l**exponent, evaluated by numpy in one method: ``prefix``
+forms it over 1..n and ``value`` at l alone, unless the memo of the last
+prefix covers l, so a value always equals its prefix entry bit for bit.
+``weighted_ratio_sum`` sums |num(l)|**2 / den(l); it has no ``extra``
+weight l**extra any more.
 
 The closed forms of ``weighted_ratio_sum`` combine their pieces as
 ``series.ValueWithBound`` balls, whose arithmetic prices its own rounding,
@@ -55,29 +62,25 @@ class SequenceRule:
             raise SpecError("geometric rule needs ratio > 0")
         if self.kind == "explicit" and len(self.values) == 0:
             raise SpecError("explicit rule needs at least one value")
+        if self.ratio != 1.0 and self.kind != "geometric" or self.exponent != 0.0 and self.kind != "power":
+            raise SpecError(f"a {self.kind} rule takes no ratio or exponent of its own")
 
     # -- evaluation ---------------------------------------------------------
 
     def value(self, l: int) -> complex:
-        """Value at l; SpecError if it is not a finite double."""
+        """Value at l, from the memo when it covers l, else the formula at l alone; SpecError if not a finite double."""
         if l < 1:
             raise SpecError("rules are one-indexed")
-        try:
-            v = self._value(l)
-        except OverflowError:
-            v = math.inf
+        memo = self.__dict__.get("_memo")
+        if memo is not None and l <= memo.size:
+            return complex(memo[l - 1])
+        if self.is_finite:
+            v = complex(self.values[l - 1]) if l <= len(self.values) else 0j
+        else:
+            v = complex(self._formula(np.array([float(l)]))[0])
         if not cmath.isfinite(v):
             raise SpecError(_not_finite(l))
         return v
-
-    def _value(self, l: int) -> complex:
-        if self.kind == "constant":
-            return self.scale
-        if self.kind == "geometric":
-            return self.scale * self.ratio**l
-        if self.kind == "power":
-            return self.scale * float(l) ** self.exponent
-        return self.values[l - 1] if l <= len(self.values) else 0.0
 
     def prefix(self, n: int) -> np.ndarray:
         """Values at l = 1..n as a read-only complex array; SpecError if one is not finite.
@@ -88,8 +91,11 @@ class SequenceRule:
         memo = self.__dict__.get("_memo")
         if memo is not None and 0 <= n <= memo.size:
             return memo[:n]
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = self._prefix(n)
+        if self.is_finite:
+            out = np.zeros(n, dtype=complex)
+            out[: len(self.values)] = self.values[:n]
+        else:
+            out = self._formula(np.arange(1, n + 1, dtype=float))
         finite = np.isfinite(out)
         if not finite.all():
             raise SpecError(_not_finite(int(np.argmin(finite)) + 1))
@@ -98,18 +104,12 @@ class SequenceRule:
             object.__setattr__(self, "_memo", out)
         return out
 
-    def _prefix(self, n: int) -> np.ndarray:
-        ls = np.arange(1, n + 1, dtype=float)
-        if self.kind == "constant":
-            return np.full(n, complex(self.scale))
-        if self.kind == "geometric":
-            return complex(self.scale) * self.ratio**ls
-        if self.kind == "power":
-            return complex(self.scale) * ls**self.exponent
-        out = np.zeros(n, dtype=complex)
-        m = min(n, len(self.values))
-        out[:m] = np.asarray(self.values[:m], dtype=complex)
-        return out
+    def _formula(self, ls: np.ndarray) -> np.ndarray:
+        """scale * ratio**l * l**exponent at the indices ls, the one formula of the constant, geometric and power
+        rules; ratio**l is formed only when the ratio is not 1, since 1**l is exactly 1."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = ls**self.exponent  # numpy's ones for an exponent of 0
+            return complex(self.scale) * (self.ratio**ls * terms if self.ratio != 1.0 else terms)
 
     @property
     def is_finite(self) -> bool:
@@ -117,30 +117,20 @@ class SequenceRule:
 
     def is_positive(self) -> bool:
         """True if every value is provably > 0 (finite lists are scanned)."""
-        if self.kind == "explicit":
+        if self.is_finite:
             return all(complex(v).imag == 0 and complex(v).real > 0 for v in self.values)
         s = complex(self.scale)
         return s.imag == 0 and s.real > 0
 
     def power_law(self) -> Optional[tuple[complex, float]]:
         """(c, p) with value(l) = c * l**p for every l, for constant and power rules; None otherwise."""
-        if self.kind == "constant":
-            return complex(self.scale), 0.0
-        if self.kind == "power":
-            return complex(self.scale), self.exponent
-        return None
+        return (complex(self.scale), self.exponent) if self.kind in ("constant", "power") else None
 
     def poly_bound(self) -> Optional[tuple[float, float]]:
-        """(C, p) with |value(l)| <= C * l**p for all l >= 1, or None."""
-        if self.kind == "constant":
-            return abs(self.scale), 0.0
-        if self.kind == "power":
-            return abs(self.scale), self.exponent
-        if self.kind == "geometric":
-            if self.ratio <= 1.0:
-                return abs(self.scale) * self.ratio, 0.0
-            return None
-        return (max(abs(complex(v)) for v in self.values), 0.0)
+        """(C, p) with |value(l)| <= C * l**p for all l >= 1, or None: ratio**l <= ratio for a ratio <= 1."""
+        if self.is_finite:
+            return max(abs(complex(v)) for v in self.values), 0.0
+        return (abs(self.scale) * self.ratio, self.exponent) if self.ratio <= 1.0 else None
 
 
 def _not_finite(l: int) -> str:
@@ -217,7 +207,7 @@ MIXED_TERMS_MAX = 2**20
 
 @dataclass(frozen=True)
 class RatioSum:
-    """Result of summing t(l) = |num(l)|^2 * l**extra / den(l) over l >= 1.
+    """Result of summing t(l) = |num(l)|^2 / den(l) over l >= 1.
 
     The true sum lies within remainder_bound of total.  The bound covers
     truncation and rounding for every shape: the zeta and geometric closed
@@ -237,26 +227,25 @@ def _ratio_sum(total, exact: bool, partial_terms: int) -> RatioSum:
     return RatioSum(total.value, exact, partial_terms, total.error_radius)
 
 
-def _normal_form(num: SequenceRule, den: SequenceRule, extra: float):
-    """Write t(l) = A * q**l * l**gamma for non-explicit rule pairs: A and q balls, gamma and its rounding."""
-    c, q, parts = complex(num.scale), Ball(1.0), [extra]
+def _normal_form(num: SequenceRule, den: SequenceRule):
+    """Write t(l) = A * q**l * l**gamma for non-explicit rule pairs: A and q balls, gamma and its rounding.
+
+    q = num.ratio**2 / den.ratio and gamma = 2 num.exponent - den.exponent; a ratio of 1 leaves q exact.
+    """
+    c, q, parts = complex(num.scale), Ball(1.0), [2 * num.exponent, -den.exponent]
     A = (Ball(c.real) * c.real + Ball(c.imag) * c.imag) / complex(den.scale).real
-    if num.kind == "geometric":
+    if num.ratio != 1.0:
         q = Ball(num.ratio) * num.ratio
-    elif num.kind == "power":
-        parts.append(2 * num.exponent)
-    if den.kind == "geometric":
+    if den.ratio != 1.0:
         q = q / den.ratio
-    elif den.kind == "power":
-        parts.append(-den.exponent)
     gamma = math.fsum(parts)
     # fsum rounds the exact sum once, so the residual is the rounding, itself correctly rounded
     residual = abs(math.fsum([*parts, -gamma])) if math.isfinite(gamma) else 0.0
     return A, q, gamma, math.nextafter(residual, math.inf) if residual else 0.0
 
 
-def weighted_ratio_sum(num: SequenceRule, den: SequenceRule, extra: float = 0.0) -> RatioSum:
-    """Certified value of sum_{l>=1} |num(l)|^2 * l**extra / den(l).
+def weighted_ratio_sum(num: SequenceRule, den: SequenceRule) -> RatioSum:
+    """Certified value of sum_{l>=1} |num(l)|^2 / den(l).
 
     Closed forms: pure geometric (q < 1, gamma = 0) and pure power
     (q = 1, gamma < -1: zeta(-gamma), ``partial_zeta`` to infinity).
@@ -267,25 +256,27 @@ def weighted_ratio_sum(num: SequenceRule, den: SequenceRule, extra: float = 0.0)
     """
     if not den.is_positive():
         raise CertificationError("denominator sequence is not certifiably positive")
-    if den.kind == "explicit" or num.kind == "explicit":
-        if num.kind != "explicit" and den.kind == "explicit":
+    if den.is_finite or num.is_finite:
+        if not num.is_finite:
             # numerator extends beyond the stored denominators: undefined tail
             raise CertificationError("explicit denominator shorter than numerator support")
         # numerator has finite support: the finite sum
+        L = len(num.values)
+        nums, dens = num.prefix(L), den.prefix(L).real  # SpecError when one is not a finite double
+        priced = not den.is_finite and (den.ratio != 1.0 or den.exponent != 0.0)  # a libm power times a scale
         terms = []
-        for l in range(1, len(num.values) + 1):
-            v, d = complex(num.value(l)), Ball(complex(den.value(l)).real)  # SpecError when not a finite double
-            if den.kind in ("geometric", "power"):  # a libm power times the scale
-                power = den.ratio**l if den.kind == "geometric" else float(l) ** den.exponent
-                d = complex(den.scale).real * Ball.libm(power)
+        for l in range(1, L + 1):
+            v, d = complex(nums[l - 1]), Ball(float(dens[l - 1]))
+            if priced:
+                d = complex(den.scale).real * Ball.libm(den.ratio**l * float(l) ** den.exponent)
             if not d.lower > 0.0:
                 raise CertificationError(f"denominator value at l={l} is not positive")
-            terms.append((Ball(v.real) * v.real + Ball(v.imag) * v.imag) * Ball.libm(float(l) ** extra) / d)
-        return _ratio_sum(Ball.fsum(terms), True, len(num.values))
+            terms.append((Ball(v.real) * v.real + Ball(v.imag) * v.imag) / d)
+        return _ratio_sum(Ball.fsum(terms), True, L)
 
     if num.scale == 0:
         return RatioSum(0.0, True, 0, 0.0)
-    A, q, gamma, dgamma = _normal_form(num, den, extra)
+    A, q, gamma, dgamma = _normal_form(num, den)
     gap = 1 - q
     if gap.upper < 0.0 or ("geometric" not in (num.kind, den.kind) and gamma >= -1.0):
         raise CertificationError("ratio sum diverges: hypothesis (finite coupling sum) fails")

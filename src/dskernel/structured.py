@@ -32,6 +32,7 @@ from .kernel import (
     PsdCertificate,
     eigensolve_rounding,
     hermitian_part,
+    judged_structure,
     psd_check,
     psd_cutoff,
     schur_complements,
@@ -69,13 +70,14 @@ def coupling_sum(m: ArrowheadMatrix) -> RatioSum:
     return weighted_ratio_sum(m.coupling, m.tail)
 
 
-def psd_margin(m: ArrowheadMatrix, tol: float = 1e-9) -> MarginCertificate:
+def psd_margin(m: ArrowheadMatrix, tol: float = 1e-9, head: Optional[np.ndarray] = None) -> MarginCertificate:
     """Exact head eigen-solve plus the certified coupling sum.
 
-    Refuses when the coupling sum cannot be certified finite (the class
+    The head is the Hermitian ``head`` that ``certify_arrowhead`` judged, else the head judged on its own
+    (``HEAD_NOT_HERMITIAN``).  Refuses when the coupling sum cannot be certified finite (the class
     hypothesis) or the head fails PSD beyond ``psd_cutoff`` at tol.
     """
-    w = np.linalg.eigvalsh(hermitian_part(m.head, HEAD_NOT_HERMITIAN))
+    w = np.linalg.eigvalsh(hermitian_part(m.head, HEAD_NOT_HERMITIAN) if head is None else head)
     lam_min = float(w[0])
     if lam_min < -psd_cutoff(w, tol):
         raise CertificationError(f"head block is not PSD: min eigenvalue {lam_min}")
@@ -88,17 +90,22 @@ def psd_margin(m: ArrowheadMatrix, tol: float = 1e-9) -> MarginCertificate:
 def certify_arrowhead(
     m: ArrowheadMatrix, max_order: int, tol: float = 1e-9
 ) -> tuple[PsdCertificate, Optional[MarginCertificate]]:
-    """``certify_psd``'s certificate and the margin certificate it rests on (None when refused)."""
-    ladder = psd_check(m, max_order, tol)  # first, so self-adjointness is judged as psd_check judges it
+    """``certify_psd``'s certificate and the margin certificate it rests on (None when refused).
+
+    Self-adjointness is judged once, by ``psd_check`` at max_order (``judged_structure``; the head alone
+    below order k): the margin and its Schur cross-check read the head that judgement made Hermitian."""
+    ladder = psd_check(m, max_order, tol)
+    form = m.psd_structure(max_order)
+    h = hermitian_part(m.head, HEAD_NOT_HERMITIAN) if form is None else judged_structure(form)[0].head
     try:
-        cert = psd_margin(m, tol)
+        cert = psd_margin(m, tol, h)
     except CertificationError:
         if ladder.is_psd:
             raise
         return replace(ladder, method=f"{ladder.method} (margin certificate unavailable)"), None
     if cert.margin >= 0.0:
         # a certified coupling sum has no zero d_l under a nonzero c_l, so every sigma_N is finite
-        h, n = hermitian_part(m.head, HEAD_NOT_HERMITIAN), ladder.orders[-1]
+        n = ladder.orders[-1]
         complements, _ = schur_complements(h, m.coupling_prefix(n), m.tail_prefix(n), list(ladder.orders), 0.0)
         schur = np.linalg.eigvalsh(complements)[:, 0]
         slack = 1e-9 * (1.0 + abs(cert.lambda_min_head))

@@ -119,6 +119,14 @@ def _rank_one_factor(S: np.ndarray, sv: np.ndarray, tol: float) -> Optional[np.n
     return f
 
 
+def _probe(kernel: DirichletKernel, ms: complex, mu: complex, s: complex, u: complex, order: int) -> tuple:
+    """(|kappa(ms, mu) - kappa(s, u)|, the sum of the two error radii, |kappa(s, u)|): kappa at the moved
+    pair, then at (s, u), each a ``kernel_eval`` at order."""
+    lhs = kernel_eval(kernel, ms, mu, order)
+    rhs = kernel_eval(kernel, s, u, order)
+    return abs(lhs.value - rhs.value), lhs.error_radius + rhs.error_radius, abs(rhs.value)
+
+
 @dataclass(frozen=True)
 class InvarianceWitness:
     """A concrete violation: |kappa(moved s, moved u) - kappa(s, u)| = violation."""
@@ -165,11 +173,8 @@ def translation_invariance_test(
             b = float(rng.uniform(-10, 10))
             s = edge + 0.5 + rng.uniform(0, 2) + 1j * rng.uniform(-3, 3)
             u = edge + 0.5 + rng.uniform(0, 2) + 1j * rng.uniform(-3, 3)
-            lhs = kernel_eval(kernel, s - 1j * b, u - 1j * b, order)
-            rhs = kernel_eval(kernel, s, u, order)
-            dev = abs(lhs.value - rhs.value)
-            slack = lhs.error_radius + rhs.error_radius + tol * (1 + abs(rhs.value))
-            if dev > slack:
+            dev, radii, size = _probe(kernel, s - 1j * b, u - 1j * b, s, u, order)
+            if dev > radii + tol * (1 + size):
                 return TranslationReport(
                     False, True, dev, InvarianceWitness(b, s, u, dev), TRANSLATION_SAMPLES
                 )
@@ -203,11 +208,8 @@ def _translation_witness(
         b = math.pi / math.log(m0 / n0)
         for sigma in np.arange(edge + 0.5, edge + 24.5, 0.5):
             s = u = complex(sigma)
-            lhs = kernel_eval(kernel, s - 1j * b, u - 1j * b, order)
-            rhs = kernel_eval(kernel, s, u, order)
-            dev = abs(lhs.value - rhs.value)
-            slack = lhs.error_radius + rhs.error_radius
-            if dev > max(tol, 3.0 * slack):
+            dev, radii, _ = _probe(kernel, s - 1j * b, u - 1j * b, s, u, order)
+            if dev > max(tol, 3.0 * radii):
                 return InvarianceWitness(b, s, u, dev)
     return None
 
@@ -350,11 +352,8 @@ def linear_invariance_test(
                 ps, pu = phi(s), phi(u)
                 if ps.real <= edge or pu.real <= edge:
                     continue
-                lhs = kernel_eval(kernel, ps, pu, order)
-                rhs = kernel_eval(kernel, s, u, order)
-                dev = abs(lhs.value - rhs.value)
-                slack = lhs.error_radius + rhs.error_radius
-                if dev > max(tol, 3.0 * slack):
+                dev, radii, _ = _probe(kernel, ps, pu, s, u, order)
+                if dev > max(tol, 3.0 * radii):
                     return LinearInvarianceReport(
                         False, False, kind, param, (s, u), dev
                     )

@@ -14,7 +14,8 @@ import pytest
 
 from dskernel import DenseMatrix, cli, errors, psd_check, structured
 from dskernel.cli import main
-from dskernel.kernel import eigensolve_rounding
+from dskernel.io import load_matrix
+from dskernel.kernel import eigensolve_rounding, self_adjoint_check
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
 
@@ -181,6 +182,25 @@ class TestPsdSelfAdjointTolerance:
         if verdict == "not_self_adjoint":
             assert res["tolerance"] == self.applied_tolerance()
 
+    # a head off by 1e-8 under a tail of 10000 * 2**l: within 1e-10 of the order-16 section's largest entry
+    SMALL_HEAD = {"variant": "arrowhead", "k": 2, "head": [[4, 1.00000001], [1, 4]],
+                  "c_rule": {"kind": "constant", "value": 100},
+                  "d_rule": {"kind": "geometric", "scale": 10000, "ratio": 2}}
+
+    def test_a_head_within_the_sections_tolerance_is_judged_once(self, capsys, tmp_path):
+        m = load_matrix(self.SMALL_HEAD)[0]
+        assert psd_check(m, 16).verdict == "psd" and self_adjoint_check(m, 16)
+        res = self.psd(capsys, tmp_path, self.SMALL_HEAD, order=16)
+        assert res["self_adjoint"] is True and res["verdict"] == "psd"
+        assert res["method"].startswith("schur-margin") and res["margin"] > 0
+
+    def test_sk_reads_the_same_judgement(self, capsys, tmp_path):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(self.SMALL_HEAD))
+        code, rep = run_json(capsys, "sk", "--matrix", str(f), "--max-order", "16")
+        assert code == 0
+        assert rep["results"]["verdict"] == "psd" and rep["results"]["margin"] > 0
+
     def test_large_rank_one_is_self_adjoint(self, capsys, tmp_path):
         # np.outer(f, conj(f)) leaves |T - T*| = 1.2e-10 on entries of 6e6
         fhat = [[189.1, -2441.5], [-522.7, 1799.7], [-413.1, 1144.2]]
@@ -287,7 +307,7 @@ class TestSk:
 
     def test_one_margin_certificate_per_report(self, capsys, monkeypatch):
         calls, margin = [], structured.psd_margin
-        monkeypatch.setattr(structured, "psd_margin", lambda m, tol: calls.append(tol) or margin(m, tol))
+        monkeypatch.setattr(structured, "psd_margin", lambda m, tol, head: calls.append(tol) or margin(m, tol, head))
         code, rep = run_json(capsys, "sk", "--matrix", str(SAMPLES / "example_arrowhead.json"))
         assert code == 0 and calls == [1e-9]
         res = rep["results"]
@@ -296,7 +316,7 @@ class TestSk:
 
     def test_example_takes_one_margin_certificate(self, capsys, monkeypatch):
         calls, margin = [], structured.psd_margin
-        monkeypatch.setattr(structured, "psd_margin", lambda m, tol: calls.append(tol) or margin(m, tol))
+        monkeypatch.setattr(structured, "psd_margin", lambda m, tol, head: calls.append(tol) or margin(m, tol, head))
         code, rep = run_json(capsys, "sk", "--example")
         assert code == 0 and calls == [1e-9]
 

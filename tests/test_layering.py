@@ -3,7 +3,8 @@
 ``series`` holds the certified sums (balls, direct sums, Euler-Maclaurin and zeta) and ``rules`` builds on it,
 so ``series`` imports nothing from ``rules``.  Package modules import each other at module level: the only
 imports inside a function are the lazy ones by design, in the CLI's command handlers (each loads what its
-command runs) and in ``io.load_span`` (only the span commands load ``homogeneous``).
+command runs) and in ``io.load_span`` (only the span commands load ``homogeneous``).  A sequence rule's
+ratio and exponent are raised to a power in its one formula only, which ``value`` and ``prefix`` share.
 """
 
 import ast
@@ -81,3 +82,34 @@ def test_the_lazy_imports_by_design_are_there():
     cli = {function for _, function, _ in package_imports("cli") if function}
     assert len(cli) >= 8 and all(f.startswith("_cmd_") for f in cli)
     assert ("homogeneous", "load_span") in {(t, f) for t, f, _ in package_imports("io")}
+
+
+#: where a rule's ratio or exponent may be raised to a power: the one formula of ``SequenceRule``, and the
+#: denominator that ``weighted_ratio_sum`` prices as a libm power in its finite sums
+RULE_POWERS = {("rules", "SequenceRule._formula"), ("rules", "weighted_ratio_sum")}
+
+
+def rule_powers(module: str) -> set[tuple[str, str]]:
+    """(module, enclosing class.function) of every ``**`` with a ``.ratio`` or ``.exponent`` operand."""
+    found = set()
+
+    def visit(node, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.Pow) and any(
+                    isinstance(side, ast.Attribute) and side.attr in ("ratio", "exponent")
+                    for side in (child.left, child.right)):
+                found.add((module, scope))
+            visit(child, scope)
+
+    visit(ast.parse((PACKAGE / f"{module}.py").read_text()), "")
+    return found
+
+
+def test_a_rule_is_evaluated_by_one_formula():
+    """``value`` and ``prefix`` read the same formula, so no other code raises a rule's ratio or exponent."""
+    found = set().union(*(rule_powers(module) for module in MODULES))
+    assert found - RULE_POWERS == set()
+    assert ("rules", "SequenceRule._formula") in found

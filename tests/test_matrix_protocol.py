@@ -23,7 +23,7 @@ from dskernel import (
 )
 from dskernel.homogeneous import translate_gram
 from dskernel.io import load_matrix, load_series, load_span
-from dskernel.series import evaluate, rounding_radius
+from dskernel.series import CACHE_LIMIT, evaluate, rounding_radius
 from dskernel.kernel import hermitian_part, schur_complements, support_pattern
 from conftest import random_psd_dense
 
@@ -235,6 +235,76 @@ def test_schur_min_eigs_match_per_rung_loop():
     sigma = _schur_complements(bad, orders)[1]
     assert [math.isinf(s) for s in sigma] == [N > m.k + 2 for N in orders]
     assert np.all(np.isfinite(_schur_complements(bad, orders, 1e-3)[1]))
+
+
+AGREEMENT_N = 400
+
+
+def _power_arrowhead(rng) -> ArrowheadMatrix:
+    """k = 2, coupling 0.45 l**-0.55 and tail 1.37**l: 36 of its 400 columns and rows left truncation(400) when
+    a rule's scalar value took Python's pow and its prefix numpy's."""
+    return ArrowheadMatrix(2, random_psd_dense(rng, 2) + 4.0 * np.eye(2),
+                           SequenceRule("power", scale=0.45, exponent=-0.55), SequenceRule("geometric", ratio=1.37))
+
+
+AGREEMENT_VARIANTS = {
+    "diagonal_constant": lambda rng: DiagonalMatrix(SequenceRule("constant", scale=1.5 - 0.5j)),
+    "diagonal_geometric": lambda rng: DiagonalMatrix(SequenceRule("geometric", scale=0.7 + 0.2j, ratio=0.993)),
+    "diagonal_power": lambda rng: DiagonalMatrix(SequenceRule("power", scale=1.0, exponent=-0.37)),
+    "diagonal_explicit": lambda rng: DiagonalMatrix(SequenceRule("explicit", values=tuple(_complex(rng, 300)))),
+    "diagonal_masked": lambda rng: DiagonalMatrix(SequenceRule("power", scale=2.0, exponent=0.61),
+                                                  support=AdmissibleSupport("generated", generators=(2, 3, 7))),
+    "arrowhead_power": _power_arrowhead,
+    "arrowhead_geometric": lambda rng: ArrowheadMatrix(3, random_psd_dense(rng, 3) + 5.0 * np.eye(3),
+                                                       SequenceRule("geometric", scale=0.5 + 0.25j, ratio=0.991),
+                                                       SequenceRule("power", scale=2.0, exponent=0.83)),
+    "arrowhead_explicit": lambda rng: ArrowheadMatrix(2, random_psd_dense(rng, 2) + 3.0 * np.eye(2),
+                                                      SequenceRule("explicit", values=tuple(_complex(rng, 250))),
+                                                      SequenceRule("explicit", values=tuple(rng.uniform(1, 9, 390)))),
+    "rank_one": lambda rng: RankOneMatrix(_complex(rng, AGREEMENT_N)),
+    "dense": lambda rng: DenseMatrix(_complex(rng, AGREEMENT_N, AGREEMENT_N)),
+    "deflated_arrowhead": lambda rng: DeflatedMatrix(_power_arrowhead(rng)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT_VARIANTS))
+def test_every_accessor_agrees_with_the_section(name):
+    """entry, column_prefix, row_prefix and the scatter of nonzero_entries equal truncation(400) bit for bit.
+
+    The entries are read first, on fresh rules, so a rule's value at l is formed before any prefix is held."""
+    matrix, N = AGREEMENT_VARIANTS[name](np.random.default_rng(15)), AGREEMENT_N
+    entries = np.array([[matrix.entry(m, n) for n in range(1, 61)] for m in range(1, 61)], dtype=complex)
+    T = matrix.truncation(N)
+    assert np.array_equal(entries, T[:60, :60])
+    assert np.array_equal(np.array([matrix.column_prefix(n, N) for n in range(1, N + 1)]).T, T)
+    assert np.array_equal(np.array([matrix.row_prefix(m, N) for m in range(1, N + 1)]), T)
+    m, n, values = matrix.nonzero_entries(N)
+    scattered = np.zeros_like(T)
+    scattered[m - 1, n - 1] = values
+    assert np.array_equal(scattered, T)
+
+
+AGREEMENT_RULES = {
+    "constant": SequenceRule("constant", scale=0.3 - 1.1j),
+    "geometric": SequenceRule("geometric", scale=2.5, ratio=1.00003),
+    "power": SequenceRule("power", scale=0.45, exponent=-0.55),
+    "explicit": SequenceRule("explicit", values=tuple(complex(v, -v) for v in np.linspace(0.1, 9, CACHE_LIMIT + 500))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(AGREEMENT_RULES))
+def test_value_agrees_with_prefix_within_and_beyond_the_memo(kind):
+    """value(l) == prefix(n)[l - 1] on a fresh rule, then on one whose memo covers l, and past CACHE_LIMIT,
+    where no prefix is kept."""
+    rule = AGREEMENT_RULES[kind]
+    ls = np.random.default_rng(16).integers(1, CACHE_LIMIT + 1, 200).tolist()
+    deep = np.random.default_rng(17).integers(CACHE_LIMIT + 1, CACHE_LIMIT + 1000, 200).tolist()
+    fresh = SequenceRule(rule.kind, rule.scale, rule.ratio, rule.exponent, rule.values)
+    before = [fresh.value(l) for l in ls]
+    held = fresh.prefix(CACHE_LIMIT)
+    assert before == held[np.array(ls) - 1].tolist() == [fresh.value(l) for l in ls]
+    beyond = fresh.prefix(CACHE_LIMIT + 1000)
+    assert [fresh.value(l) for l in deep] == beyond[np.array(deep) - 1].tolist()
 
 
 class TestRuleFiniteness:
