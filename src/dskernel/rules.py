@@ -11,23 +11,26 @@ The constant, geometric and power rules are one formula,
 scale * ratio**l * l**exponent, evaluated by numpy in one method: ``prefix``
 forms it over 1..n and ``value`` at l alone, unless the memo of the last
 prefix covers l, so a value always equals its prefix entry bit for bit.
-``weighted_ratio_sum`` sums |num(l)|**2 / den(l); it has no ``extra``
-weight l**extra any more.
+``rule_from_spec`` reads every field as a finite double or complex.
 
-The closed forms of ``weighted_ratio_sum`` combine their pieces as
-``series.ValueWithBound`` balls, whose arithmetic prices its own rounding,
-and every libm result among them enters through ``ValueWithBound.libm``
-(the error assumption is ``series.LIBM_UNITS``), so every closed form here
-carries a radius for its truncation and rounding.  A sum of two power rules
-is zeta(beta), ``series.partial_zeta`` to infinity.
+``weighted_ratio_sum`` sums |num(l)|**2 / den(l): over the support of an
+explicit rule, quotients of prefixes; otherwise terms A q**l l**gamma, where
+the exact q = num.ratio**2 / den.ratio, compared with 1, and gamma decide.
+q = 1, gamma < -1 is zeta(-gamma) (``series.partial_zeta`` to infinity);
+q < 1, gamma = 0 is q/(1 - q); any other q < 1 is a partial sum and a
+certified remainder; q > 1, or q = 1 and gamma >= -1, diverges.  Each sum
+combines ``series.ValueWithBound`` balls, which price their own rounding,
+and a libm result enters as ``ValueWithBound.libm`` (``series.LIBM_UNITS``).
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 import reprlib
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -58,12 +61,12 @@ class SequenceRule:
     def __post_init__(self):
         if self.kind not in RULE_KINDS:
             raise SpecError(f"unknown rule kind {self.kind!r}")
-        if self.kind == "geometric" and self.ratio <= 0:
-            raise SpecError("geometric rule needs ratio > 0")
         if self.kind == "explicit" and len(self.values) == 0:
             raise SpecError("explicit rule needs at least one value")
         if self.ratio != 1.0 and self.kind != "geometric" or self.exponent != 0.0 and self.kind != "power":
             raise SpecError(f"a {self.kind} rule takes no ratio or exponent of its own")
+        if not (0.0 < self.ratio < math.inf and math.isfinite(self.exponent)):
+            raise SpecError("a rule needs a finite ratio > 0 and a finite exponent")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -176,8 +179,11 @@ def spec_value(spec, key: str, cast=None, default=_REQUIRED):
 
 
 def _scalar(x):
-    """A rule scale or value: a JSON number as is, else any form parse_complex reads."""
-    return x if isinstance(x, (int, float)) else parse_complex(x)
+    """A rule scale or value: a JSON number as a finite double, else any form parse_complex reads, finite."""
+    v = float(x) if isinstance(x, (int, float)) else parse_complex(x)
+    if not cmath.isfinite(v):
+        raise ValueError(f"{x!r} is not finite")
+    return v
 
 
 def _scalars(values) -> tuple:
@@ -201,7 +207,7 @@ def rule_from_spec(spec: dict) -> SequenceRule:
     raise SpecError(f"unknown rule kind {kind!r}")
 
 
-#: most terms a mixed geometric * power ratio sum may take before its ratio test holds
+#: most terms a mixed geometric * power ratio sum may add one by one: its memory cap
 MIXED_TERMS_MAX = 2**20
 
 
@@ -245,42 +251,32 @@ def _normal_form(num: SequenceRule, den: SequenceRule):
 
 
 def weighted_ratio_sum(num: SequenceRule, den: SequenceRule) -> RatioSum:
-    """Certified value of sum_{l>=1} |num(l)|^2 / den(l).
-
-    Closed forms: pure geometric (q < 1, gamma = 0) and pure power
-    (q = 1, gamma < -1: zeta(-gamma), ``partial_zeta`` to infinity).
-    Mixed shapes fall back to a partial sum plus a certified geometric-ratio
-    remainder.  Every branch combines its pieces as ``series.ValueWithBound``
-    balls, which price the rounding.  Raises CertificationError when the sum
-    provably diverges or cannot be certified finite.
-    """
+    """Certified value of sum_{l>=1} |num(l)|^2 / den(l), by the branch the module docstring lists for its
+    exact q and its gamma (``_normal_form``); CertificationError when the sum provably diverges or cannot be
+    certified finite."""
     if not den.is_positive():
         raise CertificationError("denominator sequence is not certifiably positive")
     if den.is_finite or num.is_finite:
         if not num.is_finite:
             # numerator extends beyond the stored denominators: undefined tail
             raise CertificationError("explicit denominator shorter than numerator support")
-        # numerator has finite support: the finite sum
         L = len(num.values)
-        nums, dens = num.prefix(L), den.prefix(L).real  # SpecError when one is not a finite double
-        priced = not den.is_finite and (den.ratio != 1.0 or den.exponent != 0.0)  # a libm power times a scale
-        terms = []
-        for l in range(1, L + 1):
-            v, d = complex(nums[l - 1]), Ball(float(dens[l - 1]))
-            if priced:
-                d = complex(den.scale).real * Ball.libm(den.ratio**l * float(l) ** den.exponent)
-            if not d.lower > 0.0:
-                raise CertificationError(f"denominator value at l={l} is not positive")
-            terms.append((Ball(v.real) * v.real + Ball(v.imag) * v.imag) / d)
-        return _ratio_sum(Ball.fsum(terms), True, L)
+        v, d = num.prefix(L), den.prefix(L).real  # SpecError when one is not a finite double
+        if not d.min() > 0.0:
+            raise CertificationError(f"denominator value at l={int(np.argmin(d > 0.0)) + 1} is not positive")
+        # |v|**2 rounds twice and the quotient once; a denominator formed with a power is within 6u (two libm
+        # powers and two products, ``series.LIBM_UNITS`` each power); an underflow errs by a subnormal
+        t = (v.real * v.real + v.imag * v.imag) / d
+        rel = (9.0 if den.ratio != 1.0 or den.exponent != 0.0 else 3.0) * UNIT_ROUNDOFF
+        return _ratio_sum(ball_fsum(t, rel * t + 2.0**-1074 + 2.0**-1073 / d), True, L)
 
     if num.scale == 0:
         return RatioSum(0.0, True, 0, 0.0)
     A, q, gamma, dgamma = _normal_form(num, den)
-    gap = 1 - q
-    if gap.upper < 0.0 or ("geometric" not in (num.kind, den.kind) and gamma >= -1.0):
+    exact_q = Fraction(num.ratio) ** 2 / Fraction(den.ratio)
+    if exact_q > 1 or exact_q == 1 and 2 * Fraction(num.exponent) - Fraction(den.exponent) >= -1:
         raise CertificationError("ratio sum diverges: hypothesis (finite coupling sum) fails")
-    if "geometric" not in (num.kind, den.kind):
+    if exact_q == 1:
         # sum l**gamma = zeta(-gamma), gamma < -1, for every exponent within the rounding dgamma of -gamma
         try:
             value, radius = partial_zeta(-gamma, dgamma, 1, math.inf)
@@ -288,38 +284,37 @@ def weighted_ratio_sum(num: SequenceRule, den: SequenceRule) -> RatioSum:
             raise CertificationError("ratio sum exponent within rounding of -1: the sum cannot be certified finite") from None
         head = em_start(complex(-gamma), 1, math.inf) - 1 if -gamma <= ZETA_HEADLESS else 0
         return _ratio_sum(A * Ball(value.real, radius), False, head)
-    if gamma == 0.0:
-        # geometric: sum q**l = q/(1-q); the division refuses a disc of 1 - q that holds 0
-        try:
-            return _ratio_sum(A * (q / gap), True, 0)
-        except ZeroDivisionError:
-            raise CertificationError("geometric ratio within rounding of 1: the sum cannot be certified finite") from None
-    # mixed geometric * power with q < 1: the partial sum to L plus a
-    # ratio-test remainder.  For l > L the term ratio q ((l+1)/l)**gamma is
-    # at most rho = q ((L+1)/L)**max(gamma, 0), a ball ((L+1)/L is exact, and
-    # gamma's rounding moves the power by a factor within 2 dgamma / L of 1).
-    # Once the disc of 1 - rho lies above 0 the remainder is at most
-    # t(L+1) / (1 - rho); for q within rounding of 1, or gamma / (1 - q)
-    # beyond MIXED_TERMS_MAX, the sum is refused instead.
+    # 1 - q; where q's disc reaches 1, though q < 1, from the exact q rounded once
+    gap = 1 - q if (1 - q).lower > 0.0 else Ball.libm(float(1 - exact_q))
+    if gamma == 0.0:  # geometric: sum q**l = q/(1-q)
+        return _ratio_sum(A * (q / gap), True, 0)
+    # mixed, q < 1: the partial sum to L plus a remainder.  For l > L the term
+    # ratio q ((l+1)/l)**gamma is at most rho = q ((L+1)/L)**g, g = max(gamma,
+    # 0), a ball ((L+1)/L is exact; gamma's rounding moves the power by a factor
+    # within 2 dgamma / L of 1).  As g log(1 + 1/L) < g/L, rho's disc lies below
+    # 1 once g/L is below -log q less its rounding (32u and dgamma / 16): L is
+    # the least power of two >= 64 above g over that room, and one check of
+    # 1 - rho certifies it.  The remainder is the lesser of t(L+1) / (1 - rho)
+    # and, for gamma < -1, q**(L+1) zeta(-gamma, L+1), which holds up to q = 1.
     g = max(gamma, 0.0)
-    L, gap = 32, Ball(0.0)
-    while not gap.lower > 0.0:
-        L *= 2
-        if L > MIXED_TERMS_MAX:
-            raise CertificationError(
-                f"geometric ratio too close to 1: the ratio test needs more than {MIXED_TERMS_MAX} terms"
-            )
-        gap = 1 - (q * Ball.libm((1.0 + 1.0 / L) ** g) * Ball(1.0, 2.0 * dgamma / L) if g else q)
+    room = -math.log(q.upper) - 32.0 * UNIT_ROUNDOFF - dgamma / 16.0
+    L = 1 << max(6, int(g / room).bit_length()) if 0.0 < g < room * MIXED_TERMS_MAX else 64
+    gap = 1 - q * Ball.libm((1.0 + 1.0 / L) ** g) * Ball(1.0, 2.0 * dgamma / L) if g else gap
+    if not gap.lower > 0.0:
+        raise CertificationError(f"geometric ratio too close to 1: the ratio test needs more than {MIXED_TERMS_MAX} terms")
     ls = np.arange(1.0, L + 2.0)
     terms = q.value**ls * ls**gamma  # l = 1 .. L + 1
-    # each term is off by q's 4u raised to the l-th power, by l**dgamma, and
-    # by two powers (2u each) and their product; one that underflows, by at
-    # most 2**-1072 (L+1)**max(gamma, 0)
+    # each term is off by q's 4u raised to the l-th power, by l**dgamma, by two powers (2u each) and their
+    # product; one that underflows, by at most 2**-1072 (L+1)**max(gamma, 0)
     errors = terms * np.expm1(6.0 * UNIT_ROUNDOFF * (ls + 1.0) + dgamma * np.log(ls))
     underflow = Ball(0.0, 2.0**-1072 * (L + 1.0) ** g)
     spill = L * underflow
     partial = ball_fsum(np.append(terms[:L], spill.value), np.append(errors[:L], spill.error_radius))
-    remainder = (Ball(float(terms[L]), float(errors[L])) + underflow) / gap
-    # the remainder lies in [0, remainder.upper]: the disc of centre and radius h
-    h = math.nextafter(remainder.upper / 2.0, math.inf)
+    remainder = ((Ball(float(terms[L]), float(errors[L])) + underflow) / gap).upper
+    if gamma < -1.0:
+        with contextlib.suppress(SpecError):  # not for -gamma within rounding of 1
+            value, radius = partial_zeta(-gamma, dgamma, L + 1, math.inf)
+            remainder = min(remainder, (Ball.libm(min(q.upper, 1.0) ** (L + 1)) * Ball(value.real, radius)).upper)
+    # the remainder lies in [0, remainder]: the disc of centre and radius h
+    h = math.nextafter(remainder / 2.0, math.inf)
     return _ratio_sum(A * (partial + Ball(h, h)), False, L)

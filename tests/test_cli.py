@@ -19,6 +19,9 @@ from dskernel.kernel import eigensolve_rounding, self_adjoint_check
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
 
+#: beyond the double range: ``json.dumps`` writes it out digit by digit, and ``json.loads`` reads a Python int
+BEYOND_DOUBLE = 10**400
+
 
 def run(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
@@ -688,6 +691,34 @@ class TestNonFiniteInputs:
         code, rep = self.run_strict(capsys, "psd", "--matrix", f, "--max-order", "2")
         assert code == 2
         assert rep["error"]["kind"] == "SpecError"
+
+    @pytest.mark.parametrize("key, spec", [
+        ("values", {"variant": "diagonal", "rho": 0.5, "rule": {"kind": "explicit", "values": [1, BEYOND_DOUBLE, 2]}}),
+        ("value", {"variant": "diagonal", "rho": 0.5, "rule": {"kind": "constant", "value": BEYOND_DOUBLE}}),
+        ("scale", {"variant": "diagonal", "rho": 0.5, "rule": {"kind": "geometric", "scale": BEYOND_DOUBLE, "ratio": 0.5}}),
+        ("scale", {"variant": "arrowhead", "rho": 0.0, "k": 1, "head": [[1]], "d_rule": {"kind": "geometric", "ratio": 4},
+                   "c_rule": {"kind": "power", "scale": BEYOND_DOUBLE, "exponent": -1}}),
+        ("d_rule", {"variant": "arrowhead", "rho": 0.0, "k": 1, "head": [[1]], "c_rule": {"kind": "constant", "value": 1},
+                    "d_rule": {"kind": "geometric", "ratio": math.inf}}),  # JSON Infinity
+    ], ids=["explicit-values", "constant-value", "geometric-scale", "arrowhead-power-scale", "arrowhead-infinite-ratio"])
+    @pytest.mark.parametrize("command", [["eval", "--s", "2", "--u", "2", "--order", "3"], ["psd", "--max-order", "4"],
+                                         ["symbols", "--n", "2", "--order", "4"], ["invariance", "--order", "4"]],
+                             ids=lambda argv: argv[0])
+    def test_rule_field_beyond_the_double_range(self, capsys, tmp_path, command, key, spec):
+        """A JSON integer of 10**400, written out, or an infinite ratio in a rule field is refused as the rule is
+        read: exit 2."""
+        code, rep = self.run_strict(capsys, *command, "--matrix", self.write(tmp_path, spec))
+        assert code == 2 and rep["error"]["kind"] == "SpecError" and f"key {key!r}" in rep["error"]["message"]
+
+    @pytest.mark.parametrize("command, spec", [
+        (["eval", "--s", "2", "--series"],
+         {"kind": "ordinary", "coefficients": [1, 1], "generator": {"coefficients": {"kind": "constant", "value": BEYOND_DOUBLE}}}),
+        (["homog", "--span"], {"a": 1.0, "offsets": ["0", "1"], "order": 100, "rho": 0.5,
+                               "diagonal": {"kind": "power", "scale": BEYOND_DOUBLE, "exponent": -2}}),
+    ], ids=["series-generator", "span-diagonal"])
+    def test_series_and_span_rules_beyond_the_double_range(self, capsys, tmp_path, command, spec):
+        code, rep = self.run_strict(capsys, *command, self.write(tmp_path, spec))
+        assert code == 2 and rep["error"]["kind"] == "SpecError"
 
     def test_infinite_radius_is_strict_json(self, capsys, tmp_path):
         # ratio 1.5 has no polynomial envelope, so the certified radius is infinite

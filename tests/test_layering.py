@@ -84,9 +84,8 @@ def test_the_lazy_imports_by_design_are_there():
     assert ("homogeneous", "load_span") in {(t, f) for t, f, _ in package_imports("io")}
 
 
-#: where a rule's ratio or exponent may be raised to a power: the one formula of ``SequenceRule``, and the
-#: denominator that ``weighted_ratio_sum`` prices as a libm power in its finite sums
-RULE_POWERS = {("rules", "SequenceRule._formula"), ("rules", "weighted_ratio_sum")}
+#: where a rule's ratio or exponent may be raised to a power: the one formula of ``SequenceRule``
+RULE_POWERS = {("rules", "SequenceRule._formula")}
 
 
 def rule_powers(module: str) -> set[tuple[str, str]]:

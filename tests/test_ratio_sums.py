@@ -129,6 +129,8 @@ class TestPricedClosedForms:
         (power(0.45, -0.55), power(1.0, 0.45)),  # beta = 1.55, rounded
         (power(2.0, 0.3), power(3.0, 1.601)),  # beta = 1.001, rounded
         (power(1.0, -3.0), SequenceRule("constant", scale=2.0)),  # beta = 6
+        (geometric(1.0, 1.0 - 2.0**-53), SequenceRule("constant", scale=1.0)),  # q < 1 exactly, its disc reaching 1
+        (geometric(1.0, 0.9999999999999999), power(1.0, 2.0)),  # the same q over l**-2: zeta(2, 65) bounds the tail
     ])
     def test_truth_lies_in_the_disc(self, num, den):
         s = weighted_ratio_sum(num, den)
@@ -157,9 +159,16 @@ class TestPricedClosedForms:
         with mpmath.workdps(40):
             assert_encloses(s.total, s.remainder_bound, true_sum(num, den))
 
-    def test_ratio_within_rounding_of_one_is_refused(self):
-        with pytest.raises(CertificationError):
-            weighted_ratio_sum(geometric(1.0, 1.0 - 2.0**-53), SequenceRule("constant", scale=1.0))
+    def test_ratio_of_exactly_one_over_a_power_is_zeta(self):
+        """A geometric numerator of ratio 1 is the constant one: q = 1 exactly picks zeta(3), bit for bit."""
+        s = weighted_ratio_sum(geometric(1.0, 1.0), power(1.0, 3.0))
+        assert s == weighted_ratio_sum(SequenceRule("constant", scale=1.0), power(1.0, 3.0))
+        assert (s.total, s.partial_terms) == (1.2020569031595942, 13) and s.remainder_bound < 4.2e-15
+
+    def test_graded_arrowhead_coupling_sum_diverges(self):
+        # |c_l|**2 / d_l = 0.01 (4/4)**l: q = 1 exactly and gamma = 0
+        with pytest.raises(CertificationError, match="diverges"):
+            weighted_ratio_sum(geometric(0.1, 2.0), geometric(1.0, 4.0))
 
     def test_exponent_within_rounding_of_one_is_refused(self):
         # beta = 1.02 + 2**-52 - 0.02 is computed as the float just above 1, with a rounding
@@ -202,9 +211,6 @@ class TestMixedSums:
         assert min(_seconds(weighted_ratio_sum, num, den) for _ in range(5)) <= 0.040
 
     def test_ratio_within_rounding_of_one_is_refused(self):
-        # q = 1 - 2**-52 over l**-2: the rounding-raised ratio never drops below 1
-        with pytest.raises(CertificationError, match="too close to 1"):
-            weighted_ratio_sum(geometric(1.0, 0.9999999999999999), power(1.0, 2.0))
         # q = 1 - 2**-40 over l**2: the ratio test needs about 2**41 terms
         with pytest.raises(CertificationError, match="too close to 1"):
             weighted_ratio_sum(geometric(1.0, 1.0 - 2.0**-41), power(1.0, -2.0))
@@ -215,6 +221,20 @@ class TestMixedSums:
         assert math.isfinite(s.remainder_bound) and s.partial_terms == 64
         with mpmath.workdps(40):
             assert_encloses(s.total, s.remainder_bound, true_sum(num, den))
+
+    def test_seeded_ratios_up_to_one_over_a_convergent_power(self):
+        """q from 1 - 10**-1 to within rounding of 1 over l**-beta, beta > 1: L = 64, and the tail's lesser bound
+        is at most q**65 zeta(beta, 65), so every sum is certified, with a radius below A zeta(beta, 65), and its
+        disc holds the polylogarithm."""
+        rng = np.random.default_rng(3)
+        with mpmath.workdps(40):
+            for _ in range(100):
+                num = geometric(float(rng.uniform(0.1, 3.0)), 1.0 - 10.0 ** float(rng.uniform(-15.5, -1.0)))
+                den = power(float(rng.uniform(0.1, 3.0)), float(rng.uniform(1.05, 4.0)))
+                s = weighted_ratio_sum(num, den)
+                assert s.partial_terms == 64
+                assert s.remainder_bound <= num.scale**2 / den.scale * mpmath.zeta(den.exponent, 65)
+                assert_encloses(s.total, s.remainder_bound, true_sum(num, den))
 
 
 class TestPricedMargin:
@@ -265,6 +285,15 @@ class TestFiniteSums:
         s = weighted_ratio_sum(num, den)
         assert s.exact and 0.0 < s.remainder_bound <= 1e-14
         assert_encloses(s.total, s.remainder_bound, exact_finite_sum(num, den))
+
+    def test_total_is_the_fsum_of_the_quotients_term_by_term(self):
+        """The array quotients round as the scalar ones do: the total is fsum of |v|**2 / d formed per term."""
+        rng = np.random.default_rng(4)
+        for den in (SequenceRule("constant", scale=0.7), SequenceRule("explicit", values=tuple(rng.uniform(0.1, 5.0, 60)))):
+            num = SequenceRule("explicit", values=tuple(complex(*rng.uniform(-3.0, 3.0, 2)) for _ in range(50)))
+            quotients = [(v.real * v.real + v.imag * v.imag) / den.value(l).real
+                         for l, v in enumerate(map(complex, num.values), start=1)]
+            assert weighted_ratio_sum(num, den).total == math.fsum(quotients)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -342,7 +371,7 @@ class TestRuleKindSweep:
                 s = weighted_ratio_sum(num, den)
                 assert_encloses(s.total, s.remainder_bound, truth)
                 certified += 1
-        assert sum(counts.values()) >= 1000 and certified >= 600
+        assert sum(counts.values()) >= 1000 and certified >= 673
 
 
 class TestZetaSweep:
