@@ -182,12 +182,10 @@ def _cmd_homog(args) -> dict:
         span = load_span(args.span)
         inputs["span"] = args.span
         results["gram"] = translate_gram(span)
-        results["admissibility"] = admissibility_check(span.support, min(max(span.order, 4), 4096))
+        results["admissibility"] = admissibility_check(span.support)
         if args.delta is not None:
             inputs["delta"] = args.delta
-            results["adjoint_condition"] = adjoint_condition_check(
-                span.diagonal, span.support, span.a, args.delta, span.order, rho=span.rho
-            )
+            results["adjoint_condition"] = adjoint_condition_check(span, args.delta)
     if not results:
         raise SpecError("homog needs --verify and/or --span")
     return _report(args, results, seed=args.seed, **inputs)

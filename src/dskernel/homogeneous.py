@@ -8,13 +8,13 @@ f_{b+c}.  The relation is an exact algebraic identity in the offset labels,
 so offsets are exact rationals and span coefficients are exact Gaussian
 rationals: the verification below returns a literally zero vector, not a
 small one.  Gram matrices of translates, by contrast, are numeric with
-certified entry radii.
+certified entry radii.  Admissibility is decided from the support's kind,
+and the adjoint condition is the diagonal kernel's one disc at a - delta.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -75,27 +75,34 @@ def span_vector(entries: dict) -> SpanVector:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    admissible_up_to: bool
+    """``admissibility_check``'s answer, exact at every order: no cutoff enters it."""
+
+    admissible: bool
     multiplicatively_closed: bool
     coprime_pair: Optional[tuple]
-    checked_up_to: int
 
 
-def admissibility_check(support: AdmissibleSupport, M: int) -> AdmissibilityReport:
-    """Verify multiplicative closure within [1, M] and hunt a coprime pair.
+def admissibility_check(support: AdmissibleSupport) -> AdmissibilityReport:
+    """Decide admissibility, the hypothesis behind translate independence, from the support's kind.
 
-    Admissibility (the hypothesis behind translate independence) asks for an
-    infinite multiplicative support containing two coprime elements != 1;
-    at a finite cutoff we certify closure for products landing below M and
-    report the first coprime pair found.
+    Admissible means infinite, multiplicatively closed and holding two coprime
+    members != 1.  ``all`` is, with the pair (2, 3).  Every member of
+    ``powers`` b or ``generated`` is a product of its generators (b alone for
+    ``powers``), so the support is closed, and two members are coprime iff two
+    generators are: the pair is the first coprime pair of the sorted
+    generators.  ``explicit`` is finite, so never admissible, and closed iff
+    no element exceeds 1; its pair is the first coprime pair of its elements
+    >= 2 in ascending order.
     """
-    if M < 4:
-        raise SpecError("admissibility check needs M >= 4")
-    members = [int(n) for n in support.indices_up_to(M) if n != 1]
-    in_support = set(members)  # a product of two members is at least 4: 1 need not be in it
-    closed = all(m * n in in_support for i, m in enumerate(members) for n in members[i : bisect_right(members, M // m)])
-    pair = next(((p, q) for i, p in enumerate(members) for q in members[i + 1 :] if math.gcd(p, q) == 1), None)
-    return AdmissibilityReport(closed and pair is not None, closed, pair, M)
+    if support.kind == "all":
+        return AdmissibilityReport(True, True, (2, 3))
+    finite = support.kind == "explicit"
+    listed = support.elements if finite else (support.base,) if support.kind == "powers" else support.generators
+    members = sorted({int(n) for n in listed if n >= 2})
+    # members sharing one prime have no coprime pair, and one gcd of them all finds that in O(len)
+    pair = None if math.gcd(*members) != 1 else next(
+        ((p, q) for i, p in enumerate(members) for q in members[i + 1 :] if math.gcd(p, q) == 1), None)
+    return AdmissibilityReport(pair is not None and not finite, not (finite and members), pair)
 
 
 @dataclass(frozen=True)
@@ -103,8 +110,8 @@ class TranslateSpan:
     """Finite family of kernel translates kappa_{a+ib_j} over a diagonal kernel.
 
     a must exceed the domain edge rho; offsets are exact rationals and must
-    be pairwise distinct.  The diagonal sequence and its support determine
-    the Gram matrix of the family up to the truncation order.
+    be pairwise distinct.  The diagonal sequence, its support, the order and
+    rho determine the Gram matrix and the adjoint condition of the family.
     """
 
     a: float
@@ -122,12 +129,6 @@ class TranslateSpan:
             raise SpecError("need a > rho")
         check_order(self.order)
         object.__setattr__(self, "offsets", offs)
-
-    def require_offset(self, b) -> Fraction:
-        b = Fraction(b)
-        if b not in self.offsets:
-            raise SpecError(f"unknown offset label {b}")
-        return b
 
 
 @dataclass(frozen=True)
@@ -218,12 +219,8 @@ def _terms(matrix: DiagonalMatrix, N: int) -> tuple[np.ndarray, np.ndarray]:
 def apply_generator(span: TranslateSpan, v: SpanVector) -> SpanVector:
     """T v: multiply the coefficient at offset b by the eigenvalue i*b, exactly."""
     for b in v:
-        span.require_offset(b)
-    return _times_label(v)
-
-
-def _times_label(v: SpanVector) -> SpanVector:
-    """Multiply each coefficient by i times its own offset label."""
+        if Fraction(b) not in span.offsets:
+            raise SpecError(f"unknown offset label {Fraction(b)}")
     return span_vector({b: coef.times_imag(Fraction(b)) for b, coef in v.items()})
 
 
@@ -250,61 +247,43 @@ class AdjointConditionReport:
     """Weighted summability report for sum n**(2 delta) b_n**2 / a_n.
 
     For the canonical weights b_n = a_n n**(-a) the sum is precisely the
-    diagonal kernel value at (a - delta, a - delta); identity_residual
-    compares the two computations.  finite is the certified verdict
-    ("finite" / "divergent" / "unknown"): finiteness makes the adjoint
-    domain of the span generator trivial.
+    diagonal kernel value at (a - delta, a - delta): kernel_value and
+    kernel_radius are its ``kernel_eval`` disc, None where a - delta is not
+    past the kernel's certified edge.  verdict is "finite", "divergent" or
+    "unknown": finiteness makes the adjoint domain of the span generator
+    trivial.
     """
 
     verdict: str
     exponent: Optional[float]
-    partial_sum: float
     remainder_bound: float
     kernel_value: Optional[complex]
     kernel_radius: Optional[float]
-    identity_residual: Optional[float]
 
 
-def adjoint_condition_check(
-    diagonal: SequenceRule,
-    support: AdmissibleSupport,
-    a: float,
-    delta: float,
-    M: int,
-    rho: float = 0.0,
-) -> AdjointConditionReport:
-    """Check the weighted summability hypothesis behind adjoint triviality.
+def adjoint_condition_check(span: TranslateSpan, delta: float) -> AdjointConditionReport:
+    """Check the weighted summability hypothesis behind adjoint triviality on the span's diagonal kernel.
 
     The weights are the canonical b_n = a_n n**(-a); no others are taken.
-    The sum then collapses to the diagonal kernel at (a - delta, a -
-    delta), and both sides are computed and compared, over the n that
-    ``translate_gram`` sums.
+    The sum is then the diagonal kernel at (a - delta, a - delta), over the
+    n that ``translate_gram`` sums, to the span's order and edge rho.
     """
     if not 0 < delta < math.inf:
         raise SpecError(f"delta must be positive and finite, got {delta}")
-    matrix = DiagonalMatrix(diagonal, support=support)
-    idx, diag = _terms(matrix, M)
-    w = diag * powers(a, M)[idx]
-    terms = powers(-2.0 * delta, M)[idx] * w**2 / diag
-    partial = float(np.sum(terms))
-
-    pb = diagonal.poly_bound()
+    matrix = DiagonalMatrix(span.diagonal, support=span.support)
+    _terms(matrix, span.order)  # the refusal of a value that is not real or is negative
+    pb = span.diagonal.poly_bound()
     # terms are a_n n**(2 delta - 2a) <= C n**(p + 2 delta - 2a): the diagonal kernel's tail at a - delta
-    exponent = None if pb is None else pb[1] + 2.0 * delta - 2.0 * a
-    point = a - delta
-    remainder = matrix.tail_radius(point, point, M)
+    exponent = None if pb is None else pb[1] + 2.0 * delta - 2.0 * span.a
+    point = span.a - delta
+    remainder = matrix.tail_radius(point, point, span.order)
     if math.isfinite(remainder):
         verdict = "finite"
-    elif support.kind == "all" and diagonal.power_law() is not None and exponent >= -1.0:
+    elif span.support.kind == "all" and span.diagonal.power_law() is not None and exponent >= -1.0:
         verdict = "divergent"  # exact p-series comparison: terms = c n**exponent
     else:
         verdict = "unknown"
-    kernel_value = kernel_radius = residual = None
-    kern = DirichletKernel(matrix, HalfPlane(rho))
-    if point > kern.certified_sigma():
-        vb = kernel_eval(kern, point, point, M)
-        kernel_value, kernel_radius = vb.value, vb.error_radius
-        residual = abs(partial - vb.value.real)
-    return AdjointConditionReport(
-        verdict, exponent, partial, remainder, kernel_value, kernel_radius, residual
-    )
+    kern = DirichletKernel(matrix, HalfPlane(span.rho))
+    disc = kernel_eval(kern, point, point, span.order) if point > kern.certified_sigma() else None
+    value, radius = (None, None) if disc is None else (disc.value, disc.error_radius)
+    return AdjointConditionReport(verdict, exponent, remainder, value, radius)

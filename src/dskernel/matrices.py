@@ -579,24 +579,25 @@ class ArrowheadMatrix(CoefficientMatrix):
     def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float]:
         """Head block plus the two rank-one coupling strips and the tail diagonal.
 
-        Up to order k the section is a block of the head, summed as a dense one.  For constant coupling and
-        tail rules c and d, the strips and the tail are c P(s) H(conj u), conj(c) H(s) P(conj u) and
-        d H(s + conj u), P the head sums over n <= k (``series.direct_sum``) and H(z) = sum_{k<n<=N} n**-z
-        (``partial_zeta``), all balls: no power beyond k is formed.  Otherwise the pieces share one table
-        of powers on each side and are priced as one two-sided sum.
+        Up to order k the section is a block of the head, summed as a dense one.  For coupling and tail rules
+        whose ``power_law`` is a constant c and d (exponent 0), the strips and the tail are c P(s) H(conj u),
+        conj(c) H(s) P(conj u) and d H(s + conj u), P the head sums over n <= k (``series.direct_sum``) and
+        H(z) = sum_{k<n<=N} n**-z (``partial_zeta``), all balls: no power beyond k is formed.  Otherwise the
+        pieces share one table of powers on each side and are priced as one two-sided sum.
         """
         k, ub = self.k, complex(np.conj(u))
         if N <= k:
             return super().partial_sum(s, u, N)
-        if self.coupling.kind == self.tail.kind == "constant":
-            logs, c = log_table(k), complex(self.coupling.scale)
+        laws = self.coupling.power_law(), self.tail.power_law()
+        if None not in laws and laws[0][1] == laws[1][1] == 0.0:
+            logs, ((c, _), (d, _)) = log_table(k), laws
             P_s, P_u = _series(logs, s), _series(logs, ub)
 
             def H(*parts) -> ValueWithBound:
                 return ValueWithBound(*partial_zeta(*exponent_sum(*parts), k + 1, N))
 
             total = ValueWithBound.fsum([ValueWithBound(*super().partial_sum(s, u, k)), P_s * c * H(ub),
-                                         c.conjugate() * H(s) * P_u, complex(self.tail.scale).real * H(s, ub)])
+                                         c.conjugate() * H(s) * P_u, d.real * H(s, ub)])
             return complex(total.value), total.error_radius
         ps, pu = powers(s, N), powers(ub, N)
         c, d = self.coupling_prefix(N), self.tail_prefix(N)

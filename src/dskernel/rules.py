@@ -126,8 +126,8 @@ class SequenceRule:
         return s.imag == 0 and s.real > 0
 
     def power_law(self) -> Optional[tuple[complex, float]]:
-        """(c, p) with value(l) = c * l**p for every l, for constant and power rules; None otherwise."""
-        return (complex(self.scale), self.exponent) if self.kind in ("constant", "power") else None
+        """(c, p) with value(l) = c * l**p for every l, for any non-explicit rule of ratio 1; None otherwise."""
+        return None if self.is_finite or self.ratio != 1.0 else (complex(self.scale), self.exponent)
 
     def poly_bound(self) -> Optional[tuple[float, float]]:
         """(C, p) with |value(l)| <= C * l**p for all l >= 1, or None: ratio**l <= ratio for a ratio <= 1."""

@@ -13,6 +13,7 @@ truncation and back every verdict with numeric witnesses or checks.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -197,15 +198,20 @@ def _translation_witness(
     """Search for (b, s, u) violating translation invariance by more than tol.
 
     ``leading`` holds the first 1-based off-diagonal (m, n) with
-    |a_{m,n}| > tol, ordered by m n, then m, then n.
-    For such an entry (m0, n0), the translation b = pi/log(m0/n0)
-    flips that term's phase; evaluating at real s = u = sigma with sigma
-    growing makes the term dominate the remaining off-diagonal mass, so the
-    difference stays provably above tol once sigma is large enough.
+    |a_{m,n}| > tol, ordered by m n, then m, then n.  For such an entry
+    (m0, n0) of phase phi, b = theta/log(m0/n0) turns that term and its
+    conjugate by theta, moving their sum at real s = u by 2|a|(cos(phi +
+    theta) - cos phi); theta = pi - phi if cos phi >= 0, else -phi, in
+    (-pi, pi], makes that 2|a|(1 + |cos phi|): never 0, as pi is for an
+    imaginary entry, and pi for a real one.  Evaluating at s = u = sigma,
+    sigma growing, makes the term dominate the remaining off-diagonal mass,
+    so the difference stays provably above tol once sigma is large enough.
     """
     edge = kernel.certified_sigma()
     for m0, n0 in leading:
-        b = math.pi / math.log(m0 / n0)
+        phi = cmath.phase(kernel.matrix.entry(m0, n0))
+        theta = math.remainder(math.pi - phi if math.cos(phi) >= 0.0 else -phi, 2.0 * math.pi)  # in [-pi, pi]
+        b = (theta if theta != -math.pi else math.pi) / math.log(m0 / n0)
         for sigma in np.arange(edge + 0.5, edge + 24.5, 0.5):
             s = u = complex(sigma)
             dev, radii, _ = _probe(kernel, s - 1j * b, u - 1j * b, s, u, order)

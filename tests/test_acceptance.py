@@ -267,15 +267,15 @@ def test_criterion_09_translate_independence():
 
 
 def test_criterion_10_weighted_sum_kernel_identity():
+    import mpmath
+
     ok = True
     for order in (1000, 10000):
-        rep = adjoint_condition_check(
-            SequenceRule("constant", scale=1.0), AdmissibleSupport("all"),
-            a=1.0, delta=0.25, M=order, rho=0.5,
-        )
+        span = TranslateSpan(a=1.0, offsets=(Fraction(0),), diagonal=SequenceRule("constant", scale=1.0),
+                             support=AdmissibleSupport("all"), order=order, rho=0.5)
+        rep = adjoint_condition_check(span, 0.25)
         ok &= rep.verdict == "finite"
         ok &= rep.kernel_value is not None
-        combined = rep.remainder_bound + rep.kernel_radius
-        ok &= abs(rep.partial_sum - rep.kernel_value.real) <= combined
-        ok &= rep.identity_residual <= combined
+        # sum n**(2 delta) b_n**2 / a_n = kappa(3/4, 3/4) = zeta(3/2): the kernel's one disc must hold it
+        ok &= bool(abs(mpmath.mpc(rep.kernel_value) - mpmath.zeta(1.5)) <= rep.kernel_radius)
     report(10, "weighted-sum / kernel identity", bool(ok))

@@ -396,8 +396,30 @@ class TestHomog:
         assert code == 0
         res = rep["results"]
         assert res["gram"]["independent"] is True
-        assert res["admissibility"]["admissible_up_to"] is True
+        assert res["admissibility"]["admissible"] is True
         assert res["adjoint_condition"]["verdict"] == "finite"
+
+    @pytest.mark.parametrize("order", [20, 5000])
+    def test_generated_support_is_admissible_at_any_order(self, capsys, tmp_path, order):
+        f = tmp_path / "span.json"
+        f.write_text(json.dumps({"a": 1.0, "offsets": ["0", "1"], "order": order, "rho": 0.5,
+                                 "diagonal": {"kind": "constant", "value": 1},
+                                 "support": {"kind": "generated", "generators": [50, 77]}}))
+        code, rep = run_json(capsys, "homog", "--span", str(f))
+        assert code == 0
+        assert rep["results"]["admissibility"] == {"admissible": True, "multiplicatively_closed": True,
+                                                   "coprime_pair": [50, 77]}
+
+    def test_explicit_support_beyond_a_double(self, capsys, tmp_path):
+        f = tmp_path / "span.json"
+        f.write_text(json.dumps({"a": 1.0, "offsets": ["0", "1"], "order": 100, "rho": 0.5,
+                                 "diagonal": {"kind": "constant", "value": 1},
+                                 "support": {"kind": "explicit", "elements": [2**70, 3]}}))
+        code, rep = run_json(capsys, "homog", "--span", str(f), "--delta", "0.25")
+        assert code == 0
+        assert rep["results"]["admissibility"] == {"admissible": False, "multiplicatively_closed": False,
+                                                   "coprime_pair": [3, 2**70]}
+        assert rep["results"]["adjoint_condition"]["verdict"] == "finite"
 
     def test_explicit_span_past_its_list(self, capsys, tmp_path):
         """Indices past an explicit diagonal's list carry no term: with or without --delta the span is answered."""

@@ -1,6 +1,7 @@
 """Translate spans, exact homogeneity, Gram matrices, adjoint diagnostics."""
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import mpmath
@@ -36,26 +37,73 @@ def ones_span(offsets, order=10000, a=1.0) -> TranslateSpan:
     )
 
 
+def searched_admissibility(support: AdmissibleSupport, M: int) -> tuple:
+    """(admissible, closed, coprime pair) by a search over the members up to M: the reference for the
+    closed-form ``admissibility_check``, which agrees with it once M covers the generators and elements."""
+    members = [int(n) for n in support.indices_up_to(M) if n != 1]
+    in_support = set(members)  # a product of two members is at least 4: 1 need not be in it
+    closed = all(m * n in in_support for i, m in enumerate(members) for n in members[i : bisect_right(members, M // m)])
+    pair = next(((p, q) for i, p in enumerate(members) for q in members[i + 1 :] if math.gcd(p, q) == 1), None)
+    return closed and pair is not None, closed, pair
+
+
+def random_support(rng) -> AdmissibleSupport:
+    kind = ("powers", "generated", "explicit")[int(rng.integers(3))]
+    if kind == "powers":
+        return AdmissibleSupport("powers", base=int(rng.integers(2, 61)))
+    if kind == "generated":
+        return AdmissibleSupport("generated", generators=tuple(rng.integers(2, 61, int(rng.integers(1, 5))).tolist()))
+    return AdmissibleSupport("explicit", elements=tuple(rng.integers(-2, 61, int(rng.integers(1, 9))).tolist()))
+
+
 class TestAdmissibility:
     def test_full_support(self):
-        rep = admissibility_check(AdmissibleSupport("all"), 50)
-        assert rep.admissible_up_to and rep.multiplicatively_closed
+        rep = admissibility_check(AdmissibleSupport("all"))
+        assert rep.admissible and rep.multiplicatively_closed
         assert rep.coprime_pair == (2, 3)
 
     def test_powers_of_two_lack_coprime_pair(self):
-        rep = admissibility_check(AdmissibleSupport("powers", base=2), 64)
+        rep = admissibility_check(AdmissibleSupport("powers", base=2))
         assert rep.multiplicatively_closed
         assert rep.coprime_pair is None
-        assert not rep.admissible_up_to
+        assert not rep.admissible
 
     def test_two_three_generated(self):
-        rep = admissibility_check(AdmissibleSupport("generated", generators=(2, 3)), 48)
-        assert rep.admissible_up_to
+        rep = admissibility_check(AdmissibleSupport("generated", generators=(2, 3)))
+        assert rep.admissible
         assert rep.coprime_pair == (2, 3)
 
     def test_explicit_non_closed(self):
-        rep = admissibility_check(AdmissibleSupport("explicit", elements=(2, 3, 5)), 10)
+        rep = admissibility_check(AdmissibleSupport("explicit", elements=(2, 3, 5)))
         assert not rep.multiplicatively_closed  # 2*3 = 6 missing
+
+    def test_generators_coprime_beyond_any_cutoff(self):
+        """(50, 77) has no member pair below 20, where a search at the span order found none."""
+        rep = admissibility_check(AdmissibleSupport("generated", generators=(77, 50)))
+        assert rep == homogeneous.AdmissibilityReport(True, True, (50, 77))
+        assert searched_admissibility(AdmissibleSupport("generated", generators=(50, 77)), 20) == (False, True, None)
+
+    def test_explicit_products_beyond_the_cutoff_are_missing(self):
+        # 100 * 100 = 10,000 lies past a search at 4,096, which found the list closed
+        rep = admissibility_check(AdmissibleSupport("explicit", elements=(100, 101)))
+        assert rep == homogeneous.AdmissibilityReport(False, False, (100, 101))
+        assert searched_admissibility(AdmissibleSupport("explicit", elements=(100, 101)), 4096)[1]
+
+    def test_explicit_element_beyond_a_double(self):
+        rep = admissibility_check(AdmissibleSupport("explicit", elements=(2**70, 3)))
+        assert rep == homogeneous.AdmissibilityReport(False, False, (3, 2**70))
+
+    def test_equals_the_search_on_seeded_supports(self):
+        rng = np.random.default_rng(32)
+        supports = [AdmissibleSupport("all"), *(random_support(rng) for _ in range(3000))]
+        assert {sup.kind for sup in supports} == {"all", "powers", "generated", "explicit"}
+        for sup in supports:
+            rep = admissibility_check(sup)
+            assert (rep.admissible, rep.multiplicatively_closed, rep.coprime_pair) == searched_admissibility(sup, 4096)
+
+    def test_even_elements_answer_without_a_pair_search(self):
+        rep = admissibility_check(AdmissibleSupport("explicit", elements=tuple(range(2, 200_002, 2))))
+        assert rep == homogeneous.AdmissibilityReport(False, False, None)
 
 
 def is_member(support: AdmissibleSupport, n: int) -> bool:
@@ -375,49 +423,41 @@ class TestRealDiagonal:
     @pytest.mark.parametrize("rule", NOT_REAL)
     def test_adjoint_condition_refuses(self, rule):
         with pytest.raises(SpecError, match="real"):
-            adjoint_condition_check(rule, AdmissibleSupport("all"), a=1.0, delta=0.25, M=1000, rho=0.5)
+            adjoint_condition_check(self.span(rule), 0.25)
 
     @pytest.mark.parametrize("kind, extra", [("constant", {}), ("power", {"exponent": -0.5})])
     def test_complex_typed_real_scale_is_accepted(self, kind, extra):
         real, typed = (SequenceRule(kind, scale=s, **extra) for s in (2.0, 2 + 0j))
         g, h = translate_gram(self.span(real)), translate_gram(self.span(typed))
         assert np.array_equal(g.matrix, h.matrix) and g.entry_radius == h.entry_radius
-        rep = adjoint_condition_check(typed, AdmissibleSupport("all"), a=1.0, delta=0.25, M=1000, rho=0.5)
-        assert rep == adjoint_condition_check(real, AdmissibleSupport("all"), a=1.0, delta=0.25, M=1000, rho=0.5)
+        rep = adjoint_condition_check(self.span(typed), 0.25)
+        assert rep == adjoint_condition_check(self.span(real), 0.25)
 
 
 class TestAdjointCondition:
     def test_ones_quarter_delta(self):
-        rep = adjoint_condition_check(
-            SequenceRule("constant", scale=1.0), AdmissibleSupport("all"),
-            a=1.0, delta=0.25, M=1000, rho=0.5,
-        )
+        rep = adjoint_condition_check(ones_span(["0"], order=1000), 0.25)
         assert rep.verdict == "finite"
-        # oracle: sum n**-1.5 ~ zeta(3/2) = 2.612...
-        from mpmath import zeta
-
-        assert abs(rep.partial_sum + rep.remainder_bound / 1 - float(zeta(1.5, 1))) < rep.remainder_bound
-        assert rep.identity_residual is not None and rep.identity_residual < 1e-10
-        assert rep.kernel_radius is not None
-        assert abs(rep.partial_sum - rep.kernel_value.real) <= rep.kernel_radius + 1e-12
+        assert set(vars(rep)) == {"verdict", "exponent", "remainder_bound", "kernel_value", "kernel_radius"}
+        # the sum is sum n**-1.5 = zeta(3/2) = 2.612..., which the kernel's one disc holds
+        assert rep.kernel_radius is not None and rep.kernel_radius >= rep.remainder_bound
+        assert abs(mpmath.mpc(rep.kernel_value) - mpmath.zeta(1.5)) <= rep.kernel_radius
 
     def test_divergent_boundary(self):
-        rep = adjoint_condition_check(
-            SequenceRule("constant", scale=1.0), AdmissibleSupport("all"),
-            a=1.0, delta=0.6, M=500, rho=0.5,
-        )
+        rep = adjoint_condition_check(ones_span(["0"], order=500), 0.6)
         assert rep.verdict == "divergent"
         assert abs(rep.exponent - (-0.8)) < 1e-15
+        assert rep.kernel_value is None and rep.kernel_radius is None  # a - delta = 0.4 is not past rho = 0.5
 
     def test_explicit_diagonal_to_its_length_is_finite(self):
         # the envelope exponent 2 delta - 2a = -0.8 alone would not decide: the support ends at 3
         d = (1.0, 0.5, 0.25)
-        rep = adjoint_condition_check(SequenceRule("explicit", values=d), AdmissibleSupport("all"),
-                                      a=0.9, delta=0.5, M=3)
+        span = TranslateSpan(a=0.9, offsets=(Fraction(0),), diagonal=SequenceRule("explicit", values=d),
+                             support=AdmissibleSupport("all"), order=3)
+        rep = adjoint_condition_check(span, 0.5)
         assert rep.verdict == "finite" and rep.remainder_bound == 0.0
         assert abs(rep.exponent - (-0.8)) < 1e-15
         truth = math.fsum(dn * n**-0.8 for n, dn in enumerate(d, 1))
-        assert abs(rep.partial_sum - truth) < 1e-15
         assert abs(rep.kernel_value - truth) <= rep.kernel_radius
 
     @pytest.mark.parametrize("support, nonzero", [
@@ -430,8 +470,8 @@ class TestAdjointCondition:
         rule = SequenceRule("explicit", values=(1.0, 0.0, 0.5, 0.0, 0.25, 0.0, 0.125))
         twin = AdmissibleSupport("explicit", elements=nonzero)
         offsets = (Fraction(0), Fraction(1, 3), Fraction(-2))
-        g, h = (translate_gram(TranslateSpan(a=2.0, offsets=offsets, diagonal=rule, support=s, order=10))
-                for s in (support, twin))
-        assert np.array_equal(g.matrix, h.matrix) and g.entry_radius == h.entry_radius
-        rep = adjoint_condition_check(rule, support, a=2.0, delta=0.5, M=10)
-        assert rep.verdict == "finite" and rep == adjoint_condition_check(rule, twin, a=2.0, delta=0.5, M=10)
+        g, h = (TranslateSpan(a=2.0, offsets=offsets, diagonal=rule, support=s, order=10) for s in (support, twin))
+        assert np.array_equal(translate_gram(g).matrix, translate_gram(h).matrix)
+        assert translate_gram(g).entry_radius == translate_gram(h).entry_radius
+        rep = adjoint_condition_check(g, 0.5)
+        assert rep.verdict == "finite" and rep == adjoint_condition_check(h, 0.5)

@@ -112,3 +112,25 @@ def test_a_rule_is_evaluated_by_one_formula():
     found = set().union(*(rule_powers(module) for module in MODULES))
     assert found - RULE_POWERS == set()
     assert ("rules", "SequenceRule._formula") in found
+
+
+#: the kinds whose rules share one formula: what a rule is, beyond an explicit list, is asked of ``rules``
+RULE_KIND_NAMES = {"constant", "geometric", "power"}
+
+
+def rule_kind_compares(module: str) -> list[tuple[str, int]]:
+    """(module, line) of every comparison with a rule-kind name, alone or in a tuple, list or set."""
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            operands += [e for x in operands if isinstance(x, (ast.Tuple, ast.List, ast.Set)) for e in x.elts]
+            if any(isinstance(x, ast.Constant) and x.value in RULE_KIND_NAMES for x in operands):
+                found.append((module, node.lineno))
+    return found
+
+
+def test_only_rules_compares_with_a_rule_kind_name():
+    """Code outside ``rules`` reads a rule through ``power_law``, ``poly_bound`` and the like, never its kind."""
+    assert [hit for module in MODULES if module != "rules" for hit in rule_kind_compares(module)] == []
+    assert rule_kind_compares("rules")  # the guard sees the comparisons that are allowed

@@ -11,6 +11,7 @@ import math
 import pathlib
 import time
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -28,8 +29,10 @@ from dskernel import (
     HalfPlane,
     SequenceRule,
     SpecError,
+    TranslateSpan,
     evaluate,
     kernel_eval,
+    translate_gram,
 )
 from dskernel.series import em_start, partial_zeta, power_tail_bound, zeta_tails
 
@@ -229,7 +232,7 @@ def every_index(N: int) -> AdmissibleSupport:
 
 
 class TestAgreesWithTheDirectSum:
-    """A masked diagonal and a ratio-1 geometric rule take the direct path; the
+    """A masked diagonal and a series rule without a ``power_law`` take the direct path; the
     same sums through partial_zeta agree within the sum of the two radii."""
 
     @pytest.mark.parametrize("N", [50, 999, 20000, 2 * 10**5])
@@ -252,16 +255,62 @@ class TestAgreesWithTheDirectSum:
         assert full == plain and plain.error_radius < 1e-13
 
     @pytest.mark.parametrize("N", [50, 999, 20000, 2 * 10**5])
-    def test_evaluate(self, N):
+    def test_evaluate(self, N, monkeypatch):
         rng = np.random.default_rng(N + 1)
-        for _ in range(4):
-            s = complex(rng.uniform(1.2, 3.0), rng.uniform(-500, 500))
-            env = Envelope(0.7, 0.0)
-            em = evaluate(GeneralDirichletSeries.ordinary(
-                [0.7] * 4, envelope=env, coefficient_rule=SequenceRule("constant", scale=0.7)), s, N)
-            direct = evaluate(GeneralDirichletSeries.ordinary(
-                [0.7] * 4, envelope=env, coefficient_rule=SequenceRule("geometric", scale=0.7, ratio=1.0)), s, N)
+        series = GeneralDirichletSeries.ordinary([0.7] * 4, envelope=Envelope(0.7, 0.0),
+                                                 coefficient_rule=SequenceRule("constant", scale=0.7))
+        points = [complex(rng.uniform(1.2, 3.0), rng.uniform(-500, 500)) for _ in range(4)]
+        ems = [evaluate(series, s, N) for s in points]
+        monkeypatch.setattr(SequenceRule, "power_law", lambda self: None)  # no closed form: the direct sum
+        for s, em in zip(points, ems):
+            direct = evaluate(series, s, N)
             assert abs(em.value - direct.value) <= em.error_radius + direct.error_radius
+
+
+class TestRatioOneTakesTheConstantPaths:
+    """A geometric rule of ratio 1 and a power rule of exponent 0 are constants: ``power_law`` says so, and
+    every sum that reads it gives the constant rule's disc bit for bit."""
+
+    SCALE = 0.7
+    CONSTANT = SequenceRule("constant", scale=SCALE)
+    TWINS = [SequenceRule("geometric", scale=SCALE, ratio=1.0), SequenceRule("power", scale=SCALE, exponent=0.0)]
+
+    @pytest.mark.parametrize("rule", TWINS, ids=["geometric", "power"])
+    def test_power_law(self, rule):
+        assert rule.power_law() == self.CONSTANT.power_law() == (complex(self.SCALE), 0.0)
+        assert SequenceRule("geometric", scale=self.SCALE, ratio=0.5).power_law() is None
+        assert SequenceRule("explicit", values=(1.0,)).power_law() is None
+
+    @pytest.mark.parametrize("rule", TWINS, ids=["geometric", "power"])
+    def test_diagonal(self, rule):
+        s, u = complex(1.3, 40.0), complex(1.1, -3.0)
+        got, want = (kernel_eval(DirichletKernel(DiagonalMatrix(r), HalfPlane(0.5)), s, u, 10**6)
+                     for r in (rule, self.CONSTANT))
+        assert got == want
+
+    @pytest.mark.parametrize("coupling, tail", [(TWINS[0], TWINS[1]), (TWINS[1], TWINS[0]), (CONSTANT, TWINS[1])],
+                             ids=["geometric-power", "power-geometric", "constant-power"])
+    def test_arrowhead(self, coupling, tail):
+        head = np.array([[2.0, 0.5], [0.5, 3.0]])
+        s, u = complex(1.3, 40.0), complex(1.1, -3.0)
+        got, want = (kernel_eval(DirichletKernel(ArrowheadMatrix(2, head, c, d), HalfPlane(0.5)), s, u, 10**5)
+                     for c, d in ((coupling, tail), (self.CONSTANT, self.CONSTANT)))
+        assert got == want
+
+    @pytest.mark.parametrize("rule", TWINS, ids=["geometric", "power"])
+    def test_series(self, rule):
+        got, want = (evaluate(GeneralDirichletSeries.ordinary([self.SCALE] * 4, envelope=Envelope(self.SCALE, 0.0),
+                                                              coefficient_rule=r), complex(1.4, 700.0), 10**6)
+                     for r in (rule, self.CONSTANT))
+        assert got == want
+
+    @pytest.mark.parametrize("rule", TWINS, ids=["geometric", "power"])
+    def test_translate_gram(self, rule):
+        got, want = (translate_gram(TranslateSpan(a=1.0, offsets=(Fraction(0), Fraction(3, 2), Fraction(-7, 3)),
+                                                  diagonal=r, support=AdmissibleSupport("all"), order=2 * 10**5,
+                                                  rho=0.5))
+                     for r in (rule, self.CONSTANT))
+        assert np.array_equal(got.matrix, want.matrix) and got.entry_radius == want.entry_radius
 
 
 class TestNoLongTables:

@@ -127,6 +127,28 @@ class TestTranslationInvariance:
         rep = translation_invariance_test(dense_kernel(A), 6, tol=1e-6)
         assert rep.witness is not None and rep.witness.b == math.pi / math.log(1 / 6)
 
+    @pytest.mark.parametrize("entries", [[[1, 1j], [-1j, 1]], [[0, 1j], [-1j, 0]], [[1, -1j], [1j, 1]]],
+                             ids=["i", "i-zero-diagonal", "minus-i"])
+    def test_imaginary_entry_has_a_witness(self, entries):
+        """b = pi/log(m0/n0) leaves an imaginary pair's sum unchanged; the phase-aware b moves it by 2|a|."""
+        rep = translation_invariance_test(dense_kernel(np.array(entries)), 2, tol=1e-6)
+        assert not rep.invariant and rep.witness is not None
+        assert rep.witness.violation == rep.max_deviation > 1e-6
+        assert abs(rep.witness.violation - 2.0 * 2.0 ** -rep.witness.s.real) < 1e-15
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_complex_hermitian_entries_have_a_witness(self, order):
+        rng = np.random.default_rng(order)
+        for _ in range(20):
+            X = rng.standard_normal((order, order)) + 1j * rng.standard_normal((order, order))
+            A = 0.5 * (X + X.conj().T)
+            rep = translation_invariance_test(dense_kernel(A), order, tol=1e-6)
+            assert not rep.invariant and rep.witness is not None and rep.witness.violation > 1e-6
+            if order == 2:  # the pair (1, 2) alone moves, by 2|a|(1 + |cos phi|) 2**-sigma
+                a, sigma = A[0, 1], rep.witness.s.real
+                expected = 2.0 * abs(a) * (1.0 + abs(a.real) / abs(a)) * 2.0 ** -sigma
+                assert abs(rep.witness.violation - expected) <= 1e-12 * (1.0 + np.abs(A).max())
+
     def test_verdicts_agree_on_generated_matrices(self):
         rng = np.random.default_rng(15)
         for i in range(30):
