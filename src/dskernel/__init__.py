@@ -29,7 +29,7 @@ _EXPORTS = {name: f"{__name__}.{module}" for module, names in {
               "multiply_merged",
     "structured": "MarginCertificate certify_arrowhead certify_psd coupling_sum example_arrowhead growth_check "
                   "perturbation_psd psd_margin",
-    "symmetry": "Automorphism ClassificationReport linear_invariance_test quasi_invariance_classify "
+    "symmetry": "ClassificationReport linear_invariance_test quasi_invariance_classify "
                 "rank_one_factor translation_invariance_test",
 }.items() for name in names.split()}
 __all__ = sorted(_EXPORTS)

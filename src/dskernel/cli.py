@@ -147,7 +147,7 @@ def _cmd_invariance(args) -> dict:
     kern = load_kernel(args.matrix)
     results = {
         "translation": translation_invariance_test(kern, args.order, tol=args.tol, seed=args.seed),
-        "linear_subgroup": linear_invariance_test(kern, args.order, tol=min(args.tol, 1e-8)),
+        "linear_subgroup": linear_invariance_test(kern, args.order, tol=args.tol),
     }
     return _report(args, results, matrix=args.matrix, order=args.order, tol=args.tol, seed=args.seed)
 

@@ -209,11 +209,16 @@ def translate_gram(span: TranslateSpan) -> TranslateGram:
 def _terms(matrix: DiagonalMatrix, N: int) -> tuple[np.ndarray, np.ndarray]:
     """n - 1 and the real a_n for the support's members n <= N with a_n != 0; SpecError if one is not real or is < 0."""
     n, _, values = matrix.nonzero_entries(N)
+    return n - 1, _real_nonnegative(values)
+
+
+def _real_nonnegative(values: np.ndarray) -> np.ndarray:
+    """The real parts of values; SpecError if one is not real or is < 0."""
     if np.any(values.imag != 0):
         raise SpecError("diagonal sequence must be real")
     if np.any(values.real < 0):
         raise SpecError("diagonal sequence must be non-negative")
-    return n - 1, values.real
+    return values.real
 
 
 def apply_generator(span: TranslateSpan, v: SpanVector) -> SpanVector:
@@ -270,8 +275,13 @@ def adjoint_condition_check(span: TranslateSpan, delta: float) -> AdjointConditi
     """
     if not 0 < delta < math.inf:
         raise SpecError(f"delta must be positive and finite, got {delta}")
-    matrix = DiagonalMatrix(span.diagonal, support=span.support)
-    _terms(matrix, span.order)  # the refusal of a value that is not real or is negative
+    matrix, rule = DiagonalMatrix(span.diagonal, support=span.support), span.diagonal
+    # the refusal of a value that is not real or is negative: an explicit rule's values, or the scale, whose
+    # sign every value scale * ratio**l * l**exponent (ratio > 0) shares
+    if rule.is_finite:
+        _terms(matrix, min(span.order, len(rule.values)))
+    else:
+        _real_nonnegative(np.array([complex(rule.scale)]))
     pb = span.diagonal.poly_bound()
     # terms are a_n n**(2 delta - 2a) <= C n**(p + 2 delta - 2a): the diagonal kernel's tail at a - delta
     exponent = None if pb is None else pb[1] + 2.0 * delta - 2.0 * span.a

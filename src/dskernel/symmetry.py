@@ -1,14 +1,17 @@
-"""Half-plane automorphisms and kernel invariance classification.
+"""Kernel invariance under the half-plane's linear automorphisms, and quasi-invariance classification.
 
-Aut of the right half-plane Re(s) > rho is the SL2(R) family
-phi(s) = (a(s-rho) - ib) / (ic(s-rho) + d) + rho; the linear subgroup
-(c = 0) contains the vertical translations s - ib and the scalings
-a**2 (s - rho) + rho.  For Dirichlet series kernels, invariance and
-quasi-invariance are extremely rigid: translation invariance forces a
-diagonal coefficient matrix, and quasi-invariance under the full group
-forces the kernel to factor through a single nonvanishing Dirichlet series
-(rank one).  The classifiers below decide those structural conditions at a
-truncation and back every verdict with numeric witnesses or checks.
+The linear automorphisms of the right half-plane Re(s) > rho are the
+vertical translations s - ib and the scalings a**2 (s - rho) + rho.  For
+Dirichlet series kernels, invariance and quasi-invariance are extremely
+rigid: translation invariance forces a diagonal coefficient matrix,
+invariance under the linear subgroup a constant kernel (the (1,1) entry
+alone), and quasi-invariance under the full automorphism group forces the
+kernel to factor through a single nonvanishing Dirichlet series (rank one).
+The classifiers below decide those structural conditions from the
+coefficient pattern at a truncation and back every verdict with numeric
+witnesses or checks: an off-diagonal entry gives a translation witness,
+which defeats the linear subgroup too, and a scaling moves a diagonal kernel
+that is not constant.
 """
 
 from __future__ import annotations
@@ -16,67 +19,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import OutsideDomainError, SpecError
+from .errors import OutsideDomainError
 from .kernel import DirichletKernel, check_tol, hermitian_section, kernel_eval, support_pattern, unit_phase
 from .series import GeneralDirichletSeries, evaluate
 
-SL2_DET_TOL = 1e-12
 #: random translations at which ``translation_invariance_test`` samples a diagonal kernel
 TRANSLATION_SAMPLES = 20
-
-
-@dataclass(frozen=True)
-class Automorphism:
-    """phi_A for A = (a, b; c, d) in SL2(R), acting on Re(s) > rho."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-    rho: float
-
-    def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
-        if abs(det - 1.0) > SL2_DET_TOL:
-            raise SpecError(f"matrix determinant {det} is not 1")
-
-    @classmethod
-    def translation(cls, b: float, rho: float) -> "Automorphism":
-        """phi_b(s) = s - ib."""
-        return cls(1.0, b, 0.0, 1.0, rho)
-
-    @classmethod
-    def scaling(cls, a: float, rho: float) -> "Automorphism":
-        """psi_a(s) = a**2 (s - rho) + rho."""
-        if a == 0:
-            raise SpecError("scaling parameter must be nonzero")
-        return cls(a, 0.0, 0.0, 1.0 / a, rho)
-
-    def apply(self, s: complex) -> complex:
-        s = complex(s)
-        if s.real <= self.rho:
-            raise OutsideDomainError(f"point {s} is not in the half-plane Re > {self.rho}")
-        w = s - self.rho
-        return (self.a * w - 1j * self.b) / (1j * self.c * w + self.d) + self.rho
-
-    def __call__(self, s: complex) -> complex:
-        return self.apply(s)
-
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        """Matrix product: (self o other) = phi_{A B}."""
-        if self.rho != other.rho:
-            raise SpecError("automorphisms act on different half-planes")
-        return Automorphism(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-            self.rho,
-        )
 
 
 def rank_one_factor(
@@ -147,58 +99,45 @@ class TranslationReport:
     samples: int
 
 
-def translation_invariance_test(
-    kernel: DirichletKernel,
-    order: int,
-    tol: float = 1e-6,
-    seed: int = 0,
-) -> TranslationReport:
+def translation_invariance_test(kernel: DirichletKernel, order: int, tol: float = 1e-6, seed: int = 0) -> TranslationReport:
     """Decide invariance under all vertical translations s -> s - ib.
 
     Structurally this happens exactly when the coefficient matrix is
     diagonal (off-diagonal terms pick up the factor (m/n)**(ib)).  The
     structural verdict is cross-checked numerically: invariant kernels are
-    sampled at TRANSLATION_SAMPLES random translations, and non-diagonal
-    ones get an explicit witness built from the leading off-diagonal entry,
-    evaluated deep enough in the half-plane that the entry dominates the
-    rest.  A
-    negative, infinite or NaN tol is a SpecError (``support_pattern``).
+    sampled at up to TRANSLATION_SAMPLES random translations, and
+    non-diagonal ones get an explicit witness built from the leading
+    off-diagonal entry, evaluated deep enough in the half-plane that the
+    entry dominates the rest.  ``samples`` counts the translations drawn: 0
+    for a non-diagonal kernel.  A negative, infinite or NaN tol is a
+    SpecError (``support_pattern``).
     """
     m, n = support_pattern(kernel.matrix, order, tol)
     off = m != n
+    if off.any():
+        witness = _translation_witness(kernel, m[off], n[off], order, tol)
+        return TranslationReport(False, False, witness.violation if witness else 0.0, witness, 0)
     edge = kernel.certified_sigma()
     rng = np.random.default_rng(seed)
-    if not off.any():
-        worst = 0.0
-        for _ in range(TRANSLATION_SAMPLES):
-            b = float(rng.uniform(-10, 10))
-            s = edge + 0.5 + rng.uniform(0, 2) + 1j * rng.uniform(-3, 3)
-            u = edge + 0.5 + rng.uniform(0, 2) + 1j * rng.uniform(-3, 3)
-            dev, radii, size = _probe(kernel, s - 1j * b, u - 1j * b, s, u, order)
-            if dev > radii + tol * (1 + size):
-                return TranslationReport(
-                    False, True, dev, InvarianceWitness(b, s, u, dev), TRANSLATION_SAMPLES
-                )
-            worst = max(worst, dev)
-        return TranslationReport(True, True, worst, None, TRANSLATION_SAMPLES)
-    m, n = m[off], n[off]
-    mn = m * n
-    # the first 8 by m n, then m, then n; only the entries up to the 8th least m n need sorting
-    near = np.flatnonzero(mn <= np.partition(mn, min(7, mn.size - 1))[min(7, mn.size - 1)])
-    lead = near[np.lexsort((n[near], m[near], mn[near]))[:8]]
-    witness = _translation_witness(kernel, zip(m[lead].tolist(), n[lead].tolist()), order, tol)
-    return TranslationReport(
-        False, False, witness.violation if witness else 0.0, witness, TRANSLATION_SAMPLES
-    )
+    worst = 0.0
+    for drawn in range(1, TRANSLATION_SAMPLES + 1):
+        b = float(rng.uniform(-10, 10))
+        s = edge + 0.5 + rng.uniform(0, 2) + 1j * rng.uniform(-3, 3)
+        u = edge + 0.5 + rng.uniform(0, 2) + 1j * rng.uniform(-3, 3)
+        dev, radii, size = _probe(kernel, s - 1j * b, u - 1j * b, s, u, order)
+        if dev > radii + tol * (1 + size):
+            return TranslationReport(False, True, dev, InvarianceWitness(b, s, u, dev), drawn)
+        worst = max(worst, dev)
+    return TranslationReport(True, True, worst, None, TRANSLATION_SAMPLES)
 
 
 def _translation_witness(
-    kernel: DirichletKernel, leading: Iterable[tuple[int, int]], order: int, tol: float
+    kernel: DirichletKernel, m: np.ndarray, n: np.ndarray, order: int, tol: float
 ) -> Optional[InvarianceWitness]:
     """Search for (b, s, u) violating translation invariance by more than tol.
 
-    ``leading`` holds the first 1-based off-diagonal (m, n) with
-    |a_{m,n}| > tol, ordered by m n, then m, then n.  For such an entry
+    m and n hold the 1-based off-diagonal (m, n) with |a_{m,n}| > tol; the
+    first 8 of them, ordered by m n, then m, then n, lead.  For such an entry
     (m0, n0) of phase phi, b = theta/log(m0/n0) turns that term and its
     conjugate by theta, moving their sum at real s = u by 2|a|(cos(phi +
     theta) - cos phi); theta = pi - phi if cos phi >= 0, else -phi, in
@@ -207,8 +146,12 @@ def _translation_witness(
     sigma growing, makes the term dominate the remaining off-diagonal mass,
     so the difference stays provably above tol once sigma is large enough.
     """
+    mn = m * n
+    # only the entries up to the 8th least m n need sorting
+    near = np.flatnonzero(mn <= np.partition(mn, min(7, mn.size - 1))[min(7, mn.size - 1)])
+    lead = near[np.lexsort((n[near], m[near], mn[near]))[:8]]
     edge = kernel.certified_sigma()
-    for m0, n0 in leading:
+    for m0, n0 in zip(m[lead].tolist(), n[lead].tolist()):
         phi = cmath.phase(kernel.matrix.entry(m0, n0))
         theta = math.remainder(math.pi - phi if math.cos(phi) >= 0.0 else -phi, 2.0 * math.pi)  # in [-pi, pi]
         b = (theta if theta != -math.pi else math.pi) / math.log(m0 / n0)
@@ -324,44 +267,39 @@ class LinearInvarianceReport:
     violation: float
 
 
-def linear_invariance_test(
-    kernel: DirichletKernel, order: int, tol: float = 1e-8
-) -> LinearInvarianceReport:
+def linear_invariance_test(kernel: DirichletKernel, order: int, tol: float = 1e-6) -> LinearInvarianceReport:
     """Invariance under the linear automorphism subgroup (translations + scalings).
 
     Only constant kernels (coefficient mass at the (1,1) entry alone) pass;
-    any other kernel is defeated by an explicit scaling or a
-    translation-composed scaling, which the search below produces.  A
-    negative, infinite or NaN tol is a SpecError (``support_pattern``).
+    the witness against any other comes from the coefficient pattern.  The
+    translations lie in the subgroup, so an off-diagonal entry is met by
+    ``translation_invariance_test``'s witness (kind "translation", param b).
+    A diagonal kernel, or one with no translation witness, is moved by a
+    scaling psi_a(s) = a**2 (s - rho) + rho, a in (2, sqrt 2, 3) (kind
+    "scaling", param a), searched over sigma and Im s.  A negative, infinite
+    or NaN tol is a SpecError (``support_pattern``).
     """
     m, n = support_pattern(kernel.matrix, order, tol)
     if np.all((m == 1) & (n == 1)):
         return LinearInvarianceReport(True, True, None, None, None, 0.0)
-    edge = kernel.certified_sigma()
-    rho = kernel.rho
-    candidates = [
-        ("scaling", 2.0, Automorphism.scaling(2.0, rho)),
-        ("scaling", math.sqrt(2.0), Automorphism.scaling(math.sqrt(2.0), rho)),
-        ("scaling", 3.0, Automorphism.scaling(3.0, rho)),
-        (
-            "translation+scaling",
-            2.0,
-            Automorphism.translation(1.0, rho).compose(Automorphism.scaling(2.0, rho)),
-        ),
-    ]
+    off = m != n
+    witness = _translation_witness(kernel, m[off], n[off], order, tol) if off.any() else None
+    if witness is not None:
+        return LinearInvarianceReport(False, False, "translation", witness.b, (witness.s, witness.u),
+                                      witness.violation)
+    edge, rho = kernel.certified_sigma(), kernel.rho
     best = 0.0
-    for kind, param, phi in candidates:
+    for a in (2.0, math.sqrt(2.0), 3.0):
         for sigma in np.arange(edge + 0.5, edge + 12.5, 0.5):
             for im in (0.0, 0.7, -1.3):
                 s = complex(sigma, im)
                 u = complex(sigma + 0.25, -im / 2)
-                ps, pu = phi(s), phi(u)
+                # psi_a, rounded as the Moebius map of diag(a, 1/a) rounds it: a**2 (z - rho) differs by an ulp
+                ps, pu = (a * (z - rho) / (1.0 / a) + rho for z in (s, u))
                 if ps.real <= edge or pu.real <= edge:
                     continue
                 dev, radii, _ = _probe(kernel, ps, pu, s, u, order)
                 if dev > max(tol, 3.0 * radii):
-                    return LinearInvarianceReport(
-                        False, False, kind, param, (s, u), dev
-                    )
+                    return LinearInvarianceReport(False, False, "scaling", a, (s, u), dev)
                 best = max(best, dev)
     return LinearInvarianceReport(False, False, None, None, None, best)

@@ -347,6 +347,27 @@ class TestInvariance:
         assert rep["results"]["linear_subgroup"]["invariant"] is False
         assert rep["results"]["linear_subgroup"]["witness_kind"] is not None
 
+    def test_one_tol_for_both_tests(self, capsys, tmp_path):
+        """Below tol the off-diagonal entry leaves the pattern of both tests: translation invariant, and a scaling,
+        not a translation, defeats the linear subgroup."""
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({"variant": "dense", "entries": [[1, 1e-7], [1e-7, 1]], "rho": 0.0}))
+        code, rep = run_json(capsys, "invariance", "--matrix", str(f), "--order", "2")
+        res = rep["results"]
+        assert code == 0 and rep["inputs"]["tol"] == 1e-6
+        assert res["translation"]["invariant"] is True and res["translation"]["samples"] == 20
+        assert res["linear_subgroup"]["invariant"] is False and res["linear_subgroup"]["witness_kind"] == "scaling"
+
+    def test_off_diagonal_kernel_reports_the_translation_witness_twice(self, capsys, tmp_path):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({"variant": "dense", "entries": [[1, 0.5], [0.5, 1]], "rho": 0.0}))
+        code, rep = run_json(capsys, "invariance", "--matrix", str(f), "--order", "2")
+        t, lin = rep["results"]["translation"], rep["results"]["linear_subgroup"]
+        assert code == 0 and t["samples"] == 0 and lin["witness_kind"] == "translation"
+        w = t["witness"]
+        assert lin["witness_param"] == w["b"] and lin["violation"] == w["violation"]
+        assert lin["witness_point"] == [w["s"], w["u"]]
+
 
 class TestClassify:
     def test_diag_ones_not_quasi_invariant(self, capsys):

@@ -1,6 +1,7 @@
 """Translate spans, exact homogeneity, Gram matrices, adjoint diagnostics."""
 
 import math
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -435,6 +436,34 @@ class TestRealDiagonal:
 
 
 class TestAdjointCondition:
+    @pytest.mark.parametrize("scale, message", [(-1.0, "non-negative"), (1j, "real")])
+    def test_the_scale_decides_the_refusal(self, scale, message):
+        """Every value of a non-explicit rule is its scale times a positive number: no prefix is formed."""
+        span = TranslateSpan(a=1.0, offsets=(Fraction(0),), diagonal=SequenceRule("constant", scale=scale),
+                             support=AdmissibleSupport("all"), order=4_000_000, rho=0.5)
+        with pytest.raises(SpecError, match=message):
+            adjoint_condition_check(span, 0.25)
+
+    def test_explicit_values_are_scanned_to_their_length(self):
+        rule = SequenceRule("explicit", values=(1.0, 0.5, -0.25))
+        span = TranslateSpan(a=1.0, offsets=(Fraction(0),), diagonal=rule, support=AdmissibleSupport("all"),
+                             order=4_000_000, rho=0.5)
+        with pytest.raises(SpecError, match="non-negative"):
+            adjoint_condition_check(span, 0.25)
+
+    def test_a_deep_constant_diagonal_forms_no_prefix(self):
+        """At order 4e6 the ζ path needs no term of the diagonal: the check's peak stays under 16 MB, where the
+        whole prefix of 4e6 complex values alone is 64 MB."""
+        span = ones_span(["0"], order=4_000_000)
+        tracemalloc.start()
+        try:
+            rep = adjoint_condition_check(span, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.verdict == "finite" and peak < 16e6
+        assert abs(mpmath.mpc(rep.kernel_value) - mpmath.zeta(1.5)) <= rep.kernel_radius
+
     def test_ones_quarter_delta(self):
         rep = adjoint_condition_check(ones_span(["0"], order=1000), 0.25)
         assert rep.verdict == "finite"

@@ -134,3 +134,18 @@ def test_only_rules_compares_with_a_rule_kind_name():
     """Code outside ``rules`` reads a rule through ``power_law``, ``poly_bound`` and the like, never its kind."""
     assert [hit for module in MODULES if module != "rules" for hit in rule_kind_compares(module)] == []
     assert rule_kind_compares("rules")  # the guard sees the comparisons that are allowed
+
+
+def tol_keywords(module: str) -> list[tuple[int, str]]:
+    """(line, source) of every ``tol=`` keyword in the module's command handlers, ``_cmd_*``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return [(kw.value.lineno, ast.unparse(kw.value)) for f in tree.body
+            if isinstance(f, ast.FunctionDef) and f.name.startswith("_cmd_")
+            for node in ast.walk(f) if isinstance(node, ast.Call) for kw in node.keywords if kw.arg == "tol"]
+
+
+def test_every_handler_passes_the_tol_it_echoes():
+    """A command runs each test at the one ``--tol`` its report echoes: no handler narrows or widens it."""
+    found = tol_keywords("cli")
+    assert found, "the guard sees the handlers' tol keywords"
+    assert [(line, text) for line, text in found if text != "args.tol"] == []
