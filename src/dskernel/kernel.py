@@ -58,6 +58,9 @@ class DirichletKernel:
                 f"envelope alpha={env.alpha} exceeds rho={self.domain.rho}; "
                 "absolute convergence on the declared half-plane is not certified"
             )
+        # fixed with the matrix and the half-plane: kernel_eval's floors and the support's order, read once
+        edge, joint = self.matrix.sigma_floors()
+        object.__setattr__(self, "_floors", (max(self.rho, edge), joint, self.matrix.order))
 
     @property
     def rho(self) -> float:
@@ -65,7 +68,7 @@ class DirichletKernel:
 
     def certified_sigma(self) -> float:
         """Evaluation is certified for Re(s), Re(u) strictly above this."""
-        return max(self.rho, self.matrix.sigma_floors()[0])
+        return self._floors[0]
 
 
 def kernel_eval(kernel: DirichletKernel, s: complex, u: complex, order: int) -> ValueWithBound:
@@ -77,16 +80,14 @@ def kernel_eval(kernel: DirichletKernel, s: complex, u: complex, order: int) -> 
     s, u = complex(s), complex(u)
     if not (cmath.isfinite(s) and cmath.isfinite(u)):
         raise SpecError(f"evaluation point ({s}, {u}) is not finite")
-    matrix = kernel.matrix
-    edge, joint = matrix.sigma_floors()  # joint: the floor Re(s) + Re(u) must exceed
-    edge = max(kernel.rho, edge)
+    edge, joint, size = kernel._floors  # joint: the floor Re(s) + Re(u) must exceed; size: the support's order
     if s.real <= edge or u.real <= edge:
         raise ConvergenceRegionError(f"outside certified region: need Re(s), Re(u) > {edge}")
     if s.real + u.real <= joint:
         raise ConvergenceRegionError(f"outside certified region: need Re(s) + Re(u) > {joint}")
     check_order(order)
-    N = order if matrix.order is None else min(order, matrix.order)
-    value, rounding = matrix.partial_sum(s, u, N)
+    matrix = kernel.matrix
+    value, rounding = matrix.partial_sum(s, u, order if size is None or order <= size else size)
     if not cmath.isfinite(value) or math.isnan(rounding):
         raise SpecError(f"a term of the kernel sum at ({s}, {u}) overflows a double")
     radius = matrix.tail_radius(s.real, u.real, order)

@@ -44,7 +44,10 @@ Every power m**(-s) here is ``series.powers``: one exponential of the cached
 read-only log table (2**16 entries; longer tables are computed per call), a
 real ``exp`` when the exponent is real, so a real point pays no complex
 power and the diagonal reuses one table for its value and its mass.  Rule
-prefixes are read-only views of a memo (``SequenceRule.prefix``).  Every
+prefixes are read-only views of a memo (``SequenceRule.prefix``), and a
+rule's ``power_law`` and ``poly_bound`` are formed once, when it is made:
+``sigma_floors`` and ``tail_radius`` read them, and an explicit rule's
+values are scanned for its bound only then.  Every
 term of a ``partial_sum`` is priced at its own log m and log n: a single
 series (a diagonal, a rank-one or deflated factor, an arrowhead's head sums)
 is a ``series.direct_sum``, a two-sided sum of BLAS products is priced from
@@ -390,18 +393,16 @@ class DiagonalMatrix(CoefficientMatrix):
 
     def tail_radius(self, sigma_s: float, sigma_u: float, N: int) -> float:
         """Row and column pieces are empty: the sharper single-series bound."""
-        if self.order is not None and N >= self.order:
+        rule = self.rule
+        if rule.is_finite and N >= len(rule.values):
             return 0.0
-        pb = self.rule.poly_bound()
-        if pb is None:
-            return math.inf
-        C, p = pb
-        return C * power_tail_bound(N, sigma_s + sigma_u - p)
+        pb = rule.poly_bound()
+        return math.inf if pb is None else pb[0] * power_tail_bound(N, sigma_s + sigma_u - pb[1])
 
     def sigma_floors(self) -> tuple[float, float]:
-        """Only the joint condition Re s + Re u > p + 1 from |a_{n,n}| <= C n**p."""
-        pb = self.rule.poly_bound()
-        return -math.inf, pb[1] + 1.0 if pb is not None and self.order is None else -math.inf
+        """Only the joint condition Re s + Re u > p + 1 from |a_{n,n}| <= C n**p; none for a finite rule."""
+        pb = None if self.rule.is_finite else self.rule.poly_bound()
+        return -math.inf, -math.inf if pb is None else pb[1] + 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -581,8 +582,8 @@ class ArrowheadMatrix(CoefficientMatrix):
 
         Up to order k the section is a block of the head, summed as a dense one.  For coupling and tail rules
         whose ``power_law`` is a constant c and d (exponent 0), the strips and the tail are c P(s) H(conj u),
-        conj(c) H(s) P(conj u) and d H(s + conj u), P the head sums over n <= k (``series.direct_sum``) and
-        H(z) = sum_{k<n<=N} n**-z (``partial_zeta``), all balls: no power beyond k is formed.  Otherwise the
+        conj(c) H(s) P(conj u) and d H(s + conj u), P(z) = sum_{n<=k} n**-z and H(z) = sum_{k<n<=N} n**-z, both
+        ``partial_zeta``, all balls: no power beyond k is formed.  Otherwise the
         pieces share one table of powers on each side and are priced as one two-sided sum.
         """
         k, ub = self.k, complex(np.conj(u))
@@ -590,8 +591,8 @@ class ArrowheadMatrix(CoefficientMatrix):
             return super().partial_sum(s, u, N)
         laws = self.coupling.power_law(), self.tail.power_law()
         if None not in laws and laws[0][1] == laws[1][1] == 0.0:
-            logs, ((c, _), (d, _)) = log_table(k), laws
-            P_s, P_u = _series(logs, s), _series(logs, ub)
+            (c, _), (d, _) = laws
+            P_s, P_u = (ValueWithBound(*partial_zeta(z, 0.0, 1, k)) for z in (s, ub))
 
             def H(*parts) -> ValueWithBound:
                 return ValueWithBound(*partial_zeta(*exponent_sum(*parts), k + 1, N))

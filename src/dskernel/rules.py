@@ -50,6 +50,9 @@ class SequenceRule:
       geometric  value(l) = scale * ratio**l
       power      value(l) = scale * l**exponent
       explicit   value(l) = values[l-1], zero beyond the stored list
+
+    ``is_finite`` (an explicit list), ``power_law()`` and ``poly_bound()``
+    are constants of the rule, formed once when it is made.
     """
 
     kind: str
@@ -67,6 +70,14 @@ class SequenceRule:
             raise SpecError(f"a {self.kind} rule takes no ratio or exponent of its own")
         if not (0.0 < self.ratio < math.inf and math.isfinite(self.exponent)):
             raise SpecError("a rule needs a finite ratio > 0 and a finite exponent")
+        # the constants of an immutable rule, formed once: an explicit rule's bound scans its values
+        finite = self.kind == "explicit"
+        law = None if finite or self.ratio != 1.0 else (complex(self.scale), self.exponent)
+        bound = ((max(abs(complex(v)) for v in self.values), 0.0) if finite else
+                 (abs(self.scale) * self.ratio, self.exponent) if self.ratio <= 1.0 else None)
+        object.__setattr__(self, "is_finite", finite)
+        object.__setattr__(self, "_law", law)
+        object.__setattr__(self, "_bound", bound)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -114,10 +125,6 @@ class SequenceRule:
             terms = ls**self.exponent  # numpy's ones for an exponent of 0
             return complex(self.scale) * (self.ratio**ls * terms if self.ratio != 1.0 else terms)
 
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "explicit"
-
     def is_positive(self) -> bool:
         """True if every value is provably > 0 (finite lists are scanned)."""
         if self.is_finite:
@@ -127,13 +134,11 @@ class SequenceRule:
 
     def power_law(self) -> Optional[tuple[complex, float]]:
         """(c, p) with value(l) = c * l**p for every l, for any non-explicit rule of ratio 1; None otherwise."""
-        return None if self.is_finite or self.ratio != 1.0 else (complex(self.scale), self.exponent)
+        return self._law
 
     def poly_bound(self) -> Optional[tuple[float, float]]:
         """(C, p) with |value(l)| <= C * l**p for all l >= 1, or None: ratio**l <= ratio for a ratio <= 1."""
-        if self.is_finite:
-            return max(abs(complex(v)) for v in self.values), 0.0
-        return (abs(self.scale) * self.ratio, self.exponent) if self.ratio <= 1.0 else None
+        return self._bound
 
 
 def _not_finite(l: int) -> str:

@@ -38,12 +38,14 @@ power coefficient rule c n**p sums, beyond its stored prefix, as
 c sum_{n<=N} n**-z with z = omega s - p, and ``partial_zeta`` encloses
 that sum without a table of length N: from the start b of ``em_start``,
 sized by the remainder the tail must meet, for Re z > 1 and N > b + 512,
-it sums n < b by ``direct_sum`` (in float arithmetic for a short real
-head) and the rest by Euler-Maclaurin with EM_M = 8 corrections and a
-rigorous remainder: work O(|z|), not O(N).  A sum of two power rules is a
-Riemann zeta value zeta(beta), beta > 1: the same sum taken to infinity,
-``partial_zeta(beta, dbeta, 1, math.inf)``, for the coupling ratio sums of
-``rules``.  One routine, ``_em_tail``, builds and prices the tail for
+it sums n < b directly and the rest by Euler-Maclaurin with EM_M = 8
+corrections and a rigorous remainder: work O(|z|), not O(N).  A real head
+of at most FLOAT_TERMS terms is formed there, in float arithmetic, from
+``_LOGS`` (the log table's first doubles as a Python list) and priced
+there by ``rounding_radius``; any other head is a ``direct_sum``.  A sum
+of two power rules is a Riemann zeta value zeta(beta), beta > 1: the same
+sum taken to infinity, ``partial_zeta(beta, dbeta, 1, math.inf)``, for the
+coupling ratio sums of ``rules``.  One routine, ``_em_tail``, builds and prices the tail for
 every caller, in one loop over the corrections at both ends and the
 remainder: in math (float arithmetic for a real z) for ``partial_zeta``,
 which adds the tail by fsum, and in numpy for ``zeta_tails``, the
@@ -86,13 +88,14 @@ _EM_COEFFS = tuple(p / q for p, q in ((1, 12), (-1, 720), (1, 30240), (-1, 12096
 _EM_TARGET = math.log(2.0 * abs(_EM_COEFFS[-1])) + 60.0 * math.log(2.0)
 _EM_D2, _EM_D4 = sum((k + 0.5) ** 2 for k in range(EM_M)), sum((k + 0.5) ** 4 for k in range(EM_M)) / 2
 
-#: the corrections before the last, each with the k = 2j + 1 of its step q = (z + k)(z + k + 1) to the next
-_EM_STEPS = tuple(zip(_EM_COEFFS[:-1], range(1, 2 * EM_M, 2)))
+#: the corrections before the last, each with its negative and the k = 2j + 1, k + 1 of its step q = (z + k)(z + k + 1)
+#: to the next
+_EM_STEPS = tuple((c, -c, k, k + 1) for c, k in zip(_EM_COEFFS[:-1], range(1, 2 * EM_M, 2)))
 
 #: longest direct sum ``direct_sum`` adds by fsum, not pairwise: the two cost the same there for a complex z
 FSUM_TERMS = 128
 
-#: longest sum of plain powers at a real z that ``direct_sum`` forms by ``math.exp``: numpy costs the same near 35
+#: longest head at a real z that ``partial_zeta`` forms by ``math.exp``: numpy costs the same near 35
 FLOAT_TERMS = 32
 
 #: relative tolerance below which two merged exponents count as colliding
@@ -127,6 +130,9 @@ _UNDERFLOW = 8.0 * SUBNORMAL_MIN
 
 _log_cache = np.empty(0)
 _log_cache.flags.writeable = False
+
+#: log n for n = 1..FLOAT_TERMS as a list, the log table's own doubles: the arguments of a short real head
+_LOGS = np.log(np.arange(1.0, FLOAT_TERMS + 1.0)).tolist()
 
 
 def log_table(N: int, a: int = 1) -> np.ndarray:
@@ -216,21 +222,12 @@ def direct_sum(lam: np.ndarray, z: complex, coef: Optional[np.ndarray] = None,
     """(value, radius, log_mass) of sum_n c_n exp(-lambda_n z) over a table lam >= 0; c_n = 1 without coef.
 
     Up to FSUM_TERMS terms t_n are added by ``math.fsum`` (one rounding per component, none for a lone
-    term), more by ``pairwise_sum``; up to FLOAT_TERMS plain powers at a real z are formed by ``math.exp``,
-    or by numpy where one overflows.  log_mass = sum |t_n| lambda_n prices each term at its own lambda_n
+    term), more by ``pairwise_sum``.  log_mass = sum |t_n| lambda_n prices each term at its own lambda_n
     times ``size``, |z| unless z was formed from larger parts (|s| + |u| for s + conj(u)).  Only a sum
     without a nonzero coefficient is exact.
     """
     z = complex(z)
     size = abs(z) if size is None else size
-    if coef is None and z.imag == 0.0 and lam.size <= FLOAT_TERMS:
-        try:
-            x, c, exp = lam.tolist(), -z.real, math.exp
-            t = [exp(c * v) for v in x]
-            mass, log_mass = math.fsum(t), sum(map(operator.mul, t, x))
-            return complex(mass), rounding_radius(mass, size * log_mass, int(len(t) > 1), len(t)), log_mass
-        except OverflowError:  # a term or their sum past a double: numpy's inf reaches the caller's check
-            pass
     p = exp_table(lam, z)
     moduli = p if z.imag == 0.0 else exp_table(lam, z.real)
     if coef is not None:
@@ -303,8 +300,8 @@ def _em_tail(z, b: int, N: int) -> tuple:
     sum_{n=b}^{N} n**-sigma prices an error dz in z.
     """
     # a float z (C = 0 below) keeps float arithmetic and float terms: its unit i is 0, not 1j
-    m, cexp, least, i = ((np, np.exp, np.minimum, 1j) if isinstance(z, np.ndarray) else
-                         (math, cmath.exp, min, 1j) if isinstance(z, complex) else (math, math.exp, min, 0.0))
+    m, cexp, least, i = ((math, math.exp, min, 0.0) if isinstance(z, float) else
+                         (math, cmath.exp, min, 1j) if isinstance(z, complex) else (np, np.exp, np.minimum, 1j))
     u, sigma, r, log_b = UNIT_ROUNDOFF, z.real, abs(z), math.log(b)
     w = z - 1.0
     if N < math.inf:
@@ -323,18 +320,19 @@ def _em_tail(z, b: int, N: int) -> tuple:
     terms = [scale * (B - A + i * C), Pb / 2.0, PN / 2.0]
     b2, N2 = float(b) * b, float(N) * N
     fb, fN, ratio = z * Pb / b, z * PN / N, r * abs(z + (2 * EM_M - 1)) / b2
-    for coeff, k in _EM_STEPS:
-        terms += (coeff * fb, -coeff * fN)
-        q = (z + k) * (z + (k + 1))
+    for coeff, neg, k, k1 in _EM_STEPS:
+        terms += (coeff * fb, neg * fN)
+        q = (z + k) * (z + k1)
         fb, fN, ratio = fb * (q / b2), fN * (q / N2), ratio * (abs(q) / b2)
     terms += (_EM_COEFFS[-1] * fb, -_EM_COEFFS[-1] * fN)
     rounding = u * ((40.0 + 4.0 * r * log_b) * abs(terms[0])
                     + (16.0 + 4.0 * r * log_n + 10 * EM_M + 10) * sum(map(abs, terms[1:])))
-    remainder = 2.0 * abs(_EM_COEFFS[-1]) * b ** (1.0 - sigma) / (sigma + 2 * EM_M - 1) * ratio
+    power = b ** (1.0 - sigma)
+    remainder = 2.0 * abs(_EM_COEFFS[-1]) * power / (sigma + 2 * EM_M - 1) * ratio
     spread = least(1.0, N / (r + 2 * EM_M)) ** (2 - 2 * EM_M)
     error = abs(scale) * expm1_error + remainder + (4 * EM_M + 16) * b * spread * SUBNORMAL_MIN
     # sum_{n=b}^{N} n**-sigma <= b**-sigma + int_b^N t**-sigma dt
-    mass = b**-sigma + b ** (1.0 - sigma) * -m.expm1(-(sigma - 1.0) * L) / (sigma - 1.0)
+    mass = b**-sigma + power * -m.expm1(-(sigma - 1.0) * L) / (sigma - 1.0)
     return terms, rounding, error, mass
 
 
@@ -342,8 +340,9 @@ def partial_zeta(z: complex, dz: float, a: int, N: int) -> tuple[complex, float]
     """(value, radius) with |sum_{n=a}^{N} n**-w - value| <= radius for every |w - z| <= dz; N = math.inf takes a
     real z with z - dz > 1, so that zeta(beta) is ``partial_zeta(beta, dbeta, 1, math.inf)``.
 
-    The terms a <= n < b = ``em_start(z, a, N)`` are table powers added and priced, each at its own log n, by
-    ``direct_sum``, in float arithmetic for a short real head.  The tail, if any, is ``_em_tail``'s terms
+    The terms a <= n < b = ``em_start(z, a, N)`` are table powers added and priced, each at its own log n: a
+    real head of at most FLOAT_TERMS terms here, by ``math.exp`` of ``_LOGS`` and fsum, any other by
+    ``direct_sum``.  The tail, if any, is ``_em_tail``'s terms
     added by fsum, priced by its parts, the two fsums and the final addition.  Both roundings grow with log N, so
     the two sides of the switch have radii within a small factor.  dz is priced from the log-weighted mass of all
     the terms, as |n**-w - n**-z| <= dz log n n**-sigma e**(dz log n); to infinity, the tail's at s = sigma - dz,
@@ -361,7 +360,20 @@ def partial_zeta(z: complex, dz: float, a: int, N: int) -> tuple[complex, float]
             c = max(a, 2)
             return complex(a == 1), 0.0 if s == math.inf else 2.0 * c**-s * (1.0 + c / (s - 1.0)) + SUBNORMAL_MIN
     b = em_start(z, a, N)
-    value, radius, log_mass = direct_sum(log_table(b - 1, a), z)
+    head = None
+    if real and b - a <= FLOAT_TERMS:  # a short real head, in floats: math.exp of a list of logs
+        x = _LOGS[a - 1 : b - 1] if b <= FLOAT_TERMS + 1 else log_table(b - 1, a).tolist()
+        c, exp = -z.real, math.exp
+        try:
+            t = [exp(c * v) for v in x]
+            head = math.fsum(t)
+        except OverflowError:  # a term or their sum past a double: numpy's inf reaches the caller's check
+            pass
+    if head is None:
+        value, radius, log_mass = direct_sum(log_table(b - 1, a), z)
+    else:  # each term priced at its own log n; fsum is a chain of one addition, none for a lone term
+        value, log_mass = complex(head), sum(map(operator.mul, t, x))
+        radius = rounding_radius(head, abs(c) * log_mass, int(len(t) > 1), len(t))
     tail_mass = 0.0
     if b <= N:
         terms, rounding, error, tail_mass = _em_tail(z.real if real else z, b, N)
@@ -465,7 +477,7 @@ def exponent_sum(*parts) -> tuple[complex, float]:
     for p in parts[1:]:
         z, e = _two_sum(z, p)
         dz = dz + abs(e.real) + abs(e.imag)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not cmath.isfinite(z):
         return z, math.inf
     return z, math.nextafter(dz * (1.0 + 2 * len(parts) * UNIT_ROUNDOFF), math.inf) if dz else 0.0
 

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import OutsideDomainError
+from .errors import CertificationError, OutsideDomainError
 from .kernel import DirichletKernel, check_tol, hermitian_section, kernel_eval, support_pattern, unit_phase
 from .series import GeneralDirichletSeries, evaluate
 
@@ -74,10 +74,15 @@ def _rank_one_factor(S: np.ndarray, sv: np.ndarray, tol: float) -> Optional[np.n
 
 def _probe(kernel: DirichletKernel, ms: complex, mu: complex, s: complex, u: complex, order: int) -> tuple:
     """(|kappa(ms, mu) - kappa(s, u)|, the sum of the two error radii, |kappa(s, u)|): kappa at the moved
-    pair, then at (s, u), each a ``kernel_eval`` at order."""
+    pair, then at (s, u), each a ``kernel_eval`` at order.  A disc of infinite radius bounds no deviation, so
+    it is a CertificationError, not a pass."""
     lhs = kernel_eval(kernel, ms, mu, order)
     rhs = kernel_eval(kernel, s, u, order)
-    return abs(lhs.value - rhs.value), lhs.error_radius + rhs.error_radius, abs(rhs.value)
+    radii = lhs.error_radius + rhs.error_radius
+    if not math.isfinite(radii):
+        raise CertificationError(f"kernel value at order {order} near (s, u) = ({s}, {u}) has an infinite error "
+                                 "radius: no invariance verdict can be certified")
+    return abs(lhs.value - rhs.value), radii, abs(rhs.value)
 
 
 @dataclass(frozen=True)

@@ -369,6 +369,15 @@ class TestInvariance:
         assert lin["witness_point"] == [w["s"], w["u"]]
 
 
+    def test_an_unbounded_disc_exits_2(self, capsys, tmp_path):
+        """A geometric rule of ratio 2 bounds no tail: every disc is unbounded, so no verdict holds."""
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({"variant": "diagonal", "rule": {"kind": "geometric", "ratio": 2}, "rho": 0.5}))
+        code, rep = run_json(capsys, "invariance", "--matrix", str(f), "--order", "8")
+        assert code == 2 and rep["error"]["kind"] == "CertificationError"
+        assert "infinite error radius" in rep["error"]["message"]
+
+
 class TestClassify:
     def test_diag_ones_not_quasi_invariant(self, capsys):
         code, rep = run_json(

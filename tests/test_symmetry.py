@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dskernel import (
+    CertificationError,
     DenseMatrix,
     DiagonalMatrix,
     DirichletKernel,
@@ -154,6 +155,23 @@ class TestTranslationInvariance:
             if not expect:
                 assert rep.witness is not None and rep.witness.violation > 1e-6
                 assert_linear_shares_the_witness(kern, 6, rep)
+
+
+class TestUnboundedDiscsAreRefused:
+    """A kernel whose discs have an infinite radius bounds no deviation: both invariance tests refuse it."""
+
+    GEOMETRIC_2 = DirichletKernel(DiagonalMatrix(SequenceRule("geometric", ratio=2.0)), HalfPlane(0.5))
+
+    @pytest.mark.parametrize("test", [translation_invariance_test, linear_invariance_test])
+    def test_is_a_certification_error(self, test):
+        assert kernel_eval(self.GEOMETRIC_2, 2.0, 2.0, 8).error_radius == math.inf
+        with pytest.raises(CertificationError, match="infinite error radius"):
+            test(self.GEOMETRIC_2, 8)
+
+    def test_a_finite_support_keeps_its_verdicts(self):
+        kern = DirichletKernel(DiagonalMatrix(SequenceRule("explicit", values=(1.0, 2.0**1, 2.0**2))), HalfPlane(0.5))
+        assert translation_invariance_test(kern, 8).invariant
+        assert not linear_invariance_test(kern, 8).invariant
 
 
 class TestToleranceMustBeFinite:
