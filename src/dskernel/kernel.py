@@ -237,13 +237,13 @@ def eigensolve_rounding(order: int, scale: float) -> float:
     return 8 * order * np.finfo(float).eps * scale
 
 
-def support_pattern(matrix: CoefficientMatrix, order: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """1-based index arrays (m, n) of the entries with |a_{m,n}| > tol, row by row, from ``nonzero_entries``."""
+def support_pattern(matrix: CoefficientMatrix, order: int, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """1-based (m, n) and the values of the entries with |a_{m,n}| > tol, row by row, from ``nonzero_entries``."""
     check_tol(tol)
     check_order(order)
     m, n, values = matrix.nonzero_entries(order)
     keep = np.abs(values) > tol
-    return m[keep], n[keep]
+    return m[keep], n[keep], values[keep]
 
 
 @dataclass(frozen=True)
@@ -578,7 +578,8 @@ def judged_structure(form: SectionStructure) -> tuple[SectionStructure, float]:
     """
     f = np.abs(form.vector)
     if form.kind == "rank-one-exact":
-        return form, float(np.max(f)) ** 2
+        with np.errstate(over="ignore"):  # an overflow is inf, which the ladder refuses
+            return form, float(np.max(f) ** 2)
     largest = max(float(np.max(f, initial=0.0)), float(np.max(np.abs(form.diagonal), initial=0.0)))
     head = form.head
     if head.size:
@@ -770,7 +771,7 @@ def bandwidth_detect(
     Returns None when the only admissible k is the trivial order-1 (the
     truncation cannot distinguish that from unbounded bandwidth).
     """
-    m, n = support_pattern(matrix, order, tol)
+    m, n, _ = support_pattern(matrix, order, tol)
     if not m.size:
         return 0
     k = int(np.max(np.abs(m - n)))

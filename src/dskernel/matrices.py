@@ -2,7 +2,7 @@
 
 A coefficient matrix is the doubly-indexed array a = (a_{m,n}) defining the
 kernel sum a_{m,n} m**(-s) n**(-conj(u)).  Structured variants (diagonal,
-banded, rank-one, arrowhead) keep the entry accessor cheap and make the
+banded, rank-one, arrowhead) keep their accessors cheap and make the
 envelope |a_{m,n}| <= C m**alpha n**alpha derivable from their rules, which
 is what certifies kernel tails.  Matrices with ``order`` set are finitely
 supported and their tails are computed exactly instead.
@@ -10,28 +10,32 @@ supported and their tails are computed exactly instead.
 Every variant answers one vectorised protocol, so no caller branches on the
 variant to sum a section of the matrix:
 
-- ``entry(m, n)``: one entry (the deflation pivot a_{1,1}; test references).
+- ``nonzero_entries(N)``: the 1-based (m, n) and values of the section's
+  nonzero entries, row by row, which decides what carries a term (supports,
+  finite tails, the ``homogeneous`` sums); ``sparse_view`` marks the
+  variants where it costs O(its nonzeros), not the dense section.
 - ``truncation(N)``: the N x N section (eigenvalue ladders, Gram models,
   membership, the classifiers in ``symmetry``), a new array that its
   caller may overwrite (``kernel.hermitian_section`` does).
 - ``column_prefix(n, N)`` / ``row_prefix(m, N)``: a_{1..N,n} and a_{m,1..N}
-  (analytic symbols, deflation).
+  (analytic symbols, deflation), and ``entry(m, n)`` (the pivot a_{1,1}).
 - ``partial_sum(s, u, N)``, ``tail_radius(sigma_s, sigma_u, N)`` and
   ``sigma_floors()``: the section paired with m**(-s) and n**(-conj(u))
   with a bound on its rounding, the certified bound beyond it and where
   that bound holds (``kernel.kernel_eval`` and ``DirichletKernel``).
-- ``nonzero_entries(N)``: the 1-based (m, n) and values of the section's
-  nonzero entries, row by row, which decides what carries a term (supports,
-  finite tails, the ``homogeneous`` sums); O(N) for a diagonal, O(N k) for
-  an arrowhead, the stored block for a dense or banded matrix, each marked
-  by ``sparse_view``; the others form the dense section, cut at the order.
 - ``psd_structure(N)``: the N-section as a ``SectionStructure`` (arrowhead,
   diagonal or rank-one prefixes) from which ``kernel.psd_check`` decides
   its rungs above order 256 without building it; None for the variants
   without one.
 
-Every accessor gives the N-section's numbers bit for bit: a rule's value is
-its prefix entry, and products and quotients are numpy's array arithmetic.
+Each variant states its layout once: a dense or banded matrix its stored
+block, as view and as section; a diagonal or an arrowhead its view, O(N)
+or O(N k), which the section scatters; a rank-one or deflated matrix its
+section, whose nonzeros are the view.  ``CoefficientMatrix`` derives the
+rest, a line as a scatter of the view, and a variant keeps its own column
+only where the view would cost more.  Every accessor gives the N-section's
+nonzero numbers bit for bit: a rule's value is its prefix entry, and
+products and quotients are numpy's array arithmetic.
 
 The base class sums a dense section and bounds tails by the envelope; each
 structured variant overrides what its structure makes cheaper or sharper.
@@ -88,6 +92,14 @@ def _two_sided_rounding(mass, s: complex, u: complex, N: int) -> float:
     return rounding_radius(float(M[0, 0]), abs(s) * float(M[1, 0]) + abs(u) * float(M[0, 1]), 2 * N + 8)
 
 
+def _section_sum(T: np.ndarray, s: complex, u: complex, N: int) -> tuple[complex, float]:
+    """T paired with m**(-s) and n**(-conj(u)), and its rounding bound: 0 only for T = 0, as powers are rounded."""
+    # complex on both sides: a real vector would send the product down numpy's slow mixed-type path
+    value = complex(powers(s, N).astype(complex) @ T @ powers(np.conj(u), N).astype(complex))
+    A = np.abs(T)
+    return value, _two_sided_rounding(lambda X, Y: X @ A @ Y.T, s, u, N) if np.any(T) else 0.0
+
+
 def _series(lam: np.ndarray, z: complex, coef: Optional[np.ndarray] = None) -> ValueWithBound:
     """``series.direct_sum`` of sum_n c_n exp(-lambda_n z) as a ball."""
     return ValueWithBound(*direct_sum(lam, z, coef)[:2])
@@ -127,10 +139,9 @@ _NONE = np.zeros(0)
 class CoefficientMatrix:
     """Abstract coefficient matrix; indices are 1-based as in the math.
 
-    Subclasses provide entry, truncation and the prefix accessors; the
-    defaults of the summation protocol below work from those and the
-    envelope.  ``order`` is the support bound for finitely supported
-    variants, None when the matrix extends forever.
+    ``nonzero_entries`` and ``truncation`` are each the other's default, so
+    a variant overrides at least one; ``order`` is the support bound for
+    finitely supported variants, None when the matrix extends forever.
     """
 
     envelope: Optional[Envelope]
@@ -138,38 +149,6 @@ class CoefficientMatrix:
 
     #: whether ``nonzero_entries`` costs O(its nonzeros), not the dense N-section
     sparse_view = False
-
-    def entry(self, m: int, n: int) -> complex:
-        raise NotImplementedError
-
-    def truncation(self, N: int) -> np.ndarray:
-        """Leading principal N x N section as a dense complex array."""
-        raise NotImplementedError
-
-    def column_prefix(self, n: int, N: int) -> np.ndarray:
-        """Entries a_{1..N, n}."""
-        raise NotImplementedError
-
-    def row_prefix(self, m: int, N: int) -> np.ndarray:
-        """Entries a_{m, 1..N}."""
-        raise NotImplementedError
-
-    def psd_structure(self, N: int) -> Optional[SectionStructure]:
-        """The N-section's structure for ``kernel.psd_check``; None when only the dense section decides."""
-        return None
-
-    # -- kernel summation protocol ------------------------------------------
-
-    def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float]:
-        """Section sum over m, n <= N and a bound on its rounding error; even
-        a lone term is a table power, a few ulps off, so only an all-zero
-        section is exact."""
-        T = self.truncation(N)
-        # complex on both sides: a real vector would send the product down
-        # numpy's slow mixed-type path
-        value = complex(powers(s, N).astype(complex) @ T @ powers(np.conj(u), N).astype(complex))
-        A = np.abs(T)
-        return value, _two_sided_rounding(lambda X, Y: X @ A @ Y.T, s, u, N) if np.any(T) else 0.0
 
     def nonzero_entries(self, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """1-based (m, n) and the values of the nonzero entries of the N-section, in row-major order."""
@@ -180,6 +159,42 @@ class CoefficientMatrix:
         m += 1
         n += 1
         return m, n, T[i]
+
+    def truncation(self, N: int) -> np.ndarray:
+        """Leading principal N x N section as a new dense complex array: the scatter of ``nonzero_entries``."""
+        m, n, values = self.nonzero_entries(N)
+        out = np.zeros((N, N), dtype=complex)
+        out[m - 1, n - 1] = values
+        return out
+
+    def entry(self, m: int, n: int) -> complex:
+        return complex(self.column_prefix(n, m)[m - 1])
+
+    def column_prefix(self, n: int, N: int) -> np.ndarray:
+        """Entries a_{1..N, n}."""
+        return self._line(1, n, N)
+
+    def row_prefix(self, m: int, N: int) -> np.ndarray:
+        """Entries a_{m, 1..N}."""
+        return self._line(0, m, N)
+
+    def _line(self, axis: int, at: int, N: int) -> np.ndarray:
+        """Row (axis 0) or column (axis 1) ``at``, entries 1..N, scattered out of the coordinate view."""
+        *ij, values = self.nonzero_entries(max(at, N))
+        on = (ij[axis] == at) & (ij[1 - axis] <= N)
+        out = np.zeros(N, dtype=complex)
+        out[ij[1 - axis][on] - 1] = values[on]
+        return out
+
+    def psd_structure(self, N: int) -> Optional[SectionStructure]:
+        """The N-section's structure for ``kernel.psd_check``; None when only the dense section decides."""
+        return None
+
+    # -- kernel summation protocol ------------------------------------------
+
+    def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float]:
+        """Section sum over m, n <= N and a bound on its rounding error (``_section_sum``)."""
+        return _section_sum(self.truncation(N), s, u, N)
 
     def tail_radius(self, sigma_s: float, sigma_u: float, N: int) -> float:
         """Bound on |kernel - N-section| at real parts (sigma_s, sigma_u): the
@@ -225,30 +240,14 @@ class StoredMatrix(CoefficientMatrix):
     def order(self) -> int:
         return self.entries.shape[0]
 
-    def entry(self, m: int, n: int) -> complex:
-        if m <= self.order and n <= self.order:
-            return complex(self.entries[m - 1, n - 1])
-        return 0.0 + 0.0j
-
-    def truncation(self, N: int) -> np.ndarray:
-        out = np.zeros((N, N), dtype=complex)
-        out[: self.order, : self.order] = self.entries[:N, :N]
-        return out
-
-    def column_prefix(self, n: int, N: int) -> np.ndarray:
-        out = np.zeros(N, dtype=complex)
-        if n <= self.order:
-            out[: self.order] = self.entries[:N, n - 1]
-        return out
-
     def nonzero_entries(self, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         m, n = np.nonzero(self.entries[:N, :N])  # the stored block only, whatever N
         return m + 1, n + 1, self.entries[m, n]
 
-    def row_prefix(self, m: int, N: int) -> np.ndarray:
-        out = np.zeros(N, dtype=complex)
-        if m <= self.order:
-            out[: self.order] = self.entries[m - 1, :N]
+    def truncation(self, N: int) -> np.ndarray:
+        """A block copy, not the scatter of the view: ``psd_check`` reads dense sections of order 2,000."""
+        out = np.zeros((N, N), dtype=complex)
+        out[: self.order, : self.order] = self.entries[:N, :N]
         return out
 
 
@@ -348,11 +347,6 @@ class DiagonalMatrix(CoefficientMatrix):
     def order(self) -> Optional[int]:
         return len(self.rule.values) if self.rule.is_finite else None
 
-    def entry(self, m: int, n: int) -> complex:
-        if m != n or self.support is not None and n not in self.support.indices_up_to(n):
-            return 0.0 + 0.0j
-        return self.rule.value(n)
-
     def diagonal_prefix(self, N: int) -> np.ndarray:
         d = self.rule.prefix(N)
         if self.support is not None:
@@ -361,22 +355,17 @@ class DiagonalMatrix(CoefficientMatrix):
             d = np.where(mask, d, 0.0)
         return d
 
-    def truncation(self, N: int) -> np.ndarray:
-        return np.diag(self.diagonal_prefix(N))
-
-    def column_prefix(self, n: int, N: int) -> np.ndarray:
-        out = np.zeros(N, dtype=complex)
-        if n <= N:
-            out[n - 1] = self.entry(n, n)
-        return out
-
-    def row_prefix(self, m: int, N: int) -> np.ndarray:
-        return self.column_prefix(m, N)
-
     def nonzero_entries(self, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         d = self.diagonal_prefix(N)  # the support's members n <= N with a_{n,n} != 0
         i = np.flatnonzero(d)
         return i + 1, i + 1, d[i]
+
+    def column_prefix(self, n: int, N: int) -> np.ndarray:
+        """a_{n,n} alone, one rule value: a column far past N costs O(N), not the view of order n."""
+        out = np.zeros(N, dtype=complex)
+        if n <= N and (self.support is None or n in self.support.indices_up_to(n)):
+            out[n - 1] = self.rule.value(n)
+        return out
 
     def psd_structure(self, N: int) -> SectionStructure:
         return SectionStructure("diagonal-exact", _NONE.reshape(0, 0), _NONE, self.diagonal_prefix(N))
@@ -392,12 +381,14 @@ class DiagonalMatrix(CoefficientMatrix):
         return direct_sum(log_table(N), s + np.conj(u), self.diagonal_prefix(N), abs(s) + abs(u))[:2]
 
     def tail_radius(self, sigma_s: float, sigma_u: float, N: int) -> float:
-        """Row and column pieces are empty: the sharper single-series bound."""
+        """Row and column pieces are empty: the sharper single-series bound; a zero scale has tail 0."""
         rule = self.rule
         if rule.is_finite and N >= len(rule.values):
             return 0.0
         pb = rule.poly_bound()
-        return math.inf if pb is None else pb[0] * power_tail_bound(N, sigma_s + sigma_u - pb[1])
+        if pb is None:
+            return math.inf
+        return 0.0 if pb[0] == 0.0 else pb[0] * power_tail_bound(N, sigma_s + sigma_u - pb[1])
 
     def sigma_floors(self) -> tuple[float, float]:
         """Only the joint condition Re s + Re u > p + 1 from |a_{n,n}| <= C n**p; none for a finite rule."""
@@ -418,17 +409,12 @@ class RankOneMatrix(CoefficientMatrix):
             raise SpecError("rank-one factor must be non-empty")
         object.__setattr__(self, "fhat", f)
         if self.envelope is None:
-            object.__setattr__(self, "envelope", Envelope(float(np.max(np.abs(f)) ** 2), 0.0))
+            with np.errstate(over="ignore"):  # an overflow is inf, which Envelope refuses
+                object.__setattr__(self, "envelope", Envelope(float(np.max(np.abs(f)) ** 2), 0.0))
 
     @property
     def order(self) -> int:
         return self.fhat.size
-
-    def _factor(self, n: int) -> complex:
-        return self.fhat[n - 1] if n <= self.fhat.size else 0.0
-
-    def entry(self, m: int, n: int) -> complex:
-        return complex(self.row_prefix(m, n)[n - 1])  # numpy's array product, as the section's
 
     def factor_prefix(self, N: int) -> np.ndarray:
         out = np.zeros(N, dtype=complex)
@@ -437,16 +423,16 @@ class RankOneMatrix(CoefficientMatrix):
 
     def truncation(self, N: int) -> np.ndarray:
         f = self.factor_prefix(N)
-        return np.outer(f, np.conj(f))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf, which ``hermitian_part`` refuses
+            return np.outer(f, np.conj(f))
 
     def psd_structure(self, N: int) -> SectionStructure:
         return SectionStructure("rank-one-exact", _NONE.reshape(0, 0), self.factor_prefix(N), _NONE)
 
     def column_prefix(self, n: int, N: int) -> np.ndarray:
-        return self.factor_prefix(N) * np.conj(self._factor(n))
-
-    def row_prefix(self, m: int, N: int) -> np.ndarray:
-        return self._factor(m) * np.conj(self.factor_prefix(N))
+        """f conj(f_n) in O(N): the view is the dense section, O(N**2) per column."""
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf, as in the section
+            return self.factor_prefix(N) * np.conj(self.fhat[n - 1] if n <= self.fhat.size else 0.0)
 
     def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float]:
         """The double sum factors into two single sums, multiplied as balls."""
@@ -516,30 +502,6 @@ class ArrowheadMatrix(CoefficientMatrix):
         """Coupling entries c_{k+1..N}."""
         return self.coupling.prefix(max(0, N - self.k))
 
-    def entry(self, m: int, n: int) -> complex:
-        k = self.k
-        if m <= k and n <= k:
-            return complex(self.head[m - 1, n - 1])
-        if m <= k < n:
-            return self.coupling_value(n)
-        if n <= k < m:
-            return complex(np.conj(self.coupling_value(m)))
-        if m == n:
-            return complex(self.tail_value(m))
-        return 0.0 + 0.0j
-
-    def truncation(self, N: int) -> np.ndarray:
-        k = self.k
-        out = np.zeros((N, N), dtype=complex)
-        kk = min(k, N)
-        out[:kk, :kk] = self.head[:kk, :kk]
-        if N > k:
-            out[:k, k:] = self.coupling_prefix(N)
-            out[k:, :k] = np.conj(out[:k, k:]).T
-            t = np.arange(k, N)
-            out[t, t] = self.tail_prefix(N)
-        return out
-
     def psd_structure(self, N: int) -> Optional[SectionStructure]:
         """The arrowhead prefixes; None below order k, where the section is a block of the head."""
         if N < self.k:
@@ -547,6 +509,7 @@ class ArrowheadMatrix(CoefficientMatrix):
         return SectionStructure("arrowhead-schur", self.head, self.coupling_prefix(N), self.tail_prefix(N))
 
     def column_prefix(self, n: int, N: int) -> np.ndarray:
+        """The one reader of ``coupling_value`` and ``tail_value``, which ``perfbench/tracing.py`` counts."""
         out = np.zeros(N, dtype=complex)
         if n <= self.k:
             out[: self.k] = self.head[:N, n - 1]
@@ -555,12 +518,6 @@ class ArrowheadMatrix(CoefficientMatrix):
             out[: self.k] = self.coupling_value(n)
             if n <= N:
                 out[n - 1] = self.tail_value(n)
-        return out
-
-    def row_prefix(self, m: int, N: int) -> np.ndarray:
-        out = np.conj(self.column_prefix(m, N))  # the tail is real
-        if m <= self.k:
-            out[: self.k] = self.head[m - 1, :N]
         return out
 
     def nonzero_entries(self, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -588,7 +545,7 @@ class ArrowheadMatrix(CoefficientMatrix):
         """
         k, ub = self.k, complex(np.conj(u))
         if N <= k:
-            return super().partial_sum(s, u, N)
+            return _section_sum(self.head[:N, :N], s, u, N)
         laws = self.coupling.power_law(), self.tail.power_law()
         if None not in laws and laws[0][1] == laws[1][1] == 0.0:
             (c, _), (d, _) = laws
@@ -597,7 +554,7 @@ class ArrowheadMatrix(CoefficientMatrix):
             def H(*parts) -> ValueWithBound:
                 return ValueWithBound(*partial_zeta(*exponent_sum(*parts), k + 1, N))
 
-            total = ValueWithBound.fsum([ValueWithBound(*super().partial_sum(s, u, k)), P_s * c * H(ub),
+            total = ValueWithBound.fsum([ValueWithBound(*_section_sum(self.head, s, u, k)), P_s * c * H(ub),
                                          c.conjugate() * H(s) * P_u, d.real * H(s, ub)])
             return complex(total.value), total.error_radius
         ps, pu = powers(s, N), powers(ub, N)
@@ -642,9 +599,6 @@ class DeflatedMatrix(CoefficientMatrix):
         a11 = abs(self._a11)
         return Envelope(env.C + env.C**2 / a11, env.alpha)
 
-    def entry(self, m: int, n: int) -> complex:
-        return complex(self.column_prefix(n, m)[m - 1])  # numpy's array arithmetic, as the section's
-
     def truncation(self, N: int) -> np.ndarray:
         T = self.parent.truncation(N).astype(complex, copy=False)
         column, row = T[:, 0].copy(), T[0, :].copy()
@@ -653,12 +607,9 @@ class DeflatedMatrix(CoefficientMatrix):
         return T
 
     def column_prefix(self, n: int, N: int) -> np.ndarray:
+        """Two parent columns and the pivot row's entry: the view is the dense section, O(N**2) per column."""
         p = self.parent
         return p.column_prefix(n, N) - p.column_prefix(1, N) * p.entry(1, n) / self._a11
-
-    def row_prefix(self, m: int, N: int) -> np.ndarray:
-        p = self.parent
-        return p.row_prefix(m, N) - p.entry(m, 1) * p.row_prefix(1, N) / self._a11
 
     def partial_sum(self, s: complex, u: complex, N: int) -> tuple[complex, float]:
         """The parent's sum minus the product of its first column and row sums

@@ -16,12 +16,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CertificationError, InternalCheckError, SpecError
-from .kernel import DirichletKernel, check_order, eigensolve_rounding, hermitian_part, hermitian_section, kernel_eval, psd_cutoff
+from .kernel import DirichletKernel, check_order, eigensolve_rounding, hermitian_section, kernel_eval, psd_cutoff
 from .matrices import (
     CoefficientMatrix,
     DeflatedMatrix,
     DenseMatrix,
-    DiagonalMatrix,
     RankOneMatrix,
 )
 from .series import Envelope, GeneralDirichletSeries, power_sum, powers
@@ -43,7 +42,8 @@ def analytic_symbol(
     """Column-n series sum_m a_{m,n} m**(-s), with the matrix envelope inherited.
 
     For finitely supported matrices the symbol is an exact Dirichlet
-    polynomial; otherwise a prefix of the requested order is taken.
+    polynomial; otherwise a prefix of the requested order is taken.  A
+    column envelope C n**alpha past a double is left out: the radius is inf.
     """
     if n < 1:
         raise SpecError("symbol index is 1-based")
@@ -56,10 +56,11 @@ def analytic_symbol(
         length = order if order is not None else DEFAULT_SYMBOL_ORDER
         finite = False
     coeffs = matrix.column_prefix(n, max(length, 1))
-    env = matrix.envelope
-    series_env = None
+    env, series_env = matrix.envelope, None
     if env is not None:
-        series_env = Envelope(env.C * max(1.0, float(n)) ** env.alpha, env.alpha)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = env.C * np.float64(max(1.0, float(n))) ** env.alpha
+        series_env = Envelope(float(scale), env.alpha) if np.isfinite(scale) else None
     series = GeneralDirichletSeries.ordinary(coeffs, envelope=series_env, finite=finite)
     return AnalyticSymbol(n, series)
 
@@ -80,14 +81,8 @@ class GramModel:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if isinstance(self.matrix, DiagonalMatrix):
-            d = hermitian_part(self.matrix.diagonal_prefix(self.order))
-            # diagonal sections: eigenvalues are the diagonal itself
-            w = np.sort(np.real(d))
-            G = np.diag(d.astype(complex))
-        else:
-            G = hermitian_section(self.matrix, self.order)
-            w = np.linalg.eigvalsh(G)
+        G = hermitian_section(self.matrix, self.order)
+        w = np.linalg.eigvalsh(G)
         if w.size and w[0] < -psd_cutoff(w, self.tol):
             raise CertificationError(
                 f"Gram section is not PSD at order {self.order}: min eig {w[0]}"

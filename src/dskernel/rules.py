@@ -52,7 +52,8 @@ class SequenceRule:
       explicit   value(l) = values[l-1], zero beyond the stored list
 
     ``is_finite`` (an explicit list), ``power_law()`` and ``poly_bound()``
-    are constants of the rule, formed once when it is made.
+    are constants of the rule, formed once when it is made, as is an
+    explicit list's read-only complex array, which its prefixes view.
     """
 
     kind: str
@@ -78,6 +79,8 @@ class SequenceRule:
         object.__setattr__(self, "is_finite", finite)
         object.__setattr__(self, "_law", law)
         object.__setattr__(self, "_bound", bound)
+        if finite:  # private: ``prefix`` hands out read-only views of it
+            object.__setattr__(self, "_held", np.array(self.values, dtype=complex))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -106,8 +109,7 @@ class SequenceRule:
         if memo is not None and 0 <= n <= memo.size:
             return memo[:n]
         if self.is_finite:
-            out = np.zeros(n, dtype=complex)
-            out[: len(self.values)] = self.values[:n]
+            out = self._held[:n] if n <= self._held.size else np.pad(self._held, (0, n - self._held.size))
         else:
             out = self._formula(np.arange(1, n + 1, dtype=float))
         finite = np.isfinite(out)

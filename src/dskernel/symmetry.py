@@ -117,10 +117,10 @@ def translation_invariance_test(kernel: DirichletKernel, order: int, tol: float 
     for a non-diagonal kernel.  A negative, infinite or NaN tol is a
     SpecError (``support_pattern``).
     """
-    m, n = support_pattern(kernel.matrix, order, tol)
-    off = m != n
-    if off.any():
-        witness = _translation_witness(kernel, m[off], n[off], order, tol)
+    m, n, values = support_pattern(kernel.matrix, order, tol)
+    off = np.flatnonzero(m != n)
+    if off.size:
+        witness = _translation_witness(kernel, m, n, values, off, order, tol)
         return TranslationReport(False, False, witness.violation if witness else 0.0, witness, 0)
     edge = kernel.certified_sigma()
     rng = np.random.default_rng(seed)
@@ -136,28 +136,28 @@ def translation_invariance_test(kernel: DirichletKernel, order: int, tol: float 
     return TranslationReport(True, True, worst, None, TRANSLATION_SAMPLES)
 
 
-def _translation_witness(
-    kernel: DirichletKernel, m: np.ndarray, n: np.ndarray, order: int, tol: float
-) -> Optional[InvarianceWitness]:
+def _translation_witness(kernel: DirichletKernel, m: np.ndarray, n: np.ndarray, values: np.ndarray, off: np.ndarray,
+                         order: int, tol: float) -> Optional[InvarianceWitness]:
     """Search for (b, s, u) violating translation invariance by more than tol.
 
-    m and n hold the 1-based off-diagonal (m, n) with |a_{m,n}| > tol; the
-    first 8 of them, ordered by m n, then m, then n, lead.  For such an entry
-    (m0, n0) of phase phi, b = theta/log(m0/n0) turns that term and its
-    conjugate by theta, moving their sum at real s = u by 2|a|(cos(phi +
-    theta) - cos phi); theta = pi - phi if cos phi >= 0, else -phi, in
-    (-pi, pi], makes that 2|a|(1 + |cos phi|): never 0, as pi is for an
-    imaginary entry, and pi for a real one.  Evaluating at s = u = sigma,
-    sigma growing, makes the term dominate the remaining off-diagonal mass,
-    so the difference stays provably above tol once sigma is large enough.
+    m, n and values are ``support_pattern``'s entries with |a_{m,n}| > tol,
+    off the positions of the off-diagonal ones; the first 8 of those,
+    ordered by m n, then m, then n, lead.  For such an entry (m0, n0) of phase phi, b = theta/log(m0/n0)
+    turns that term and its conjugate by theta, moving their sum at real
+    s = u by 2|a|(cos(phi + theta) - cos phi); theta = pi - phi if
+    cos phi >= 0, else -phi, in (-pi, pi], makes that 2|a|(1 + |cos phi|):
+    never 0, as pi is for an imaginary entry, and pi for a real one.
+    Evaluating at s = u = sigma, sigma growing, makes the term dominate the
+    remaining off-diagonal mass, so the difference stays provably above tol
+    once sigma is large enough.
     """
-    mn = m * n
+    mn = m[off] * n[off]
     # only the entries up to the 8th least m n need sorting
-    near = np.flatnonzero(mn <= np.partition(mn, min(7, mn.size - 1))[min(7, mn.size - 1)])
-    lead = near[np.lexsort((n[near], m[near], mn[near]))[:8]]
+    near = off[mn <= np.partition(mn, min(7, mn.size - 1))[min(7, mn.size - 1)]]
+    lead = near[np.lexsort((n[near], m[near], m[near] * n[near]))[:8]]
     edge = kernel.certified_sigma()
-    for m0, n0 in zip(m[lead].tolist(), n[lead].tolist()):
-        phi = cmath.phase(kernel.matrix.entry(m0, n0))
+    for m0, n0, a in zip(m[lead].tolist(), n[lead].tolist(), values[lead].tolist()):
+        phi = cmath.phase(a)
         theta = math.remainder(math.pi - phi if math.cos(phi) >= 0.0 else -phi, 2.0 * math.pi)  # in [-pi, pi]
         b = (theta if theta != -math.pi else math.pi) / math.log(m0 / n0)
         for sigma in np.arange(edge + 0.5, edge + 24.5, 0.5):
@@ -284,11 +284,11 @@ def linear_invariance_test(kernel: DirichletKernel, order: int, tol: float = 1e-
     "scaling", param a), searched over sigma and Im s.  A negative, infinite
     or NaN tol is a SpecError (``support_pattern``).
     """
-    m, n = support_pattern(kernel.matrix, order, tol)
+    m, n, values = support_pattern(kernel.matrix, order, tol)
     if np.all((m == 1) & (n == 1)):
         return LinearInvarianceReport(True, True, None, None, None, 0.0)
-    off = m != n
-    witness = _translation_witness(kernel, m[off], n[off], order, tol) if off.any() else None
+    off = np.flatnonzero(m != n)
+    witness = _translation_witness(kernel, m, n, values, off, order, tol) if off.size else None
     if witness is not None:
         return LinearInvarianceReport(False, False, "translation", witness.b, (witness.s, witness.u),
                                       witness.violation)

@@ -229,6 +229,15 @@ class TestSymbols:
         assert coeffs[2] == 1.0
         assert all(c == 0 for i, c in enumerate(coeffs) if i != 2)
 
+    def test_an_envelope_scale_past_a_double_leaves_the_column(self, capsys, tmp_path):
+        """C n**alpha = 2**1100 overflows a double: the symbol goes without an envelope, and its column is read."""
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({"variant": "dense", "rho": 0.0, "entries": [[1, 0], [0, 1]],
+                                 "envelope": {"C": 1, "alpha": 1100}}))
+        code, rep = run_json(capsys, "symbols", "--matrix", str(f), "--n", "2")
+        assert code == 0
+        assert rep["results"]["coefficients"] == [0.0, 1.0]
+
 
 class TestMembership:
     def test_query_file(self, capsys):
@@ -451,6 +460,24 @@ class TestHomog:
                                                    "coprime_pair": [3, 2**70]}
         assert rep["results"]["adjoint_condition"]["verdict"] == "finite"
 
+    @pytest.mark.parametrize("span, extra", [
+        ({"a": 0.5, "rho": 0.0}, []),
+        ({"a": 1.0, "rho": 0.5}, ["--delta", "0.5"]),
+    ], ids=["gram", "adjoint"])
+    def test_a_zero_diagonal_has_a_zero_gram(self, capsys, tmp_path, span, extra):
+        """A zero scale has tail 0, where 0 times the divergent tail at 2a - p <= 1 was a NaN (exit 3)."""
+        f = tmp_path / "span.json"
+        f.write_text(json.dumps({**span, "order": 100, "offsets": ["0", "1"],
+                                 "diagonal": {"kind": "constant", "value": 0}}))
+        code, rep = run_json(capsys, "homog", "--span", str(f), *extra)
+        assert code == 0
+        gram = rep["results"]["gram"]
+        assert gram["matrix"] == [[0.0, 0.0], [0.0, 0.0]] and gram["entry_radius"] == 0.0
+        assert gram["independent"] is False
+        if extra:
+            assert rep["results"]["adjoint_condition"]["verdict"] == "finite"
+            assert rep["results"]["adjoint_condition"]["remainder_bound"] == 0.0
+
     def test_explicit_span_past_its_list(self, capsys, tmp_path):
         """Indices past an explicit diagonal's list carry no term: with or without --delta the span is answered."""
         f = tmp_path / "span.json"
@@ -539,13 +566,19 @@ class TestErrorPolicy:
         (["eval", "--series", {"kind": "ordinary", "coefficients": [1],
                                "generator": {"coefficients": {"kind": "constant", "value": 1}}},
           "--s=-800", "--order", "4"], "SpecError"),
+        (["psd", "--matrix", {"variant": "rank_one", "rho": 0.0, "fhat": [10, [1, 1e308]],
+                              "envelope": {"C": 1, "alpha": 0}}, "--max-order", "2"], "SpecError"),
+        (["psd", "--matrix", {"variant": "rank_one", "rho": 0.0, "fhat": [10, [1, 1e308]]},
+          "--max-order", "2"], "SpecError"),
     ], ids=["merge-grid-too-large-to-hold", "merge-bound-past-numpy", "symbols-order-past-numpy",
             "psd-order-past-numpy", "sk-l-max-past-numpy", "homog-pairs-past-numpy", "series-terms-overflow",
             "finite-series-terms-overflow", "dense-kernel-terms-overflow", "values-kernel-terms-overflow",
-            "rank-one-kernel-terms-overflow", "rule-series-head-overflow"])
+            "rank-one-kernel-terms-overflow", "rule-series-head-overflow", "rank-one-square-overflow",
+            "rank-one-envelope-overflow"])
     def test_oversized_input_exit_2(self, tmp_path, argv, kind):
-        """Sizes refused at allocation or before it, and sums whose terms overflow a double, in a child process
-        held to 2 GiB of address space, with nothing on stderr.  A spec given inline is written to a file."""
+        """Sizes refused at allocation or before it, and sums or squares whose terms overflow a double, in a child
+        process held to 2 GiB of address space, with nothing on stderr.  A spec given inline is written to a
+        file."""
         spec = tmp_path / "spec.json"
         for arg in argv:
             if isinstance(arg, dict):

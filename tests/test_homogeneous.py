@@ -504,3 +504,16 @@ class TestAdjointCondition:
         assert translate_gram(g).entry_radius == translate_gram(h).entry_radius
         rep = adjoint_condition_check(g, 0.5)
         assert rep.verdict == "finite" and rep == adjoint_condition_check(h, 0.5)
+
+    @pytest.mark.parametrize("a, rho", [(0.5, 0.0), (1.0, 0.5)])
+    def test_a_zero_diagonal_has_a_zero_gram_and_a_finite_sum(self, a, rho):
+        """A zero scale has tail 0: at 2a = 1, or at a - delta = 0.5, the tail bound of sum n**-z diverges, and
+        0 times it was a NaN."""
+        span = TranslateSpan(a=a, offsets=(Fraction(0), Fraction(1)), diagonal=SequenceRule("constant", scale=0.0),
+                             support=AdmissibleSupport("all"), order=100, rho=rho)
+        gram = translate_gram(span)
+        assert np.array_equal(gram.matrix, np.zeros((2, 2))) and gram.entry_radius == 0.0
+        assert gram.min_eigenvalue == 0.0 and not gram.independent
+        if a == 1.0:
+            rep = adjoint_condition_check(span, 0.5)
+            assert rep.verdict == "finite" and rep.remainder_bound == 0.0 and rep.kernel_value is None

@@ -4,7 +4,8 @@
 so ``series`` imports nothing from ``rules``.  Package modules import each other at module level: the only
 imports inside a function are the lazy ones by design, in the CLI's command handlers (each loads what its
 command runs) and in ``io.load_span`` (only the span commands load ``homogeneous``).  A sequence rule's
-ratio and exponent are raised to a power in its one formula only, which ``value`` and ``prefix`` share.
+ratio and exponent are raised to a power in its one formula only, which ``value`` and ``prefix`` share.  A matrix
+variant states its layout once, and its other accessors are derived (``MATRIX_ACCESSORS``).
 """
 
 import ast
@@ -149,3 +150,27 @@ def test_every_handler_passes_the_tol_it_echoes():
     found = tol_keywords("cli")
     assert found, "the guard sees the handlers' tol keywords"
     assert [(line, text) for line, text in found if text != "args.tol"] == []
+
+
+#: the classes of ``matrices`` that define each accessor.  A variant states its layout once, as the view
+#: ``nonzero_entries`` or the section ``truncation`` (a stored block, both), and ``CoefficientMatrix`` derives the
+#: rest; a variant keeps a line or a section only where the derived one would cost more than its caller affords
+MATRIX_ACCESSORS = {
+    "entry": {"CoefficientMatrix"},
+    "row_prefix": {"CoefficientMatrix"},
+    "nonzero_entries": {"CoefficientMatrix", "StoredMatrix", "DiagonalMatrix", "ArrowheadMatrix"},
+    "truncation": {"CoefficientMatrix", "StoredMatrix", "RankOneMatrix", "DeflatedMatrix"},
+    "column_prefix": {"CoefficientMatrix", "DiagonalMatrix", "RankOneMatrix", "ArrowheadMatrix", "DeflatedMatrix"},
+}
+
+
+def test_each_matrix_variant_states_its_layout_once():
+    """``entry`` and ``row_prefix`` are derived for every variant, and a section or a column is overridden only
+    where ``MATRIX_ACCESSORS`` keeps it."""
+    defined = {name: set() for name in MATRIX_ACCESSORS}
+    for node in ast.parse((PACKAGE / "matrices.py").read_text()).body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name in defined:
+                    defined[item.name].add(node.name)
+    assert defined == MATRIX_ACCESSORS

@@ -175,8 +175,9 @@ def test_support_pattern_matches_the_truncation(name, N):
     assert np.array_equal(values, T[ref_m, ref_n]), (name, N)
     for tol in (0.0, 1e-12, 0.01, 0.25, 1.0):
         ref_m, ref_n = np.nonzero(np.abs(T) > tol)
-        m, n = support_pattern(matrix, N, tol)
+        m, n, values = support_pattern(matrix, N, tol)
         assert np.array_equal(m, ref_m + 1) and np.array_equal(n, ref_n + 1), (name, N, tol)
+        assert np.array_equal(values, T[ref_m, ref_n]), (name, N, tol)
 
 
 @pytest.mark.parametrize("name", ["rank_one_2.json", "deflated"])
@@ -192,13 +193,13 @@ def test_a_finite_support_stops_its_view_at_its_order(name):
     tracemalloc.start()
     try:
         m, n, values = matrix.nonzero_entries(20000)
-        m_tol, n_tol = support_pattern(matrix, 20000, 0.0)
+        m_tol, n_tol, values_tol = support_pattern(matrix, 20000, 0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
     assert np.array_equal(m, ref_m + 1) and np.array_equal(n, ref_n + 1) and np.array_equal(values, T[ref_m, ref_n])
-    assert np.array_equal(m_tol, m) and np.array_equal(n_tol, n)
+    assert np.array_equal(m_tol, m) and np.array_equal(n_tol, n) and np.array_equal(values_tol, values)
 
 
 def _schur_reference(m: ArrowheadMatrix, orders: list, eps: float = 0.0) -> list:
@@ -284,6 +285,38 @@ def test_every_accessor_agrees_with_the_section(name):
     assert np.array_equal(scattered, T)
 
 
+def prefix_section(matrix, N: int) -> np.ndarray:
+    """The N-section built from the prefixes by the formulas that each variant once spelled out as its own
+    ``truncation``: np.diag of the diagonal, and the arrowhead's head block, coupling strips and tail diagonal."""
+    if isinstance(matrix, DiagonalMatrix):
+        return np.diag(matrix.diagonal_prefix(N))
+    k = matrix.k
+    out = np.zeros((N, N), dtype=complex)
+    kk = min(k, N)
+    out[:kk, :kk] = matrix.head[:kk, :kk]
+    if N > k:
+        out[:k, k:] = matrix.coupling_prefix(N)
+        out[k:, :k] = np.conj(out[:k, k:]).T
+        t = np.arange(k, N)
+        out[t, t] = matrix.tail_prefix(N)
+    return out
+
+
+#: every diagonal and arrowhead of the two tables above
+PREFIX_VARIANTS = {f"{group}_{name}": make
+                   for group, table in (("pattern", PATTERN_VARIANTS), ("agreement", AGREEMENT_VARIANTS))
+                   for name, make in table.items() if name.startswith(("diagonal", "arrowhead"))}
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 24, 200])
+@pytest.mark.parametrize("name", sorted(PREFIX_VARIANTS))
+def test_the_scattered_view_is_the_prefix_section(name, N):
+    """A diagonal's or an arrowhead's section is the scatter of its coordinate view; it equals the section formed
+    from the prefixes bit for bit, up to the sign of a zero entry: the view holds no zero."""
+    matrix = PREFIX_VARIANTS[name](np.random.default_rng(18))
+    assert np.array_equal(matrix.truncation(N), prefix_section(matrix, N))
+
+
 AGREEMENT_RULES = {
     "constant": SequenceRule("constant", scale=0.3 - 1.1j),
     "geometric": SequenceRule("geometric", scale=2.5, ratio=1.00003),
@@ -305,6 +338,19 @@ def test_value_agrees_with_prefix_within_and_beyond_the_memo(kind):
     assert before == held[np.array(ls) - 1].tolist() == [fresh.value(l) for l in ls]
     beyond = fresh.prefix(CACHE_LIMIT + 1000)
     assert [fresh.value(l) for l in deep] == beyond[np.array(deep) - 1].tolist()
+
+
+def test_an_explicit_rule_holds_its_values_once():
+    """Past the memo's CACHE_LIMIT a prefix of an explicit rule is a view of the one array formed when the rule
+    is made, not a new conversion of the tuple; a prefix past the list is zero beyond it."""
+    values = tuple(np.linspace(0.5, 2.0, 10**5))
+    rule = SequenceRule("explicit", values=values)
+    first, second = rule.prefix(10**5), rule.prefix(10**5)
+    assert 10**5 > CACHE_LIMIT and np.shares_memory(first, second) and not first.flags.writeable
+    assert np.array_equal(first, np.array(values, dtype=complex))
+    longer = rule.prefix(10**5 + 3)
+    assert np.array_equal(longer[: 10**5], first) and not np.any(longer[10**5 :])
+    assert [rule.value(l) for l in (1, 77_777, 10**5, 10**5 + 1)] == [*first[[0, 77_776, 10**5 - 1]].tolist(), 0j]
 
 
 class TestRuleFiniteness:

@@ -25,6 +25,7 @@ from dskernel import (
     reproducing_check,
     self_adjoint_check,
 )
+from dskernel.series import Envelope
 from conftest import dense_kernel, random_psd_dense
 
 
@@ -53,6 +54,14 @@ class TestAnalyticSymbol:
         sym = analytic_symbol(DenseMatrix(np.zeros((4, 4))), 2)
         assert np.all(np.asarray(sym.series.coefficients) == 0)
         assert sym.series.finite
+
+    @pytest.mark.parametrize("alpha, scale", [(2.0, 9.0), (1100.0, None)])
+    def test_envelope_scale_is_kept_only_when_finite(self, alpha, scale):
+        """Column 3 of C m**alpha n**alpha is bounded by C 3**alpha m**alpha; 3**1100 overflows a double, so that
+        symbol has no envelope."""
+        sym = analytic_symbol(DenseMatrix(np.eye(3), Envelope(1.0, alpha)), 3)
+        assert np.array_equal(np.asarray(sym.series.coefficients), [0.0, 0.0, 1.0])
+        assert sym.series.envelope == (None if scale is None else Envelope(scale, alpha))
 
 
 class TestExpansion:

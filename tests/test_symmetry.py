@@ -361,7 +361,7 @@ def searched_linear_witness(kernel, order: int, tol: float) -> LinearInvarianceR
     """The reference: the search over three scalings and a translation composed with scaling 2, each acting as
     the Moebius map (a (s - rho) - ib) / (ic (s - rho) + d) + rho of its SL2(R) matrix, with no look at the
     coefficients beyond the constant kernel."""
-    m, n = support_pattern(kernel.matrix, order, tol)
+    m, n, _ = support_pattern(kernel.matrix, order, tol)
     if np.all((m == 1) & (n == 1)):
         return LinearInvarianceReport(True, True, None, None, None, 0.0)
     edge, rho = kernel.certified_sigma(), kernel.rho
